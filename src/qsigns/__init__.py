@@ -7,10 +7,11 @@ from .arith import (DirichletCharacter, chi_star, chi_t_N, chi_t_N_character,
 from .qseries import (PrecisionError, QSeries, add, derive, dilate,
                       eisenstein_e4, eta, euler, mul, neg, pow_, scalar_mul,
                       theta, theta_psi, u_op)
-from .forms import (HalfIntegralForm, IntegralForm, delta_form, g_form,
-                    plus_space_check, ramanujan_delta, x0_11_form)
+from .forms import (NAMED, Form, delta_form, g_form, integer_table,
+                    plus_space_check, ramanujan_delta, spec_series,
+                    x0_11_form)
 from .formspec import FormSpecError, evaluate, parse_formspec
-from .hecke import (EigenReport, LiftResult, RecurrenceReport, deligne_check,
+from .hecke import (EigenReport, RecurrenceReport, deligne_check,
                     elementary_bound_check, extract_eigenvalue,
                     local_power_sequence, local_power_sequence_extended,
                     recurrence_check, satake, shimura_lift, t_integral,

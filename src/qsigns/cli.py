@@ -13,13 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from . import coeffio, formspec, hecke, signs
+from . import coeffio, forms, hecke, signs
 from .arith import DirichletCharacter
-from .forms import (delta_form, g_form, plus_space_check, ramanujan_delta,
-                    x0_11_form)
-from . import qseries as qs
+
+# Names that stand for an expression (written by the expression rule).
+ALIASES = {"E4": "E4(1)"}
 
 DEFAULT_PREC = 100_000
 LARGE_PREC_CAP = 1_000_000
@@ -112,78 +111,43 @@ def _check_prec(args):
 
 def cmd_build(args) -> int:
     _check_prec(args)
-    prec = args.prec
-    name = args.form
-    if name == "delta":
-        f = delta_form(prec)
-        cf = coeffio.from_table("delta", f.weight_num, f.level, f.character,
-                                f.coeffs, prec, offset=1)
-    elif name == "g":
-        f = g_form(prec)
-        cf = coeffio.from_table("g", f.weight_num, f.level, f.character,
-                                f.coeffs, prec, offset=1)
-    elif name == "Delta":
-        f = ramanujan_delta(prec)
-        cf = coeffio.from_table("Delta", 2 * f.weight, f.level, f.character,
-                                f.coeffs, prec, offset=1)
-    elif name == "G11":
-        f = x0_11_form(prec)
-        cf = coeffio.from_table("G11", 2 * f.weight, f.level, f.character,
-                                f.coeffs, prec, offset=1)
-    elif name == "E4":
-        series = qs.eisenstein_e4(prec + 1)
-        cf = _series_file("E4", series, Fraction(4), 1, prec)
+    # Resolved at call time through the forms module, so a wrapper put on
+    # a named constructor (a tracer, say) sees the call.
+    named = {"delta": forms.delta_form, "g": forms.g_form,
+             "Delta": forms.ramanujan_delta, "G11": forms.x0_11_form}
+    if args.form in named:
+        f = named[args.form](args.prec)
+        cf = coeffio.from_table(args.form, f.weight_num, f.level, f.character,
+                                f.coeffs, f.prec)
     else:
-        ast = formspec.parse_formspec(name)
-        series = formspec.evaluate(ast, prec + 1)
-        cf = _series_file(name, series, formspec.formal_weight(ast),
-                          formspec.level_hint(ast), prec)
+        cf = _expression_file(args.form, args.prec)
     cf.write(args.out)
     return 0
 
 
-def _series_file(form_id, series, weight, level, prec) -> coeffio.CoefficientFile:
-    if series.offset.denominator != 1:
-        raise ValueError("cannot write a series with fractional offset %s"
-                         % series.offset)
-    off = int(series.offset)
-    if off < 0:
-        raise ValueError("cannot write a series with negative offset")
-    weight2 = 2 * Fraction(weight)
-    if weight2.denominator != 1:
-        raise ValueError("expression weight %s is not half-integral" % weight)
-    pairs = []
-    for i, c in series.pairs():
-        n = off + i
-        if n > prec:
-            break
-        if isinstance(c, Fraction):
-            if c.denominator != 1:
-                raise ValueError("non-integral coefficient %s at q^%d" % (c, n))
-            c = int(c)
-        pairs.append((n, c))
-    return coeffio.CoefficientFile(form_id=form_id, weight_num=int(weight2),
-                                   level=level,
-                                   character=coeffio.format_character(
-                                       DirichletCharacter.trivial(level)),
-                                   prec=prec, offset=off, pairs=pairs)
+def _expression_file(text: str, prec: int) -> coeffio.CoefficientFile:
+    """The expression's coefficients from its series' integer offset on."""
+    weight_num, level, series = forms.spec_series(ALIASES.get(text, text),
+                                                  prec)
+    table = forms.integer_table(series, prec, start=0)
+    return coeffio.from_table(text, weight_num, level,
+                              DirichletCharacter.trivial(level), table, prec,
+                              offset=int(series.offset))
 
 
 def cmd_lift(args) -> int:
     cf = coeffio.read(args.infile)
-    f = cf.to_half_integral_form()
-    lift = hecke.shimura_lift(f, args.t)
-    out = coeffio.from_table("lift_t%d(%s)" % (args.t, cf.form_id),
-                             2 * lift.weight, lift.level,
-                             DirichletCharacter.trivial(lift.level),
-                             lift.series, lift.prec, offset=1, t=args.t)
-    out.write(args.out)
+    lift = hecke.shimura_lift(cf.to_form(), args.t)
+    coeffio.from_table("lift_t%d(%s)" % (args.t, cf.form_id), lift.weight_num,
+                       lift.level, lift.character, lift.coeffs, lift.prec,
+                       t=args.t).write(args.out)
     return 0
 
 
 def cmd_hecke(args) -> int:
     cf = coeffio.read(args.infile)
     p = args.p
+    report = None
     if args.op == "u":
         if p < 1:
             raise ValueError("index must be positive")
@@ -191,31 +155,26 @@ def cmd_hecke(args) -> int:
         prec = cf.prec // p
         seq = [0] + [table[p * n] for n in range(1, prec + 1)]
         out_id = "u%d(%s)" % (p, cf.form_id)
-        report = None
-    elif args.op == "tsq":
-        f = cf.to_half_integral_form()
-        seq = hecke.t_square_half(p, f)
-        prec = len(seq) - 1
-        out_id = "tsq_p%d(%s)" % (p, cf.form_id)
-        report = hecke.extract_eigenvalue(f.coeffs[:prec + 1], seq, p=p, k=f.k)
     else:
-        F = cf.to_integral_form()
-        seq = hecke.t_integral(p, F)
+        f = cf.to_form()
+        if args.op == "tsq":
+            seq = hecke.t_square_half(p, f)
+            out_id = "tsq_p%d(%s)" % (p, cf.form_id)
+        else:
+            seq = hecke.t_integral(p, f)
+            out_id = "tp%d(%s)" % (p, cf.form_id)
         prec = len(seq) - 1
-        out_id = "tp%d(%s)" % (p, cf.form_id)
-        report = hecke.extract_eigenvalue(F.coeffs[:prec + 1], seq, p=p, k=F.k)
+        report = hecke.extract_eigenvalue(f.coeffs[:prec + 1], seq, p=p, k=f.k)
 
     if args.out:
         coeffio.from_table(out_id, cf.weight_num, cf.level,
                            coeffio.parse_character(cf.character),
-                           seq, prec, offset=1).write(args.out)
+                           seq, prec).write(args.out)
     if args.verify_eigen:
         if report is None:
             raise ValueError("--verify-eigen needs --op tsq or tp")
-        doc = _eigen_json(cf.form_id, args.op, report,
-                          (cf.weight_num - 1) // 2 if cf.is_half_integral
-                          else cf.weight_num // 4)
-        _emit_json(doc, args.jsonfile)
+        _emit_json(_eigen_json(cf.form_id, args.op, report, f.k),
+                   args.jsonfile)
         return 0 if report.is_eigen else 1
     return 0
 
@@ -243,16 +202,11 @@ def _table_decimals(X: int) -> int:
 
 def cmd_signs(args) -> int:
     cf = coeffio.read(args.infile)
-    if cf.is_half_integral:
-        form = cf.to_half_integral_form()
-    else:
-        form = cf.to_integral_form()
+    form = cf.to_form()
     stats = [s for s in args.stats.split(",") if s]
     for s in stats:
         if s not in ("tot", "fund"):
             raise ValueError("unknown stat %r" % s)
-    if "fund" in stats and not cf.is_half_integral:
-        raise ValueError("fund statistics need a half-integral form")
 
     xs = [int(x) for x in args.xlist.split(",") if x]
     rows = []
@@ -352,8 +306,8 @@ def cmd_verify(args) -> int:
 
 
 def _suite_plus_space(cf):
-    f = cf.to_half_integral_form()
-    bad = plus_space_check(f)
+    f = cf.to_form()
+    bad = forms.plus_space_check(f)
     doc = {"schema": JSON_SCHEMA, "suite": "plus-space", "form": cf.form_id,
            "pass": not bad,
            "violations": [{"n": n, "a": f.a(n)} for n in bad[:10]]}
@@ -361,7 +315,7 @@ def _suite_plus_space(cf):
 
 
 def _suite_recurrence(cf, ts, ps):
-    f = cf.to_half_integral_form()
+    f = cf.to_form()
     checks = []
     ok = True
     for t in ts:
@@ -378,21 +332,11 @@ def _suite_recurrence(cf, ts, ps):
 
 
 def _suite_bounds(cf, ps):
+    f = cf.to_form()
+    k = f.k
     checks = []
     ok = True
-    if cf.is_half_integral:
-        f = cf.to_half_integral_form()
-        k = f.k
-        reports = [hecke.eigen_report(f, p) for p in ps]
-    else:
-        F = cf.to_integral_form()
-        k = F.k
-        reports = []
-        for p in ps:
-            seq = hecke.t_integral(p, F)
-            reports.append(hecke.extract_eigenvalue(
-                F.coeffs[:len(seq)], seq, p=p, k=k))
-    for rep in reports:
+    for rep in (hecke.eigen_report(f, p) for p in ps):
         entry = {"p": rep.p, "is_eigen": rep.is_eigen, "lambda": rep.lam}
         if rep.is_eigen:
             entry["deligne_ok"] = hecke.deligne_check(rep.lam, rep.p, k)
@@ -408,8 +352,7 @@ def _suite_bounds(cf, ps):
 
 
 def _suite_prop2(cf, ps, limit):
-    form = (cf.to_half_integral_form() if cf.is_half_integral
-            else cf.to_integral_form())
+    form = cf.to_form()
     checks = []
     ok = True
     for p in ps:

@@ -10,14 +10,17 @@ nonzero coefficient, ascending n, decimal integers:
     # level: 4
     # character: trivial:4
     # prec: 100
-    # offset: 0
+    # offset: 1
     1	1
     4	-56
 
 The weight is always written as numerator over 2 (even numerators are
-integral weights).  An optional '# t: <int>' line after the offset
-records the lift index.  Serialization is canonical, so parse/serialize
-round-trips are byte identical.
+integral weights).  The offset is the least index the body may hold:
+files of named forms, lifts and operator images are written from a(1)
+with offset 1, and an expression is written from its series' integer
+offset (0 keeps a constant term).  An optional '# t: <int>' line after
+the offset records the lift index.  Serialization is canonical, so
+parse/serialize round-trips are byte identical.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import re
 from dataclasses import dataclass, field
 
 from .arith import DirichletCharacter
-from .forms import HalfIntegralForm, IntegralForm
+from .forms import Form
 
 MAGIC = "# coeffs v1"
 
@@ -60,10 +63,6 @@ class CoefficientFile:
     t: int | None = None
     pairs: list[tuple[int, int]] = field(default_factory=list)
 
-    @property
-    def is_half_integral(self) -> bool:
-        return self.weight_num % 2 == 1
-
     def serialize(self) -> str:
         lines = [MAGIC,
                  "# form: %s" % self.form_id,
@@ -90,29 +89,18 @@ class CoefficientFile:
                 table[n] = c
         return table
 
-    def to_half_integral_form(self) -> HalfIntegralForm:
-        if not self.is_half_integral:
-            raise ValueError("file %r holds an integral-weight expansion"
-                             % self.form_id)
-        return HalfIntegralForm(weight_num=self.weight_num, level=self.level,
-                                character=parse_character(self.character),
-                                coeffs=self.coefficient_table(),
-                                prec=self.prec, plus_space=False)
-
-    def to_integral_form(self) -> IntegralForm:
-        if self.is_half_integral:
-            raise ValueError("file %r holds a half-integral expansion"
-                             % self.form_id)
-        return IntegralForm(weight=self.weight_num // 2, level=self.level,
-                            character=parse_character(self.character),
-                            coeffs=self.coefficient_table(), prec=self.prec)
+    def to_form(self) -> Form:
+        return Form(weight_num=self.weight_num, level=self.level,
+                    character=parse_character(self.character),
+                    coeffs=self.coefficient_table(), prec=self.prec)
 
 
 def from_table(form_id: str, weight_num: int, level: int,
                chi: DirichletCharacter, coeffs: list[int], prec: int,
-               offset: int = 0, t: int | None = None) -> CoefficientFile:
-    """Build a file object from a 1-indexed coefficient table."""
-    pairs = [(n, coeffs[n]) for n in range(1, prec + 1) if coeffs[n] != 0]
+               offset: int = 1, t: int | None = None) -> CoefficientFile:
+    """Build a file object from a coefficient table indexed by n, keeping
+    the entries from the offset on."""
+    pairs = [(n, coeffs[n]) for n in range(offset, prec + 1) if coeffs[n] != 0]
     return CoefficientFile(form_id=form_id, weight_num=weight_num, level=level,
                            character=format_character(chi), prec=prec,
                            offset=offset, t=t, pairs=pairs)
@@ -147,8 +135,7 @@ def parse(text: str) -> CoefficientFile:
                          offset=int(header["offset"]),
                          t=int(header["t"]) if "t" in header else None)
     parse_character(cf.character)   # validate eagerly
-    last = 0 if cf.offset >= 0 else cf.offset - 1
-    first = True
+    last = cf.offset - 1
     for line in lines[body_start:]:
         if not line:
             continue
@@ -158,12 +145,13 @@ def parse(text: str) -> CoefficientFile:
         n, c = int(parts[0]), int(parts[1])
         if c == 0:
             raise ValueError("zero coefficient stored at n=%d" % n)
-        if not first and n <= last:
-            raise ValueError("body indices must be strictly increasing")
+        if n <= last:
+            raise ValueError("body index %d is below the offset or out of "
+                             "order" % n)
         if n > cf.prec:
             raise ValueError("index %d exceeds prec %d" % (n, cf.prec))
         cf.pairs.append((n, c))
-        last, first = n, False
+        last = n
     return cf
 
 

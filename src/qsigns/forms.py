@@ -1,9 +1,12 @@
-"""Finalized modular-form objects and the named constructions.
+"""The form type and the named forms.
 
-Forms carry an integer coefficient table a(n) for 1 <= n <= prec plus
+A Form carries an integer coefficient table a(n) for 1 <= n <= prec plus
 weight/level/character metadata.  Integrality is checked at finalization,
 never assumed; the level and character are declared metadata (transformation
 behaviour is not verified here), while support conditions are.
+
+Every named form is a formspec expression (see formspec) plus its
+plus-space flag; the weight and level come out of the expression.
 """
 
 from __future__ import annotations
@@ -12,16 +15,26 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import DirichletCharacter
-from . import qseries as qs
+from . import formspec
 from .qseries import QSeries, PrecisionError
+
+# name -> (formspec expression, plus-space support condition)
+NAMED = {
+    "delta": ("1/4*(2*E4(4)*D(theta(1)) - 1/4*D(E4(4))*theta(1))", True),
+    "g": ("1/2*U(4, eta(2)*eta(22)*theta(11))", True),
+    "Delta": ("eta(1)^24", False),
+    "G11": ("eta(1)^2*eta(11)^2", False),
+}
 
 
 @dataclass
-class HalfIntegralForm:
-    """Cusp form of weight weight_num/2 = k + 1/2 on level N, 4 | N.
+class Form:
+    """Form of weight weight_num/2 with integer coefficients.
 
-    coeffs[n] = a(n) with coeffs[0] an unused zero; if plus_space is set
-    the support condition a(n) = 0 for (-1)^k n = 2, 3 mod 4 is enforced.
+    Odd weight_num is a half-integral weight k + 1/2 on a level divisible
+    by 4; even weight_num is an even integral weight 2k.  coeffs[n] = a(n)
+    with coeffs[0] an unused zero.  If plus_space is set the support
+    condition a(n) = 0 for (-1)^k n = 2, 3 mod 4 is enforced.
     """
 
     weight_num: int
@@ -32,10 +45,13 @@ class HalfIntegralForm:
     plus_space: bool = False
 
     def __post_init__(self):
-        if self.weight_num % 2 == 0 or self.weight_num < 1:
-            raise ValueError("weight numerator must be a positive odd integer")
-        if self.level % 4 != 0:
-            raise ValueError("level must be divisible by 4")
+        if self.half_integral:
+            if self.weight_num < 1:
+                raise ValueError("weight numerator must be positive")
+            if self.level % 4 != 0:
+                raise ValueError("level must be divisible by 4")
+        elif self.weight_num % 4 or self.weight_num < 4:
+            raise ValueError("integral weight must be a positive even integer")
         if len(self.coeffs) != self.prec + 1:
             raise ValueError("coefficient table must cover 1..prec")
         if self.plus_space:
@@ -45,36 +61,13 @@ class HalfIntegralForm:
                                  % bad[0])
 
     @property
-    def k(self) -> int:
-        return (self.weight_num - 1) // 2
-
-    def a(self, n: int) -> int:
-        if n < 1:
-            raise ValueError("coefficients are indexed from 1")
-        if n > self.prec:
-            raise PrecisionError("a(%d) beyond precision %d" % (n, self.prec))
-        return self.coeffs[n]
-
-
-@dataclass
-class IntegralForm:
-    """Cusp form of even integral weight with integer coefficients."""
-
-    weight: int
-    level: int
-    character: DirichletCharacter
-    coeffs: list[int]
-    prec: int
-
-    def __post_init__(self):
-        if self.weight % 2 or self.weight < 2:
-            raise ValueError("weight must be a positive even integer")
-        if len(self.coeffs) != self.prec + 1:
-            raise ValueError("coefficient table must cover 1..prec")
+    def half_integral(self) -> bool:
+        return self.weight_num % 2 == 1
 
     @property
     def k(self) -> int:
-        return self.weight // 2
+        """k of the weight k + 1/2, or of the integral weight 2k."""
+        return self.weight_num // (2 if self.half_integral else 4)
 
     def a(self, n: int) -> int:
         if n < 1:
@@ -84,15 +77,18 @@ class IntegralForm:
         return self.coeffs[n]
 
 
-def plus_space_check(f: HalfIntegralForm) -> list[int]:
+def plus_space_check(f: Form) -> list[int]:
     """Indices n <= prec violating a(n) = 0 for (-1)^k n = 2, 3 mod 4."""
+    if not f.half_integral:
+        raise ValueError("the plus space is defined in half-integral weight")
     sign = -1 if f.k % 2 else 1
     return [n for n in range(1, f.prec + 1)
             if (sign * n) % 4 in (2, 3) and f.coeffs[n] != 0]
 
 
-def integer_table(series: QSeries, prec: int) -> list[int]:
-    """Read a(1)..a(prec) off a q-series, asserting integrality.
+def integer_table(series: QSeries, prec: int, start: int = 1) -> list[int]:
+    """Read a(start)..a(prec) off a q-series, asserting integrality; the
+    entries below start are zero.
 
     The series must have an integral offset and cover exponents up to
     prec; rational bookkeeping must have cancelled exactly.
@@ -100,42 +96,54 @@ def integer_table(series: QSeries, prec: int) -> list[int]:
     if series.offset.denominator != 1:
         raise ValueError("cannot finalize a series with fractional offset %s"
                          % series.offset)
-    table = [0] * (prec + 1)
-    for n in range(1, prec + 1):
-        c = series.coefficient(n)
+    off = int(series.offset)
+    if off + series.prec <= prec:
+        raise PrecisionError("q^%d beyond precision" % prec)
+    lo = max(start, off)
+    table = ([0] * min(lo, prec + 1)
+             + series.dense_list()[lo - off:prec + 1 - off])
+    for n, c in enumerate(table):
         if isinstance(c, Fraction):
             if c.denominator != 1:
-                raise ValueError("non-integral coefficient %s at q^%d" % (c, n))
-            c = int(c)
-        table[n] = c
+                raise ValueError("non-integral coefficient %s at q^%d"
+                                 % (c, n))
+            table[n] = c.numerator
     return table
 
 
-def delta_form(prec: int) -> HalfIntegralForm:
+def spec_series(spec: str, prec: int) -> tuple[int, int, QSeries]:
+    """The weight numerator (twice the formal weight), the level hint and
+    the series through q^prec of a formspec expression."""
+    ast = formspec.parse_formspec(spec)
+    return (int(2 * formspec.formal_weight(ast)), formspec.level_hint(ast),
+            formspec.evaluate(ast, prec + 1))
+
+
+def _named(name: str, prec: int) -> Form:
+    if prec < 1:
+        raise ValueError("prec must be positive")
+    spec, plus_space = NAMED[name]
+    weight_num, level, series = spec_series(spec, prec)
+    return Form(weight_num=weight_num, level=level,
+                character=DirichletCharacter.trivial(level),
+                coeffs=integer_table(series, prec), prec=prec,
+                plus_space=plus_space)
+
+
+def delta_form(prec: int) -> Form:
     """The weight-13/2, level-4 plus-space cusp form built from the
     weight-4 Eisenstein series and the standard theta series:
 
         (1/4) * (2 E4(4z) (D theta)(z) - (D E4)(4z) theta(z)),
 
     D = q d/dq.  Expansion starts q - 56 q^4 + 120 q^5 - 240 q^8 + ...
+    In the expression, D(E4(4)) differentiates the dilated series, which
+    is 4 (D E4)(4z); hence its inner 1/4.
     """
-    if prec < 1:
-        raise ValueError("prec must be positive")
-    w = prec + 1
-    e4 = qs.eisenstein_e4((w + 3) // 4)
-    e4_at4 = qs.dilate(4, e4, max_prec=w)
-    de4_at4 = qs.dilate(4, qs.derive(e4), max_prec=w)
-    th = qs.theta(1, w)
-    num = qs.add(qs.scalar_mul(qs.mul(e4_at4, qs.derive(th)), 2),
-                 qs.neg(qs.mul(de4_at4, th)))
-    series = qs.scalar_mul(num, Fraction(1, 4))
-    return HalfIntegralForm(weight_num=13, level=4,
-                            character=DirichletCharacter.trivial(4),
-                            coeffs=integer_table(series, prec),
-                            prec=prec, plus_space=True)
+    return _named("delta", prec)
 
 
-def g_form(prec: int) -> HalfIntegralForm:
+def g_form(prec: int) -> Form:
     """The weight-3/2, level-44 plus-space cusp form
 
         (1/2) (theta(11z) eta(2z) eta(22z)) | U_4,
@@ -146,36 +154,16 @@ def g_form(prec: int) -> HalfIntegralForm:
     halving the two-sided theta's doubled terms is the same as building
     the product with the one-sided sum over n >= 0; the normalization
     makes the leading coefficient 1.  The product before U_4 is computed
-    to 4x the requested precision.
+    to 4x the requested precision, eta factors first (the faster order).
     """
-    if prec < 1:
-        raise ValueError("prec must be positive")
-    w = 4 * (prec + 1)
-    prod = qs.mul(qs.mul(qs.eta(2, w), qs.eta(22, w)), qs.theta(11, w))
-    series = qs.scalar_mul(qs.u_op(4, prod), Fraction(1, 2))
-    return HalfIntegralForm(weight_num=3, level=44,
-                            character=DirichletCharacter.trivial(44),
-                            coeffs=integer_table(series, prec),
-                            prec=prec, plus_space=True)
+    return _named("g", prec)
 
 
-def ramanujan_delta(prec: int) -> IntegralForm:
+def ramanujan_delta(prec: int) -> Form:
     """The weight-12 level-1 cusp form q prod (1-q^n)^24 = eta(z)^24."""
-    if prec < 1:
-        raise ValueError("prec must be positive")
-    series = qs.pow_(qs.eta(1, prec), 24)
-    return IntegralForm(weight=12, level=1,
-                        character=DirichletCharacter.trivial(1),
-                        coeffs=integer_table(series, prec), prec=prec)
+    return _named("Delta", prec)
 
 
-def x0_11_form(prec: int) -> IntegralForm:
+def x0_11_form(prec: int) -> Form:
     """The weight-2 level-11 cusp form eta(z)^2 eta(11z)^2."""
-    if prec < 1:
-        raise ValueError("prec must be positive")
-    e1 = qs.eta(1, prec)
-    e11 = qs.eta(11, prec)
-    series = qs.mul(qs.mul(e1, e1), qs.mul(e11, e11))
-    return IntegralForm(weight=2, level=11,
-                        character=DirichletCharacter.trivial(11),
-                        coeffs=integer_table(series, prec), prec=prec)
+    return _named("G11", prec)

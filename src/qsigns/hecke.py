@@ -1,7 +1,8 @@
 """Hecke operators, the Shimura lift, and eigenvalue diagnostics.
 
-All sequences use the same convention as the form types: a list indexed
-by n with entry 0 an unused zero, covering 1 <= n <= its own precision.
+All sequences use the convention of Form coefficient tables: a list
+indexed by n with entry 0 an unused zero, covering 1 <= n <= its own
+precision.
 Eigenvalue extraction is exact integer arithmetic; a non-dividing ratio
 is a hard not-an-eigenform verdict, never a rounding question.
 """
@@ -13,37 +14,7 @@ from math import isqrt
 
 from .arith import (DirichletCharacter, chi_star, chi_t_N, divisors,
                     is_prime, is_squarefree, kronecker)
-from .forms import HalfIntegralForm, IntegralForm
-
-
-@dataclass
-class LiftResult:
-    """Lifted coefficient sequence A(n), 1 <= n <= prec, with source data."""
-
-    t: int
-    series: list[int]
-    prec: int
-    k: int
-    source_level: int
-    character: DirichletCharacter
-
-    @property
-    def weight(self) -> int:
-        return 2 * self.k
-
-    @property
-    def level(self) -> int:
-        return self.source_level // 2
-
-    def a(self, n: int) -> int:
-        return self.series[n]
-
-    def as_integral_form(self) -> IntegralForm:
-        """Repackage as a weight-2k form on level N/2 with the squared
-        character (trivial on the residues coprime to the level)."""
-        return IntegralForm(weight=self.weight, level=self.level,
-                            character=DirichletCharacter.trivial(self.level),
-                            coeffs=list(self.series), prec=self.prec)
+from .forms import Form
 
 
 @dataclass
@@ -59,13 +30,16 @@ class EigenReport:
     note: str = ""
 
 
-def shimura_lift(f: HalfIntegralForm, t: int) -> LiftResult:
+def shimura_lift(f: Form, t: int) -> Form:
     """Lift at the square-free index t:
 
         A(n) = sum_{d | n} chi_{t,N}(d) d^(k-1) a(n^2 t / d^2),
 
-    valid for n <= floor(sqrt(prec / t)).
+    valid for n <= floor(sqrt(prec / t)).  The lift is a weight-2k form
+    on level N/2 with the squared character (trivial on the residues
+    coprime to the level).
     """
+    _require_weight(f, half_integral=True)
     if t < 1 or not is_squarefree(t):
         raise ValueError("t must be a square-free positive integer")
     if t > f.prec:
@@ -81,11 +55,12 @@ def shimura_lift(f: HalfIntegralForm, t: int) -> LiftResult:
             if chi:
                 acc += chi * d ** (k - 1) * f.a(nn_t // (d * d))
         out[n] = acc
-    return LiftResult(t=t, series=out, prec=prec_a, k=k,
-                      source_level=N, character=f.character)
+    return Form(weight_num=4 * k, level=N // 2,
+                character=DirichletCharacter.trivial(N // 2), coeffs=out,
+                prec=prec_a)
 
 
-def t_square_half(p: int, f: HalfIntegralForm) -> list[int]:
+def t_square_half(p: int, f: Form) -> list[int]:
     """Apply T(p^2) for a prime p not dividing the level:
 
         b(n) = a(p^2 n) + chi*(p) (n/p) p^(k-1) a(n)
@@ -93,6 +68,7 @@ def t_square_half(p: int, f: HalfIntegralForm) -> list[int]:
 
     with the last term zero unless p^2 | n.  Valid for n <= prec // p^2.
     """
+    _require_weight(f, half_integral=True)
     _require_good_prime(p, f.level)
     k = f.k
     cs = chi_star(f.character, k, p)
@@ -110,16 +86,17 @@ def t_square_half(p: int, f: HalfIntegralForm) -> list[int]:
     return out
 
 
-def t_integral(p: int, F: IntegralForm) -> list[int]:
+def t_integral(p: int, F: Form) -> list[int]:
     """Apply the integral-weight T(p) for a prime p not dividing the level:
 
         B(n) = A(p n) + chi^2(p) p^(2k-1) A(n / p),
 
     valid for n <= prec // p.
     """
+    _require_weight(F, half_integral=False)
     _require_good_prime(p, F.level)
     c2 = F.character(p) ** 2
-    p2k1 = p ** (F.weight - 1)
+    p2k1 = p ** (2 * F.k - 1)
     prec = F.prec // p
     out = [0] * (prec + 1)
     for n in range(1, prec + 1):
@@ -161,14 +138,14 @@ def extract_eigenvalue(seq_before: list[int], seq_after: list[int],
                        satake=sat)
 
 
-def eigen_report(f: HalfIntegralForm, p: int) -> EigenReport:
-    """T(p^2) eigen check of a half-integral form, over every index the
-    precision supports."""
-    before = [0] + [f.a(n) for n in range(1, f.prec // (p * p) + 1)]
-    return extract_eigenvalue(before, t_square_half(p, f), p=p, k=f.k)
+def eigen_report(f: Form, p: int) -> EigenReport:
+    """Eigen check under T(p^2) in half-integral weight and T(p) in
+    integral weight, over every index the precision supports."""
+    seq = t_square_half(p, f) if f.half_integral else t_integral(p, f)
+    return extract_eigenvalue(f.coeffs[:len(seq)], seq, p=p, k=f.k)
 
 
-def local_power_sequence(f: HalfIntegralForm, t: int, p: int) -> list[int]:
+def local_power_sequence(f: Form, t: int, p: int) -> list[int]:
     """The coefficients a(t p^(2m)) for m = 0, 1, ... up to the precision
     limit t p^(2m) <= prec."""
     if t < 1 or not is_squarefree(t):
@@ -184,7 +161,7 @@ def local_power_sequence(f: HalfIntegralForm, t: int, p: int) -> list[int]:
     return out
 
 
-def local_power_sequence_extended(f: HalfIntegralForm, t: int, p: int,
+def local_power_sequence_extended(f: Form, t: int, p: int,
                                   M: int) -> list[int]:
     """a(t p^(2m)) for m = 0..M, reading directly within precision and
     continuing with the verified two-term Hecke recurrence beyond it."""
@@ -196,15 +173,9 @@ def local_power_sequence_extended(f: HalfIntegralForm, t: int, p: int,
         raise ValueError("recurrence for (t=%d, p=%d) failed: %s"
                          % (t, p, rep.note))
     out = list(direct)
-    k = f.k
-    lam = rep.lam
-    p2k1 = p ** (2 * k - 1)
-    chi_p = chi_t_N(k, f.level, t, p)
+    step = _recurrence_step(f, t, p, rep.lam)
     while len(out) <= M:
-        if len(out) == 1:
-            out.append(out[0] * (lam - chi_p * p ** (k - 1)))
-        else:
-            out.append(lam * out[-1] - p2k1 * out[-2])
+        out.append(step(out, len(out)))
     return out
 
 
@@ -221,13 +192,14 @@ class RecurrenceReport:
     note: str = ""
 
 
-def recurrence_check(f: HalfIntegralForm, t: int, p: int) -> RecurrenceReport:
+def recurrence_check(f: Form, t: int, p: int) -> RecurrenceReport:
     """Verify, within precision, that the prime-power coefficients obey
 
         a(t p^2)      = a(t) (lam_p - chi_{t,N}(p) p^(k-1))
         a(t p^(2m))   = lam_p a(t p^(2m-2)) - p^(2k-1) a(t p^(2m-4)),  m >= 2,
 
     with lam_p extracted from T(p^2).  Requires f to be an eigenform."""
+    _require_weight(f, half_integral=True)
     rep = eigen_report(f, p)
     if not rep.is_eigen:
         return RecurrenceReport(ok=False, t=t, p=p, lam=rep.lam, max_m=0,
@@ -236,19 +208,28 @@ def recurrence_check(f: HalfIntegralForm, t: int, p: int) -> RecurrenceReport:
                                         "violation at n=%s" % rep.first_violation))
     lam = rep.lam
     seq = local_power_sequence(f, t, p)
-    k = f.k
-    p2k1 = p ** (2 * k - 1)
-    chi_p = chi_t_N(k, f.level, t, p)
+    step = _recurrence_step(f, t, p, lam)
     for m in range(1, len(seq)):
-        if m == 1:
-            want = seq[0] * (lam - chi_p * p ** (k - 1))
-        else:
-            want = lam * seq[m - 1] - p2k1 * seq[m - 2]
-        if seq[m] != want:
+        if seq[m] != step(seq, m):
             return RecurrenceReport(ok=False, t=t, p=p, lam=lam,
                                     max_m=len(seq) - 1, violation_m=m,
                                     note="a(t p^(2m)) mismatch at m=%d" % m)
     return RecurrenceReport(ok=True, t=t, p=p, lam=lam, max_m=len(seq) - 1)
+
+
+def _recurrence_step(f: Form, t: int, p: int, lam: int):
+    """The recurrence above as step(seq, m) -> a(t p^(2m)) predicted from
+    seq[m - 1] and seq[m - 2] (seq[0] alone for m = 1)."""
+    k = f.k
+    first = lam - chi_t_N(k, f.level, t, p) * p ** (k - 1)
+    p2k1 = p ** (2 * k - 1)
+
+    def step(seq, m):
+        if m == 1:
+            return seq[0] * first
+        return lam * seq[m - 1] - p2k1 * seq[m - 2]
+
+    return step
 
 
 def satake(lam: int, p: int, k: int) -> tuple[int, int, int]:
@@ -271,9 +252,10 @@ def elementary_bound_check(lam: int, p: int, k: int) -> bool:
     return abs(lam) < p ** k + p ** (k - 1)
 
 
-def twisted_component(f: HalfIntegralForm, p: int, eps: int) -> HalfIntegralForm:
+def twisted_component(f: Form, p: int, eps: int) -> Form:
     """Keep the coefficients with (n/p) = eps, zero the rest; the result
     lives on level N p^2."""
+    _require_weight(f, half_integral=True)
     if eps not in (1, -1):
         raise ValueError("eps must be +1 or -1")
     _require_good_prime(p, f.level)
@@ -281,9 +263,16 @@ def twisted_component(f: HalfIntegralForm, p: int, eps: int) -> HalfIntegralForm
     for n in range(1, f.prec + 1):
         if kronecker(n, p) == eps:
             coeffs[n] = f.coeffs[n]
-    return HalfIntegralForm(weight_num=f.weight_num, level=f.level * p * p,
-                            character=f.character, coeffs=coeffs,
-                            prec=f.prec, plus_space=f.plus_space)
+    return Form(weight_num=f.weight_num, level=f.level * p * p,
+                character=f.character, coeffs=coeffs, prec=f.prec,
+                plus_space=f.plus_space)
+
+
+def _require_weight(f: Form, half_integral: bool):
+    if f.half_integral != half_integral:
+        raise ValueError("needs a form of %s weight, got weight %d/2"
+                         % ("half-integral" if half_integral else "integral",
+                            f.weight_num))
 
 
 def _require_good_prime(p: int, level: int):

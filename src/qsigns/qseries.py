@@ -524,6 +524,3 @@ def eisenstein_e4(prec: int) -> QSeries:
     out[0] = 1
     return QSeries(0, prec, dense=out)
 
-
-# Exported under the contract name; pow is shadowed by the builtin.
-pow = pow_

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import is_fundamental_discriminant, is_squarefree, kronecker
-from .forms import HalfIntegralForm
+from .forms import Form
 
 
 @dataclass
@@ -55,18 +55,11 @@ def sign_changes(seq) -> tuple[int, list[int]]:
 
     Returns (count, positions) with 1-based positions of the later entry
     of each flip."""
-    count = 0
-    positions = []
-    prev = 0
-    for idx, value in enumerate(seq, start=1):
-        if value == 0:
-            continue
-        s = 1 if value > 0 else -1
-        if prev and s != prev:
-            count += 1
-            positions.append(idx)
-        prev = s
-    return count, positions
+    seq = list(seq)
+    if not any(seq):
+        return 0, []
+    rep = _scan(enumerate(seq, start=1), len(seq))
+    return rep.sign_change_count, rep.change_positions
 
 
 def _scan(values_with_positions, X: int) -> SignStatsReport:
@@ -119,9 +112,11 @@ def r_plus_tot(f, X: int) -> SignStatsReport:
     return _scan(((n, coeffs[n]) for n in range(1, X + 1)), X)
 
 
-def r_plus_fund(f: HalfIntegralForm, X: int) -> SignStatsReport:
+def r_plus_fund(f: Form, X: int) -> SignStatsReport:
     """Same count restricted to n <= X for which (-1)^k n is a fundamental
-    discriminant (1 included)."""
+    discriminant (1 included); f has half-integral weight k + 1/2."""
+    if not f.half_integral:
+        raise ValueError("fund statistics need a half-integral form")
     if X > f.prec:
         raise ValueError("X=%d exceeds precision %d" % (X, f.prec))
     sign = -1 if f.k % 2 else 1

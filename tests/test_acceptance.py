@@ -14,8 +14,7 @@ import pytest
 
 from qsigns import coeffio, hecke, qseries as qs, signs
 from qsigns.arith import kronecker
-from qsigns.forms import (HalfIntegralForm, delta_form, g_form,
-                          ramanujan_delta, x0_11_form)
+from qsigns.forms import Form, delta_form, g_form, ramanujan_delta, x0_11_form
 
 from oracles import euler_product_literal, poly_mul
 
@@ -66,11 +65,9 @@ def g11_form():
     return x0_11_form(20)
 
 
-def _restrict(f: HalfIntegralForm, prec: int) -> HalfIntegralForm:
-    return HalfIntegralForm(weight_num=f.weight_num, level=f.level,
-                            character=f.character,
-                            coeffs=f.coeffs[:prec + 1], prec=prec,
-                            plus_space=f.plus_space)
+def _restrict(f: Form, prec: int) -> Form:
+    return Form(weight_num=f.weight_num, level=f.level, character=f.character,
+                coeffs=f.coeffs[:prec + 1], prec=prec, plus_space=f.plus_space)
 
 
 def test_criterion_1_printed_expansions():
@@ -137,11 +134,10 @@ def test_criterion_4_eigenvalues_match_oracles(delta_big, g_big, tau_form,
 
 def test_criterion_5_shimura_lift(delta_big, tau_form):
     d, _ = delta_big
-    lift = hecke.shimura_lift(_restrict(d, 10_000), 1)
-    assert lift.prec == 100
+    F = hecke.shimura_lift(_restrict(d, 10_000), 1)
+    assert F.prec == 100 and F.weight_num == 24
     for n in range(1, 100, 2):
-        assert lift.a(n) == tau_form.a(n), n
-    F = lift.as_integral_form()
+        assert F.a(n) == tau_form.a(n), n
     for p in (3, 5, 7):
         rep = hecke.extract_eigenvalue(F.coeffs[:F.prec // p + 1],
                                        hecke.t_integral(p, F), p=p, k=6)

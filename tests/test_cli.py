@@ -5,7 +5,7 @@ import pytest
 from qsigns import coeffio
 from qsigns.arith import DirichletCharacter
 from qsigns.cli import main
-from qsigns.forms import delta_form, g_form, ramanujan_delta, x0_11_form
+from qsigns.forms import NAMED, delta_form, g_form, ramanujan_delta, x0_11_form
 
 
 def run(*argv):
@@ -67,13 +67,18 @@ class TestCoefficientFile:
             coeffio.parse(good + "9\t1\n")      # beyond prec
         with pytest.raises(ValueError):
             coeffio.parse(good.replace("1\t1", "1\t0"))
+        for first in ("-3\t5", "0\t5"):     # below the offset
+            with pytest.raises(ValueError):
+                coeffio.parse(good.replace("1\t1", first))
 
     def test_form_conversion_guards(self):
         cf = coeffio.from_table("Delta", 24, 1, DirichletCharacter.trivial(1),
                                 [0, 1, -24], 2, 1)
-        assert cf.to_integral_form().a(2) == -24
+        f = cf.to_form()
+        assert f.a(2) == -24 and f.k == 6 and not f.half_integral
+        cf.weight_num = 13      # a half-integral weight needs 4 | level
         with pytest.raises(ValueError):
-            cf.to_half_integral_form()
+            cf.to_form()
 
 
 class TestBuildCommand:
@@ -106,6 +111,17 @@ class TestBuildCommand:
                    "--out", str(out)) == 0
         body = [l for l in read_lines(out) if not l.startswith("#")]
         assert body == ["0\t1", "1\t240", "2\t2160"]
+
+    @pytest.mark.parametrize("name", sorted(NAMED))
+    def test_name_is_its_expression(self, tmp_path, name):
+        by_name, by_spec = tmp_path / "name.txt", tmp_path / "spec.txt"
+        assert run("build", "--form", name, "--prec", "300",
+                   "--out", str(by_name)) == 0
+        assert run("build", "--form", NAMED[name][0], "--prec", "300",
+                   "--out", str(by_spec)) == 0
+        body, spec_body = ([l for l in read_lines(path) if not l.startswith("#")]
+                           for path in (by_name, by_spec))
+        assert len(body) > 10 and body == spec_body
 
     def test_parse_error_exits_2(self, tmp_path, capsys):
         out = tmp_path / "x.txt"

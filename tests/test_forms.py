@@ -5,7 +5,7 @@ import pytest
 
 from qsigns import qseries as qs
 from qsigns.arith import DirichletCharacter
-from qsigns.forms import (HalfIntegralForm, delta_form, g_form, integer_table,
+from qsigns.forms import (Form, delta_form, g_form, integer_table,
                           plus_space_check, ramanujan_delta, x0_11_form)
 from qsigns.formspec import evaluate, parse_formspec
 
@@ -113,20 +113,20 @@ class TestFinalization:
     def test_plus_space_violation_detected(self):
         coeffs = [0] * 101
         coeffs[1], coeffs[2] = 1, 1
-        f = HalfIntegralForm(weight_num=13, level=4,
-                             character=DirichletCharacter.trivial(4),
-                             coeffs=coeffs, prec=100, plus_space=False)
+        f = Form(weight_num=13, level=4,
+                 character=DirichletCharacter.trivial(4),
+                 coeffs=coeffs, prec=100, plus_space=False)
         assert plus_space_check(f) == [2]
         with pytest.raises(ValueError):
-            HalfIntegralForm(weight_num=13, level=4,
-                             character=DirichletCharacter.trivial(4),
-                             coeffs=coeffs, prec=100, plus_space=True)
+            Form(weight_num=13, level=4,
+                 character=DirichletCharacter.trivial(4),
+                 coeffs=coeffs, prec=100, plus_space=True)
 
     def test_level_must_be_divisible_by_4(self):
         with pytest.raises(ValueError):
-            HalfIntegralForm(weight_num=3, level=11,
-                             character=DirichletCharacter.trivial(11),
-                             coeffs=[0, 0], prec=1)
+            Form(weight_num=3, level=11,
+                 character=DirichletCharacter.trivial(11),
+                 coeffs=[0, 0], prec=1)
 
     def test_integer_table_rejects_fractions(self):
         # 1/4 leaves a fraction at q^1 (coefficient 2 there)

@@ -1,8 +1,9 @@
 import pytest
 
 from qsigns import hecke
-from qsigns.arith import chi_t_N
-from qsigns.forms import delta_form
+from qsigns.arith import DirichletCharacter, chi_t_N
+from qsigns.forms import Form, delta_form, ramanujan_delta
+from qsigns.qseries import PrecisionError
 
 # Frozen by the two-term recurrence a(9^(m)) = 252 a(..) - 3^11 a(..):
 # a(81) = 252*9 - 177147 = -174879
@@ -31,10 +32,19 @@ class TestShimuraLift:
 
     def test_result_metadata(self, delta3k):
         lift = hecke.shimura_lift(delta3k, 1)
-        assert lift.t == 1 and lift.k == 6
-        assert lift.weight == 12 and lift.level == 2
-        assert lift.prec ** 2 * lift.t <= delta3k.prec
+        assert isinstance(lift, Form) and lift.k == 6
+        assert lift.weight_num == 24 and lift.level == 2
+        assert not lift.half_integral and lift.character.is_trivial
+        assert lift.prec ** 2 <= delta3k.prec
         assert lift.prec == 54    # isqrt(3000)
+
+    def test_lift_reads_only_its_window(self):
+        lift = hecke.shimura_lift(delta_form(400), 1)
+        assert lift.prec == 20    # isqrt(400)
+        with pytest.raises(ValueError):
+            lift.a(-1)
+        with pytest.raises(PrecisionError):
+            lift.a(21)
 
     def test_first_entry_is_a_t(self, delta3k, g3k):
         for f, t in ((delta3k, 1), (delta3k, 5), (g3k, 3)):
@@ -51,6 +61,10 @@ class TestShimuraLift:
             hecke.shimura_lift(delta3k, 12)
         with pytest.raises(ValueError):
             hecke.shimura_lift(delta3k, 3001)
+
+    def test_rejects_integral_weight(self, delta_wt12):
+        with pytest.raises(ValueError):
+            hecke.shimura_lift(delta_wt12, 1)
 
 
 class TestTSquareHalf:
@@ -96,10 +110,15 @@ class TestTIntegral:
         with pytest.raises(ValueError):
             hecke.t_integral(11, g11_wt2)
 
+    def test_weight_parity_enforced(self, delta3k):
+        with pytest.raises(ValueError):
+            hecke.t_square_half(3, ramanujan_delta(50))
+        with pytest.raises(ValueError):
+            hecke.t_integral(3, delta3k)
+
     def test_lift_hecke_commutation(self, delta3k, delta_wt12):
         # T(p^2) upstairs and T(p) on the lift extract the same eigenvalue
-        lift = hecke.shimura_lift(delta3k, 1)
-        F = lift.as_integral_form()
+        F = hecke.shimura_lift(delta3k, 1)
         for p in (3, 5, 7, 11, 13):
             upstairs = hecke.eigen_report(delta3k, p)
             downstairs = hecke.extract_eigenvalue(
@@ -123,11 +142,9 @@ class TestExtractEigenvalue:
         prec = 2000
         mix_coeffs = [delta3k.a(n) + g3k.a(n) if n else 0
                       for n in range(prec + 1)]
-        from qsigns.forms import HalfIntegralForm
-        from qsigns.arith import DirichletCharacter
-        mix = HalfIntegralForm(weight_num=13, level=4,
-                               character=DirichletCharacter.trivial(4),
-                               coeffs=mix_coeffs, prec=prec)
+        mix = Form(weight_num=13, level=4,
+                   character=DirichletCharacter.trivial(4),
+                   coeffs=mix_coeffs, prec=prec)
         rep = hecke.extract_eigenvalue(mix.coeffs[:prec // 9 + 1],
                                        hecke.t_square_half(3, mix))
         assert not rep.is_eigen
@@ -189,14 +206,12 @@ class TestRecurrence:
             assert rep.ok, (p, rep)
 
     def test_failure_propagates(self, delta3k, g3k):
-        from qsigns.forms import HalfIntegralForm
-        from qsigns.arith import DirichletCharacter
         prec = 2000
         mix_coeffs = [delta3k.a(n) + g3k.a(n) if n else 0
                       for n in range(prec + 1)]
-        mix = HalfIntegralForm(weight_num=13, level=4,
-                               character=DirichletCharacter.trivial(4),
-                               coeffs=mix_coeffs, prec=prec)
+        mix = Form(weight_num=13, level=4,
+                   character=DirichletCharacter.trivial(4),
+                   coeffs=mix_coeffs, prec=prec)
         rep = hecke.recurrence_check(mix, 1, 3)
         assert not rep.ok and "eigenform" in rep.note
 

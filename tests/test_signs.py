@@ -5,7 +5,7 @@ import pytest
 
 from qsigns import hecke, signs
 from qsigns.arith import DirichletCharacter, is_squarefree, kronecker
-from qsigns.forms import HalfIntegralForm
+from qsigns.forms import Form
 from qsigns.signs import (dprime_filter, first_negative,
                           first_nonzero_in_square_class, prop2_witnesses,
                           r_plus_fund, r_plus_tot, render_ratio, sign_changes,
@@ -14,9 +14,9 @@ from qsigns.signs import (dprime_filter, first_negative,
 
 def artificial_form(values, weight_num=13, level=4):
     coeffs = [0] + list(values)
-    return HalfIntegralForm(weight_num=weight_num, level=level,
-                            character=DirichletCharacter.trivial(level),
-                            coeffs=coeffs, prec=len(values))
+    return Form(weight_num=weight_num, level=level,
+                character=DirichletCharacter.trivial(level),
+                coeffs=coeffs, prec=len(values))
 
 
 class TestSignChanges:
