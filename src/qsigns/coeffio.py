@@ -135,6 +135,8 @@ def parse(text: str) -> CoefficientFile:
                          offset=int(header["offset"]),
                          t=int(header["t"]) if "t" in header else None)
     parse_character(cf.character)   # validate eagerly
+    if cf.offset < 0:
+        raise ValueError("negative offset %d" % cf.offset)
     last = cf.offset - 1
     for line in lines[body_start:]:
         if not line:

@@ -101,7 +101,7 @@ def integer_table(series: QSeries, prec: int, start: int = 1) -> list[int]:
         raise PrecisionError("q^%d beyond precision" % prec)
     lo = max(start, off)
     table = ([0] * min(lo, prec + 1)
-             + series.dense_list()[lo - off:prec + 1 - off])
+             + series.coeffs[lo - off:prec + 1 - off])
     for n, c in enumerate(table):
         if isinstance(c, Fraction):
             if c.denominator != 1:

@@ -287,10 +287,16 @@ def formal_weight(node) -> Fraction:
 
 
 def level_hint(node) -> int:
-    """Least common multiple of every dilation and operator index in the
-    expression.  Declared metadata only; no transformation check."""
-    if isinstance(node, (Eta, Theta, ThetaPsi, E4)):
+    """Least common multiple of the levels of the pieces: m for eta(m),
+    E4(m) and the index of U(m, .), 4m for theta(m), and 4 m top^2 for
+    thetapsi(top, m) (Shimura 1973: theta_psi has level 4 r^2).  Declared
+    metadata only; no transformation check."""
+    if isinstance(node, (Eta, E4)):
         return node.m
+    if isinstance(node, Theta):
+        return 4 * node.m
+    if isinstance(node, ThetaPsi):
+        return 4 * node.m * node.top * node.top
     if isinstance(node, Diff):
         return level_hint(node.arg)
     if isinstance(node, U):

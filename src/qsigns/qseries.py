@@ -10,13 +10,16 @@ the window, or off the integer grid, read as exact zeros.  Every
 operation records the precision that is guaranteed valid for its result,
 so truncation never silently produces wrong tails.
 
-Two storage layouts are used: a dense coefficient list, or a sorted list
-of (index, value) pairs when nonzero terms are sparse (theta series and
-pentagonal-number products carry O(sqrt(prec)) terms).  A series is kept
-sparse while nnz * 16 <= prec.  Products dispatch on layout; with one
-operand holding s nonzero terms the cost is O(prec * s) coefficient
-operations, and dense*dense falls back to row-sliced schoolbook
-convolution.  No floating point, no FFT.
+Every series is stored the same way: its offset and one list of prec
+coefficients, zeros included.  Theta series and pentagonal-number
+products carry only O(sqrt(prec)) nonzero terms, so a product counts
+the nonzeros of its operands and takes the one with fewer as the row
+source.  A series is sparse while nnz * 16 <= prec; when both operands
+are sparse the product runs over pairs of nonzero terms, otherwise each
+nonzero row term adds a shifted multiple of the other operand in one
+fused pass.  With s nonzero row terms that costs O(prec * s) coefficient
+operations, and dense*dense is row-by-row schoolbook convolution.  No
+floating point, no FFT.
 
 QSeries values are treated as immutable: every operation returns a new
 object and never mutates its operands.
@@ -28,7 +31,7 @@ from fractions import Fraction
 
 from .arith import DirichletCharacter
 
-# Keep the pair layout while nnz * SPARSE_FACTOR <= prec.
+# A series is sparse while nnz * SPARSE_FACTOR <= prec.
 SPARSE_FACTOR = 16
 
 
@@ -51,89 +54,72 @@ def _normalize(value):
 
 
 class QSeries:
-    """Truncated exact power series sum_i c_i q^(offset + i)."""
+    """Truncated exact power series sum_i coeffs[i] q^(offset + i)."""
 
-    __slots__ = ("offset", "prec", "_dense", "_sparse")
+    __slots__ = ("offset", "coeffs")
 
-    def __init__(self, offset, prec: int, *, dense=None, sparse=None):
-        if prec < 0:
-            raise ValueError("prec must be nonnegative")
-        if (dense is None) == (sparse is None):
-            raise ValueError("exactly one of dense/sparse storage expected")
+    def __init__(self, offset, coeffs: list):
+        # Takes the list as is; from_dense copies and from_pairs builds one.
         self.offset = _as_offset(offset)
-        self.prec = prec
-        if dense is not None:
-            if len(dense) != prec:
-                raise ValueError("dense storage must have length prec")
-            self._dense = dense
-            self._sparse = None
-        else:
-            last = -1
-            for i, c in sparse:
-                if not 0 <= i < prec:
-                    raise ValueError("sparse index %d outside [0, %d)" % (i, prec))
-                if i <= last:
-                    raise ValueError("sparse indices must be strictly increasing")
-                if c == 0:
-                    raise ValueError("sparse storage must omit zero values")
-                last = i
-            self._dense = None
-            self._sparse = sparse
+        self.coeffs = coeffs
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def from_dense(cls, coeffs, offset=0) -> "QSeries":
-        return cls(offset, len(coeffs), dense=list(coeffs))
+        return cls(offset, list(coeffs))
 
     @classmethod
     def from_pairs(cls, pairs, prec: int, offset=0) -> "QSeries":
-        pairs = sorted((i, c) for i, c in pairs if c != 0)
-        return _choose_layout(pairs, prec, _as_offset(offset))
+        """The series with the given (index, value) terms and zeros
+        elsewhere; each index must lie in [0, prec) and occur once."""
+        if prec < 0:
+            raise ValueError("prec must be nonnegative")
+        coeffs = [0] * prec
+        seen = set()
+        for i, c in pairs:
+            if not 0 <= i < prec:
+                raise ValueError("index %d outside [0, %d)" % (i, prec))
+            if i in seen:
+                raise ValueError("index %d given twice" % i)
+            seen.add(i)
+            if c:
+                coeffs[i] = c
+        return cls(offset, coeffs)
 
     @classmethod
     def zero(cls, prec: int, offset=0) -> "QSeries":
-        return cls(offset, prec, sparse=[])
+        return cls.from_pairs([], prec, offset)
 
     @classmethod
     def one(cls, prec: int) -> "QSeries":
-        return cls(0, prec, sparse=[(0, 1)])
+        return cls.from_pairs([(0, 1)], prec)
 
     # -- inspection --------------------------------------------------------
 
     @property
-    def density(self) -> str:
-        return "dense" if self._dense is not None else "sparse"
+    def prec(self) -> int:
+        return len(self.coeffs)
 
     @property
     def nnz(self) -> int:
-        if self._sparse is not None:
-            return len(self._sparse)
-        return sum(1 for c in self._dense if c)
+        return len(self.coeffs) - self.coeffs.count(0)
+
+    @property
+    def density(self) -> str:
+        """The product loop this series selects: "sparse" while
+        nnz * SPARSE_FACTOR <= prec, else "dense"."""
+        return "sparse" if self.nnz * SPARSE_FACTOR <= self.prec else "dense"
 
     def pairs(self):
         """Iterate nonzero (index, value) in increasing index order."""
-        if self._sparse is not None:
-            yield from self._sparse
-        else:
-            for i, c in enumerate(self._dense):
-                if c:
-                    yield i, c
+        for i, c in enumerate(self.coeffs):
+            if c:
+                yield i, c
 
     def dense_list(self) -> list:
         """Coefficients as a fresh dense list of length prec."""
-        if self._dense is not None:
-            return list(self._dense)
-        out = [0] * self.prec
-        for i, c in self._sparse:
-            out[i] = c
-        return out
-
-    def to_dense(self) -> "QSeries":
-        return QSeries(self.offset, self.prec, dense=self.dense_list())
-
-    def to_sparse(self) -> "QSeries":
-        return QSeries(self.offset, self.prec, sparse=list(self.pairs()))
+        return list(self.coeffs)
 
     def coefficient(self, exponent):
         """Exact coefficient of q^exponent.
@@ -151,40 +137,31 @@ class QSeries:
             return 0
         if i >= self.prec:
             raise PrecisionError("exponent %s beyond precision" % (exponent,))
-        if self._dense is not None:
-            return self._dense[i]
-        for j, c in self._sparse:
-            if j == i:
-                return c
-            if j > i:
-                break
-        return 0
+        return self.coeffs[i]
 
     def is_integral(self) -> bool:
         """True when every stored coefficient is an integer."""
         return all(not isinstance(c, Fraction) or c.denominator == 1
-                   for _, c in self.pairs())
+                   for c in self.coeffs)
 
     def truncate(self, prec: int) -> "QSeries":
         """Restrict the window to the first prec grid positions."""
+        if prec < 0:
+            raise ValueError("prec must be nonnegative")
         if prec > self.prec:
             raise PrecisionError("cannot extend precision from %d to %d"
                                  % (self.prec, prec))
-        if self._dense is not None:
-            return QSeries(self.offset, prec, dense=self._dense[:prec])
-        kept = [(i, c) for i, c in self._sparse if i < prec]
-        return _choose_layout(kept, prec, self.offset)
+        return QSeries(self.offset, self.coeffs[:prec])
 
     # -- operators ---------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        return (self.offset == other.offset and self.prec == other.prec
-                and list(self.pairs()) == list(other.pairs()))
+        return self.offset == other.offset and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.offset, self.prec, tuple(self.pairs())))
+        return hash((self.offset, tuple(self.coeffs)))
 
     def __add__(self, other):
         return add(self, other)
@@ -223,15 +200,6 @@ class QSeries:
         return " + ".join(terms) if terms else "0"
 
 
-def _choose_layout(pairs, prec: int, offset) -> QSeries:
-    if len(pairs) * SPARSE_FACTOR <= prec:
-        return QSeries(offset, prec, sparse=pairs)
-    out = [0] * prec
-    for i, c in pairs:
-        out[i] = c
-    return QSeries(offset, prec, dense=out)
-
-
 # -- ring operations -------------------------------------------------------
 
 def add(a: QSeries, b: QSeries) -> QSeries:
@@ -246,34 +214,13 @@ def add(a: QSeries, b: QSeries) -> QSeries:
     if b.offset < a.offset:
         a, b = b, a
     shift = int(b.offset - a.offset)
-    end = min(a.offset + a.prec, b.offset + b.prec)
-    prec = int(end - a.offset)
-    if a._sparse is not None and b._sparse is not None:
-        acc = {}
-        for i, c in a._sparse:
-            if i < prec:
-                acc[i] = c
-        for j, c in b._sparse:
-            k = j + shift
-            if k < prec:
-                acc[k] = acc.get(k, 0) + c
-        pairs = sorted((i, c) for i, c in acc.items() if c != 0)
-        return _choose_layout(pairs, prec, a.offset)
-    out = [0] * prec
-    for i, c in a.pairs():
-        if i < prec:
-            out[i] = c
-    for j, c in b.pairs():
-        k = j + shift
-        if k < prec:
-            out[k] += c
-    return QSeries(a.offset, prec, dense=out)
+    out = a.coeffs[:shift + b.prec]
+    out[shift:] = [x + y for x, y in zip(out[shift:], b.coeffs)]
+    return QSeries(a.offset, out)
 
 
 def neg(a: QSeries) -> QSeries:
-    if a._sparse is not None:
-        return QSeries(a.offset, a.prec, sparse=[(i, -c) for i, c in a._sparse])
-    return QSeries(a.offset, a.prec, dense=[-c for c in a._dense])
+    return QSeries(a.offset, [-c for c in a.coeffs])
 
 
 def scalar_mul(a: QSeries, r) -> QSeries:
@@ -296,63 +243,39 @@ def scalar_mul(a: QSeries, r) -> QSeries:
 
     if num == 0:
         return QSeries.zero(a.prec, a.offset)
-    if a._sparse is not None:
-        return QSeries(a.offset, a.prec,
-                       sparse=[(i, scale(c)) for i, c in a._sparse])
-    return QSeries(a.offset, a.prec, dense=[scale(c) if c else 0
-                                            for c in a._dense])
+    return QSeries(a.offset, [scale(c) if c else 0 for c in a.coeffs])
 
 
 def mul(a: QSeries, b: QSeries) -> QSeries:
-    """Truncated Cauchy product; offsets add, prec = min(prec_a, prec_b)."""
+    """Truncated Cauchy product; offsets add, prec = min(prec_a, prec_b).
+
+    The operand with fewer nonzeros is the row source.  When both are
+    sparse, the pair loop multiplies nonzero terms only; otherwise each
+    nonzero row term adds its multiple of the other operand, shifted, in
+    one pass over the list.
+    """
     offset = a.offset + b.offset
     prec = min(a.prec, b.prec)
-    if a._sparse is not None and b._sparse is not None:
-        if len(a._sparse) > len(b._sparse):
-            a, b = b, a
-        acc = {}
-        bp = b._sparse
-        for i, c in a._sparse:
+    if a.nnz > b.nnz:
+        a, b = b, a
+    out = [0] * prec
+    if a.density == "sparse" and b.density == "sparse":
+        bp = list(b.pairs())
+        for i, c in a.pairs():
             lim = prec - i
             if lim <= 0:
                 break
             for j, d in bp:
                 if j >= lim:
                     break
-                k = i + j
-                if k in acc:
-                    acc[k] += c * d
-                else:
-                    acc[k] = c * d
-        pairs = sorted((k, v) for k, v in acc.items() if v != 0)
-        return _choose_layout(pairs, prec, offset)
-    if a._sparse is None and b._sparse is None:
-        return QSeries(offset, prec,
-                       dense=_convolve_dense(a._dense, b._dense, prec))
-    if a._sparse is None:
-        a, b = b, a
-    # a sparse, b dense: one shifted fused multiply-add pass per term.
-    out = [0] * prec
-    bd = b._dense
-    for i, c in a._sparse:
+                out[i + j] += c * d
+        return QSeries(offset, out)
+    bc = b.coeffs
+    for i, c in a.pairs():
         if i >= prec:
             break
-        seg = bd[:prec - i]
-        out[i:] = [x + c * y for x, y in zip(out[i:], seg)]
-    return QSeries(offset, prec, dense=out)
-
-
-def _convolve_dense(A, B, prec: int):
-    # Schoolbook convolution, sliced one source row at a time so each row
-    # is a single fused pass; zero rows are skipped.
-    out = [0] * prec
-    for i in range(min(len(A), prec)):
-        x = A[i]
-        if not x:
-            continue
-        seg = B[:prec - i]
-        out[i:] = [o + x * y for o, y in zip(out[i:], seg)]
-    return out
+        out[i:] = [x + c * y for x, y in zip(out[i:], bc)]
+    return QSeries(offset, out)
 
 
 def pow_(a: QSeries, e: int) -> QSeries:
@@ -373,16 +296,8 @@ def derive(a: QSeries) -> QSeries:
         factor = lambda i: o + i
     else:
         factor = lambda i: off + i
-    if a._sparse is not None:
-        pairs = []
-        for i, c in a._sparse:
-            v = _normalize(c * factor(i))
-            if v != 0:
-                pairs.append((i, v))
-        return QSeries(off, a.prec, sparse=pairs)
-    return QSeries(off, a.prec,
-                   dense=[_normalize(c * factor(i)) if c else 0
-                          for i, c in enumerate(a._dense)])
+    return QSeries(off, [_normalize(c * factor(i)) if c else 0
+                         for i, c in enumerate(a.coeffs)])
 
 
 def dilate(m: int, a: QSeries, max_prec: int | None = None) -> QSeries:
@@ -391,17 +306,12 @@ def dilate(m: int, a: QSeries, max_prec: int | None = None) -> QSeries:
         raise ValueError("dilation index must be a positive integer")
     if m == 1:
         return a if max_prec is None else a.truncate(min(max_prec, a.prec))
-    offset = a.offset * m
     prec = a.prec * m
     if max_prec is not None:
         prec = min(prec, max_prec)
-    if a._sparse is not None:
-        pairs = [(i * m, c) for i, c in a._sparse if i * m < prec]
-        return _choose_layout(pairs, prec, offset)
     out = [0] * prec
-    src = a._dense[:(prec + m - 1) // m]
-    out[::m] = src + [0] * (len(out[::m]) - len(src))
-    return QSeries(offset, prec, dense=out)
+    out[::m] = a.coeffs[:(prec + m - 1) // m]
+    return QSeries(a.offset * m, out)
 
 
 def u_op(m: int, a: QSeries) -> QSeries:
@@ -415,19 +325,11 @@ def u_op(m: int, a: QSeries) -> QSeries:
                          % (m, a.offset))
     off = int(a.offset)
     prec = a.prec // m
-    if a._sparse is not None:
-        pairs = []
-        for i, c in a._sparse:
-            e = off + i
-            if e % m == 0 and e // m < prec:
-                pairs.append((e // m, c))
-        return _choose_layout(pairs, prec, 0)
     i0 = (-off) % m
     n0 = (off + i0) // m
-    taken = a._dense[i0::m]
-    out = [0] * n0 + taken
+    out = [0] * n0 + a.coeffs[i0::m]
     out = (out + [0] * prec)[:prec]
-    return QSeries(0, prec, dense=out)
+    return QSeries(0, out)
 
 
 # -- generators --------------------------------------------------------------
@@ -449,7 +351,7 @@ def euler(prec: int) -> QSeries:
         if e2 < prec:
             pairs.append((e2, s))
         j += 1
-    return _choose_layout(pairs, prec, Fraction(0))
+    return QSeries.from_pairs(pairs, prec)
 
 
 def eta(m: int, prec: int) -> QSeries:
@@ -471,7 +373,7 @@ def eta(m: int, prec: int) -> QSeries:
         if e2 < prec:
             pairs.append((e2, s))
         j += 1
-    return _choose_layout(pairs, prec, Fraction(m, 24))
+    return QSeries.from_pairs(pairs, prec, Fraction(m, 24))
 
 
 def theta(m: int, prec: int) -> QSeries:
@@ -485,7 +387,7 @@ def theta(m: int, prec: int) -> QSeries:
     while m * n * n < prec:
         pairs.append((m * n * n, 2))
         n += 1
-    return _choose_layout(pairs, prec, Fraction(0))
+    return QSeries.from_pairs(pairs, prec)
 
 
 def theta_psi(psi: DirichletCharacter, m: int, prec: int) -> QSeries:
@@ -507,7 +409,7 @@ def theta_psi(psi: DirichletCharacter, m: int, prec: int) -> QSeries:
         if v:
             pairs.append((m * n * n, 2 * v * n))
         n += 1
-    return _choose_layout(pairs, prec, Fraction(0))
+    return QSeries.from_pairs(pairs, prec)
 
 
 def eisenstein_e4(prec: int) -> QSeries:
@@ -522,5 +424,5 @@ def eisenstein_e4(prec: int) -> QSeries:
             sig[mult] += dc
     out = [240 * s for s in sig]
     out[0] = 1
-    return QSeries(0, prec, dense=out)
+    return QSeries(0, out)
 

@@ -189,11 +189,10 @@ def test_criterion_8_property_suites(delta_big, g_big):
     def rand_series(prec, offset=0):
         if rng.random() < 0.5:
             idx = sorted(rng.sample(range(prec), prec // 20))
-            return qs.QSeries(offset, prec,
-                              sparse=[(i, rng.choice([-3, -1, 1, 2]))
-                                      for i in idx])
-        return qs.QSeries(offset, prec,
-                          dense=[rng.randint(-9, 9) for _ in range(prec)])
+            return qs.QSeries.from_pairs([(i, rng.choice([-3, -1, 1, 2]))
+                                          for i in idx], prec, offset)
+        return qs.QSeries.from_dense([rng.randint(-9, 9) for _ in range(prec)],
+                                     offset)
 
     def window(s):
         return s.offset, s.dense_list()
@@ -210,10 +209,10 @@ def test_criterion_8_property_suites(delta_big, g_big):
     # euler equals the literal product at prec 256
     assert qs.euler(256).dense_list() == euler_product_literal(256)
 
-    # dense*sparse kernel equals schoolbook dense*dense at prec 512
+    # sparse*dense row pass equals schoolbook at prec 512, in either order
     sp = qs.theta(1, 512)
-    de = qs.QSeries(0, 512, dense=[rng.randint(-9, 9) for _ in range(512)])
-    assert qs.mul(sp, de).dense_list() == qs.mul(sp.to_dense(), de).dense_list()
+    de = qs.QSeries.from_dense([rng.randint(-9, 9) for _ in range(512)])
+    assert qs.mul(sp, de).dense_list() == qs.mul(de, sp).dense_list()
     assert qs.mul(sp, de).dense_list() == \
         poly_mul(sp.dense_list(), de.dense_list(), 512)
 

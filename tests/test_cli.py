@@ -1,7 +1,13 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qsigns
 from qsigns import coeffio
 from qsigns.arith import DirichletCharacter
 from qsigns.cli import main
@@ -70,6 +76,9 @@ class TestCoefficientFile:
         for first in ("-3\t5", "0\t5"):     # below the offset
             with pytest.raises(ValueError):
                 coeffio.parse(good.replace("1\t1", first))
+        with pytest.raises(ValueError):
+            coeffio.parse(good.replace("# offset: 1", "# offset: -3")
+                          .replace("1\t1", "-3\t7"))
 
     def test_form_conversion_guards(self):
         cf = coeffio.from_table("Delta", 24, 1, DirichletCharacter.trivial(1),
@@ -122,6 +131,33 @@ class TestBuildCommand:
         body, spec_body = ([l for l in read_lines(path) if not l.startswith("#")]
                            for path in (by_name, by_spec))
         assert len(body) > 10 and body == spec_body
+
+    def test_theta_file_is_readable(self, tmp_path):
+        out = tmp_path / "theta.txt"
+        assert run("build", "--form", "theta(1)", "--prec", "100",
+                   "--out", str(out)) == 0
+        assert "# level: 4" in read_lines(out)
+        assert run("signs", "--in", str(out), "--X-list", "10,100",
+                   "--csv", str(tmp_path / "theta.csv")) == 0
+
+    @pytest.mark.parametrize("form, prec, digest", [
+        ("delta", 10_000, "09097173f2d48a19d2d847c8e6defdb4"
+                          "b96694fa96b6de471fa96fa89e59d139"),
+        ("g", 10_000, "7c9afb09d85c1bf2d8209f295702a77a"
+                      "c09e2d57e0d28e2e77667c216fe2391e"),
+        ("G11", 10_000, "4e34a3efff89fc7e25c9b7d73f11841f"
+                        "9b8d5043ec3c8d26b5e8af4044e7baab"),
+        ("Delta", 2000, "99a561bc7279fe2d6d2c9e2262d586b1"
+                        "49b6ca2c4fb01299ba799e7afd05e554"),
+        ("E4(1)^2", 1000, "3293af79da939f78a22eb1b4167947ec"
+                          "59f91915bc58a251bf3f01e0e23a5d96"),
+    ])
+    def test_file_bytes_are_pinned(self, tmp_path, form, prec, digest):
+        # A refactor must leave every built file byte for byte the same.
+        out = tmp_path / "form.txt"
+        assert run("build", "--form", form, "--prec", str(prec),
+                   "--out", str(out)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_parse_error_exits_2(self, tmp_path, capsys):
         out = tmp_path / "x.txt"
@@ -360,3 +396,22 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             run("hecke", "--op", "tsq")
         assert exc.value.code == 2
+
+
+def test_imports_only_the_standard_library():
+    # The package stays dependency-free: importing the CLI may load no
+    # module beyond those the interpreter had at start-up, the standard
+    # library and qsigns itself.
+    probe = ("import json, sys\n"
+             "before = {m.partition('.')[0] for m in sys.modules}\n"
+             "import qsigns.cli\n"
+             "after = {m.partition('.')[0] for m in sys.modules}\n"
+             "print(json.dumps(sorted(after - before)))\n")
+    src = str(Path(qsigns.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    new = set(json.loads(proc.stdout))
+    assert "qsigns" in new
+    assert new - set(sys.stdlib_module_names) - {"qsigns"} == set()

@@ -113,3 +113,6 @@ class TestMetadataHints:
         assert level_hint(parse_formspec("eta(1)^24")) == 1
         assert level_hint(parse_formspec(DELTA_SPEC)) == 4
         assert level_hint(parse_formspec("U(4, %s)" % G_SPEC)) == 44
+        assert level_hint(parse_formspec("theta(1)")) == 4
+        assert level_hint(parse_formspec("theta(3)*eta(2)")) == 12
+        assert level_hint(parse_formspec("thetapsi(-3, 2)")) == 72

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qsigns import qseries as qs
 from qsigns.arith import DirichletCharacter
-from qsigns.qseries import PrecisionError, QSeries
+from qsigns.qseries import SPARSE_FACTOR, PrecisionError, QSeries
 
 from oracles import euler_product_literal, poly_mul, r2_list, sigma_k, tau_list
 
@@ -17,7 +17,7 @@ def from_list(coeffs, offset=0):
 
 
 def series_window(s):
-    """(offset, dense coefficients) for comparisons across layouts."""
+    """(offset, dense coefficients) for comparisons."""
     return s.offset, s.dense_list()
 
 
@@ -26,9 +26,8 @@ def random_series(rng, prec, offset=0):
         nnz = rng.randint(0, max(1, prec // 20))
         idx = sorted(rng.sample(range(prec), min(nnz, prec)))
         pairs = [(i, rng.choice([-3, -2, -1, 1, 2, 3])) for i in idx]
-        return QSeries(offset, prec, sparse=pairs)
-    return QSeries(offset, prec,
-                   dense=[rng.randint(-9, 9) for _ in range(prec)])
+        return QSeries.from_pairs(pairs, prec, offset)
+    return from_list([rng.randint(-9, 9) for _ in range(prec)], offset)
 
 
 class TestAdd:
@@ -84,10 +83,9 @@ class TestMul:
         rng = random.Random(2024)
         for prec in (17, 64, 257, 512):
             sparse = random_series(rng, prec)
-            dense = QSeries(0, prec,
-                            dense=[rng.randint(-9, 9) for _ in range(prec)])
+            dense = from_list([rng.randint(-9, 9) for _ in range(prec)])
             lhs = qs.mul(sparse, dense)
-            rhs = qs.mul(sparse.to_dense(), dense)   # schoolbook kernel
+            rhs = qs.mul(dense, sparse)   # the same row source either way
             assert series_window(lhs) == series_window(rhs)
             want = poly_mul(sparse.dense_list(), dense.dense_list(), prec)
             assert lhs.dense_list() == want
@@ -95,10 +93,47 @@ class TestMul:
     def test_sparse_sparse_equals_schoolbook(self):
         rng = random.Random(99)
         for prec in (32, 128):
-            a, b = random_series(rng, prec), random_series(rng, prec)
-            got = qs.mul(a.to_sparse(), b.to_sparse())
+            a, b = (QSeries.from_pairs(
+                        [(i, rng.choice([-2, -1, 1, 2]))
+                         for i in rng.sample(range(prec), prec // 16)], prec)
+                    for _ in range(2))
+            assert a.density == b.density == "sparse"
+            got = qs.mul(a, b)
             want = poly_mul(a.dense_list(), b.dense_list(), prec)
             assert got.dense_list() == want
+
+    @pytest.mark.parametrize("few_a, few_b", [(True, True), (True, False),
+                                              (False, False)])
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_both_loops_match_oracle(self, few_a, few_b, data):
+        a = data.draw(_series_with(few_a))
+        b = data.draw(_series_with(few_b))
+        assert a.density == ("sparse" if few_a else "dense")
+        assert b.density == ("sparse" if few_b else "dense")
+        prec = min(a.prec, b.prec)
+        want = poly_mul(a.dense_list(), b.dense_list(), prec)
+        for got in (qs.mul(a, b), qs.mul(b, a)):
+            assert got.offset == a.offset + b.offset
+            assert got.dense_list() == want
+
+
+_NONZERO = st.one_of(st.integers(-10**6, 10**6),
+                     st.fractions(-9, 9, max_denominator=12)).filter(bool)
+
+
+@st.composite
+def _series_with(draw, few):
+    """A series on a random offset whose nonzero count puts it on the
+    sparse side of SPARSE_FACTOR (few) or the dense side."""
+    prec = draw(st.integers(16, 64))
+    cut = prec // SPARSE_FACTOR
+    k = draw(st.integers(0, cut) if few else st.integers(cut + 1, prec))
+    idx = draw(st.lists(st.integers(0, prec - 1), min_size=k, max_size=k,
+                        unique=True))
+    vals = draw(st.lists(_NONZERO, min_size=k, max_size=k))
+    offset = draw(st.sampled_from([0, 1, Fraction(1, 24), Fraction(1, 2)]))
+    return QSeries.from_pairs(zip(idx, vals), prec, offset)
 
 
 class TestRingAxioms:
@@ -322,11 +357,12 @@ class TestWindowSemantics:
 
     def test_sparse_invariants_validated(self):
         with pytest.raises(ValueError):
-            QSeries(0, 4, sparse=[(1, 1), (1, 2)])
+            QSeries.from_pairs([(1, 1), (1, 2)], 4)
         with pytest.raises(ValueError):
-            QSeries(0, 4, sparse=[(0, 0)])
+            QSeries.from_pairs([(5, 1)], 4)
         with pytest.raises(ValueError):
-            QSeries(0, 4, sparse=[(5, 1)])
+            QSeries.from_pairs([(-1, 1)], 4)
+        assert list(QSeries.from_pairs([(2, 1), (0, 0)], 4).pairs()) == [(2, 1)]
 
 
 class TestScalarAndIntegrality:
