@@ -18,8 +18,13 @@ source.  A series is sparse while nnz * 16 <= prec; when both operands
 are sparse the product runs over pairs of nonzero terms, otherwise each
 nonzero row term adds a shifted multiple of the other operand in one
 fused pass.  With s nonzero row terms that costs O(prec * s) coefficient
-operations, and dense*dense is row-by-row schoolbook convolution.  No
-floating point, no FFT.
+operations.  When both operands are dense and hold only ints, the
+product is one multiplication of two big ints instead (Kronecker
+substitution): each list is packed into fixed-width byte slots wide
+enough that no product coefficient can carry into its neighbour, the
+two ints are multiplied (CPython's Karatsuba), and the slots are read
+back.  Packing and unpacking go through bytes, linear in the size.
+Powers are taken by square-and-multiply.  No floating point, no FFT.
 
 QSeries values are treated as immutable: every operation returns a new
 object and never mutates its operands.
@@ -250,16 +255,25 @@ def mul(a: QSeries, b: QSeries) -> QSeries:
     """Truncated Cauchy product; offsets add, prec = min(prec_a, prec_b).
 
     The operand with fewer nonzeros is the row source.  When both are
-    sparse, the pair loop multiplies nonzero terms only; otherwise each
-    nonzero row term adds its multiple of the other operand, shifted, in
-    one pass over the list.
+    sparse, the pair loop multiplies nonzero terms only; when both are
+    dense ints, one Kronecker-packed int product does the work;
+    otherwise each nonzero row term adds its multiple of the other
+    operand, shifted, in one pass over the list.
     """
     offset = a.offset + b.offset
     prec = min(a.prec, b.prec)
-    if a.nnz > b.nnz:
-        a, b = b, a
+    na, nb = a.nnz, b.nnz
+    if na > nb:
+        a, b, na, nb = b, a, nb, na
+    sparse_a = na * SPARSE_FACTOR <= a.prec
+    sparse_b = nb * SPARSE_FACTOR <= b.prec
+    if not (sparse_a or sparse_b):
+        ac = a.coeffs[:prec]
+        bc = ac if b is a else b.coeffs[:prec]
+        if _all_int(ac) and _all_int(bc):
+            return QSeries(offset, _kronecker(ac, bc))
     out = [0] * prec
-    if a.density == "sparse" and b.density == "sparse":
+    if sparse_a and sparse_b:
         bp = list(b.pairs())
         for i, c in a.pairs():
             lim = prec - i
@@ -278,13 +292,54 @@ def mul(a: QSeries, b: QSeries) -> QSeries:
     return QSeries(offset, out)
 
 
+def _all_int(coeffs: list) -> bool:
+    return all(isinstance(c, int) for c in coeffs)
+
+
+def _kronecker(ac: list, bc: list) -> list:
+    """Product of two int lists of equal length n, truncated to n terms,
+    by Kronecker substitution; passing one list twice squares it.
+
+    Each coefficient of the product is a sum of at most n terms, so its
+    magnitude stays below 2^(bits(max|a|) + bits(max|b|) + bits(n)).
+    Slots of w bytes with that many bits plus a sign bit hold it
+    exactly.  Every slot carries the bias 2^(8w-1), which makes it
+    nonnegative: the packed int is the biased slots minus the bias
+    constant, and adding the constant back to the product leaves each
+    low output slot as its coefficient plus the bias.
+    """
+    n = len(ac)
+    if not n:
+        return []
+    w = (max(map(abs, ac)).bit_length() + max(map(abs, bc)).bit_length()
+         + n.bit_length() + 8) // 8
+    bias = 1 << (8 * w - 1)
+    biases = int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
+
+    def pack(coeffs):
+        buf = bytearray(w * n)
+        for k, c in zip(range(0, w * n, w), coeffs):
+            buf[k:k + w] = (c + bias).to_bytes(w, "little")
+        return int.from_bytes(buf, "little") - biases
+
+    pa = pack(ac)
+    pb = pa if bc is ac else pack(bc)   # CPython squares a shared int faster
+    low = (pa * pb + biases) & ((1 << (8 * w * n)) - 1)
+    data = low.to_bytes(w * n, "little")
+    return [int.from_bytes(data[k:k + w], "little") - bias
+            for k in range(0, w * n, w)]
+
+
 def pow_(a: QSeries, e: int) -> QSeries:
-    """Repeated left-to-right multiplication; exact."""
+    """a^e by left-to-right square-and-multiply: one squaring per bit of
+    e after the leading one, and one product with a per set bit."""
     if e < 1:
         raise ValueError("exponent must be a positive integer")
     result = a
-    for _ in range(e - 1):
-        result = mul(result, a)
+    for bit in bin(e)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, a)
     return result
 
 
@@ -317,17 +372,19 @@ def dilate(m: int, a: QSeries, max_prec: int | None = None) -> QSeries:
 def u_op(m: int, a: QSeries) -> QSeries:
     """Index extraction: coefficient of q^n in the result is the
     coefficient of q^(m n) in a.  Requires an integer offset; the result
-    is reported on offset 0 with prec = prec_a // m."""
+    is reported on offset 0 with prec = prec_a // m, cut further when a
+    negative offset leaves fewer exponents m n known."""
     if m < 1:
         raise ValueError("operator index must be a positive integer")
     if a.offset.denominator != 1:
         raise ValueError("U_%d needs an integer exponent grid, offset is %s"
                          % (m, a.offset))
     off = int(a.offset)
-    prec = a.prec // m
-    i0 = (-off) % m
-    n0 = (off + i0) // m
-    out = [0] * n0 + a.coeffs[i0::m]
+    # a is known for exponents below off + prec_a: n < ceil(that / m).
+    prec = max(0, min(a.prec // m, -(-(off + a.prec) // m)))
+    # n0 is the first n >= 0 whose exponent m n is at or above off.
+    n0 = max(0, -(-off // m))
+    out = [0] * n0 + a.coeffs[m * n0 - off::m]
     out = (out + [0] * prec)[:prec]
     return QSeries(0, out)
 

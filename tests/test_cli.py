@@ -159,6 +159,36 @@ class TestBuildCommand:
                    "--out", str(out)) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    def test_delta_at_benchmark_size(self, tmp_path):
+        # Delta = eta^24 at the dense benchmark's precision, against the
+        # body digest that benchmarks/reference.json records (the body
+        # is every line not starting with "#", newlines kept).
+        bench = Path(__file__).resolve().parents[1] / "benchmarks"
+        reference = json.loads((bench / "reference.json").read_text())
+        out = tmp_path / "Delta.txt"
+        assert run("build", "--form", "Delta", "--prec", "20000",
+                   "--out", str(out)) == 0
+        body = [line for line in out.read_bytes().splitlines(keepends=True)
+                if not line.startswith(b"#")]
+        assert (hashlib.sha256(b"".join(body)).hexdigest()
+                == reference["full"]["Delta"])
+
+    def test_e4_squared_at_benchmark_size(self, tmp_path):
+        # E4^2 = E8 = 1 + 480 sum sigma_7(n) q^n, sigma_7 by a divisor sieve.
+        prec = 7000
+        sigma7 = [0] * (prec + 1)
+        for d in range(1, prec + 1):
+            for n in range(d, prec + 1, d):
+                sigma7[n] += d ** 7
+        out = tmp_path / "e8.txt"
+        assert run("build", "--form", "E4(1)^2", "--prec", str(prec),
+                   "--out", str(out)) == 0
+        table = {int(n): int(c) for n, c in
+                 (line.split("\t") for line in read_lines(out)
+                  if not line.startswith("#"))}
+        assert table == {0: 1, **{n: 480 * sigma7[n]
+                                  for n in range(1, prec + 1)}}
+
     def test_parse_error_exits_2(self, tmp_path, capsys):
         out = tmp_path / "x.txt"
         assert run("build", "--form", "eta(1)^^2", "--prec", "5",

@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qsigns import qseries as qs
@@ -136,6 +137,60 @@ def _series_with(draw, few):
     return QSeries.from_pairs(zip(idx, vals), prec, offset)
 
 
+# Signed ints up to 2^256, weighted towards +-(2^k - 1): the largest
+# value of each bit length, where the Kronecker slot width steps.
+_WIDE = st.one_of(st.integers(-2**256, 2**256),
+                  st.integers(0, 256).map(lambda k: 2**k - 1),
+                  st.integers(0, 256).map(lambda k: 1 - 2**k))
+
+
+@st.composite
+def _dense_ints(draw):
+    """A dense int list of length 1..64: wide signed values, all one
+    sign, or one extreme value +-(2^k - 1) throughout (every product
+    coefficient then sits at its largest possible magnitude)."""
+    prec = draw(st.integers(1, 64))
+    kind = draw(st.sampled_from(["wide", "negative", "positive", "extreme"]))
+    if kind == "extreme":
+        k = draw(st.integers(1, 256))
+        value = draw(st.sampled_from([2**k - 1, 1 - 2**k]))
+        return [value] * prec
+    values = {"wide": _WIDE,
+              "negative": st.integers(-2**256, -1),
+              "positive": st.integers(1, 2**256)}[kind]
+    return draw(st.lists(values, min_size=prec, max_size=prec))
+
+
+class TestKronecker:
+    @given(xs=_dense_ints(), ys=_dense_ints(),
+           offset=st.sampled_from([0, 1, Fraction(1, 24)]))
+    @settings(max_examples=300, deadline=None)
+    def test_dense_ints_match_oracle(self, xs, ys, offset):
+        a, b = from_list(xs, offset), from_list(ys)
+        assume(a.density == b.density == "dense")
+        want = poly_mul(xs, ys, min(len(xs), len(ys)))
+        with mock.patch.object(qs, "_kronecker", wraps=qs._kronecker) as spy:
+            for got in (qs.mul(a, b), qs.mul(b, a)):
+                assert got.offset == offset
+                assert got.dense_list() == want
+            assert spy.call_count == 2
+            assert qs.mul(a, a).dense_list() == poly_mul(xs, xs, len(xs))
+
+    @given(xs=_dense_ints(), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_fraction_operand_takes_the_row_pass(self, xs, data):
+        fr = data.draw(st.lists(st.fractions(-9, 9, max_denominator=12)
+                                .filter(bool), min_size=len(xs),
+                                max_size=len(xs)))
+        a, b = from_list(xs), from_list(fr)
+        assume(a.density == b.density == "dense")
+        want = poly_mul(xs, fr, len(xs))
+        with mock.patch.object(qs, "_kronecker", wraps=qs._kronecker) as spy:
+            for got in (qs.mul(a, b), qs.mul(b, a)):
+                assert got.dense_list() == want
+            assert not spy.called
+
+
 class TestRingAxioms:
     def test_axioms_on_random_triples(self):
         rng = random.Random(515)
@@ -178,6 +233,33 @@ class TestPow:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             qs.pow_(qs.euler(4), 0)
+
+    @pytest.mark.parametrize("base", [
+        QSeries.from_pairs([(0, 1), (5, -2), (17, 3)], 64, Fraction(1, 24)),
+        from_list([(-1) ** i * (i % 7) for i in range(24)]),
+        from_list([Fraction(1, 2), Fraction(-1, 3)] * 6, offset=1),
+    ], ids=["sparse", "dense", "fraction"])
+    def test_matches_repeated_products(self, base):
+        coeffs = base.dense_list()
+        want = coeffs
+        for e in range(1, 31):
+            got = qs.pow_(base, e)
+            assert got.offset == e * base.offset
+            assert got.dense_list() == want
+            want = poly_mul(want, coeffs, base.prec)
+
+    def test_eta24_takes_at_most_six_products(self, monkeypatch):
+        calls = []
+        mul = qs.mul
+
+        def counting(a, b):
+            calls.append(1)
+            return mul(a, b)
+
+        monkeypatch.setattr(qs, "mul", counting)
+        out = qs.pow_(qs.eta(1, 200), 24)
+        assert len(calls) <= 6
+        assert out.dense_list() == tau_list(200)[1:]
 
 
 class TestEuler:
@@ -317,6 +399,25 @@ class TestUOp:
         a = from_list([7, 8, 9, 10], offset=1)   # q + .. q^4
         out = qs.u_op(2, a)
         assert out.offset == 0 and out.dense_list() == [0, 8]
+
+    def test_negative_offset(self):
+        out = qs.u_op(4, from_list(range(1, 10), offset=-4))   # q^-4 .. q^4
+        assert out.offset == 0 and out.dense_list() == [5, 9]
+
+    def test_negative_offset_reports_only_the_known_window(self):
+        # q^-8 .. q^0 are known, so only q^0 of the image is.
+        out = qs.u_op(4, from_list(range(1, 10), offset=-8))
+        assert out.prec == 1 and out.dense_list() == [9]
+
+    def test_every_reported_coefficient_is_known(self):
+        rng = random.Random(41)
+        for _ in range(200):
+            a = random_series(rng, rng.randint(0, 30), rng.randint(-12, 12))
+            m = rng.randint(1, 5)
+            out = qs.u_op(m, a)
+            assert out.prec <= a.prec // m
+            for n in range(out.prec):
+                assert out.coefficient(n) == a.coefficient(m * n)
 
 
 class TestEisenstein:
