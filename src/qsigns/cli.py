@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from . import coeffio, forms, hecke, signs
 from .arith import DirichletCharacter
@@ -21,7 +22,6 @@ from .arith import DirichletCharacter
 ALIASES = {"E4": "E4(1)"}
 
 DEFAULT_PREC = 100_000
-LARGE_PREC_CAP = 1_000_000
 JSON_SCHEMA = 1
 
 
@@ -100,8 +100,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _check_prec(args):
     if args.prec < 1:
         raise ValueError("prec must be positive")
-    if args.prec > LARGE_PREC_CAP:
-        raise ValueError("prec above %d is not supported" % LARGE_PREC_CAP)
+    if args.prec > coeffio.LARGE_PREC_CAP:
+        raise ValueError("prec above %d is not supported"
+                         % coeffio.LARGE_PREC_CAP)
     if args.prec > DEFAULT_PREC and not args.allow_large:
         raise ValueError("prec %d needs --allow-large" % args.prec)
     if args.prec > DEFAULT_PREC:
@@ -116,9 +117,7 @@ def cmd_build(args) -> int:
     named = {"delta": forms.delta_form, "g": forms.g_form,
              "Delta": forms.ramanujan_delta, "G11": forms.x0_11_form}
     if args.form in named:
-        f = named[args.form](args.prec)
-        cf = coeffio.from_table(args.form, f.weight_num, f.level, f.character,
-                                f.coeffs, f.prec)
+        cf = coeffio.CoefficientFile(args.form, named[args.form](args.prec))
     else:
         cf = _expression_file(args.form, args.prec)
     cf.write(args.out)
@@ -129,47 +128,42 @@ def _expression_file(text: str, prec: int) -> coeffio.CoefficientFile:
     """The expression's coefficients from its series' integer offset on."""
     weight_num, level, series = forms.spec_series(ALIASES.get(text, text),
                                                   prec)
-    table = forms.integer_table(series, prec, start=0)
-    return coeffio.from_table(text, weight_num, level,
-                              DirichletCharacter.trivial(level), table, prec,
-                              offset=int(series.offset))
+    form = forms.Form(weight_num=weight_num, level=level,
+                      character=DirichletCharacter.trivial(level),
+                      coeffs=forms.integer_table(series, prec, start=0))
+    return coeffio.CoefficientFile(text, form, offset=int(series.offset))
 
 
 def cmd_lift(args) -> int:
     cf = coeffio.read(args.infile)
-    lift = hecke.shimura_lift(cf.to_form(), args.t)
-    coeffio.from_table("lift_t%d(%s)" % (args.t, cf.form_id), lift.weight_num,
-                       lift.level, lift.character, lift.coeffs, lift.prec,
-                       t=args.t).write(args.out)
+    coeffio.CoefficientFile("lift_t%d(%s)" % (args.t, cf.form_id),
+                            hecke.shimura_lift(cf.form, args.t),
+                            t=args.t).write(args.out)
     return 0
 
 
 def cmd_hecke(args) -> int:
     cf = coeffio.read(args.infile)
+    f = cf.form
     p = args.p
     report = None
     if args.op == "u":
         if p < 1:
             raise ValueError("index must be positive")
-        table = cf.coefficient_table()
-        prec = cf.prec // p
-        seq = [0] + [table[p * n] for n in range(1, prec + 1)]
+        seq = [0] + f.coeffs[p::p]
         out_id = "u%d(%s)" % (p, cf.form_id)
     else:
-        f = cf.to_form()
         if args.op == "tsq":
             seq = hecke.t_square_half(p, f)
             out_id = "tsq_p%d(%s)" % (p, cf.form_id)
         else:
             seq = hecke.t_integral(p, f)
             out_id = "tp%d(%s)" % (p, cf.form_id)
-        prec = len(seq) - 1
-        report = hecke.extract_eigenvalue(f.coeffs[:prec + 1], seq, p=p, k=f.k)
+        report = hecke.extract_eigenvalue(f.coeffs[:len(seq)], seq, p=p,
+                                          k=f.k)
 
     if args.out:
-        coeffio.from_table(out_id, cf.weight_num, cf.level,
-                           coeffio.parse_character(cf.character),
-                           seq, prec).write(args.out)
+        coeffio.CoefficientFile(out_id, replace(f, coeffs=seq)).write(args.out)
     if args.verify_eigen:
         if report is None:
             raise ValueError("--verify-eigen needs --op tsq or tp")
@@ -202,7 +196,7 @@ def _table_decimals(X: int) -> int:
 
 def cmd_signs(args) -> int:
     cf = coeffio.read(args.infile)
-    form = cf.to_form()
+    form = cf.form
     stats = [s for s in args.stats.split(",") if s]
     for s in stats:
         if s not in ("tot", "fund"):
@@ -306,7 +300,7 @@ def cmd_verify(args) -> int:
 
 
 def _suite_plus_space(cf):
-    f = cf.to_form()
+    f = cf.form
     bad = forms.plus_space_check(f)
     doc = {"schema": JSON_SCHEMA, "suite": "plus-space", "form": cf.form_id,
            "pass": not bad,
@@ -315,7 +309,7 @@ def _suite_plus_space(cf):
 
 
 def _suite_recurrence(cf, ts, ps):
-    f = cf.to_form()
+    f = cf.form
     checks = []
     ok = True
     for t in ts:
@@ -332,7 +326,7 @@ def _suite_recurrence(cf, ts, ps):
 
 
 def _suite_bounds(cf, ps):
-    f = cf.to_form()
+    f = cf.form
     k = f.k
     checks = []
     ok = True
@@ -352,7 +346,7 @@ def _suite_bounds(cf, ps):
 
 
 def _suite_prop2(cf, ps, limit):
-    form = cf.to_form()
+    form = cf.form
     checks = []
     ok = True
     for p in ps:

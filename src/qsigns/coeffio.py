@@ -14,24 +14,33 @@ nonzero coefficient, ascending n, decimal integers:
     1	1
     4	-56
 
-The weight is always written as numerator over 2 (even numerators are
-integral weights).  The offset is the least index the body may hold:
-files of named forms, lifts and operator images are written from a(1)
-with offset 1, and an expression is written from its series' integer
-offset (0 keeps a constant term).  An optional '# t: <int>' line after
-the offset records the lift index.  Serialization is canonical, so
-parse/serialize round-trips are byte identical.
+A CoefficientFile is a Form plus what only a file has: the form id, the
+offset and the lift index t.  The weight (numerator over 2; even
+numerators are integral weights), level, character and prec lines are
+the Form's.  The offset is the least index the body may hold: named
+forms, lifts and operator images are written from a(1) with offset 1,
+an expression from its series' integer offset (0 keeps a constant term
+in coeffs[0]).  An optional '# t: <int>' line after the offset records
+the lift index.
+
+Serialization is canonical, and parse accepts only a header that
+serialize writes back byte for byte: no unknown, repeated or reordered
+key, no value in another spelling (a leading zero, a sign, padding).  A
+prec above LARGE_PREC_CAP is refused before the table is allocated, and
+the Form's own checks apply on read.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .arith import DirichletCharacter
 from .forms import Form
 
 MAGIC = "# coeffs v1"
+KEYS = ("form", "weight", "level", "character", "prec", "offset", "t")
+LARGE_PREC_CAP = 1_000_000
 
 
 def format_character(chi: DirichletCharacter) -> str:
@@ -52,58 +61,36 @@ def parse_character(text: str) -> DirichletCharacter:
 
 @dataclass
 class CoefficientFile:
-    """Parsed or to-be-written coefficient file."""
+    """A Form with the fields only its file has."""
 
     form_id: str
-    weight_num: int            # weight is weight_num / 2
-    level: int
-    character: str             # serialized character string
-    prec: int
-    offset: int
+    form: Form
+    offset: int = 1
     t: int | None = None
-    pairs: list[tuple[int, int]] = field(default_factory=list)
 
-    def serialize(self) -> str:
+    def _header(self) -> list[str]:
+        f = self.form
         lines = [MAGIC,
                  "# form: %s" % self.form_id,
-                 "# weight: %d/2" % self.weight_num,
-                 "# level: %d" % self.level,
-                 "# character: %s" % self.character,
-                 "# prec: %d" % self.prec,
+                 "# weight: %d/2" % f.weight_num,
+                 "# level: %d" % f.level,
+                 "# character: %s" % format_character(f.character),
+                 "# prec: %d" % f.prec,
                  "# offset: %d" % self.offset]
         if self.t is not None:
             lines.append("# t: %d" % self.t)
-        lines.extend("%d\t%d" % (n, c) for n, c in self.pairs)
+        return lines
+
+    def serialize(self) -> str:
+        coeffs = self.form.coeffs
+        lines = self._header()
+        lines.extend("%d\t%d" % (n, coeffs[n])
+                     for n in range(self.offset, len(coeffs)) if coeffs[n])
         return "\n".join(lines) + "\n"
 
     def write(self, path: str):
         with open(path, "w") as fp:
             fp.write(self.serialize())
-
-    # -- form conversion ----------------------------------------------------
-
-    def coefficient_table(self) -> list[int]:
-        table = [0] * (self.prec + 1)
-        for n, c in self.pairs:
-            if n > 0:
-                table[n] = c
-        return table
-
-    def to_form(self) -> Form:
-        return Form(weight_num=self.weight_num, level=self.level,
-                    character=parse_character(self.character),
-                    coeffs=self.coefficient_table(), prec=self.prec)
-
-
-def from_table(form_id: str, weight_num: int, level: int,
-               chi: DirichletCharacter, coeffs: list[int], prec: int,
-               offset: int = 1, t: int | None = None) -> CoefficientFile:
-    """Build a file object from a coefficient table indexed by n, keeping
-    the entries from the offset on."""
-    pairs = [(n, coeffs[n]) for n in range(offset, prec + 1) if coeffs[n] != 0]
-    return CoefficientFile(form_id=form_id, weight_num=weight_num, level=level,
-                           character=format_character(chi), prec=prec,
-                           offset=offset, t=t, pairs=pairs)
 
 
 def parse(text: str) -> CoefficientFile:
@@ -111,32 +98,41 @@ def parse(text: str) -> CoefficientFile:
     if not lines or lines[0] != MAGIC:
         raise ValueError("not a coefficient file (missing %r header)" % MAGIC)
     header = {}
-    body_start = 1
     for line in lines[1:]:
         m = re.fullmatch(r"# ([a-z]+): (.*)", line)
         if not m:
             break
         key = m.group(1)
+        if key not in KEYS:
+            raise ValueError("unknown header key %r" % key)
         if key in header:
             raise ValueError("duplicate header key %r" % key)
         header[key] = m.group(2)
-        body_start += 1
-    for key in ("form", "weight", "level", "character", "prec", "offset"):
+    body_start = 1 + len(header)
+    for key in KEYS[:-1]:           # every key but t is required
         if key not in header:
             raise ValueError("missing header key %r" % key)
     m = re.fullmatch(r"(\d+)/2", header["weight"])
     if not m:
         raise ValueError("bad weight %r, expected <num>/2" % header["weight"])
+    prec = int(header["prec"])
+    if not 0 <= prec <= LARGE_PREC_CAP:
+        raise ValueError("prec %d is outside 0..%d" % (prec, LARGE_PREC_CAP))
     cf = CoefficientFile(form_id=header["form"],
-                         weight_num=int(m.group(1)),
-                         level=int(header["level"]),
-                         character=header["character"],
-                         prec=int(header["prec"]),
+                         form=Form(weight_num=int(m.group(1)),
+                                   level=int(header["level"]),
+                                   character=parse_character(
+                                       header["character"]),
+                                   coeffs=[0] * (prec + 1)),
                          offset=int(header["offset"]),
                          t=int(header["t"]) if "t" in header else None)
-    parse_character(cf.character)   # validate eagerly
     if cf.offset < 0:
         raise ValueError("negative offset %d" % cf.offset)
+    for got, canonical in zip(lines[:body_start], cf._header()):
+        if got != canonical:
+            raise ValueError("header line %r is not written as %r"
+                             % (got, canonical))
+    table = cf.form.coeffs
     last = cf.offset - 1
     for line in lines[body_start:]:
         if not line:
@@ -150,9 +146,9 @@ def parse(text: str) -> CoefficientFile:
         if n <= last:
             raise ValueError("body index %d is below the offset or out of "
                              "order" % n)
-        if n > cf.prec:
-            raise ValueError("index %d exceeds prec %d" % (n, cf.prec))
-        cf.pairs.append((n, c))
+        if n > prec:
+            raise ValueError("index %d exceeds prec %d" % (n, prec))
+        table[n] = c
         last = n
     return cf
 

@@ -1,6 +1,6 @@
 """The form type and the named forms.
 
-A Form carries an integer coefficient table a(n) for 1 <= n <= prec plus
+A Form carries an integer coefficient table a(n) for 0 <= n <= prec plus
 weight/level/character metadata.  Integrality is checked at finalization,
 never assumed; the level and character are declared metadata (transformation
 behaviour is not verified here), while support conditions are.
@@ -32,8 +32,10 @@ class Form:
     """Form of weight weight_num/2 with integer coefficients.
 
     Odd weight_num is a half-integral weight k + 1/2 on a level divisible
-    by 4; even weight_num is an even integral weight 2k.  coeffs[n] = a(n)
-    with coeffs[0] an unused zero.  If plus_space is set the support
+    by 4; even weight_num is an even integral weight 2k.  The level is
+    positive.  coeffs[n] = a(n) for 0 <= n <= prec = len(coeffs) - 1;
+    coeffs[0] holds a(0), the constant term an offset-0 file such as E4's
+    stores, and no statistic reads it.  If plus_space is set the support
     condition a(n) = 0 for (-1)^k n = 2, 3 mod 4 is enforced.
     """
 
@@ -41,10 +43,11 @@ class Form:
     level: int
     character: DirichletCharacter
     coeffs: list[int]
-    prec: int
     plus_space: bool = False
 
     def __post_init__(self):
+        if self.level < 1:
+            raise ValueError("level must be positive, got %d" % self.level)
         if self.half_integral:
             if self.weight_num < 1:
                 raise ValueError("weight numerator must be positive")
@@ -52,13 +55,15 @@ class Form:
                 raise ValueError("level must be divisible by 4")
         elif self.weight_num % 4 or self.weight_num < 4:
             raise ValueError("integral weight must be a positive even integer")
-        if len(self.coeffs) != self.prec + 1:
-            raise ValueError("coefficient table must cover 1..prec")
         if self.plus_space:
             bad = plus_space_check(self)
             if bad:
                 raise ValueError("plus-space support condition fails at n=%d"
                                  % bad[0])
+
+    @property
+    def prec(self) -> int:
+        return len(self.coeffs) - 1
 
     @property
     def half_integral(self) -> bool:
@@ -126,8 +131,7 @@ def _named(name: str, prec: int) -> Form:
     weight_num, level, series = spec_series(spec, prec)
     return Form(weight_num=weight_num, level=level,
                 character=DirichletCharacter.trivial(level),
-                coeffs=integer_table(series, prec), prec=prec,
-                plus_space=plus_space)
+                coeffs=integer_table(series, prec), plus_space=plus_space)
 
 
 def delta_form(prec: int) -> Form:

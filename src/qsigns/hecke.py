@@ -1,8 +1,8 @@
 """Hecke operators, the Shimura lift, and eigenvalue diagnostics.
 
 All sequences use the convention of Form coefficient tables: a list
-indexed by n with entry 0 an unused zero, covering 1 <= n <= its own
-precision.
+indexed by n, covering 1 <= n <= its own precision; the entry at 0 is
+never read.
 Eigenvalue extraction is exact integer arithmetic; a non-dividing ratio
 is a hard not-an-eigenform verdict, never a rounding question.
 """
@@ -56,8 +56,7 @@ def shimura_lift(f: Form, t: int) -> Form:
                 acc += chi * d ** (k - 1) * f.a(nn_t // (d * d))
         out[n] = acc
     return Form(weight_num=4 * k, level=N // 2,
-                character=DirichletCharacter.trivial(N // 2), coeffs=out,
-                prec=prec_a)
+                character=DirichletCharacter.trivial(N // 2), coeffs=out)
 
 
 def t_square_half(p: int, f: Form) -> list[int]:
@@ -264,8 +263,7 @@ def twisted_component(f: Form, p: int, eps: int) -> Form:
         if kronecker(n, p) == eps:
             coeffs[n] = f.coeffs[n]
     return Form(weight_num=f.weight_num, level=f.level * p * p,
-                character=f.character, coeffs=coeffs, prec=f.prec,
-                plus_space=f.plus_space)
+                character=f.character, coeffs=coeffs, plus_space=f.plus_space)
 
 
 def _require_weight(f: Form, half_integral: bool):

@@ -392,28 +392,14 @@ def u_op(m: int, a: QSeries) -> QSeries:
 # -- generators --------------------------------------------------------------
 
 def euler(prec: int) -> QSeries:
-    """prod_{n>=1} (1 - q^n) truncated, via the pentagonal number sum
-    sum_j (-1)^j q^(j(3j-1)/2); O(sqrt(prec)) terms."""
-    if prec < 1:
-        raise ValueError("prec must be positive")
-    pairs = [(0, 1)]
-    j = 1
-    while True:
-        e1 = j * (3 * j - 1) // 2
-        if e1 >= prec:
-            break
-        s = -1 if j % 2 else 1
-        pairs.append((e1, s))
-        e2 = j * (3 * j + 1) // 2
-        if e2 < prec:
-            pairs.append((e2, s))
-        j += 1
-    return QSeries.from_pairs(pairs, prec)
+    """prod_{n>=1} (1 - q^n) truncated: eta(1) on offset 0."""
+    return QSeries(0, eta(1, prec).coeffs)
 
 
 def eta(m: int, prec: int) -> QSeries:
-    """q^(m/24) prod (1 - q^(m n)): the pentagonal sum at stride m with a
-    fractional offset of m/24."""
+    """q^(m/24) prod (1 - q^(m n)), via the pentagonal number sum
+    sum_j (-1)^j q^(m j(3j-1)/2) at stride m with a fractional offset of
+    m/24; O(sqrt(prec / m)) terms."""
     if m < 1:
         raise ValueError("dilation index must be a positive integer")
     if prec < 1:

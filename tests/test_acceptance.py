@@ -67,7 +67,7 @@ def g11_form():
 
 def _restrict(f: Form, prec: int) -> Form:
     return Form(weight_num=f.weight_num, level=f.level, character=f.character,
-                coeffs=f.coeffs[:prec + 1], prec=prec, plus_space=f.plus_space)
+                coeffs=f.coeffs[:prec + 1], plus_space=f.plus_space)
 
 
 def test_criterion_1_printed_expansions():
@@ -242,11 +242,10 @@ def test_criterion_8_property_suites(delta_big, g_big):
 
     # coefficient files round-trip at prec 1000
     D, G = ramanujan_delta(1000), x0_11_form(1000)
-    for form_id, w2, lvl, form in (("delta", 13, 4, _restrict(delta_big[0], 1000)),
-                                   ("g", 3, 44, _restrict(g_big[0], 1000)),
-                                   ("Delta", 24, 1, D), ("G11", 4, 11, G)):
-        cf = coeffio.from_table(form_id, w2, lvl, form.character,
-                                form.coeffs, 1000, 1)
+    for form_id, form in (("delta", _restrict(delta_big[0], 1000)),
+                          ("g", _restrict(g_big[0], 1000)),
+                          ("Delta", D), ("G11", G)):
+        cf = coeffio.CoefficientFile(form_id, form)
         assert coeffio.parse(cf.serialize()).serialize() == cf.serialize()
 
     elapsed = time.perf_counter() - t0

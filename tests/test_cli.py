@@ -6,12 +6,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qsigns
 from qsigns import coeffio
 from qsigns.arith import DirichletCharacter
 from qsigns.cli import main
-from qsigns.forms import NAMED, delta_form, g_form, ramanujan_delta, x0_11_form
+from qsigns.forms import (NAMED, Form, delta_form, g_form, ramanujan_delta,
+                          x0_11_form)
 
 
 def run(*argv):
@@ -28,23 +31,22 @@ class TestCoefficientFile:
         g = g_form(1000)
         D = ramanujan_delta(1000)
         G = x0_11_form(1000)
-        files = [
-            coeffio.from_table("delta", 13, 4, d.character, d.coeffs, 1000, 1),
-            coeffio.from_table("g", 3, 44, g.character, g.coeffs, 1000, 1),
-            coeffio.from_table("Delta", 24, 1, D.character, D.coeffs, 1000, 1),
-            coeffio.from_table("G11", 4, 11, G.character, G.coeffs, 1000, 1),
-        ]
+        files = [coeffio.CoefficientFile("delta", d),
+                 coeffio.CoefficientFile("g", g),
+                 coeffio.CoefficientFile("Delta", D),
+                 coeffio.CoefficientFile("G11", G)]
         for cf in files:
             text = cf.serialize()
             again = coeffio.parse(text)
             assert again.serialize() == text, cf.form_id
-            assert again.pairs == cf.pairs
+            assert again.form.coeffs == cf.form.coeffs
 
     def test_lift_header_round_trip(self):
-        cf = coeffio.CoefficientFile(form_id="lift_t3(g)", weight_num=4,
-                                     level=22, character="trivial:22",
-                                     prec=9, offset=1, t=3,
-                                     pairs=[(1, 1), (4, -2)])
+        lift = Form(weight_num=4, level=22,
+                    character=DirichletCharacter.trivial(22),
+                    coeffs=[0, 1, 0, 0, -2, 0, 0, 0, 0, 0])
+        cf = coeffio.CoefficientFile(form_id="lift_t3(g)", form=lift,
+                                     offset=1, t=3)
         again = coeffio.parse(cf.serialize())
         assert again.t == 3 and again.serialize() == cf.serialize()
 
@@ -58,8 +60,9 @@ class TestCoefficientFile:
                 assert back(a) == chi(a)
 
     def test_parse_rejects_garbage(self):
-        good = coeffio.from_table("x", 13, 4, DirichletCharacter.trivial(4),
-                                  [0, 1, 0, 0, -56], 4, 1).serialize()
+        good = coeffio.CoefficientFile("x", Form(
+            weight_num=13, level=4, character=DirichletCharacter.trivial(4),
+            coeffs=[0, 1, 0, 0, -56])).serialize()
         coeffio.parse(good)
         with pytest.raises(ValueError):
             coeffio.parse(good.replace("coeffs v1", "coeffs v9"))
@@ -81,13 +84,80 @@ class TestCoefficientFile:
                           .replace("1\t1", "-3\t7"))
 
     def test_form_conversion_guards(self):
-        cf = coeffio.from_table("Delta", 24, 1, DirichletCharacter.trivial(1),
-                                [0, 1, -24], 2, 1)
-        f = cf.to_form()
+        cf = coeffio.CoefficientFile("Delta", Form(
+            weight_num=24, level=1, character=DirichletCharacter.trivial(1),
+            coeffs=[0, 1, -24]))
+        text = cf.serialize()
+        f = coeffio.parse(text).form
         assert f.a(2) == -24 and f.k == 6 and not f.half_integral
-        cf.weight_num = 13      # a half-integral weight needs 4 | level
+        # a half-integral weight needs 4 | level
         with pytest.raises(ValueError):
-            cf.to_form()
+            coeffio.parse(text.replace("# weight: 24/2", "# weight: 13/2"))
+
+    # A small file with every header key, a quadratic character and a
+    # constant term (offset 0).
+    FULL = coeffio.CoefficientFile("lift_t5(x)", Form(
+        weight_num=13, level=12, character=DirichletCharacter(top=-3),
+        coeffs=[7, 1, 0, 0, -56]), offset=0, t=5).serialize()
+
+    @pytest.mark.parametrize("line, bad", [
+        ("# offset: 0", "# offset: 0\n# zzz: 5"),     # unknown key
+        ("# level: 12", "# level: 012"),
+        ("# prec: 4", "# prec:  4"),
+        ("# offset: 0", "# offset: +0"),
+        ("# weight: 13/2", "# weight: 013/2"),
+        ("# character: kronecker:-3/mod:3", "# character: kronecker:-3/mod:03"),
+        ("# character: kronecker:-3/mod:3", "# character: trivial:012"),
+        ("# prec: 4", "# prec: 4_0"),
+        ("# t: 5", "# t: -0005"),
+    ])
+    def test_parse_rejects_a_header_it_would_not_write(self, line, bad):
+        assert line in self.FULL.splitlines()
+        with pytest.raises(ValueError):
+            coeffio.parse(self.FULL.replace(line + "\n", bad + "\n"))
+
+    def test_parse_rejects_reordered_header(self):
+        lines = self.FULL.splitlines(keepends=True)
+        lines[2], lines[3] = lines[3], lines[2]     # level before weight
+        with pytest.raises(ValueError):
+            coeffio.parse("".join(lines))
+
+    @pytest.mark.parametrize("prec", [-1, coeffio.LARGE_PREC_CAP + 1, 10 ** 18])
+    def test_parse_rejects_prec_outside_the_range(self, prec):
+        # Refused before the table is allocated: 10^18 entries would not fit.
+        text = self.FULL.replace("# prec: 4\n", "# prec: %d\n" % prec)
+        with pytest.raises(ValueError, match="outside"):
+            coeffio.parse(text)
+
+    SPELLINGS = st.sampled_from(["", "0", "+", "-", " ", "_", "1"])
+
+    @settings(max_examples=300, deadline=None)
+    @given(edits=st.lists(st.tuples(st.integers(1, 7), SPELLINGS, SPELLINGS,
+                                    st.sampled_from(coeffio.KEYS + ("zzz",)),
+                                    st.booleans()),
+                          min_size=1, max_size=3))
+    def test_accepted_header_is_written_back_the_same(self, edits):
+        # Respell a header value, or insert a line under some key holding
+        # a respelled value; whatever parse accepts must serialize to the
+        # very same text.
+        lines = self.FULL.splitlines(keepends=True)
+        for pos, before, after, key, insert in edits:
+            old_key, _, value = lines[pos].rstrip("\n").partition(": ")
+            if insert:
+                lines.insert(pos, "# %s: %s%s%s\n" % (key, before, value, after))
+            else:
+                lines[pos] = "%s: %s%s%s\n" % (old_key, before, value, after)
+        text = "".join(lines)
+        try:
+            cf = coeffio.parse(text)
+        except ValueError:
+            return
+        assert cf.serialize() == text
+
+    def test_full_header_round_trips(self):
+        cf = coeffio.parse(self.FULL)
+        assert cf.form.coeffs == [7, 1, 0, 0, -56] and cf.t == 5
+        assert cf.serialize() == self.FULL
 
 
 class TestBuildCommand:
@@ -199,6 +269,16 @@ class TestBuildCommand:
         assert run("build", "--form", "eta(1)", "--prec", "5",
                    "--out", str(tmp_path / "x.txt")) == 2
 
+    @pytest.mark.parametrize("expr", ["eta(24)^2",      # weight 1
+                                      "eta(4)^6",       # weight 3
+                                      "eta(2)*eta(3)*eta(19)"])  # 3/2 on 114
+    def test_unreadable_form_is_not_written(self, tmp_path, capsys, expr):
+        out = tmp_path / "x.txt"
+        assert run("build", "--form", expr, "--prec", "100",
+                   "--out", str(out)) == 2
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_prec_guard(self, tmp_path, capsys):
         out = tmp_path / "x.txt"
         assert run("build", "--form", "delta", "--prec", "100001",
@@ -206,6 +286,45 @@ class TestBuildCommand:
         assert "allow-large" in capsys.readouterr().err
         assert run("build", "--form", "delta", "--prec", "2000000",
                    "--allow-large", "--out", str(out)) == 2
+
+
+@pytest.fixture(scope="module")
+def files_1e4(tmp_path_factory):
+    work = tmp_path_factory.mktemp("files_1e4")
+    for name in ("delta", "g"):
+        assert run("build", "--form", name, "--prec", "10000",
+                   "--out", str(work / (name + ".txt"))) == 0
+    return work
+
+
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["lift", "--in", "delta.txt", "--t", "1", "--out", "out"],
+     "32cc86ce840716d8fa473cddf55277dd8d31b0d14552b5535029527789cc4402"),
+    (["lift", "--in", "delta.txt", "--t", "5", "--out", "out"],
+     "11a0a4f8baa5f9e079dc17150bbab6c33881dff0edf7110fef7f9b5e120c73f7"),
+    (["hecke", "--in", "delta.txt", "--op", "tsq", "--p", "3", "--out", "out"],
+     "5160cf338d24d8264c067593dbb266b9b5701269ceb3b50952188089bcdf61ff"),
+    (["hecke", "--in", "delta.txt", "--op", "u", "--p", "4", "--out", "out"],
+     "3d37f58a3946cc91d3d5bf0279df681e6673a20007cf5432a24ffd2e6a9bffda"),
+    (["signs", "--in", "delta.txt", "--X-list", "10,100,1000,10000",
+      "--csv", "out"],
+     "8a7cecafbbcf74807136364f96b00df62d39ba2f6ab3b17d509b1a07f14918b4"),
+    (["signs", "--in", "g.txt", "--X-list", "10,100,1000,10000",
+      "--csv", "out"],
+     "8052548478d31b1c366b17b2895b96698ae9af983d7da388aff5902abd0b0f28"),
+])
+def test_read_side_outputs_are_pinned(files_1e4, tmp_path, argv, digest):
+    # Everything written from a file read back must stay byte for byte
+    # the same; the digests are of the outputs before files held a Form.
+    out = tmp_path / "out"
+    argv = [str(files_1e4 / a) if a.endswith(".txt") else
+            str(out) if a == "out" else a for a in argv]
+    assert run(*argv) == 0
+    assert sha256_of(out) == digest
 
 
 class TestLiftCommand:
@@ -217,8 +336,8 @@ class TestLiftCommand:
         assert run("lift", "--in", str(src), "--t", "1",
                    "--out", str(dst)) == 0
         cf = coeffio.read(str(dst))
-        assert cf.prec == 20 and cf.t == 1    # isqrt(400)
-        table = cf.coefficient_table()
+        assert cf.form.prec == 20 and cf.t == 1    # isqrt(400)
+        table = cf.form.coeffs
         assert table[1] == 1 and table[3] == 252
 
     def test_lift_g(self, tmp_path):
@@ -227,7 +346,7 @@ class TestLiftCommand:
         run("build", "--form", "g", "--prec", "300", "--out", str(src))
         assert run("lift", "--in", str(src), "--t", "3",
                    "--out", str(dst)) == 0
-        assert coeffio.read(str(dst)).coefficient_table()[1] == 1
+        assert coeffio.read(str(dst)).form.coeffs[1] == 1
 
     def test_non_squarefree_t_exits_2(self, tmp_path):
         src = tmp_path / "delta.txt"
@@ -265,7 +384,7 @@ class TestHeckeCommand:
         out = tmp_path / "u4.txt"
         assert run("hecke", "--in", str(src), "--op", "u", "--p", "4",
                    "--out", str(out)) == 0
-        table = coeffio.read(str(out)).coefficient_table()
+        table = coeffio.read(str(out)).form.coeffs
         assert table[1] == -1     # a(4) of g
 
     def test_bad_prime_exits_2(self, tmp_path):
@@ -278,7 +397,8 @@ class TestHeckeCommand:
         d = delta_form(400)
         coeffs = list(d.coeffs)
         coeffs[21] += 7    # 21 = 1 mod 4 keeps the support condition
-        cf = coeffio.from_table("mangled", 13, 4, d.character, coeffs, 400, 1)
+        cf = coeffio.CoefficientFile("mangled", Form(
+            weight_num=13, level=4, character=d.character, coeffs=coeffs))
         src = tmp_path / "mangled.txt"
         cf.write(str(src))
         code = run("hecke", "--in", str(src), "--op", "tsq", "--p", "3",
@@ -356,9 +476,20 @@ class TestVerifyCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["pass"] and doc["schema"] == 1
 
+    @pytest.mark.parametrize("level", ["0", "-4"])
+    def test_nonpositive_level_exits_2(self, tmp_path, capsys, level):
+        src = tmp_path / "delta.txt"
+        run("build", "--form", "delta", "--prec", "100", "--out", str(src))
+        src.write_text(src.read_text().replace("# level: 4\n",
+                                               "# level: %s\n" % level))
+        assert run("signs", "--in", str(src), "--X-list", "10,100") == 2
+        assert run("verify", "--in", str(src), "--suite", "plus-space") == 2
+        assert "level must be positive" in capsys.readouterr().err
+
     def test_plus_space_failure_exits_1(self, tmp_path, capsys):
-        cf = coeffio.from_table("bad", 13, 4, DirichletCharacter.trivial(4),
-                                [0, 1, 1, 0, 0], 4, 1)
+        cf = coeffio.CoefficientFile("bad", Form(
+            weight_num=13, level=4, character=DirichletCharacter.trivial(4),
+            coeffs=[0, 1, 1, 0, 0]))
         src = tmp_path / "bad.txt"
         cf.write(str(src))
         assert run("verify", "--in", str(src), "--suite", "plus-space") == 1

@@ -115,18 +115,30 @@ class TestFinalization:
         coeffs[1], coeffs[2] = 1, 1
         f = Form(weight_num=13, level=4,
                  character=DirichletCharacter.trivial(4),
-                 coeffs=coeffs, prec=100, plus_space=False)
+                 coeffs=coeffs, plus_space=False)
         assert plus_space_check(f) == [2]
         with pytest.raises(ValueError):
             Form(weight_num=13, level=4,
                  character=DirichletCharacter.trivial(4),
-                 coeffs=coeffs, prec=100, plus_space=True)
+                 coeffs=coeffs, plus_space=True)
+
+    @pytest.mark.parametrize("weight_num, level", [(13, 0), (13, -4),
+                                                   (24, 0), (24, -1)])
+    def test_level_must_be_positive(self, weight_num, level):
+        with pytest.raises(ValueError, match="level must be positive"):
+            Form(weight_num=weight_num, level=level,
+                 character=DirichletCharacter.trivial(4), coeffs=[0, 1])
+
+    def test_prec_is_the_table_length_minus_one(self):
+        f = Form(weight_num=24, level=1,
+                 character=DirichletCharacter.trivial(1), coeffs=[0, 1, -24])
+        assert f.prec == 2 and f.a(2) == -24
 
     def test_level_must_be_divisible_by_4(self):
         with pytest.raises(ValueError):
             Form(weight_num=3, level=11,
                  character=DirichletCharacter.trivial(11),
-                 coeffs=[0, 0], prec=1)
+                 coeffs=[0, 0])
 
     def test_integer_table_rejects_fractions(self):
         # 1/4 leaves a fraction at q^1 (coefficient 2 there)

@@ -144,7 +144,7 @@ class TestExtractEigenvalue:
                       for n in range(prec + 1)]
         mix = Form(weight_num=13, level=4,
                    character=DirichletCharacter.trivial(4),
-                   coeffs=mix_coeffs, prec=prec)
+                   coeffs=mix_coeffs)
         rep = hecke.extract_eigenvalue(mix.coeffs[:prec // 9 + 1],
                                        hecke.t_square_half(3, mix))
         assert not rep.is_eigen
@@ -211,7 +211,7 @@ class TestRecurrence:
                       for n in range(prec + 1)]
         mix = Form(weight_num=13, level=4,
                    character=DirichletCharacter.trivial(4),
-                   coeffs=mix_coeffs, prec=prec)
+                   coeffs=mix_coeffs)
         rep = hecke.recurrence_check(mix, 1, 3)
         assert not rep.ok and "eigenform" in rep.note
 

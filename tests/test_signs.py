@@ -16,7 +16,7 @@ def artificial_form(values, weight_num=13, level=4):
     coeffs = [0] + list(values)
     return Form(weight_num=weight_num, level=level,
                 character=DirichletCharacter.trivial(level),
-                coeffs=coeffs, prec=len(values))
+                coeffs=coeffs)
 
 
 class TestSignChanges:
