@@ -1,22 +1,20 @@
 """qsigns: exact q-expansion arithmetic for half-integral weight forms,
 Shimura lifts, Hecke operators, and coefficient sign statistics."""
 
-from .arith import (DirichletCharacter, chi_star, chi_t_N, chi_t_N_character,
-                    divisors, is_fundamental_discriminant, is_squarefree,
-                    kronecker, squarefree_decompose)
+from .arith import (DirichletCharacter, chi_star, chi_t_N, divisors,
+                    is_fundamental_discriminant, is_squarefree, kronecker)
 from .qseries import (PrecisionError, QSeries, add, derive, dilate,
-                      eisenstein_e4, eta, euler, mul, neg, pow_, scalar_mul,
-                      theta, theta_psi, u_op)
+                      eisenstein_e4, eta, mul, neg, pow_, scalar_mul, theta,
+                      theta_psi, u_op)
 from .forms import (NAMED, Form, delta_form, g_form, integer_table,
                     plus_space_check, ramanujan_delta, spec_series,
                     x0_11_form)
 from .formspec import FormSpecError, evaluate, parse_formspec
 from .hecke import (EigenReport, RecurrenceReport, deligne_check,
                     elementary_bound_check, extract_eigenvalue,
-                    local_power_sequence, local_power_sequence_extended,
-                    recurrence_check, satake, shimura_lift, t_integral,
-                    t_square_half, twisted_component)
-from .signs import (SignStatsReport, dprime_filter, first_negative,
+                    local_power_sequence, recurrence_check, satake,
+                    shimura_lift, t_integral, t_square_half)
+from .signs import (SignStatsReport, dprime_filter,
                     first_nonzero_in_square_class, prop2_witnesses,
                     r_plus_fund, r_plus_tot, render_ratio, sign_changes,
                     squarefree_sign_survey, subseq_t_n2)

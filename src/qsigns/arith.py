@@ -1,7 +1,7 @@
 """Number-theoretic primitives.
 
 Kronecker symbols, real Dirichlet characters given by a Kronecker-symbol
-top, fundamental discriminants, square-free decomposition and divisor
+top, fundamental discriminants, square-free tests and divisor
 enumeration.  Everything here is a pure function of its arguments.
 """
 
@@ -83,25 +83,6 @@ def is_squarefree(n: int) -> bool:
                 return False
         d += 2
     return True
-
-
-def squarefree_decompose(n: int) -> tuple[int, int]:
-    """Write n = t * m^2 with t square-free; returns (t, m)."""
-    if n < 1:
-        raise ValueError("expected a positive integer")
-    t, m = 1, 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            m *= d ** (e // 2)
-            if e % 2:
-                t *= d
-        d += 1 if d == 2 else 2
-    return t * n, m
 
 
 def is_fundamental_discriminant(d: int) -> bool:
@@ -210,12 +191,3 @@ class DirichletCharacter:
     @property
     def is_primitive(self) -> bool:
         return self.top == 1 or is_fundamental_discriminant(self.top)
-
-
-def chi_t_N_character(k: int, N: int, t: int) -> DirichletCharacter:
-    """The character d -> chi_t_N(k, N, t, d) as a DirichletCharacter."""
-    if t < 1 or not is_squarefree(t):
-        raise ValueError("t must be a square-free positive integer")
-    if N % 4 != 0:
-        raise ValueError("level N must be divisible by 4")
-    return DirichletCharacter(top=(-1) ** k * N * N * t)

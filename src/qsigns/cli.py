@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from math import lcm
 
 from . import coeffio, forms, hecke, signs
 from .arith import DirichletCharacter
@@ -126,11 +127,12 @@ def cmd_build(args) -> int:
 
 def _expression_file(text: str, prec: int) -> coeffio.CoefficientFile:
     """The expression's coefficients from its series' integer offset on."""
-    weight_num, level, series = forms.spec_series(ALIASES.get(text, text),
-                                                  prec)
+    weight_num, level, series, den = forms.spec_series(
+        ALIASES.get(text, text), prec)
     form = forms.Form(weight_num=weight_num, level=level,
                       character=DirichletCharacter.trivial(level),
-                      coeffs=forms.integer_table(series, prec, start=0))
+                      coeffs=forms.integer_table(series, prec, start=0,
+                                                 den=den))
     return coeffio.CoefficientFile(text, form, offset=int(series.offset))
 
 
@@ -147,11 +149,16 @@ def cmd_hecke(args) -> int:
     f = cf.form
     p = args.p
     report = None
+    level, character = f.level, f.character
     if args.op == "u":
         if p < 1:
             raise ValueError("index must be positive")
         seq = [0] + f.coeffs[p::p]
         out_id = "u%d(%s)" % (p, cf.form_id)
+        # f | U_m lies on level lcm(N, m), the rule of formspec.level_hint.
+        level = lcm(f.level, p)
+        if character.is_trivial:
+            character = DirichletCharacter.trivial(level)
     else:
         if args.op == "tsq":
             seq = hecke.t_square_half(p, f)
@@ -163,7 +170,8 @@ def cmd_hecke(args) -> int:
                                           k=f.k)
 
     if args.out:
-        coeffio.CoefficientFile(out_id, replace(f, coeffs=seq)).write(args.out)
+        image = replace(f, level=level, character=character, coeffs=seq)
+        coeffio.CoefficientFile(out_id, image).write(args.out)
     if args.verify_eigen:
         if report is None:
             raise ValueError("--verify-eigen needs --op tsq or tp")
@@ -236,13 +244,8 @@ def cmd_signs(args) -> int:
                             "change_positions": positions})
     if args.dprime:
         primes, eps = _parse_dprime(args.dprime)
-        allowed = set(signs.dprime_filter(range(1, form.prec + 1), primes, eps))
-        entries = []
-        for t in range(1, form.prec + 1):
-            if t in allowed and signs.is_squarefree(t):
-                hit = signs.first_nonzero_in_square_class(form, t)
-                if hit is not None:
-                    entries.append((t, hit[1]))
+        entries = signs.squarefree_sign_survey(
+            form, signs.dprime_filter(range(1, form.prec + 1), primes, eps))
         count, positions = signs.sign_changes([v for _, v in entries])
         reports.append({"kind": "dprime-survey",
                         "primes": list(primes), "eps": list(eps),

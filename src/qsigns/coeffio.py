@@ -21,7 +21,7 @@ the Form's.  The offset is the least index the body may hold: named
 forms, lifts and operator images are written from a(1) with offset 1,
 an expression from its series' integer offset (0 keeps a constant term
 in coeffs[0]).  An optional '# t: <int>' line after the offset records
-the lift index.
+the lift index, a square-free positive integer.
 
 Serialization is canonical, and parse accepts only a header that
 serialize writes back byte for byte: no unknown, repeated or reordered
@@ -35,7 +35,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .arith import DirichletCharacter
+from .arith import DirichletCharacter, is_squarefree
 from .forms import Form
 
 MAGIC = "# coeffs v1"
@@ -128,6 +128,9 @@ def parse(text: str) -> CoefficientFile:
                          t=int(header["t"]) if "t" in header else None)
     if cf.offset < 0:
         raise ValueError("negative offset %d" % cf.offset)
+    if cf.t is not None and (cf.t < 1 or not is_squarefree(cf.t)):
+        raise ValueError("lift index t=%d is not a square-free positive "
+                         "integer" % cf.t)
     for got, canonical in zip(lines[:body_start], cf._header()):
         if got != canonical:
             raise ValueError("header line %r is not written as %r"

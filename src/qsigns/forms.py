@@ -91,12 +91,14 @@ def plus_space_check(f: Form) -> list[int]:
             if (sign * n) % 4 in (2, 3) and f.coeffs[n] != 0]
 
 
-def integer_table(series: QSeries, prec: int, start: int = 1) -> list[int]:
-    """Read a(start)..a(prec) off a q-series, asserting integrality; the
+def integer_table(series: QSeries, prec: int, start: int = 1,
+                  den: int = 1) -> list[int]:
+    """Read a(start)..a(prec) off series / den, asserting integrality; the
     entries below start are zero.
 
     The series must have an integral offset and cover exponents up to
-    prec; rational bookkeeping must have cancelled exactly.
+    prec; den (as formspec.evaluate returns it) must divide every
+    coefficient read.
     """
     if series.offset.denominator != 1:
         raise ValueError("cannot finalize a series with fractional offset %s"
@@ -105,33 +107,35 @@ def integer_table(series: QSeries, prec: int, start: int = 1) -> list[int]:
     if off + series.prec <= prec:
         raise PrecisionError("q^%d beyond precision" % prec)
     lo = max(start, off)
-    table = ([0] * min(lo, prec + 1)
-             + series.coeffs[lo - off:prec + 1 - off])
-    for n, c in enumerate(table):
-        if isinstance(c, Fraction):
-            if c.denominator != 1:
-                raise ValueError("non-integral coefficient %s at q^%d"
-                                 % (c, n))
-            table[n] = c.numerator
-    return table
+    head = [0] * min(lo, prec + 1)
+    window = series.coeffs[lo - off:prec + 1 - off]
+    if den != 1:
+        bad = next((i for i, c in enumerate(window) if c % den), None)
+        if bad is not None:
+            raise ValueError("non-integral coefficient %s at q^%d"
+                             % (Fraction(window[bad], den), lo + bad))
+        window = [c // den for c in window]
+    return head + window
 
 
-def spec_series(spec: str, prec: int) -> tuple[int, int, QSeries]:
-    """The weight numerator (twice the formal weight), the level hint and
-    the series through q^prec of a formspec expression."""
+def spec_series(spec: str, prec: int) -> tuple[int, int, QSeries, int]:
+    """The weight numerator (twice the formal weight), the level hint, and
+    the series through q^prec with its denominator (see
+    formspec.evaluate) of a formspec expression."""
     ast = formspec.parse_formspec(spec)
-    return (int(2 * formspec.formal_weight(ast)), formspec.level_hint(ast),
-            formspec.evaluate(ast, prec + 1))
+    return ((int(2 * formspec.formal_weight(ast)), formspec.level_hint(ast))
+            + formspec.evaluate(ast, prec + 1))
 
 
 def _named(name: str, prec: int) -> Form:
     if prec < 1:
         raise ValueError("prec must be positive")
     spec, plus_space = NAMED[name]
-    weight_num, level, series = spec_series(spec, prec)
+    weight_num, level, series, den = spec_series(spec, prec)
     return Form(weight_num=weight_num, level=level,
                 character=DirichletCharacter.trivial(level),
-                coeffs=integer_table(series, prec), plus_space=plus_space)
+                coeffs=integer_table(series, prec, den=den),
+                plus_space=plus_space)
 
 
 def delta_form(prec: int) -> Form:

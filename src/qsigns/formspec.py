@@ -18,12 +18,14 @@ dilation index m (the series evaluated at mz), and must be >= 1.  The
 first argument of thetapsi is the top of an odd primitive real character
 and may be negative.  D is q d/dq and U(m, .) extracts every m-th
 coefficient.  Parse errors carry the byte offset of the offending token.
+An expression evaluates to an int series and one positive denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .arith import DirichletCharacter
 from . import qseries as qs
@@ -246,8 +248,11 @@ def parse_formspec(text: str):
     return node
 
 
-def evaluate(spec, prec: int) -> QSeries:
-    """Evaluate an AST to a QSeries valid for prec grid positions.
+def evaluate(spec, prec: int) -> tuple[QSeries, int]:
+    """Evaluate an AST to (series, den): an int series valid for prec grid
+    positions and one positive int den, so that the expression's value is
+    series / den.  Only this evaluator sees the denominator; scalars
+    p/q multiply the series by p and den by q.
 
     Required precision is pushed down the tree (a U(m, .) node needs its
     argument to m times the precision), so the result carries the full
@@ -300,9 +305,9 @@ def level_hint(node) -> int:
     if isinstance(node, Diff):
         return level_hint(node.arg)
     if isinstance(node, U):
-        return _lcm(node.m, level_hint(node.arg))
+        return lcm(node.m, level_hint(node.arg))
     if isinstance(node, (Add, Sub, Mul)):
-        return _lcm(level_hint(node.left), level_hint(node.right))
+        return lcm(level_hint(node.left), level_hint(node.right))
     if isinstance(node, Pow):
         return level_hint(node.base)
     if isinstance(node, Scale):
@@ -310,34 +315,41 @@ def level_hint(node) -> int:
     raise TypeError("not a FormSpec node: %r" % (node,))
 
 
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-    return a // gcd(a, b) * b
-
-
-def _eval(node, need: int) -> QSeries:
+def _eval(node, need: int) -> tuple[QSeries, int]:
     if isinstance(node, Eta):
-        return qs.eta(node.m, need)
+        return qs.eta(node.m, need), 1
     if isinstance(node, Theta):
-        return qs.theta(node.m, need)
+        return qs.theta(node.m, need), 1
     if isinstance(node, ThetaPsi):
         psi = DirichletCharacter(top=node.top)
-        return qs.theta_psi(psi, node.m, need)
+        return qs.theta_psi(psi, node.m, need), 1
     if isinstance(node, E4):
         base = qs.eisenstein_e4((need + node.m - 1) // node.m)
-        return qs.dilate(node.m, base, max_prec=need)
+        return qs.dilate(node.m, base, max_prec=need), 1
     if isinstance(node, Diff):
-        return qs.derive(_eval(node.arg, need))
+        # derive is b q d/dq on an offset a/b, so den takes the factor b.
+        s, den = _eval(node.arg, need)
+        return qs.derive(s), den * s.offset.denominator
     if isinstance(node, U):
-        return qs.u_op(node.m, _eval(node.arg, node.m * need))
-    if isinstance(node, Add):
-        return qs.add(_eval(node.left, need), _eval(node.right, need))
-    if isinstance(node, Sub):
-        return qs.add(_eval(node.left, need), qs.neg(_eval(node.right, need)))
+        s, den = _eval(node.arg, node.m * need)
+        return qs.u_op(node.m, s), den
+    if isinstance(node, (Add, Sub)):
+        (l, dl), (r, dr) = _eval(node.left, need), _eval(node.right, need)
+        den = lcm(dl, dr)
+        sign = -1 if isinstance(node, Sub) else 1
+        return qs.add(_scaled(l, den // dl), _scaled(r, sign * den // dr)), den
     if isinstance(node, Mul):
-        return qs.mul(_eval(node.left, need), _eval(node.right, need))
+        (l, dl), (r, dr) = _eval(node.left, need), _eval(node.right, need)
+        return qs.mul(l, r), dl * dr
     if isinstance(node, Pow):
-        return qs.pow_(_eval(node.base, need), node.exp)
+        s, den = _eval(node.base, need)
+        return qs.pow_(s, node.exp), den ** node.exp
     if isinstance(node, Scale):
-        return qs.scalar_mul(_eval(node.arg, need), node.scalar)
+        s, den = _eval(node.arg, need)
+        return (_scaled(s, node.scalar.numerator),
+                den * node.scalar.denominator)
     raise TypeError("not a FormSpec node: %r" % (node,))
+
+
+def _scaled(s: QSeries, r: int) -> QSeries:
+    return s if r == 1 else qs.scalar_mul(s, r)

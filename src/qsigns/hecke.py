@@ -160,24 +160,6 @@ def local_power_sequence(f: Form, t: int, p: int) -> list[int]:
     return out
 
 
-def local_power_sequence_extended(f: Form, t: int, p: int,
-                                  M: int) -> list[int]:
-    """a(t p^(2m)) for m = 0..M, reading directly within precision and
-    continuing with the verified two-term Hecke recurrence beyond it."""
-    direct = local_power_sequence(f, t, p)
-    if len(direct) >= M + 1:
-        return direct[:M + 1]
-    rep = recurrence_check(f, t, p)
-    if not rep.ok:
-        raise ValueError("recurrence for (t=%d, p=%d) failed: %s"
-                         % (t, p, rep.note))
-    out = list(direct)
-    step = _recurrence_step(f, t, p, rep.lam)
-    while len(out) <= M:
-        out.append(step(out, len(out)))
-    return out
-
-
 @dataclass
 class RecurrenceReport:
     """Result of checking the local Hecke recurrence along t p^(2m)."""
@@ -207,28 +189,17 @@ def recurrence_check(f: Form, t: int, p: int) -> RecurrenceReport:
                                         "violation at n=%s" % rep.first_violation))
     lam = rep.lam
     seq = local_power_sequence(f, t, p)
-    step = _recurrence_step(f, t, p, lam)
+    k = f.k
+    first = lam - chi_t_N(k, f.level, t, p) * p ** (k - 1)
+    p2k1 = p ** (2 * k - 1)
     for m in range(1, len(seq)):
-        if seq[m] != step(seq, m):
+        want = (seq[0] * first if m == 1
+                else lam * seq[m - 1] - p2k1 * seq[m - 2])
+        if seq[m] != want:
             return RecurrenceReport(ok=False, t=t, p=p, lam=lam,
                                     max_m=len(seq) - 1, violation_m=m,
                                     note="a(t p^(2m)) mismatch at m=%d" % m)
     return RecurrenceReport(ok=True, t=t, p=p, lam=lam, max_m=len(seq) - 1)
-
-
-def _recurrence_step(f: Form, t: int, p: int, lam: int):
-    """The recurrence above as step(seq, m) -> a(t p^(2m)) predicted from
-    seq[m - 1] and seq[m - 2] (seq[0] alone for m = 1)."""
-    k = f.k
-    first = lam - chi_t_N(k, f.level, t, p) * p ** (k - 1)
-    p2k1 = p ** (2 * k - 1)
-
-    def step(seq, m):
-        if m == 1:
-            return seq[0] * first
-        return lam * seq[m - 1] - p2k1 * seq[m - 2]
-
-    return step
 
 
 def satake(lam: int, p: int, k: int) -> tuple[int, int, int]:
@@ -249,21 +220,6 @@ def deligne_check(lam: int, p: int, k: int) -> bool:
 def elementary_bound_check(lam: int, p: int, k: int) -> bool:
     """|lam| < p^k + p^(k-1)."""
     return abs(lam) < p ** k + p ** (k - 1)
-
-
-def twisted_component(f: Form, p: int, eps: int) -> Form:
-    """Keep the coefficients with (n/p) = eps, zero the rest; the result
-    lives on level N p^2."""
-    _require_weight(f, half_integral=True)
-    if eps not in (1, -1):
-        raise ValueError("eps must be +1 or -1")
-    _require_good_prime(p, f.level)
-    coeffs = [0] * (f.prec + 1)
-    for n in range(1, f.prec + 1):
-        if kronecker(n, p) == eps:
-            coeffs[n] = f.coeffs[n]
-    return Form(weight_num=f.weight_num, level=f.level * p * p,
-                character=f.character, coeffs=coeffs, plus_space=f.plus_space)
 
 
 def _require_weight(f: Form, half_integral: bool):

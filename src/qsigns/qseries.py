@@ -2,8 +2,9 @@
 
 A QSeries holds coefficients for the exponents offset + i, 0 <= i < prec,
 where the offset is a rational with denominator dividing 24 (the grid on
-which eta quotients live).  Coefficients are exact: Python ints, with
-Fraction entries appearing only after non-integer scalar multiples.
+which eta quotients live).  Every coefficient is a Python int, and the
+constructors refuse anything else; a rational expression keeps its one
+denominator outside the series (see formspec.evaluate).
 
 Reading at or past offset + prec raises PrecisionError; exponents below
 the window, or off the integer grid, read as exact zeros.  Every
@@ -18,12 +19,11 @@ source.  A series is sparse while nnz * 16 <= prec; when both operands
 are sparse the product runs over pairs of nonzero terms, otherwise each
 nonzero row term adds a shifted multiple of the other operand in one
 fused pass.  With s nonzero row terms that costs O(prec * s) coefficient
-operations.  When both operands are dense and hold only ints, the
-product is one multiplication of two big ints instead (Kronecker
-substitution): each list is packed into fixed-width byte slots wide
-enough that no product coefficient can carry into its neighbour, the
-two ints are multiplied (CPython's Karatsuba), and the slots are read
-back.  Packing and unpacking go through bytes, linear in the size.
+operations.  When both operands are dense, the product is one
+multiplication of two big ints instead (Kronecker substitution): each
+list is packed into fixed-width byte slots wide enough that no product
+coefficient can carry into its neighbour, the two ints are multiplied
+(CPython's Karatsuba), and the slots are read back.  Packing and unpacking go through bytes, linear in the size.
 Powers are taken by square-and-multiply.  No floating point, no FFT.
 
 QSeries values are treated as immutable: every operation returns a new
@@ -51,11 +51,9 @@ def _as_offset(value) -> Fraction:
     return off
 
 
-def _normalize(value):
-    # Collapse integral Fractions back to int so later arithmetic stays fast.
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return int(value)
-    return value
+def _require_int(c):
+    if type(c) is not int:
+        raise TypeError("q-series coefficients are ints, got %r" % (c,))
 
 
 class QSeries:
@@ -72,11 +70,14 @@ class QSeries:
 
     @classmethod
     def from_dense(cls, coeffs, offset=0) -> "QSeries":
-        return cls(offset, list(coeffs))
+        coeffs = list(coeffs)
+        for c in coeffs:
+            _require_int(c)
+        return cls(offset, coeffs)
 
     @classmethod
     def from_pairs(cls, pairs, prec: int, offset=0) -> "QSeries":
-        """The series with the given (index, value) terms and zeros
+        """The series with the given (index, int value) terms and zeros
         elsewhere; each index must lie in [0, prec) and occur once."""
         if prec < 0:
             raise ValueError("prec must be nonnegative")
@@ -88,6 +89,7 @@ class QSeries:
             if i in seen:
                 raise ValueError("index %d given twice" % i)
             seen.add(i)
+            _require_int(c)
             if c:
                 coeffs[i] = c
         return cls(offset, coeffs)
@@ -122,10 +124,6 @@ class QSeries:
             if c:
                 yield i, c
 
-    def dense_list(self) -> list:
-        """Coefficients as a fresh dense list of length prec."""
-        return list(self.coeffs)
-
     def coefficient(self, exponent):
         """Exact coefficient of q^exponent.
 
@@ -144,11 +142,6 @@ class QSeries:
             raise PrecisionError("exponent %s beyond precision" % (exponent,))
         return self.coeffs[i]
 
-    def is_integral(self) -> bool:
-        """True when every stored coefficient is an integer."""
-        return all(not isinstance(c, Fraction) or c.denominator == 1
-                   for c in self.coeffs)
-
     def truncate(self, prec: int) -> "QSeries":
         """Restrict the window to the first prec grid positions."""
         if prec < 0:
@@ -165,44 +158,9 @@ class QSeries:
             return NotImplemented
         return self.offset == other.offset and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash((self.offset, tuple(self.coeffs)))
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, neg(other))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return scalar_mul(self, other)
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return scalar_mul(self, other)
-        return NotImplemented
-
-    def __pow__(self, e):
-        return pow_(self, e)
-
     def __repr__(self):
         return "QSeries(offset=%s, prec=%d, nnz=%d, %s)" % (
             self.offset, self.prec, self.nnz, self.density)
-
-    def __str__(self):
-        terms = []
-        for i, c in self.pairs():
-            if len(terms) == 8:
-                terms.append("...")
-                break
-            e = self.offset + i
-            terms.append("%s*q^%s" % (c, e))
-        return " + ".join(terms) if terms else "0"
 
 
 # -- ring operations -------------------------------------------------------
@@ -228,27 +186,12 @@ def neg(a: QSeries) -> QSeries:
     return QSeries(a.offset, [-c for c in a.coeffs])
 
 
-def scalar_mul(a: QSeries, r) -> QSeries:
-    """Multiply every coefficient by the rational r, keeping exact values.
-
-    Integral results stay ints; a non-dividing denominator produces
-    Fraction entries.
-    """
-    if isinstance(r, int):
-        num, den = r, 1
-    else:
-        r = Fraction(r)
-        num, den = r.numerator, r.denominator
-
-    def scale(c):
-        if isinstance(c, int) and den != 1:
-            q, rem = divmod(c * num, den)
-            return q if rem == 0 else Fraction(c * num, den)
-        return _normalize(c * num if den == 1 else c * Fraction(num, den))
-
-    if num == 0:
+def scalar_mul(a: QSeries, r: int) -> QSeries:
+    """Multiply every coefficient by the int r."""
+    _require_int(r)
+    if r == 0:
         return QSeries.zero(a.prec, a.offset)
-    return QSeries(a.offset, [scale(c) if c else 0 for c in a.coeffs])
+    return QSeries(a.offset, [r * c for c in a.coeffs])
 
 
 def mul(a: QSeries, b: QSeries) -> QSeries:
@@ -256,7 +199,7 @@ def mul(a: QSeries, b: QSeries) -> QSeries:
 
     The operand with fewer nonzeros is the row source.  When both are
     sparse, the pair loop multiplies nonzero terms only; when both are
-    dense ints, one Kronecker-packed int product does the work;
+    dense, one Kronecker-packed int product does the work;
     otherwise each nonzero row term adds its multiple of the other
     operand, shifted, in one pass over the list.
     """
@@ -269,9 +212,8 @@ def mul(a: QSeries, b: QSeries) -> QSeries:
     sparse_b = nb * SPARSE_FACTOR <= b.prec
     if not (sparse_a or sparse_b):
         ac = a.coeffs[:prec]
-        bc = ac if b is a else b.coeffs[:prec]
-        if _all_int(ac) and _all_int(bc):
-            return QSeries(offset, _kronecker(ac, bc))
+        return QSeries(offset, _kronecker(ac, ac if b is a
+                                          else b.coeffs[:prec]))
     out = [0] * prec
     if sparse_a and sparse_b:
         bp = list(b.pairs())
@@ -290,10 +232,6 @@ def mul(a: QSeries, b: QSeries) -> QSeries:
             break
         out[i:] = [x + c * y for x, y in zip(out[i:], bc)]
     return QSeries(offset, out)
-
-
-def _all_int(coeffs: list) -> bool:
-    return all(isinstance(c, int) for c in coeffs)
 
 
 def _kronecker(ac: list, bc: list) -> list:
@@ -344,14 +282,12 @@ def pow_(a: QSeries, e: int) -> QSeries:
 
 
 def derive(a: QSeries) -> QSeries:
-    """q d/dq: multiply the coefficient at exponent e by e."""
+    """b * q d/dq, where the offset is a/b in lowest terms: the coefficient
+    at exponent e is multiplied by b e, which is the int a + b i at index
+    i.  On an integer offset (b = 1) this is q d/dq itself."""
     off = a.offset
-    if off.denominator == 1:
-        o = int(off)
-        factor = lambda i: o + i
-    else:
-        factor = lambda i: off + i
-    return QSeries(off, [_normalize(c * factor(i)) if c else 0
+    num, den = off.numerator, off.denominator
+    return QSeries(off, [(num + den * i) * c if c else 0
                          for i, c in enumerate(a.coeffs)])
 
 
@@ -390,11 +326,6 @@ def u_op(m: int, a: QSeries) -> QSeries:
 
 
 # -- generators --------------------------------------------------------------
-
-def euler(prec: int) -> QSeries:
-    """prod_{n>=1} (1 - q^n) truncated: eta(1) on offset 0."""
-    return QSeries(0, eta(1, prec).coeffs)
-
 
 def eta(m: int, prec: int) -> QSeries:
     """q^(m/24) prod (1 - q^(m n)), via the pentagonal number sum

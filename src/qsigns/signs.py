@@ -90,11 +90,6 @@ def _scan(values_with_positions, X: int) -> SignStatsReport:
                            change_positions=positions)
 
 
-def first_negative(f) -> int | None:
-    """Smallest n <= prec with a(n) < 0, if any."""
-    return next((n for n in range(1, f.prec + 1) if f.coeffs[n] < 0), None)
-
-
 def subseq_t_n2(f, t: int, X: int) -> list[int]:
     """The coefficients a(t n^2) for n = 1..X; needs t X^2 <= prec."""
     if t < 1 or not is_squarefree(t):
@@ -151,21 +146,17 @@ def first_nonzero_in_square_class(f, t: int) -> tuple[int, int] | None:
     return None
 
 
-def squarefree_sign_survey(f, X: int) -> SignStatsReport:
-    """Signs of a(t n_t^2) across square-free t <= X, with n_t the smallest
-    index making the coefficient nonzero; t with none in range are skipped.
-    Change positions are reported as t values."""
-    if X > f.prec:
-        raise ValueError("X=%d exceeds precision %d" % (X, f.prec))
-
-    def scan():
-        for t in range(1, X + 1):
-            if not is_squarefree(t):
-                continue
+def squarefree_sign_survey(f, ts) -> list[tuple[int, int]]:
+    """The entries (t, a(t n_t^2)) for the square-free t in ts, in order,
+    with n_t the smallest index making the coefficient nonzero; t with
+    none within precision are skipped."""
+    entries = []
+    for t in ts:
+        if is_squarefree(t):
             hit = first_nonzero_in_square_class(f, t)
-            yield t, 0 if hit is None else hit[1]
-
-    return _scan(scan(), X)
+            if hit is not None:
+                entries.append((t, hit[1]))
+    return entries
 
 
 def prop2_witnesses(f, p: int, limit: int) -> dict:

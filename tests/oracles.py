@@ -5,6 +5,8 @@ list polynomials, literal products, direct lattice counts.  Oracles stay
 independent of the code paths they check.
 """
 
+from fractions import Fraction
+
 
 def poly_mul(A, B, prec):
     """Schoolbook product of dense coefficient lists, truncated."""
@@ -93,3 +95,86 @@ def squarefree_kernel(n):
                 kernel *= d
         d += 1
     return kernel * n
+
+
+def recurrence_oracle(a0, a1, lam, p2k1, length):
+    """a(t p^(2m)) for m < length from a0 = a(t) and a1 = a(t p^2) by the
+    two-term Hecke recurrence a_m = lam a_(m-1) - p^(2k-1) a_(m-2)."""
+    out = [a0, a1]
+    while len(out) < length:
+        out.append(lam * out[-1] - p2k1 * out[-2])
+    return out
+
+
+def eval_fraction(tree, need):
+    """Evaluate an expression tree with Fraction coefficients, as
+    (offset, coeffs) with coeffs[i] the coefficient of q^(offset + i).
+
+    A tree is nested tuples: ("eta", m), ("theta", m), ("E4", m),
+    ("scale", r, x), ("add", x, y), ("sub", x, y), ("mul", x, y),
+    ("pow", x, e), ("D", x) and ("U", m, x).  Atoms come from their
+    literal definitions and products from poly_mul; D multiplies the
+    coefficient of q^e by e, and U(m, x) reads x at m * need positions.
+    A sum keeps the exponents both operands know.
+    """
+    op = tree[0]
+    if op == "eta":
+        m = tree[1]
+        out = [Fraction(0)] * need
+        for i, c in enumerate(euler_product_literal(-(-need // m))):
+            if m * i < need:
+                out[m * i] = Fraction(c)
+        return Fraction(m, 24), out
+    if op == "theta":
+        m = tree[1]
+        out = [Fraction(0)] * need
+        for n in range(-need, need + 1):
+            if m * n * n < need:
+                out[m * n * n] += 1
+        return Fraction(0), out
+    if op == "E4":
+        m = tree[1]
+        out = [Fraction(0)] * need
+        out[0] = Fraction(1)
+        for n in range(1, need):
+            if m * n < need:
+                out[m * n] = Fraction(240 * sigma_k(n, 3))
+        return Fraction(0), out
+    if op == "scale":
+        off, c = eval_fraction(tree[2], need)
+        return off, [tree[1] * v for v in c]
+    if op in ("add", "sub"):
+        (o1, c1), (o2, c2) = (eval_fraction(t, need) for t in tree[1:])
+        if (o1 - o2).denominator != 1:
+            raise ValueError("offsets on different grids")
+        sign = 1 if op == "add" else -1
+        lo = min(o1, o2)
+        out = []
+        for i in range(int(min(o1 + len(c1), o2 + len(c2)) - lo)):
+            v = Fraction(0)
+            if 0 <= lo + i - o1:
+                v += c1[int(lo + i - o1)]
+            if 0 <= lo + i - o2:
+                v += sign * c2[int(lo + i - o2)]
+            out.append(v)
+        return lo, out
+    if op == "mul":
+        (o1, c1), (o2, c2) = (eval_fraction(t, need) for t in tree[1:])
+        return o1 + o2, poly_mul(c1, c2, min(len(c1), len(c2)))
+    if op == "pow":
+        off, c = eval_fraction(tree[1], need)
+        out = c
+        for _ in range(tree[2] - 1):
+            out = poly_mul(out, c, len(c))
+        return tree[2] * off, out
+    if op == "D":
+        off, c = eval_fraction(tree[1], need)
+        return off, [(off + i) * v for i, v in enumerate(c)]
+    if op == "U":
+        m = tree[1]
+        off, c = eval_fraction(tree[2], m * need)
+        if off.denominator != 1:
+            raise ValueError("U needs an integer offset")
+        return Fraction(0), [c[int(m * n - off)] if m * n >= off
+                             else Fraction(0) for n in range(need)]
+    raise ValueError("unknown node %r" % (op,))

@@ -1,13 +1,13 @@
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsigns.arith import (DirichletCharacter, chi_star, chi_t_N,
-                          chi_t_N_character, divisors,
+from qsigns.arith import (DirichletCharacter, chi_star, chi_t_N, divisors,
                           is_fundamental_discriminant, is_prime,
-                          is_squarefree, kronecker, squarefree_decompose)
+                          is_squarefree, kronecker)
 
 from oracles import legendre_euler, squarefree_kernel
 
@@ -72,7 +72,8 @@ class TestChiTN:
             chi_t_N(6, 6, 1, 3)      # level not divisible by 4
 
     def test_character_object_matches(self):
-        chi = chi_t_N_character(1, 44, 3)
+        # chi_{t,N} for k = 1, N = 44, t = 3 as a DirichletCharacter
+        chi = DirichletCharacter(top=-44 * 44 * 3)
         for d in range(-20, 20):
             assert chi(d) == chi_t_N(1, 44, 3, d)
         # periodicity at the declared modulus
@@ -118,30 +119,34 @@ class TestFundamentalDiscriminant:
 
 
 class TestSquarefree:
+    # n = t m^2 with t the square-free kernel (oracles.squarefree_kernel):
+    # is_squarefree accepts t, and accepts n exactly when n = t.
     def test_decompose_examples(self):
-        assert squarefree_decompose(12) == (3, 2)
-        assert squarefree_decompose(1) == (1, 1)
-        assert squarefree_decompose(360) == (10, 6)
+        for n, t, m in ((12, 3, 2), (1, 1, 1), (360, 10, 6)):
+            assert squarefree_kernel(n) == t and t * m * m == n
+            assert is_squarefree(t)
+            assert is_squarefree(n) == (m == 1)
 
     def test_roundtrip_to_1e5(self):
-        for n in range(1, 100_001):
-            t, m = squarefree_decompose(n)
-            assert t * m * m == n
-        # spot-check square-freeness of t on a sample
+        # against a sieve that strikes every multiple of a square
+        N = 100_000
+        free = [True] * (N + 1)
+        for d in range(2, isqrt(N) + 1):
+            free[d * d::d * d] = [False] * (N // (d * d))
+        assert all(is_squarefree(n) == free[n] for n in range(1, N + 1))
         rng = random.Random(7)
-        for n in rng.sample(range(1, 100_001), 2000):
-            t, _ = squarefree_decompose(n)
-            assert is_squarefree(t)
+        for n in rng.sample(range(1, N + 1), 2000):
+            t = squarefree_kernel(n)
+            m = isqrt(n // t)
+            assert t * m * m == n and is_squarefree(t)
 
     @given(st.integers(1, 10_000))
     @settings(max_examples=300)
     def test_t_has_no_square_factor(self, n):
-        t, m = squarefree_decompose(n)
-        assert t * m * m == n
-        for d in range(2, 40):
-            if d * d > t:
-                break
-            assert t % (d * d) != 0
+        t = squarefree_kernel(n)
+        assert is_squarefree(t)
+        assert is_squarefree(n) == all(n % (d * d)
+                                       for d in range(2, isqrt(n) + 1))
 
     def test_is_squarefree_basics(self):
         assert is_squarefree(1)

@@ -221,6 +221,16 @@ class TestBuildCommand:
                         "49b6ca2c4fb01299ba799e7afd05e554"),
         ("E4(1)^2", 1000, "3293af79da939f78a22eb1b4167947ec"
                           "59f91915bc58a251bf3f01e0e23a5d96"),
+        # rational expressions, pinned while rational scalars still made
+        # Fraction coefficients
+        ("1/3*theta(1) + 2/3*theta(1)", 300,
+         "d74d6f2cf5ae973011bc7befe3786118466a5f77b4a03b2b0fa14b50081760ff"),
+        ("D(eta(1))*eta(1)^23 - 1/24*D(eta(1)^24)", 300,
+         "c69b4d3944d344713e2627175fb9bf9b35f3555ebe97137b79e391542bc3000f"),
+        ("1/7*eta(1)^24 + 6/7*eta(1)^24", 300,
+         "c82326aedfca4e2cca5a5d0cba2c7d71b0e78203e94826acb9d04783247a3e86"),
+        ("1/2*D(theta(1))", 300,
+         "cae87593edcfb937b73be984eedf14e2b6c52bbcc9d9da9d1c55c1ea0594f6f5"),
     ])
     def test_file_bytes_are_pinned(self, tmp_path, form, prec, digest):
         # A refactor must leave every built file byte for byte the same.
@@ -258,6 +268,18 @@ class TestBuildCommand:
                   if not line.startswith("#"))}
         assert table == {0: 1, **{n: 480 * sigma7[n]
                                   for n in range(1, prec + 1)}}
+
+    @pytest.mark.parametrize("form, message", [
+        ("1/2*theta(1)", "non-integral coefficient 1/2 at q^0"),
+        ("D(eta(1))*eta(1)^23", "non-integral coefficient 1/24 at q^1"),
+    ])
+    def test_non_integral_expression_exits_2(self, tmp_path, capsys, form,
+                                             message):
+        out = tmp_path / "x.txt"
+        assert run("build", "--form", form, "--prec", "50",
+                   "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: %s\n" % message
+        assert not out.exists()
 
     def test_parse_error_exits_2(self, tmp_path, capsys):
         out = tmp_path / "x.txt"
@@ -316,10 +338,18 @@ def sha256_of(path):
     (["signs", "--in", "g.txt", "--X-list", "10,100,1000,10000",
       "--csv", "out"],
      "8052548478d31b1c366b17b2895b96698ae9af983d7da388aff5902abd0b0f28"),
+    (["signs", "--in", "delta.txt", "--X-list", "10", "--dprime", "3:1,5:-1",
+      "--json", "out"],
+     "eefabb142766f9703b1256749e65381058367a56085487541dee03ab484d34aa"),
+    (["signs", "--in", "g.txt", "--X-list", "10", "--dprime", "3:1,5:-1",
+      "--json", "out"],
+     "adffad3855e2bb3d5334bd26f3081758a2fb477b5ce09082699ffdf66c131aef"),
 ])
 def test_read_side_outputs_are_pinned(files_1e4, tmp_path, argv, digest):
     # Everything written from a file read back must stay byte for byte
-    # the same; the digests are of the outputs before files held a Form.
+    # the same; each digest was taken before the refactor it guards (the
+    # first six before files held a Form, the square-free surveys before
+    # the survey scan existed once).
     out = tmp_path / "out"
     argv = [str(files_1e4 / a) if a.endswith(".txt") else
             str(out) if a == "out" else a for a in argv]
@@ -347,6 +377,20 @@ class TestLiftCommand:
         assert run("lift", "--in", str(src), "--t", "3",
                    "--out", str(dst)) == 0
         assert coeffio.read(str(dst)).form.coeffs[1] == 1
+
+    @pytest.mark.parametrize("t", ["0", "-6", "4"])
+    def test_file_with_bad_t_exits_2(self, tmp_path, capsys, t):
+        src, lift = tmp_path / "delta.txt", tmp_path / "lift.txt"
+        run("build", "--form", "delta", "--prec", "100", "--out", str(src))
+        assert run("lift", "--in", str(src), "--t", "1",
+                   "--out", str(lift)) == 0
+        text = lift.read_text()
+        assert "# t: 1\n" in text
+        lift.write_text(text.replace("# t: 1\n", "# t: %s\n" % t))
+        with pytest.raises(ValueError, match="square-free positive"):
+            coeffio.parse(lift.read_text())
+        assert run("signs", "--in", str(lift), "--X-list", "1") == 2
+        assert "square-free positive" in capsys.readouterr().err
 
     def test_non_squarefree_t_exits_2(self, tmp_path):
         src = tmp_path / "delta.txt"
@@ -386,6 +430,19 @@ class TestHeckeCommand:
                    "--out", str(out)) == 0
         table = coeffio.read(str(out)).form.coeffs
         assert table[1] == -1     # a(4) of g
+
+    @pytest.mark.parametrize("form, m, level", [("E4", 3, 3), ("E4", 1, 1),
+                                                ("g", 3, 132), ("delta", 4, 4)])
+    def test_u_image_level(self, tmp_path, form, m, level):
+        # f | U_m lies on level lcm(N, m); a trivial character follows it.
+        src, out = tmp_path / "f.txt", tmp_path / "u.txt"
+        assert run("build", "--form", form, "--prec", "60",
+                   "--out", str(src)) == 0
+        assert run("hecke", "--in", str(src), "--op", "u", "--p", str(m),
+                   "--out", str(out)) == 0
+        lines = read_lines(out)
+        assert "# level: %d" % level in lines
+        assert "# character: trivial:%d" % level in lines
 
     def test_bad_prime_exits_2(self, tmp_path):
         src = tmp_path / "delta.txt"

@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import pytest
 
@@ -62,12 +61,14 @@ class TestGForm:
     def test_dsl_route_agrees_bit_exactly(self):
         prec = 120
         g = g_form(prec)
-        series = evaluate(parse_formspec("1/2*U(4, theta(11)*eta(2)*eta(22))"),
-                          4 * prec)
-        assert integer_table(series, prec) == g.coeffs
+        series, den = evaluate(
+            parse_formspec("1/2*U(4, theta(11)*eta(2)*eta(22))"), 4 * prec)
+        assert den == 2
+        assert integer_table(series, prec, den=den) == g.coeffs
         # without the normalization the raw operator image is exactly 2x
-        raw = evaluate(parse_formspec("U(4, theta(11)*eta(2)*eta(22))"),
-                       4 * prec)
+        raw, den = evaluate(parse_formspec("U(4, theta(11)*eta(2)*eta(22))"),
+                            4 * prec)
+        assert den == 1
         assert integer_table(raw, prec) == [2 * c for c in g.coeffs]
 
 
@@ -75,10 +76,11 @@ class TestDeltaDslRoute:
     def test_constructor_matches_expression(self):
         prec = 60
         d = delta_form(prec)
-        series = evaluate(
+        series, den = evaluate(
             parse_formspec("1/4*(2*E4(4)*D(theta(1)) - 1/4*D(E4(4))*theta(1))"),
             prec + 1)
-        assert integer_table(series, prec) == d.coeffs
+        assert den == 16
+        assert integer_table(series, prec, den=den) == d.coeffs
 
 
 class TestRamanujanDelta:
@@ -141,13 +143,18 @@ class TestFinalization:
                  coeffs=[0, 0])
 
     def test_integer_table_rejects_fractions(self):
-        # 1/4 leaves a fraction at q^1 (coefficient 2 there)
-        series = qs.scalar_mul(qs.theta(1, 6), Fraction(1, 4))
-        with pytest.raises(ValueError):
-            integer_table(series, 5)
-        # 1/2 divides every coefficient read from q^1 on
-        half = qs.scalar_mul(qs.theta(1, 6), Fraction(1, 2))
-        assert integer_table(half, 5) == [0, 1, 0, 0, 1, 0]
+        # den 4 leaves a fraction at q^1 (coefficient 2 there)
+        with pytest.raises(ValueError,
+                           match="non-integral coefficient 1/2 at q\\^1$"):
+            integer_table(qs.theta(1, 6), 5, den=4)
+        # den 2 divides every coefficient read from q^1 on, not a(0) = 1
+        assert integer_table(qs.theta(1, 6), 5, den=2) == [0, 1, 0, 0, 1, 0]
+        with pytest.raises(ValueError,
+                           match="non-integral coefficient 1/2 at q\\^0$"):
+            integer_table(qs.theta(1, 6), 5, start=0, den=2)
+        # the same through the evaluator
+        series, den = evaluate(parse_formspec("-1/2*theta(1)"), 6)
+        assert integer_table(series, 5, den=den) == [0, -1, 0, 0, -1, 0]
 
     def test_integer_table_rejects_fractional_offset(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,10 @@ from qsigns.formspec import (Add, Diff, E4, Eta, FormSpecError, Mul, Pow,
                              Scale, Sub, Theta, ThetaPsi, U, evaluate,
                              formal_weight, level_hint, parse_formspec)
 
-from oracles import tau_list
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import eval_fraction, tau_list
 
 G_SPEC = "theta(11)*eta(2)*eta(22)"
 DELTA_SPEC = "1/4*(2*E4(4)*D(theta(1)) - 1/4*D(E4(4))*theta(1))"
@@ -69,21 +72,95 @@ class TestParse:
             parse_formspec("1/0*eta(1)")
 
 
+def _render(tree) -> str:
+    """The formspec text of an oracles.eval_fraction tree."""
+    op = tree[0]
+    if op in ("eta", "theta", "E4"):
+        return "%s(%d)" % tree
+    if op == "pow":
+        return "%s^%d" % (_render(tree[1]), tree[2])
+    if op == "scale":
+        return "%s*(%s)" % (tree[1], _render(tree[2]))
+    if op in ("add", "sub"):
+        return "(%s %s %s)" % (_render(tree[1]), "+" if op == "add" else "-",
+                               _render(tree[2]))
+    if op == "mul":
+        return "(%s)*(%s)" % (_render(tree[1]), _render(tree[2]))
+    if op == "D":
+        return "D(%s)" % _render(tree[1])
+    return "U(%d, %s)" % (tree[1], _render(tree[2]))
+
+
+def _offset(tree) -> Fraction:
+    """The offset of tree up to an integer, which is all _onto_grid uses."""
+    op = tree[0]
+    if op == "eta":
+        return Fraction(tree[1], 24)
+    if op in ("theta", "E4", "U"):
+        return Fraction(0)
+    if op == "pow":
+        return tree[2] * _offset(tree[1])
+    if op == "mul":
+        return _offset(tree[1]) + _offset(tree[2])
+    if op == "scale":
+        return _offset(tree[2])
+    return _offset(tree[1])         # D, and a sum: its left operand's grid
+
+
+def _onto_grid(tree, target: Fraction):
+    """tree times eta(k), with k chosen so its offset differs from target
+    by an integer (tree unchanged if it already does)."""
+    k = (target - _offset(tree)) * 24 % 24
+    return tree if k == 0 else ("mul", tree, ("eta", int(k)))
+
+
+_ATOMS = st.one_of(st.tuples(st.just("eta"), st.integers(1, 4)),
+                   st.tuples(st.just("theta"), st.integers(1, 3)),
+                   st.tuples(st.just("E4"), st.integers(1, 2)))
+_SCALARS = st.builds(Fraction, st.integers(-6, 6).filter(bool),
+                     st.integers(1, 6))
+
+
+@st.composite
+def _trees(draw, depth=3):
+    """A random expression tree over eta, theta and E4 on integer and
+    1/24 offsets, with rational scales, +, -, *, ^, D and U."""
+    kind = draw(st.sampled_from(
+        ["atom", "pow"] if depth == 0 else
+        ["atom", "pow", "scale", "add", "sub", "mul", "D", "U"]))
+    if kind == "atom":
+        return draw(_ATOMS)
+    if kind == "pow":
+        return ("pow", draw(_ATOMS), draw(st.integers(2, 3)))
+    if kind == "scale":
+        return ("scale", draw(_SCALARS), draw(_trees(depth - 1)))
+    if kind in ("D", "U"):
+        arg = draw(_trees(depth - 1))
+        if kind == "D":
+            return ("D", arg)
+        return ("U", draw(st.integers(2, 3)), _onto_grid(arg, Fraction(0)))
+    left, right = draw(_trees(depth - 1)), draw(_trees(depth - 1))
+    if kind != "mul":
+        right = _onto_grid(right, _offset(left))
+    return (kind, left, right)
+
+
 class TestEvaluate:
     def test_eta24(self):
-        s = evaluate(parse_formspec("eta(1)^24"), 5)
+        s, den = evaluate(parse_formspec("eta(1)^24"), 5)
+        assert den == 1
         assert [s.coefficient(n) for n in range(1, 5)] == tau_list(5)[1:5]
 
     def test_e4(self):
-        s = evaluate(parse_formspec("E4(1)"), 3)
-        assert s.dense_list() == [1, 240, 2160]
+        s, den = evaluate(parse_formspec("E4(1)"), 3)
+        assert (s.coeffs, den) == ([1, 240, 2160], 1)
 
     def test_theta(self):
-        s = evaluate(parse_formspec("theta(1)"), 2)
-        assert s.dense_list() == [1, 2]
+        s, den = evaluate(parse_formspec("theta(1)"), 2)
+        assert (s.coeffs, den) == ([1, 2], 1)
 
     def test_u_gets_extra_working_precision(self):
-        s = evaluate(parse_formspec("U(4, theta(1))"), 10)
+        s, _ = evaluate(parse_formspec("U(4, theta(1))"), 10)
         assert s.prec >= 10
         assert [s.coefficient(n) for n in (0, 1, 4, 9)] == [1, 2, 2, 2]
 
@@ -92,8 +169,28 @@ class TestEvaluate:
             evaluate(parse_formspec("U(2, eta(1))"), 4)
 
     def test_dilated_e4(self):
-        s = evaluate(parse_formspec("E4(4)"), 9)
-        assert s.dense_list() == [1, 0, 0, 0, 240, 0, 0, 0, 2160]
+        s, _ = evaluate(parse_formspec("E4(4)"), 9)
+        assert s.coeffs == [1, 0, 0, 0, 240, 0, 0, 0, 2160]
+
+    def test_one_denominator(self):
+        # Scale, Add, Sub, Mul and D on a 1/24 offset each act on den.
+        cases = {"1/3*theta(1) + 2/3*theta(1)": 3,
+                 "1/2*theta(1) - 1/3*theta(2)": 6,
+                 "(1/2*theta(1))*(1/3*theta(2))": 6,
+                 "(1/2*theta(1))*(1/2*theta(1))*(1/2*theta(1))": 8,
+                 "D(eta(1))": 24,
+                 "1/2*D(eta(2))": 24}
+        for text, den in cases.items():
+            assert evaluate(parse_formspec(text), 8)[1] == den, text
+
+    @given(tree=_trees(), need=st.integers(1, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fraction_oracle(self, tree, need):
+        s, den = evaluate(parse_formspec(_render(tree)), need)
+        off, want = eval_fraction(tree, need)
+        assert den > 0 and all(type(c) is int for c in s.coeffs)
+        assert s.offset == off and s.prec == need
+        assert [Fraction(c, den) for c in s.coeffs] == want[:need]
 
 
 class TestMetadataHints:

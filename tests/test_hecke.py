@@ -5,6 +5,8 @@ from qsigns.arith import DirichletCharacter, chi_t_N
 from qsigns.forms import Form, delta_form, ramanujan_delta
 from qsigns.qseries import PrecisionError
 
+from oracles import recurrence_oracle
+
 # Frozen by the two-term recurrence a(9^(m)) = 252 a(..) - 3^11 a(..):
 # a(81) = 252*9 - 177147 = -174879
 # a(729) = 252*(-174879) - 177147*9 = -45663831
@@ -12,15 +14,8 @@ from qsigns.qseries import PrecisionError
 DELTA_POWERS_OF_3 = [1, 9, -174879, -45663831, 19472004801]
 
 
-def _recurrence_oracle(a0, a1, lam, p2k1, length):
-    out = [a0, a1]
-    while len(out) < length:
-        out.append(lam * out[-1] - p2k1 * out[-2])
-    return out
-
-
 def test_frozen_values_match_their_oracle():
-    assert DELTA_POWERS_OF_3 == _recurrence_oracle(1, 9, 252, 3 ** 11, 5)
+    assert DELTA_POWERS_OF_3 == recurrence_oracle(1, 9, 252, 3 ** 11, 5)
 
 
 class TestShimuraLift:
@@ -175,9 +170,14 @@ class TestLocalPowerSequence:
         assert hecke.local_power_sequence(delta3k, 5, 3)[0] == 120
 
     def test_extension_matches_direct(self, delta3k):
-        d10k = delta_form(10_000)
-        ext = hecke.local_power_sequence_extended(delta3k, 1, 3, 4)
-        assert ext == hecke.local_power_sequence(d10k, 1, 3)
+        # The recurrence verified within prec 3000 predicts a(3^8), which
+        # only a prec-10^4 build reads directly.
+        rep = hecke.recurrence_check(delta3k, 1, 3)
+        assert rep.ok
+        seq = hecke.local_power_sequence(delta3k, 1, 3)
+        assert len(seq) == 4
+        ext = recurrence_oracle(seq[0], seq[1], rep.lam, 3 ** 11, 5)
+        assert ext == hecke.local_power_sequence(delta_form(10_000), 1, 3)
 
     def test_range_errors(self, delta3k):
         with pytest.raises(ValueError):
@@ -240,29 +240,3 @@ class TestSatakeAndBounds:
                 for lam in range(-4 * p ** k, 4 * p ** k + 1, max(1, p ** k // 3)):
                     if hecke.deligne_check(lam, p, k):
                         assert hecke.elementary_bound_check(lam, p, k)
-
-
-class TestTwistedComponent:
-    def test_delta_plus_class(self, delta3k):
-        tw = hecke.twisted_component(delta3k, 3, 1)
-        kept = {n: tw.a(n) for n in range(1, 20) if tw.a(n)}
-        assert kept == {1: 1, 4: -56, 13: -1320, 16: -704}
-        assert tw.level == 4 * 9
-
-    def test_delta_minus_class(self, delta3k):
-        tw = hecke.twisted_component(delta3k, 3, -1)
-        kept = {n: tw.a(n) for n in range(1, 20) if tw.a(n)}
-        assert kept == {5: 120, 8: -240, 17: -240}
-
-    def test_partition_identity(self, delta3k, g3k):
-        for f in (delta3k, g3k):
-            for p in (3, 5, 7, 13):
-                plus = hecke.twisted_component(f, p, 1)
-                minus = hecke.twisted_component(f, p, -1)
-                for n in range(1, f.prec + 1):
-                    rest = f.a(n) if n % p == 0 else 0
-                    assert plus.a(n) + minus.a(n) + rest == f.a(n), (p, n)
-
-    def test_rejects_bad_eps(self, delta3k):
-        with pytest.raises(ValueError):
-            hecke.twisted_component(delta3k, 3, 0)

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from qsigns import qseries as qs
 from qsigns.arith import DirichletCharacter
+from qsigns.forms import integer_table
+from qsigns.formspec import evaluate, parse_formspec
 from qsigns.qseries import SPARSE_FACTOR, PrecisionError, QSeries
 
 from oracles import euler_product_literal, poly_mul, r2_list, sigma_k, tau_list
@@ -19,7 +21,7 @@ def from_list(coeffs, offset=0):
 
 def series_window(s):
     """(offset, dense coefficients) for comparisons."""
-    return s.offset, s.dense_list()
+    return s.offset, s.coeffs
 
 
 def random_series(rng, prec, offset=0):
@@ -41,7 +43,7 @@ class TestAdd:
         a = from_list([1, 2])
         b = QSeries.from_pairs([(3, 1)], 4)
         out = qs.add(a, b)
-        assert out.prec == 2 and out.dense_list() == [1, 2]
+        assert out.prec == 2 and out.coeffs == [1, 2]
 
     def test_common_fractional_offset(self):
         a = QSeries.from_pairs([(0, 1)], 3, offset=Fraction(1, 24))
@@ -54,7 +56,7 @@ class TestAdd:
         a = from_list([1, 1, 1, 1], offset=0)
         b = from_list([5, 5], offset=2)
         out = qs.add(a, b)
-        assert out.offset == 0 and out.dense_list() == [1, 1, 6, 6]
+        assert out.offset == 0 and out.coeffs == [1, 1, 6, 6]
 
     def test_incompatible_grids_rejected(self):
         with pytest.raises(ValueError):
@@ -65,16 +67,17 @@ class TestMul:
     def test_telescoping(self):
         a = from_list([1, -1, 0, 0])
         b = from_list([1, 1, 1, 1])
-        assert qs.mul(a, b).dense_list() == [1, 0, 0, 0]
+        assert qs.mul(a, b).coeffs == [1, 0, 0, 0]
 
     def test_theta_squared_counts_lattice_points(self):
         got = qs.mul(qs.theta(1, 5), qs.theta(1, 5))
-        assert got.dense_list() == r2_list(5)
+        assert got.coeffs == r2_list(5)
 
     def test_euler_squared(self):
-        got = qs.mul(qs.euler(6), qs.euler(6))
+        got = qs.mul(qs.eta(1, 6), qs.eta(1, 6))
         want = poly_mul(euler_product_literal(6), euler_product_literal(6), 6)
-        assert got.dense_list() == want == [1, -2, -1, 2, 1, 2]
+        assert got.offset == Fraction(1, 12)
+        assert got.coeffs == want == [1, -2, -1, 2, 1, 2]
 
     def test_offsets_add(self):
         out = qs.mul(qs.eta(2, 30), qs.eta(22, 30))
@@ -88,8 +91,8 @@ class TestMul:
             lhs = qs.mul(sparse, dense)
             rhs = qs.mul(dense, sparse)   # the same row source either way
             assert series_window(lhs) == series_window(rhs)
-            want = poly_mul(sparse.dense_list(), dense.dense_list(), prec)
-            assert lhs.dense_list() == want
+            want = poly_mul(sparse.coeffs, dense.coeffs, prec)
+            assert lhs.coeffs == want
 
     def test_sparse_sparse_equals_schoolbook(self):
         rng = random.Random(99)
@@ -100,8 +103,8 @@ class TestMul:
                     for _ in range(2))
             assert a.density == b.density == "sparse"
             got = qs.mul(a, b)
-            want = poly_mul(a.dense_list(), b.dense_list(), prec)
-            assert got.dense_list() == want
+            want = poly_mul(a.coeffs, b.coeffs, prec)
+            assert got.coeffs == want
 
     @pytest.mark.parametrize("few_a, few_b", [(True, True), (True, False),
                                               (False, False)])
@@ -113,14 +116,13 @@ class TestMul:
         assert a.density == ("sparse" if few_a else "dense")
         assert b.density == ("sparse" if few_b else "dense")
         prec = min(a.prec, b.prec)
-        want = poly_mul(a.dense_list(), b.dense_list(), prec)
+        want = poly_mul(a.coeffs, b.coeffs, prec)
         for got in (qs.mul(a, b), qs.mul(b, a)):
             assert got.offset == a.offset + b.offset
-            assert got.dense_list() == want
+            assert got.coeffs == want
 
 
-_NONZERO = st.one_of(st.integers(-10**6, 10**6),
-                     st.fractions(-9, 9, max_denominator=12)).filter(bool)
+_NONZERO = st.integers(-10**6, 10**6).filter(bool)
 
 
 @st.composite
@@ -172,23 +174,25 @@ class TestKronecker:
         with mock.patch.object(qs, "_kronecker", wraps=qs._kronecker) as spy:
             for got in (qs.mul(a, b), qs.mul(b, a)):
                 assert got.offset == offset
-                assert got.dense_list() == want
+                assert got.coeffs == want
             assert spy.call_count == 2
-            assert qs.mul(a, a).dense_list() == poly_mul(xs, xs, len(xs))
+            assert qs.mul(a, a).coeffs == poly_mul(xs, xs, len(xs))
 
     @given(xs=_dense_ints(), data=st.data())
     @settings(max_examples=30, deadline=None)
-    def test_fraction_operand_takes_the_row_pass(self, xs, data):
-        fr = data.draw(st.lists(st.fractions(-9, 9, max_denominator=12)
-                                .filter(bool), min_size=len(xs),
-                                max_size=len(xs)))
-        a, b = from_list(xs), from_list(fr)
-        assume(a.density == b.density == "dense")
-        want = poly_mul(xs, fr, len(xs))
-        with mock.patch.object(qs, "_kronecker", wraps=qs._kronecker) as spy:
-            for got in (qs.mul(a, b), qs.mul(b, a)):
-                assert got.dense_list() == want
-            assert not spy.called
+    def test_fraction_operand_is_refused(self, xs, data):
+        # Every coefficient is an int, so no operand can leave the
+        # Kronecker path; a rational coefficient never becomes a series.
+        i = data.draw(st.integers(0, len(xs) - 1))
+        bad = list(xs)
+        bad[i] = data.draw(st.fractions(-9, 9, max_denominator=12)
+                           .filter(bool))
+        with pytest.raises(TypeError):
+            from_list(bad)
+        with pytest.raises(TypeError):
+            QSeries.from_pairs(enumerate(bad), len(bad))
+        with pytest.raises(TypeError):
+            qs.scalar_mul(from_list(xs), bad[i])
 
 
 class TestRingAxioms:
@@ -212,7 +216,7 @@ class TestRingAxioms:
     def test_commutativity_hypothesis(self, xs, ys):
         prec = min(len(xs), len(ys))
         a, b = from_list(xs[:prec]), from_list(ys[:prec])
-        assert qs.mul(a, b).dense_list() == qs.mul(b, a).dense_list()
+        assert qs.mul(a, b).coeffs == qs.mul(b, a).coeffs
 
 
 class TestPow:
@@ -223,29 +227,30 @@ class TestPow:
         assert [s.coefficient(n) for n in range(1, 9)] == tau_list(8)[1:9]
 
     def test_identity(self):
-        a = qs.euler(10)
+        a = qs.eta(1, 10)
         assert qs.pow_(a, 1) == a
 
     def test_square(self):
         out = qs.pow_(from_list([1, 1, 0]), 2)
-        assert out.dense_list() == [1, 2, 1]
+        assert out.coeffs == [1, 2, 1]
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            qs.pow_(qs.euler(4), 0)
+            qs.pow_(qs.eta(1, 4), 0)
 
     @pytest.mark.parametrize("base", [
         QSeries.from_pairs([(0, 1), (5, -2), (17, 3)], 64, Fraction(1, 24)),
         from_list([(-1) ** i * (i % 7) for i in range(24)]),
-        from_list([Fraction(1, 2), Fraction(-1, 3)] * 6, offset=1),
+        # dense on a fractional offset
+        from_list([2, -3] * 6, offset=Fraction(1, 2)),
     ], ids=["sparse", "dense", "fraction"])
     def test_matches_repeated_products(self, base):
-        coeffs = base.dense_list()
+        coeffs = base.coeffs
         want = coeffs
         for e in range(1, 31):
             got = qs.pow_(base, e)
             assert got.offset == e * base.offset
-            assert got.dense_list() == want
+            assert got.coeffs == want
             want = poly_mul(want, coeffs, base.prec)
 
     def test_eta24_takes_at_most_six_products(self, monkeypatch):
@@ -259,26 +264,28 @@ class TestPow:
         monkeypatch.setattr(qs, "mul", counting)
         out = qs.pow_(qs.eta(1, 200), 24)
         assert len(calls) <= 6
-        assert out.dense_list() == tau_list(200)[1:]
+        assert out.coeffs == tau_list(200)[1:]
 
 
 class TestEuler:
+    """The Euler product prod (1 - q^n) is eta(1) without its q^(1/24)."""
+
     def test_known_values(self):
-        assert list(qs.euler(8).pairs()) == [(0, 1), (1, -1), (2, -1),
+        assert list(qs.eta(1, 8).pairs()) == [(0, 1), (1, -1), (2, -1),
                                              (5, 1), (7, 1)]
-        assert list(qs.euler(1).pairs()) == [(0, 1)]
-        assert list(qs.euler(13).pairs()) == [(0, 1), (1, -1), (2, -1),
+        assert list(qs.eta(1, 1).pairs()) == [(0, 1)]
+        assert list(qs.eta(1, 13).pairs()) == [(0, 1), (1, -1), (2, -1),
                                               (5, 1), (7, 1), (12, -1)]
 
     def test_matches_literal_product_to_256(self):
         literal = euler_product_literal(256)
-        assert qs.euler(256).dense_list() == literal
+        assert qs.eta(1, 256).coeffs == literal
         for prec in list(range(1, 40)) + [100, 200, 255]:
-            assert qs.euler(prec).dense_list() == literal[:prec]
+            assert qs.eta(1, prec).coeffs == literal[:prec]
 
     def test_sparse_layout(self):
-        assert qs.euler(1000).density == "sparse"
-        assert qs.euler(1000).nnz <= 4 * 32   # O(sqrt(prec)) terms
+        assert qs.eta(1, 1000).density == "sparse"
+        assert qs.eta(1, 1000).nnz <= 4 * 32   # O(sqrt(prec)) terms
 
 
 class TestEta:
@@ -333,32 +340,42 @@ class TestThetaPsi:
 
 class TestDerive:
     def test_basic(self):
-        assert qs.derive(from_list([1, 1, 1])).dense_list() == [0, 1, 2]
+        assert qs.derive(from_list([1, 1, 1])).coeffs == [0, 1, 2]
 
     def test_theta(self):
         assert list(qs.derive(qs.theta(1, 5)).pairs()) == [(1, 2), (4, 8)]
 
     def test_fractional_offset(self):
-        s = QSeries.from_pairs([(0, 1)], 2, offset=Fraction(1, 24))
+        # On an offset a/b, derive is b q d/dq: q^(1/24 + i) gets 1 + 24 i.
+        s = QSeries.from_pairs([(0, 1), (2, -3)], 3, offset=Fraction(1, 24))
         out = qs.derive(s)
-        assert list(out.pairs()) == [(0, Fraction(1, 24))]
+        assert out.offset == Fraction(1, 24)
+        assert list(out.pairs()) == [(0, 1), (2, -147)]
+        half = qs.derive(from_list([1, 1], offset=Fraction(3, 2)))
+        assert half.coeffs == [3, 5]
 
     def test_leibniz_rule(self):
+        # With derive = b q d/dq on an offset of denominator b:
+        # b_a * derive(a b) = b_ab * (derive(a) b + a derive(b)).
         rng = random.Random(31)
         for offset in (0, Fraction(1, 24)):
             for _ in range(25):
                 a = random_series(rng, 64, offset)
                 b = random_series(rng, 64, offset)
-                lhs = qs.derive(qs.mul(a, b))
-                rhs = qs.add(qs.mul(qs.derive(a), b), qs.mul(a, qs.derive(b)))
+                ba = a.offset.denominator
+                bab = (a.offset + b.offset).denominator
+                lhs = qs.scalar_mul(qs.derive(qs.mul(a, b)), ba)
+                rhs = qs.scalar_mul(
+                    qs.add(qs.mul(qs.derive(a), b), qs.mul(a, qs.derive(b))),
+                    bab)
                 assert series_window(lhs) == series_window(rhs)
 
 
 class TestDilate:
     def test_known_values(self):
-        assert qs.dilate(4, from_list([1, 1])).dense_list() == \
+        assert qs.dilate(4, from_list([1, 1])).coeffs == \
             [1, 0, 0, 0, 1, 0, 0, 0]
-        a = qs.euler(9)
+        a = qs.eta(1, 9)
         assert qs.dilate(1, a) == a
         s = QSeries.from_pairs([(0, 1)], 2, offset=Fraction(1, 24))
         assert qs.dilate(2, s).offset == Fraction(1, 12)
@@ -398,16 +415,16 @@ class TestUOp:
     def test_nonzero_offset(self):
         a = from_list([7, 8, 9, 10], offset=1)   # q + .. q^4
         out = qs.u_op(2, a)
-        assert out.offset == 0 and out.dense_list() == [0, 8]
+        assert out.offset == 0 and out.coeffs == [0, 8]
 
     def test_negative_offset(self):
         out = qs.u_op(4, from_list(range(1, 10), offset=-4))   # q^-4 .. q^4
-        assert out.offset == 0 and out.dense_list() == [5, 9]
+        assert out.offset == 0 and out.coeffs == [5, 9]
 
     def test_negative_offset_reports_only_the_known_window(self):
         # q^-8 .. q^0 are known, so only q^0 of the image is.
         out = qs.u_op(4, from_list(range(1, 10), offset=-8))
-        assert out.prec == 1 and out.dense_list() == [9]
+        assert out.prec == 1 and out.coeffs == [9]
 
     def test_every_reported_coefficient_is_known(self):
         rng = random.Random(41)
@@ -423,7 +440,7 @@ class TestUOp:
 class TestEisenstein:
     def test_leading_coefficients(self):
         e4 = qs.eisenstein_e4(3)
-        assert e4.dense_list() == [1, 240, 2160]
+        assert e4.coeffs == [1, 240, 2160]
 
     def test_sieve_matches_direct_sigma(self):
         e4 = qs.eisenstein_e4(200)
@@ -446,11 +463,11 @@ class TestWindowSemantics:
             s.coefficient(4)
 
     def test_truncate(self):
-        s = qs.euler(40).truncate(6)
+        s = qs.eta(1, 40).truncate(6)
         assert s.prec == 6 and list(s.pairs()) == [(0, 1), (1, -1), (2, -1),
                                                    (5, 1)]
         with pytest.raises(PrecisionError):
-            qs.euler(4).truncate(9)
+            qs.eta(1, 4).truncate(9)
 
     def test_offset_denominator_validated(self):
         with pytest.raises(ValueError):
@@ -468,12 +485,18 @@ class TestWindowSemantics:
 
 class TestScalarAndIntegrality:
     def test_exact_division_stays_int(self):
-        s = qs.scalar_mul(from_list([4, -8, 2]), Fraction(1, 4))
-        assert s.dense_list() == [1, -2, Fraction(1, 2)]
-        assert not s.is_integral()
-        assert qs.scalar_mul(from_list([4, -8]), Fraction(1, 4)).is_integral()
+        # A rational scalar stays in the evaluator's denominator, and the
+        # one division happens at finalization.
+        s, den = evaluate(parse_formspec("1/4*(8*theta(1) - 4*theta(4))"), 5)
+        assert den == 4 and s.coeffs == [4, 16, 0, 0, 8]
+        assert all(type(c) is int for c in s.coeffs)
+        assert integer_table(s, 4, start=0, den=den) == [1, 4, 0, 0, 2]
+        s, den = evaluate(parse_formspec("1/4*theta(1)"), 5)
+        assert den == 4 and s.coeffs == [1, 2, 0, 0, 2]
+        with pytest.raises(ValueError, match="1/2 at q\\^1"):
+            integer_table(s, 4, den=den)
 
     def test_scalar_through_operators(self):
-        s = 3 * qs.theta(1, 5)
+        s = qs.scalar_mul(qs.theta(1, 5), 3)
         assert list(s.pairs()) == [(0, 3), (1, 6), (4, 6)]
-        assert (s - s).nnz == 0
+        assert qs.add(s, qs.neg(s)).nnz == 0

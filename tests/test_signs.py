@@ -6,7 +6,9 @@ import pytest
 from qsigns import hecke, signs
 from qsigns.arith import DirichletCharacter, is_squarefree, kronecker
 from qsigns.forms import Form
-from qsigns.signs import (dprime_filter, first_negative,
+
+from oracles import recurrence_oracle
+from qsigns.signs import (dprime_filter,
                           first_nonzero_in_square_class, prop2_witnesses,
                           r_plus_fund, r_plus_tot, render_ratio, sign_changes,
                           squarefree_sign_survey, subseq_t_n2)
@@ -33,13 +35,19 @@ class TestSignChanges:
 
 
 class TestFirstNegative:
+    """Both forms start positive, so their first negative coefficient is
+    the first sign change of the scan."""
+
     def test_forms(self, delta3k, g3k):
-        assert first_negative(delta3k) == 4
-        assert first_negative(g3k) == 4
+        for f in (delta3k, g3k):
+            rep = r_plus_tot(f, 100)
+            assert rep.change_positions[0] == 4
+            assert f.a(4) < 0 and all(f.a(n) >= 0 for n in range(1, 4))
 
     def test_absent(self):
         f = artificial_form([1, 0, 0, 1, 1, 0, 0, 1])
-        assert first_negative(f) is None
+        rep = r_plus_tot(f, 8)
+        assert rep.n_neg == 0 and rep.change_positions == []
 
 
 class TestSubseq:
@@ -160,12 +168,18 @@ class TestSquarefreeSurvey:
         assert first_nonzero_in_square_class(g3k, 1) == (2, -1)
 
     def test_survey_report(self, delta3k):
-        rep = squarefree_sign_survey(delta3k, 20)
-        assert rep.n_pos + rep.n_neg + rep.n_zero_skipped == \
-            sum(1 for t in range(1, 21) if is_squarefree(t))
-        assert rep.sign_change_count >= 1
-        # change positions are t values, hence square-free
-        assert all(is_squarefree(t) for t in rep.change_positions)
+        entries = squarefree_sign_survey(delta3k, range(1, 21))
+        # every square-free t <= 20 has a nonzero a(t n^2) within 3000
+        assert [t for t, _ in entries] == \
+            [t for t in range(1, 21) if is_squarefree(t)]
+        assert {1: 1, 5: 120, 13: -1320, 17: -240}.items() <= \
+            dict(entries).items()
+        count, _ = sign_changes([v for _, v in entries])
+        assert count >= 1
+        # a Kronecker-class filter keeps its t in order, square-free only
+        kept = squarefree_sign_survey(delta3k, dprime_filter(range(1, 21),
+                                                             [3], [1]))
+        assert kept == [(t, v) for t, v in entries if kronecker(t, 3) == 1]
 
 
 class TestProp2Empirical:
@@ -187,8 +201,14 @@ class TestProp2Empirical:
 class TestSignChangesBeyondPrecision:
     def test_power_sequence_changes_sign(self, delta3k):
         # along 9^m the sequence goes 1, 9, -174879, ...: a sign change
-        # appears by m = 2, and the recurrence extension keeps it visible
+        # appears by m = 2, and the verified recurrence, continued past
+        # the precision, keeps it visible
         for p in (3, 5):
-            seq = hecke.local_power_sequence_extended(delta3k, 1, p, 6)
-            count, _ = sign_changes(seq)
+            rep = hecke.recurrence_check(delta3k, 1, p)
+            assert rep.ok
+            seq = hecke.local_power_sequence(delta3k, 1, p)
+            ext = recurrence_oracle(seq[0], seq[1], rep.lam,
+                                    p ** (2 * delta3k.k - 1), 7)
+            assert ext[:len(seq)] == seq
+            count, _ = sign_changes(ext)
             assert count >= 1, p
