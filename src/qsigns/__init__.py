@@ -1,13 +1,13 @@
 """qsigns: exact q-expansion arithmetic for half-integral weight forms,
 Shimura lifts, Hecke operators, and coefficient sign statistics."""
 
-from .arith import (DirichletCharacter, chi_star, chi_t_N, divisors,
+from .arith import (DirichletCharacter, chi_star, chi_t, divisors,
                     is_fundamental_discriminant, is_squarefree, kronecker)
 from .qseries import (PrecisionError, QSeries, add, derive, dilate,
                       eisenstein_e4, eta, mul, neg, pow_, scalar_mul, theta,
                       theta_psi, u_op)
-from .forms import (NAMED, Form, delta_form, g_form, integer_table,
-                    plus_space_check, ramanujan_delta, spec_series,
+from .forms import (NAMED, Form, delta_form, expression_form, g_form,
+                    integer_table, plus_space_check, ramanujan_delta,
                     x0_11_form)
 from .formspec import FormSpecError, evaluate, parse_formspec
 from .hecke import (EigenReport, RecurrenceReport, deligne_check,

@@ -47,18 +47,17 @@ def kronecker(a: int, n: int) -> int:
     return sign if n == 1 else 0
 
 
-def chi_t_N(k: int, N: int, t: int, d: int) -> int:
-    """Quadratic character ((-1)^k N^2 t / d) attached to a square-free t."""
-    if t < 1 or not is_squarefree(t):
-        raise ValueError("t must be a square-free positive integer")
-    if N % 4 != 0:
-        raise ValueError("level N must be divisible by 4")
-    return kronecker((-1) ** k * N * N * t, d)
-
-
 def chi_star(chi: "DirichletCharacter", k: int, a: int) -> int:
     """Twist chi by the k-th power of the character (-4/.)."""
     return kronecker(-4, a) ** k * chi(a)
+
+
+def chi_t(chi: "DirichletCharacter", k: int, t: int, d: int) -> int:
+    """The character chi(d) ((-1)^k t / d) of the Shimura lift at a
+    square-free t, for a form of weight k + 1/2 and character chi."""
+    if t < 1 or not is_squarefree(t):
+        raise ValueError("t must be a square-free positive integer")
+    return chi(d) * kronecker((-1) ** k * t, d)
 
 
 def is_squarefree(n: int) -> bool:

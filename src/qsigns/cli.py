@@ -120,20 +120,12 @@ def cmd_build(args) -> int:
     if args.form in named:
         cf = coeffio.CoefficientFile(args.form, named[args.form](args.prec))
     else:
-        cf = _expression_file(args.form, args.prec)
+        # An expression is written from its series' integer offset on.
+        form, offset = forms.expression_form(
+            ALIASES.get(args.form, args.form), args.prec, start=0)
+        cf = coeffio.CoefficientFile(args.form, form, offset=offset)
     cf.write(args.out)
     return 0
-
-
-def _expression_file(text: str, prec: int) -> coeffio.CoefficientFile:
-    """The expression's coefficients from its series' integer offset on."""
-    weight_num, level, series, den = forms.spec_series(
-        ALIASES.get(text, text), prec)
-    form = forms.Form(weight_num=weight_num, level=level,
-                      character=DirichletCharacter.trivial(level),
-                      coeffs=forms.integer_table(series, prec, start=0,
-                                                 den=den))
-    return coeffio.CoefficientFile(text, form, offset=int(series.offset))
 
 
 def cmd_lift(args) -> int:
@@ -145,17 +137,20 @@ def cmd_lift(args) -> int:
 
 
 def cmd_hecke(args) -> int:
+    if args.jsonfile and not args.verify_eigen:
+        raise ValueError("--json needs --verify-eigen")
+    if args.verify_eigen and args.op == "u":
+        raise ValueError("--verify-eigen needs --op tsq or tp")
     cf = coeffio.read(args.infile)
     f = cf.form
     p = args.p
-    report = None
     level, character = f.level, f.character
     if args.op == "u":
         if p < 1:
             raise ValueError("index must be positive")
         seq = [0] + f.coeffs[p::p]
         out_id = "u%d(%s)" % (p, cf.form_id)
-        # f | U_m lies on level lcm(N, m), the rule of formspec.level_hint.
+        # f | U_m lies on level lcm(N, m), the rule of formspec.signature.
         level = lcm(f.level, p)
         if character.is_trivial:
             character = DirichletCharacter.trivial(level)
@@ -173,8 +168,6 @@ def cmd_hecke(args) -> int:
         image = replace(f, level=level, character=character, coeffs=seq)
         coeffio.CoefficientFile(out_id, image).write(args.out)
     if args.verify_eigen:
-        if report is None:
-            raise ValueError("--verify-eigen needs --op tsq or tp")
         _emit_json(_eigen_json(cf.form_id, args.op, report, f.k),
                    args.jsonfile)
         return 0 if report.is_eigen else 1
@@ -203,6 +196,8 @@ def _table_decimals(X: int) -> int:
 
 
 def cmd_signs(args) -> int:
+    if args.powers_p is not None and args.t is None:
+        raise ValueError("--powers-p needs --t")
     cf = coeffio.read(args.infile)
     form = cf.form
     stats = [s for s in args.stats.split(",") if s]
@@ -221,11 +216,6 @@ def cmd_signs(args) -> int:
             cells.append(rep.ratio_rendered(_table_decimals(X)))
         rows.append(cells)
     csv_text = "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n"
-    if args.csv:
-        with open(args.csv, "w") as fp:
-            fp.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
 
     reports = []
     if args.t is not None:
@@ -235,7 +225,7 @@ def cmd_signs(args) -> int:
         reports.append({"kind": "square-class", "t": args.t, "X": X,
                         "sign_changes": count, "change_positions": positions,
                         "witnesses": _seq_witnesses(seq, lambda n: args.t * n * n)})
-        if args.powers_p:
+        if args.powers_p is not None:
             seq = hecke.local_power_sequence(form, args.t, args.powers_p)
             count, positions = signs.sign_changes(seq)
             reports.append({"kind": "prime-power", "t": args.t,
@@ -251,6 +241,12 @@ def cmd_signs(args) -> int:
                         "primes": list(primes), "eps": list(eps),
                         "entries": len(entries), "sign_changes": count,
                         "t_values": [t for t, _ in entries][:50]})
+    # Nothing is written until the table and every report are built.
+    if args.csv:
+        with open(args.csv, "w") as fp:
+            fp.write(csv_text)
+    else:
+        sys.stdout.write(csv_text)
     if reports:
         _emit_json({"schema": JSON_SCHEMA, "kind": "sign-reports",
                     "form": cf.form_id, "reports": reports}, args.jsonfile)

@@ -118,24 +118,26 @@ def integer_table(series: QSeries, prec: int, start: int = 1,
     return head + window
 
 
-def spec_series(spec: str, prec: int) -> tuple[int, int, QSeries, int]:
-    """The weight numerator (twice the formal weight), the level hint, and
-    the series through q^prec with its denominator (see
-    formspec.evaluate) of a formspec expression."""
+def expression_form(spec: str, prec: int, start: int = 1,
+                    plus_space: bool = False) -> tuple[Form, int]:
+    """The Form of a formspec expression through q^prec, with the weight
+    and level of formspec.signature and the trivial character, and its
+    series' integer offset.  Entries below start are zero."""
+    if prec < 1:
+        raise ValueError("prec must be positive")
     ast = formspec.parse_formspec(spec)
-    return ((int(2 * formspec.formal_weight(ast)), formspec.level_hint(ast))
-            + formspec.evaluate(ast, prec + 1))
+    weight, level = formspec.signature(ast)
+    series, den = formspec.evaluate(ast, prec + 1)
+    form = Form(weight_num=int(2 * weight), level=level,
+                character=DirichletCharacter.trivial(level),
+                coeffs=integer_table(series, prec, start, den),
+                plus_space=plus_space)
+    return form, int(series.offset)
 
 
 def _named(name: str, prec: int) -> Form:
-    if prec < 1:
-        raise ValueError("prec must be positive")
     spec, plus_space = NAMED[name]
-    weight_num, level, series, den = spec_series(spec, prec)
-    return Form(weight_num=weight_num, level=level,
-                character=DirichletCharacter.trivial(level),
-                coeffs=integer_table(series, prec, den=den),
-                plus_space=plus_space)
+    return expression_form(spec, prec, plus_space=plus_space)[0]
 
 
 def delta_form(prec: int) -> Form:

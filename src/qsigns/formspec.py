@@ -9,16 +9,18 @@ Grammar (whitespace is insignificant):
               | '(' expr ')'
               | 'D(' expr ')'
               | 'U(' INT ',' expr ')'
-    atom     := 'eta(' INT ')' | 'theta(' INT ')'
-              | 'thetapsi(' INT ',' INT ')' | 'E4(' INT ')'
+    atom     := NAME '(' INT ')' | NAME '(' INT ',' INT ')'
     RATIONAL := INT ('/' INT)?
 
-The argument of eta/theta/E4 and the second argument of thetapsi is the
-dilation index m (the series evaluated at mz), and must be >= 1.  The
-first argument of thetapsi is the top of an odd primitive real character
-and may be negative.  D is q d/dq and U(m, .) extracts every m-th
-coefficient.  Parse errors carry the byte offset of the offending token.
-An expression evaluates to an int series and one positive denominator.
+The atoms are the names in ATOMS: eta, theta and E4 take the dilation
+index m (the series evaluated at mz), which must be >= 1; thetapsi takes
+the top of an odd primitive real character, which may be negative, and
+then m.  Each atom's weight, level and series generator stand in its
+ATOMS entry and nowhere else.  D is q d/dq and U(m, .) extracts every
+m-th coefficient; a - b parses as a + (-1)*b.  Parse errors carry the
+byte offset of the offending token.  signature gives an expression's
+weight and level; evaluate gives an int series and one positive
+denominator.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import Callable, NamedTuple
 
 from .arith import DirichletCharacter
 from . import qseries as qs
@@ -43,24 +46,12 @@ class FormSpecError(ValueError):
 # -- AST ---------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Eta:
+class Atom:
+    """The series named name at dilation m.  top is the top of the
+    atom's real character (top/.): thetapsi's, and 1 for the others."""
+    name: str
     m: int
-
-
-@dataclass(frozen=True)
-class Theta:
-    m: int
-
-
-@dataclass(frozen=True)
-class ThetaPsi:
-    top: int
-    m: int
-
-
-@dataclass(frozen=True)
-class E4:
-    m: int
+    top: int = 1
 
 
 @dataclass(frozen=True)
@@ -81,12 +72,6 @@ class Add:
 
 
 @dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
 class Mul:
     left: object
     right: object
@@ -94,7 +79,7 @@ class Mul:
 
 @dataclass(frozen=True)
 class Pow:
-    base: object
+    arg: object
     exp: int
 
 
@@ -104,7 +89,27 @@ class Scale:
     arg: object
 
 
-_ATOMS = ("eta", "theta", "thetapsi", "E4")
+class AtomRule(NamedTuple):
+    weight: Fraction
+    level: int         # an atom's level is level * m * top^2
+    series: Callable[[Atom, int], QSeries]     # (atom, grid positions)
+    takes_top: bool = False
+
+
+def _e4(a: Atom, need: int) -> QSeries:
+    base = qs.eisenstein_e4((need + a.m - 1) // a.m)
+    return qs.dilate(a.m, base, max_prec=need)
+
+
+# The levels are declared metadata only, with no transformation check;
+# theta_psi has level 4 r^2 (Shimura 1973).
+ATOMS = {
+    "eta": AtomRule(Fraction(1, 2), 1, lambda a, need: qs.eta(a.m, need)),
+    "theta": AtomRule(Fraction(1, 2), 4, lambda a, need: qs.theta(a.m, need)),
+    "thetapsi": AtomRule(Fraction(3, 2), 4, lambda a, need: qs.theta_psi(
+        DirichletCharacter(top=a.top), a.m, need), takes_top=True),
+    "E4": AtomRule(Fraction(4), 1, _e4),
+}
 
 
 class _Parser:
@@ -155,21 +160,14 @@ class _Parser:
             self.error("dilation argument must be >= 1", start)
         return m
 
-    # expr := term (('+'|'-') term)*
     def expr(self):
         node = self.term()
-        while True:
-            ch = self.peek()
-            if ch == "+":
-                self.pos += 1
-                node = Add(node, self.term())
-            elif ch == "-":
-                self.pos += 1
-                node = Sub(node, self.term())
-            else:
-                return node
+        while (op := self.peek()) in ("+", "-"):
+            self.pos += 1
+            right = self.term()
+            node = Add(node, right if op == "+" else Scale(Fraction(-1), right))
+        return node
 
-    # term := factor ('*' factor)*
     def term(self):
         node = self.factor()
         while self.peek() == "*":
@@ -177,8 +175,6 @@ class _Parser:
             node = Mul(node, self.factor())
         return node
 
-    # factor := atom ('^' int)? | rational '*' factor | '(' expr ')'
-    #         | 'D(' expr ')' | 'U(' int ',' expr ')'
     def factor(self):
         ch = self.peek()
         if ch == "(":
@@ -213,21 +209,17 @@ class _Parser:
             node = self.expr()
             self.eat(")")
             return U(m, node)
-        if word not in _ATOMS:
+        if word not in ATOMS:
             self.error("unknown name '%s'" % word, start)
         self.eat("(")
-        if word == "thetapsi":
+        top = 1
+        if ATOMS[word].takes_top:
             top = self.integer(signed=True)
             if top == 0:
                 self.error("character top must be nonzero", start)
             self.eat(",")
-            m = self.dilation()
-            self.eat(")")
-            atom = ThetaPsi(top, m)
-        else:
-            m = self.dilation()
-            self.eat(")")
-            atom = {"eta": Eta, "theta": Theta, "E4": E4}[word](m)
+        atom = Atom(word, self.dilation(), top)
+        self.eat(")")
         if self.peek() == "^":
             self.pos += 1
             estart = self.pos
@@ -263,69 +255,34 @@ def evaluate(spec, prec: int) -> tuple[QSeries, int]:
     return _eval(spec, prec)
 
 
-def formal_weight(node) -> Fraction:
-    """Weight implied by the expression: eta and theta count 1/2,
-    thetapsi 3/2, E4 counts 4, D adds 2, U and scalars preserve, products
-    add, powers multiply.  Mixed-weight sums are rejected."""
-    if isinstance(node, (Eta, Theta)):
-        return Fraction(1, 2)
-    if isinstance(node, ThetaPsi):
-        return Fraction(3, 2)
-    if isinstance(node, E4):
-        return Fraction(4)
-    if isinstance(node, Diff):
-        return formal_weight(node.arg) + 2
-    if isinstance(node, U):
-        return formal_weight(node.arg)
-    if isinstance(node, (Add, Sub)):
-        wl, wr = formal_weight(node.left), formal_weight(node.right)
-        if wl != wr:
+def signature(node) -> tuple[Fraction, int]:
+    """(weight, level) implied by the expression.  Atoms take theirs from
+    ATOMS.  D adds 2 to the weight, products add weights, powers multiply
+    them, and U and scalars keep them; mixed-weight sums are rejected.
+    The level is the lcm of the atoms' levels and of every U index."""
+    if isinstance(node, Atom):
+        rule = ATOMS[node.name]
+        return rule.weight, rule.level * node.m * node.top ** 2
+    if isinstance(node, (Add, Mul)):
+        (wl, ll), (wr, lr) = signature(node.left), signature(node.right)
+        if isinstance(node, Add) and wl != wr:
             raise ValueError("sum mixes weights %s and %s" % (wl, wr))
-        return wl
-    if isinstance(node, Mul):
-        return formal_weight(node.left) + formal_weight(node.right)
-    if isinstance(node, Pow):
-        return formal_weight(node.base) * node.exp
-    if isinstance(node, Scale):
-        return formal_weight(node.arg)
-    raise TypeError("not a FormSpec node: %r" % (node,))
-
-
-def level_hint(node) -> int:
-    """Least common multiple of the levels of the pieces: m for eta(m),
-    E4(m) and the index of U(m, .), 4m for theta(m), and 4 m top^2 for
-    thetapsi(top, m) (Shimura 1973: theta_psi has level 4 r^2).  Declared
-    metadata only; no transformation check."""
-    if isinstance(node, (Eta, E4)):
-        return node.m
-    if isinstance(node, Theta):
-        return 4 * node.m
-    if isinstance(node, ThetaPsi):
-        return 4 * node.m * node.top * node.top
+        return (wl if isinstance(node, Add) else wl + wr), lcm(ll, lr)
+    if not isinstance(node, (Diff, U, Pow, Scale)):
+        raise TypeError("not a FormSpec node: %r" % (node,))
+    weight, level = signature(node.arg)
     if isinstance(node, Diff):
-        return level_hint(node.arg)
-    if isinstance(node, U):
-        return lcm(node.m, level_hint(node.arg))
-    if isinstance(node, (Add, Sub, Mul)):
-        return lcm(level_hint(node.left), level_hint(node.right))
-    if isinstance(node, Pow):
-        return level_hint(node.base)
-    if isinstance(node, Scale):
-        return level_hint(node.arg)
-    raise TypeError("not a FormSpec node: %r" % (node,))
+        weight += 2
+    elif isinstance(node, Pow):
+        weight *= node.exp
+    elif isinstance(node, U):
+        level = lcm(node.m, level)
+    return weight, level
 
 
 def _eval(node, need: int) -> tuple[QSeries, int]:
-    if isinstance(node, Eta):
-        return qs.eta(node.m, need), 1
-    if isinstance(node, Theta):
-        return qs.theta(node.m, need), 1
-    if isinstance(node, ThetaPsi):
-        psi = DirichletCharacter(top=node.top)
-        return qs.theta_psi(psi, node.m, need), 1
-    if isinstance(node, E4):
-        base = qs.eisenstein_e4((need + node.m - 1) // node.m)
-        return qs.dilate(node.m, base, max_prec=need), 1
+    if isinstance(node, Atom):
+        return ATOMS[node.name].series(node, need), 1
     if isinstance(node, Diff):
         # derive is b q d/dq on an offset a/b, so den takes the factor b.
         s, den = _eval(node.arg, need)
@@ -333,16 +290,14 @@ def _eval(node, need: int) -> tuple[QSeries, int]:
     if isinstance(node, U):
         s, den = _eval(node.arg, node.m * need)
         return qs.u_op(node.m, s), den
-    if isinstance(node, (Add, Sub)):
+    if isinstance(node, (Add, Mul)):
         (l, dl), (r, dr) = _eval(node.left, need), _eval(node.right, need)
+        if isinstance(node, Mul):
+            return qs.mul(l, r), dl * dr
         den = lcm(dl, dr)
-        sign = -1 if isinstance(node, Sub) else 1
-        return qs.add(_scaled(l, den // dl), _scaled(r, sign * den // dr)), den
-    if isinstance(node, Mul):
-        (l, dl), (r, dr) = _eval(node.left, need), _eval(node.right, need)
-        return qs.mul(l, r), dl * dr
+        return qs.add(_scaled(l, den // dl), _scaled(r, den // dr)), den
     if isinstance(node, Pow):
-        s, den = _eval(node.base, need)
+        s, den = _eval(node.arg, need)
         return qs.pow_(s, node.exp), den ** node.exp
     if isinstance(node, Scale):
         s, den = _eval(node.arg, need)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .arith import (DirichletCharacter, chi_star, chi_t_N, divisors,
+from .arith import (DirichletCharacter, chi_star, chi_t, divisors,
                     is_prime, is_squarefree, kronecker)
 from .forms import Form
 
@@ -33,8 +33,9 @@ class EigenReport:
 def shimura_lift(f: Form, t: int) -> Form:
     """Lift at the square-free index t:
 
-        A(n) = sum_{d | n} chi_{t,N}(d) d^(k-1) a(n^2 t / d^2),
+        A(n) = sum_{d | n} chi_t(d) d^(k-1) a(n^2 t / d^2),
 
+    chi_t(d) = chi(d) ((-1)^k t / d) with chi the form's character,
     valid for n <= floor(sqrt(prec / t)).  The lift is a weight-2k form
     on level N/2 with the squared character (trivial on the residues
     coprime to the level).
@@ -51,7 +52,7 @@ def shimura_lift(f: Form, t: int) -> Form:
         acc = 0
         nn_t = n * n * t
         for d in divisors(n):
-            chi = chi_t_N(k, N, t, d)
+            chi = chi_t(f.character, k, t, d)
             if chi:
                 acc += chi * d ** (k - 1) * f.a(nn_t // (d * d))
         out[n] = acc
@@ -176,7 +177,7 @@ class RecurrenceReport:
 def recurrence_check(f: Form, t: int, p: int) -> RecurrenceReport:
     """Verify, within precision, that the prime-power coefficients obey
 
-        a(t p^2)      = a(t) (lam_p - chi_{t,N}(p) p^(k-1))
+        a(t p^2)      = a(t) (lam_p - chi_t(p) p^(k-1))
         a(t p^(2m))   = lam_p a(t p^(2m-2)) - p^(2k-1) a(t p^(2m-4)),  m >= 2,
 
     with lam_p extracted from T(p^2).  Requires f to be an eigenform."""
@@ -190,7 +191,7 @@ def recurrence_check(f: Form, t: int, p: int) -> RecurrenceReport:
     lam = rep.lam
     seq = local_power_sequence(f, t, p)
     k = f.k
-    first = lam - chi_t_N(k, f.level, t, p) * p ** (k - 1)
+    first = lam - chi_t(f.character, k, t, p) * p ** (k - 1)
     p2k1 = p ** (2 * k - 1)
     for m in range(1, len(seq)):
         want = (seq[0] * first if m == 1

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsigns.arith import (DirichletCharacter, chi_star, chi_t_N, divisors,
+from qsigns.arith import (DirichletCharacter, chi_star, chi_t, divisors,
                           is_fundamental_discriminant, is_prime,
                           is_squarefree, kronecker)
+from qsigns.forms import Form
 
 from oracles import legendre_euler, squarefree_kernel
 
@@ -61,21 +62,30 @@ class TestKronecker:
 
 class TestChiTN:
     def test_known_values(self):
-        assert chi_t_N(6, 4, 1, 2) == 0
-        assert chi_t_N(6, 4, 1, 3) == 1
-        assert chi_t_N(1, 44, 3, 3) == 0
+        trivial4, trivial44 = (DirichletCharacter.trivial(4),
+                               DirichletCharacter.trivial(44))
+        assert chi_t(trivial4, 6, 1, 2) == 0
+        assert chi_t(trivial4, 6, 1, 3) == 1
+        assert chi_t(trivial44, 1, 3, 3) == 0
+        # the form's own character enters: (12/5) = -1
+        assert chi_t(DirichletCharacter.trivial(12), 6, 1, 5) == 1
+        assert chi_t(DirichletCharacter(top=12, modulus=12), 6, 1, 5) == -1
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            chi_t_N(6, 4, 12, 3)     # 12 = 4 * 3 is not square-free
-        with pytest.raises(ValueError):
-            chi_t_N(6, 6, 1, 3)      # level not divisible by 4
+            # 12 = 4 * 3 is not square-free
+            chi_t(DirichletCharacter.trivial(4), 6, 12, 3)
+        with pytest.raises(ValueError, match="divisible by 4"):
+            # a half-integral level not divisible by 4 is Form's to refuse
+            Form(weight_num=13, level=6,
+                 character=DirichletCharacter.trivial(6), coeffs=[0, 1])
 
     def test_character_object_matches(self):
-        # chi_{t,N} for k = 1, N = 44, t = 3 as a DirichletCharacter
+        # chi_t for k = 1, t = 3 and the trivial character mod 44 as a
+        # DirichletCharacter
         chi = DirichletCharacter(top=-44 * 44 * 3)
         for d in range(-20, 20):
-            assert chi(d) == chi_t_N(1, 44, 3, d)
+            assert chi(d) == chi_t(DirichletCharacter.trivial(44), 1, 3, d)
         # periodicity at the declared modulus
         for d in range(1, 50):
             assert chi(d + chi.modulus) == chi(d)

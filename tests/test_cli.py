@@ -231,6 +231,17 @@ class TestBuildCommand:
          "c82326aedfca4e2cca5a5d0cba2c7d71b0e78203e94826acb9d04783247a3e86"),
         ("1/2*D(theta(1))", 300,
          "cae87593edcfb937b73be984eedf14e2b6c52bbcc9d9da9d1c55c1ea0594f6f5"),
+        # one expression per atom and operator no golden above covers,
+        # pinned before the atoms became one node and a - b became
+        # a + (-1)*b
+        ("thetapsi(-3, 1)", 300,
+         "9e003a24697719d8d7957ff9fab6e6e6fd814cfa5ef234f1ecb60e858c6d3d7d"),
+        ("E4(2)", 300,
+         "fa700ea32a50cabaae222a1aca1e44eea1eabe2c5a038b4ed95c2df2f366df8a"),
+        ("U(3, theta(1))", 300,
+         "5c92e874453a9441975ad0e59518b2e515f4d5256492d7543ab7b5614b11ac6d"),
+        ("2*theta(1) - theta(2)", 300,
+         "f79178e13e0bc7a041685ffb10a7c83538040d85334f5faa1d5ed9656cfd7f7e"),
     ])
     def test_file_bytes_are_pinned(self, tmp_path, form, prec, digest):
         # A refactor must leave every built file byte for byte the same.
@@ -449,6 +460,20 @@ class TestHeckeCommand:
         run("build", "--form", "delta", "--prec", "100", "--out", str(src))
         assert run("hecke", "--in", str(src), "--op", "tsq", "--p", "2") == 2
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--op", "tsq", "--json", "report.json"], "--json needs --verify-eigen"),
+        (["--op", "u", "--verify-eigen", "--out", "report.json"],
+         "--verify-eigen needs --op tsq or tp"),
+    ])
+    def test_option_without_effect_exits_2(self, tmp_path, capsys, extra,
+                                           message):
+        src, report = tmp_path / "delta.txt", tmp_path / "report.json"
+        run("build", "--form", "delta", "--prec", "100", "--out", str(src))
+        argv = [str(report) if a == "report.json" else a for a in extra]
+        assert run("hecke", "--in", str(src), "--p", "3", *argv) == 2
+        assert capsys.readouterr().err == "error: %s\n" % message
+        assert not report.exists()
+
     def test_non_eigenform_exits_1(self, tmp_path, capsys):
         # delta plus a plus-space-compatible junk coefficient is not eigen
         d = delta_form(400)
@@ -502,6 +527,21 @@ class TestSignsCommand:
         doc = json.loads(out[out.index("{"):])
         kinds = [r["kind"] for r in doc["reports"]]
         assert kinds == ["square-class", "prime-power"]
+
+    def test_powers_p_without_t_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "delta.txt"
+        run("build", "--form", "delta", "--prec", "300", "--out", str(src))
+        assert run("signs", "--in", str(src), "--X-list", "10",
+                   "--powers-p", "3") == 2
+        assert capsys.readouterr() == ("", "error: --powers-p needs --t\n")
+
+    def test_failed_report_writes_no_table(self, tmp_path, capsys):
+        src, csv = tmp_path / "delta.txt", tmp_path / "out.csv"
+        run("build", "--form", "delta", "--prec", "3000", "--out", str(src))
+        assert run("signs", "--in", str(src), "--X-list", "10",
+                   "--csv", str(csv), "--t", "5001") == 2
+        assert "error" in capsys.readouterr().err
+        assert not csv.exists()
 
     def test_dprime_survey(self, tmp_path, capsys):
         src = tmp_path / "delta.txt"

@@ -3,9 +3,8 @@ from fractions import Fraction
 import pytest
 
 from qsigns import formspec as fs
-from qsigns.formspec import (Add, Diff, E4, Eta, FormSpecError, Mul, Pow,
-                             Scale, Sub, Theta, ThetaPsi, U, evaluate,
-                             formal_weight, level_hint, parse_formspec)
+from qsigns.formspec import (Add, Atom, Diff, FormSpecError, Mul, Pow, Scale,
+                             U, evaluate, parse_formspec, signature)
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,29 +17,32 @@ DELTA_SPEC = "1/4*(2*E4(4)*D(theta(1)) - 1/4*D(E4(4))*theta(1))"
 
 class TestParse:
     def test_eta_power(self):
-        assert parse_formspec("eta(1)^24") == Pow(Eta(1), 24)
+        assert parse_formspec("eta(1)^24") == Pow(Atom("eta", 1), 24)
 
     def test_g_definition(self):
         got = parse_formspec("U(4, %s)" % G_SPEC)
-        assert got == U(4, Mul(Mul(Theta(11), Eta(2)), Eta(22)))
+        assert got == U(4, Mul(Mul(Atom("theta", 11), Atom("eta", 2)),
+                               Atom("eta", 22)))
 
     def test_rational_scale_and_parens(self):
         got = parse_formspec("1/4*(theta(1) + eta(4))")
-        assert got == Scale(Fraction(1, 4), Add(Theta(1), Eta(4)))
+        assert got == Scale(Fraction(1, 4),
+                            Add(Atom("theta", 1), Atom("eta", 4)))
 
     def test_difference_and_precedence(self):
         got = parse_formspec("theta(1)*theta(2) - E4(1)")
-        assert got == Sub(Mul(Theta(1), Theta(2)), E4(1))
+        assert got == Add(Mul(Atom("theta", 1), Atom("theta", 2)),
+                         Scale(Fraction(-1), Atom("E4", 1)))
 
     def test_thetapsi_signed_argument(self):
-        assert parse_formspec("thetapsi(-4, 1)") == ThetaPsi(-4, 1)
+        assert parse_formspec("thetapsi(-4, 1)") == Atom("thetapsi", 1, -4)
 
     def test_nested_operators(self):
         got = parse_formspec("D(U(2, theta(1)))")
-        assert got == Diff(U(2, Theta(1)))
+        assert got == Diff(U(2, Atom("theta", 1)))
 
     def test_whitespace_insensitive(self):
-        assert parse_formspec(" eta( 2 ) ^ 3 ") == Pow(Eta(2), 3)
+        assert parse_formspec(" eta( 2 ) ^ 3 ") == Pow(Atom("eta", 2), 3)
 
     def test_unbalanced_paren_reports_offset(self):
         text = "1/4*(2*E4(4)*D(theta(1)) - "
@@ -194,22 +196,31 @@ class TestEvaluate:
 
 
 class TestMetadataHints:
+    def weight(self, text):
+        return signature(parse_formspec(text))[0]
+
+    def level(self, text):
+        return signature(parse_formspec(text))[1]
+
     def test_weights(self):
-        assert formal_weight(parse_formspec("eta(1)^24")) == 12
-        assert formal_weight(parse_formspec(DELTA_SPEC)) == Fraction(13, 2)
-        assert formal_weight(parse_formspec("U(4, %s)" % G_SPEC)) == \
-            Fraction(3, 2)
-        assert formal_weight(parse_formspec("thetapsi(-4, 1)")) == \
-            Fraction(3, 2)
+        assert self.weight("eta(1)^24") == 12
+        assert self.weight(DELTA_SPEC) == Fraction(13, 2)
+        assert self.weight("U(4, %s)" % G_SPEC) == Fraction(3, 2)
+        assert self.weight("thetapsi(-4, 1)") == Fraction(3, 2)
+        assert self.weight("D(theta(1))") == Fraction(5, 2)
 
     def test_mixed_weight_sum_rejected(self):
-        with pytest.raises(ValueError):
-            formal_weight(parse_formspec("eta(1) + E4(1)"))
+        with pytest.raises(ValueError, match="sum mixes weights 1/2 and 4"):
+            signature(parse_formspec("eta(1) + E4(1)"))
+        with pytest.raises(ValueError, match="sum mixes weights"):
+            signature(parse_formspec("eta(1) - E4(1)"))
 
     def test_level_hints(self):
-        assert level_hint(parse_formspec("eta(1)^24")) == 1
-        assert level_hint(parse_formspec(DELTA_SPEC)) == 4
-        assert level_hint(parse_formspec("U(4, %s)" % G_SPEC)) == 44
-        assert level_hint(parse_formspec("theta(1)")) == 4
-        assert level_hint(parse_formspec("theta(3)*eta(2)")) == 12
-        assert level_hint(parse_formspec("thetapsi(-3, 2)")) == 72
+        assert self.level("eta(1)^24") == 1
+        assert self.level(DELTA_SPEC) == 4
+        assert self.level("U(4, %s)" % G_SPEC) == 44
+        assert self.level("theta(1)") == 4
+        assert self.level("theta(3)*eta(2)") == 12
+        assert self.level("thetapsi(-3, 2)") == 72
+        assert self.level("U(3, theta(1))") == 12
+        assert self.level("2*theta(1) - theta(2)") == 8

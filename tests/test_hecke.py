@@ -1,7 +1,9 @@
+from math import isqrt
+
 import pytest
 
 from qsigns import hecke
-from qsigns.arith import DirichletCharacter, chi_t_N
+from qsigns.arith import DirichletCharacter, chi_t, divisors, kronecker
 from qsigns.forms import Form, delta_form, ramanujan_delta
 from qsigns.qseries import PrecisionError
 
@@ -45,6 +47,20 @@ class TestShimuraLift:
         for f, t in ((delta3k, 1), (delta3k, 5), (g3k, 3)):
             lift = hecke.shimura_lift(f, t)
             assert lift.a(1) == f.a(t)
+
+    @pytest.mark.parametrize("t", [1, 5])
+    def test_lift_uses_the_form_character(self, t):
+        # Weight 13/2 on level 12 with the character (12/.): the lift's
+        # twist is (12/d) ((-1)^6 t / d), not the trivial-character
+        # (144 t / d), which differs at d = 5.
+        chi = DirichletCharacter(top=12, modulus=12)
+        f = Form(weight_num=13, level=12, character=chi,
+                 coeffs=[0] + [(-1) ** n * (n % 7 + 1) for n in range(1, 901)])
+        lift = hecke.shimura_lift(f, t)
+        want = [sum(kronecker(12, d) * kronecker(t, d) * d ** 5
+                    * f.coeffs[n * n * t // (d * d)] for d in divisors(n))
+                for n in range(1, lift.prec + 1)]
+        assert lift.coeffs[1:] == want and lift.prec == isqrt(900 // t)
 
     def test_odd_lift_values_are_tau(self, delta3k, delta_wt12):
         lift = hecke.shimura_lift(delta3k, 1)
@@ -189,10 +205,10 @@ class TestLocalPowerSequence:
 class TestRecurrence:
     def test_hand_values(self, delta3k, g3k):
         # a(9) = 1*(252 - chi(3) 3^5) with chi(3) = (16/3) = 1
-        assert chi_t_N(6, 4, 1, 3) == 1
+        assert chi_t(delta3k.character, 6, 1, 3) == 1
         assert delta3k.a(9) == 252 - 3 ** 5 == 9
         # a(27) = a(3)*(lambda_3 - 0) for g, chi vanishing at 3
-        assert chi_t_N(1, 44, 3, 3) == 0
+        assert chi_t(g3k.character, 1, 3, 3) == 0
         assert g3k.a(27) == g3k.a(3) * -1 == -1
         assert delta3k.a(81) == 252 * 9 - 3 ** 11 == -174879
 
