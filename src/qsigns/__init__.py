@@ -12,11 +12,11 @@ from .forms import (NAMED, Form, delta_form, expression_form, g_form,
 from .formspec import FormSpecError, evaluate, parse_formspec
 from .hecke import (EigenReport, RecurrenceReport, deligne_check,
                     elementary_bound_check, extract_eigenvalue,
-                    local_power_sequence, recurrence_check, satake,
+                    recurrence_check, satake,
                     shimura_lift, t_integral, t_square_half)
-from .signs import (SignStatsReport, dprime_filter,
-                    first_nonzero_in_square_class, prop2_witnesses,
-                    r_plus_fund, r_plus_tot, render_ratio, sign_changes,
-                    squarefree_sign_survey, subseq_t_n2)
+from .signs import (SignStatsReport, dprime_filter, first_nonzero,
+                    fundamental, prefix, prime_powers, prop2_witnesses,
+                    r_plus_fund, r_plus_tot, render_ratio, scan,
+                    square_class, squarefree_sign_survey)
 
 __version__ = "0.1.0"

@@ -1,7 +1,7 @@
 """Number-theoretic primitives.
 
 Kronecker symbols, real Dirichlet characters given by a Kronecker-symbol
-top, fundamental discriminants, square-free tests and divisor
+top, fundamental discriminants, square-free and prime tests and divisor
 enumeration.  Everything here is a pure function of its arguments.
 """
 
@@ -127,6 +127,14 @@ def is_prime(n: int) -> bool:
             return False
         d += 6
     return True
+
+
+def require_good_prime(p: int, level: int):
+    """Refuse a p that is not prime or divides the level."""
+    if not is_prime(p):
+        raise ValueError("%d is not prime" % p)
+    if level % p == 0:
+        raise ValueError("p=%d divides the level %d" % (p, level))
 
 
 def _default_period(top: int) -> int:

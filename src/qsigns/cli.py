@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from math import lcm
+from math import isqrt, lcm
 
 from . import coeffio, forms, hecke, signs
 from .arith import DirichletCharacter
@@ -150,9 +150,15 @@ def cmd_hecke(args) -> int:
             raise ValueError("index must be positive")
         seq = [0] + f.coeffs[p::p]
         out_id = "u%d(%s)" % (p, cf.form_id)
-        # f | U_m lies on level lcm(N, m), the rule of formspec.signature.
+        # f | U_m lies on level lcm(N, m), the rule of formspec.signature;
+        # a half-integral f and a non-square m give chi (4m/.) on level
+        # lcm(N, 4m) (Ono, The Web of Modularity, Prop. 3.7).
         level = lcm(f.level, p)
-        if character.is_trivial:
+        if f.half_integral and isqrt(p) ** 2 != p:
+            level = lcm(f.level, 4 * p)
+            character = DirichletCharacter(top=character.top * 4 * p,
+                                           modulus=level)
+        elif character.is_trivial:
             character = DirichletCharacter.trivial(level)
     else:
         if args.op == "tsq":
@@ -219,28 +225,28 @@ def cmd_signs(args) -> int:
 
     reports = []
     if args.t is not None:
-        X = _largest_square_index(form.prec, args.t)
-        seq = signs.subseq_t_n2(form, args.t, X)
-        count, positions = signs.sign_changes(seq)
-        reports.append({"kind": "square-class", "t": args.t, "X": X,
-                        "sign_changes": count, "change_positions": positions,
-                        "witnesses": _seq_witnesses(seq, lambda n: args.t * n * n)})
+        rep = signs.scan(form, signs.square_class(form, args.t))
+        reports.append({"kind": "square-class", "t": args.t, "X": rep.entries,
+                        "sign_changes": rep.sign_change_count,
+                        "change_positions": rep.change_positions,
+                        "witnesses": [{"n": n, "a": a}
+                                      for n, a in rep.witnesses]})
         if args.powers_p is not None:
-            seq = hecke.local_power_sequence(form, args.t, args.powers_p)
-            count, positions = signs.sign_changes(seq)
+            rep = signs.scan(form, signs.prime_powers(form, args.t,
+                                                      args.powers_p))
             reports.append({"kind": "prime-power", "t": args.t,
-                            "p": args.powers_p, "entries": len(seq),
-                            "sign_changes": count,
-                            "change_positions": positions})
+                            "p": args.powers_p, "entries": rep.entries,
+                            "sign_changes": rep.sign_change_count,
+                            "change_positions": rep.change_positions})
     if args.dprime:
         primes, eps = _parse_dprime(args.dprime)
-        entries = signs.squarefree_sign_survey(
+        ts, rep = signs.squarefree_sign_survey(
             form, signs.dprime_filter(range(1, form.prec + 1), primes, eps))
-        count, positions = signs.sign_changes([v for _, v in entries])
         reports.append({"kind": "dprime-survey",
                         "primes": list(primes), "eps": list(eps),
-                        "entries": len(entries), "sign_changes": count,
-                        "t_values": [t for t, _ in entries][:50]})
+                        "entries": rep.entries,
+                        "sign_changes": rep.sign_change_count,
+                        "t_values": ts[:50]})
     # Nothing is written until the table and every report are built.
     if args.csv:
         with open(args.csv, "w") as fp:
@@ -251,23 +257,6 @@ def cmd_signs(args) -> int:
         _emit_json({"schema": JSON_SCHEMA, "kind": "sign-reports",
                     "form": cf.form_id, "reports": reports}, args.jsonfile)
     return 0
-
-
-def _largest_square_index(prec: int, t: int) -> int:
-    X = 1
-    while t * (X + 1) * (X + 1) <= prec:
-        X += 1
-    return X
-
-
-def _seq_witnesses(seq, index_of, cap: int = 10) -> list[dict]:
-    out = []
-    for i, v in enumerate(seq, start=1):
-        if v != 0:
-            out.append({"n": index_of(i), "a": v})
-            if len(out) == cap:
-                break
-    return out
 
 
 def _parse_dprime(text: str):
@@ -316,9 +305,8 @@ def _suite_recurrence(cf, ts, ps):
             rep = hecke.recurrence_check(f, t, p)
             checks.append({"t": t, "p": p, "pass": rep.ok, "lambda": rep.lam,
                            "max_m": rep.max_m, "violation_m": rep.violation_m,
-                           "witnesses": [{"n": t * p ** (2 * m),
-                                          "a": f.a(t * p ** (2 * m))}
-                                         for m in range(min(rep.max_m, 2) + 1)]})
+                           "witnesses": [{"n": n, "a": f.a(n)} for n in
+                                         rep.indices[:min(rep.max_m, 2) + 1]]})
             ok = ok and rep.ok
     return {"schema": JSON_SCHEMA, "suite": "recurrence", "form": cf.form_id,
             "pass": ok, "checks": checks}, ok

@@ -10,11 +10,11 @@ is a hard not-an-eigenform verdict, never a rounding question.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 
 from .arith import (DirichletCharacter, chi_star, chi_t, divisors,
-                    is_prime, is_squarefree, kronecker)
+                    kronecker, require_good_prime)
 from .forms import Form
+from .signs import prime_powers, square_class
 
 
 @dataclass
@@ -36,21 +36,16 @@ def shimura_lift(f: Form, t: int) -> Form:
         A(n) = sum_{d | n} chi_t(d) d^(k-1) a(n^2 t / d^2),
 
     chi_t(d) = chi(d) ((-1)^k t / d) with chi the form's character,
-    valid for n <= floor(sqrt(prec / t)).  The lift is a weight-2k form
-    on level N/2 with the squared character (trivial on the residues
-    coprime to the level).
+    valid for the n with t n^2 <= prec (signs.square_class).  The lift
+    is a weight-2k form on level N/2 with the squared character (trivial
+    on the residues coprime to the level).
     """
     _require_weight(f, half_integral=True)
-    if t < 1 or not is_squarefree(t):
-        raise ValueError("t must be a square-free positive integer")
-    if t > f.prec:
-        raise ValueError("a(t) is beyond the form's precision")
     k, N = f.k, f.level
-    prec_a = isqrt(f.prec // t)
-    out = [0] * (prec_a + 1)
-    for n in range(1, prec_a + 1):
+    indices = square_class(f, t)
+    out = [0] * (len(indices) + 1)
+    for n, nn_t in enumerate(indices, start=1):
         acc = 0
-        nn_t = n * n * t
         for d in divisors(n):
             chi = chi_t(f.character, k, t, d)
             if chi:
@@ -69,7 +64,7 @@ def t_square_half(p: int, f: Form) -> list[int]:
     with the last term zero unless p^2 | n.  Valid for n <= prec // p^2.
     """
     _require_weight(f, half_integral=True)
-    _require_good_prime(p, f.level)
+    require_good_prime(p, f.level)
     k = f.k
     cs = chi_star(f.character, k, p)
     c2 = f.character(p) ** 2
@@ -94,7 +89,7 @@ def t_integral(p: int, F: Form) -> list[int]:
     valid for n <= prec // p.
     """
     _require_weight(F, half_integral=False)
-    _require_good_prime(p, F.level)
+    require_good_prime(p, F.level)
     c2 = F.character(p) ** 2
     p2k1 = p ** (2 * F.k - 1)
     prec = F.prec // p
@@ -145,22 +140,6 @@ def eigen_report(f: Form, p: int) -> EigenReport:
     return extract_eigenvalue(f.coeffs[:len(seq)], seq, p=p, k=f.k)
 
 
-def local_power_sequence(f: Form, t: int, p: int) -> list[int]:
-    """The coefficients a(t p^(2m)) for m = 0, 1, ... up to the precision
-    limit t p^(2m) <= prec."""
-    if t < 1 or not is_squarefree(t):
-        raise ValueError("t must be a square-free positive integer")
-    _require_good_prime(p, f.level)
-    if t > f.prec:
-        raise ValueError("a(t) is beyond the form's precision")
-    out = []
-    idx = t
-    while idx <= f.prec:
-        out.append(f.a(idx))
-        idx *= p * p
-    return out
-
-
 @dataclass
 class RecurrenceReport:
     """Result of checking the local Hecke recurrence along t p^(2m)."""
@@ -170,6 +149,7 @@ class RecurrenceReport:
     p: int
     lam: int | None
     max_m: int
+    indices: list[int]
     violation_m: int | None = None
     note: str = ""
 
@@ -180,17 +160,19 @@ def recurrence_check(f: Form, t: int, p: int) -> RecurrenceReport:
         a(t p^2)      = a(t) (lam_p - chi_t(p) p^(k-1))
         a(t p^(2m))   = lam_p a(t p^(2m-2)) - p^(2k-1) a(t p^(2m-4)),  m >= 2,
 
-    with lam_p extracted from T(p^2).  Requires f to be an eigenform."""
+    with lam_p extracted from T(p^2), along signs.prime_powers.  Requires
+    f to be an eigenform."""
     _require_weight(f, half_integral=True)
+    indices = prime_powers(f, t, p)
     rep = eigen_report(f, p)
     if not rep.is_eigen:
         return RecurrenceReport(ok=False, t=t, p=p, lam=rep.lam, max_m=0,
+                                indices=indices,
                                 note="not a T(p^2) eigenform: %s"
                                      % (rep.note or
                                         "violation at n=%s" % rep.first_violation))
-    lam = rep.lam
-    seq = local_power_sequence(f, t, p)
-    k = f.k
+    lam, k = rep.lam, f.k
+    seq = [f.coeffs[n] for n in indices]
     first = lam - chi_t(f.character, k, t, p) * p ** (k - 1)
     p2k1 = p ** (2 * k - 1)
     for m in range(1, len(seq)):
@@ -198,9 +180,11 @@ def recurrence_check(f: Form, t: int, p: int) -> RecurrenceReport:
                 else lam * seq[m - 1] - p2k1 * seq[m - 2])
         if seq[m] != want:
             return RecurrenceReport(ok=False, t=t, p=p, lam=lam,
-                                    max_m=len(seq) - 1, violation_m=m,
+                                    max_m=len(seq) - 1, indices=indices,
+                                    violation_m=m,
                                     note="a(t p^(2m)) mismatch at m=%d" % m)
-    return RecurrenceReport(ok=True, t=t, p=p, lam=lam, max_m=len(seq) - 1)
+    return RecurrenceReport(ok=True, t=t, p=p, lam=lam, max_m=len(seq) - 1,
+                            indices=indices)
 
 
 def satake(lam: int, p: int, k: int) -> tuple[int, int, int]:
@@ -228,10 +212,7 @@ def _require_weight(f: Form, half_integral: bool):
         raise ValueError("needs a form of %s weight, got weight %d/2"
                          % ("half-integral" if half_integral else "integral",
                             f.weight_num))
-
-
-def _require_good_prime(p: int, level: int):
-    if not is_prime(p):
-        raise ValueError("%d is not prime" % p)
-    if level % p == 0:
-        raise ValueError("p=%d divides the level %d" % (p, level))
+    if half_integral and f.k == 0:
+        # T(p^2) would carry the factor p^(k-1) = 1/p, the lift weight 0.
+        raise ValueError("weight 1/2 is not supported: T(p^2) and the "
+                         "Shimura lift need weight 3/2 or more")

@@ -1,36 +1,53 @@
-"""Sign-change detection and positivity statistics for coefficient tables.
+"""Sign statistics: which coefficients each statistic reads, and one scan.
 
-A sign change is an adjacent pair of opposite-sign entries in the
-zero-deleted subsequence; reported positions are 1-based indices of the
-later entry of each flip (or the parameter labelling it, for surveys).
-Ratios are exact fractions, rendered to a fixed number of decimals with
-half-away-from-zero rounding.
+Each statistic reads a(n) along one index set, stated here once:
+prefix (1..X), fundamental (the n <= X with (-1)^k n a fundamental
+discriminant), square_class (t n^2 <= prec), prime_powers
+(t p^(2m) <= prec) and first_nonzero (per surveyed t, the least nonzero
+t n_t^2).  square_class and prime_powers check t (square-free, positive,
+a(t) within precision); prime_powers checks p (prime, not dividing the
+level).  scan reads one index set in one pass.  A sign change is an
+adjacent pair of opposite-sign entries once the zeros are deleted, at
+the 1-based place in the index set of the later entry.  Ratios are exact
+fractions, rendered with half-away-from-zero rounding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
-from .arith import is_fundamental_discriminant, is_squarefree, kronecker
+from .arith import (is_fundamental_discriminant, is_squarefree, kronecker,
+                    require_good_prime)
 from .forms import Form
+
+# How many nonzero (n, a(n)) pairs a scan keeps as witnesses.
+WITNESSES = 10
 
 
 @dataclass
 class SignStatsReport:
-    """Counts and sign-change data for one scanned subsequence."""
+    """Counts, sign changes and witnesses of one scanned index set."""
 
-    X: int
+    entries: int
     n_pos: int
     n_neg: int
-    n_zero_skipped: int
-    ratio: Fraction
-    sign_change_count: int
-    change_positions: list[int] = field(default_factory=list)
+    change_positions: list[int]
+    witnesses: list[tuple[int, int]]
 
     @property
-    def n_nonzero(self) -> int:
-        return self.n_pos + self.n_neg
+    def n_zero_skipped(self) -> int:
+        return self.entries - self.n_pos - self.n_neg
+
+    @property
+    def sign_change_count(self) -> int:
+        return len(self.change_positions)
+
+    @property
+    def ratio(self) -> Fraction:
+        """Share of positive values among the nonzero ones."""
+        return Fraction(self.n_pos, self.n_pos + self.n_neg)
 
     def ratio_rendered(self, decimals: int = 6) -> str:
         return render_ratio(self.ratio, decimals)
@@ -50,79 +67,99 @@ def render_ratio(value: Fraction, decimals: int = 6) -> str:
                           q % 10 ** decimals)
 
 
-def sign_changes(seq) -> tuple[int, list[int]]:
-    """Count adjacent sign flips in a sequence, skipping zeros.
-
-    Returns (count, positions) with 1-based positions of the later entry
-    of each flip."""
-    seq = list(seq)
-    if not any(seq):
-        return 0, []
-    rep = _scan(enumerate(seq, start=1), len(seq))
-    return rep.sign_change_count, rep.change_positions
-
-
-def _scan(values_with_positions, X: int) -> SignStatsReport:
-    n_pos = n_neg = n_zero = 0
-    changes = 0
-    positions = []
-    prev = 0
-    for pos, value in values_with_positions:
-        if value == 0:
-            n_zero += 1
-            continue
-        if value > 0:
+def scan(f: Form, indices) -> SignStatsReport:
+    """Read a(n) for the n of indices, in order, once."""
+    coeffs = f.coeffs
+    n_pos = n_neg = entries = prev = 0
+    positions, witnesses = [], []
+    for entries, n in enumerate(indices, start=1):
+        v = coeffs[n]
+        if v > 0:
             n_pos += 1
-            s = 1
-        else:
+            if prev < 0:
+                positions.append(entries)
+        elif v < 0:
             n_neg += 1
-            s = -1
-        if prev and s != prev:
-            changes += 1
-            positions.append(pos)
-        prev = s
-    nonzero = n_pos + n_neg
-    if nonzero == 0:
-        raise ValueError("no nonzero entries up to X=%d" % X)
-    return SignStatsReport(X=X, n_pos=n_pos, n_neg=n_neg, n_zero_skipped=n_zero,
-                           ratio=Fraction(n_pos, nonzero),
-                           sign_change_count=changes,
-                           change_positions=positions)
+            if prev > 0:
+                positions.append(entries)
+        else:
+            continue
+        prev = v
+        if len(witnesses) < WITNESSES:
+            witnesses.append((n, v))
+    return SignStatsReport(entries, n_pos, n_neg, positions, witnesses)
 
 
-def subseq_t_n2(f, t: int, X: int) -> list[int]:
-    """The coefficients a(t n^2) for n = 1..X; needs t X^2 <= prec."""
-    if t < 1 or not is_squarefree(t):
-        raise ValueError("t must be a square-free positive integer")
-    if t * X * X > f.prec:
-        raise ValueError("t X^2 = %d exceeds precision %d" % (t * X * X, f.prec))
-    return [f.a(t * n * n) for n in range(1, X + 1)]
-
-
-def r_plus_tot(f, X: int) -> SignStatsReport:
-    """Share of positive values among the nonzero a(n), n <= X."""
+def prefix(f: Form, X: int) -> range:
+    """1..X; needs X <= prec."""
     if X > f.prec:
         raise ValueError("X=%d exceeds precision %d" % (X, f.prec))
-    coeffs = f.coeffs
-    return _scan(((n, coeffs[n]) for n in range(1, X + 1)), X)
+    return range(1, X + 1)
+
+
+def fundamental(f: Form, X: int) -> list[int]:
+    """The n <= X with (-1)^k n a fundamental discriminant (1 included);
+    f has half-integral weight k + 1/2."""
+    if not f.half_integral:
+        raise ValueError("fund statistics need a half-integral form")
+    sign = -1 if f.k % 2 else 1
+    return [n for n in prefix(f, X) if is_fundamental_discriminant(sign * n)]
+
+
+def square_class(f: Form, t: int) -> list[int]:
+    """t n^2 <= prec for n = 1, 2, ..."""
+    _check_t(f, t)
+    return [t * n * n for n in range(1, isqrt(f.prec // t) + 1)]
+
+
+def prime_powers(f: Form, t: int, p: int) -> list[int]:
+    """t p^(2m) <= prec for m = 0, 1, ..."""
+    _check_t(f, t)
+    require_good_prime(p, f.level)
+    out = [t]
+    while out[-1] * p * p <= f.prec:
+        out.append(out[-1] * p * p)
+    return out
+
+
+def first_nonzero(f: Form, ts) -> dict[int, int]:
+    """t -> the least t n_t^2 with a(t n_t^2) != 0, for the t of ts in
+    order; t that square_class refuses or whose class vanishes are left
+    out."""
+    out = {}
+    for t in ts:
+        try:
+            indices = square_class(f, t)
+        except ValueError:
+            continue
+        n = next((n for n in indices if f.coeffs[n]), None)
+        if n:
+            out[t] = n
+    return out
+
+
+def _check_t(f: Form, t: int):
+    if t < 1 or not is_squarefree(t):
+        raise ValueError("t must be a square-free positive integer")
+    if t > f.prec:
+        raise ValueError("a(t) is beyond the form's precision")
+
+
+def r_plus_tot(f: Form, X: int) -> SignStatsReport:
+    """Share of positive values among the nonzero a(n), n <= X."""
+    return _ratio_scan(f, prefix(f, X), X)
 
 
 def r_plus_fund(f: Form, X: int) -> SignStatsReport:
-    """Same count restricted to n <= X for which (-1)^k n is a fundamental
-    discriminant (1 included); f has half-integral weight k + 1/2."""
-    if not f.half_integral:
-        raise ValueError("fund statistics need a half-integral form")
-    if X > f.prec:
-        raise ValueError("X=%d exceeds precision %d" % (X, f.prec))
-    sign = -1 if f.k % 2 else 1
-    coeffs = f.coeffs
+    """The same share among the fundamental n <= X."""
+    return _ratio_scan(f, fundamental(f, X), X)
 
-    def scan():
-        for n in range(1, X + 1):
-            if is_fundamental_discriminant(sign * n):
-                yield n, coeffs[n]
 
-    return _scan(scan(), X)
+def _ratio_scan(f: Form, indices, X: int) -> SignStatsReport:
+    rep = scan(f, indices)
+    if rep.n_pos + rep.n_neg == 0:
+        raise ValueError("no nonzero entries up to X=%d" % X)
+    return rep
 
 
 def dprime_filter(T, primes, eps) -> list[int]:
@@ -135,28 +172,10 @@ def dprime_filter(T, primes, eps) -> list[int]:
             if all(kronecker(t, p) == e for p, e in zip(primes, eps))]
 
 
-def first_nonzero_in_square_class(f, t: int) -> tuple[int, int] | None:
-    """Smallest n with a(t n^2) != 0 within precision, as (n, a(t n^2))."""
-    n = 1
-    while t * n * n <= f.prec:
-        v = f.a(t * n * n)
-        if v != 0:
-            return n, v
-        n += 1
-    return None
-
-
-def squarefree_sign_survey(f, ts) -> list[tuple[int, int]]:
-    """The entries (t, a(t n_t^2)) for the square-free t in ts, in order,
-    with n_t the smallest index making the coefficient nonzero; t with
-    none within precision are skipped."""
-    entries = []
-    for t in ts:
-        if is_squarefree(t):
-            hit = first_nonzero_in_square_class(f, t)
-            if hit is not None:
-                entries.append((t, hit[1]))
-    return entries
+def squarefree_sign_survey(f: Form, ts) -> tuple[list[int], SignStatsReport]:
+    """The t that first_nonzero keeps, and the scan along their t n_t^2."""
+    first = first_nonzero(f, ts)
+    return list(first), scan(f, first.values())
 
 
 def prop2_witnesses(f, p: int, limit: int) -> dict:

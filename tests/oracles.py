@@ -178,3 +178,18 @@ def eval_fraction(tree, need):
         return Fraction(0), [c[int(m * n - off)] if m * n >= off
                              else Fraction(0) for n in range(need)]
     raise ValueError("unknown node %r" % (op,))
+
+
+def sign_scan(values, indices, cap=10):
+    """Sign statistics of values[n] for n in indices, read literally:
+    delete the zeros, then count adjacent flips.  Returns (n_pos, n_neg,
+    n_zero, positions, witnesses): 1-based places in indices of the later
+    entry of each flip, and the first cap nonzero (n, values[n])."""
+    kept = [(place, n, values[n]) for place, n in enumerate(indices, start=1)
+            if values[n] != 0]
+    n_pos = len([v for _, _, v in kept if v > 0])
+    n_neg = len([v for _, _, v in kept if v < 0])
+    positions = [kept[i][0] for i in range(1, len(kept))
+                 if (kept[i - 1][2] > 0) != (kept[i][2] > 0)]
+    witnesses = [(n, v) for _, n, v in kept[:cap]]
+    return n_pos, n_neg, len(indices) - len(kept), positions, witnesses

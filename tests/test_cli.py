@@ -355,12 +355,29 @@ def sha256_of(path):
     (["signs", "--in", "g.txt", "--X-list", "10", "--dprime", "3:1,5:-1",
       "--json", "out"],
      "adffad3855e2bb3d5334bd26f3081758a2fb477b5ce09082699ffdf66c131aef"),
+    (["signs", "--in", "delta.txt", "--X-list", "10", "--t", "5",
+      "--powers-p", "3", "--json", "out"],
+     "84a71ff108e865b28448d999d7f276a5a81c8a1b6911fec6c7a86018a24e6fe8"),
+    (["signs", "--in", "g.txt", "--X-list", "10", "--t", "3",
+      "--powers-p", "5", "--json", "out"],
+     "10a455f42f920a4b3b9739e2bee8e1177e57b7b489d46382d15308e3621ccbd8"),
+    (["verify", "--in", "delta.txt", "--suite", "recurrence", "--t", "1,5",
+      "--p", "3,5", "--json", "out"],
+     "a360f76fa42153ba3c98528009f8310d34e38bccf2bd77c75a8cc4b052ac648d"),
+    (["verify", "--in", "g.txt", "--suite", "prop2", "--p", "3",
+      "--json", "out"],
+     "8b3fe67cfc827ab7f45de9bd347735e873a0bfca35ec33043307120346b9f77f"),
+    (["hecke", "--in", "delta.txt", "--op", "tsq", "--p", "3",
+      "--verify-eigen", "--json", "out"],
+     "a3a77ad02bfb7dff9d007d281fc8cdc81137a28cb872a60117209ad8e1e9c7a1"),
 ])
 def test_read_side_outputs_are_pinned(files_1e4, tmp_path, argv, digest):
     # Everything written from a file read back must stay byte for byte
     # the same; each digest was taken before the refactor it guards (the
     # first six before files held a Form, the square-free surveys before
-    # the survey scan existed once).
+    # the survey scan existed once, the subsequence, recurrence, prop2
+    # and eigen reports before the sign scan and its index sets were
+    # stated once).
     out = tmp_path / "out"
     argv = [str(files_1e4 / a) if a.endswith(".txt") else
             str(out) if a == "out" else a for a in argv]
@@ -445,7 +462,9 @@ class TestHeckeCommand:
     @pytest.mark.parametrize("form, m, level", [("E4", 3, 3), ("E4", 1, 1),
                                                 ("g", 3, 132), ("delta", 4, 4)])
     def test_u_image_level(self, tmp_path, form, m, level):
-        # f | U_m lies on level lcm(N, m); a trivial character follows it.
+        # f | U_m lies on level lcm(N, m); a trivial character follows it,
+        # except in half-integral weight for a non-square m, where it
+        # becomes (4m/.) on lcm(N, 4m): (4*3 * 44^2 / .) for g and m = 3.
         src, out = tmp_path / "f.txt", tmp_path / "u.txt"
         assert run("build", "--form", form, "--prec", "60",
                    "--out", str(src)) == 0
@@ -453,7 +472,49 @@ class TestHeckeCommand:
                    "--out", str(out)) == 0
         lines = read_lines(out)
         assert "# level: %d" % level in lines
-        assert "# character: trivial:%d" % level in lines
+        character = ("kronecker:%d/mod:%d" % (12 * 44 ** 2, level)
+                     if form == "g" else "trivial:%d" % level)
+        assert "# character: %s" % character in lines
+
+    @pytest.mark.parametrize("m, level", [(2, 8), (3, 12), (5, 20)])
+    def test_u_image_is_an_eigenform(self, files_1e4, tmp_path, capsys, m,
+                                     level):
+        # delta | U_m for a non-square m has character (4m/.) on level
+        # lcm(4, 4m) (Ono, The Web of Modularity, Prop. 3.7), and with it
+        # it is a T(p^2) eigenform with delta's eigenvalues.
+        image = tmp_path / "u.txt"
+        assert run("hecke", "--in", str(files_1e4 / "delta.txt"), "--op",
+                   "u", "--p", str(m), "--out", str(image)) == 0
+        cf = coeffio.read(str(image))
+        assert cf.form.level == level
+        assert cf.form.character == DirichletCharacter(top=16 * 4 * m,
+                                                       modulus=level)
+        for p, lam in ((7, -16744), (11, 534612), (13, -577738)):
+            assert run("hecke", "--in", str(image), "--op", "tsq", "--p",
+                       str(p), "--verify-eigen") == 0, (m, p)
+            assert json.loads(capsys.readouterr().out)["lambda"] == lam
+
+    @pytest.mark.parametrize("argv", [
+        ["hecke", "--op", "tsq", "--p", "3", "--out", "out.txt"],
+        ["hecke", "--op", "tsq", "--p", "3", "--verify-eigen"],
+        ["lift", "--t", "1", "--out", "out.txt"],
+        ["verify", "--suite", "bounds", "--p", "3"],
+        ["verify", "--suite", "recurrence", "--t", "1", "--p", "3"],
+    ], ids=["tsq", "tsq-eigen", "lift", "bounds", "recurrence"])
+    def test_weight_one_half_exits_2(self, tmp_path, capsys, argv):
+        # T(p^2) in weight 1/2 has the factor p^(k-1) = 1/p, and the lift
+        # would have weight 0: both are refused, and nothing is written.
+        src, out = tmp_path / "theta.txt", tmp_path / "out.txt"
+        assert run("build", "--form", "theta(1)", "--prec", "200",
+                   "--out", str(src)) == 0
+        argv = [str(out) if a == "out.txt" else a for a in argv]
+        assert run(argv[0], "--in", str(src), *argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: weight 1/2 is not supported: T(p^2) "
+                                "and the Shimura lift need weight 3/2 or "
+                                "more\n")
+        assert not out.exists()
 
     def test_bad_prime_exits_2(self, tmp_path):
         src = tmp_path / "delta.txt"

@@ -2,7 +2,7 @@ from math import isqrt
 
 import pytest
 
-from qsigns import hecke
+from qsigns import hecke, signs
 from qsigns.arith import DirichletCharacter, chi_t, divisors, kronecker
 from qsigns.forms import Form, delta_form, ramanujan_delta
 from qsigns.qseries import PrecisionError
@@ -14,6 +14,11 @@ from oracles import recurrence_oracle
 # a(729) = 252*(-174879) - 177147*9 = -45663831
 # a(6561) = 252*(-45663831) - 177147*(-174879) = 19472004801
 DELTA_POWERS_OF_3 = [1, 9, -174879, -45663831, 19472004801]
+
+
+def powers(f, t, p):
+    """a(t p^(2m)) along signs.prime_powers."""
+    return [f.a(n) for n in signs.prime_powers(f, t, p)]
 
 
 def test_frozen_values_match_their_oracle():
@@ -171,35 +176,52 @@ class TestExtractEigenvalue:
         assert "not an integer" in rep.note
 
 
+def test_weight_one_half_is_refused():
+    theta = Form(weight_num=1, level=4,
+                 character=DirichletCharacter.trivial(4),
+                 coeffs=[1, 2, 0, 0, 2, 0, 0, 0, 0, 2, 0])
+    for call in (lambda: hecke.t_square_half(3, theta),
+                 lambda: hecke.eigen_report(theta, 3),
+                 lambda: hecke.recurrence_check(theta, 1, 3),
+                 lambda: hecke.shimura_lift(theta, 1)):
+        with pytest.raises(ValueError, match="weight 1/2 is not supported"):
+            call()
+
+
 class TestLocalPowerSequence:
     def test_delta_powers_of_three(self):
         d = delta_form(10_000)
-        seq = hecke.local_power_sequence(d, 1, 3)
+        seq = powers(d, 1, 3)
         # 3^8 = 6561 <= 10^4 < 3^10, so m runs 0..4
+        assert signs.prime_powers(d, 1, 3) == [1, 9, 81, 729, 6561]
         assert seq == DELTA_POWERS_OF_3
 
     def test_g_t3(self, g3k):
-        seq = hecke.local_power_sequence(g3k, 3, 3)
+        seq = powers(g3k, 3, 3)
         assert seq[:2] == [1, -1]
 
     def test_delta_t5(self, delta3k):
-        assert hecke.local_power_sequence(delta3k, 5, 3)[0] == 120
+        assert powers(delta3k, 5, 3)[0] == 120
 
     def test_extension_matches_direct(self, delta3k):
         # The recurrence verified within prec 3000 predicts a(3^8), which
         # only a prec-10^4 build reads directly.
         rep = hecke.recurrence_check(delta3k, 1, 3)
         assert rep.ok
-        seq = hecke.local_power_sequence(delta3k, 1, 3)
+        seq = powers(delta3k, 1, 3)
         assert len(seq) == 4
         ext = recurrence_oracle(seq[0], seq[1], rep.lam, 3 ** 11, 5)
-        assert ext == hecke.local_power_sequence(delta_form(10_000), 1, 3)
+        assert ext == powers(delta_form(10_000), 1, 3)
 
     def test_range_errors(self, delta3k):
-        with pytest.raises(ValueError):
-            hecke.local_power_sequence(delta3k, 3001, 3)
-        with pytest.raises(ValueError):
-            hecke.local_power_sequence(delta3k, 1, 2)
+        with pytest.raises(ValueError, match="beyond the form's precision"):
+            signs.prime_powers(delta3k, 3001, 3)
+        with pytest.raises(ValueError, match="divides the level"):
+            signs.prime_powers(delta3k, 1, 2)
+        with pytest.raises(ValueError, match="square-free"):
+            signs.prime_powers(delta3k, 12, 3)
+        with pytest.raises(ValueError, match="not prime"):
+            signs.prime_powers(delta3k, 1, 9)
 
 
 class TestRecurrence:

@@ -2,16 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsigns import hecke, signs
 from qsigns.arith import DirichletCharacter, is_squarefree, kronecker
 from qsigns.forms import Form
 
-from oracles import recurrence_oracle
-from qsigns.signs import (dprime_filter,
-                          first_nonzero_in_square_class, prop2_witnesses,
-                          r_plus_fund, r_plus_tot, render_ratio, sign_changes,
-                          squarefree_sign_survey, subseq_t_n2)
+from oracles import recurrence_oracle, sign_scan
+from qsigns.signs import (dprime_filter, first_nonzero, fundamental, prefix,
+                          prime_powers, prop2_witnesses, r_plus_fund,
+                          r_plus_tot, render_ratio, scan, square_class,
+                          squarefree_sign_survey)
 
 
 def artificial_form(values, weight_num=13, level=4):
@@ -21,17 +23,57 @@ def artificial_form(values, weight_num=13, level=4):
                 coeffs=coeffs)
 
 
+def sign_changes(values):
+    """(count, positions) of the scan over the whole of values."""
+    rep = scan(artificial_form(values), range(1, len(values) + 1))
+    return rep.sign_change_count, rep.change_positions
+
+
 class TestSignChanges:
     def test_known_values(self):
         assert sign_changes([1, -56, 120, -240, 9]) == (4, [2, 3, 4, 5])
         assert sign_changes([0, 0, 3, 0, 5]) == (0, [])
 
     def test_delta_prefix(self, delta3k):
-        count, _ = sign_changes([delta3k.a(n) for n in range(1, 18)])
-        assert count >= 5
+        rep = scan(delta3k, prefix(delta3k, 17))
+        assert rep.sign_change_count >= 5
 
     def test_zero_runs_bridge(self):
         assert sign_changes([1, 0, 0, -1, 0, -2, 0, 3]) == (2, [4, 8])
+
+
+class TestScanOracle:
+    """The scan against the literal oracle: delete the zeros, then count
+    adjacent flips."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_oracle(self, data):
+        values = [0] + data.draw(st.lists(st.integers(-3, 3), min_size=1,
+                                          max_size=40))
+        indices = data.draw(st.lists(st.integers(1, len(values) - 1),
+                                     max_size=60))
+        self._check(values, indices)
+
+    @pytest.mark.parametrize("values, indices", [
+        ([0, 0, 0, 0], [1, 2, 3]),          # every entry zero
+        ([0, 0, 0, 0], []),                 # no entry
+        ([0, -7], [1]),                     # a single entry
+        ([0, 5, 0], [2]),                   # a single zero
+        ([0] + [(-1) ** n * n for n in range(1, 30)], list(range(1, 30))),
+    ], ids=["all-zero", "empty", "single", "single-zero", "alternating"])
+    def test_edge_cases(self, values, indices):
+        self._check(values, indices)
+
+    def _check(self, values, indices):
+        rep = scan(artificial_form(values[1:]), indices)
+        n_pos, n_neg, n_zero, positions, witnesses = sign_scan(values, indices)
+        assert (rep.n_pos, rep.n_neg, rep.n_zero_skipped) == \
+            (n_pos, n_neg, n_zero)
+        assert rep.entries == len(indices)
+        assert rep.change_positions == positions
+        assert rep.sign_change_count == len(positions)
+        assert rep.witnesses == witnesses
 
 
 class TestFirstNegative:
@@ -52,15 +94,20 @@ class TestFirstNegative:
 
 class TestSubseq:
     def test_known_values(self, delta3k, g3k):
-        assert subseq_t_n2(delta3k, 1, 4) == [1, -56, 9, -704]
-        assert subseq_t_n2(delta3k, 5, 1) == [120]
-        assert subseq_t_n2(g3k, 3, 3) == [1, -1, -1]
+        def values(f, t):
+            return [f.a(n) for n in square_class(f, t)]
+        assert values(delta3k, 1)[:4] == [1, -56, 9, -704]
+        assert values(delta3k, 5)[:1] == [120]
+        assert values(g3k, 3)[:3] == [1, -1, -1]
 
     def test_range_violation(self, delta3k):
-        with pytest.raises(ValueError):
-            subseq_t_n2(delta3k, 1, 55)    # 55^2 > 3000
-        with pytest.raises(ValueError):
-            subseq_t_n2(delta3k, 12, 2)    # 12 is not square-free
+        # 54^2 <= 3000 < 55^2: the class stops at the precision
+        assert square_class(delta3k, 1) == [n * n for n in range(1, 55)]
+        assert square_class(delta3k, 2999) == [2999]     # 2999 is prime
+        with pytest.raises(ValueError, match="beyond the form's precision"):
+            square_class(delta3k, 3001)
+        with pytest.raises(ValueError, match="square-free"):
+            square_class(delta3k, 12)    # 12 is not square-free
 
 
 class TestRPlusTot:
@@ -108,12 +155,14 @@ class TestRPlusFund:
     def test_delta_at_10(self, delta3k):
         # qualifying n: 1, 5, 8 (9 is not square-free, 4 = 4*1 is not
         # fundamental); positives are 1, 5
+        assert fundamental(delta3k, 10) == [1, 5, 8]
         rep = r_plus_fund(delta3k, 10)
         assert rep.ratio == Fraction(2, 3)
         assert rep.ratio_rendered(3) == "0.667"
 
     def test_g_at_10_documented_indexing(self, g3k):
         # k odd indexes by -n fundamental: n = 3 (+1) and n = 4 (-1)
+        assert fundamental(g3k, 10) == [3, 4, 7, 8]
         rep = r_plus_fund(g3k, 10)
         assert rep.ratio == Fraction(1, 2)
 
@@ -153,33 +202,29 @@ class TestDprimeFilter:
 
 class TestSquarefreeSurvey:
     def test_delta_listed_entries(self, delta3k):
-        hits = {t: first_nonzero_in_square_class(delta3k, t)
-                for t in (1, 5, 13, 17)}
-        assert hits[1] == (1, 1)
-        assert hits[5] == (1, 120)
-        assert hits[13] == (1, -1320)
-        assert hits[17] == (1, -240)
+        hits = first_nonzero(delta3k, (1, 5, 13, 17))
+        assert hits == {1: 1, 5: 5, 13: 13, 17: 17}
+        assert [delta3k.a(n) for n in hits.values()] == [1, 120, -1320, -240]
 
     def test_g_listed_entries(self, g3k):
-        assert first_nonzero_in_square_class(g3k, 3) == (1, 1)
-        assert first_nonzero_in_square_class(g3k, 11) == (1, -1)
-        assert first_nonzero_in_square_class(g3k, 15) == (1, 1)
-        # t = 1: a(1) = 0, first nonzero in the class is a(4)
-        assert first_nonzero_in_square_class(g3k, 1) == (2, -1)
+        # t = 1: a(1) = 0, the first nonzero in the class is a(4)
+        hits = first_nonzero(g3k, (3, 11, 15, 1))
+        assert hits == {3: 3, 11: 11, 15: 15, 1: 4}
+        assert [g3k.a(n) for n in hits.values()] == [1, -1, 1, -1]
 
     def test_survey_report(self, delta3k):
-        entries = squarefree_sign_survey(delta3k, range(1, 21))
+        ts, rep = squarefree_sign_survey(delta3k, range(1, 21))
         # every square-free t <= 20 has a nonzero a(t n^2) within 3000
-        assert [t for t, _ in entries] == \
-            [t for t in range(1, 21) if is_squarefree(t)]
-        assert {1: 1, 5: 120, 13: -1320, 17: -240}.items() <= \
-            dict(entries).items()
-        count, _ = sign_changes([v for _, v in entries])
-        assert count >= 1
+        assert ts == [t for t in range(1, 21) if is_squarefree(t)]
+        values = {t: delta3k.a(n)
+                  for t, n in first_nonzero(delta3k, range(1, 21)).items()}
+        assert {1: 1, 5: 120, 13: -1320, 17: -240}.items() <= values.items()
+        assert rep.entries == len(ts)
+        assert rep.sign_change_count >= 1
         # a Kronecker-class filter keeps its t in order, square-free only
-        kept = squarefree_sign_survey(delta3k, dprime_filter(range(1, 21),
-                                                             [3], [1]))
-        assert kept == [(t, v) for t, v in entries if kronecker(t, 3) == 1]
+        kept, _ = squarefree_sign_survey(delta3k, dprime_filter(range(1, 21),
+                                                                [3], [1]))
+        assert kept == [t for t in ts if kronecker(t, 3) == 1]
 
 
 class TestProp2Empirical:
@@ -206,7 +251,7 @@ class TestSignChangesBeyondPrecision:
         for p in (3, 5):
             rep = hecke.recurrence_check(delta3k, 1, p)
             assert rep.ok
-            seq = hecke.local_power_sequence(delta3k, 1, p)
+            seq = [delta3k.a(n) for n in prime_powers(delta3k, 1, p)]
             ext = recurrence_oracle(seq[0], seq[1], rep.lam,
                                     p ** (2 * delta3k.k - 1), 7)
             assert ext[:len(seq)] == seq
