@@ -4,7 +4,7 @@ Shimura lifts, Hecke operators, and coefficient sign statistics."""
 from .arith import (DirichletCharacter, chi_star, chi_t, divisors,
                     is_fundamental_discriminant, is_squarefree, kronecker)
 from .qseries import (PrecisionError, QSeries, add, derive, dilate,
-                      eisenstein_e4, eta, mul, neg, pow_, scalar_mul, theta,
+                      eisenstein_e4, eta, mul, pow_, scalar_mul, theta,
                       theta_psi, u_op)
 from .forms import (NAMED, Form, delta_form, expression_form, g_form,
                     integer_table, plus_space_check, ramanujan_delta,
@@ -12,8 +12,8 @@ from .forms import (NAMED, Form, delta_form, expression_form, g_form,
 from .formspec import FormSpecError, evaluate, parse_formspec
 from .hecke import (EigenReport, RecurrenceReport, deligne_check,
                     elementary_bound_check, extract_eigenvalue,
-                    recurrence_check, satake,
-                    shimura_lift, t_integral, t_square_half)
+                    recurrence_check, satake, shimura_lift, t_integral,
+                    t_square_half, u_image)
 from .signs import (SignStatsReport, dprime_filter, first_nonzero,
                     fundamental, prefix, prime_powers, prop2_witnesses,
                     r_plus_fund, r_plus_tot, render_ratio, scan,

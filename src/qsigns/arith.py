@@ -8,6 +8,7 @@ enumeration.  Everything here is a pure function of its arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt, lcm
 
 
 def kronecker(a: int, n: int) -> int:
@@ -137,6 +138,16 @@ def require_good_prime(p: int, level: int):
         raise ValueError("p=%d divides the level %d" % (p, level))
 
 
+def u_level(level: int, m: int, half_integral: bool) -> int:
+    """Level of f | U_m for f on the given level: lcm(N, m), or lcm(N, 4m)
+    when f has half-integral weight and m is not a square, where the
+    image picks up the character (4m/.) (Ono, The Web of Modularity,
+    Prop. 3.7)."""
+    if half_integral and isqrt(m) ** 2 != m:
+        return lcm(level, 4 * m)
+    return lcm(level, m)
+
+
 def _default_period(top: int) -> int:
     # (top/.) is periodic with period |top| when top = 0,1 mod 4,
     # and with period 4|top| otherwise.
@@ -170,17 +181,6 @@ class DirichletCharacter:
             raise ValueError("modulus must be positive")
         return cls(top=N * N, modulus=N, is_trivial=True)
 
-    @classmethod
-    def quadratic(cls, D: int) -> "DirichletCharacter":
-        """The primitive quadratic character (D/.) for a fundamental
-        discriminant D (or D = 1, giving the trivial character mod 1)."""
-        if D == 1:
-            return cls.trivial(1)
-        if not is_fundamental_discriminant(D):
-            raise ValueError("top of a primitive quadratic character must be "
-                             "a fundamental discriminant, got %d" % D)
-        return cls(top=D, modulus=abs(D))
-
     def value(self, a: int) -> int:
         return kronecker(self.top, a)
 
@@ -190,10 +190,6 @@ class DirichletCharacter:
     def is_odd(self) -> bool:
         """True when the character takes -1 at -1."""
         return self.top < 0
-
-    @property
-    def is_even(self) -> bool:
-        return self.top > 0
 
     @property
     def is_primitive(self) -> bool:

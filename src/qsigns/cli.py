@@ -13,11 +13,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
-from math import isqrt, lcm
 
 from . import coeffio, forms, hecke, signs
-from .arith import DirichletCharacter
 
 # Names that stand for an expression (written by the expression rule).
 ALIASES = {"E4": "E4(1)"}
@@ -142,58 +139,35 @@ def cmd_hecke(args) -> int:
     if args.verify_eigen and args.op == "u":
         raise ValueError("--verify-eigen needs --op tsq or tp")
     cf = coeffio.read(args.infile)
-    f = cf.form
-    p = args.p
-    level, character = f.level, f.character
-    if args.op == "u":
-        if p < 1:
-            raise ValueError("index must be positive")
-        seq = [0] + f.coeffs[p::p]
-        out_id = "u%d(%s)" % (p, cf.form_id)
-        # f | U_m lies on level lcm(N, m), the rule of formspec.signature;
-        # a half-integral f and a non-square m give chi (4m/.) on level
-        # lcm(N, 4m) (Ono, The Web of Modularity, Prop. 3.7).
-        level = lcm(f.level, p)
-        if f.half_integral and isqrt(p) ** 2 != p:
-            level = lcm(f.level, 4 * p)
-            character = DirichletCharacter(top=character.top * 4 * p,
-                                           modulus=level)
-        elif character.is_trivial:
-            character = DirichletCharacter.trivial(level)
-    else:
-        if args.op == "tsq":
-            seq = hecke.t_square_half(p, f)
-            out_id = "tsq_p%d(%s)" % (p, cf.form_id)
-        else:
-            seq = hecke.t_integral(p, f)
-            out_id = "tp%d(%s)" % (p, cf.form_id)
-        report = hecke.extract_eigenvalue(f.coeffs[:len(seq)], seq, p=p,
-                                          k=f.k)
-
+    f, p = cf.form, args.p
+    # Resolved at call time, as in cmd_build.
+    operator, image_id = {"tsq": (hecke.t_square_half, "tsq_p%d(%s)"),
+                          "tp": (hecke.t_integral, "tp%d(%s)"),
+                          "u": (hecke.u_image, "u%d(%s)")}[args.op]
+    image = operator(p, f)
+    report = (hecke.extract_eigenvalue(f.coeffs, image.coeffs, p, f.k)
+              if args.verify_eigen else None)
     if args.out:
-        image = replace(f, level=level, character=character, coeffs=seq)
-        coeffio.CoefficientFile(out_id, image).write(args.out)
-    if args.verify_eigen:
-        _emit_json(_eigen_json(cf.form_id, args.op, report, f.k),
-                   args.jsonfile)
-        return 0 if report.is_eigen else 1
-    return 0
+        coeffio.CoefficientFile(image_id % (p, cf.form_id),
+                                image).write(args.out)
+    if report is None:
+        return 0
+    _emit_json(_eigen_json(cf.form_id, args.op, report), args.jsonfile)
+    return 0 if report.is_eigen else 1
 
 
-def _eigen_json(form_id, op, rep: hecke.EigenReport, k: int) -> dict:
+def _eigen_json(form_id, op, rep: hecke.EigenReport) -> dict:
     doc = {"schema": JSON_SCHEMA, "kind": "eigen-report", "form": form_id,
            "op": op, "p": rep.p, "lambda": rep.lam, "is_eigen": rep.is_eigen,
            "checked_up_to": rep.checked_up_to,
            "first_violation": rep.first_violation}
     if rep.note:
         doc["note"] = rep.note
-    if rep.satake is not None:
+    if rep.lam is not None:
         trace, norm, disc_sign = rep.satake
         doc["satake"] = {"trace": trace, "norm": norm, "disc_sign": disc_sign}
-    if rep.lam is not None:
-        doc["deligne_ok"] = hecke.deligne_check(rep.lam, rep.p, k)
-        doc["elementary_bound_ok"] = hecke.elementary_bound_check(rep.lam,
-                                                                  rep.p, k)
+        doc["deligne_ok"] = rep.deligne_ok
+        doc["elementary_bound_ok"] = rep.elementary_bound_ok
     return doc
 
 
@@ -313,19 +287,15 @@ def _suite_recurrence(cf, ts, ps):
 
 
 def _suite_bounds(cf, ps):
-    f = cf.form
-    k = f.k
     checks = []
     ok = True
-    for rep in (hecke.eigen_report(f, p) for p in ps):
+    for rep in (hecke.eigen_report(cf.form, p) for p in ps):
         entry = {"p": rep.p, "is_eigen": rep.is_eigen, "lambda": rep.lam}
         if rep.is_eigen:
-            entry["deligne_ok"] = hecke.deligne_check(rep.lam, rep.p, k)
-            entry["elementary_bound_ok"] = hecke.elementary_bound_check(
-                rep.lam, rep.p, k)
-            entry["pass"] = entry["deligne_ok"] and entry["elementary_bound_ok"]
-        else:
-            entry["pass"] = False
+            entry["deligne_ok"] = rep.deligne_ok
+            entry["elementary_bound_ok"] = rep.elementary_bound_ok
+        entry["pass"] = (rep.is_eigen and rep.deligne_ok
+                         and rep.elementary_bound_ok)
         checks.append(entry)
         ok = ok and entry["pass"]
     return {"schema": JSON_SCHEMA, "suite": "bounds", "form": cf.form_id,

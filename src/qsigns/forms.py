@@ -6,7 +6,8 @@ never assumed; the level and character are declared metadata (transformation
 behaviour is not verified here), while support conditions are.
 
 Every named form is a formspec expression (see formspec) plus its
-plus-space flag; the weight and level come out of the expression.
+plus-space flag; the weight and level come out of the expression, and
+the flag's support condition is checked once on the built table.
 """
 
 from __future__ import annotations
@@ -35,15 +36,13 @@ class Form:
     by 4; even weight_num is an even integral weight 2k.  The level is
     positive.  coeffs[n] = a(n) for 0 <= n <= prec = len(coeffs) - 1;
     coeffs[0] holds a(0), the constant term an offset-0 file such as E4's
-    stores, and no statistic reads it.  If plus_space is set the support
-    condition a(n) = 0 for (-1)^k n = 2, 3 mod 4 is enforced.
+    stores, and no statistic reads it.
     """
 
     weight_num: int
     level: int
     character: DirichletCharacter
     coeffs: list[int]
-    plus_space: bool = False
 
     def __post_init__(self):
         if self.level < 1:
@@ -55,11 +54,6 @@ class Form:
                 raise ValueError("level must be divisible by 4")
         elif self.weight_num % 4 or self.weight_num < 4:
             raise ValueError("integral weight must be a positive even integer")
-        if self.plus_space:
-            bad = plus_space_check(self)
-            if bad:
-                raise ValueError("plus-space support condition fails at n=%d"
-                                 % bad[0])
 
     @property
     def prec(self) -> int:
@@ -118,8 +112,8 @@ def integer_table(series: QSeries, prec: int, start: int = 1,
     return head + window
 
 
-def expression_form(spec: str, prec: int, start: int = 1,
-                    plus_space: bool = False) -> tuple[Form, int]:
+def expression_form(spec: str, prec: int,
+                    start: int = 1) -> tuple[Form, int]:
     """The Form of a formspec expression through q^prec, with the weight
     and level of formspec.signature and the trivial character, and its
     series' integer offset.  Entries below start are zero."""
@@ -130,14 +124,20 @@ def expression_form(spec: str, prec: int, start: int = 1,
     series, den = formspec.evaluate(ast, prec + 1)
     form = Form(weight_num=int(2 * weight), level=level,
                 character=DirichletCharacter.trivial(level),
-                coeffs=integer_table(series, prec, start, den),
-                plus_space=plus_space)
+                coeffs=integer_table(series, prec, start, den))
     return form, int(series.offset)
 
 
 def _named(name: str, prec: int) -> Form:
+    """The named form, with its plus-space support condition enforced
+    where NAMED sets it."""
     spec, plus_space = NAMED[name]
-    return expression_form(spec, prec, plus_space=plus_space)[0]
+    form = expression_form(spec, prec)[0]
+    bad = plus_space_check(form) if plus_space else []
+    if bad:
+        raise ValueError("plus-space support condition fails at n=%d"
+                         % bad[0])
+    return form
 
 
 def delta_form(prec: int) -> Form:

@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, NamedTuple
 
-from .arith import DirichletCharacter
+from .arith import DirichletCharacter, u_level
 from . import qseries as qs
 from .qseries import QSeries
 
@@ -259,7 +259,8 @@ def signature(node) -> tuple[Fraction, int]:
     """(weight, level) implied by the expression.  Atoms take theirs from
     ATOMS.  D adds 2 to the weight, products add weights, powers multiply
     them, and U and scalars keep them; mixed-weight sums are rejected.
-    The level is the lcm of the atoms' levels and of every U index."""
+    The level is the lcm of the atoms' levels, and a U node moves its
+    argument's level to arith.u_level, the level of a U_m image."""
     if isinstance(node, Atom):
         rule = ATOMS[node.name]
         return rule.weight, rule.level * node.m * node.top ** 2
@@ -276,7 +277,7 @@ def signature(node) -> tuple[Fraction, int]:
     elif isinstance(node, Pow):
         weight *= node.exp
     elif isinstance(node, U):
-        level = lcm(node.m, level)
+        level = u_level(level, node.m, weight.denominator == 2)
     return weight, level
 
 

@@ -1,18 +1,23 @@
-"""Hecke operators, the Shimura lift, and eigenvalue diagnostics.
+"""Hecke operators, U_m, the Shimura lift, and eigenvalue diagnostics.
 
-All sequences use the convention of Form coefficient tables: a list
-indexed by n, covering 1 <= n <= its own precision; the entry at 0 is
-never read.
+Every operator returns its image as a Form whose table covers
+1 <= n <= its own precision (the entry at 0 is never read): T(p^2) and
+T(p) keep the input's weight, level and character, and u_image gives
+U_m's.  T(p^2) refuses p^2 above the precision and T(p) refuses p above
+it, since the image would hold no coefficient.
 Eigenvalue extraction is exact integer arithmetic; a non-dividing ratio
-is a hard not-an-eigenform verdict, never a rounding question.
+is a hard not-an-eigenform verdict, never a rounding question.  An
+EigenReport carries the whole verdict: the eigenvalue, its Satake data
+and whether it meets the Deligne and the elementary bound.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from math import isqrt
 
 from .arith import (DirichletCharacter, chi_star, chi_t, divisors,
-                    kronecker, require_good_prime)
+                    kronecker, require_good_prime, u_level)
 from .forms import Form
 from .signs import prime_powers, square_class
 
@@ -21,12 +26,14 @@ from .signs import prime_powers, square_class
 class EigenReport:
     """Outcome of comparing a sequence with its image under an operator."""
 
-    p: int | None
+    p: int
     lam: int | None
     is_eigen: bool
     checked_up_to: int
     first_violation: int | None = None
     satake: tuple[int, int, int] | None = None
+    deligne_ok: bool | None = None
+    elementary_bound_ok: bool | None = None
     note: str = ""
 
 
@@ -55,7 +62,7 @@ def shimura_lift(f: Form, t: int) -> Form:
                 character=DirichletCharacter.trivial(N // 2), coeffs=out)
 
 
-def t_square_half(p: int, f: Form) -> list[int]:
+def t_square_half(p: int, f: Form) -> Form:
     """Apply T(p^2) for a prime p not dividing the level:
 
         b(n) = a(p^2 n) + chi*(p) (n/p) p^(k-1) a(n)
@@ -65,12 +72,14 @@ def t_square_half(p: int, f: Form) -> list[int]:
     """
     _require_weight(f, half_integral=True)
     require_good_prime(p, f.level)
+    psq = p * p
+    if psq > f.prec:
+        raise ValueError("p^2 = %d exceeds the precision %d" % (psq, f.prec))
     k = f.k
     cs = chi_star(f.character, k, p)
     c2 = f.character(p) ** 2
     pk1 = p ** (k - 1)
     p2k1 = p ** (2 * k - 1)
-    psq = p * p
     prec = f.prec // psq
     out = [0] * (prec + 1)
     for n in range(1, prec + 1):
@@ -78,10 +87,10 @@ def t_square_half(p: int, f: Form) -> list[int]:
         if n % psq == 0:
             b += c2 * p2k1 * f.a(n // psq)
         out[n] = b
-    return out
+    return replace(f, coeffs=out)
 
 
-def t_integral(p: int, F: Form) -> list[int]:
+def t_integral(p: int, F: Form) -> Form:
     """Apply the integral-weight T(p) for a prime p not dividing the level:
 
         B(n) = A(p n) + chi^2(p) p^(2k-1) A(n / p),
@@ -90,6 +99,8 @@ def t_integral(p: int, F: Form) -> list[int]:
     """
     _require_weight(F, half_integral=False)
     require_good_prime(p, F.level)
+    if p > F.prec:
+        raise ValueError("p = %d exceeds the precision %d" % (p, F.prec))
     c2 = F.character(p) ** 2
     p2k1 = p ** (2 * F.k - 1)
     prec = F.prec // p
@@ -99,17 +110,38 @@ def t_integral(p: int, F: Form) -> list[int]:
         if n % p == 0:
             b += c2 * p2k1 * F.a(n // p)
         out[n] = b
-    return out
+    return replace(F, coeffs=out)
 
 
-def extract_eigenvalue(seq_before: list[int], seq_after: list[int],
-                       p: int | None = None,
-                       k: int | None = None) -> EigenReport:
-    """Compare two sequences on their shared index range.
+def u_image(m: int, f: Form) -> Form:
+    """f | U_m: b(n) = a(m n) for n <= prec // m, on level arith.u_level.
+
+    A half-integral f and a non-square m give the character chi (4m/.)
+    (Ono, The Web of Modularity, Prop. 3.7); otherwise a trivial
+    character moves to the new level and a non-trivial one is kept.
+    """
+    if m < 1:
+        raise ValueError("index must be positive")
+    level = u_level(f.level, m, f.half_integral)
+    character = f.character
+    if f.half_integral and isqrt(m) ** 2 != m:
+        character = DirichletCharacter(top=character.top * 4 * m,
+                                       modulus=level)
+    elif character.is_trivial:
+        character = DirichletCharacter.trivial(level)
+    return replace(f, level=level, character=character,
+                   coeffs=[0] + f.coeffs[m::m])
+
+
+def extract_eigenvalue(seq_before: list[int], seq_after: list[int], p: int,
+                       k: int) -> EigenReport:
+    """Compare a form's table with its T(p^2) or T(p) image on their
+    shared index range; k is the k of the form's weight.
 
     The candidate eigenvalue is read off at the first index where
     seq_before is nonzero and divides exactly; is_eigen requires
-    seq_after(n) = lam * seq_before(n) at every shared index.
+    seq_after(n) = lam * seq_before(n) at every shared index.  An integer
+    lam also gets its Satake data and both bound checks.
     """
     shared = min(len(seq_before), len(seq_after)) - 1
     if shared < 1:
@@ -125,19 +157,18 @@ def extract_eigenvalue(seq_before: list[int], seq_after: list[int],
                                 % (seq_after[n0], seq_before[n0], n0))
     violation = next((n for n in range(1, shared + 1)
                       if seq_after[n] != lam * seq_before[n]), None)
-    sat = None
-    if p is not None and k is not None:
-        sat = satake(lam, p, k)
     return EigenReport(p=p, lam=lam, is_eigen=violation is None,
                        checked_up_to=shared, first_violation=violation,
-                       satake=sat)
+                       satake=satake(lam, p, k),
+                       deligne_ok=deligne_check(lam, p, k),
+                       elementary_bound_ok=elementary_bound_check(lam, p, k))
 
 
 def eigen_report(f: Form, p: int) -> EigenReport:
     """Eigen check under T(p^2) in half-integral weight and T(p) in
     integral weight, over every index the precision supports."""
-    seq = t_square_half(p, f) if f.half_integral else t_integral(p, f)
-    return extract_eigenvalue(f.coeffs[:len(seq)], seq, p=p, k=f.k)
+    image = t_square_half(p, f) if f.half_integral else t_integral(p, f)
+    return extract_eigenvalue(f.coeffs, image.coeffs, p, f.k)
 
 
 @dataclass

@@ -2,14 +2,14 @@
 
 A QSeries holds coefficients for the exponents offset + i, 0 <= i < prec,
 where the offset is a rational with denominator dividing 24 (the grid on
-which eta quotients live).  Every coefficient is a Python int, and the
-constructors refuse anything else; a rational expression keeps its one
-denominator outside the series (see formspec.evaluate).
+which eta quotients live).  Every coefficient is a Python int, and
+from_pairs and scalar_mul refuse anything else; a rational expression
+keeps its one denominator outside the series (see formspec.evaluate).
+Coefficients are read from the list itself: coeffs[i] is the
+coefficient of q^(offset + i).
 
-Reading at or past offset + prec raises PrecisionError; exponents below
-the window, or off the integer grid, read as exact zeros.  Every
-operation records the precision that is guaranteed valid for its result,
-so truncation never silently produces wrong tails.
+Every operation records the precision that is guaranteed valid for its
+result, so truncation never silently produces wrong tails.
 
 Every series is stored the same way: its offset and one list of prec
 coefficients, zeros included.  Theta series and pentagonal-number
@@ -23,8 +23,9 @@ operations.  When both operands are dense, the product is one
 multiplication of two big ints instead (Kronecker substitution): each
 list is packed into fixed-width byte slots wide enough that no product
 coefficient can carry into its neighbour, the two ints are multiplied
-(CPython's Karatsuba), and the slots are read back.  Packing and unpacking go through bytes, linear in the size.
-Powers are taken by square-and-multiply.  No floating point, no FFT.
+(CPython's Karatsuba), and the slots are read back.  Packing and
+unpacking go through bytes, linear in the size.  Powers are taken by
+square-and-multiply.  No floating point, no FFT.
 
 QSeries values are treated as immutable: every operation returns a new
 object and never mutates its operands.
@@ -62,18 +63,11 @@ class QSeries:
     __slots__ = ("offset", "coeffs")
 
     def __init__(self, offset, coeffs: list):
-        # Takes the list as is; from_dense copies and from_pairs builds one.
+        # Takes the list as is; from_pairs builds one.
         self.offset = _as_offset(offset)
         self.coeffs = coeffs
 
     # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def from_dense(cls, coeffs, offset=0) -> "QSeries":
-        coeffs = list(coeffs)
-        for c in coeffs:
-            _require_int(c)
-        return cls(offset, coeffs)
 
     @classmethod
     def from_pairs(cls, pairs, prec: int, offset=0) -> "QSeries":
@@ -93,14 +87,6 @@ class QSeries:
             if c:
                 coeffs[i] = c
         return cls(offset, coeffs)
-
-    @classmethod
-    def zero(cls, prec: int, offset=0) -> "QSeries":
-        return cls.from_pairs([], prec, offset)
-
-    @classmethod
-    def one(cls, prec: int) -> "QSeries":
-        return cls.from_pairs([(0, 1)], prec)
 
     # -- inspection --------------------------------------------------------
 
@@ -123,24 +109,6 @@ class QSeries:
         for i, c in enumerate(self.coeffs):
             if c:
                 yield i, c
-
-    def coefficient(self, exponent):
-        """Exact coefficient of q^exponent.
-
-        Raises PrecisionError past the valid window; exponents below the
-        window or off the grid are exact zeros.
-        """
-        rel = Fraction(exponent) - self.offset
-        if rel.denominator != 1:
-            if Fraction(exponent) >= self.offset + self.prec:
-                raise PrecisionError("exponent %s beyond precision" % (exponent,))
-            return 0
-        i = int(rel)
-        if i < 0:
-            return 0
-        if i >= self.prec:
-            raise PrecisionError("exponent %s beyond precision" % (exponent,))
-        return self.coeffs[i]
 
     def truncate(self, prec: int) -> "QSeries":
         """Restrict the window to the first prec grid positions."""
@@ -182,15 +150,9 @@ def add(a: QSeries, b: QSeries) -> QSeries:
     return QSeries(a.offset, out)
 
 
-def neg(a: QSeries) -> QSeries:
-    return QSeries(a.offset, [-c for c in a.coeffs])
-
-
 def scalar_mul(a: QSeries, r: int) -> QSeries:
     """Multiply every coefficient by the int r."""
     _require_int(r)
-    if r == 0:
-        return QSeries.zero(a.prec, a.offset)
     return QSeries(a.offset, [r * c for c in a.coeffs])
 
 

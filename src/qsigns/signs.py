@@ -37,10 +37,6 @@ class SignStatsReport:
     witnesses: list[tuple[int, int]]
 
     @property
-    def n_zero_skipped(self) -> int:
-        return self.entries - self.n_pos - self.n_neg
-
-    @property
     def sign_change_count(self) -> int:
         return len(self.change_positions)
 

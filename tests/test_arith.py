@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qsigns.arith import (DirichletCharacter, chi_star, chi_t, divisors,
                           is_fundamental_discriminant, is_prime,
-                          is_squarefree, kronecker)
+                          is_squarefree, kronecker, u_level)
 from qsigns.forms import Form
 
 from oracles import legendre_euler, squarefree_kernel
@@ -180,25 +180,27 @@ class TestDivisors:
             assert ds == [d for d in range(1, n + 1) if n % d == 0]
 
 
+@pytest.mark.parametrize("level, m, half_integral, want", [
+    (4, 2, True, 8), (4, 3, True, 12), (4, 4, True, 4), (44, 3, True, 132),
+    (44, 4, True, 44), (4, 2, False, 4), (1, 3, False, 3), (1, 1, False, 1),
+])
+def test_u_level(level, m, half_integral, want):
+    assert u_level(level, m, half_integral) == want
+
+
 class TestDirichletCharacter:
     def test_trivial(self):
         chi = DirichletCharacter.trivial(44)
-        assert chi.is_trivial and chi.is_even and chi.is_primitive is False
+        assert chi.is_trivial and not chi.is_odd and chi.is_primitive is False
         for a in range(1, 100):
             import math
             assert chi(a) == (1 if math.gcd(a, 44) == 1 else 0)
         assert chi(-1) == 1
 
     def test_quadratic_minus_four(self):
-        psi = DirichletCharacter.quadratic(-4)
+        psi = DirichletCharacter(top=-4)
         assert psi.is_odd and psi.is_primitive
         assert [psi(n) for n in range(8)] == [0, 1, 0, -1, 0, 1, 0, -1]
-
-    def test_quadratic_rejects_non_fundamental(self):
-        with pytest.raises(ValueError):
-            DirichletCharacter.quadratic(-9)
-        with pytest.raises(ValueError):
-            DirichletCharacter.quadratic(5 * 5)
 
     def test_rejects_zero_top(self):
         with pytest.raises(ValueError):

@@ -202,6 +202,22 @@ class TestBuildCommand:
                            for path in (by_name, by_spec))
         assert len(body) > 10 and body == spec_body
 
+    def test_u_of_theta_has_the_level_of_its_image(self, tmp_path):
+        # theta | U_2 = theta(2z): the expression, the dilation and the
+        # hecke image of a theta file all say level 8.
+        files = {name: tmp_path / (name + ".txt")
+                 for name in ("u2", "theta2", "theta", "image")}
+        for name, form in (("u2", "U(2, theta(1))"), ("theta2", "theta(2)"),
+                           ("theta", "theta(1)")):
+            assert run("build", "--form", form, "--prec", "100",
+                       "--out", str(files[name])) == 0
+        assert run("hecke", "--in", str(files["theta"]), "--op", "u",
+                   "--p", "2", "--out", str(files["image"])) == 0
+        for name in ("u2", "theta2", "image"):
+            assert "# level: 8" in read_lines(files[name]), name
+        assert coeffio.read(str(files["u2"])).form.coeffs[1:] == \
+            coeffio.read(str(files["theta2"])).form.coeffs[1:]
+
     def test_theta_file_is_readable(self, tmp_path):
         out = tmp_path / "theta.txt"
         assert run("build", "--form", "theta(1)", "--prec", "100",
@@ -370,6 +386,11 @@ def sha256_of(path):
     (["hecke", "--in", "delta.txt", "--op", "tsq", "--p", "3",
       "--verify-eigen", "--json", "out"],
      "a3a77ad02bfb7dff9d007d281fc8cdc81137a28cb872a60117209ad8e1e9c7a1"),
+    (["hecke", "--in", "delta.txt", "--op", "u", "--p", "3", "--out", "out"],
+     "0070950c5dd103ed7154bb6b2de9de962fad8307507bca62b1ce2fe719336ec4"),
+    (["verify", "--in", "delta.txt", "--suite", "bounds", "--p", "3,5",
+      "--json", "out"],
+     "b02d7f67d1f9b94a48b94c07740a7a3c497fec8b732ad824850ddb3190d36409"),
 ])
 def test_read_side_outputs_are_pinned(files_1e4, tmp_path, argv, digest):
     # Everything written from a file read back must stay byte for byte
@@ -377,12 +398,59 @@ def test_read_side_outputs_are_pinned(files_1e4, tmp_path, argv, digest):
     # first six before files held a Form, the square-free surveys before
     # the survey scan existed once, the subsequence, recurrence, prop2
     # and eigen reports before the sign scan and its index sets were
-    # stated once).
+    # stated once, the U_3 image and the bounds suite before the operator
+    # images and eigen verdicts moved into hecke).
     out = tmp_path / "out"
     argv = [str(files_1e4 / a) if a.endswith(".txt") else
             str(out) if a == "out" else a for a in argv]
     assert run(*argv) == 0
     assert sha256_of(out) == digest
+
+
+@pytest.mark.parametrize("form, prec, argv, code, digests", [
+    ("E4", 300, ["hecke", "--op", "u", "--p", "3", "--out", "out"], 0,
+     {"out": "f4a89a874a70bd9cf9bddbe11b0ea2ecd395c3714a439e89d6f060def50db18e"}),
+    ("Delta", 2000, ["hecke", "--op", "tp", "--p", "3", "--verify-eigen",
+                     "--out", "out", "--json", "json"], 0,
+     {"out": "ae4d5000e3892699c3c79598cf98372aeb66edadb384b3085381ee36599b6817",
+      "json": "bca359b4824831bb708146e9c331239c7cc237c1f3bdd628becf7ebe1e3ae6e5"}),
+    # theta^13 is no eigenform: both commands exit 1 with a report
+    ("theta(1)^13", 2000, ["hecke", "--op", "tsq", "--p", "3",
+                           "--verify-eigen", "--json", "json"], 1,
+     {"json": "9aee949b671d45bcdc838ae0e7a9050d3e0777c1deedac0069128ec24333a13b"}),
+    ("theta(1)^13", 2000, ["verify", "--suite", "bounds", "--p", "3,5",
+                           "--json", "json"], 1,
+     {"json": "ea0bdcdc46871e61c053f792f67b4799e5f377a2e5cf9bb667616a86fc47df28"}),
+], ids=["u3-E4", "tp3-Delta", "tsq3-theta13", "bounds-theta13"])
+def test_operator_outputs_are_pinned(tmp_path, form, prec, argv, code,
+                                     digests):
+    # Digests taken before the operator images and eigen verdicts moved
+    # into hecke, with the exit code each command gave then.
+    src = tmp_path / "in.txt"
+    assert run("build", "--form", form, "--prec", str(prec),
+               "--out", str(src)) == 0
+    argv = [str(tmp_path / a) if a in digests else a for a in argv]
+    assert run(argv[0], "--in", str(src), *argv[1:]) == code
+    for name, digest in digests.items():
+        assert sha256_of(tmp_path / name) == digest, name
+
+
+def test_non_eigenform_verdicts(tmp_path, capsys):
+    # The eigen report lists both bound keys whenever lambda is an
+    # integer; a bounds entry lists them only for an eigenform.
+    src = tmp_path / "theta13.txt"
+    assert run("build", "--form", "theta(1)^13", "--prec", "2000",
+               "--out", str(src)) == 0
+    assert run("hecke", "--in", str(src), "--op", "tsq", "--p", "3",
+               "--verify-eigen") == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["lambda"] == 39932 and doc["is_eigen"] is False
+    assert doc["deligne_ok"] is False and doc["elementary_bound_ok"] is False
+    assert run("verify", "--in", str(src), "--suite", "bounds",
+               "--p", "3,5") == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["lambda"] for c in checks] == [39932, 10956510]
+    assert all(set(c) == {"p", "is_eigen", "lambda", "pass"} for c in checks)
 
 
 class TestLiftCommand:
@@ -515,6 +583,38 @@ class TestHeckeCommand:
                                 "and the Shimura lift need weight 3/2 or "
                                 "more\n")
         assert not out.exists()
+
+    def test_tsq_without_eigen_check_writes_the_image(self, tmp_path):
+        # g at prec 20 has a(1) = a(2) = 0, so no eigenvalue can be read
+        # off its T(9) image; without --verify-eigen none is asked for.
+        src, out = tmp_path / "g.txt", tmp_path / "tsq.txt"
+        assert run("build", "--form", "g", "--prec", "20",
+                   "--out", str(src)) == 0
+        assert run("hecke", "--in", str(src), "--op", "tsq", "--p", "3",
+                   "--out", str(out)) == 0
+        image = coeffio.read(str(out)).form
+        assert image.prec == 2 and image.level == 44
+
+    @pytest.mark.parametrize("form, prec, argv, message", [
+        ("delta", 100, ["hecke", "--op", "tsq", "--p", "11", "--out", "out"],
+         "p^2 = 121 exceeds the precision 100"),
+        ("delta", 100, ["verify", "--suite", "bounds", "--p", "11"],
+         "p^2 = 121 exceeds the precision 100"),
+        ("delta", 100, ["verify", "--suite", "recurrence", "--p", "11"],
+         "p^2 = 121 exceeds the precision 100"),
+        ("Delta", 10, ["hecke", "--op", "tp", "--p", "11", "--out", "out"],
+         "p = 11 exceeds the precision 10"),
+    ], ids=["tsq", "bounds", "recurrence", "tp"])
+    def test_prime_beyond_precision_exits_2(self, tmp_path, capsys, form,
+                                            prec, argv, message):
+        src, out = tmp_path / "f.txt", tmp_path / "out"
+        assert run("build", "--form", form, "--prec", str(prec),
+                   "--out", str(src)) == 0
+        argv = [str(out) if a == "out" else a for a in argv]
+        assert run(argv[0], "--in", str(src), *argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: %s\n" % message
+        assert captured.out == "" and not out.exists()
 
     def test_bad_prime_exits_2(self, tmp_path):
         src = tmp_path / "delta.txt"

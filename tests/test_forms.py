@@ -2,9 +2,10 @@ import math
 
 import pytest
 
+from qsigns import forms
 from qsigns import qseries as qs
 from qsigns.arith import DirichletCharacter
-from qsigns.forms import (Form, delta_form, g_form, integer_table,
+from qsigns.forms import (NAMED, Form, delta_form, g_form, integer_table,
                           plus_space_check, ramanujan_delta, x0_11_form)
 from qsigns.formspec import evaluate, parse_formspec
 
@@ -32,7 +33,7 @@ class TestDeltaForm:
         d = delta_form(10)
         assert d.weight_num == 13 and d.k == 6
         assert d.level == 4 and d.character.is_trivial
-        assert d.plus_space
+        assert NAMED["delta"][1]
 
     def test_plus_space_support(self):
         assert plus_space_check(delta_form(100)) == []
@@ -48,7 +49,7 @@ class TestGForm:
     def test_metadata(self):
         g = g_form(10)
         assert g.weight_num == 3 and g.k == 1
-        assert g.level == 44 and g.plus_space
+        assert g.level == 44 and NAMED["g"][1]
 
     def test_plus_space_support(self):
         # k odd: support is n = 0, 3 mod 4
@@ -112,17 +113,19 @@ class TestX011:
 
 
 class TestFinalization:
-    def test_plus_space_violation_detected(self):
+    def test_plus_space_violation_detected(self, monkeypatch):
         coeffs = [0] * 101
         coeffs[1], coeffs[2] = 1, 1
         f = Form(weight_num=13, level=4,
-                 character=DirichletCharacter.trivial(4),
-                 coeffs=coeffs, plus_space=False)
+                 character=DirichletCharacter.trivial(4), coeffs=coeffs)
         assert plus_space_check(f) == [2]
-        with pytest.raises(ValueError):
-            Form(weight_num=13, level=4,
-                 character=DirichletCharacter.trivial(4),
-                 coeffs=coeffs, plus_space=True)
+        # theta^13 has weight 13/2 and a(2) = r_13(2) != 0: a named form
+        # flagged for the plus space is refused, an unflagged one is not.
+        monkeypatch.setitem(NAMED, "flagged", ("theta(1)^13", True))
+        monkeypatch.setitem(NAMED, "unflagged", ("theta(1)^13", False))
+        with pytest.raises(ValueError, match="fails at n=2"):
+            forms._named("flagged", 20)
+        assert plus_space_check(forms._named("unflagged", 20))[0] == 2
 
     @pytest.mark.parametrize("weight_num, level", [(13, 0), (13, -4),
                                                    (24, 0), (24, -1)])

@@ -151,7 +151,7 @@ class TestEvaluate:
     def test_eta24(self):
         s, den = evaluate(parse_formspec("eta(1)^24"), 5)
         assert den == 1
-        assert [s.coefficient(n) for n in range(1, 5)] == tau_list(5)[1:5]
+        assert s.offset == 1 and s.coeffs[:4] == tau_list(5)[1:5]
 
     def test_e4(self):
         s, den = evaluate(parse_formspec("E4(1)"), 3)
@@ -164,7 +164,8 @@ class TestEvaluate:
     def test_u_gets_extra_working_precision(self):
         s, _ = evaluate(parse_formspec("U(4, theta(1))"), 10)
         assert s.prec >= 10
-        assert [s.coefficient(n) for n in (0, 1, 4, 9)] == [1, 2, 2, 2]
+        assert s.offset == 0
+        assert [s.coeffs[n] for n in (0, 1, 4, 9)] == [1, 2, 2, 2]
 
     def test_fractional_offset_into_u_rejected(self):
         with pytest.raises(ValueError):
@@ -223,4 +224,13 @@ class TestMetadataHints:
         assert self.level("theta(3)*eta(2)") == 12
         assert self.level("thetapsi(-3, 2)") == 72
         assert self.level("U(3, theta(1))") == 12
+
+    def test_u_level(self):
+        # U(m, .) has the level of the U_m image (arith.u_level): a
+        # half-integral argument and a non-square m give lcm(N, 4m), so
+        # theta | U_2 = theta(2z) lies on level 8 like theta(2).
+        assert self.level("U(2, theta(1))") == self.level("theta(2)") == 8
+        assert self.level("U(4, theta(1))") == 4
+        assert self.level("U(2, E4(1))") == 2
+        assert self.level("U(2, eta(1)^24)") == 2
         assert self.level("2*theta(1) - theta(2)") == 8

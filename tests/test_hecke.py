@@ -4,7 +4,8 @@ import pytest
 
 from qsigns import hecke, signs
 from qsigns.arith import DirichletCharacter, chi_t, divisors, kronecker
-from qsigns.forms import Form, delta_form, ramanujan_delta
+from qsigns.forms import (Form, delta_form, expression_form, ramanujan_delta,
+                          x0_11_form)
 from qsigns.qseries import PrecisionError
 
 from oracles import recurrence_oracle
@@ -85,11 +86,11 @@ class TestShimuraLift:
 
 class TestTSquareHalf:
     def test_delta_p3_first_entry(self, delta3k):
-        b = hecke.t_square_half(3, delta3k)
+        b = hecke.t_square_half(3, delta3k).coeffs
         assert b[1] == 252 * delta3k.a(1) == 252
 
     def test_g_p3_at_3(self, g3k):
-        b = hecke.t_square_half(3, g3k)
+        b = hecke.t_square_half(3, g3k).coeffs
         assert b[3] == -1 * g3k.a(3) == -1
 
     def test_delta_p5_eigenvalue(self, delta3k, delta_wt12):
@@ -113,14 +114,55 @@ class TestTSquareHalf:
             assert rg.is_eigen and rg.lam == g11_wt2.a(p), p
 
 
+class TestOperatorPrecision:
+    def test_p_squared_beyond_precision_is_refused(self):
+        with pytest.raises(ValueError,
+                           match=r"p\^2 = 121 exceeds the precision 100"):
+            hecke.t_square_half(11, delta_form(100))
+        assert hecke.t_square_half(11, delta_form(121)).prec == 1
+
+    def test_p_beyond_precision_is_refused(self):
+        with pytest.raises(ValueError, match="p = 13 exceeds the precision 12"):
+            hecke.t_integral(13, x0_11_form(12))
+        assert hecke.t_integral(13, x0_11_form(13)).prec == 1
+
+
+class TestUImage:
+    @pytest.mark.parametrize("spec", ["theta(1)", "theta(1)^3", "E4(1)",
+                                      "eta(1)^24",
+                                      "eta(2)*eta(22)*theta(11)"])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 9])
+    def test_agrees_with_the_expression(self, spec, m):
+        # f | U_m and the expression U(m, f) have one level rule and the
+        # same coefficients.
+        f, _ = expression_form(spec, 240)
+        image = hecke.u_image(m, f)
+        expr, _ = expression_form("U(%d, %s)" % (m, spec), 240 // m)
+        assert (image.weight_num, image.level, image.coeffs) == \
+            (expr.weight_num, expr.level, expr.coeffs)
+
+    def test_character(self, delta3k):
+        assert hecke.u_image(3, delta3k).character == \
+            DirichletCharacter(top=16 * 12, modulus=12)
+        assert hecke.u_image(4, delta3k).character == \
+            DirichletCharacter.trivial(4)
+        assert hecke.u_image(3, ramanujan_delta(30)).character == \
+            DirichletCharacter.trivial(3)
+
+    @pytest.mark.parametrize("m", [0, -2])
+    def test_index_must_be_positive(self, delta3k, m):
+        with pytest.raises(ValueError, match="index must be positive"):
+            hecke.u_image(m, delta3k)
+
+
 class TestTIntegral:
     def test_delta_wt12(self, delta_wt12):
         for p in (2, 3):
-            seq = hecke.t_integral(p, delta_wt12)
+            seq = hecke.t_integral(p, delta_wt12).coeffs
             assert seq[1] == delta_wt12.a(p)
 
     def test_g11(self, g11_wt2):
-        assert hecke.t_integral(3, g11_wt2)[1] == g11_wt2.a(3) == -1
+        assert hecke.t_integral(3, g11_wt2).coeffs[1] == g11_wt2.a(3) == -1
 
     def test_bad_prime_rejected(self, g11_wt2):
         with pytest.raises(ValueError):
@@ -138,7 +180,8 @@ class TestTIntegral:
         for p in (3, 5, 7, 11, 13):
             upstairs = hecke.eigen_report(delta3k, p)
             downstairs = hecke.extract_eigenvalue(
-                F.coeffs[:F.prec // p + 1], hecke.t_integral(p, F), p=p, k=6)
+                F.coeffs[:F.prec // p + 1], hecke.t_integral(p, F).coeffs,
+                p=p, k=6)
             assert upstairs.is_eigen and downstairs.is_eigen, p
             assert upstairs.lam == downstairs.lam == delta_wt12.a(p), p
 
@@ -147,11 +190,12 @@ class TestExtractEigenvalue:
     def test_eigen_case(self, delta3k):
         before = delta3k.coeffs[:delta3k.prec // 9 + 1]
         rep = hecke.extract_eigenvalue(before,
-                                       hecke.t_square_half(3, delta3k),
+                                       hecke.t_square_half(3, delta3k).coeffs,
                                        p=3, k=6)
         assert rep.is_eigen and rep.lam == 252
         assert rep.first_violation is None
         assert rep.satake == (252, 3 ** 11, -1)
+        assert rep.deligne_ok and rep.elementary_bound_ok
 
     def test_non_eigenform_mix(self, delta3k, g3k):
         # delta + g (padded) is not an eigenform of T(9)
@@ -162,18 +206,27 @@ class TestExtractEigenvalue:
                    character=DirichletCharacter.trivial(4),
                    coeffs=mix_coeffs)
         rep = hecke.extract_eigenvalue(mix.coeffs[:prec // 9 + 1],
-                                       hecke.t_square_half(3, mix))
+                                       hecke.t_square_half(3, mix).coeffs,
+                                       p=3, k=6)
         assert not rep.is_eigen
         assert rep.first_violation is not None
 
     def test_all_zero_before_rejected(self):
         with pytest.raises(ValueError):
-            hecke.extract_eigenvalue([0, 0, 0], [0, 5, 5])
+            hecke.extract_eigenvalue([0, 0, 0], [0, 5, 5], p=3, k=6)
 
     def test_non_integral_ratio(self):
-        rep = hecke.extract_eigenvalue([0, 2, 4], [0, 3, 6])
+        rep = hecke.extract_eigenvalue([0, 2, 4], [0, 3, 6], p=3, k=6)
         assert not rep.is_eigen and rep.lam is None
         assert "not an integer" in rep.note
+        assert rep.satake is rep.deligne_ok is rep.elementary_bound_ok is None
+
+    def test_integer_lambda_gets_bound_verdicts(self):
+        # lam = 12 at p = 3 in weight 3/2 breaks both bounds, eigen or not.
+        for after, eigen in (([0, 12, 24], True), ([0, 12, 25], False)):
+            rep = hecke.extract_eigenvalue([0, 1, 2], after, p=3, k=1)
+            assert (rep.lam, rep.is_eigen) == (12, eigen)
+            assert rep.deligne_ok is rep.elementary_bound_ok is False
 
 
 def test_weight_one_half_is_refused():

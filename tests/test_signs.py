@@ -68,8 +68,8 @@ class TestScanOracle:
     def _check(self, values, indices):
         rep = scan(artificial_form(values[1:]), indices)
         n_pos, n_neg, n_zero, positions, witnesses = sign_scan(values, indices)
-        assert (rep.n_pos, rep.n_neg, rep.n_zero_skipped) == \
-            (n_pos, n_neg, n_zero)
+        assert (rep.n_pos, rep.n_neg, rep.entries - rep.n_pos - rep.n_neg) \
+            == (n_pos, n_neg, n_zero)
         assert rep.entries == len(indices)
         assert rep.change_positions == positions
         assert rep.sign_change_count == len(positions)
@@ -114,7 +114,7 @@ class TestRPlusTot:
     def test_delta_at_10(self, delta3k):
         rep = r_plus_tot(delta3k, 10)
         assert rep.ratio == Fraction(3, 5)
-        assert (rep.n_pos, rep.n_neg, rep.n_zero_skipped) == (3, 2, 5)
+        assert (rep.n_pos, rep.n_neg, rep.entries) == (3, 2, 10)
         assert rep.ratio_rendered(3) == "0.600"
 
     def test_g_at_10(self, g3k):
