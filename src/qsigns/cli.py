@@ -119,7 +119,7 @@ def cmd_build(args) -> int:
     else:
         # An expression is written from its series' integer offset on.
         form, offset = forms.expression_form(
-            ALIASES.get(args.form, args.form), args.prec, start=0)
+            ALIASES.get(args.form, args.form), args.prec)
         cf = coeffio.CoefficientFile(args.form, form, offset=offset)
     cf.write(args.out)
     return 0
@@ -266,7 +266,7 @@ def _suite_plus_space(cf):
     bad = forms.plus_space_check(f)
     doc = {"schema": JSON_SCHEMA, "suite": "plus-space", "form": cf.form_id,
            "pass": not bad,
-           "violations": [{"n": n, "a": f.a(n)} for n in bad[:10]]}
+           "violations": [{"n": n, "a": f.coeffs[n]} for n in bad[:10]]}
     return doc, not bad
 
 
@@ -279,7 +279,7 @@ def _suite_recurrence(cf, ts, ps):
             rep = hecke.recurrence_check(f, t, p)
             checks.append({"t": t, "p": p, "pass": rep.ok, "lambda": rep.lam,
                            "max_m": rep.max_m, "violation_m": rep.violation_m,
-                           "witnesses": [{"n": n, "a": f.a(n)} for n in
+                           "witnesses": [{"n": n, "a": f.coeffs[n]} for n in
                                          rep.indices[:min(rep.max_m, 2) + 1]]})
             ok = ok and rep.ok
     return {"schema": JSON_SCHEMA, "suite": "recurrence", "form": cf.form_id,
@@ -309,7 +309,7 @@ def _suite_prop2(cf, ps, limit):
     for p in ps:
         found = signs.prop2_witnesses(form, p, limit)
         witnesses = [{"eps": e, "sign": s, "n": n,
-                      "a": None if n is None else form.a(n)}
+                      "a": None if n is None else form.coeffs[n]}
                      for (e, s), n in sorted(found.items(), reverse=True)]
         complete = all(n is not None for n in found.values())
         checks.append({"p": p, "pass": complete, "witnesses": witnesses})

@@ -17,11 +17,11 @@ nonzero coefficient, ascending n, decimal integers:
 A CoefficientFile is a Form plus what only a file has: the form id, the
 offset and the lift index t.  The weight (numerator over 2; even
 numerators are integral weights), level, character and prec lines are
-the Form's.  The offset is the least index the body may hold: named
-forms, lifts and operator images are written from a(1) with offset 1,
-an expression from its series' integer offset (0 keeps a constant term
-in coeffs[0]).  An optional '# t: <int>' line after the offset records
-the lift index, a square-free positive integer.
+the Form's.  The offset is the least index the body may hold, with no
+nonzero coefficient below it: 0 when a(0) is nonzero and 1 otherwise,
+unless given (only an expression build gives one, its series' integer
+offset).  An optional '# t: <int>' line after the offset records the
+lift index, a square-free positive integer.
 
 Serialization is canonical, and parse accepts only a header that
 serialize writes back byte for byte: no unknown, repeated or reordered
@@ -65,8 +65,18 @@ class CoefficientFile:
 
     form_id: str
     form: Form
-    offset: int = 1
+    offset: int | None = None
     t: int | None = None
+
+    def __post_init__(self):
+        coeffs = self.form.coeffs
+        if self.offset is None:
+            self.offset = 0 if coeffs[0] else 1
+        if self.offset < 0:
+            raise ValueError("negative offset %d" % self.offset)
+        if any(coeffs[:self.offset]):
+            raise ValueError("nonzero coefficient below the offset %d"
+                             % self.offset)
 
     def _header(self) -> list[str]:
         f = self.form
@@ -84,8 +94,7 @@ class CoefficientFile:
     def serialize(self) -> str:
         coeffs = self.form.coeffs
         lines = self._header()
-        lines.extend("%d\t%d" % (n, coeffs[n])
-                     for n in range(self.offset, len(coeffs)) if coeffs[n])
+        lines.extend("%d\t%d" % (n, c) for n, c in enumerate(coeffs) if c)
         return "\n".join(lines) + "\n"
 
     def write(self, path: str):
@@ -126,8 +135,6 @@ def parse(text: str) -> CoefficientFile:
                                    coeffs=[0] * (prec + 1)),
                          offset=int(header["offset"]),
                          t=int(header["t"]) if "t" in header else None)
-    if cf.offset < 0:
-        raise ValueError("negative offset %d" % cf.offset)
     if cf.t is not None and (cf.t < 1 or not is_squarefree(cf.t)):
         raise ValueError("lift index t=%d is not a square-free positive "
                          "integer" % cf.t)

@@ -35,8 +35,7 @@ class Form:
     Odd weight_num is a half-integral weight k + 1/2 on a level divisible
     by 4; even weight_num is an even integral weight 2k.  The level is
     positive.  coeffs[n] = a(n) for 0 <= n <= prec = len(coeffs) - 1;
-    coeffs[0] holds a(0), the constant term an offset-0 file such as E4's
-    stores, and no statistic reads it.
+    a(0) is an ordinary entry (1 for E4), and no statistic reads it.
     """
 
     weight_num: int
@@ -68,13 +67,6 @@ class Form:
         """k of the weight k + 1/2, or of the integral weight 2k."""
         return self.weight_num // (2 if self.half_integral else 4)
 
-    def a(self, n: int) -> int:
-        if n < 1:
-            raise ValueError("coefficients are indexed from 1")
-        if n > self.prec:
-            raise PrecisionError("a(%d) beyond precision %d" % (n, self.prec))
-        return self.coeffs[n]
-
 
 def plus_space_check(f: Form) -> list[int]:
     """Indices n <= prec violating a(n) = 0 for (-1)^k n = 2, 3 mod 4."""
@@ -85,10 +77,9 @@ def plus_space_check(f: Form) -> list[int]:
             if (sign * n) % 4 in (2, 3) and f.coeffs[n] != 0]
 
 
-def integer_table(series: QSeries, prec: int, start: int = 1,
-                  den: int = 1) -> list[int]:
-    """Read a(start)..a(prec) off series / den, asserting integrality; the
-    entries below start are zero.
+def integer_table(series: QSeries, prec: int, den: int = 1) -> list[int]:
+    """Read a(0)..a(prec) off series / den, asserting integrality; the
+    entries below the series' offset are zero.
 
     The series must have an integral offset and cover exponents up to
     prec; den (as formspec.evaluate returns it) must divide every
@@ -100,7 +91,7 @@ def integer_table(series: QSeries, prec: int, start: int = 1,
     off = int(series.offset)
     if off + series.prec <= prec:
         raise PrecisionError("q^%d beyond precision" % prec)
-    lo = max(start, off)
+    lo = max(0, off)
     head = [0] * min(lo, prec + 1)
     window = series.coeffs[lo - off:prec + 1 - off]
     if den != 1:
@@ -112,11 +103,10 @@ def integer_table(series: QSeries, prec: int, start: int = 1,
     return head + window
 
 
-def expression_form(spec: str, prec: int,
-                    start: int = 1) -> tuple[Form, int]:
-    """The Form of a formspec expression through q^prec, with the weight
-    and level of formspec.signature and the trivial character, and its
-    series' integer offset.  Entries below start are zero."""
+def expression_form(spec: str, prec: int) -> tuple[Form, int]:
+    """The Form of a formspec expression, a(0) through a(prec), with the
+    weight and level of formspec.signature and the trivial character, and
+    its series' integer offset."""
     if prec < 1:
         raise ValueError("prec must be positive")
     ast = formspec.parse_formspec(spec)
@@ -124,7 +114,7 @@ def expression_form(spec: str, prec: int,
     series, den = formspec.evaluate(ast, prec + 1)
     form = Form(weight_num=int(2 * weight), level=level,
                 character=DirichletCharacter.trivial(level),
-                coeffs=integer_table(series, prec, start, den))
+                coeffs=integer_table(series, prec, den))
     return form, int(series.offset)
 
 

@@ -1,10 +1,10 @@
 """Hecke operators, U_m, the Shimura lift, and eigenvalue diagnostics.
 
 Every operator returns its image as a Form whose table covers
-1 <= n <= its own precision (the entry at 0 is never read): T(p^2) and
-T(p) keep the input's weight, level and character, and u_image gives
-U_m's.  T(p^2) refuses p^2 above the precision and T(p) refuses p above
-it, since the image would hold no coefficient.
+0 <= n <= its own precision: the q-expansion formulas hold at n = 0
+(T(p) E4 = sigma_3(p) E4).  T(p^2) and T(p) keep the input's weight,
+level and character, and u_image gives U_m's.  T(p^2), T(p) and U_m
+refuse a p^2, p or m above the precision, which would leave only a(0).
 Eigenvalue extraction is exact integer arithmetic; a non-dividing ratio
 is a hard not-an-eigenform verdict, never a rounding question.  An
 EigenReport carries the whole verdict: the eigenvalue, its Satake data
@@ -43,12 +43,13 @@ def shimura_lift(f: Form, t: int) -> Form:
         A(n) = sum_{d | n} chi_t(d) d^(k-1) a(n^2 t / d^2),
 
     chi_t(d) = chi(d) ((-1)^k t / d) with chi the form's character,
-    valid for the n with t n^2 <= prec (signs.square_class).  The lift
-    is a weight-2k form on level N/2 with the squared character (trivial
-    on the residues coprime to the level).
+    valid for the n with t n^2 <= prec (signs.square_class).  The
+    divisor sum does not define A(0), so the lift's table holds 0 there.
+    The lift is a weight-2k form on level N/2 with the squared character
+    (trivial on the residues coprime to the level).
     """
     _require_weight(f, half_integral=True)
-    k, N = f.k, f.level
+    k, N, a = f.k, f.level, f.coeffs
     indices = square_class(f, t)
     out = [0] * (len(indices) + 1)
     for n, nn_t in enumerate(indices, start=1):
@@ -56,7 +57,7 @@ def shimura_lift(f: Form, t: int) -> Form:
         for d in divisors(n):
             chi = chi_t(f.character, k, t, d)
             if chi:
-                acc += chi * d ** (k - 1) * f.a(nn_t // (d * d))
+                acc += chi * d ** (k - 1) * a[nn_t // (d * d)]
         out[n] = acc
     return Form(weight_num=4 * k, level=N // 2,
                 character=DirichletCharacter.trivial(N // 2), coeffs=out)
@@ -68,7 +69,7 @@ def t_square_half(p: int, f: Form) -> Form:
         b(n) = a(p^2 n) + chi*(p) (n/p) p^(k-1) a(n)
              + chi(p)^2 p^(2k-1) a(n / p^2),
 
-    with the last term zero unless p^2 | n.  Valid for n <= prec // p^2.
+    with the last term zero unless p^2 | n.  Valid for 0 <= n <= prec // p^2.
     """
     _require_weight(f, half_integral=True)
     require_good_prime(p, f.level)
@@ -80,13 +81,13 @@ def t_square_half(p: int, f: Form) -> Form:
     c2 = f.character(p) ** 2
     pk1 = p ** (k - 1)
     p2k1 = p ** (2 * k - 1)
-    prec = f.prec // psq
-    out = [0] * (prec + 1)
-    for n in range(1, prec + 1):
-        b = f.a(psq * n) + cs * kronecker(n, p) * pk1 * f.a(n)
+    a = f.coeffs
+    out = []
+    for n in range(f.prec // psq + 1):
+        b = a[psq * n] + cs * kronecker(n, p) * pk1 * a[n]
         if n % psq == 0:
-            b += c2 * p2k1 * f.a(n // psq)
-        out[n] = b
+            b += c2 * p2k1 * a[n // psq]
+        out.append(b)
     return replace(f, coeffs=out)
 
 
@@ -95,7 +96,7 @@ def t_integral(p: int, F: Form) -> Form:
 
         B(n) = A(p n) + chi^2(p) p^(2k-1) A(n / p),
 
-    valid for n <= prec // p.
+    valid for 0 <= n <= prec // p.
     """
     _require_weight(F, half_integral=False)
     require_good_prime(p, F.level)
@@ -103,18 +104,19 @@ def t_integral(p: int, F: Form) -> Form:
         raise ValueError("p = %d exceeds the precision %d" % (p, F.prec))
     c2 = F.character(p) ** 2
     p2k1 = p ** (2 * F.k - 1)
-    prec = F.prec // p
-    out = [0] * (prec + 1)
-    for n in range(1, prec + 1):
-        b = F.a(p * n)
+    A = F.coeffs
+    out = []
+    for n in range(F.prec // p + 1):
+        b = A[p * n]
         if n % p == 0:
-            b += c2 * p2k1 * F.a(n // p)
-        out[n] = b
+            b += c2 * p2k1 * A[n // p]
+        out.append(b)
     return replace(F, coeffs=out)
 
 
 def u_image(m: int, f: Form) -> Form:
-    """f | U_m: b(n) = a(m n) for n <= prec // m, on level arith.u_level.
+    """f | U_m: b(n) = a(m n) for 0 <= n <= prec // m, on level
+    arith.u_level; m must not exceed the precision.
 
     A half-integral f and a non-square m give the character chi (4m/.)
     (Ono, The Web of Modularity, Prop. 3.7); otherwise a trivial
@@ -122,6 +124,8 @@ def u_image(m: int, f: Form) -> Form:
     """
     if m < 1:
         raise ValueError("index must be positive")
+    if m > f.prec:
+        raise ValueError("m = %d exceeds the precision %d" % (m, f.prec))
     level = u_level(f.level, m, f.half_integral)
     character = f.character
     if f.half_integral and isqrt(m) ** 2 != m:
@@ -130,13 +134,13 @@ def u_image(m: int, f: Form) -> Form:
     elif character.is_trivial:
         character = DirichletCharacter.trivial(level)
     return replace(f, level=level, character=character,
-                   coeffs=[0] + f.coeffs[m::m])
+                   coeffs=f.coeffs[::m])
 
 
 def extract_eigenvalue(seq_before: list[int], seq_after: list[int], p: int,
                        k: int) -> EigenReport:
     """Compare a form's table with its T(p^2) or T(p) image on their
-    shared index range; k is the k of the form's weight.
+    shared index range from n = 1; k is the k of the form's weight.
 
     The candidate eigenvalue is read off at the first index where
     seq_before is nonzero and divides exactly; is_eigen requires

@@ -110,15 +110,6 @@ class QSeries:
             if c:
                 yield i, c
 
-    def truncate(self, prec: int) -> "QSeries":
-        """Restrict the window to the first prec grid positions."""
-        if prec < 0:
-            raise ValueError("prec must be nonnegative")
-        if prec > self.prec:
-            raise PrecisionError("cannot extend precision from %d to %d"
-                                 % (self.prec, prec))
-        return QSeries(self.offset, self.coeffs[:prec])
-
     # -- operators ---------------------------------------------------------
 
     def __eq__(self, other):
@@ -253,15 +244,12 @@ def derive(a: QSeries) -> QSeries:
                          for i, c in enumerate(a.coeffs)])
 
 
-def dilate(m: int, a: QSeries, max_prec: int | None = None) -> QSeries:
-    """Substitute q -> q^m: exponent e maps to m*e, prec scales to m*prec."""
+def dilate(m: int, a: QSeries, max_prec: int) -> QSeries:
+    """Substitute q -> q^m: exponent e maps to m*e, and the result keeps
+    the first min(m*prec, max_prec) grid positions (m = 1 only cuts)."""
     if m < 1:
         raise ValueError("dilation index must be a positive integer")
-    if m == 1:
-        return a if max_prec is None else a.truncate(min(max_prec, a.prec))
-    prec = a.prec * m
-    if max_prec is not None:
-        prec = min(prec, max_prec)
+    prec = min(a.prec * m, max_prec)
     out = [0] * prec
     out[::m] = a.coeffs[:(prec + m - 1) // m]
     return QSeries(a.offset * m, out)

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .arith import (is_fundamental_discriminant, is_squarefree, kronecker,
-                    require_good_prime)
+from .arith import (is_fundamental_discriminant, is_prime, is_squarefree,
+                    kronecker, require_good_prime)
 from .forms import Form
 
 # How many nonzero (n, a(n)) pairs a scan keeps as witnesses.
@@ -159,11 +159,14 @@ def _ratio_scan(f: Form, indices, X: int) -> SignStatsReport:
 
 
 def dprime_filter(T, primes, eps) -> list[int]:
-    """Keep the t with (t/p_j) = eps_j for every j."""
+    """Keep the t with (t/p_j) = eps_j for every prime p_j."""
     if len(primes) != len(eps):
         raise ValueError("primes and eps must have equal length")
     if len(set(primes)) != len(primes):
         raise ValueError("primes must be distinct")
+    for p in primes:
+        if not is_prime(p):
+            raise ValueError("%d is not prime" % p)
     return [t for t in T
             if all(kronecker(t, p) == e for p, e in zip(primes, eps))]
 

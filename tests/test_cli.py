@@ -89,7 +89,7 @@ class TestCoefficientFile:
             coeffs=[0, 1, -24]))
         text = cf.serialize()
         f = coeffio.parse(text).form
-        assert f.a(2) == -24 and f.k == 6 and not f.half_integral
+        assert f.coeffs[2] == -24 and f.k == 6 and not f.half_integral
         # a half-integral weight needs 4 | level
         with pytest.raises(ValueError):
             coeffio.parse(text.replace("# weight: 24/2", "# weight: 13/2"))
@@ -153,6 +153,17 @@ class TestCoefficientFile:
         except ValueError:
             return
         assert cf.serialize() == text
+
+    def test_offset_follows_the_constant_term(self):
+        def coefficient_file(coeffs, **kw):
+            return coeffio.CoefficientFile("x", Form(
+                weight_num=8, level=1,
+                character=DirichletCharacter.trivial(1), coeffs=coeffs), **kw)
+        assert coefficient_file([1, 240]).offset == 0
+        assert coefficient_file([0, 1]).offset == 1
+        with pytest.raises(ValueError,
+                           match="nonzero coefficient below the offset 1"):
+            coefficient_file([1, 240], offset=1)
 
     def test_full_header_round_trips(self):
         cf = coeffio.parse(self.FULL)
@@ -409,7 +420,7 @@ def test_read_side_outputs_are_pinned(files_1e4, tmp_path, argv, digest):
 
 @pytest.mark.parametrize("form, prec, argv, code, digests", [
     ("E4", 300, ["hecke", "--op", "u", "--p", "3", "--out", "out"], 0,
-     {"out": "f4a89a874a70bd9cf9bddbe11b0ea2ecd395c3714a439e89d6f060def50db18e"}),
+     {"out": "15a645a2d077e16ee33b922952bbe9c0c448f6cf8bb403e7fd8ad6626ecb46b7"}),
     ("Delta", 2000, ["hecke", "--op", "tp", "--p", "3", "--verify-eigen",
                      "--out", "out", "--json", "json"], 0,
      {"out": "ae4d5000e3892699c3c79598cf98372aeb66edadb384b3085381ee36599b6817",
@@ -425,7 +436,9 @@ def test_read_side_outputs_are_pinned(files_1e4, tmp_path, argv, digest):
 def test_operator_outputs_are_pinned(tmp_path, form, prec, argv, code,
                                      digests):
     # Digests taken before the operator images and eigen verdicts moved
-    # into hecke, with the exit code each command gave then.
+    # into hecke, with the exit code each command gave then; u3-E4 was
+    # taken again when images began to keep their constant term (its
+    # body now starts at 0<TAB>1, as the U(3, E4(1)) build's does).
     src = tmp_path / "in.txt"
     assert run("build", "--form", form, "--prec", str(prec),
                "--out", str(src)) == 0
@@ -604,7 +617,9 @@ class TestHeckeCommand:
          "p^2 = 121 exceeds the precision 100"),
         ("Delta", 10, ["hecke", "--op", "tp", "--p", "11", "--out", "out"],
          "p = 11 exceeds the precision 10"),
-    ], ids=["tsq", "bounds", "recurrence", "tp"])
+        ("delta", 100, ["hecke", "--op", "u", "--p", "500", "--out", "out"],
+         "m = 500 exceeds the precision 100"),
+    ], ids=["tsq", "bounds", "recurrence", "tp", "u"])
     def test_prime_beyond_precision_exits_2(self, tmp_path, capsys, form,
                                             prec, argv, message):
         src, out = tmp_path / "f.txt", tmp_path / "out"
@@ -615,6 +630,33 @@ class TestHeckeCommand:
         captured = capsys.readouterr()
         assert captured.err == "error: %s\n" % message
         assert captured.out == "" and not out.exists()
+
+    def test_u_image_is_its_expression(self, tmp_path):
+        # hecke's U_3 and the expression U(3, E4(1)) write the same file,
+        # a(0) = 1 included, apart from the form id.
+        src, image, expr = (tmp_path / n for n in ("e4.txt", "u3.txt",
+                                                   "expr.txt"))
+        assert run("build", "--form", "E4", "--prec", "300",
+                   "--out", str(src)) == 0
+        assert run("hecke", "--in", str(src), "--op", "u", "--p", "3",
+                   "--out", str(image)) == 0
+        assert run("build", "--form", "U(3, E4(1))", "--prec", "100",
+                   "--out", str(expr)) == 0
+        assert read_lines(image)[1] == "# form: u3(E4)"
+        assert read_lines(image)[2:] == read_lines(expr)[2:]
+        assert "0\t1" in read_lines(image)
+
+    @pytest.mark.parametrize("p, sigma3", [(2, 9), (3, 28)])
+    def test_tp_of_e4_is_sigma3_times_e4(self, tmp_path, p, sigma3):
+        src, out = tmp_path / "e4.txt", tmp_path / "tp.txt"
+        assert run("build", "--form", "E4", "--prec", "300",
+                   "--out", str(src)) == 0
+        assert run("hecke", "--in", str(src), "--op", "tp", "--p", str(p),
+                   "--out", str(out)) == 0
+        e4, image = coeffio.read(str(src)).form, coeffio.read(str(out)).form
+        assert image.prec == 300 // p
+        assert image.coeffs == [sigma3 * c for c in e4.coeffs[:image.prec + 1]]
+        assert read_lines(out)[6:8] == ["# offset: 0", "0\t%d" % sigma3]
 
     def test_bad_prime_exits_2(self, tmp_path):
         src = tmp_path / "delta.txt"
@@ -714,6 +756,17 @@ class TestSignsCommand:
         survey = doc["reports"][0]
         assert survey["kind"] == "dprime-survey"
         assert all(t % 3 != 0 for t in survey["t_values"])
+
+    @pytest.mark.parametrize("dprime, bad", [("9:1,25:-1", 9), ("1:1", 1),
+                                              ("0:1", 0)])
+    def test_dprime_needs_primes(self, tmp_path, capsys, dprime, bad):
+        src, csv = tmp_path / "delta.txt", tmp_path / "out.csv"
+        run("build", "--form", "delta", "--prec", "300", "--out", str(src))
+        assert run("signs", "--in", str(src), "--X-list", "10",
+                   "--csv", str(csv), "--dprime", dprime) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: %d is not prime\n" % bad
+        assert captured.out == "" and not csv.exists()
 
     def test_unknown_stat_exits_2(self, tmp_path):
         src = tmp_path / "delta.txt"

@@ -6,7 +6,6 @@ from qsigns import hecke, signs
 from qsigns.arith import DirichletCharacter, chi_t, divisors, kronecker
 from qsigns.forms import (Form, delta_form, expression_form, ramanujan_delta,
                           x0_11_form)
-from qsigns.qseries import PrecisionError
 
 from oracles import recurrence_oracle
 
@@ -19,7 +18,7 @@ DELTA_POWERS_OF_3 = [1, 9, -174879, -45663831, 19472004801]
 
 def powers(f, t, p):
     """a(t p^(2m)) along signs.prime_powers."""
-    return [f.a(n) for n in signs.prime_powers(f, t, p)]
+    return [f.coeffs[n] for n in signs.prime_powers(f, t, p)]
 
 
 def test_frozen_values_match_their_oracle():
@@ -29,9 +28,9 @@ def test_frozen_values_match_their_oracle():
 class TestShimuraLift:
     def test_leading_values(self, delta3k):
         lift = hecke.shimura_lift(delta3k, 1)
-        assert lift.a(1) == 1
-        assert lift.a(2) == -56
-        assert lift.a(3) == 252
+        assert lift.coeffs[1] == 1
+        assert lift.coeffs[2] == -56
+        assert lift.coeffs[3] == 252
 
     def test_result_metadata(self, delta3k):
         lift = hecke.shimura_lift(delta3k, 1)
@@ -44,15 +43,11 @@ class TestShimuraLift:
     def test_lift_reads_only_its_window(self):
         lift = hecke.shimura_lift(delta_form(400), 1)
         assert lift.prec == 20    # isqrt(400)
-        with pytest.raises(ValueError):
-            lift.a(-1)
-        with pytest.raises(PrecisionError):
-            lift.a(21)
 
     def test_first_entry_is_a_t(self, delta3k, g3k):
         for f, t in ((delta3k, 1), (delta3k, 5), (g3k, 3)):
             lift = hecke.shimura_lift(f, t)
-            assert lift.a(1) == f.a(t)
+            assert lift.coeffs[1] == f.coeffs[t]
 
     @pytest.mark.parametrize("t", [1, 5])
     def test_lift_uses_the_form_character(self, t):
@@ -71,7 +66,7 @@ class TestShimuraLift:
     def test_odd_lift_values_are_tau(self, delta3k, delta_wt12):
         lift = hecke.shimura_lift(delta3k, 1)
         for n in range(1, lift.prec + 1, 2):
-            assert lift.a(n) == delta_wt12.a(n), n
+            assert lift.coeffs[n] == delta_wt12.coeffs[n], n
 
     def test_rejects_bad_t(self, delta3k):
         with pytest.raises(ValueError):
@@ -87,15 +82,24 @@ class TestShimuraLift:
 class TestTSquareHalf:
     def test_delta_p3_first_entry(self, delta3k):
         b = hecke.t_square_half(3, delta3k).coeffs
-        assert b[1] == 252 * delta3k.a(1) == 252
+        assert b[1] == 252 * delta3k.coeffs[1] == 252
 
     def test_g_p3_at_3(self, g3k):
         b = hecke.t_square_half(3, g3k).coeffs
-        assert b[3] == -1 * g3k.a(3) == -1
+        assert b[3] == -1 * g3k.coeffs[3] == -1
 
     def test_delta_p5_eigenvalue(self, delta3k, delta_wt12):
         rep = hecke.eigen_report(delta3k, 5)
-        assert rep.is_eigen and rep.lam == delta_wt12.a(5) == 4830
+        assert rep.is_eigen and rep.lam == delta_wt12.coeffs[5] == 4830
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_theta_cubed_keeps_its_constant_term(self, p):
+        # M_{3/2}(4) is spanned by theta^3, so T(p^2) theta^3 =
+        # (1 + p) theta^3 at every index, a(0) = 1 included.
+        f, _ = expression_form("theta(1)^3", 300)
+        b = hecke.t_square_half(p, f).coeffs
+        assert b[0] == 1 + p
+        assert b == [(1 + p) * c for c in f.coeffs[:len(b)]]
 
     def test_bad_prime_rejected(self, delta3k, g3k):
         with pytest.raises(ValueError):
@@ -109,9 +113,9 @@ class TestTSquareHalf:
                                           g11_wt2):
         for p in (3, 5, 7, 13):
             rd = hecke.eigen_report(delta3k, p)
-            assert rd.is_eigen and rd.lam == delta_wt12.a(p), p
+            assert rd.is_eigen and rd.lam == delta_wt12.coeffs[p], p
             rg = hecke.eigen_report(g3k, p)
-            assert rg.is_eigen and rg.lam == g11_wt2.a(p), p
+            assert rg.is_eigen and rg.lam == g11_wt2.coeffs[p], p
 
 
 class TestOperatorPrecision:
@@ -125,6 +129,12 @@ class TestOperatorPrecision:
         with pytest.raises(ValueError, match="p = 13 exceeds the precision 12"):
             hecke.t_integral(13, x0_11_form(12))
         assert hecke.t_integral(13, x0_11_form(13)).prec == 1
+
+    def test_m_beyond_precision_is_refused(self):
+        with pytest.raises(ValueError,
+                           match="m = 101 exceeds the precision 100"):
+            hecke.u_image(101, delta_form(100))
+        assert hecke.u_image(100, delta_form(100)).prec == 1
 
 
 class TestUImage:
@@ -159,10 +169,11 @@ class TestTIntegral:
     def test_delta_wt12(self, delta_wt12):
         for p in (2, 3):
             seq = hecke.t_integral(p, delta_wt12).coeffs
-            assert seq[1] == delta_wt12.a(p)
+            assert seq[1] == delta_wt12.coeffs[p]
 
     def test_g11(self, g11_wt2):
-        assert hecke.t_integral(3, g11_wt2).coeffs[1] == g11_wt2.a(3) == -1
+        assert hecke.t_integral(3, g11_wt2).coeffs[1] == \
+            g11_wt2.coeffs[3] == -1
 
     def test_bad_prime_rejected(self, g11_wt2):
         with pytest.raises(ValueError):
@@ -183,7 +194,7 @@ class TestTIntegral:
                 F.coeffs[:F.prec // p + 1], hecke.t_integral(p, F).coeffs,
                 p=p, k=6)
             assert upstairs.is_eigen and downstairs.is_eigen, p
-            assert upstairs.lam == downstairs.lam == delta_wt12.a(p), p
+            assert upstairs.lam == downstairs.lam == delta_wt12.coeffs[p], p
 
 
 class TestExtractEigenvalue:
@@ -200,7 +211,7 @@ class TestExtractEigenvalue:
     def test_non_eigenform_mix(self, delta3k, g3k):
         # delta + g (padded) is not an eigenform of T(9)
         prec = 2000
-        mix_coeffs = [delta3k.a(n) + g3k.a(n) if n else 0
+        mix_coeffs = [delta3k.coeffs[n] + g3k.coeffs[n] if n else 0
                       for n in range(prec + 1)]
         mix = Form(weight_num=13, level=4,
                    character=DirichletCharacter.trivial(4),
@@ -281,11 +292,11 @@ class TestRecurrence:
     def test_hand_values(self, delta3k, g3k):
         # a(9) = 1*(252 - chi(3) 3^5) with chi(3) = (16/3) = 1
         assert chi_t(delta3k.character, 6, 1, 3) == 1
-        assert delta3k.a(9) == 252 - 3 ** 5 == 9
+        assert delta3k.coeffs[9] == 252 - 3 ** 5 == 9
         # a(27) = a(3)*(lambda_3 - 0) for g, chi vanishing at 3
         assert chi_t(g3k.character, 1, 3, 3) == 0
-        assert g3k.a(27) == g3k.a(3) * -1 == -1
-        assert delta3k.a(81) == 252 * 9 - 3 ** 11 == -174879
+        assert g3k.coeffs[27] == g3k.coeffs[3] * -1 == -1
+        assert delta3k.coeffs[81] == 252 * 9 - 3 ** 11 == -174879
 
     def test_suite_passes(self, delta3k, g3k):
         for t in (1, 5):
@@ -298,7 +309,7 @@ class TestRecurrence:
 
     def test_failure_propagates(self, delta3k, g3k):
         prec = 2000
-        mix_coeffs = [delta3k.a(n) + g3k.a(n) if n else 0
+        mix_coeffs = [delta3k.coeffs[n] + g3k.coeffs[n] if n else 0
                       for n in range(prec + 1)]
         mix = Form(weight_num=13, level=4,
                    character=DirichletCharacter.trivial(4),

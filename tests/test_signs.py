@@ -84,7 +84,8 @@ class TestFirstNegative:
         for f in (delta3k, g3k):
             rep = r_plus_tot(f, 100)
             assert rep.change_positions[0] == 4
-            assert f.a(4) < 0 and all(f.a(n) >= 0 for n in range(1, 4))
+            assert f.coeffs[4] < 0
+            assert all(f.coeffs[n] >= 0 for n in range(1, 4))
 
     def test_absent(self):
         f = artificial_form([1, 0, 0, 1, 1, 0, 0, 1])
@@ -95,7 +96,7 @@ class TestFirstNegative:
 class TestSubseq:
     def test_known_values(self, delta3k, g3k):
         def values(f, t):
-            return [f.a(n) for n in square_class(f, t)]
+            return [f.coeffs[n] for n in square_class(f, t)]
         assert values(delta3k, 1)[:4] == [1, -56, 9, -704]
         assert values(delta3k, 5)[:1] == [120]
         assert values(g3k, 3)[:3] == [1, -1, -1]
@@ -132,14 +133,14 @@ class TestRPlusTot:
         rep = r_plus_tot(delta3k, 500)
         idx = list(range(1, 501))
         random.Random(5).shuffle(idx)
-        pos = sum(1 for n in idx if delta3k.a(n) > 0)
-        neg = sum(1 for n in idx if delta3k.a(n) < 0)
+        pos = sum(1 for n in idx if delta3k.coeffs[n] > 0)
+        neg = sum(1 for n in idx if delta3k.coeffs[n] < 0)
         assert (pos, neg) == (rep.n_pos, rep.n_neg)
 
     def test_monotone_consistency(self, delta3k):
         small, large = r_plus_tot(delta3k, 300), r_plus_tot(delta3k, 900)
-        pos_tail = sum(1 for n in range(301, 901) if delta3k.a(n) > 0)
-        neg_tail = sum(1 for n in range(301, 901) if delta3k.a(n) < 0)
+        pos_tail = sum(1 for n in range(301, 901) if delta3k.coeffs[n] > 0)
+        neg_tail = sum(1 for n in range(301, 901) if delta3k.coeffs[n] < 0)
         assert large.n_pos == small.n_pos + pos_tail
         assert large.n_neg == small.n_neg + neg_tail
         assert large.change_positions[:small.sign_change_count] == \
@@ -204,19 +205,20 @@ class TestSquarefreeSurvey:
     def test_delta_listed_entries(self, delta3k):
         hits = first_nonzero(delta3k, (1, 5, 13, 17))
         assert hits == {1: 1, 5: 5, 13: 13, 17: 17}
-        assert [delta3k.a(n) for n in hits.values()] == [1, 120, -1320, -240]
+        assert [delta3k.coeffs[n] for n in hits.values()] == \
+            [1, 120, -1320, -240]
 
     def test_g_listed_entries(self, g3k):
         # t = 1: a(1) = 0, the first nonzero in the class is a(4)
         hits = first_nonzero(g3k, (3, 11, 15, 1))
         assert hits == {3: 3, 11: 11, 15: 15, 1: 4}
-        assert [g3k.a(n) for n in hits.values()] == [1, -1, 1, -1]
+        assert [g3k.coeffs[n] for n in hits.values()] == [1, -1, 1, -1]
 
     def test_survey_report(self, delta3k):
         ts, rep = squarefree_sign_survey(delta3k, range(1, 21))
         # every square-free t <= 20 has a nonzero a(t n^2) within 3000
         assert ts == [t for t in range(1, 21) if is_squarefree(t)]
-        values = {t: delta3k.a(n)
+        values = {t: delta3k.coeffs[n]
                   for t, n in first_nonzero(delta3k, range(1, 21)).items()}
         assert {1: 1, 5: 120, 13: -1320, 17: -240}.items() <= values.items()
         assert rep.entries == len(ts)
@@ -235,7 +237,7 @@ class TestProp2Empirical:
                 assert all(n is not None for n in found.values()), (f, p)
                 for (eps, s), n in found.items():
                     assert kronecker(n, p) == eps
-                    assert (1 if f.a(n) > 0 else -1) == s
+                    assert (1 if f.coeffs[n] > 0 else -1) == s
 
     def test_pinned_witnesses(self, delta3k):
         found = prop2_witnesses(delta3k, 3, 10_000)
@@ -251,7 +253,7 @@ class TestSignChangesBeyondPrecision:
         for p in (3, 5):
             rep = hecke.recurrence_check(delta3k, 1, p)
             assert rep.ok
-            seq = [delta3k.a(n) for n in prime_powers(delta3k, 1, p)]
+            seq = [delta3k.coeffs[n] for n in prime_powers(delta3k, 1, p)]
             ext = recurrence_oracle(seq[0], seq[1], rep.lam,
                                     p ** (2 * delta3k.k - 1), 7)
             assert ext[:len(seq)] == seq
