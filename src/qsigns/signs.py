@@ -178,8 +178,11 @@ def squarefree_sign_survey(f: Form, ts) -> tuple[list[int], SignStatsReport]:
 
 
 def prop2_witnesses(f, p: int, limit: int) -> dict:
-    """Search n <= limit for both signs of a(n) in both Kronecker classes
-    (n/p) = +-1.  Returns {(eps, sign): n or None}."""
+    """Search n <= limit (>= 1) for both signs of a(n) in both Kronecker
+    classes (n/p) = +-1, p a good prime.  Returns {(eps, sign): n or None}."""
+    require_good_prime(p, f.level)
+    if limit < 1:
+        raise ValueError("limit must be positive, got %d" % limit)
     found = {(e, s): None for e in (1, -1) for s in (1, -1)}
     missing = 4
     for n in range(1, min(limit, f.prec) + 1):

@@ -402,6 +402,8 @@ def sha256_of(path):
     (["verify", "--in", "delta.txt", "--suite", "bounds", "--p", "3,5",
       "--json", "out"],
      "b02d7f67d1f9b94a48b94c07740a7a3c497fec8b732ad824850ddb3190d36409"),
+    (["verify", "--in", "delta.txt", "--suite", "plus-space", "--json", "out"],
+     "371b4feade82bf47e515625ef5413d087c76518b5d93c0455cb6e652b5fa8c5a"),
 ])
 def test_read_side_outputs_are_pinned(files_1e4, tmp_path, argv, digest):
     # Everything written from a file read back must stay byte for byte
@@ -410,7 +412,8 @@ def test_read_side_outputs_are_pinned(files_1e4, tmp_path, argv, digest):
     # the survey scan existed once, the subsequence, recurrence, prop2
     # and eigen reports before the sign scan and its index sets were
     # stated once, the U_3 image and the bounds suite before the operator
-    # images and eigen verdicts moved into hecke).
+    # images and eigen verdicts moved into hecke, the plus-space report
+    # before the verify suites shared one report envelope).
     out = tmp_path / "out"
     argv = [str(files_1e4 / a) if a.endswith(".txt") else
             str(out) if a == "out" else a for a in argv]
@@ -432,13 +435,22 @@ def test_read_side_outputs_are_pinned(files_1e4, tmp_path, argv, digest):
     ("theta(1)^13", 2000, ["verify", "--suite", "bounds", "--p", "3,5",
                            "--json", "json"], 1,
      {"json": "ea0bdcdc46871e61c053f792f67b4799e5f377a2e5cf9bb667616a86fc47df28"}),
-], ids=["u3-E4", "tp3-Delta", "tsq3-theta13", "bounds-theta13"])
+    ("theta(1)^13", 2000, ["verify", "--suite", "plus-space",
+                           "--json", "json"], 1,
+     {"json": "a60741f186690f636479771b2bfafc21b12df95a5b1c4061e3bb06e304e6b4c3"}),
+    ("Delta", 2000, ["signs", "--stats", "tot", "--X-list", "10,100,1000",
+                     "--csv", "csv"], 0,
+     {"csv": "797fd00b6a70c9d1d505dcae7ee3ab3a04800b334555d30bb0d00897ca6ce545"}),
+], ids=["u3-E4", "tp3-Delta", "tsq3-theta13", "bounds-theta13",
+        "plus-space-theta13", "tot-Delta"])
 def test_operator_outputs_are_pinned(tmp_path, form, prec, argv, code,
                                      digests):
     # Digests taken before the operator images and eigen verdicts moved
     # into hecke, with the exit code each command gave then; u3-E4 was
     # taken again when images began to keep their constant term (its
-    # body now starts at 0<TAB>1, as the U(3, E4(1)) build's does).
+    # body now starts at 0<TAB>1, as the U(3, E4(1)) build's does); the
+    # failing plus-space report and the tot-only table were taken before
+    # the verify suites and the signs statistics became one table each.
     src = tmp_path / "in.txt"
     assert run("build", "--form", form, "--prec", str(prec),
                "--out", str(src)) == 0
@@ -778,6 +790,16 @@ class TestSignsCommand:
         run("build", "--form", "delta", "--prec", "50", "--out", str(src))
         assert run("signs", "--in", str(src), "--X-list", "100") == 2
 
+    @pytest.mark.parametrize("option", ["--X-list", "--stats"])
+    def test_empty_list_exits_2(self, tmp_path, capsys, option):
+        src, csv = tmp_path / "delta.txt", tmp_path / "out.csv"
+        run("build", "--form", "delta", "--prec", "50", "--out", str(src))
+        assert run("signs", "--in", str(src), option, "",
+                   "--csv", str(csv)) == 2
+        assert capsys.readouterr() == (
+            "", "error: %s needs at least one value\n" % option)
+        assert not csv.exists()
+
 
 class TestVerifyCommand:
     def test_plus_space_pass(self, tmp_path, capsys):
@@ -844,6 +866,49 @@ class TestVerifyCommand:
         assert run("verify", "--in", str(src), "--suite", "prop2",
                    "--p", "3", "--limit", "3") == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("p, reason", [
+        ("9", "9 is not prime"), ("1", "1 is not prime"),
+        ("11", "p=11 divides the level 44")])
+    def test_prop2_needs_a_good_prime(self, tmp_path, capsys, p, reason):
+        src, report = tmp_path / "g.txt", tmp_path / "report.json"
+        run("build", "--form", "g", "--prec", "2000", "--out", str(src))
+        assert run("verify", "--in", str(src), "--suite", "prop2", "--p", p,
+                   "--json", str(report)) == 2
+        assert capsys.readouterr() == ("", "error: %s\n" % reason)
+        assert not report.exists()
+
+    @pytest.mark.parametrize("limit", ["0", "-5"])
+    def test_prop2_needs_a_positive_limit(self, tmp_path, capsys, limit):
+        src, report = tmp_path / "delta.txt", tmp_path / "report.json"
+        run("build", "--form", "delta", "--prec", "200", "--out", str(src))
+        assert run("verify", "--in", str(src), "--suite", "prop2", "--p", "3",
+                   "--limit=" + limit, "--json", str(report)) == 2
+        assert capsys.readouterr() == (
+            "", "error: limit must be positive, got %s\n" % limit)
+        assert not report.exists()
+
+    @pytest.mark.parametrize("argv", [["--suite", "bounds", "--p", ","],
+                                      ["--suite", "recurrence", "--t", ""]],
+                             ids=["p", "t"])
+    def test_empty_list_exits_2(self, tmp_path, capsys, argv):
+        src, report = tmp_path / "delta.txt", tmp_path / "report.json"
+        run("build", "--form", "delta", "--prec", "200", "--out", str(src))
+        assert run("verify", "--in", str(src), *argv,
+                   "--json", str(report)) == 2
+        assert capsys.readouterr() == (
+            "", "error: %s needs at least one value\n" % argv[2])
+        assert not report.exists()
+
+    def test_failed_recurrence_says_why(self, tmp_path, capsys):
+        src = tmp_path / "theta13.txt"
+        run("build", "--form", "theta(1)^13", "--prec", "500",
+            "--out", str(src))
+        assert run("verify", "--in", str(src), "--suite", "recurrence",
+                   "--t", "1", "--p", "3") == 1
+        check = json.loads(capsys.readouterr().out)["checks"][0]
+        assert list(check)[-2:] == ["witnesses", "note"]
+        assert check["note"] == "not a T(p^2) eigenform: violation at n=2"
 
     def test_out_of_range_t_exits_2(self, tmp_path):
         src = tmp_path / "delta.txt"
