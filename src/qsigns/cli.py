@@ -108,7 +108,7 @@ def _check_prec(args):
         raise ValueError("prec %d needs --allow-large" % args.prec)
     if args.prec > DEFAULT_PREC:
         print("warning: prec %d is slow and memory heavy (at 10^6, build g "
-              "took 136 s and 244 MB, build delta 125 s and 143 MB, on a "
+              "took 15 s and 155 MB, build delta 52 s and 151 MB, on a "
               "2-CPU host)" % args.prec, file=sys.stderr)
 
 
@@ -183,6 +183,19 @@ def _comma_list(text: str, option: str) -> list[str]:
     return items
 
 
+def _int_list(text: str, option: str) -> list[int]:
+    """The items of a comma list as ints."""
+    return [_int(x, option) for x in _comma_list(text, option)]
+
+
+def _int(text: str, option: str) -> int:
+    """text as an int; otherwise refused under the option's name."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("%s: %r is not an integer" % (option, text)) from None
+
+
 def cmd_signs(args) -> int:
     if args.powers_p is not None and args.t is None:
         raise ValueError("--powers-p needs --t")
@@ -193,7 +206,7 @@ def cmd_signs(args) -> int:
         if s not in STATS:
             raise ValueError("unknown stat %r" % s)
     rows = [["X"] + ["R_%s" % s for s in stats]]
-    for X in map(int, _comma_list(args.xlist, "--X-list")):
+    for X in _int_list(args.xlist, "--X-list"):
         rows.append(["%d" % X] + [getattr(signs, STATS[s])(form, X)
                                   .ratio_rendered(3 if X <= 1000 else 6)
                                   for s in stats])
@@ -214,7 +227,7 @@ def cmd_signs(args) -> int:
                             "p": args.powers_p, "entries": rep.entries,
                             "sign_changes": rep.sign_change_count,
                             "change_positions": rep.change_positions})
-    if args.dprime:
+    if args.dprime is not None:
         primes, eps = _parse_dprime(args.dprime)
         ts, rep = signs.squarefree_sign_survey(
             form, signs.dprime_filter(range(1, form.prec + 1), primes, eps))
@@ -233,10 +246,12 @@ def cmd_signs(args) -> int:
 
 def _parse_dprime(text: str):
     primes, eps = [], []
-    for part in text.split(","):
-        ptxt, _, etxt = part.partition(":")
-        primes.append(int(ptxt))
-        e = int(etxt)
+    for part in _comma_list(text, "--dprime"):
+        ptxt, colon, etxt = part.partition(":")
+        if not colon:
+            raise ValueError("--dprime: %r is not p:eps" % part)
+        primes.append(_int(ptxt, "--dprime"))
+        e = _int(etxt, "--dprime")
         if e not in (1, -1):
             raise ValueError("eps must be +1 or -1, got %r" % etxt)
         eps.append(e)
@@ -245,8 +260,8 @@ def _parse_dprime(text: str):
 
 def cmd_verify(args) -> int:
     cf = coeffio.read(args.infile)
-    ts = [int(t) for t in _comma_list(args.t, "--t")]
-    ps = [int(p) for p in _comma_list(args.p, "--p")]
+    ts = _int_list(args.t, "--t")
+    ps = _int_list(args.p, "--p")
     ok, fields = SUITES[args.suite](cf.form, ts, ps, args.limit)
     _emit_json({"schema": JSON_SCHEMA, "suite": args.suite, "form": cf.form_id,
                 "pass": ok, **fields}, args.jsonfile)

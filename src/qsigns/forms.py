@@ -153,8 +153,10 @@ def g_form(prec: int) -> Form:
     The eta product is supported on odd exponents, which U_4 kills, so
     halving the two-sided theta's doubled terms is the same as building
     the product with the one-sided sum over n >= 0; the normalization
-    makes the leading coefficient 1.  The product before U_4 is computed
-    to 4x the requested precision, eta factors first (the faster order).
+    makes the leading coefficient 1.  The eta factors are multiplied
+    first, to 4x the requested precision; U_4 of their product with the
+    theta series is then built from 4-sections at the requested precision
+    (qseries.u_mul), so no 4x product with theta is formed.
     """
     return _named("g", prec)
 

@@ -248,7 +248,9 @@ def evaluate(spec, prec: int) -> tuple[QSeries, int]:
 
     Required precision is pushed down the tree (a U(m, .) node needs its
     argument to m times the precision), so the result carries the full
-    requested window.
+    requested window.  When that argument is a product, its two factors
+    are evaluated to m times the precision and qseries.u_mul takes U_m
+    of their product without forming it.
     """
     if prec < 1:
         raise ValueError("prec must be positive")
@@ -289,6 +291,10 @@ def _eval(node, need: int) -> tuple[QSeries, int]:
         s, den = _eval(node.arg, need)
         return qs.derive(s), den * s.offset.denominator
     if isinstance(node, U):
+        if isinstance(node.arg, Mul):
+            (l, dl), (r, dr) = (_eval(side, node.m * need)
+                                for side in (node.arg.left, node.arg.right))
+            return qs.u_mul(node.m, l, r), dl * dr
         s, den = _eval(node.arg, node.m * need)
         return qs.u_op(node.m, s), den
     if isinstance(node, (Add, Mul)):

@@ -19,13 +19,21 @@ source.  A series is sparse while nnz * 16 <= prec; when both operands
 are sparse the product runs over pairs of nonzero terms, otherwise each
 nonzero row term adds a shifted multiple of the other operand in one
 fused pass.  With s nonzero row terms that costs O(prec * s) coefficient
-operations.  When both operands are dense, the product is one
-multiplication of two big ints instead (Kronecker substitution): each
-list is packed into fixed-width byte slots wide enough that no product
-coefficient can carry into its neighbour, the two ints are multiplied
-(CPython's Karatsuba), and the slots are read back.  Packing and
-unpacking go through bytes, linear in the size.  Powers are taken by
-square-and-multiply.  No floating point, no FFT.
+operations.  That pass skips the zeros a dilation leaves: when the
+other operand's nonzeros all sit on multiples of some d (E4(4) has
+d = 4), a row term at i updates only out[i::d], a cost of
+O(prec * s / d).  The gcd d is read from the nonzero indices and the
+read stops as soon as it reaches 1.  When both operands are dense, the
+product is one multiplication of two big ints instead (Kronecker
+substitution): each list is packed into fixed-width byte slots wide
+enough that no product coefficient can carry into its neighbour, the
+two ints are multiplied (CPython's Karatsuba), and the slots are read
+back.  Packing and unpacking go through bytes, linear in the size.
+Powers are taken by square-and-multiply.  No floating point, no FFT.
+
+U_m of a product (u_mul) never forms the product whose every m-th
+coefficient it keeps: it sums the products of the operands' m-sections,
+each on prec // m positions.
 
 QSeries values are treated as immutable: every operation returns a new
 object and never mutates its operands.
@@ -34,6 +42,9 @@ object and never mutates its operands.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from itertools import compress
+from math import gcd
 
 from .arith import DirichletCharacter
 
@@ -179,12 +190,26 @@ def mul(a: QSeries, b: QSeries) -> QSeries:
                     break
                 out[i + j] += c * d
         return QSeries(offset, out)
-    bc = b.coeffs
+    # b's nonzeros below prec sit on multiples of d, so a row term at i
+    # reaches only out[i::d]; d = 1 is every slot.
+    d = _stride(b.coeffs, prec)
+    bs = b.coeffs[:prec:d]
     for i, c in a.pairs():
         if i >= prec:
             break
-        out[i:] = [x + c * y for x, y in zip(out[i:], bc)]
+        out[i::d] = [x + c * y for x, y in zip(out[i::d], bs)]
     return QSeries(offset, out)
+
+
+def _stride(coeffs: list, prec: int) -> int:
+    """The gcd of the nonzero indices below prec, read only until it
+    reaches 1; 1 when no index but 0 is nonzero."""
+    d = 0
+    for j in compress(range(prec), coeffs):
+        d = gcd(d, j)
+        if d == 1:
+            break
+    return d or 1
 
 
 def _kronecker(ac: list, bc: list) -> list:
@@ -260,11 +285,7 @@ def u_op(m: int, a: QSeries) -> QSeries:
     coefficient of q^(m n) in a.  Requires an integer offset; the result
     is reported on offset 0 with prec = prec_a // m, cut further when a
     negative offset leaves fewer exponents m n known."""
-    if m < 1:
-        raise ValueError("operator index must be a positive integer")
-    if a.offset.denominator != 1:
-        raise ValueError("U_%d needs an integer exponent grid, offset is %s"
-                         % (m, a.offset))
+    _u_grid(m, a.offset)
     off = int(a.offset)
     # a is known for exponents below off + prec_a: n < ceil(that / m).
     prec = max(0, min(a.prec // m, -(-(off + a.prec) // m)))
@@ -273,6 +294,35 @@ def u_op(m: int, a: QSeries) -> QSeries:
     out = [0] * n0 + a.coeffs[m * n0 - off::m]
     out = (out + [0] * prec)[:prec]
     return QSeries(0, out)
+
+
+def u_mul(m: int, a: QSeries, b: QSeries) -> QSeries:
+    """u_op(m, mul(a, b)), built from the m-sections of the operands:
+
+        U_m(A B) = sum_{r=0}^{m-1} U_m(q^-r A) U_m(q^r B).
+
+    a's offset is first moved onto b (a shift is a new offset on the same
+    list), so each product runs on prec // m positions and only the
+    exponents U_m keeps are ever computed.  Offset, prec and
+    coefficients equal those of u_op(m, mul(a, b)).
+    """
+    offset = a.offset + b.offset
+    _u_grid(m, offset)
+    if offset <= -m:
+        # Then a section of b has terms at negative n, which u_op cuts
+        # although the sum still needs them; take the product whole.
+        return u_op(m, mul(a, b))
+    return reduce(add, (mul(u_op(m, QSeries(-r, a.coeffs)),
+                            u_op(m, QSeries(offset + r, b.coeffs)))
+                        for r in range(m)))
+
+
+def _u_grid(m: int, offset: Fraction):
+    if m < 1:
+        raise ValueError("operator index must be a positive integer")
+    if offset.denominator != 1:
+        raise ValueError("U_%d needs an integer exponent grid, offset is %s"
+                         % (m, offset))
 
 
 # -- generators --------------------------------------------------------------

@@ -800,6 +800,41 @@ class TestSignsCommand:
             "", "error: %s needs at least one value\n" % option)
         assert not csv.exists()
 
+    def test_empty_dprime_exits_2(self, tmp_path, capsys):
+        src, csv = tmp_path / "delta.txt", tmp_path / "out.csv"
+        run("build", "--form", "delta", "--prec", "50", "--out", str(src))
+        assert run("signs", "--in", str(src), "--X-list", "10",
+                   "--dprime", "", "--csv", str(csv)) == 2
+        assert capsys.readouterr() == (
+            "", "error: --dprime needs at least one value\n")
+        assert not csv.exists()
+
+    def test_dprime_skips_empty_items(self, tmp_path, capsys):
+        src = tmp_path / "g.txt"
+        run("build", "--form", "g", "--prec", "300", "--out", str(src))
+        outs = []
+        for dprime in ("3:1,5:-1", "3:1,,5:-1,"):
+            assert run("signs", "--in", str(src), "--X-list", "10",
+                       "--dprime", dprime) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        survey = json.loads(outs[0][outs[0].index("{"):])["reports"][0]
+        assert (survey["primes"], survey["eps"]) == ([3, 5], [1, -1])
+
+    @pytest.mark.parametrize("option, text, message", [
+        ("--X-list", "10,x", "--X-list: 'x' is not an integer"),
+        ("--dprime", "3:1,y:1", "--dprime: 'y' is not an integer"),
+        ("--dprime", "3:+x", "--dprime: '+x' is not an integer"),
+        ("--dprime", "3", "--dprime: '3' is not p:eps")])
+    def test_non_integer_item_is_named(self, tmp_path, capsys, option, text,
+                                       message):
+        src, csv = tmp_path / "delta.txt", tmp_path / "out.csv"
+        run("build", "--form", "delta", "--prec", "50", "--out", str(src))
+        assert run("signs", "--in", str(src), "--X-list", "10", option, text,
+                   "--csv", str(csv)) == 2
+        assert capsys.readouterr() == ("", "error: %s\n" % message)
+        assert not csv.exists()
+
 
 class TestVerifyCommand:
     def test_plus_space_pass(self, tmp_path, capsys):
@@ -898,6 +933,17 @@ class TestVerifyCommand:
                    "--json", str(report)) == 2
         assert capsys.readouterr() == (
             "", "error: %s needs at least one value\n" % argv[2])
+        assert not report.exists()
+
+    @pytest.mark.parametrize("option, text", [("--p", "3,x"), ("--t", "1,5.0")])
+    def test_non_integer_item_is_named(self, tmp_path, capsys, option, text):
+        src, report = tmp_path / "delta.txt", tmp_path / "report.json"
+        run("build", "--form", "delta", "--prec", "200", "--out", str(src))
+        assert run("verify", "--in", str(src), "--suite", "recurrence",
+                   option, text, "--json", str(report)) == 2
+        item = text.split(",")[1]
+        assert capsys.readouterr() == (
+            "", "error: %s: %r is not an integer\n" % (option, item))
         assert not report.exists()
 
     def test_failed_recurrence_says_why(self, tmp_path, capsys):

@@ -59,6 +59,20 @@ class TestGForm:
             if n % 4 in (1, 2):
                 assert g.coeffs[n] == 0, n
 
+    def test_u4_runs_on_the_output_prec(self, monkeypatch):
+        # U_4 of the product is built from 4-sections at 401 positions;
+        # only the eta(2) eta(22) pair loop runs at the 4x prec of 1604.
+        seen, mul, want = [], qs.mul, g_form(400).coeffs
+
+        def spy(a, b):
+            seen.append((min(a.prec, b.prec), a.density, b.density))
+            return mul(a, b)
+
+        monkeypatch.setattr(qs, "mul", spy)
+        assert forms._named("g", 400).coeffs == want
+        assert [s for s in seen if s[0] > 401] == [(1604, "sparse", "sparse")]
+        assert any(s[0] == 401 for s in seen)
+
     def test_dsl_route_agrees_bit_exactly(self):
         prec = 120
         g = g_form(prec)

@@ -129,6 +129,103 @@ class TestMul:
             assert got.coeffs == want
 
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_strided_operand_matches_oracle(self, d, data):
+        # A dense operand on the multiples of d (as E4(4) and eta(2)eta(22)
+        # are), or on them but for one term; row terms off those multiples.
+        prec = data.draw(st.integers(16, 80))
+        dense_prec = prec + data.draw(st.integers(0, 8))
+        terms = dict.fromkeys(range(0, dense_prec, d))
+        if data.draw(st.booleans()):
+            terms[data.draw(st.integers(1, dense_prec - 1)
+                            .filter(lambda j: j % d))] = None
+        dense = QSeries.from_pairs(
+            [(j, data.draw(_NONZERO)) for j in terms], dense_prec,
+            data.draw(st.sampled_from([0, 1, Fraction(1, 24)])))
+        rows = data.draw(st.lists(
+            st.integers(1, prec - 1).filter(lambda i: i % d), min_size=1,
+            max_size=prec // SPARSE_FACTOR, unique=True))
+        sparse = QSeries.from_pairs(
+            [(i, data.draw(_NONZERO)) for i in rows], prec)
+        assert dense.density == "dense" and sparse.density == "sparse"
+        want = poly_mul(sparse.coeffs, dense.coeffs, prec)
+        for got in (qs.mul(sparse, dense), qs.mul(dense, sparse)):
+            assert got.offset == dense.offset
+            assert got.coeffs == want
+
+    def test_stride_probe(self):
+        assert qs._stride(qs.dilate(4, qs.eisenstein_e4(50), 200).coeffs,
+                          200) == 4
+        assert qs._stride(qs.mul(qs.eta(2, 99), qs.eta(22, 99)).coeffs,
+                          99) == 2
+        # Only indices below prec count.
+        assert qs._stride([0, 0, 5, 0, 7, 3], 5) == 2
+        assert qs._stride([1, 0, 0], 3) == 1
+        assert qs._stride([], 0) == 1
+
+    def test_stride_probe_stops_at_one(self):
+        # A stride-1 operand is read only up to its second nonzero term.
+        def coeffs():
+            yield from (0, 3, 0, 4)
+            raise AssertionError("read past the point where the gcd is 1")
+        assert qs._stride(coeffs(), 10) == 1
+
+
+class TestUMul:
+    @pytest.mark.parametrize("m", range(1, 6))
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_u_op_of_product_and_oracle(self, m, data):
+        a, b = data.draw(_u_mul_operands(m))
+        got = qs.u_mul(m, a, b)
+        want = qs.u_op(m, qs.mul(a, b))
+        assert (got.offset, got.prec, got.coeffs) == \
+            (want.offset, want.prec, want.coeffs)
+        # q^n of the image is q^(m n) of the schoolbook product.
+        off = int(a.offset + b.offset)
+        prod = poly_mul(a.coeffs, b.coeffs, min(a.prec, b.prec))
+        assert got.coeffs == [prod[m * n - off] if 0 <= m * n - off < len(prod)
+                              else 0 for n in range(got.prec)]
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_eta1_eta23(self, m):
+        a, b = qs.eta(1, 300), qs.eta(23, 250)
+        got, want = qs.u_mul(m, a, b), qs.u_op(m, qs.mul(a, b))
+        assert got.offset == want.offset == 0
+        assert got.coeffs == want.coeffs and got.nnz > 0
+
+    def test_refuses_what_u_op_refuses(self):
+        with pytest.raises(ValueError,
+                           match="U_4 needs an integer exponent grid, "
+                                 "offset is 1/24"):
+            qs.u_mul(4, qs.eta(1, 30), qs.theta(1, 30))
+        with pytest.raises(ValueError, match="positive integer"):
+            qs.u_mul(0, qs.theta(1, 30), qs.theta(1, 30))
+
+
+@st.composite
+def _u_mul_operands(draw, m):
+    """Two series whose offsets sum to an integer (both integers,
+    negative ones included, or fractional as for eta(1) eta(23)), of
+    unequal precs, each zero on a random set of residues mod m."""
+    if draw(st.booleans()):
+        oa, ob = draw(st.integers(-12, 12)), draw(st.integers(-12, 12))
+    else:
+        k = Fraction(draw(st.integers(1, 23)), 24)
+        oa, ob = k + draw(st.integers(-3, 3)), -k + draw(st.integers(-3, 3))
+    return _sectioned(draw, m, oa), _sectioned(draw, m, ob)
+
+
+def _sectioned(draw, m, offset):
+    prec = draw(st.integers(0, 40))
+    keep = draw(st.sets(st.integers(0, m - 1)))
+    vals = draw(st.lists(st.integers(-9, 9), min_size=prec, max_size=prec))
+    return QSeries.from_pairs([(i, v) for i, v in enumerate(vals)
+                               if i % m in keep], prec, offset)
+
+
 _NONZERO = st.integers(-10**6, 10**6).filter(bool)
 
 
