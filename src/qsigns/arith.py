@@ -8,7 +8,7 @@ enumeration.  Everything here is a pure function of its arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 
 def kronecker(a: int, n: int) -> int:
@@ -149,14 +149,15 @@ def u_level(level: int, m: int, half_integral: bool) -> int:
 
 
 def _default_period(top: int) -> int:
-    # (top/.) is periodic with period |top| when top = 0,1 mod 4,
-    # and with period 4|top| otherwise.
+    # (top/.) on the units mod |top| (top = 0,1 mod 4) or mod 4|top|
+    # (otherwise) is periodic with that period.
     return abs(top) if top % 4 in (0, 1) else 4 * abs(top)
 
 
 @dataclass(frozen=True)
 class DirichletCharacter:
-    """Real Dirichlet character a -> (top/a), with modulus metadata.
+    """Real Dirichlet character mod the modulus: a -> (top/a) on the
+    units, 0 on every a sharing a factor with the modulus.
 
     Only real characters are supported; the modulus is a period of the
     character (not necessarily the conductor).
@@ -182,7 +183,7 @@ class DirichletCharacter:
         return cls(top=N * N, modulus=N, is_trivial=True)
 
     def value(self, a: int) -> int:
-        return kronecker(self.top, a)
+        return kronecker(self.top, a) if gcd(a, self.modulus) == 1 else 0
 
     __call__ = value
 

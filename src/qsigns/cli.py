@@ -279,7 +279,7 @@ def _suite_recurrence(f, ts, ps, limit):
         for p in ps:
             rep = hecke.recurrence_check(f, t, p)
             entry = {"t": t, "p": p, "pass": rep.ok, "lambda": rep.lam,
-                     "max_m": rep.max_m, "violation_m": rep.violation_m,
+                     "max_m": rep.max_m, "violation_m": None,
                      "witnesses": [_witness(f, n) for n in
                                    rep.indices[:min(rep.max_m, 2) + 1]]}
             if rep.note:

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import compress
+from itertools import chain, compress, count, takewhile
 from math import gcd
 
 from .arith import DirichletCharacter
@@ -53,7 +53,8 @@ SPARSE_FACTOR = 16
 
 
 class PrecisionError(ValueError):
-    """A coefficient was requested at or beyond the valid window."""
+    """A series does not reach the q^prec its integer table needs
+    (raised by forms.integer_table)."""
 
 
 def _as_offset(value) -> Fraction:
@@ -327,63 +328,46 @@ def _u_grid(m: int, offset: Fraction):
 
 # -- generators --------------------------------------------------------------
 
+def _lacunary(m: int, prec: int, terms, offset=0) -> QSeries:
+    """sum_e c q^(m e) over the (e, c) pairs of terms, which come in
+    increasing e, cut at prec and with the given offset."""
+    if m < 1:
+        raise ValueError("dilation index must be a positive integer")
+    if prec < 1:
+        raise ValueError("prec must be positive")
+    return QSeries.from_pairs(takewhile(lambda t: t[0] < prec,
+                                        ((m * e, c) for e, c in terms)),
+                              prec, offset)
+
+
 def eta(m: int, prec: int) -> QSeries:
     """q^(m/24) prod (1 - q^(m n)), via the pentagonal number sum
     sum_j (-1)^j q^(m j(3j-1)/2) at stride m with a fractional offset of
     m/24; O(sqrt(prec / m)) terms."""
-    if m < 1:
-        raise ValueError("dilation index must be a positive integer")
-    if prec < 1:
-        raise ValueError("prec must be positive")
-    pairs = [(0, 1)]
-    j = 1
-    while True:
-        e1 = m * (j * (3 * j - 1) // 2)
-        if e1 >= prec:
-            break
-        s = -1 if j % 2 else 1
-        pairs.append((e1, s))
-        e2 = m * (j * (3 * j + 1) // 2)
-        if e2 < prec:
-            pairs.append((e2, s))
-        j += 1
-    return QSeries.from_pairs(pairs, prec, Fraction(m, 24))
+    def pentagonal():
+        yield 0, 1
+        for j in count(1):
+            s = -1 if j % 2 else 1
+            yield j * (3 * j - 1) // 2, s
+            yield j * (3 * j + 1) // 2, s
+    return _lacunary(m, prec, pentagonal(), Fraction(m, 24))
 
 
 def theta(m: int, prec: int) -> QSeries:
     """sum_{n in Z} q^(m n^2): 1 + 2 q^m + 2 q^(4m) + ..."""
-    if m < 1:
-        raise ValueError("dilation index must be a positive integer")
-    if prec < 1:
-        raise ValueError("prec must be positive")
-    pairs = [(0, 1)]
-    n = 1
-    while m * n * n < prec:
-        pairs.append((m * n * n, 2))
-        n += 1
-    return QSeries.from_pairs(pairs, prec)
+    return _lacunary(m, prec, chain([(0, 1)],
+                                    ((n * n, 2) for n in count(1))))
 
 
 def theta_psi(psi: DirichletCharacter, m: int, prec: int) -> QSeries:
     """Weighted theta series sum_{n in Z} psi(n) n q^(m n^2) for an odd
     primitive real character psi; the +-n terms double."""
-    if m < 1:
-        raise ValueError("dilation index must be a positive integer")
-    if prec < 1:
-        raise ValueError("prec must be positive")
     if not psi.is_odd:
         raise ValueError("theta_psi needs an odd character "
                          "(an even one sums to zero)")
     if not psi.is_primitive:
         raise ValueError("theta_psi needs a primitive character")
-    pairs = []
-    n = 1
-    while m * n * n < prec:
-        v = psi(n)
-        if v:
-            pairs.append((m * n * n, 2 * v * n))
-        n += 1
-    return QSeries.from_pairs(pairs, prec)
+    return _lacunary(m, prec, ((n * n, 2 * psi(n) * n) for n in count(1)))
 
 
 def eisenstein_e4(prec: int) -> QSeries:

@@ -28,7 +28,7 @@ def euler_product_literal(prec):
         factor = [0] * (n + 1)
         factor[0] = 1
         factor[n] = -1
-        out = poly_mul(out, factor, prec)
+        out = poly_mul(factor, out, prec)   # two terms as the row source
     return out
 
 

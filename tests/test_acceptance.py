@@ -112,8 +112,18 @@ def test_criterion_3_table2(g_big):
     Six conventions for the indices n that R_fund counts were tried, and
     none reproduces both printed cells: -n a fundamental discriminant
     (the one used here), n odd, 4 does not divide n, 11 does not divide
-    n, gcd(n, 22) = 1, and n square-free.  The gap stays open; the 1 %
-    tolerance is kept as it is, not widened to fit.
+    n, gcd(n, 22) = 1, and n square-free.
+
+    The counts behind the two cells, on a 10^5 build of g:
+    - X = 10^4: 732 positive among 1491 nonzero.  The printed 0.491968
+      is 735/1494 rounded (three more positive indices, no more
+      negative ones), and no other count within +-8 of ours rounds to it.
+    - X = 10^5: 7585 positive among 15140 nonzero.  No count with at
+      least as many positive and nonzero indices, up to 160 more
+      nonzero ones, rounds to the printed 0.500861.
+    So extra indices in the paper's count could explain the first cell
+    but not the second.  The gap stays open; the 1 % tolerance is kept
+    as it is, not widened to fit.
     """
     g, build_seconds = g_big
     t0 = time.perf_counter()

@@ -1,5 +1,5 @@
 import random
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -205,6 +205,16 @@ class TestDirichletCharacter:
     def test_rejects_zero_top(self):
         with pytest.raises(ValueError):
             DirichletCharacter(top=0)
+
+    def test_zero_off_the_units_mod_the_modulus(self):
+        # (-3/.) read mod 36 is a character mod 36: (-3/2) = -1 and
+        # (-3/4) = 1 as Kronecker symbols, but 2 and 4 are no units mod 36.
+        chi = DirichletCharacter(top=-3, modulus=36)
+        assert (chi(2), chi(4), chi(3)) == (0, 0, 0)
+        for a in range(-80, 80):
+            want = kronecker(-3, a) if gcd(a, 36) == 1 else 0
+            assert chi(a) == want
+            assert chi(a + 36) == chi(a)
 
     def test_complete_multiplicativity_and_periodicity(self):
         rng = random.Random(11)

@@ -519,6 +519,24 @@ class TestLiftCommand:
         assert run("lift", "--in", str(src), "--t", "12",
                    "--out", str(tmp_path / "x.txt")) == 2
 
+    def test_lift_twists_by_a_character_mod_the_level(self, tmp_path):
+        # theta_psi for psi = (-3/.) on level 36 with its own character,
+        # read mod 36: chi(2) = 0, so A(2) = a(4) and A(4) = a(16); the
+        # Kronecker symbol (-3/2) = -1 would give A(2) = -6, A(4) = 14.
+        src, dst = tmp_path / "psi.txt", tmp_path / "lift.txt"
+        run("build", "--form", "thetapsi(-3, 1)", "--prec", "400",
+            "--out", str(src))
+        text = src.read_text()
+        assert "# character: trivial:36\n" in text
+        src.write_text(text.replace("# character: trivial:36\n",
+                                    "# character: kronecker:-3/mod:36\n"))
+        assert run("lift", "--in", str(src), "--t", "1",
+                   "--out", str(dst)) == 0
+        a = coeffio.read(str(src)).form.coeffs
+        A = coeffio.read(str(dst)).form.coeffs
+        assert (a[4], a[16]) == (-4, 8)
+        assert (A[1], A[2], A[4]) == (a[1], a[4], a[16]) == (2, -4, 8)
+
 
 class TestHeckeCommand:
     def test_tsq_eigen_report(self, tmp_path, capsys):

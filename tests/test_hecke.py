@@ -288,6 +288,14 @@ class TestLocalPowerSequence:
             signs.prime_powers(delta3k, 1, 9)
 
 
+def _mix(delta, g, prec=2000):
+    """delta + g, written in weight 13/2 on level 4: no T(p^2) eigenform."""
+    return Form(weight_num=13, level=4,
+                character=DirichletCharacter.trivial(4),
+                coeffs=[delta.coeffs[n] + g.coeffs[n] if n else 0
+                        for n in range(prec + 1)])
+
+
 class TestRecurrence:
     def test_hand_values(self, delta3k, g3k):
         # a(9) = 1*(252 - chi(3) 3^5) with chi(3) = (16/3) = 1
@@ -308,14 +316,28 @@ class TestRecurrence:
             assert rep.ok, (p, rep)
 
     def test_failure_propagates(self, delta3k, g3k):
-        prec = 2000
-        mix_coeffs = [delta3k.coeffs[n] + g3k.coeffs[n] if n else 0
-                      for n in range(prec + 1)]
-        mix = Form(weight_num=13, level=4,
-                   character=DirichletCharacter.trivial(4),
-                   coeffs=mix_coeffs)
-        rep = hecke.recurrence_check(mix, 1, 3)
+        rep = hecke.recurrence_check(_mix(delta3k, g3k), 1, 3)
         assert not rep.ok and "eigenform" in rep.note
+
+    @pytest.mark.parametrize("form, ts, ps", [
+        ("delta", (1, 5, 13), (3, 5, 7, 11)),
+        ("g", (3, 7, 15), (3, 5, 7, 13)),
+        ("mix", (1, 5), (3, 5, 7))])
+    def test_verdict_is_the_eigen_check(self, delta3k, g3k, form, ts, ps):
+        # Step m of the recurrence is T(p^2) f = lam f at n = t p^(2m-2);
+        # where it holds, the two-term oracle continues a(t), a(t p^2)
+        # through every a(t p^(2m)) within precision.
+        f = {"delta": delta3k, "g": g3k, "mix": _mix(delta3k, g3k)}[form]
+        for t in ts:
+            for p in ps:
+                rep = hecke.recurrence_check(f, t, p)
+                assert rep.ok == hecke.eigen_report(f, p).is_eigen, (t, p)
+                if rep.ok:
+                    seq = powers(f, t, p)
+                    assert rep.max_m == len(seq) - 1
+                    p2k1 = f.character(p) ** 2 * p ** (2 * f.k - 1)
+                    assert recurrence_oracle(seq[0], seq[1], rep.lam, p2k1,
+                                             len(seq)) == seq, (t, p)
 
 
 class TestSatakeAndBounds:

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
+from math import isqrt
 from unittest import mock
 
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qsigns import qseries as qs
-from qsigns.arith import DirichletCharacter
+from qsigns.arith import DirichletCharacter, kronecker
 from qsigns.forms import integer_table
 from qsigns.formspec import evaluate, parse_formspec
 from qsigns.qseries import SPARSE_FACTOR, QSeries
@@ -439,6 +441,60 @@ class TestThetaPsi:
     def test_rejects_imprimitive_character(self):
         with pytest.raises(ValueError):
             qs.theta_psi(DirichletCharacter(top=-9), 1, 10)
+
+
+# m in 1..7 against precisions on both sides of the first term m, as
+# (m, prec) pairs; prec = m - 1 = 0 is the refusal below.
+LACUNARY_CASES = sorted({(m, prec) for m in range(1, 8)
+                         for prec in (1, m - 1, m, m + 1, 59, 997) if prec})
+
+
+@lru_cache(maxsize=None)
+def _euler_literal():
+    return euler_product_literal(997)
+
+
+class TestLacunary:
+    """eta, theta and theta_psi against direct sums on the grid m e."""
+
+    @pytest.mark.parametrize("m, prec", LACUNARY_CASES)
+    def test_eta_is_the_dilated_euler_product(self, m, prec):
+        literal = _euler_literal()
+        want = [literal[i // m] if i % m == 0 else 0 for i in range(prec)]
+        got = qs.eta(m, prec)
+        assert (got.offset, got.coeffs) == (Fraction(m, 24), want)
+
+    @pytest.mark.parametrize("m, prec", LACUNARY_CASES)
+    def test_theta_counts_representations(self, m, prec):
+        want = [0] * prec
+        for n in range(-isqrt(prec), isqrt(prec) + 1):
+            if m * n * n < prec:
+                want[m * n * n] += 1
+        got = qs.theta(m, prec)
+        assert (got.offset, got.coeffs) == (0, want)
+
+    @pytest.mark.parametrize("top", [-3, -4])
+    @pytest.mark.parametrize("m, prec", LACUNARY_CASES)
+    def test_theta_psi_is_its_sum(self, m, prec, top):
+        want = [0] * prec
+        for n in range(-isqrt(prec), isqrt(prec) + 1):
+            if m * n * n < prec:
+                want[m * n * n] += kronecker(top, n) * n
+        got = qs.theta_psi(DirichletCharacter(top=top), m, prec)
+        assert (got.offset, got.coeffs) == (0, want)
+
+    @pytest.mark.parametrize("make", [
+        lambda m, prec: qs.eta(m, prec), lambda m, prec: qs.theta(m, prec),
+        lambda m, prec: qs.theta_psi(DirichletCharacter(top=-3), m, prec)],
+        ids=["eta", "theta", "theta_psi"])
+    def test_refusals_keep_their_messages(self, make):
+        for m in (0, -2):
+            with pytest.raises(ValueError, match="^dilation index must be "
+                                                 "a positive integer$"):
+                make(m, 10)
+        for prec in (0, -1):
+            with pytest.raises(ValueError, match="^prec must be positive$"):
+                make(1, prec)
 
 
 class TestDerive:
