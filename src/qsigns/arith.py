@@ -154,13 +154,32 @@ def _default_period(top: int) -> int:
     return abs(top) if top % 4 in (0, 1) else 4 * abs(top)
 
 
+def _is_period(top: int, modulus: int) -> bool:
+    """True when a -> (top/a) on the units mod the modulus has that
+    period: every prime of top divides it (else (top/p) = 0 while some
+    p + k modulus is a unit with a value +-1), and so does the conductor
+    of (top/.).  Write top = s f^2 with s square-free; s divides the
+    modulus with the primes of top, so only the conductor's 2-part is
+    left: 8 when s is even, 4 when s = 3 mod 4.  The odd part of s is
+    that of top mod 8, since an odd square is 1 mod 8."""
+    rest = abs(top)
+    while (g := gcd(rest, modulus)) > 1:
+        rest //= g
+    if rest != 1:
+        return False
+    twos = (top & -top).bit_length() - 1
+    two_part = 8 if twos % 2 else 4 if (top >> twos) % 4 == 3 else 1
+    return modulus % two_part == 0
+
+
 @dataclass(frozen=True)
 class DirichletCharacter:
     """Real Dirichlet character mod the modulus: a -> (top/a) on the
     units, 0 on every a sharing a factor with the modulus.
 
     Only real characters are supported; the modulus is a period of the
-    character (not necessarily the conductor).
+    character (not necessarily the conductor), and a modulus that is not
+    is refused.
     """
 
     top: int
@@ -174,6 +193,9 @@ class DirichletCharacter:
             object.__setattr__(self, "modulus", _default_period(self.top))
         if self.modulus < 1:
             raise ValueError("modulus must be positive")
+        if not _is_period(self.top, self.modulus):
+            raise ValueError("(%d/.) is not periodic on the units mod %d"
+                             % (self.top, self.modulus))
 
     @classmethod
     def trivial(cls, N: int) -> "DirichletCharacter":

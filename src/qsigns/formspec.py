@@ -304,6 +304,8 @@ def _eval(node, need: int) -> tuple[QSeries, int]:
         den = lcm(dl, dr)
         return qs.add(_scaled(l, den // dl), _scaled(r, den // dr)), den
     if isinstance(node, Pow):
+        if node.arg.name == "eta":
+            return qs.eta_pow(node.arg.m, node.exp, need), 1
         s, den = _eval(node.arg, need)
         return qs.pow_(s, node.exp), den ** node.exp
     if isinstance(node, Scale):

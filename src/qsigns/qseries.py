@@ -24,12 +24,16 @@ other operand's nonzeros all sit on multiples of some d (E4(4) has
 d = 4), a row term at i updates only out[i::d], a cost of
 O(prec * s / d).  The gcd d is read from the nonzero indices and the
 read stops as soon as it reaches 1.  When both operands are dense, the
-product is one multiplication of two big ints instead (Kronecker
-substitution): each list is packed into fixed-width byte slots wide
-enough that no product coefficient can carry into its neighbour, the
-two ints are multiplied (CPython's Karatsuba), and the slots are read
-back.  Packing and unpacking go through bytes, linear in the size.
-Powers are taken by square-and-multiply.  No floating point, no FFT.
+product is one multiplication of two big Decimals instead: each list is
+packed into fixed-width decimal slots, with a bias of its own that makes
+every slot positive, wide enough that no product coefficient can carry
+into its neighbour.  libmpdec multiplies the two exactly with its
+number-theoretic transform (a transform over finite fields, so nothing
+is rounded), in a context that traps any rounding; the low slots are
+read back and the bias cross terms removed with prefix sums.  Powers
+are taken by square-and-multiply, and a power of eta starts from
+Jacobi's identity for eta^3, another sum with O(sqrt(prec)) terms.  No
+floating point anywhere.
 
 U_m of a product (u_mul) never forms the product whose every m-th
 coefficient it keeps: it sums the products of the operands' m-sections,
@@ -41,15 +45,26 @@ object and never mutates its operands.
 
 from __future__ import annotations
 
+import sys
+from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_DOWN, Context,
+                     Decimal, Inexact, Rounded)
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, compress, count, takewhile
+from itertools import accumulate, chain, compress, count, takewhile
 from math import gcd
 
 from .arith import DirichletCharacter
 
 # A series is sparse while nnz * SPARSE_FACTOR <= prec.
 SPARSE_FACTOR = 16
+
+# Exact integer arithmetic on Decimals: nothing is ever rounded.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+                 traps=[Inexact, Rounded])
+# Slots packed per digit string in _ntt.
+_BLOCK = 512
+# The int <-> str digit limit of CPython 3.10.7 and later (0: none).
+_int_str_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 class PrecisionError(ValueError):
@@ -164,8 +179,8 @@ def mul(a: QSeries, b: QSeries) -> QSeries:
 
     The operand with fewer nonzeros is the row source.  When both are
     sparse, the pair loop multiplies nonzero terms only; when both are
-    dense, one Kronecker-packed int product does the work;
-    otherwise each nonzero row term adds its multiple of the other
+    dense, one exact Decimal product of slot-packed lists (_ntt) does the
+    work; otherwise each nonzero row term adds its multiple of the other
     operand, shifted, in one pass over the list.
     """
     offset = a.offset + b.offset
@@ -177,8 +192,7 @@ def mul(a: QSeries, b: QSeries) -> QSeries:
     sparse_b = nb * SPARSE_FACTOR <= b.prec
     if not (sparse_a or sparse_b):
         ac = a.coeffs[:prec]
-        return QSeries(offset, _kronecker(ac, ac if b is a
-                                          else b.coeffs[:prec]))
+        return QSeries(offset, _ntt(ac, ac if b is a else b.coeffs[:prec]))
     out = [0] * prec
     if sparse_a and sparse_b:
         bp = list(b.pairs())
@@ -213,38 +227,55 @@ def _stride(coeffs: list, prec: int) -> int:
     return d or 1
 
 
-def _kronecker(ac: list, bc: list) -> list:
+def _ntt(ac: list, bc: list) -> list:
     """Product of two int lists of equal length n, truncated to n terms,
-    by Kronecker substitution; passing one list twice squares it.
+    by one exact Decimal multiplication (libmpdec's number-theoretic
+    transform); passing one list twice squares it.
 
-    Each coefficient of the product is a sum of at most n terms, so its
-    magnitude stays below 2^(bits(max|a|) + bits(max|b|) + bits(n)).
-    Slots of w bytes with that many bits plus a sign bit hold it
-    exactly.  Every slot carries the bias 2^(8w-1), which makes it
-    nonnegative: the packed int is the biased slots minus the bias
-    constant, and adding the constant back to the product leaves each
-    low output slot as its coefficient plus the bias.
+    Each list is packed into fixed-width decimal slots with its own
+    bias, B_a = max|a| + 1 and B_b = max|b| + 1, which makes every slot
+    positive.  Slot k of the product is then
+    v_k = c_k + B_b S_a(k) + B_a S_b(k) + B_a B_b (k + 1), where S is a
+    prefix sum; it lies in [0, 4 n B_a B_b), so slots of that many digits
+    never carry into each other.  The context traps Inexact and Rounded:
+    a product that did not fit would raise, never round.
     """
     n = len(ac)
     if not n:
         return []
-    w = (max(map(abs, ac)).bit_length() + max(map(abs, bc)).bit_length()
-         + n.bit_length() + 8) // 8
-    bias = 1 << (8 * w - 1)
-    biases = int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
+    ba = max(map(abs, ac)) + 1
+    bb = ba if bc is ac else max(map(abs, bc)) + 1
+    w = Decimal(4 * n * ba * bb).adjusted() + 1
+    if 0 < _int_str_limit() < w:
+        # CPython refuses int <-> str this wide; Decimal does not.
+        slot, read = ((lambda x: str(Decimal(x)).zfill(w)),
+                      (lambda digits: int(Decimal(digits))))
+    else:
+        slot, read = ("%%0%dd" % w).__mod__, int
 
-    def pack(coeffs):
-        buf = bytearray(w * n)
-        for k, c in zip(range(0, w * n, w), coeffs):
-            buf[k:k + w] = (c + bias).to_bytes(w, "little")
-        return int.from_bytes(buf, "little") - biases
+    def pack(coeffs, bias):
+        # Slot n-1 leads the digit string; blocks keep the per-slot
+        # strings of only _BLOCK slots alive at a time.
+        return Decimal("".join(["".join([slot(c + bias) for c in
+                                         reversed(coeffs[k:k + _BLOCK])])
+                                for k in range((n - 1) // _BLOCK * _BLOCK,
+                                               -1, -_BLOCK)]))
 
-    pa = pack(ac)
-    pb = pa if bc is ac else pack(bc)   # CPython squares a shared int faster
-    low = (pa * pb + biases) & ((1 << (8 * w * n)) - 1)
-    data = low.to_bytes(w * n, "little")
-    return [int.from_bytes(data[k:k + w], "little") - bias
-            for k in range(0, w * n, w)]
+    pa = pack(ac, ba)
+    v = _EXACT.multiply(pa, pa if bc is ac else pack(bc, bb))
+    del pa
+    # The low n slots are the digits of v / 10^(w n) after the point;
+    # fixed-point format writes all w n of them, leading zeros included,
+    # and never the high half's.
+    v = _EXACT.scaleb(v, -w * n)
+    v = _EXACT.subtract(v, v.to_integral_value(ROUND_DOWN, _EXACT))
+    s = format(v, "f")
+    del v
+    top = len(s)
+    bab = ba * bb
+    return [read(s[k - w:k]) - bb * sa - ba * sb - bab * i
+            for i, k, sa, sb in zip(count(1), range(top, top - w * n, -w),
+                                    accumulate(ac), accumulate(bc))]
 
 
 def pow_(a: QSeries, e: int) -> QSeries:
@@ -351,6 +382,20 @@ def eta(m: int, prec: int) -> QSeries:
             yield j * (3 * j - 1) // 2, s
             yield j * (3 * j + 1) // 2, s
     return _lacunary(m, prec, pentagonal(), Fraction(m, 24))
+
+
+def eta_pow(m: int, e: int, prec: int) -> QSeries:
+    """eta(mz)^e, from e >= 3 on as (eta^3)^(e // 3) eta^(e % 3), with
+    eta^3 read off Jacobi's identity, a sum of O(sqrt(prec / m)) terms:
+    eta(mz)^3 = q^(m/8) sum_{n >= 0} (-1)^n (2n+1) q^(m n(n+1)/2)."""
+    if e < 3:
+        return pow_(eta(m, prec), e)
+
+    def jacobi():
+        for n in count():
+            yield n * (n + 1) // 2, (-1) ** n * (2 * n + 1)
+    cube = pow_(_lacunary(m, prec, jacobi(), Fraction(m, 8)), e // 3)
+    return mul(cube, pow_(eta(m, prec), e % 3)) if e % 3 else cube
 
 
 def theta(m: int, prec: int) -> QSeries:

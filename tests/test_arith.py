@@ -216,6 +216,27 @@ class TestDirichletCharacter:
             assert chi(a) == want
             assert chi(a + 36) == chi(a)
 
+    def test_modulus_must_be_a_period(self):
+        # A modulus is accepted exactly when a -> (top/a) on its units
+        # repeats with it, checked over two periods of lcm(M, 4|top|),
+        # where every such function repeats.
+        for top in (t for t in range(-24, 25) if t):
+            for modulus in range(1, 25):
+                period = 4 * abs(top) * modulus // gcd(4 * abs(top), modulus)
+                first = {}
+                periodic = all(
+                    first.setdefault(a % modulus, kronecker(top, a))
+                    == kronecker(top, a)
+                    for a in range(1, 2 * period + 1)
+                    if gcd(a, modulus) == 1)
+                if periodic:
+                    DirichletCharacter(top=top, modulus=modulus)
+                else:
+                    with pytest.raises(ValueError) as err:
+                        DirichletCharacter(top=top, modulus=modulus)
+                    assert str(err.value) == ("(%d/.) is not periodic on the "
+                                              "units mod %d" % (top, modulus))
+
     def test_complete_multiplicativity_and_periodicity(self):
         rng = random.Random(11)
         for top in (-4, -3, 5, 8, 12, -20, 44 * 44):

@@ -538,6 +538,28 @@ class TestLiftCommand:
         assert (A[1], A[2], A[4]) == (a[1], a[4], a[16]) == (2, -4, 8)
 
 
+    @pytest.mark.parametrize("character", ["kronecker:-3/mod:4",
+                                           "kronecker:-3/mod:2",
+                                           "kronecker:-4/mod:2",
+                                           "kronecker:12/mod:6"])
+    def test_character_without_that_period_exits_2(self, tmp_path, capsys,
+                                                   character):
+        # (-3/.) is no character mod 4: it is 1 at 1 and -1 at 5.
+        src, dst = tmp_path / "psi.txt", tmp_path / "lift.txt"
+        run("build", "--form", "thetapsi(-3, 1)", "--prec", "100",
+            "--out", str(src))
+        src.write_text(src.read_text().replace(
+            "# character: trivial:36\n", "# character: %s\n" % character))
+        capsys.readouterr()
+        assert run("lift", "--in", str(src), "--t", "1",
+                   "--out", str(dst)) == 2
+        top, modulus = character[len("kronecker:"):].split("/mod:")
+        assert capsys.readouterr().err == (
+            "error: (%s/.) is not periodic on the units mod %s\n"
+            % (top, modulus))
+        assert not dst.exists()
+
+
 class TestHeckeCommand:
     def test_tsq_eigen_report(self, tmp_path, capsys):
         src = tmp_path / "delta.txt"

@@ -245,31 +245,40 @@ def _series_with(draw, few):
     return QSeries.from_pairs(zip(idx, vals), prec, offset)
 
 
-# Signed ints up to 2^256, weighted towards +-(2^k - 1): the largest
-# value of each bit length, where the Kronecker slot width steps.
-_WIDE = st.one_of(st.integers(-2**256, 2**256),
-                  st.integers(0, 256).map(lambda k: 2**k - 1),
-                  st.integers(0, 256).map(lambda k: 1 - 2**k))
+# Signed ints up to 2^256, and +-(10^k - 1) and +-10^k: the largest
+# value of one decimal length and the smallest of the next, where the
+# bias max|a| + 1 and with it the slot width steps.
+_EDGES = st.integers(0, 80).flatmap(lambda k: st.sampled_from(
+    [10**k - 1, 10**k, 1 - 10**k, -10**k]))
+_WIDE = st.one_of(st.integers(-2**256, 2**256), _EDGES)
 
 
 @st.composite
 def _dense_ints(draw):
-    """A dense int list of length 1..64: wide signed values, all one
-    sign, or one extreme value +-(2^k - 1) throughout (every product
-    coefficient then sits at its largest possible magnitude)."""
+    """An int list of length 1..64: wide signed values, all one
+    sign, alternating signs, one slot-boundary value throughout (every
+    product coefficient then sits at its largest possible magnitude),
+    or any of these with its upper part zero."""
     prec = draw(st.integers(1, 64))
-    kind = draw(st.sampled_from(["wide", "negative", "positive", "extreme"]))
+    kind = draw(st.sampled_from(["wide", "negative", "positive",
+                                 "alternating", "extreme"]))
     if kind == "extreme":
-        k = draw(st.integers(1, 256))
-        value = draw(st.sampled_from([2**k - 1, 1 - 2**k]))
-        return [value] * prec
-    values = {"wide": _WIDE,
-              "negative": st.integers(-2**256, -1),
-              "positive": st.integers(1, 2**256)}[kind]
-    return draw(st.lists(values, min_size=prec, max_size=prec))
+        xs = [draw(_EDGES.filter(bool))] * prec
+    elif kind == "alternating":
+        xs = [(-1) ** i * x for i, x in enumerate(draw(st.lists(
+            st.integers(0, 2**256), min_size=prec, max_size=prec)))]
+    else:
+        values = {"wide": _WIDE,
+                  "negative": st.integers(-2**256, -1),
+                  "positive": st.integers(1, 2**256)}[kind]
+        xs = draw(st.lists(values, min_size=prec, max_size=prec))
+    if draw(st.booleans()):
+        cut = draw(st.integers(0, prec - 1))
+        xs[prec - cut:] = [0] * cut
+    return xs
 
 
-class TestKronecker:
+class TestNtt:
     @given(xs=_dense_ints(), ys=_dense_ints(),
            offset=st.sampled_from([0, 1, Fraction(1, 24)]))
     @settings(max_examples=300, deadline=None)
@@ -277,18 +286,52 @@ class TestKronecker:
         a, b = from_list(xs, offset), from_list(ys)
         assume(a.density == b.density == "dense")
         want = poly_mul(xs, ys, min(len(xs), len(ys)))
-        with mock.patch.object(qs, "_kronecker", wraps=qs._kronecker) as spy:
+        with mock.patch.object(qs, "_ntt", wraps=qs._ntt) as spy:
             for got in (qs.mul(a, b), qs.mul(b, a)):
                 assert got.offset == offset
                 assert got.coeffs == want
-            assert spy.call_count == 2
             assert qs.mul(a, a).coeffs == poly_mul(xs, xs, len(xs))
+            assert spy.call_count == 3
+            # the squaring passes one list twice
+            assert spy.call_args.args[0] is spy.call_args.args[1]
+
+    @given(xs=_dense_ints(), ys=_dense_ints())
+    @settings(max_examples=300, deadline=None)
+    def test_kernel_matches_oracle(self, xs, ys):
+        # The kernel alone, on lists of equal length that mul would not
+        # all send to it: n = 1, zeros, upper parts zero.
+        n = min(len(xs), len(ys))
+        xs, ys = xs[:n], ys[:n]
+        assert qs._ntt(xs, ys) == poly_mul(xs, ys, n)
+        assert qs._ntt(xs, xs) == poly_mul(xs, xs, n)
+
+    @pytest.mark.parametrize("xs, ys", [([0], [0]), ([1], [-1]),
+                                        ([9], [10]), ([-10], [-10]),
+                                        ([5, 0, 0], [0, 0, 0])])
+    def test_short_lists(self, xs, ys):
+        assert qs._ntt(xs, ys) == poly_mul(xs, ys, len(xs))
+        assert qs._ntt(xs, xs) == poly_mul(xs, xs, len(xs))
+        assert qs._ntt([], []) == []
+
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_slots_wider_than_the_int_str_limit(self, data):
+        # Coefficients above 10^4400 make each slot wider than the 4300
+        # digits CPython converts between int and str by default.
+        n = data.draw(st.integers(1, 3))
+        big = st.integers(10**4400, 10**4410)
+        xs = [data.draw(big) * data.draw(st.sampled_from([-1, 1]))
+              for _ in range(n)]
+        ys = [data.draw(st.one_of(big, st.integers(-9, 9)))
+              for _ in range(n)]
+        assert qs._ntt(xs, ys) == poly_mul(xs, ys, n)
+        assert qs._ntt(xs, xs) == poly_mul(xs, xs, n)
 
     @given(xs=_dense_ints(), data=st.data())
     @settings(max_examples=30, deadline=None)
     def test_fraction_operand_is_refused(self, xs, data):
         # Every coefficient is an int, so no operand can leave the
-        # Kronecker path; a rational coefficient never becomes a series.
+        # integer kernel; a rational coefficient never becomes a series.
         i = data.draw(st.integers(0, len(xs) - 1))
         bad = list(xs)
         bad[i] = data.draw(st.fractions(-9, 9, max_denominator=12)
@@ -359,17 +402,32 @@ class TestPow:
             assert got.coeffs == want
             want = poly_mul(want, coeffs, base.prec)
 
-    def test_eta24_takes_at_most_six_products(self, monkeypatch):
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_eta_powers_match_repeated_products(self, m):
+        # Pow(eta(m), e) goes through eta_pow, which starts from e = 3
+        # with Jacobi's eta^3; every denominator stays 1.
+        prec = 150
+        base = _dilated(_euler_literal(), m, prec)
+        want = base
+        for e in range(1, 31):
+            got, den = evaluate(parse_formspec("eta(%d)^%d" % (m, e)), prec)
+            assert (got.offset, den) == (Fraction(e * m, 24), 1)
+            assert got.coeffs == want
+            want = poly_mul(want, base, prec)
+
+    def test_eta24_takes_three_squarings(self, monkeypatch):
+        # eta^24 = (((eta^3)^2)^2)^2, with eta^3 from Jacobi's identity.
         calls = []
         mul = qs.mul
 
         def counting(a, b):
-            calls.append(1)
+            calls.append(a is b)
             return mul(a, b)
 
         monkeypatch.setattr(qs, "mul", counting)
-        out = qs.pow_(qs.eta(1, 200), 24)
-        assert len(calls) <= 6
+        out = qs.eta_pow(1, 24, 200)
+        assert calls == [True] * 3
+        assert out.offset == 1
         assert out.coeffs == tau_list(200)[1:]
 
 
@@ -454,15 +512,32 @@ def _euler_literal():
     return euler_product_literal(997)
 
 
+@lru_cache(maxsize=None)
+def _euler_cubed():
+    literal = _euler_literal()
+    return poly_mul(poly_mul(literal, literal, 997), literal, 997)
+
+
+def _dilated(coeffs, m, prec):
+    return [coeffs[i // m] if i % m == 0 else 0 for i in range(prec)]
+
+
 class TestLacunary:
-    """eta, theta and theta_psi against direct sums on the grid m e."""
+    """eta, eta^3, theta and theta_psi against direct sums and literal
+    products on the grid m e."""
 
     @pytest.mark.parametrize("m, prec", LACUNARY_CASES)
     def test_eta_is_the_dilated_euler_product(self, m, prec):
-        literal = _euler_literal()
-        want = [literal[i // m] if i % m == 0 else 0 for i in range(prec)]
         got = qs.eta(m, prec)
-        assert (got.offset, got.coeffs) == (Fraction(m, 24), want)
+        assert (got.offset, got.coeffs) == (
+            Fraction(m, 24), _dilated(_euler_literal(), m, prec))
+
+    @pytest.mark.parametrize("m, prec", LACUNARY_CASES)
+    def test_eta_cubed_is_the_cubed_euler_product(self, m, prec):
+        # Jacobi's identity: eta(mz)^3 on offset m/8.
+        got = qs.eta_pow(m, 3, prec)
+        assert (got.offset, got.coeffs) == (
+            Fraction(m, 8), _dilated(_euler_cubed(), m, prec))
 
     @pytest.mark.parametrize("m, prec", LACUNARY_CASES)
     def test_theta_counts_representations(self, m, prec):
@@ -485,8 +560,9 @@ class TestLacunary:
 
     @pytest.mark.parametrize("make", [
         lambda m, prec: qs.eta(m, prec), lambda m, prec: qs.theta(m, prec),
-        lambda m, prec: qs.theta_psi(DirichletCharacter(top=-3), m, prec)],
-        ids=["eta", "theta", "theta_psi"])
+        lambda m, prec: qs.theta_psi(DirichletCharacter(top=-3), m, prec),
+        lambda m, prec: qs.eta_pow(m, 3, prec)],
+        ids=["eta", "theta", "theta_psi", "eta_cubed"])
     def test_refusals_keep_their_messages(self, make):
         for m in (0, -2):
             with pytest.raises(ValueError, match="^dilation index must be "
