@@ -110,7 +110,7 @@ def expression_form(spec: str, prec: int) -> tuple[Form, int]:
     if prec < 1:
         raise ValueError("prec must be positive")
     ast = formspec.parse_formspec(spec)
-    weight, level = formspec.signature(ast)
+    weight, level, _ = formspec.signature(ast)
     series, den = formspec.evaluate(ast, prec + 1)
     form = Form(weight_num=int(2 * weight), level=level,
                 character=DirichletCharacter.trivial(level),

@@ -15,12 +15,13 @@ Grammar (whitespace is insignificant):
 The atoms are the names in ATOMS: eta, theta and E4 take the dilation
 index m (the series evaluated at mz), which must be >= 1; thetapsi takes
 the top of an odd primitive real character, which may be negative, and
-then m.  Each atom's weight, level and series generator stand in its
-ATOMS entry and nowhere else.  D is q d/dq and U(m, .) extracts every
-m-th coefficient; a - b parses as a + (-1)*b.  Parse errors carry the
-byte offset of the offending token.  signature gives an expression's
-weight and level; evaluate gives an int series and one positive
-denominator.
+then m.  Each atom's weight, level, offset and series generator stand
+in its ATOMS entry and nowhere else.  D is q d/dq and U(m, .) extracts
+every m-th coefficient; a - b parses as a + (-1)*b.  Parse errors carry
+the byte offset of the offending token.  signature gives an
+expression's weight, level and offset, and refuses a U off the integer
+grid and a sum across two grids before anything is evaluated; evaluate
+gives an int series and one positive denominator.
 """
 
 from __future__ import annotations
@@ -94,6 +95,7 @@ class AtomRule(NamedTuple):
     level: int         # an atom's level is level * m * top^2
     series: Callable[[Atom, int], QSeries]     # (atom, grid positions)
     takes_top: bool = False
+    offset: Fraction = Fraction(0)      # an atom's offset is offset * m
 
 
 def _e4(a: Atom, need: int) -> QSeries:
@@ -104,7 +106,8 @@ def _e4(a: Atom, need: int) -> QSeries:
 # The levels are declared metadata only, with no transformation check;
 # theta_psi has level 4 r^2 (Shimura 1973).
 ATOMS = {
-    "eta": AtomRule(Fraction(1, 2), 1, lambda a, need: qs.eta(a.m, need)),
+    "eta": AtomRule(Fraction(1, 2), 1, lambda a, need: qs.eta(a.m, need),
+                    offset=Fraction(1, 24)),
     "theta": AtomRule(Fraction(1, 2), 4, lambda a, need: qs.theta(a.m, need)),
     "thetapsi": AtomRule(Fraction(3, 2), 4, lambda a, need: qs.theta_psi(
         DirichletCharacter(top=a.top), a.m, need), takes_top=True),
@@ -257,30 +260,45 @@ def evaluate(spec, prec: int) -> tuple[QSeries, int]:
     return _eval(spec, prec)
 
 
-def signature(node) -> tuple[Fraction, int]:
-    """(weight, level) implied by the expression.  Atoms take theirs from
-    ATOMS.  D adds 2 to the weight, products add weights, powers multiply
-    them, and U and scalars keep them; mixed-weight sums are rejected.
-    The level is the lcm of the atoms' levels, and a U node moves its
-    argument's level to arith.u_level, the level of a U_m image."""
+def signature(node) -> tuple[Fraction, int, Fraction]:
+    """(weight, level, offset) implied by the expression, read off the
+    tree alone, so that nothing is evaluated or allocated.  Atoms take
+    their weight, level and offset from ATOMS.  D adds 2 to the weight, products
+    add weights, powers multiply them, and U and scalars keep them;
+    mixed-weight sums are rejected.  The level is the lcm of the atoms'
+    levels, and a U node moves its argument's level to arith.u_level,
+    the level of a U_m image.  The offset is the lowest exponent of the
+    evaluated series (m/24 for eta(m), 0 for the other atoms), kept by
+    D and scalars, added by products, multiplied by powers, the lower of
+    a sum's two, and 0 after U.  A sum whose offsets differ by a
+    non-integer and a U whose argument is off the integer grid are
+    refused here, with qseries' messages, before any series is built."""
     if isinstance(node, Atom):
         rule = ATOMS[node.name]
-        return rule.weight, rule.level * node.m * node.top ** 2
+        return (rule.weight, rule.level * node.m * node.top ** 2,
+                rule.offset * node.m)
     if isinstance(node, (Add, Mul)):
-        (wl, ll), (wr, lr) = signature(node.left), signature(node.right)
-        if isinstance(node, Add) and wl != wr:
+        (wl, ll, ol), (wr, lr, orr) = (signature(node.left),
+                                       signature(node.right))
+        if isinstance(node, Mul):
+            return wl + wr, lcm(ll, lr), ol + orr
+        if wl != wr:
             raise ValueError("sum mixes weights %s and %s" % (wl, wr))
-        return (wl if isinstance(node, Add) else wl + wr), lcm(ll, lr)
+        qs.check_common_grid(ol, orr)
+        return wl, lcm(ll, lr), min(ol, orr)
     if not isinstance(node, (Diff, U, Pow, Scale)):
         raise TypeError("not a FormSpec node: %r" % (node,))
-    weight, level = signature(node.arg)
+    weight, level, offset = signature(node.arg)
     if isinstance(node, Diff):
         weight += 2
     elif isinstance(node, Pow):
         weight *= node.exp
+        offset *= node.exp
     elif isinstance(node, U):
+        qs.check_u_grid(node.m, offset)
         level = u_level(level, node.m, weight.denominator == 2)
-    return weight, level
+        offset = Fraction(0)
+    return weight, level, offset
 
 
 def _eval(node, need: int) -> tuple[QSeries, int]:

@@ -17,13 +17,18 @@ products carry only O(sqrt(prec)) nonzero terms, so a product counts
 the nonzeros of its operands and takes the one with fewer as the row
 source.  A series is sparse while nnz * 16 <= prec; when both operands
 are sparse the product runs over pairs of nonzero terms, otherwise each
-nonzero row term adds a shifted multiple of the other operand in one
-fused pass.  With s nonzero row terms that costs O(prec * s) coefficient
-operations.  That pass skips the zeros a dilation leaves: when the
-other operand's nonzeros all sit on multiples of some d (E4(4) has
-d = 4), a row term at i updates only out[i::d], a cost of
-O(prec * s / d).  The gcd d is read from the nonzero indices and the
-read stops as soon as it reaches 1.  When both operands are dense, the
+nonzero row term adds a shifted multiple of the other operand (the row
+pass).  That pass skips the zeros a dilation leaves: when the other
+operand's nonzeros all sit on multiples of some d (E4(4) has d = 4), a
+row term at i updates only out[i::d].  The gcd d is read from the
+nonzero indices and the read stops as soon as it reaches 1.  The other
+operand's every d-th coefficient is packed once into one int of
+fixed-width byte slots, and each residue mod d is a sum of that int
+scaled and shifted once per row term, plus a constant in every slot that
+keeps all slots positive; the slots are wide enough that none carries
+into the next, and one to_bytes reads the residue back.  With s nonzero
+row terms that costs O(prec * s / d) limb operations, all of them in C,
+and O(prec) Python-level steps.  When both operands are dense, the
 product is one multiplication of two big Decimals instead: each list is
 packed into fixed-width decimal slots, with a bias of its own that makes
 every slot positive, wide enough that no product coefficient can carry
@@ -50,7 +55,8 @@ from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_DOWN, Context,
                      Decimal, Inexact, Rounded)
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, chain, compress, count, takewhile
+from itertools import (accumulate, chain, compress, count, islice,
+                       takewhile)
 from math import gcd
 
 from .arith import DirichletCharacter
@@ -61,7 +67,7 @@ SPARSE_FACTOR = 16
 # Exact integer arithmetic on Decimals: nothing is ever rounded.
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
                  traps=[Inexact, Rounded])
-# Slots packed per digit string in _ntt.
+# Slots packed per string in _ntt and _row_pass.
 _BLOCK = 512
 # The int <-> str digit limit of CPython 3.10.7 and later (0: none).
 _int_str_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
@@ -157,15 +163,20 @@ def add(a: QSeries, b: QSeries) -> QSeries:
     Offsets must differ by an integer; the result window is the
     intersection of what both operands guarantee.
     """
-    if (a.offset - b.offset).denominator != 1:
-        raise ValueError("offsets %s and %s are not on a common grid"
-                         % (a.offset, b.offset))
+    check_common_grid(a.offset, b.offset)
     if b.offset < a.offset:
         a, b = b, a
     shift = int(b.offset - a.offset)
     out = a.coeffs[:shift + b.prec]
     out[shift:] = [x + y for x, y in zip(out[shift:], b.coeffs)]
     return QSeries(a.offset, out)
+
+
+def check_common_grid(a_offset: Fraction, b_offset: Fraction):
+    """Refuse a sum of series whose offsets differ by a non-integer."""
+    if (a_offset - b_offset).denominator != 1:
+        raise ValueError("offsets %s and %s are not on a common grid"
+                         % (a_offset, b_offset))
 
 
 def scalar_mul(a: QSeries, r: int) -> QSeries:
@@ -181,7 +192,9 @@ def mul(a: QSeries, b: QSeries) -> QSeries:
     sparse, the pair loop multiplies nonzero terms only; when both are
     dense, one exact Decimal product of slot-packed lists (_ntt) does the
     work; otherwise each nonzero row term adds its multiple of the other
-    operand, shifted, in one pass over the list.
+    operand, shifted, as one big-int shift-add on that operand packed
+    into one int (_row_pass): O(prec * s / d) limb operations for s row
+    terms and the other operand's nonzeros on multiples of d.
     """
     offset = a.offset + b.offset
     prec = min(a.prec, b.prec)
@@ -193,26 +206,22 @@ def mul(a: QSeries, b: QSeries) -> QSeries:
     if not (sparse_a or sparse_b):
         ac = a.coeffs[:prec]
         return QSeries(offset, _ntt(ac, ac if b is a else b.coeffs[:prec]))
+    if not (sparse_a and sparse_b):
+        # b's nonzeros below prec sit on multiples of d, so a row term at
+        # i reaches only out[i::d]; d = 1 is every slot.
+        rows = list(takewhile(lambda t: t[0] < prec, a.pairs()))
+        return QSeries(offset, _row_pass(rows, b.coeffs,
+                                         _stride(b.coeffs, prec), prec))
     out = [0] * prec
-    if sparse_a and sparse_b:
-        bp = list(b.pairs())
-        for i, c in a.pairs():
-            lim = prec - i
-            if lim <= 0:
-                break
-            for j, d in bp:
-                if j >= lim:
-                    break
-                out[i + j] += c * d
-        return QSeries(offset, out)
-    # b's nonzeros below prec sit on multiples of d, so a row term at i
-    # reaches only out[i::d]; d = 1 is every slot.
-    d = _stride(b.coeffs, prec)
-    bs = b.coeffs[:prec:d]
+    bp = list(b.pairs())
     for i, c in a.pairs():
-        if i >= prec:
+        lim = prec - i
+        if lim <= 0:
             break
-        out[i::d] = [x + c * y for x, y in zip(out[i::d], bs)]
+        for j, d in bp:
+            if j >= lim:
+                break
+            out[i + j] += c * d
     return QSeries(offset, out)
 
 
@@ -225,6 +234,54 @@ def _stride(coeffs: list, prec: int) -> int:
         if d == 1:
             break
     return d or 1
+
+
+def _row_pass(rows: list, coeffs: list, d: int, prec: int) -> list:
+    """The prec coefficients of sum c q^i b(q) over the row terms (i, c),
+    each with i < prec, where b's coefficients are coeffs and those below
+    prec sit on multiples of d.
+
+    A row term at i = r + d k adds c coeffs[d t] to out[r + d (k + t)],
+    so each residue r mod d is a sum of shifted multiples of b[::d].
+    b[::d] is packed once into one int P = sum_t coeffs[d t] 256^(w t),
+    and a residue's sum is M in every slot plus c (P << 8 w k) per row
+    term: one shift-add, run in C over the whole list.  With
+    B = max|b| + 1 and M = B sum|c|, every slot of the sum lies in
+    (0, 2M), so slots of w bytes, enough for 2M, never carry into each
+    other, and the low n slots are the low 8 w n bits whatever the slots
+    above them hold.  P is packed in blocks from the slots coeffs[d t] + B,
+    which lie in (0, 2B) and so fit too, and the bias is then taken off
+    the whole int at once.
+    """
+    out = [0] * prec
+    if not rows:
+        return out
+    bias = max(map(abs, islice(coeffs, 0, prec, d))) + 1
+    m = bias * sum(abs(c) for _, c in rows)
+    w = ((2 * m).bit_length() + 7) // 8
+
+    def slots(value, n):
+        return int.from_bytes(value.to_bytes(w, "little") * n, "little")
+
+    packed = bytearray()
+    for k in range(0, prec, _BLOCK * d):
+        packed += b"".join([(x + bias).to_bytes(w, "little") for x in
+                            coeffs[k:min(k + _BLOCK * d, prec):d]])
+    p = int.from_bytes(packed, "little") - slots(bias, len(packed) // w)
+    del packed
+    residues = {}
+    for i, c in rows:
+        residues.setdefault(i % d, []).append((i // d, c))
+    for r, terms in residues.items():
+        n = len(range(r, prec, d))
+        acc = slots(m, n)
+        for k, c in terms:
+            acc += (c * p) << (8 * w * k)
+        buf = (acc & ((1 << 8 * w * n) - 1)).to_bytes(w * n, "little")
+        del acc
+        out[r::d] = [int.from_bytes(buf[j:j + w], "little") - m
+                     for j in range(0, w * n, w)]
+    return out
 
 
 def _ntt(ac: list, bc: list) -> list:
@@ -317,7 +374,7 @@ def u_op(m: int, a: QSeries) -> QSeries:
     coefficient of q^(m n) in a.  Requires an integer offset; the result
     is reported on offset 0 with prec = prec_a // m, cut further when a
     negative offset leaves fewer exponents m n known."""
-    _u_grid(m, a.offset)
+    check_u_grid(m, a.offset)
     off = int(a.offset)
     # a is known for exponents below off + prec_a: n < ceil(that / m).
     prec = max(0, min(a.prec // m, -(-(off + a.prec) // m)))
@@ -339,7 +396,7 @@ def u_mul(m: int, a: QSeries, b: QSeries) -> QSeries:
     coefficients equal those of u_op(m, mul(a, b)).
     """
     offset = a.offset + b.offset
-    _u_grid(m, offset)
+    check_u_grid(m, offset)
     if offset <= -m:
         # Then a section of b has terms at negative n, which u_op cuts
         # although the sum still needs them; take the product whole.
@@ -349,7 +406,9 @@ def u_mul(m: int, a: QSeries, b: QSeries) -> QSeries:
                         for r in range(m)))
 
 
-def _u_grid(m: int, offset: Fraction):
+def check_u_grid(m: int, offset: Fraction):
+    """Refuse U_m of a series whose offset is off the integer grid, and
+    an index m below 1."""
     if m < 1:
         raise ValueError("operator index must be a positive integer")
     if offset.denominator != 1:

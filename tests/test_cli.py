@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsigns
-from qsigns import coeffio
+from qsigns import coeffio, formspec, qseries
 from qsigns.arith import DirichletCharacter
 from qsigns.cli import main
 from qsigns.forms import (NAMED, Form, delta_form, g_form, ramanujan_delta,
@@ -337,6 +337,29 @@ class TestBuildCommand:
         assert run("build", "--form", expr, "--prec", "100",
                    "--out", str(out)) == 2
         assert "error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("expr, message", [
+        # Evaluated first, the inner U would build eta(1) to 10^8 slots.
+        ("U(1000, U(1000, eta(1)))",
+         "U_1000 needs an integer exponent grid, offset is 1/24"),
+        ("U(2, eta(1)^5)",
+         "U_2 needs an integer exponent grid, offset is 5/24"),
+        ("U(3, theta(1) + eta(1))",
+         "offsets 0 and 1/24 are not on a common grid")])
+    def test_grid_refused_before_any_series_is_built(self, tmp_path, capsys,
+                                                     monkeypatch, expr,
+                                                     message):
+        def refuse(*args):
+            raise AssertionError("a series was built for %r" % (args,))
+        for name, rule in formspec.ATOMS.items():
+            monkeypatch.setitem(formspec.ATOMS, name,
+                                rule._replace(series=refuse))
+        monkeypatch.setattr(qseries, "eta_pow", refuse)
+        out = tmp_path / "x.txt"
+        assert run("build", "--form", expr, "--prec", "100",
+                   "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: %s\n" % message
         assert not out.exists()
 
     def test_prec_guard(self, tmp_path, capsys):

@@ -6,7 +6,7 @@ from qsigns import formspec as fs
 from qsigns.formspec import (Add, Atom, Diff, FormSpecError, Mul, Pow, Scale,
                              U, evaluate, parse_formspec, signature)
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import eval_fraction, tau_list
@@ -224,6 +224,41 @@ class TestMetadataHints:
         assert self.level("theta(3)*eta(2)") == 12
         assert self.level("thetapsi(-3, 2)") == 72
         assert self.level("U(3, theta(1))") == 12
+
+    @pytest.mark.parametrize("text, offset", [
+        ("eta(1)", Fraction(1, 24)), ("eta(2)*eta(22)", 1),
+        ("eta(1)^24", 1), ("eta(5)^3", Fraction(5, 8)),
+        ("D(eta(1))", Fraction(1, 24)), ("-1/2*eta(3)^2", Fraction(1, 4)),
+        ("E4(4)*theta(1)", 0), ("thetapsi(-3, 2)", 0),
+        ("U(4, %s)" % G_SPEC, 0), ("U(2, eta(1)^24)", 0),
+        ("eta(25)*theta(2) + eta(1)*theta(1)", Fraction(1, 24)),
+        ("U(2, E4(1)) - eta(24)^8", 0)])
+    def test_offset_is_the_evaluated_one(self, text, offset):
+        got = signature(parse_formspec(text))[2]
+        assert got == offset == evaluate(parse_formspec(text), 4)[0].offset
+
+    @given(tree=_trees())
+    @settings(max_examples=150, deadline=None)
+    def test_offset_matches_evaluation(self, tree):
+        node = parse_formspec(_render(tree))
+        try:
+            offset = signature(node)[2]
+        except ValueError as exc:
+            # The trees mix weights freely; their sums are on one grid.
+            assert "sum mixes weights" in str(exc)
+            assume(False)
+        assert offset == evaluate(node, 3)[0].offset
+
+    @pytest.mark.parametrize("text, message", [
+        ("U(1000, U(1000, eta(1)))",
+         "U_1000 needs an integer exponent grid, offset is 1/24"),
+        ("U(2, eta(1)^5)",
+         "U_2 needs an integer exponent grid, offset is 5/24"),
+        ("U(3, theta(1) + eta(1))",
+         "offsets 0 and 1/24 are not on a common grid")])
+    def test_grid_refused_before_evaluation(self, text, message):
+        with pytest.raises(ValueError, match="^%s$" % message):
+            signature(parse_formspec(text))
 
     def test_u_level(self):
         # U(m, .) has the level of the U_m image (arith.u_level): a

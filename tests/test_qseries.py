@@ -1,4 +1,6 @@
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -342,6 +344,115 @@ class TestNtt:
             QSeries.from_pairs(enumerate(bad), len(bad))
         with pytest.raises(TypeError):
             qs.scalar_mul(from_list(xs), bad[i])
+
+
+# Row-pass values: signed ints up to a few hundred bits, and the byte
+# edges +-(256^k - 1) and +-256^k, where the slot width of the packed
+# row pass steps.
+_BYTE_EDGES = st.integers(0, 40).flatmap(lambda k: st.sampled_from(
+    [256**k - 1, 256**k, 1 - 256**k, -256**k]))
+_ROW_VALUES = st.one_of(st.integers(-2**300, 2**300), _BYTE_EDGES)
+
+
+@st.composite
+def _strided_values(draw, count):
+    """count nonzero ints: wide and mixed, or the carry extremes, where
+    every value is +max or -max (one sign throughout, or mixed)."""
+    kind = draw(st.sampled_from(["wide", "plus", "minus", "mixed"]))
+    if kind == "wide":
+        return draw(st.lists(_ROW_VALUES.filter(bool), min_size=count,
+                             max_size=count))
+    top = abs(draw(_ROW_VALUES.filter(bool)))
+    if kind == "mixed":
+        return [draw(st.sampled_from([-top, top])) for _ in range(count)]
+    return [top if kind == "plus" else -top] * count
+
+
+@st.composite
+def _row_terms(draw, prec, d, most):
+    """Up to most row terms on [0, prec), all on a random set of
+    residues mod d (so some residues may have none), with values of one
+    sign or both."""
+    keep = draw(st.sets(st.integers(0, d - 1), min_size=1))
+    idx = draw(st.lists(st.integers(0, prec - 1).filter(lambda i: i % d
+                                                         in keep),
+                        max_size=most, unique=True))
+    sign = draw(st.sampled_from([1, -1, 0]))
+    vals = [abs(v) * sign if sign else v
+            for v in draw(st.lists(_ROW_VALUES.filter(bool),
+                                   min_size=len(idx), max_size=len(idx)))]
+    return dict(zip(idx, vals))
+
+
+_OFFSETS = st.sampled_from([0, 1, Fraction(1, 24), Fraction(1, 2)])
+
+
+class TestRowPass:
+    """The sparse x dense product: shift-adds on one slot-packed int."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_oracle(self, data):
+        # A dense operand on the multiples of d (prec 1 to 3 included), a
+        # sparse row source that may be all zero, may reach past the
+        # dense operand's prec and may leave residues mod d empty.
+        d = data.draw(st.integers(1, 5))
+        dense_prec = data.draw(st.one_of(st.integers(1, 3),
+                                         st.integers(4, 72)))
+        terms = list(range(0, dense_prec, d))
+        dense = QSeries.from_pairs(
+            zip(terms, data.draw(_strided_values(len(terms)))), dense_prec,
+            data.draw(_OFFSETS))
+        sparse_prec = data.draw(st.integers(16, 160))
+        rows = data.draw(_row_terms(sparse_prec, d,
+                                    sparse_prec // SPARSE_FACTOR))
+        sparse = QSeries.from_pairs(rows.items(), sparse_prec,
+                                    data.draw(_OFFSETS))
+        assert dense.density == "dense" and sparse.density == "sparse"
+        prec = min(dense_prec, sparse_prec)
+        want = poly_mul(sparse.coeffs, dense.coeffs, prec)
+        with mock.patch.object(qs, "_row_pass", wraps=qs._row_pass) as spy:
+            for got in (qs.mul(sparse, dense), qs.mul(dense, sparse)):
+                assert got.offset == sparse.offset + dense.offset
+                assert got.coeffs == want
+            assert spy.call_count == 2
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_kernel_matches_oracle(self, data):
+        # The kernel alone, at every prec from 1 on, with as many row
+        # terms as slots; the caller has cut them at prec.
+        prec = data.draw(st.integers(1, 48))
+        d = data.draw(st.integers(1, 5))
+        width = prec + data.draw(st.integers(0, 8))
+        terms = list(range(0, width, d))
+        coeffs = [0] * width
+        for j, v in zip(terms, data.draw(_strided_values(len(terms)))):
+            coeffs[j] = v
+        rows = sorted(data.draw(_row_terms(prec, d, prec)).items())
+        row_coeffs = [0] * prec
+        for i, c in rows:
+            row_coeffs[i] = c
+        assert qs._row_pass(rows, coeffs, d, prec) == \
+            poly_mul(row_coeffs, coeffs, prec)
+
+    def test_delta_shaped_product_peaks_below_twice_its_result(self):
+        # The row pass keeps one packed copy of the dense operand and one
+        # residue's sum alive, never a per-slot object or a row's copy.
+        prec = 20000
+        rows = qs.derive(qs.theta(1, prec))
+        e4 = qs.dilate(4, qs.eisenstein_e4(prec // 4 + 1), prec)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = qs.mul(rows, e4)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # The list and the int objects it holds (small ints are shared).
+        footprint = sys.getsizeof(out.coeffs) + sum(
+            sys.getsizeof(c) for c in out.coeffs if not -5 <= c <= 256)
+        assert peak < 2 * footprint
 
 
 class TestRingAxioms:
