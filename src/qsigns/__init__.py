@@ -16,7 +16,6 @@ from .hecke import (EigenReport, RecurrenceReport, deligne_check,
                     t_square_half, u_image)
 from .signs import (SignStatsReport, dprime_filter, first_nonzero,
                     fundamental, prefix, prime_powers, prop2_witnesses,
-                    r_plus_fund, r_plus_tot, render_ratio, scan,
-                    square_class, squarefree_sign_survey)
+                    render_ratio, scan, square_class)
 
 __version__ = "0.1.0"

@@ -85,17 +85,17 @@ def is_squarefree(n: int) -> bool:
     return True
 
 
-def is_fundamental_discriminant(d: int) -> bool:
+def is_fundamental_discriminant(d: int, squarefree=is_squarefree) -> bool:
     """True for d = 1, square-free d = 1 mod 4, and 4m with m = 2,3 mod 4
-    square-free.  d = 0 is rejected."""
+    square-free, by the test squarefree.  d = 0 is rejected."""
     if d == 0:
         raise ValueError("0 is not a discriminant")
     r = d % 4
     if r == 1:
-        return is_squarefree(abs(d))
+        return squarefree(abs(d))
     if r == 0:
         m = d // 4
-        return m % 4 in (2, 3) and is_squarefree(abs(m))
+        return m % 4 in (2, 3) and squarefree(abs(m))
     return False
 
 

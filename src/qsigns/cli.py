@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from bisect import bisect_right
 
 from . import coeffio, forms, hecke, signs
 
@@ -22,8 +23,8 @@ ALIASES = {"E4": "E4(1)"}
 DEFAULT_PREC = 100_000
 JSON_SCHEMA = 1
 
-# --stats name -> signs function, looked up at call time as in cmd_build.
-STATS = {"tot": "r_plus_tot", "fund": "r_plus_fund"}
+# --stats name -> signs index set, looked up at call time as in cmd_build.
+STATS = {"tot": "prefix", "fund": "fundamental"}
 
 
 def main(argv=None) -> int:
@@ -107,9 +108,8 @@ def _check_prec(args):
     if args.prec > DEFAULT_PREC and not args.allow_large:
         raise ValueError("prec %d needs --allow-large" % args.prec)
     if args.prec > DEFAULT_PREC:
-        print("warning: prec %d is slow and memory heavy (at 10^6, build g "
-              "took 1.7 s and 153 MB, build delta 5.0 s and 147 MB, on a "
-              "2-CPU host)" % args.prec, file=sys.stderr)
+        print("warning: prec %d is slow and memory heavy, see README"
+              % args.prec, file=sys.stderr)
 
 
 def cmd_build(args) -> int:
@@ -205,11 +205,15 @@ def cmd_signs(args) -> int:
     for s in stats:
         if s not in STATS:
             raise ValueError("unknown stat %r" % s)
+    xs = _int_list(args.xlist, "--X-list")
+    sets = [getattr(signs, STATS[s])(form, max(xs)) for s in stats]
     rows = [["X"] + ["R_%s" % s for s in stats]]
-    for X in _int_list(args.xlist, "--X-list"):
-        rows.append(["%d" % X] + [getattr(signs, STATS[s])(form, X)
-                                  .ratio_rendered(3 if X <= 1000 else 6)
-                                  for s in stats])
+    for X in xs:
+        reps = [signs.scan(form, idx[:bisect_right(idx, X)]) for idx in sets]
+        if any(rep.n_pos + rep.n_neg == 0 for rep in reps):
+            raise ValueError("no nonzero entries up to X=%d" % X)
+        rows.append(["%d" % X] + [rep.ratio_rendered(3 if X <= 1000 else 6)
+                                  for rep in reps])
     csv_text = "".join(",".join(r) + "\n" for r in rows)
 
     reports = []
@@ -229,13 +233,14 @@ def cmd_signs(args) -> int:
                             "change_positions": rep.change_positions})
     if args.dprime is not None:
         primes, eps = _parse_dprime(args.dprime)
-        ts, rep = signs.squarefree_sign_survey(
-            form, signs.dprime_filter(range(1, form.prec + 1), primes, eps))
+        first = signs.first_nonzero(form, signs.dprime_filter(
+            range(1, form.prec + 1), primes, eps))
+        rep = signs.scan(form, first.values())
         reports.append({"kind": "dprime-survey",
                         "primes": list(primes), "eps": list(eps),
                         "entries": rep.entries,
                         "sign_changes": rep.sign_change_count,
-                        "t_values": ts[:50]})
+                        "t_values": list(first)[:50]})
     # Nothing is written until the table and every report are built.
     _emit(csv_text, args.csv)
     if reports:

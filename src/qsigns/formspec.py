@@ -12,16 +12,16 @@ Grammar (whitespace is insignificant):
     atom     := NAME '(' INT ')' | NAME '(' INT ',' INT ')'
     RATIONAL := INT ('/' INT)?
 
-The atoms are the names in ATOMS: eta, theta and E4 take the dilation
-index m (the series evaluated at mz), which must be >= 1; thetapsi takes
-the top of an odd primitive real character, which may be negative, and
-then m.  Each atom's weight, level, offset and series generator stand
-in its ATOMS entry and nowhere else.  D is q d/dq and U(m, .) extracts
-every m-th coefficient; a - b parses as a + (-1)*b.  Parse errors carry
-the byte offset of the offending token.  signature gives an
-expression's weight, level and offset, and refuses a U off the integer
-grid and a sum across two grids before anything is evaluated; evaluate
-gives an int series and one positive denominator.
+The atoms are the names in ATOMS: eta, theta, psi and E4 take the
+dilation index m (the series evaluated at mz), which must be >= 1;
+thetapsi takes the top of an odd primitive real character, which may be
+negative, and then m.  Each atom's weight, level, offset and series
+generator stand in its ATOMS entry and nowhere else.  D is q d/dq and
+U(m, .) extracts every m-th coefficient; a - b parses as a + (-1)*b.
+Parse errors carry the byte offset of the offending token.  signature
+gives an expression's weight, level and offset, and refuses a U off the
+integer grid and a sum across two grids before anything is evaluated;
+evaluate gives an int series and one positive denominator.
 """
 
 from __future__ import annotations
@@ -109,6 +109,8 @@ ATOMS = {
     "eta": AtomRule(Fraction(1, 2), 1, lambda a, need: qs.eta(a.m, need),
                     offset=Fraction(1, 24)),
     "theta": AtomRule(Fraction(1, 2), 4, lambda a, need: qs.theta(a.m, need)),
+    "psi": AtomRule(Fraction(1, 2), 2, lambda a, need: qs.psi(a.m, need),
+                    offset=Fraction(1, 8)),
     "thetapsi": AtomRule(Fraction(3, 2), 4, lambda a, need: qs.theta_psi(
         DirichletCharacter(top=a.top), a.m, need), takes_top=True),
     "E4": AtomRule(Fraction(4), 1, _e4),
@@ -268,11 +270,12 @@ def signature(node) -> tuple[Fraction, int, Fraction]:
     mixed-weight sums are rejected.  The level is the lcm of the atoms'
     levels, and a U node moves its argument's level to arith.u_level,
     the level of a U_m image.  The offset is the lowest exponent of the
-    evaluated series (m/24 for eta(m), 0 for the other atoms), kept by
-    D and scalars, added by products, multiplied by powers, the lower of
-    a sum's two, and 0 after U.  A sum whose offsets differ by a
-    non-integer and a U whose argument is off the integer grid are
-    refused here, with qseries' messages, before any series is built."""
+    evaluated series (m/24 for eta(m), m/8 for psi(m), 0 for the other
+    atoms), kept by D and scalars, added by products, multiplied by
+    powers, the lower of a sum's two, and 0 after U.  A sum whose
+    offsets differ by a non-integer and a U whose argument is off the
+    integer grid are refused here, with qseries' messages, before any
+    series is built."""
     if isinstance(node, Atom):
         rule = ATOMS[node.name]
         return (rule.weight, rule.level * node.m * node.top ** 2,

@@ -463,6 +463,12 @@ def theta(m: int, prec: int) -> QSeries:
                                     ((n * n, 2) for n in count(1))))
 
 
+def psi(m: int, prec: int) -> QSeries:
+    """q^(m/8) sum_{n >= 0} q^(m n(n+1)/2) = eta(2mz)^2 / eta(mz)."""
+    return _lacunary(m, prec, ((n * (n + 1) // 2, 1) for n in count()),
+                     Fraction(m, 8))
+
+
 def theta_psi(psi: DirichletCharacter, m: int, prec: int) -> QSeries:
     """Weighted theta series sum_{n in Z} psi(n) n q^(m n^2) for an odd
     primitive real character psi; the +-n terms double."""

@@ -6,10 +6,11 @@ discriminant), square_class (t n^2 <= prec), prime_powers
 (t p^(2m) <= prec) and first_nonzero (per surveyed t, the least nonzero
 t n_t^2).  square_class and prime_powers check t (square-free, positive,
 a(t) within precision); prime_powers checks p (prime, not dividing the
-level).  scan reads one index set in one pass.  A sign change is an
-adjacent pair of opposite-sign entries once the zeros are deleted, at
-the 1-based place in the index set of the later entry.  Ratios are exact
-fractions, rendered with half-away-from-zero rounding.
+level).  scan reads one index set in one pass; prefix and fundamental
+ascend, so a table cuts the set for its largest X at every X.  A sign
+change is an adjacent pair of opposite-sign entries once the zeros are
+deleted, at the 1-based place in the index set of the later entry.
+Ratios are exact fractions, rendered with half-away-from-zero rounding.
 """
 
 from __future__ import annotations
@@ -94,12 +95,19 @@ def prefix(f: Form, X: int) -> range:
 
 
 def fundamental(f: Form, X: int) -> list[int]:
-    """The n <= X with (-1)^k n a fundamental discriminant (1 included);
-    f has half-integral weight k + 1/2."""
+    """The n <= X with (-1)^k n a fundamental discriminant (1 among them
+    when k is even); f has half-integral weight k + 1/2.  Square-freeness
+    is read off one sieve up to X."""
     if not f.half_integral:
         raise ValueError("fund statistics need a half-integral form")
     sign = -1 if f.k % 2 else 1
-    return [n for n in prefix(f, X) if is_fundamental_discriminant(sign * n)]
+    indices = prefix(f, X)
+    N = len(indices)
+    squarefree = bytearray(b"\x01") * (N + 1)
+    for p in filter(is_prime, range(isqrt(N) + 1)):
+        squarefree[p * p::p * p] = bytes(N // (p * p))
+    return [n for n in indices
+            if is_fundamental_discriminant(sign * n, squarefree.__getitem__)]
 
 
 def square_class(f: Form, t: int) -> list[int]:
@@ -141,23 +149,6 @@ def _check_t(f: Form, t: int):
         raise ValueError("a(t) is beyond the form's precision")
 
 
-def r_plus_tot(f: Form, X: int) -> SignStatsReport:
-    """Share of positive values among the nonzero a(n), n <= X."""
-    return _ratio_scan(f, prefix(f, X), X)
-
-
-def r_plus_fund(f: Form, X: int) -> SignStatsReport:
-    """The same share among the fundamental n <= X."""
-    return _ratio_scan(f, fundamental(f, X), X)
-
-
-def _ratio_scan(f: Form, indices, X: int) -> SignStatsReport:
-    rep = scan(f, indices)
-    if rep.n_pos + rep.n_neg == 0:
-        raise ValueError("no nonzero entries up to X=%d" % X)
-    return rep
-
-
 def dprime_filter(T, primes, eps) -> list[int]:
     """Keep the t with (t/p_j) = eps_j for every prime p_j."""
     if len(primes) != len(eps):
@@ -169,12 +160,6 @@ def dprime_filter(T, primes, eps) -> list[int]:
             raise ValueError("%d is not prime" % p)
     return [t for t in T
             if all(kronecker(t, p) == e for p, e in zip(primes, eps))]
-
-
-def squarefree_sign_survey(f: Form, ts) -> tuple[list[int], SignStatsReport]:
-    """The t that first_nonzero keeps, and the scan along their t n_t^2."""
-    first = first_nonzero(f, ts)
-    return list(first), scan(f, first.values())
 
 
 def prop2_witnesses(f, p: int, limit: int) -> dict:

@@ -93,10 +93,10 @@ def test_criterion_2_table1(delta_big):
     d, build_seconds = delta_big
     t0 = time.perf_counter()
     for X, printed in TABLE1_TOT.items():
-        got = signs.r_plus_tot(d, X).ratio
+        got = signs.scan(d, signs.prefix(d, X)).ratio
         assert abs(got - Fraction(printed)) <= TOT_TOL, (X, printed, got)
     for X, printed in TABLE1_FUND.items():
-        got = signs.r_plus_fund(d, X).ratio
+        got = signs.scan(d, signs.fundamental(d, X)).ratio
         assert abs(got - Fraction(printed)) <= FUND_TOL_DELTA, \
             (X, printed, got)
     elapsed = build_seconds + (time.perf_counter() - t0)
@@ -128,10 +128,10 @@ def test_criterion_3_table2(g_big):
     g, build_seconds = g_big
     t0 = time.perf_counter()
     for X, printed in TABLE2_TOT.items():
-        got = signs.r_plus_tot(g, X).ratio
+        got = signs.scan(g, signs.prefix(g, X)).ratio
         assert abs(got - Fraction(printed)) <= TOT_TOL, (X, printed, got)
     for X, printed in TABLE2_FUND.items():
-        got = signs.r_plus_fund(g, X).ratio
+        got = signs.scan(g, signs.fundamental(g, X)).ratio
         assert abs(got - Fraction(printed)) <= FUND_TOL_G, (X, printed, got)
     elapsed = build_seconds + (time.perf_counter() - t0)
     assert elapsed <= 120, "runtime %.1fs exceeds 2 min" % elapsed

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsigns
-from qsigns import coeffio, formspec, qseries
+from qsigns import coeffio, formspec, qseries, signs
 from qsigns.arith import DirichletCharacter
 from qsigns.cli import main
 from qsigns.forms import (NAMED, Form, delta_form, g_form, ramanujan_delta,
@@ -778,6 +778,35 @@ class TestSignsCommand:
                                    "10,0.600,0.667",
                                    "100,0.520,0.548",
                                    "1000,0.518,0.515"]
+
+    def test_each_row_is_its_own_scan(self, tmp_path):
+        # An unsorted, repeated X-list: every row is the scan of that X's
+        # own index sets, in the order given.
+        src, csv = tmp_path / "g.txt", tmp_path / "table.csv"
+        run("build", "--form", "g", "--prec", "1000", "--out", str(src))
+        assert run("signs", "--in", str(src), "--X-list", "1000,10,100,10",
+                   "--csv", str(csv)) == 0
+        g = coeffio.read(str(src)).form
+        want = ["X,R_tot,R_fund"]
+        for X in (1000, 10, 100, 10):
+            want.append(",".join(["%d" % X] + [
+                signs.scan(g, index_set(g, X)).ratio_rendered(3)
+                for index_set in (signs.prefix, signs.fundamental)]))
+        assert read_lines(csv) == want
+
+    def test_fundamental_runs_once(self, tmp_path, monkeypatch):
+        src = tmp_path / "delta.txt"
+        run("build", "--form", "delta", "--prec", "1000", "--out", str(src))
+        calls = []
+        fundamental = signs.fundamental
+
+        def spy(f, X):
+            calls.append(X)
+            return fundamental(f, X)
+        monkeypatch.setattr(signs, "fundamental", spy)
+        assert run("signs", "--in", str(src),
+                   "--X-list", "10,1000,100,1000") == 0
+        assert calls == [1000]
 
     def test_csv_byte_stable(self, tmp_path):
         src = tmp_path / "g.txt"

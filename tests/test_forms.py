@@ -97,6 +97,17 @@ class TestDeltaDslRoute:
         assert den == 16
         assert integer_table(series, prec, den=den) == d.coeffs
 
+    def test_second_construction(self):
+        # delta = theta F (theta^8 - 18 theta^4 F + 32 F^2), with
+        # F = q psi(q^2)^4 (M_{13/2}(4) is spanned by theta^(13-4j) F^j).
+        # Nine of its products run on the decimal NTT and one on the row
+        # pass; delta's own expression runs its two on the row pass.
+        form, offset = forms.expression_form(
+            "theta(1)*psi(2)^4*(theta(1)^8 - 18*theta(1)^4*psi(2)^4"
+            " + 32*psi(2)^8)", 10 ** 4)
+        assert (form.weight_num, form.level, offset) == (13, 4, 1)
+        assert form.coeffs == delta_form(10 ** 4).coeffs
+
 
 class TestRamanujanDelta:
     def test_against_literal_expansion(self):

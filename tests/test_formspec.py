@@ -209,6 +209,7 @@ class TestMetadataHints:
         assert self.weight("U(4, %s)" % G_SPEC) == Fraction(3, 2)
         assert self.weight("thetapsi(-4, 1)") == Fraction(3, 2)
         assert self.weight("D(theta(1))") == Fraction(5, 2)
+        assert self.weight("psi(2)") == Fraction(1, 2)
 
     def test_mixed_weight_sum_rejected(self):
         with pytest.raises(ValueError, match="sum mixes weights 1/2 and 4"):
@@ -224,6 +225,7 @@ class TestMetadataHints:
         assert self.level("theta(3)*eta(2)") == 12
         assert self.level("thetapsi(-3, 2)") == 72
         assert self.level("U(3, theta(1))") == 12
+        assert self.level("psi(3)") == 6
 
     @pytest.mark.parametrize("text, offset", [
         ("eta(1)", Fraction(1, 24)), ("eta(2)*eta(22)", 1),
@@ -232,7 +234,8 @@ class TestMetadataHints:
         ("E4(4)*theta(1)", 0), ("thetapsi(-3, 2)", 0),
         ("U(4, %s)" % G_SPEC, 0), ("U(2, eta(1)^24)", 0),
         ("eta(25)*theta(2) + eta(1)*theta(1)", Fraction(1, 24)),
-        ("U(2, E4(1)) - eta(24)^8", 0)])
+        ("U(2, E4(1)) - eta(24)^8", 0), ("psi(3)", Fraction(3, 8)),
+        ("psi(2)^4", 1)])
     def test_offset_is_the_evaluated_one(self, text, offset):
         got = signature(parse_formspec(text))[2]
         assert got == offset == evaluate(parse_formspec(text), 4)[0].offset

@@ -634,7 +634,7 @@ def _dilated(coeffs, m, prec):
 
 
 class TestLacunary:
-    """eta, eta^3, theta and theta_psi against direct sums and literal
+    """eta, eta^3, theta, theta_psi and psi against direct sums and literal
     products on the grid m e."""
 
     @pytest.mark.parametrize("m, prec", LACUNARY_CASES)
@@ -669,11 +669,27 @@ class TestLacunary:
         got = qs.theta_psi(DirichletCharacter(top=top), m, prec)
         assert (got.offset, got.coeffs) == (0, want)
 
+    @pytest.mark.parametrize("m, prec", LACUNARY_CASES)
+    def test_psi_marks_the_triangular_numbers(self, m, prec):
+        want = [0] * prec
+        for n in range(prec):
+            if m * n * (n + 1) // 2 < prec:
+                want[m * n * (n + 1) // 2] = 1
+        got = qs.psi(m, prec)
+        assert (got.offset, got.coeffs) == (Fraction(m, 8), want)
+
+    @pytest.mark.parametrize("prec", [1, 2, 59, 997])
+    def test_psi_is_an_eta_quotient(self, prec):
+        # psi(z) eta(z) = eta(2z)^2, on offset 1/8 + 1/24 = 2 * 2/24.
+        assert qs.mul(qs.psi(1, prec), qs.eta(1, prec)) == \
+            qs.pow_(qs.eta(2, prec), 2)
+
     @pytest.mark.parametrize("make", [
         lambda m, prec: qs.eta(m, prec), lambda m, prec: qs.theta(m, prec),
         lambda m, prec: qs.theta_psi(DirichletCharacter(top=-3), m, prec),
-        lambda m, prec: qs.eta_pow(m, 3, prec)],
-        ids=["eta", "theta", "theta_psi", "eta_cubed"])
+        lambda m, prec: qs.eta_pow(m, 3, prec),
+        lambda m, prec: qs.psi(m, prec)],
+        ids=["eta", "theta", "theta_psi", "eta_cubed", "psi"])
     def test_refusals_keep_their_messages(self, make):
         for m in (0, -2):
             with pytest.raises(ValueError, match="^dilation index must be "

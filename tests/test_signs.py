@@ -6,14 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsigns import hecke, signs
-from qsigns.arith import DirichletCharacter, is_squarefree, kronecker
+from qsigns.arith import (DirichletCharacter, is_fundamental_discriminant,
+                          is_squarefree, kronecker)
+from qsigns.cli import main
+from qsigns.coeffio import CoefficientFile
 from qsigns.forms import Form
 
 from oracles import recurrence_oracle, sign_scan
 from qsigns.signs import (dprime_filter, first_nonzero, fundamental, prefix,
-                          prime_powers, prop2_witnesses, r_plus_fund,
-                          r_plus_tot, render_ratio, scan, square_class,
-                          squarefree_sign_survey)
+                          prime_powers, prop2_witnesses, render_ratio, scan,
+                          square_class)
 
 
 def artificial_form(values, weight_num=13, level=4):
@@ -82,14 +84,14 @@ class TestFirstNegative:
 
     def test_forms(self, delta3k, g3k):
         for f in (delta3k, g3k):
-            rep = r_plus_tot(f, 100)
+            rep = scan(f, prefix(f, 100))
             assert rep.change_positions[0] == 4
             assert f.coeffs[4] < 0
             assert all(f.coeffs[n] >= 0 for n in range(1, 4))
 
     def test_absent(self):
         f = artificial_form([1, 0, 0, 1, 1, 0, 0, 1])
-        rep = r_plus_tot(f, 8)
+        rep = scan(f, prefix(f, 8))
         assert rep.n_neg == 0 and rep.change_positions == []
 
 
@@ -113,24 +115,24 @@ class TestSubseq:
 
 class TestRPlusTot:
     def test_delta_at_10(self, delta3k):
-        rep = r_plus_tot(delta3k, 10)
+        rep = scan(delta3k, prefix(delta3k, 10))
         assert rep.ratio == Fraction(3, 5)
         assert (rep.n_pos, rep.n_neg, rep.entries) == (3, 2, 10)
         assert rep.ratio_rendered(3) == "0.600"
 
     def test_g_at_10(self, g3k):
-        rep = r_plus_tot(g3k, 10)
+        rep = scan(g3k, prefix(g3k, 10))
         assert rep.ratio == Fraction(1, 2)
         assert rep.ratio_rendered(3) == "0.500"
 
     def test_ratio_consistency(self, delta3k):
-        rep = r_plus_tot(delta3k, 1000)
+        rep = scan(delta3k, prefix(delta3k, 1000))
         assert rep.ratio == Fraction(rep.n_pos, rep.n_pos + rep.n_neg)
         assert 0 <= rep.ratio <= 1
         assert rep.sign_change_count <= rep.n_pos + rep.n_neg - 1
 
     def test_order_independence_of_counts(self, delta3k):
-        rep = r_plus_tot(delta3k, 500)
+        rep = scan(delta3k, prefix(delta3k, 500))
         idx = list(range(1, 501))
         random.Random(5).shuffle(idx)
         pos = sum(1 for n in idx if delta3k.coeffs[n] > 0)
@@ -138,7 +140,8 @@ class TestRPlusTot:
         assert (pos, neg) == (rep.n_pos, rep.n_neg)
 
     def test_monotone_consistency(self, delta3k):
-        small, large = r_plus_tot(delta3k, 300), r_plus_tot(delta3k, 900)
+        small = scan(delta3k, prefix(delta3k, 300))
+        large = scan(delta3k, prefix(delta3k, 900))
         pos_tail = sum(1 for n in range(301, 901) if delta3k.coeffs[n] > 0)
         neg_tail = sum(1 for n in range(301, 901) if delta3k.coeffs[n] < 0)
         assert large.n_pos == small.n_pos + pos_tail
@@ -146,10 +149,19 @@ class TestRPlusTot:
         assert large.change_positions[:small.sign_change_count] == \
             small.change_positions
 
-    def test_zero_denominator_rejected(self):
+    def test_zero_denominator_rejected(self, tmp_path, capsys):
+        # No ratio exists without a nonzero entry; the table refuses it.
         f = artificial_form([0, 0, 0, 0])
-        with pytest.raises(ValueError):
-            r_plus_tot(f, 4)
+        rep = scan(f, prefix(f, 4))
+        assert rep.n_pos + rep.n_neg == 0
+        src = tmp_path / "zero.txt"
+        CoefficientFile("zero", f).write(str(src))
+        assert main(["signs", "--in", str(src), "--X-list", "10,4"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: X=10 exceeds precision 4\n")
+        assert main(["signs", "--in", str(src), "--X-list", "4"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: no nonzero entries up to X=4\n")
 
 
 class TestRPlusFund:
@@ -157,19 +169,29 @@ class TestRPlusFund:
         # qualifying n: 1, 5, 8 (9 is not square-free, 4 = 4*1 is not
         # fundamental); positives are 1, 5
         assert fundamental(delta3k, 10) == [1, 5, 8]
-        rep = r_plus_fund(delta3k, 10)
+        rep = scan(delta3k, fundamental(delta3k, 10))
         assert rep.ratio == Fraction(2, 3)
         assert rep.ratio_rendered(3) == "0.667"
 
     def test_g_at_10_documented_indexing(self, g3k):
         # k odd indexes by -n fundamental: n = 3 (+1) and n = 4 (-1)
         assert fundamental(g3k, 10) == [3, 4, 7, 8]
-        rep = r_plus_fund(g3k, 10)
+        rep = scan(g3k, fundamental(g3k, 10))
         assert rep.ratio == Fraction(1, 2)
 
+    @given(X=st.integers(0, 3000), weight_num=st.sampled_from([3, 13]))
+    @settings(max_examples=60, deadline=None)
+    def test_sieve_matches_trial_division(self, X, weight_num):
+        # k = 1 indexes by -n, k = 6 by n; the sieve against the
+        # per-n rule with trial division.
+        f = artificial_form([0] * 3000, weight_num=weight_num)
+        sign = -1 if f.k % 2 else 1
+        assert fundamental(f, X) == [n for n in range(1, X + 1)
+                                     if is_fundamental_discriminant(sign * n)]
+
     def test_restriction_subset_of_tot(self, g3k):
-        fund = r_plus_fund(g3k, 1000)
-        tot = r_plus_tot(g3k, 1000)
+        fund = scan(g3k, fundamental(g3k, 1000))
+        tot = scan(g3k, prefix(g3k, 1000))
         assert fund.n_pos + fund.n_neg <= tot.n_pos + tot.n_neg
 
 
@@ -215,17 +237,17 @@ class TestSquarefreeSurvey:
         assert [g3k.coeffs[n] for n in hits.values()] == [1, -1, 1, -1]
 
     def test_survey_report(self, delta3k):
-        ts, rep = squarefree_sign_survey(delta3k, range(1, 21))
+        first = first_nonzero(delta3k, range(1, 21))
+        ts, rep = list(first), scan(delta3k, first.values())
         # every square-free t <= 20 has a nonzero a(t n^2) within 3000
         assert ts == [t for t in range(1, 21) if is_squarefree(t)]
-        values = {t: delta3k.coeffs[n]
-                  for t, n in first_nonzero(delta3k, range(1, 21)).items()}
+        values = {t: delta3k.coeffs[n] for t, n in first.items()}
         assert {1: 1, 5: 120, 13: -1320, 17: -240}.items() <= values.items()
         assert rep.entries == len(ts)
         assert rep.sign_change_count >= 1
         # a Kronecker-class filter keeps its t in order, square-free only
-        kept, _ = squarefree_sign_survey(delta3k, dprime_filter(range(1, 21),
-                                                                [3], [1]))
+        kept = list(first_nonzero(delta3k, dprime_filter(range(1, 21),
+                                                         [3], [1])))
         assert kept == [t for t in ts if kronecker(t, 3) == 1]
 
 
