@@ -204,10 +204,8 @@ class DirichletCharacter:
             raise ValueError("modulus must be positive")
         return cls(top=N * N, modulus=N, is_trivial=True)
 
-    def value(self, a: int) -> int:
+    def __call__(self, a: int) -> int:
         return kronecker(self.top, a) if gcd(a, self.modulus) == 1 else 0
-
-    __call__ = value
 
     @property
     def is_odd(self) -> bool:

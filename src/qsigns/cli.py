@@ -102,9 +102,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _check_prec(args):
     if args.prec < 1:
         raise ValueError("prec must be positive")
-    if args.prec > coeffio.LARGE_PREC_CAP:
+    if args.prec > forms.LARGE_PREC_CAP:
         raise ValueError("prec above %d is not supported"
-                         % coeffio.LARGE_PREC_CAP)
+                         % forms.LARGE_PREC_CAP)
     if args.prec > DEFAULT_PREC and not args.allow_large:
         raise ValueError("prec %d needs --allow-large" % args.prec)
     if args.prec > DEFAULT_PREC:

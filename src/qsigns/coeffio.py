@@ -26,8 +26,8 @@ lift index, a square-free positive integer.
 Serialization is canonical, and parse accepts only a header that
 serialize writes back byte for byte: no unknown, repeated or reordered
 key, no value in another spelling (a leading zero, a sign, padding).  A
-prec above LARGE_PREC_CAP is refused before the table is allocated, and
-the Form's own checks apply on read.
+prec above forms.LARGE_PREC_CAP is refused before the table is
+allocated, and the Form's own checks apply on read.
 """
 
 from __future__ import annotations
@@ -36,11 +36,10 @@ import re
 from dataclasses import dataclass
 
 from .arith import DirichletCharacter, is_squarefree
-from .forms import Form
+from .forms import LARGE_PREC_CAP, Form
 
 MAGIC = "# coeffs v1"
 KEYS = ("form", "weight", "level", "character", "prec", "offset", "t")
-LARGE_PREC_CAP = 1_000_000
 
 
 def format_character(chi: DirichletCharacter) -> str:

@@ -19,6 +19,11 @@ from .arith import DirichletCharacter
 from . import formspec
 from .qseries import QSeries, PrecisionError
 
+# The largest prec of a build or a coefficient file, and the most grid
+# positions an expression may ask of any node: g's, 4 (prec + 1), there.
+LARGE_PREC_CAP = 1_000_000
+WORKING_PREC_CAP = 4 * (LARGE_PREC_CAP + 1)
+
 # name -> (formspec expression, plus-space support condition)
 NAMED = {
     "delta": ("1/4*(2*E4(4)*D(theta(1)) - 1/4*D(E4(4))*theta(1))", True),
@@ -106,15 +111,20 @@ def integer_table(series: QSeries, prec: int, den: int = 1) -> list[int]:
 def expression_form(spec: str, prec: int) -> tuple[Form, int]:
     """The Form of a formspec expression, a(0) through a(prec), with the
     weight and level of formspec.signature and the trivial character, and
-    its series' integer offset."""
+    its series' integer offset.  The Form's weight and level, and the
+    working precision (at most WORKING_PREC_CAP), are checked first."""
     if prec < 1:
         raise ValueError("prec must be positive")
     ast = formspec.parse_formspec(spec)
     weight, level, _ = formspec.signature(ast)
-    series, den = formspec.evaluate(ast, prec + 1)
     form = Form(weight_num=int(2 * weight), level=level,
-                character=DirichletCharacter.trivial(level),
-                coeffs=integer_table(series, prec, den))
+                character=DirichletCharacter.trivial(level), coeffs=[])
+    need = formspec.working_prec(ast, prec + 1)
+    if need > WORKING_PREC_CAP:
+        raise ValueError("working precision %d exceeds %d"
+                         % (need, WORKING_PREC_CAP))
+    series, den = formspec.evaluate(ast, prec + 1)
+    form.coeffs = integer_table(series, prec, den)
     return form, int(series.offset)
 
 

@@ -21,7 +21,8 @@ U(m, .) extracts every m-th coefficient; a - b parses as a + (-1)*b.
 Parse errors carry the byte offset of the offending token.  signature
 gives an expression's weight, level and offset, and refuses a U off the
 integer grid and a sum across two grids before anything is evaluated;
-evaluate gives an int series and one positive denominator.
+working_prec gives the most grid positions evaluate will ask of any
+node; evaluate gives an int series and one positive denominator.
 """
 
 from __future__ import annotations
@@ -98,11 +99,6 @@ class AtomRule(NamedTuple):
     offset: Fraction = Fraction(0)      # an atom's offset is offset * m
 
 
-def _e4(a: Atom, need: int) -> QSeries:
-    base = qs.eisenstein_e4((need + a.m - 1) // a.m)
-    return qs.dilate(a.m, base, max_prec=need)
-
-
 # The levels are declared metadata only, with no transformation check;
 # theta_psi has level 4 r^2 (Shimura 1973).
 ATOMS = {
@@ -113,7 +109,8 @@ ATOMS = {
                     offset=Fraction(1, 8)),
     "thetapsi": AtomRule(Fraction(3, 2), 4, lambda a, need: qs.theta_psi(
         DirichletCharacter(top=a.top), a.m, need), takes_top=True),
-    "E4": AtomRule(Fraction(4), 1, _e4),
+    "E4": AtomRule(Fraction(4), 1,
+                   lambda a, need: qs.eisenstein_e4(a.m, need)),
 }
 
 
@@ -302,6 +299,19 @@ def signature(node) -> tuple[Fraction, int, Fraction]:
         level = u_level(level, node.m, weight.denominator == 2)
         offset = Fraction(0)
     return weight, level, offset
+
+
+def working_prec(node, prec: int) -> int:
+    """The most grid positions evaluate asks of any node when the root
+    needs prec, read off the tree alone: U(m, .) asks its argument for m
+    times its own need, and every other node passes its need down."""
+    if isinstance(node, Atom):
+        return prec
+    if isinstance(node, (Add, Mul)):
+        return max(working_prec(node.left, prec),
+                   working_prec(node.right, prec))
+    return working_prec(node.arg, node.m * prec if isinstance(node, U)
+                        else prec)
 
 
 def _eval(node, need: int) -> tuple[QSeries, int]:

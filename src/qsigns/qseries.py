@@ -44,6 +44,9 @@ U_m of a product (u_mul) never forms the product whose every m-th
 coefficient it keeps: it sums the products of the operands' m-sections,
 each on prec // m positions.
 
+Every generator takes a dilation index m and writes the series at mz
+straight onto its grid, at stride m; nothing substitutes q -> q^m.
+
 QSeries values are treated as immutable: every operation returns a new
 object and never mutates its operands.
 """
@@ -358,17 +361,6 @@ def derive(a: QSeries) -> QSeries:
                          for i, c in enumerate(a.coeffs)])
 
 
-def dilate(m: int, a: QSeries, max_prec: int) -> QSeries:
-    """Substitute q -> q^m: exponent e maps to m*e, and the result keeps
-    the first min(m*prec, max_prec) grid positions (m = 1 only cuts)."""
-    if m < 1:
-        raise ValueError("dilation index must be a positive integer")
-    prec = min(a.prec * m, max_prec)
-    out = [0] * prec
-    out[::m] = a.coeffs[:(prec + m - 1) // m]
-    return QSeries(a.offset * m, out)
-
-
 def u_op(m: int, a: QSeries) -> QSeries:
     """Index extraction: coefficient of q^n in the result is the
     coefficient of q^(m n) in a.  Requires an integer offset; the result
@@ -480,17 +472,20 @@ def theta_psi(psi: DirichletCharacter, m: int, prec: int) -> QSeries:
     return _lacunary(m, prec, ((n * n, 2 * psi(n) * n) for n in count(1)))
 
 
-def eisenstein_e4(prec: int) -> QSeries:
-    """Weight-4 Eisenstein series 1 + 240 sum sigma_3(n) q^n, with the
-    divisor powers filled by a sieve."""
+def eisenstein_e4(m: int, prec: int) -> QSeries:
+    """E4(mz) = 1 + 240 sum sigma_3(n) q^(m n): the divisor powers are
+    sieved over the n with m n < prec and written at stride m."""
+    if m < 1:
+        raise ValueError("dilation index must be a positive integer")
     if prec < 1:
         raise ValueError("prec must be positive")
-    sig = [0] * prec
-    for d in range(1, prec):
+    top = (prec + m - 1) // m
+    sig = [0] * top
+    for d in range(1, top):
         dc = d * d * d
-        for mult in range(d, prec, d):
+        for mult in range(d, top, d):
             sig[mult] += dc
-    out = [240 * s for s in sig]
+    out = [0] * prec
+    out[::m] = [240 * s for s in sig]
     out[0] = 1
     return QSeries(0, out)
-

@@ -20,6 +20,12 @@ def poly_mul(A, B, prec):
     return out
 
 
+def dilated(coeffs, m, prec):
+    """The first prec coefficients after q -> q^m: entry i is
+    coeffs[i // m] when m divides i, and 0 otherwise."""
+    return [coeffs[i // m] if i % m == 0 else 0 for i in range(prec)]
+
+
 def euler_product_literal(prec):
     """prod_{n=1}^{prec-1} (1 - q^n) expanded term by term."""
     out = [0] * prec

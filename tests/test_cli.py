@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsigns
-from qsigns import coeffio, formspec, qseries, signs
+from qsigns import coeffio, forms, formspec, qseries, signs
 from qsigns.arith import DirichletCharacter
 from qsigns.cli import main
 from qsigns.forms import (NAMED, Form, delta_form, g_form, ramanujan_delta,
@@ -122,7 +122,7 @@ class TestCoefficientFile:
         with pytest.raises(ValueError):
             coeffio.parse("".join(lines))
 
-    @pytest.mark.parametrize("prec", [-1, coeffio.LARGE_PREC_CAP + 1, 10 ** 18])
+    @pytest.mark.parametrize("prec", [-1, forms.LARGE_PREC_CAP + 1, 10 ** 18])
     def test_parse_rejects_prec_outside_the_range(self, prec):
         # Refused before the table is allocated: 10^18 entries would not fit.
         text = self.FULL.replace("# prec: 4\n", "# prec: %d\n" % prec)
@@ -346,7 +346,14 @@ class TestBuildCommand:
         ("U(2, eta(1)^5)",
          "U_2 needs an integer exponent grid, offset is 5/24"),
         ("U(3, theta(1) + eta(1))",
-         "offsets 0 and 1/24 are not on a common grid")])
+         "offsets 0 and 1/24 are not on a common grid"),
+        # On the grid, but the inner theta(1) would need 1.01 * 10^8 slots.
+        ("U(1000, U(1000, theta(1)))",
+         "working precision 101000000 exceeds 4000004"),
+        # The Form's weight and level are refused before evaluation too.
+        ("eta(2)*eta(3)*eta(19)", "level must be divisible by 4"),
+        ("eta(24)^2", "integral weight must be a positive even integer"),
+        ("eta(4)^6", "integral weight must be a positive even integer")])
     def test_grid_refused_before_any_series_is_built(self, tmp_path, capsys,
                                                      monkeypatch, expr,
                                                      message):
@@ -1073,20 +1080,33 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
 
-def test_imports_only_the_standard_library():
-    # The package stays dependency-free: importing the CLI may load no
-    # module beyond those the interpreter had at start-up, the standard
-    # library and qsigns itself.
+def _fresh_import(module):
+    """The modules a new interpreter holds after importing module but did
+    not hold at start-up."""
     probe = ("import json, sys\n"
-             "before = {m.partition('.')[0] for m in sys.modules}\n"
-             "import qsigns.cli\n"
-             "after = {m.partition('.')[0] for m in sys.modules}\n"
-             "print(json.dumps(sorted(after - before)))\n")
+             "before = set(sys.modules)\n"
+             "import %s\n"
+             "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+             % module)
     src = str(Path(qsigns.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=60,
                           check=True)
-    new = set(json.loads(proc.stdout))
+    return json.loads(proc.stdout)
+
+
+def test_imports_only_the_standard_library():
+    # The package stays dependency-free: importing the CLI may load no
+    # module beyond those the interpreter had at start-up, the standard
+    # library and qsigns itself.
+    new = {m.partition(".")[0] for m in _fresh_import("qsigns.cli")}
     assert "qsigns" in new
     assert new - set(sys.stdlib_module_names) - {"qsigns"} == set()
+
+
+def test_the_package_imports_no_module():
+    # The package namespace re-exports nothing, so one module loads only
+    # what it imports itself.
+    assert {m for m in _fresh_import("qsigns.arith")
+            if m.startswith("qsigns")} == {"qsigns", "qsigns.arith"}

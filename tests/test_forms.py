@@ -1,8 +1,10 @@
 import math
+from pathlib import Path
 
 import pytest
 
 from qsigns import forms
+from qsigns import formspec as fs
 from qsigns import qseries as qs
 from qsigns.arith import DirichletCharacter
 from qsigns.forms import (NAMED, Form, delta_form, g_form, integer_table,
@@ -190,3 +192,26 @@ class TestFinalization:
     def test_integer_table_rejects_fractional_offset(self):
         with pytest.raises(ValueError):
             integer_table(qs.eta(1, 6), 5)
+
+
+def test_readme_library_example(capsys):
+    # The README's Library block runs as written, and each line it prints
+    # equals the comment on its print call, up to a parenthesised note.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Library", 1)[1]
+    block = block.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    wanted = [line.split("# ", 1)[1] for line in block.splitlines()
+              if line.startswith("print(")]
+    assert len(printed) == len(wanted) == 4
+    for got, want in zip(printed, wanted):
+        assert want == got or want.startswith(got + " ("), (got, want)
+
+
+def test_the_working_precision_cap_is_g_at_the_largest_prec():
+    # Every named form builds at LARGE_PREC_CAP; g asks the most of any.
+    needs = {name: fs.working_prec(parse_formspec(spec),
+                                   forms.LARGE_PREC_CAP + 1)
+             for name, (spec, _) in NAMED.items()}
+    assert max(needs.values()) == needs["g"] == forms.WORKING_PREC_CAP

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -272,3 +273,31 @@ class TestMetadataHints:
         assert self.level("U(2, E4(1))") == 2
         assert self.level("U(2, eta(1)^24)") == 2
         assert self.level("2*theta(1) - theta(2)") == 8
+
+
+class TestWorkingPrec:
+    @pytest.mark.parametrize("text, need", [
+        ("theta(1)", 10), ("U(4, %s)" % G_SPEC, 40),
+        ("U(1000, U(1000, theta(1)))", 10 ** 7),
+        ("D(U(2, theta(1))) + U(3, theta(1))", 30),
+        ("2*U(2, U(3, E4(1)))*theta(1)", 60), (DELTA_SPEC, 10)])
+    def test_each_u_multiplies_the_need(self, text, need):
+        assert fs.working_prec(parse_formspec(text), 10) == need
+
+    @given(tree=_trees())
+    @settings(max_examples=100, deadline=None)
+    def test_it_is_the_most_any_generator_is_asked_for(self, tree):
+        node = parse_formspec(_render(tree))
+        asked = []
+
+        def spy(make):
+            def series(*args):
+                asked.append(args[-1])      # the grid positions asked for
+                return make(*args)
+            return series
+        atoms = {name: rule._replace(series=spy(rule.series))
+                 for name, rule in fs.ATOMS.items()}
+        with mock.patch.dict(fs.ATOMS, atoms), \
+                mock.patch.object(fs.qs, "eta_pow", spy(fs.qs.eta_pow)):
+            evaluate(node, 3)
+        assert max(asked) == fs.working_prec(node, 3)

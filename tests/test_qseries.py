@@ -16,7 +16,8 @@ from qsigns.forms import integer_table
 from qsigns.formspec import evaluate, parse_formspec
 from qsigns.qseries import SPARSE_FACTOR, QSeries
 
-from oracles import euler_product_literal, poly_mul, r2_list, sigma_k, tau_list
+from oracles import (dilated, euler_product_literal, poly_mul, r2_list,
+                     sigma_k, tau_list)
 
 
 def from_list(coeffs, offset=0):
@@ -160,8 +161,7 @@ class TestMul:
             assert got.coeffs == want
 
     def test_stride_probe(self):
-        assert qs._stride(qs.dilate(4, qs.eisenstein_e4(50), 200).coeffs,
-                          200) == 4
+        assert qs._stride(qs.eisenstein_e4(4, 200).coeffs, 200) == 4
         assert qs._stride(qs.mul(qs.eta(2, 99), qs.eta(22, 99)).coeffs,
                           99) == 2
         # Only indices below prec count.
@@ -441,7 +441,7 @@ class TestRowPass:
         # residue's sum alive, never a per-slot object or a row's copy.
         prec = 20000
         rows = qs.derive(qs.theta(1, prec))
-        e4 = qs.dilate(4, qs.eisenstein_e4(prec // 4 + 1), prec)
+        e4 = qs.eisenstein_e4(4, prec)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -518,7 +518,7 @@ class TestPow:
         # Pow(eta(m), e) goes through eta_pow, which starts from e = 3
         # with Jacobi's eta^3; every denominator stays 1.
         prec = 150
-        base = _dilated(_euler_literal(), m, prec)
+        base = dilated(_euler_literal(), m, prec)
         want = base
         for e in range(1, 31):
             got, den = evaluate(parse_formspec("eta(%d)^%d" % (m, e)), prec)
@@ -629,10 +629,6 @@ def _euler_cubed():
     return poly_mul(poly_mul(literal, literal, 997), literal, 997)
 
 
-def _dilated(coeffs, m, prec):
-    return [coeffs[i // m] if i % m == 0 else 0 for i in range(prec)]
-
-
 class TestLacunary:
     """eta, eta^3, theta, theta_psi and psi against direct sums and literal
     products on the grid m e."""
@@ -641,14 +637,14 @@ class TestLacunary:
     def test_eta_is_the_dilated_euler_product(self, m, prec):
         got = qs.eta(m, prec)
         assert (got.offset, got.coeffs) == (
-            Fraction(m, 24), _dilated(_euler_literal(), m, prec))
+            Fraction(m, 24), dilated(_euler_literal(), m, prec))
 
     @pytest.mark.parametrize("m, prec", LACUNARY_CASES)
     def test_eta_cubed_is_the_cubed_euler_product(self, m, prec):
         # Jacobi's identity: eta(mz)^3 on offset m/8.
         got = qs.eta_pow(m, 3, prec)
         assert (got.offset, got.coeffs) == (
-            Fraction(m, 8), _dilated(_euler_cubed(), m, prec))
+            Fraction(m, 8), dilated(_euler_cubed(), m, prec))
 
     @pytest.mark.parametrize("m, prec", LACUNARY_CASES)
     def test_theta_counts_representations(self, m, prec):
@@ -734,26 +730,13 @@ class TestDerive:
 
 
 class TestDilate:
-    def test_known_values(self):
-        assert qs.dilate(4, from_list([1, 1]), 8).coeffs == \
-            [1, 0, 0, 0, 1, 0, 0, 0]
-        a = qs.eta(1, 9)
-        assert qs.dilate(1, a, 9) == a
-        s = QSeries.from_pairs([(0, 1)], 2, offset=Fraction(1, 24))
-        assert qs.dilate(2, s, 4).offset == Fraction(1, 12)
-
-    def test_prec_scaling_and_cap(self):
-        a = from_list([1, 2, 3])
-        assert qs.dilate(5, a, 20).prec == 15
-        assert qs.dilate(5, a, max_prec=7).prec == 7
-        assert qs.dilate(1, a, 2).coeffs == [1, 2]
-
     def test_u_undoes_dilate(self):
         rng = random.Random(63)
         for m in (2, 3, 4, 7):
             for offset in (0, 1, 3):
                 a = random_series(rng, 40, offset)
-                back = qs.u_op(m, qs.dilate(m, a, m * a.prec))
+                up = QSeries(a.offset * m, dilated(a.coeffs, m, m * a.prec))
+                back = qs.u_op(m, up)
                 # compare on the window both sides guarantee
                 for n in range(int(a.offset) + a.prec):
                     if n < back.prec:
@@ -801,13 +784,30 @@ class TestUOp:
 
 class TestEisenstein:
     def test_leading_coefficients(self):
-        e4 = qs.eisenstein_e4(3)
+        e4 = qs.eisenstein_e4(1, 3)
         assert e4.coeffs == [1, 240, 2160]
 
     def test_sieve_matches_direct_sigma(self):
-        e4 = qs.eisenstein_e4(200)
+        e4 = qs.eisenstein_e4(1, 200)
         for n in range(1, 200):
             assert e4.coeffs[n] == 240 * sigma_k(n, 3)
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    @pytest.mark.parametrize("prec", [1, 2, 7, 58, 201])
+    def test_dilation_is_written_at_stride_m(self, m, prec):
+        # E4 sieved to ceil(prec / m) positions and placed at stride m.
+        base = qs.eisenstein_e4(1, -(-prec // m)).coeffs
+        got = qs.eisenstein_e4(m, prec)
+        assert (got.offset, got.coeffs) == (0, dilated(base, m, prec))
+
+    def test_refusals_keep_their_messages(self):
+        for m in (0, -2):
+            with pytest.raises(ValueError, match="^dilation index must be "
+                                                 "a positive integer$"):
+                qs.eisenstein_e4(m, 10)
+        for prec in (0, -1):
+            with pytest.raises(ValueError, match="^prec must be positive$"):
+                qs.eisenstein_e4(1, prec)
 
 
 class TestWindowSemantics:
