@@ -32,8 +32,10 @@ allocated, and the Form's own checks apply on read.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
+from itertools import compress, count, repeat
 
 from .arith import DirichletCharacter, is_squarefree
 from .forms import LARGE_PREC_CAP, Form
@@ -91,9 +93,10 @@ class CoefficientFile:
         return lines
 
     def serialize(self) -> str:
-        coeffs = self.form.coeffs
         lines = self._header()
-        lines.extend("%d\t%d" % (n, c) for n, c in enumerate(coeffs) if c)
+        coeffs = self.form.coeffs
+        lines.extend(map(operator.mod, repeat("%d\t%d"),
+                         zip(compress(count(), coeffs), filter(None, coeffs))))
         return "\n".join(lines) + "\n"
 
     def write(self, path: str):

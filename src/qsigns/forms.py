@@ -12,8 +12,10 @@ the flag's support condition is checked once on the built table.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, compress, count, repeat
 
 from .arith import DirichletCharacter
 from . import formspec
@@ -77,9 +79,10 @@ def plus_space_check(f: Form) -> list[int]:
     """Indices n <= prec violating a(n) = 0 for (-1)^k n = 2, 3 mod 4."""
     if not f.half_integral:
         raise ValueError("the plus space is defined in half-integral weight")
-    sign = -1 if f.k % 2 else 1
-    return [n for n in range(1, f.prec + 1)
-            if (sign * n) % 4 in (2, 3) and f.coeffs[n] != 0]
+    # n = 2, 3 mod 4 for even k; -n = 2, 3, that is n = 1, 2, for odd k.
+    residues = (1, 2) if f.k % 2 else (2, 3)
+    return sorted(chain.from_iterable(
+        compress(range(r, f.prec + 1, 4), f.coeffs[r::4]) for r in residues))
 
 
 def integer_table(series: QSeries, prec: int, den: int = 1) -> list[int]:
@@ -100,11 +103,12 @@ def integer_table(series: QSeries, prec: int, den: int = 1) -> list[int]:
     head = [0] * min(lo, prec + 1)
     window = series.coeffs[lo - off:prec + 1 - off]
     if den != 1:
-        bad = next((i for i, c in enumerate(window) if c % den), None)
+        bad = next(compress(count(), map(operator.mod, window,
+                                         repeat(den))), None)
         if bad is not None:
             raise ValueError("non-integral coefficient %s at q^%d"
                              % (Fraction(window[bad], den), lo + bad))
-        window = [c // den for c in window]
+        window = list(map(operator.floordiv, window, repeat(den)))
     return head + window
 
 

@@ -26,23 +26,28 @@ operand's every d-th coefficient is packed once into one int of
 fixed-width byte slots, and each residue mod d is a sum of that int
 scaled and shifted once per row term, plus a constant in every slot that
 keeps all slots positive; the slots are wide enough that none carries
-into the next, and one to_bytes reads the residue back.  With s nonzero
-row terms that costs O(prec * s / d) limb operations, all of them in C,
-and O(prec) Python-level steps.  When both operands are dense, the
-product is one multiplication of two big Decimals instead: each list is
-packed into fixed-width decimal slots, with a bias of its own that makes
-every slot positive, wide enough that no product coefficient can carry
-into its neighbour.  libmpdec multiplies the two exactly with its
-number-theoretic transform (a transform over finite fields, so nothing
-is rounded), in a context that traps any rounding; the low slots are
-read back and the bias cross terms removed with prefix sums.  Powers
-are taken by square-and-multiply, and a power of eta starts from
-Jacobi's identity for eta^3, another sum with O(sqrt(prec)) terms.  No
-floating point anywhere.
+into the next.  Slots of up to 8 bytes are machine words: an array packs
+them and a memoryview cast reads each residue back, both in C; wider
+slots are packed and read back one bytes object each.  With s nonzero
+row terms that costs O(prec * s / d) limb operations, all of them in C.
+When both operands are dense, the product is one multiplication of two
+big Decimals instead: each list is packed into fixed-width decimal
+slots, with a bias of its own that makes every slot positive, wide
+enough that no product coefficient can carry into its neighbour.
+libmpdec multiplies the two exactly with its number-theoretic transform
+(a transform over finite fields, so nothing is rounded), in a context
+that traps any rounding; the low slots are read back and the bias cross
+terms removed with prefix sums.  Powers are taken by square-and-multiply,
+and a power of eta starts from Jacobi's identity for eta^3, another sum
+with O(sqrt(prec)) terms.  No floating point anywhere.
 
 U_m of a product (u_mul) never forms the product whose every m-th
 coefficient it keeps: it sums the products of the operands' m-sections,
-each on prec // m positions.
+each on prec // m positions, and skips a pair with an all-zero section.
+
+Every O(prec) pass over a coefficient list (pairs, add, scalar_mul,
+derive, the E4 sieve) iterates in C through map, compress and slice
+assignment, not in a Python-level loop per coefficient.
 
 Every generator takes a dilation index m and writes the series at mz
 straight onto its grid, at stride m; nothing substitutes q -> q^m.
@@ -53,14 +58,16 @@ object and never mutates its operands.
 
 from __future__ import annotations
 
+import operator
 import sys
+from array import array
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_DOWN, Context,
                      Decimal, Inexact, Rounded)
 from fractions import Fraction
 from functools import reduce
-from itertools import (accumulate, chain, compress, count, islice,
+from itertools import (accumulate, chain, compress, count, islice, repeat,
                        takewhile)
-from math import gcd
+from math import gcd, isqrt
 
 from .arith import DirichletCharacter
 
@@ -72,6 +79,10 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
                  traps=[Inexact, Rounded])
 # Slots packed per string in _ntt and _row_pass.
 _BLOCK = 512
+# The array typecode of the narrowest machine word of at least w bytes,
+# for w = 1..8 (later, narrower codes overwrite earlier ones).
+_WORD = {w: code for code in "QLIHB"
+         for w in range(1, array(code).itemsize + 1)}
 # The int <-> str digit limit of CPython 3.10.7 and later (0: none).
 _int_str_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
@@ -142,9 +153,8 @@ class QSeries:
 
     def pairs(self):
         """Iterate nonzero (index, value) in increasing index order."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                yield i, c
+        c = self.coeffs
+        return zip(compress(count(), c), filter(None, c))
 
     # -- operators ---------------------------------------------------------
 
@@ -171,7 +181,7 @@ def add(a: QSeries, b: QSeries) -> QSeries:
         a, b = b, a
     shift = int(b.offset - a.offset)
     out = a.coeffs[:shift + b.prec]
-    out[shift:] = [x + y for x, y in zip(out[shift:], b.coeffs)]
+    out[shift:] = map(operator.add, out[shift:], b.coeffs)
     return QSeries(a.offset, out)
 
 
@@ -185,7 +195,7 @@ def check_common_grid(a_offset: Fraction, b_offset: Fraction):
 def scalar_mul(a: QSeries, r: int) -> QSeries:
     """Multiply every coefficient by the int r."""
     _require_int(r)
-    return QSeries(a.offset, [r * c for c in a.coeffs])
+    return QSeries(a.offset, list(map(operator.mul, a.coeffs, repeat(r))))
 
 
 def mul(a: QSeries, b: QSeries) -> QSeries:
@@ -252,9 +262,15 @@ def _row_pass(rows: list, coeffs: list, d: int, prec: int) -> list:
     B = max|b| + 1 and M = B sum|c|, every slot of the sum lies in
     (0, 2M), so slots of w bytes, enough for 2M, never carry into each
     other, and the low n slots are the low 8 w n bits whatever the slots
-    above them hold.  P is packed in blocks from the slots coeffs[d t] + B,
-    which lie in (0, 2B) and so fit too, and the bias is then taken off
-    the whole int at once.
+    above them hold.  So a term at k needs only P's low n - k slots:
+    the sum is then exact modulo 2^(8 w n), which is all that is read.
+    P is packed from the slots coeffs[d t] + B, which lie in (0, 2B) and
+    so fit too, and the bias is then taken off the whole int at once.
+
+    When w is at most 8 on a little-endian machine, w is rounded up to a
+    machine word of 1, 2, 4 or 8 bytes: an array of words is packed in
+    one pass and each residue is read back through a memoryview of its
+    bytes.  Wider slots are packed and read back one bytes object each.
     """
     out = [0] * prec
     if not rows:
@@ -262,28 +278,36 @@ def _row_pass(rows: list, coeffs: list, d: int, prec: int) -> list:
     bias = max(map(abs, islice(coeffs, 0, prec, d))) + 1
     m = bias * sum(abs(c) for _, c in rows)
     w = ((2 * m).bit_length() + 7) // 8
+    code = _WORD.get(w) if sys.byteorder == "little" else None
 
     def slots(value, n):
         return int.from_bytes(value.to_bytes(w, "little") * n, "little")
 
-    packed = bytearray()
-    for k in range(0, prec, _BLOCK * d):
-        packed += b"".join([(x + bias).to_bytes(w, "little") for x in
-                            coeffs[k:min(k + _BLOCK * d, prec):d]])
-    p = int.from_bytes(packed, "little") - slots(bias, len(packed) // w)
+    if code:
+        w = array(code).itemsize
+        packed = array(code, map(operator.add, islice(coeffs, 0, prec, d),
+                                 repeat(bias)))
+    else:
+        packed = bytearray()
+        for k in range(0, prec, _BLOCK * d):
+            packed += b"".join([(x + bias).to_bytes(w, "little") for x in
+                                coeffs[k:min(k + _BLOCK * d, prec):d]])
+    p = int.from_bytes(packed, "little") - slots(bias, len(range(0, prec, d)))
     del packed
     residues = {}
     for i, c in rows:
         residues.setdefault(i % d, []).append((i // d, c))
+    bits = 8 * w
     for r, terms in residues.items():
         n = len(range(r, prec, d))
         acc = slots(m, n)
         for k, c in terms:
-            acc += (c * p) << (8 * w * k)
-        buf = (acc & ((1 << 8 * w * n) - 1)).to_bytes(w * n, "little")
+            acc += (c * (p & ((1 << bits * (n - k)) - 1))) << (bits * k)
+        buf = (acc & ((1 << bits * n) - 1)).to_bytes(w * n, "little")
         del acc
-        out[r::d] = [int.from_bytes(buf[j:j + w], "little") - m
-                     for j in range(0, w * n, w)]
+        out[r::d] = (map(operator.sub, memoryview(buf).cast(code), repeat(m))
+                     if code else [int.from_bytes(buf[j:j + w], "little") - m
+                                   for j in range(0, w * n, w)])
     return out
 
 
@@ -357,8 +381,8 @@ def derive(a: QSeries) -> QSeries:
     i.  On an integer offset (b = 1) this is q d/dq itself."""
     off = a.offset
     num, den = off.numerator, off.denominator
-    return QSeries(off, [(num + den * i) * c if c else 0
-                         for i, c in enumerate(a.coeffs)])
+    return QSeries(off, list(map(operator.mul, a.coeffs,
+                                 range(num, num + den * a.prec, den))))
 
 
 def u_op(m: int, a: QSeries) -> QSeries:
@@ -371,10 +395,8 @@ def u_op(m: int, a: QSeries) -> QSeries:
     # a is known for exponents below off + prec_a: n < ceil(that / m).
     prec = max(0, min(a.prec // m, -(-(off + a.prec) // m)))
     # n0 is the first n >= 0 whose exponent m n is at or above off.
-    n0 = max(0, -(-off // m))
-    out = [0] * n0 + a.coeffs[m * n0 - off::m]
-    out = (out + [0] * prec)[:prec]
-    return QSeries(0, out)
+    n0 = min(prec, max(0, -(-off // m)))
+    return QSeries(0, [0] * n0 + a.coeffs[m * n0 - off:m * prec - off:m])
 
 
 def u_mul(m: int, a: QSeries, b: QSeries) -> QSeries:
@@ -384,8 +406,10 @@ def u_mul(m: int, a: QSeries, b: QSeries) -> QSeries:
 
     a's offset is first moved onto b (a shift is a new offset on the same
     list), so each product runs on prec // m positions and only the
-    exponents U_m keeps are ever computed.  Offset, prec and
-    coefficients equal those of u_op(m, mul(a, b)).
+    exponents U_m keeps are ever computed.  A pair with an all-zero
+    section contributes nothing and is skipped; b's section is built only
+    when a's is nonzero.  Offset, prec and coefficients equal those of
+    u_op(m, mul(a, b)).
     """
     offset = a.offset + b.offset
     check_u_grid(m, offset)
@@ -393,9 +417,21 @@ def u_mul(m: int, a: QSeries, b: QSeries) -> QSeries:
         # Then a section of b has terms at negative n, which u_op cuts
         # although the sum still needs them; take the product whole.
         return u_op(m, mul(a, b))
-    return reduce(add, (mul(u_op(m, QSeries(-r, a.coeffs)),
-                            u_op(m, QSeries(offset + r, b.coeffs)))
-                        for r in range(m)))
+
+    def section_product(r):
+        x = u_op(m, QSeries(-r, a.coeffs))
+        if not any(x.coeffs):
+            return None
+        y = u_op(m, QSeries(offset + r, b.coeffs))
+        return mul(x, y) if any(y.coeffs) else None
+
+    products = (s for s in map(section_product, range(m)) if s is not None)
+    first = next(products, None)
+    if first is None:
+        # With offset > -m, every section of a has prec_a // m positions
+        # and every section of b has prec_b // m.
+        return QSeries(0, [0] * (min(a.prec, b.prec) // m))
+    return reduce(add, products, first)
 
 
 def check_u_grid(m: int, offset: Fraction):
@@ -473,19 +509,36 @@ def theta_psi(psi: DirichletCharacter, m: int, prec: int) -> QSeries:
 
 
 def eisenstein_e4(m: int, prec: int) -> QSeries:
-    """E4(mz) = 1 + 240 sum sigma_3(n) q^(m n): the divisor powers are
-    sieved over the n with m n < prec and written at stride m."""
+    """E4(mz) = 1 + 240 sum sigma_3(n) q^(m n), for the n with m n < prec,
+    written at stride m.
+
+    sigma_3 is multiplicative, with sigma_3(p^v) = 1 + p^3 sigma_3(p^(v-1)),
+    so the table starts at 240 everywhere and each prime p multiplies its
+    multiples n = p t by sigma_3(p^v), v the power of p in n, in one
+    slice product.  The factors for t = 1, 2, ... are sigma_3(p) with
+    sigma_3(p^(j+1)) written over every p^j-th t, j = 1, 2, ...
+    """
     if m < 1:
         raise ValueError("dilation index must be a positive integer")
     if prec < 1:
         raise ValueError("prec must be positive")
     top = (prec + m - 1) // m
-    sig = [0] * top
-    for d in range(1, top):
-        dc = d * d * d
-        for mult in range(d, top, d):
-            sig[mult] += dc
+    sig = [240] * top
+    is_prime = bytearray(b"\x01") * top
+    for p in range(2, isqrt(top - 1) + 1):
+        if is_prime[p]:
+            is_prime[p * p::p] = bytes(len(range(p * p, top, p)))
+    for p in compress(range(2, top), is_prime[2:]):
+        p3 = p * p * p
+        s = 1 + p3
+        factors = [s] * ((top - 1) // p)
+        pj = p
+        while pj * p < top:
+            s = 1 + p3 * s
+            factors[pj - 1::pj] = [s] * len(range(pj - 1, len(factors), pj))
+            pj *= p
+        sig[p::p] = map(operator.mul, sig[p::p], factors)
+    sig[0] = 1
     out = [0] * prec
-    out[::m] = [240 * s for s in sig]
-    out[0] = 1
+    out[::m] = sig
     return QSeries(0, out)

@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsigns import forms
 from qsigns import formspec as fs
@@ -188,6 +191,44 @@ class TestFinalization:
         series, den = evaluate(
             parse_formspec("-1/2*(theta(1) + 3*theta(4))"), 6)
         assert integer_table(series, 5, den=den) == [-2, -1, 0, 0, -4, 0]
+
+    @given(weight_num=st.sampled_from([1, 3, 5, 13]), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_plus_space_check_is_the_per_index_definition(self, weight_num,
+                                                          data):
+        # k = weight_num // 2 of both parities; violations planted on any
+        # residue, so some are allowed entries and some are not.
+        prec = data.draw(st.integers(0, 60))
+        coeffs = [0] * (prec + 1)
+        for n in data.draw(st.sets(st.integers(0, prec))):
+            coeffs[n] = data.draw(st.integers(-5, 5).filter(bool))
+        f = Form(weight_num=weight_num, level=4,
+                 character=DirichletCharacter.trivial(4), coeffs=coeffs)
+        sign = (-1) ** f.k
+        assert plus_space_check(f) == [
+            n for n in range(1, prec + 1)
+            if (sign * n) % 4 in (2, 3) and coeffs[n] != 0]
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_integer_table_names_the_first_fraction(self, data):
+        # Several non-multiples of den planted in a window of multiples;
+        # the error names the lowest exponent among those the table reads.
+        den = data.draw(st.integers(2, 12))
+        off = data.draw(st.integers(-3, 3))
+        prec = data.draw(st.integers(max(0, off), 30))
+        length = prec + 1 - off + data.draw(st.integers(0, 4))
+        coeffs = [den * data.draw(st.integers(-9, 9)) for _ in range(length)]
+        lo = max(0, off)
+        planted = data.draw(st.sets(st.integers(lo, prec), min_size=1,
+                                    max_size=5))
+        for e in planted:
+            coeffs[e - off] += data.draw(st.integers(1, den - 1))
+        first = min(planted)
+        with pytest.raises(ValueError) as err:
+            integer_table(qs.QSeries(off, coeffs), prec, den)
+        assert str(err.value) == "non-integral coefficient %s at q^%d" % (
+            Fraction(coeffs[first - off], den), first)
 
     def test_integer_table_rejects_fractional_offset(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import random
 import sys
 import tracemalloc
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -384,6 +385,30 @@ def _row_terms(draw, prec, d, most):
     return dict(zip(idx, vals))
 
 
+@st.composite
+def _kernel_at_width(draw, width):
+    """(rows, coeffs, d, prec) for _row_pass whose slot width, the bytes
+    of 2 B S with B = max|coeffs[::d] below prec| + 1 and S the sum of
+    |c| over the rows, is width."""
+    prec = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 4))
+    idx = draw(st.lists(st.integers(0, prec - 1), min_size=1, max_size=6,
+                        unique=True))
+    rows = sorted(zip(idx, draw(st.lists(
+        st.integers(-3, 3).filter(bool), min_size=len(idx),
+        max_size=len(idx)))))
+    total = sum(abs(c) for _, c in rows)
+    # 256^(width - 1) <= 2 B S < 256^width, with B >= 2.
+    bias = draw(st.integers(max(2, -(-256 ** (width - 1) // (2 * total))),
+                            (256 ** width - 1) // (2 * total)))
+    coeffs = [0] * (prec + draw(st.integers(0, 8)))
+    for j in range(0, len(coeffs), d):
+        coeffs[j] = draw(st.integers(1 - bias, bias - 1))
+    coeffs[d * draw(st.integers(0, (prec - 1) // d))] = \
+        draw(st.sampled_from([1 - bias, bias - 1]))
+    return rows, coeffs, d, prec
+
+
 _OFFSETS = st.sampled_from([0, 1, Fraction(1, 24), Fraction(1, 2)])
 
 
@@ -435,6 +460,39 @@ class TestRowPass:
             row_coeffs[i] = c
         assert qs._row_pass(rows, coeffs, d, prec) == \
             poly_mul(row_coeffs, coeffs, prec)
+
+    @pytest.mark.parametrize("width", range(1, 17))
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_every_slot_width_matches_oracle(self, width, data):
+        # Values drawn so that 2 B sum|c|, B = max|b[::d]| + 1, takes
+        # width bytes; up to 8 bytes the slots are machine words (packed
+        # through an array), wider ones are packed a bytes object each.
+        rows, coeffs, d, prec = data.draw(_kernel_at_width(width))
+        row_coeffs = [0] * prec
+        for i, c in rows:
+            row_coeffs[i] = c
+        with mock.patch.object(qs, "array", wraps=array) as spy:
+            got = qs._row_pass(rows, coeffs, d, prec)
+        assert got == poly_mul(row_coeffs, coeffs, prec)
+        assert bool(spy.call_count) == (width <= 8
+                                        and sys.byteorder == "little")
+
+    def test_big_endian_takes_the_byte_path(self):
+        # Native-order words read as little-endian would be wrong there.
+        prec, d = 60, 2
+        coeffs = [(-1) ** j * (j % 7) if j % d == 0 else 0
+                  for j in range(prec)]
+        rows = [(0, 3), (5, -2), (12, 1)]
+        row_coeffs = [0] * prec
+        for i, c in rows:
+            row_coeffs[i] = c
+        native = qs._row_pass(rows, coeffs, d, prec)
+        with mock.patch.object(qs.sys, "byteorder", "big"), \
+                mock.patch.object(qs, "array", wraps=array) as spy:
+            assert qs._row_pass(rows, coeffs, d, prec) == native == \
+                poly_mul(row_coeffs, coeffs, prec)
+        assert spy.call_count == 0
 
     def test_delta_shaped_product_peaks_below_twice_its_result(self):
         # The row pass keeps one packed copy of the dense operand and one
@@ -788,9 +846,14 @@ class TestEisenstein:
         assert e4.coeffs == [1, 240, 2160]
 
     def test_sieve_matches_direct_sigma(self):
-        e4 = qs.eisenstein_e4(1, 200)
-        for n in range(1, 200):
-            assert e4.coeffs[n] == 240 * sigma_k(n, 3)
+        # Every n < 5000, prime powers such as 2^12 and 3^7 among them, at
+        # every dilation m = 1..5.
+        want = [1] + [240 * sigma_k(n, 3) for n in range(1, 5000)]
+        assert 2 ** 12 < 5000 and 3 ** 7 < 5000
+        for m in range(1, 6):
+            e4 = qs.eisenstein_e4(m, 5000 * m)
+            assert e4.coeffs[::m] == want
+            assert not any(c for i, c in enumerate(e4.coeffs) if i % m)
 
     @pytest.mark.parametrize("m", range(1, 6))
     @pytest.mark.parametrize("prec", [1, 2, 7, 58, 201])
