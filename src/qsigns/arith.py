@@ -2,12 +2,12 @@
 
 Kronecker symbols, real Dirichlet characters given by a Kronecker-symbol
 top, fundamental discriminants, square-free and prime tests and divisor
-enumeration.  Everything here is a pure function of its arguments.
+enumeration.  Everything here is a pure function of its arguments, but
+for Record and FrozenRecord, the value-class bases of the package.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt, lcm
 
 
@@ -85,18 +85,36 @@ def is_squarefree(n: int) -> bool:
     return True
 
 
-def is_fundamental_discriminant(d: int, squarefree=is_squarefree) -> bool:
+def is_fundamental_discriminant(d: int) -> bool:
     """True for d = 1, square-free d = 1 mod 4, and 4m with m = 2,3 mod 4
-    square-free, by the test squarefree.  d = 0 is rejected."""
+    square-free.  d = 0 is rejected."""
     if d == 0:
         raise ValueError("0 is not a discriminant")
     r = d % 4
     if r == 1:
-        return squarefree(abs(d))
+        return is_squarefree(abs(d))
     if r == 0:
         m = d // 4
-        return m % 4 in (2, 3) and squarefree(abs(m))
+        return m % 4 in (2, 3) and is_squarefree(abs(m))
     return False
+
+
+def fundamental_mask(sign: int, squarefree: bytearray) -> bytearray:
+    """mask[n] = 1 exactly when sign n is a fundamental discriminant, for
+    0 <= n <= N = len(squarefree) - 1 and sign = +-1, where
+    squarefree[n] = 1 exactly when n >= 1 is square-free.
+
+    is_fundamental_discriminant's rule, one slice per residue class:
+    sign n = 1 mod 4, that is n = sign mod 4, takes squarefree[n]; and
+    n = 4m with sign m = 2, 3 mod 4, that is m = 2 sign, 3 sign mod 4,
+    takes squarefree[m].  Every other n is 0."""
+    N = len(squarefree) - 1
+    mask = bytearray(N + 1)
+    r = sign % 4
+    mask[r::4] = squarefree[r::4]
+    for r in (2 * sign % 4, 3 * sign % 4):
+        mask[4 * r::16] = squarefree[r:N // 4 + 1:4]
+    return mask
 
 
 def divisors(n: int) -> list[int]:
@@ -172,30 +190,66 @@ def _is_period(top: int, modulus: int) -> bool:
     return modulus % two_part == 0
 
 
-@dataclass(frozen=True)
-class DirichletCharacter:
+class Record:
+    """A value class whose fields are its __slots__, set by its own
+    __init__: == compares the fields of two objects of one class, and
+    the repr names them."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % item for item in zip(self.__slots__, self._values())))
+
+
+class FrozenRecord(Record):
+    """A Record whose fields are set once, by _set, and which hashes by
+    them."""
+
+    __slots__ = ()
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r of a %s"
+                             % (name, type(self).__name__))
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+class DirichletCharacter(FrozenRecord):
     """Real Dirichlet character mod the modulus: a -> (top/a) on the
     units, 0 on every a sharing a factor with the modulus.
 
     Only real characters are supported; the modulus is a period of the
-    character (not necessarily the conductor), and a modulus that is not
-    is refused.
+    character (not necessarily the conductor; 0 picks _default_period),
+    and a modulus that is not is refused.
     """
 
-    top: int
-    modulus: int = 0
-    is_trivial: bool = False
+    __slots__ = ("top", "modulus", "is_trivial")
 
-    def __post_init__(self):
-        if self.top == 0:
+    def __init__(self, top: int, modulus: int = 0, is_trivial: bool = False):
+        if top == 0:
             raise ValueError("character top must be nonzero")
-        if self.modulus == 0:
-            object.__setattr__(self, "modulus", _default_period(self.top))
-        if self.modulus < 1:
+        if modulus == 0:
+            modulus = _default_period(top)
+        if modulus < 1:
             raise ValueError("modulus must be positive")
-        if not _is_period(self.top, self.modulus):
+        if not _is_period(top, modulus):
             raise ValueError("(%d/.) is not periodic on the units mod %d"
-                             % (self.top, self.modulus))
+                             % (top, modulus))
+        self._set(top, modulus, is_trivial)
 
     @classmethod
     def trivial(cls, N: int) -> "DirichletCharacter":

@@ -23,25 +23,40 @@ unless given (only an expression build gives one, its series' integer
 offset).  An optional '# t: <int>' line after the offset records the
 lift index, a square-free positive integer.
 
-Serialization is canonical, and parse accepts only a header that
-serialize writes back byte for byte: no unknown, repeated or reordered
-key, no value in another spelling (a leading zero, a sign, padding).  A
-prec above forms.LARGE_PREC_CAP is refused before the table is
-allocated, and the Form's own checks apply on read.
+Serialization is canonical, and parse accepts only what serialize
+writes, byte for byte.  In the header: no unknown, repeated or reordered
+key, no value in another spelling (a leading zero, a sign, padding).  In
+the body: every line is n, a tab and a nonzero a(n), in decimal with no
+leading zero and no sign but a minus on a(n), and ends in a newline.  So
+a blank line, a missing final newline, a '\r\n' line end passed
+straight to parse (read opens the file in text mode, which turns it into
+'\n') and a file cut mid-line are refused; a file cut at a line
+boundary still parses.  A prec above forms.LARGE_PREC_CAP is refused
+before the table is allocated, and the Form's own checks apply on read.
 """
 
 from __future__ import annotations
 
+import json
 import operator
 import re
-from dataclasses import dataclass
+from collections import deque
 from itertools import compress, count, repeat
 
-from .arith import DirichletCharacter, is_squarefree
+from .arith import DirichletCharacter, Record, is_squarefree
 from .forms import LARGE_PREC_CAP, Form
 
 MAGIC = "# coeffs v1"
 KEYS = ("form", "weight", "level", "character", "prec", "offset", "t")
+
+# The body lines serialize writes, and how many characters of the body
+# parse checks and converts at a time (extended to a line end).  sre
+# keeps a stack entry per line the match repeats over, so a block of
+# 8 KB holds about 500 of them where a whole-body match would hold one
+# per line of the file.
+BODY_LINES = re.compile(r"(?:(?:0|[1-9][0-9]*)\t-?[1-9][0-9]*\n)*")
+BLOCK = 1 << 13
+_TO_COMMAS = str.maketrans("\t\n", ",,")
 
 
 def format_character(chi: DirichletCharacter) -> str:
@@ -60,24 +75,25 @@ def parse_character(text: str) -> DirichletCharacter:
     raise ValueError("bad character string %r" % text)
 
 
-@dataclass
-class CoefficientFile:
+class CoefficientFile(Record):
     """A Form with the fields only its file has."""
 
-    form_id: str
-    form: Form
-    offset: int | None = None
-    t: int | None = None
+    __slots__ = ("form_id", "form", "offset", "t")
 
-    def __post_init__(self):
-        coeffs = self.form.coeffs
-        if self.offset is None:
-            self.offset = 0 if coeffs[0] else 1
-        if self.offset < 0:
-            raise ValueError("negative offset %d" % self.offset)
-        if any(coeffs[:self.offset]):
+    def __init__(self, form_id: str, form: Form, offset: int | None = None,
+                 t: int | None = None):
+        coeffs = form.coeffs
+        if offset is None:
+            offset = 0 if coeffs[0] else 1
+        if offset < 0:
+            raise ValueError("negative offset %d" % offset)
+        if any(coeffs[:offset]):
             raise ValueError("nonzero coefficient below the offset %d"
-                             % self.offset)
+                             % offset)
+        self.form_id = form_id
+        self.form = form
+        self.offset = offset
+        self.t = t
 
     def _header(self) -> list[str]:
         f = self.form
@@ -105,8 +121,9 @@ class CoefficientFile:
 
 
 def parse(text: str) -> CoefficientFile:
-    lines = text.splitlines()
-    if not lines or lines[0] != MAGIC:
+    # The header lines, and the rest of the text as the last item.
+    lines = text.split("\n", len(KEYS) + 1)
+    if lines[0] != MAGIC:
         raise ValueError("not a coefficient file (missing %r header)" % MAGIC)
     header = {}
     for line in lines[1:]:
@@ -123,6 +140,9 @@ def parse(text: str) -> CoefficientFile:
     for key in KEYS[:-1]:           # every key but t is required
         if key not in header:
             raise ValueError("missing header key %r" % key)
+    if body_start == len(lines):
+        raise ValueError("header line %r does not end in a newline"
+                         % lines[-1])
     m = re.fullmatch(r"(\d+)/2", header["weight"])
     if not m:
         raise ValueError("bad weight %r, expected <num>/2" % header["weight"])
@@ -144,25 +164,47 @@ def parse(text: str) -> CoefficientFile:
         if got != canonical:
             raise ValueError("header line %r is not written as %r"
                              % (got, canonical))
-    table = cf.form.coeffs
-    last = cf.offset - 1
-    for line in lines[body_start:]:
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ValueError("bad body line %r" % line)
-        n, c = int(parts[0]), int(parts[1])
-        if c == 0:
-            raise ValueError("zero coefficient stored at n=%d" % n)
-        if n <= last:
-            raise ValueError("body index %d is below the offset or out of "
-                             "order" % n)
-        if n > prec:
-            raise ValueError("index %d exceeds prec %d" % (n, prec))
-        table[n] = c
-        last = n
+    _parse_body(text, sum(map(len, lines[:body_start])) + body_start,
+                cf.form.coeffs, cf.offset - 1)
     return cf
+
+
+def _parse_body(text: str, start: int, table: list[int], last: int):
+    """Store the body lines of text[start:] in table, each index above
+    the one before it, starting above last.  Each block of whole lines is
+    checked by one match, converted by one json.loads and stored by one
+    map, all in C."""
+    prec = len(table) - 1
+    end = len(text)
+    while start < end:
+        stop = text.find("\n", start + BLOCK - 1) + 1 or end
+        block = text[start:stop]
+        if not BODY_LINES.fullmatch(block):
+            _refuse_line(block)
+        numbers = json.loads("[%s]" % block.translate(_TO_COMMAS)[:-1])
+        indices = numbers[::2]
+        if not all(map(operator.lt, [last] + indices, indices)):
+            _refuse_order(last, indices)
+        last = indices[-1]
+        if last > prec:
+            raise ValueError("index %d exceeds prec %d" % (last, prec))
+        deque(map(operator.setitem, repeat(table), indices, numbers[1::2]),
+              maxlen=0)
+        start = stop
+
+
+def _refuse_line(block: str):
+    *lines, tail = block.split("\n")
+    bad = next((line for line in lines
+                if not BODY_LINES.fullmatch(line + "\n")), None)
+    if bad is None:
+        raise ValueError("body line %r does not end in a newline" % tail)
+    raise ValueError("bad body line %r" % bad)
+
+
+def _refuse_order(last: int, indices: list[int]):
+    n = next(n for prev, n in zip([last] + indices, indices) if n <= prev)
+    raise ValueError("body index %d is below the offset or out of order" % n)
 
 
 def read(path: str) -> CoefficientFile:

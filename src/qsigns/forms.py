@@ -13,11 +13,10 @@ the flag's support condition is checked once on the built table.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, count, repeat
 
-from .arith import DirichletCharacter
+from .arith import DirichletCharacter, Record
 from . import formspec
 from .qseries import QSeries, PrecisionError
 
@@ -35,8 +34,7 @@ NAMED = {
 }
 
 
-@dataclass
-class Form:
+class Form(Record):
     """Form of weight weight_num/2 with integer coefficients.
 
     Odd weight_num is a half-integral weight k + 1/2 on a level divisible
@@ -45,21 +43,23 @@ class Form:
     a(0) is an ordinary entry (1 for E4), and no statistic reads it.
     """
 
-    weight_num: int
-    level: int
-    character: DirichletCharacter
-    coeffs: list[int]
+    __slots__ = ("weight_num", "level", "character", "coeffs")
 
-    def __post_init__(self):
-        if self.level < 1:
-            raise ValueError("level must be positive, got %d" % self.level)
-        if self.half_integral:
-            if self.weight_num < 1:
+    def __init__(self, weight_num: int, level: int,
+                 character: DirichletCharacter, coeffs: list[int]):
+        if level < 1:
+            raise ValueError("level must be positive, got %d" % level)
+        if weight_num % 2:
+            if weight_num < 1:
                 raise ValueError("weight numerator must be positive")
-            if self.level % 4 != 0:
+            if level % 4 != 0:
                 raise ValueError("level must be divisible by 4")
-        elif self.weight_num % 4 or self.weight_num < 4:
+        elif weight_num % 4 or weight_num < 4:
             raise ValueError("integral weight must be a positive even integer")
+        self.weight_num = weight_num
+        self.level = level
+        self.character = character
+        self.coeffs = coeffs
 
     @property
     def prec(self) -> int:

@@ -27,12 +27,11 @@ node; evaluate gives an int series and one positive denominator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Callable, NamedTuple
 
-from .arith import DirichletCharacter, u_level
+from .arith import DirichletCharacter, FrozenRecord, u_level
 from . import qseries as qs
 from .qseries import QSeries
 
@@ -47,48 +46,55 @@ class FormSpecError(ValueError):
 
 # -- AST ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(FrozenRecord):
     """The series named name at dilation m.  top is the top of the
     atom's real character (top/.): thetapsi's, and 1 for the others."""
-    name: str
-    m: int
-    top: int = 1
+    __slots__ = ("name", "m", "top")
+
+    def __init__(self, name: str, m: int, top: int = 1):
+        self._set(name, m, top)
 
 
-@dataclass(frozen=True)
-class Diff:
-    arg: object
+class Diff(FrozenRecord):
+    __slots__ = ("arg",)
+
+    def __init__(self, arg):
+        self._set(arg)
 
 
-@dataclass(frozen=True)
-class U:
-    m: int
-    arg: object
+class U(FrozenRecord):
+    __slots__ = ("m", "arg")
+
+    def __init__(self, m: int, arg):
+        self._set(m, arg)
 
 
-@dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
+class Add(FrozenRecord):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        self._set(left, right)
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: object
-    right: object
+class Mul(FrozenRecord):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        self._set(left, right)
 
 
-@dataclass(frozen=True)
-class Pow:
-    arg: object
-    exp: int
+class Pow(FrozenRecord):
+    __slots__ = ("arg", "exp")
+
+    def __init__(self, arg, exp: int):
+        self._set(arg, exp)
 
 
-@dataclass(frozen=True)
-class Scale:
-    scalar: Fraction
-    arg: object
+class Scale(FrozenRecord):
+    __slots__ = ("scalar", "arg")
+
+    def __init__(self, scalar: Fraction, arg):
+        self._set(scalar, arg)
 
 
 class AtomRule(NamedTuple):

@@ -13,28 +13,34 @@ and whether it meets the Deligne and the elementary bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from math import isqrt
 
-from .arith import (DirichletCharacter, chi_star, chi_t, divisors,
+from .arith import (DirichletCharacter, Record, chi_star, chi_t, divisors,
                     kronecker, require_good_prime, u_level)
 from .forms import Form
 from .signs import prime_powers, square_class
 
 
-@dataclass
-class EigenReport:
+class EigenReport(Record):
     """Outcome of comparing a sequence with its image under an operator."""
 
-    p: int
-    lam: int | None
-    is_eigen: bool
-    checked_up_to: int
-    first_violation: int | None = None
-    satake: tuple[int, int, int] | None = None
-    deligne_ok: bool | None = None
-    elementary_bound_ok: bool | None = None
-    note: str = ""
+    __slots__ = ("p", "lam", "is_eigen", "checked_up_to", "first_violation",
+                 "satake", "deligne_ok", "elementary_bound_ok", "note")
+
+    def __init__(self, p: int, lam: int | None, is_eigen: bool,
+                 checked_up_to: int, first_violation: int | None = None,
+                 satake: tuple[int, int, int] | None = None,
+                 deligne_ok: bool | None = None,
+                 elementary_bound_ok: bool | None = None, note: str = ""):
+        self.p = p
+        self.lam = lam
+        self.is_eigen = is_eigen
+        self.checked_up_to = checked_up_to
+        self.first_violation = first_violation
+        self.satake = satake
+        self.deligne_ok = deligne_ok
+        self.elementary_bound_ok = elementary_bound_ok
+        self.note = note
 
 
 def shimura_lift(f: Form, t: int) -> Form:
@@ -88,7 +94,7 @@ def t_square_half(p: int, f: Form) -> Form:
         if n % psq == 0:
             b += c2 * p2k1 * a[n // psq]
         out.append(b)
-    return replace(f, coeffs=out)
+    return Form(f.weight_num, f.level, f.character, out)
 
 
 def t_integral(p: int, F: Form) -> Form:
@@ -111,7 +117,7 @@ def t_integral(p: int, F: Form) -> Form:
         if n % p == 0:
             b += c2 * p2k1 * A[n // p]
         out.append(b)
-    return replace(F, coeffs=out)
+    return Form(F.weight_num, F.level, F.character, out)
 
 
 def u_image(m: int, f: Form) -> Form:
@@ -133,8 +139,7 @@ def u_image(m: int, f: Form) -> Form:
                                        modulus=level)
     elif character.is_trivial:
         character = DirichletCharacter.trivial(level)
-    return replace(f, level=level, character=character,
-                   coeffs=f.coeffs[::m])
+    return Form(f.weight_num, level, character, f.coeffs[::m])
 
 
 def extract_eigenvalue(seq_before: list[int], seq_after: list[int], p: int,
@@ -175,17 +180,20 @@ def eigen_report(f: Form, p: int) -> EigenReport:
     return extract_eigenvalue(f.coeffs, image.coeffs, p, f.k)
 
 
-@dataclass
-class RecurrenceReport:
+class RecurrenceReport(Record):
     """Result of checking the local Hecke recurrence along t p^(2m)."""
 
-    ok: bool
-    t: int
-    p: int
-    lam: int | None
-    max_m: int
-    indices: list[int]
-    note: str = ""
+    __slots__ = ("ok", "t", "p", "lam", "max_m", "indices", "note")
+
+    def __init__(self, ok: bool, t: int, p: int, lam: int | None, max_m: int,
+                 indices: list[int], note: str = ""):
+        self.ok = ok
+        self.t = t
+        self.p = p
+        self.lam = lam
+        self.max_m = max_m
+        self.indices = indices
+        self.note = note
 
 
 def recurrence_check(f: Form, t: int, p: int) -> RecurrenceReport:

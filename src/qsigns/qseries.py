@@ -69,7 +69,7 @@ from itertools import (accumulate, chain, compress, count, islice, repeat,
                        takewhile)
 from math import gcd, isqrt
 
-from .arith import DirichletCharacter
+from .arith import DirichletCharacter, divisors
 
 # A series is sparse while nnz * SPARSE_FACTOR <= prec.
 SPARSE_FACTOR = 16
@@ -239,14 +239,15 @@ def mul(a: QSeries, b: QSeries) -> QSeries:
 
 
 def _stride(coeffs: list, prec: int) -> int:
-    """The gcd of the nonzero indices below prec, read only until it
-    reaches 1; 1 when no index but 0 is nonzero."""
-    d = 0
-    for j in compress(range(prec), coeffs):
-        d = gcd(d, j)
-        if d == 1:
-            break
-    return d or 1
+    """The gcd of the nonzero indices below prec; 1 when no index but 0
+    is nonzero.  It divides d0, the gcd of the first two nonzero indices
+    above 0, and it is the largest divisor d of d0 whose residues
+    r = 1, ..., d - 1 hold only zeros, each read as one slice.  Nothing
+    past the second nonzero index is read when d0 is 1."""
+    d0 = reduce(gcd, islice(filter(None, compress(range(prec), coeffs)), 2),
+                0)
+    return next(d for d in reversed(divisors(d0 or 1))
+                if not any(any(coeffs[r:prec:d]) for r in range(1, d)))
 
 
 def _row_pass(rows: list, coeffs: list, d: int, prec: int) -> list:

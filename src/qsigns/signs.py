@@ -15,11 +15,11 @@ Ratios are exact fractions, rendered with half-away-from-zero rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import isqrt
 
-from .arith import (is_fundamental_discriminant, is_prime, is_squarefree,
+from .arith import (Record, fundamental_mask, is_prime, is_squarefree,
                     kronecker, require_good_prime)
 from .forms import Form
 
@@ -27,15 +27,20 @@ from .forms import Form
 WITNESSES = 10
 
 
-@dataclass
-class SignStatsReport:
+class SignStatsReport(Record):
     """Counts, sign changes and witnesses of one scanned index set."""
 
-    entries: int
-    n_pos: int
-    n_neg: int
-    change_positions: list[int]
-    witnesses: list[tuple[int, int]]
+    __slots__ = ("entries", "n_pos", "n_neg", "change_positions",
+                 "witnesses")
+
+    def __init__(self, entries: int, n_pos: int, n_neg: int,
+                 change_positions: list[int],
+                 witnesses: list[tuple[int, int]]):
+        self.entries = entries
+        self.n_pos = n_pos
+        self.n_neg = n_neg
+        self.change_positions = change_positions
+        self.witnesses = witnesses
 
     @property
     def sign_change_count(self) -> int:
@@ -97,17 +102,16 @@ def prefix(f: Form, X: int) -> range:
 def fundamental(f: Form, X: int) -> list[int]:
     """The n <= X with (-1)^k n a fundamental discriminant (1 among them
     when k is even); f has half-integral weight k + 1/2.  Square-freeness
-    is read off one sieve up to X."""
+    is read off one sieve up to X, and the discriminants off
+    arith.fundamental_mask."""
     if not f.half_integral:
         raise ValueError("fund statistics need a half-integral form")
-    sign = -1 if f.k % 2 else 1
-    indices = prefix(f, X)
-    N = len(indices)
+    N = len(prefix(f, X))
     squarefree = bytearray(b"\x01") * (N + 1)
     for p in filter(is_prime, range(isqrt(N) + 1)):
         squarefree[p * p::p * p] = bytes(N // (p * p))
-    return [n for n in indices
-            if is_fundamental_discriminant(sign * n, squarefree.__getitem__)]
+    mask = fundamental_mask(-1 if f.k % 2 else 1, squarefree)
+    return list(compress(range(N + 1), mask))
 
 
 def square_class(f: Form, t: int) -> list[int]:

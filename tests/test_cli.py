@@ -1,9 +1,12 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -169,6 +172,85 @@ class TestCoefficientFile:
         cf = coeffio.parse(self.FULL)
         assert cf.form.coeffs == [7, 1, 0, 0, -56] and cf.t == 5
         assert cf.serialize() == self.FULL
+
+    # A body with lines 1, 4 and 5, and the ways a body line may be
+    # written other than as serialize writes it.
+    SMALL = coeffio.CoefficientFile("x", Form(
+        weight_num=13, level=4, character=DirichletCharacter.trivial(4),
+        coeffs=[0, 1, 0, 0, -56, 120, 0, 0, 0])).serialize()
+    NOT_CANONICAL = {       # case -> (text, the line the refusal names)
+        "plus on n": (SMALL.replace("5\t120\n", "+5\t3\n"), "+5\t3"),
+        "leading zero on n": (SMALL.replace("5\t120\n", "05\t3\n"), "05\t3"),
+        "padded n": (SMALL.replace("5\t120\n", " 5\t3\n"), " 5\t3"),
+        "plus on a(n)": (SMALL.replace("5\t120\n", "5\t+3\n"), "5\t+3"),
+        "leading zero on a(n)": (SMALL.replace("5\t120\n", "5\t03\n"),
+                                 "5\t03"),
+        "minus zero": (SMALL.replace("5\t120\n", "5\t-0\n"), "5\t-0"),
+        "blank line": (SMALL.replace("4\t-56\n", "4\t-56\n\n"), ""),
+        "three fields": (SMALL.replace("5\t120\n", "5\t120\t7\n"),
+                         "5\t120\t7"),
+        "no final newline": (SMALL[:-1], "5\t120"),
+        "cut mid-number": (SMALL[:-3], "5\t1"),
+        "carriage returns": (SMALL.replace("\n", "\r\n"), coeffio.MAGIC),
+    }
+
+    @pytest.mark.parametrize("case", NOT_CANONICAL)
+    def test_parse_refuses_a_body_it_would_not_write(self, case):
+        assert coeffio.parse(self.SMALL).form.coeffs[5] == 120
+        text, line = self.NOT_CANONICAL[case]
+        with pytest.raises(ValueError, match=re.escape(repr(line))):
+            coeffio.parse(text)
+
+    @pytest.mark.parametrize("case", NOT_CANONICAL)
+    def test_signs_exits_2_on_a_body_it_would_not_write(self, tmp_path, case):
+        path = tmp_path / "x.txt"
+        with open(path, "w", newline="") as fp:
+            fp.write(self.NOT_CANONICAL[case][0])
+        out = tmp_path / "x.csv"
+        rc = run("signs", "--in", str(path), "--X-list", "5",
+                 "--csv", str(out))
+        # read opens the file in text mode, which turns "\r\n" into "\n".
+        assert rc == (0 if case == "carriage returns" else 2)
+        assert out.exists() == (rc == 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.integers(-3, 3) | st.integers(-10 ** 30, 10 ** 30),
+                           min_size=1, max_size=80),
+           block=st.integers(1, 40))
+    def test_body_round_trips_in_small_blocks(self, values, block):
+        # serialize, then parse in blocks of about block characters: the
+        # same table.  Then repeat the last index of the first block at
+        # the start of the second: parse must refuse the order there.
+        cf = coeffio.CoefficientFile("x", Form(
+            weight_num=13, level=4, character=DirichletCharacter.trivial(4),
+            coeffs=values))
+        text = cf.serialize()
+        with mock.patch.object(coeffio, "BLOCK", block):
+            again = coeffio.parse(text)
+            assert again.form.coeffs == values and again.serialize() == text
+            start = len("".join(text.splitlines(keepends=True)[:7]))
+            stop = text.find("\n", start + block - 1) + 1
+            if 0 < stop < len(text):
+                last = text[:stop - 1].rpartition("\n")[2].split("\t")[0]
+                rest = text[stop:].partition("\n")[2]
+                bad = text[:stop] + last + "\t1\n" + rest
+                with pytest.raises(ValueError, match="out of order"):
+                    coeffio.parse(bad)
+
+    def test_parse_peak_memory_stays_under_the_line_loop(self):
+        # tracemalloc's peak while parsing delta at 10^4 (5 000 body
+        # lines).  The per-line loop this parse replaced peaked at
+        # 641 351 bytes, most of it one str per line (Python 3.11); a
+        # match over the whole body holds one sre stack entry per line
+        # and peaks at about 2.0 MB.
+        text = coeffio.CoefficientFile("delta", delta_form(10_000)).serialize()
+        tracemalloc.start()
+        try:
+            coeffio.parse(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 641_351
 
 
 class TestBuildCommand:
@@ -1103,6 +1185,13 @@ def test_imports_only_the_standard_library():
     new = {m.partition(".")[0] for m in _fresh_import("qsigns.cli")}
     assert "qsigns" in new
     assert new - set(sys.stdlib_module_names) - {"qsigns"} == set()
+
+
+def test_the_cli_imports_neither_dataclasses_nor_inspect():
+    # Each command is a new process, so the CLI's imports are paid on
+    # every one: its classes are written out, not generated.
+    new = set(_fresh_import("qsigns.cli"))
+    assert not new & {"dataclasses", "inspect"}
 
 
 def test_the_package_imports_no_module():

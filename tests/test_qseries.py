@@ -4,7 +4,7 @@ import tracemalloc
 from array import array
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 from unittest import mock
 
 import pytest
@@ -169,6 +169,32 @@ class TestMul:
         assert qs._stride([0, 0, 5, 0, 7, 3], 5) == 2
         assert qs._stride([1, 0, 0], 3) == 1
         assert qs._stride([], 0) == 1
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_stride_is_the_gcd_of_the_nonzero_indices(self, data):
+        # _stride reads a candidate off the first two nonzero indices and
+        # checks its divisors by residue slices; it must equal the gcd of
+        # every nonzero index below prec, whatever lies at 0 or past prec.
+        prec = data.draw(st.integers(0, 120))
+        d = data.draw(st.integers(1, 12))
+        multiples = data.draw(st.lists(st.integers(0, 130 // d), max_size=12))
+        others = data.draw(st.lists(st.integers(0, 130), max_size=2))
+        coeffs = [0] * 131
+        for j in [m * d for m in multiples] + others:
+            coeffs[j] = data.draw(_NONZERO)
+        want = 0
+        for j in range(1, prec):
+            if coeffs[j]:
+                want = gcd(want, j)
+        assert qs._stride(coeffs, prec) == (want or 1)
+
+    def test_stride_below_the_first_two_indices(self):
+        # The first two nonzero indices give 12; the third cuts it to 4.
+        coeffs = [0] * 40
+        coeffs[0] = coeffs[12] = coeffs[24] = coeffs[28] = 1
+        assert qs._stride(coeffs, 40) == 4
+        assert qs._stride(coeffs, 28) == 12
 
     def test_stride_probe_stops_at_one(self):
         # A stride-1 operand is read only up to its second nonzero term.
