@@ -24,12 +24,20 @@ row term at i updates only out[i::d].  The gcd d is read from the
 nonzero indices and the read stops as soon as it reaches 1.  The other
 operand's every d-th coefficient is packed once into one int of
 fixed-width byte slots, and each residue mod d is a sum of that int
-scaled and shifted once per row term, plus a constant in every slot that
-keeps all slots positive; the slots are wide enough that none carries
-into the next.  Slots of up to 8 bytes are machine words: an array packs
-them and a memoryview cast reads each residue back, both in C; wider
-slots are packed and read back one bytes object each.  With s nonzero
-row terms that costs O(prec * s / d) limb operations, all of them in C.
+scaled and shifted once per row term; the slots are wide enough that
+none carries into the next once a constant in every slot makes them all
+positive.  The terms are summed in Horner order, from the largest shift
+down: the running sum is shifted to the next term and that term's
+multiple is added, a multiple of the packed int cut to the slots the
+term can reach, rounded up to a sixteenth of the residue.  Each term
+thus makes three passes (shift, multiply, add) over the n - k slots it
+reaches plus at most ceil(n / 16) slots of slack.  Slots of up to 8
+bytes are signed machine words: an array packs them and a memoryview
+cast reads each residue back, both in C.  Wider slots are split into
+limbs of up to 8 bytes, each one array of words whose bytes are moved
+into and out of the slots by slice assignment, and the limbs read back
+are combined by map.  With s nonzero row terms that costs
+O(prec * s / d) limb operations, all of them in C.
 When both operands are dense, the product is one multiplication of two
 big Decimals instead: each list is packed into fixed-width decimal
 slots, with a bias of its own that makes every slot positive, wide
@@ -77,12 +85,15 @@ SPARSE_FACTOR = 16
 # Exact integer arithmetic on Decimals: nothing is ever rounded.
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
                  traps=[Inexact, Rounded])
-# Slots packed per string in _ntt and _row_pass.
+# Slots packed per string in _ntt.
 _BLOCK = 512
 # The array typecode of the narrowest machine word of at least w bytes,
 # for w = 1..8 (later, narrower codes overwrite earlier ones).
 _WORD = {w: code for code in "QLIHB"
          for w in range(1, array(code).itemsize + 1)}
+# The row pass cuts its packed operand to a multiple of 1/_CUTS of a
+# residue's slots.
+_CUTS = 16
 # The int <-> str digit limit of CPython 3.10.7 and later (0: none).
 _int_str_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
@@ -252,63 +263,132 @@ def _stride(coeffs: list, prec: int) -> int:
 
 def _row_pass(rows: list, coeffs: list, d: int, prec: int) -> list:
     """The prec coefficients of sum c q^i b(q) over the row terms (i, c),
-    each with i < prec, where b's coefficients are coeffs and those below
-    prec sit on multiples of d.
+    in increasing order of i and each with i < prec, where b's
+    coefficients are coeffs and those below prec sit on multiples of d.
 
     A row term at i = r + d k adds c coeffs[d t] to out[r + d (k + t)],
     so each residue r mod d is a sum of shifted multiples of b[::d].
     b[::d] is packed once into one int P = sum_t coeffs[d t] 256^(w t),
-    and a residue's sum is M in every slot plus c (P << 8 w k) per row
-    term: one shift-add, run in C over the whole list.  With
-    B = max|b| + 1 and M = B sum|c|, every slot of the sum lies in
-    (0, 2M), so slots of w bytes, enough for 2M, never carry into each
-    other, and the low n slots are the low 8 w n bits whatever the slots
-    above them hold.  So a term at k needs only P's low n - k slots:
-    the sum is then exact modulo 2^(8 w n), which is all that is read.
-    P is packed from the slots coeffs[d t] + B, which lie in (0, 2B) and
-    so fit too, and the bias is then taken off the whole int at once.
+    and a residue's n slots are the sum of c (P << 8 w k) over its row
+    terms.  With M = (max|b| + 1) sum|c| and w the bytes of 2M, every
+    slot of that sum and every coeffs[d t] lies in (-H, H), H = 2^(8w-1),
+    so adding H to every slot makes each one a w-byte value that carries
+    into none of its neighbours, and the low n slots are the low 8 w n
+    bits whatever the slots above them hold.  So the sum is only needed
+    modulo 2^(8 w n), and a term at k only needs P's low n - k slots.
 
-    When w is at most 8 on a little-endian machine, w is rounded up to a
-    machine word of 1, 2, 4 or 8 bytes: an array of words is packed in
-    one pass and each residue is read back through a memoryview of its
-    bytes.  Wider slots are packed and read back one bytes object each.
+    The terms are summed in Horner order, from the highest k down:
+    acc = (acc << 8 w (k' - k)) + c low, where k' is the previous term's
+    k and low is P cut to the smallest multiple of ceil(n / _CUTS) slots
+    that covers n - k.  A cut is less than ceil(n / _CUTS) slots longer
+    than n - k, so acc never spans more than n - k slots plus that slack
+    and the bits of the c, and a term costs three big-int passes (a
+    shift, a multiply, an add) over the n - k slots it reaches plus that
+    slack.  The cut is taken at most _CUTS times per residue, and only
+    one is alive at a time; the last, of all n slots, is P itself, which
+    has at most one slot more.  acc is shifted by the lowest k, H is
+    added to every slot, and the low n slots, with each slot's top bit
+    flipped back, are each residue's coefficients as w-byte two's
+    complement ints.  P is packed the same way, from two's complement
+    slots whose top bits are flipped to add H, which is taken off the
+    whole int at once.
+
+    Up to 8 bytes, w is rounded up to a machine word of 1, 2, 4 or 8
+    bytes and a slot is one signed word.  Wider slots are split into
+    limbs of up to 8 bytes: an unsigned word per 8-byte limb, and a
+    signed word for the top limb that holds its bytes at the word's top
+    end.  b[::d] is packed as one array of words per limb, whose bytes
+    are moved into the slots by one slice assignment per byte, through a
+    byte map that reverses each word on a big-endian machine.  With one
+    word per slot on a little-endian machine, a memoryview cast reads
+    each residue back without a copy; otherwise each limb of a residue
+    is moved back the same way and read by one memoryview cast, and the
+    limbs are combined by map.
     """
     out = [0] * prec
     if not rows:
         return out
-    bias = max(map(abs, islice(coeffs, 0, prec, d))) + 1
-    m = bias * sum(abs(c) for _, c in rows)
+    m = (max(map(abs, islice(coeffs, 0, prec, d))) + 1) * sum(
+        abs(c) for _, c in rows)
     w = ((2 * m).bit_length() + 7) // 8
-    code = _WORD.get(w) if sys.byteorder == "little" else None
+    if w <= 8:
+        w = array(_WORD[w]).itemsize
+    bits = 8 * w
+    little = sys.byteorder == "little"
+    # (typecode, itemsize, shift, byte map) per limb of up to 8 bytes: the
+    # word holds the slot value shifted right by 8 (o - pad) bits, where
+    # o is the limb's first byte in the slot and pad is the itemsize less
+    # the limb's bytes, so byte o + j of the slot is the word's byte
+    # pad + j counted from its low end.
+    limbs = []
+    for o in range(0, w, 8):
+        size = min(8, w - o)
+        code = _WORD[8] if o + 8 < w else _WORD[size].lower()
+        width = array(code).itemsize
+        pad = width - size
+        limbs.append((code, width, 8 * (o - pad), [
+            (o + j, pad + j if little else width - 1 - pad - j)
+            for j in range(size)]))
 
-    def slots(value, n):
-        return int.from_bytes(value.to_bytes(w, "little") * n, "little")
+    def flipped(n):
+        # H in each of n slots: adds H to every slot, or flips its top bit.
+        return int.from_bytes((1 << (bits - 1)).to_bytes(w, "little") * n,
+                              "little")
 
-    if code:
-        w = array(code).itemsize
-        packed = array(code, map(operator.add, islice(coeffs, 0, prec, d),
-                                 repeat(bias)))
-    else:
-        packed = bytearray()
-        for k in range(0, prec, _BLOCK * d):
-            packed += b"".join([(x + bias).to_bytes(w, "little") for x in
-                                coeffs[k:min(k + _BLOCK * d, prec):d]])
-    p = int.from_bytes(packed, "little") - slots(bias, len(range(0, prec, d)))
-    del packed
+    count_p = len(range(0, prec, d))
+    packed = bytearray(w * count_p)
+    for code, width, shift, bytemap in limbs:
+        words = islice(coeffs, 0, prec, d)
+        if shift:
+            words = map(operator.rshift, words, repeat(shift))
+        if code.isupper():
+            # An unsigned limb below the top one: its 8 bytes only.
+            words = map(operator.and_, words, repeat((1 << 64) - 1))
+        words = memoryview(array(code, words)).cast("B")
+        for at, j in bytemap:
+            packed[at::w] = words[j::width]
+        del words
+    top = flipped(count_p)
+    p = (int.from_bytes(packed, "little") ^ top) - top
+    del packed, top
     residues = {}
     for i, c in rows:
         residues.setdefault(i % d, []).append((i // d, c))
-    bits = 8 * w
     for r, terms in residues.items():
         n = len(range(r, prec, d))
-        acc = slots(m, n)
-        for k, c in terms:
-            acc += (c * (p & ((1 << bits * (n - k)) - 1))) << (bits * k)
-        buf = (acc & ((1 << bits * n) - 1)).to_bytes(w * n, "little")
+        step = -(-n // _CUTS)
+        acc = cut = 0
+        last = terms[-1][0]
+        for k, c in reversed(terms):
+            if n - k > cut:
+                cut = min(n, -(-(n - k) // step) * step)
+                low = p if cut == n else p & ((1 << bits * cut) - 1)
+            acc <<= bits * (last - k)
+            acc += c * low
+            last = k
+        low = None
+        acc <<= bits * last
+        top = flipped(n)
+        acc += top
+        acc &= (1 << bits * n) - 1
+        acc ^= top
+        del top
+        view = memoryview(acc.to_bytes(w * n, "little"))
         del acc
-        out[r::d] = (map(operator.sub, memoryview(buf).cast(code), repeat(m))
-                     if code else [int.from_bytes(buf[j:j + w], "little") - m
-                                   for j in range(0, w * n, w)])
+        if little and w <= 8:
+            values = view.cast(limbs[0][0])
+        else:
+            values = None
+            for code, width, shift, bytemap in limbs:
+                words = bytearray(width * n)
+                for at, j in bytemap:
+                    words[j::width] = view[at::w]
+                limb = memoryview(words).cast(code)
+                values = limb if values is None else map(
+                    operator.or_, values,
+                    map(operator.lshift, limb, repeat(shift)))
+            del view
+        out[r::d] = values
     return out
 
 

@@ -435,6 +435,31 @@ def _kernel_at_width(draw, width):
     return rows, coeffs, d, prec
 
 
+def _big_endian_words():
+    """Patch qseries' array and memoryview so that every word stores its
+    bytes big-endian, as on a big-endian machine; a byte view is left as
+    it is."""
+    def big_array(code, values=()):
+        words = array(code, values)
+        words.byteswap()
+        return words
+
+    class BigView:
+        def __init__(self, obj):
+            self.view = memoryview(obj)
+
+        def __getitem__(self, key):
+            return self.view[key]
+
+        def cast(self, code):
+            if code == "B":
+                return self.view.cast(code)
+            return big_array(code, self.view.tobytes())
+
+    return mock.patch.multiple(qs, array=big_array, memoryview=BigView,
+                               create=True)
+
+
 _OFFSETS = st.sampled_from([0, 1, Fraction(1, 24), Fraction(1, 2)])
 
 
@@ -487,38 +512,99 @@ class TestRowPass:
         assert qs._row_pass(rows, coeffs, d, prec) == \
             poly_mul(row_coeffs, coeffs, prec)
 
-    @pytest.mark.parametrize("width", range(1, 17))
+    @pytest.mark.parametrize("width", range(1, 18))
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)
     def test_every_slot_width_matches_oracle(self, width, data):
         # Values drawn so that 2 B sum|c|, B = max|b[::d]| + 1, takes
-        # width bytes; up to 8 bytes the slots are machine words (packed
-        # through an array), wider ones are packed a bytes object each.
+        # width bytes.  Every width is packed as one array per limb, its
+        # bytes moved into one bytearray: unsigned 8-byte words below a
+        # signed word for the top limb.  Up to 8 bytes on a little-endian
+        # machine the one limb is the slot and each residue is read back
+        # by one memoryview cast; wider slots take one bytearray per limb
+        # and residue.
         rows, coeffs, d, prec = data.draw(_kernel_at_width(width))
         row_coeffs = [0] * prec
         for i, c in rows:
             row_coeffs[i] = c
-        with mock.patch.object(qs, "array", wraps=array) as spy:
+        with mock.patch.object(qs, "array", wraps=array) as spy, \
+                mock.patch.object(qs, "bytearray", wraps=bytearray,
+                                  create=True) as moved:
             got = qs._row_pass(rows, coeffs, d, prec)
         assert got == poly_mul(row_coeffs, coeffs, prec)
-        assert bool(spy.call_count) == (width <= 8
-                                        and sys.byteorder == "little")
+        packed = [c.args[0] for c in spy.call_args_list if len(c.args) > 1]
+        assert packed == [qs._WORD[8]] * ((width - 1) // 8) + \
+            [qs._WORD[width % 8 or 8].lower()]
+        words = width <= 8 and sys.byteorder == "little"
+        assert moved.call_count == 1 + (0 if words else len(packed)) * len(
+            {i % d for i, _ in rows})
 
-    def test_big_endian_takes_the_byte_path(self):
-        # Native-order words read as little-endian would be wrong there.
+    @pytest.mark.parametrize("width", [1, 3, 7, 9, 11, 16, 17])
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_big_endian_every_width_matches_oracle(self, width, data):
+        # The byte order is read at call time.  Words that store their
+        # bytes big-endian stand in for such a machine's arrays and
+        # memoryview casts: every width then takes the limb path, and
+        # each word's bytes are reached through the reversed byte map.
+        rows, coeffs, d, prec = data.draw(_kernel_at_width(width))
+        row_coeffs = [0] * prec
+        for i, c in rows:
+            row_coeffs[i] = c
+        with _big_endian_words(), \
+                mock.patch.object(qs.sys, "byteorder", "big"):
+            assert qs._row_pass(rows, coeffs, d, prec) == \
+                poly_mul(row_coeffs, coeffs, prec)
+
+    @pytest.mark.parametrize("scale", [1000, 2 ** 70], ids=["words", "limbs"])
+    def test_big_endian_reads_words_through_the_reversed_map(self, scale):
+        # One 4-byte word per slot, and limbs of a 10-byte slot: big-endian
+        # words give the native product through the reversed byte map, and
+        # a wrong one through the little-endian map, so the stand-in tests
+        # the map.
         prec, d = 60, 2
-        coeffs = [(-1) ** j * (j % 7) if j % d == 0 else 0
+        coeffs = [(-1) ** j * (j % 7) * scale if j % d == 0 else 0
                   for j in range(prec)]
         rows = [(0, 3), (5, -2), (12, 1)]
         row_coeffs = [0] * prec
         for i, c in rows:
             row_coeffs[i] = c
         native = qs._row_pass(rows, coeffs, d, prec)
-        with mock.patch.object(qs.sys, "byteorder", "big"), \
-                mock.patch.object(qs, "array", wraps=array) as spy:
-            assert qs._row_pass(rows, coeffs, d, prec) == native == \
-                poly_mul(row_coeffs, coeffs, prec)
-        assert spy.call_count == 0
+        with _big_endian_words():
+            with mock.patch.object(qs.sys, "byteorder", "big"):
+                assert qs._row_pass(rows, coeffs, d, prec) == native == \
+                    poly_mul(row_coeffs, coeffs, prec)
+            assert qs._row_pass(rows, coeffs, d, prec) != native
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_horner_cuts_match_oracle(self, data):
+        # Residues long enough that a cut of P, ceil(n / _CUTS) slots, is
+        # more than one slot, and row terms where n - k sits on a cut
+        # boundary, one slot either side of it, at k = 0 and at k = n - 1.
+        prec = data.draw(st.integers(200, 2000))
+        d = data.draw(st.integers(1, 5))
+        coeffs = [0] * prec
+        for j in range(0, prec, d):
+            coeffs[j] = data.draw(st.integers(-2 ** 70, 2 ** 70))
+        rows = {}
+        for r in data.draw(st.sets(st.integers(0, d - 1), min_size=1)):
+            n = len(range(r, prec, d))
+            step = -(-n // qs._CUTS)
+            assert step > 1
+            edges = {0, n - 1} | {n - j * step + e
+                                  for j in range(1, qs._CUTS + 1)
+                                  for e in (-1, 0, 1)}
+            for k in data.draw(st.sets(st.sampled_from(sorted(
+                    k for k in edges if 0 <= k < n)), min_size=1)):
+                rows[r + d * k] = data.draw(st.integers(-10 ** 6, 10 ** 6)
+                                            .filter(bool))
+        rows = sorted(rows.items())
+        row_coeffs = [0] * prec
+        for i, c in rows:
+            row_coeffs[i] = c
+        assert qs._row_pass(rows, coeffs, d, prec) == \
+            poly_mul(row_coeffs, coeffs, prec)
 
     def test_delta_shaped_product_peaks_below_twice_its_result(self):
         # The row pass keeps one packed copy of the dense operand and one
