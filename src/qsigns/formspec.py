@@ -259,10 +259,27 @@ def evaluate(spec, prec: int) -> tuple[QSeries, int]:
     requested window.  When that argument is a product, its two factors
     are evaluated to m times the precision and qseries.u_mul takes U_m
     of their product without forming it.
+
+    A tree of sums and scalars over products and other nodes is one
+    integer linear combination sum k_j a_j b_j + sum k_j s_j, and one
+    qseries.lincomb call builds it into one list: a scalar on either
+    factor of a product moves into its k, and no scaled copy and no
+    partial sum is ever a series of its own.  A single product with
+    k = 1 is qseries.mul, and a single other term with k = 1 is its own
+    series.  den is what binary rules give: Scale(p/q) multiplies k by p
+    and den by q, a sum brings both sides to the lcm of their dens, and
+    a product multiplies its factors' dens.
+
+    Within one call, a (node, need) asked for twice or more is built
+    once and dropped after its last use; delta's E4(4) and theta(1) are
+    each built once.  Subtrees asked for once are not kept.
     """
     if prec < 1:
         raise ValueError("prec must be positive")
-    return _eval(spec, prec)
+    uses = {}
+    _count(spec, prec, uses)
+    return _eval(spec, prec, {key: [n - 1, None]
+                              for key, n in uses.items() if n > 1})
 
 
 def signature(node) -> tuple[Fraction, int, Fraction]:
@@ -320,37 +337,111 @@ def working_prec(node, prec: int) -> int:
                         else prec)
 
 
-def _eval(node, need: int) -> tuple[QSeries, int]:
-    if isinstance(node, Atom):
-        return ATOMS[node.name].series(node, need), 1
-    if isinstance(node, Diff):
-        # derive is b q d/dq on an offset a/b, so den takes the factor b.
-        s, den = _eval(node.arg, need)
-        return qs.derive(s), den * s.offset.denominator
+def _eval(node, need: int, memo: dict) -> tuple[QSeries, int]:
+    """(series, den) of node at need positions.  memo maps each
+    (node, need) that evaluate asks for twice or more to [the asks left
+    after the first, its value once built]; the value is dropped at its
+    last ask."""
+    entry = memo.get((node, need))
+    if entry is None:
+        return _value(node, need, memo)
+    if entry[1] is None:
+        entry[1] = _value(node, need, memo)
+        return entry[1]
+    entry[0] -= 1
+    if not entry[0]:
+        del memo[(node, need)]
+    return entry[1]
+
+
+def _count(node, need: int, uses: dict):
+    """Count in uses every (node, need) that evaluating node at need asks
+    _eval for; a subtree asked for again is built once, so its own asks
+    are counted once."""
+    key = (node, need)
+    uses[key] = uses.get(key, 0) + 1
+    if uses[key] == 1:
+        for child in _children(node, need):
+            _count(*child, uses)
+
+
+def _children(node, need: int) -> list:
+    """The (node, need) pairs that building node at need asks _eval for,
+    in order: a linear combination's factors, or the one or two operands
+    of D, ^ and U.  Atoms and powers of eta ask for nothing."""
+    if isinstance(node, (Add, Scale, Mul)):
+        asked = []
+        _linear(node, lambda f: (asked.append((f, need)), 1))
+        return asked
+    if isinstance(node, Atom) or (isinstance(node, Pow)
+                                  and node.arg.name == "eta"):
+        return []
     if isinstance(node, U):
-        if isinstance(node.arg, Mul):
-            (l, dl), (r, dr) = (_eval(side, node.m * need)
-                                for side in (node.arg.left, node.arg.right))
-            return qs.u_mul(node.m, l, r), dl * dr
-        s, den = _eval(node.arg, node.m * need)
-        return qs.u_op(node.m, s), den
-    if isinstance(node, (Add, Mul)):
-        (l, dl), (r, dr) = _eval(node.left, need), _eval(node.right, need)
-        if isinstance(node, Mul):
-            return qs.mul(l, r), dl * dr
-        den = lcm(dl, dr)
-        return qs.add(_scaled(l, den // dl), _scaled(r, den // dr)), den
-    if isinstance(node, Pow):
-        if node.arg.name == "eta":
-            return qs.eta_pow(node.arg.m, node.exp, need), 1
-        s, den = _eval(node.arg, need)
-        return qs.pow_(s, node.exp), den ** node.exp
-    if isinstance(node, Scale):
-        s, den = _eval(node.arg, need)
-        return (_scaled(s, node.scalar.numerator),
-                den * node.scalar.denominator)
+        args = ((node.arg.left, node.arg.right)
+                if isinstance(node.arg, Mul) else (node.arg,))
+        return [(x, node.m * need) for x in args]
+    if isinstance(node, (Diff, Pow)):
+        return [(node.arg, need)]
     raise TypeError("not a FormSpec node: %r" % (node,))
 
 
-def _scaled(s: QSeries, r: int) -> QSeries:
-    return s if r == 1 else qs.scalar_mul(s, r)
+def _value(node, need: int, memo: dict) -> tuple[QSeries, int]:
+    if isinstance(node, Atom):
+        return ATOMS[node.name].series(node, need), 1
+    if isinstance(node, (Add, Scale, Mul)):
+        den, terms = _linear(node, lambda f: _eval(f, need, memo))
+        if len(terms) == 1 and terms[0][0] == 1:
+            factors = terms[0][1:]
+            return (factors[0] if len(factors) == 1
+                    else qs.mul(*factors)), den
+        return qs.lincomb(terms), den
+    if isinstance(node, Pow) and node.arg.name == "eta":
+        return qs.eta_pow(node.arg.m, node.exp, need), 1
+    parts = [_eval(x, n, memo) for x, n in _children(node, need)]
+    if isinstance(node, Diff):
+        # derive is b q d/dq on an offset a/b, so den takes the factor b.
+        s, den = parts[0]
+        return qs.derive(s), den * s.offset.denominator
+    if isinstance(node, Pow):
+        s, den = parts[0]
+        return qs.pow_(s, node.exp), den ** node.exp
+    if len(parts) == 2:
+        (l, dl), (r, dr) = parts
+        return qs.u_mul(node.m, l, r), dl * dr
+    s, den = parts[0]
+    return qs.u_op(node.m, s), den
+
+
+def _linear(node, factor) -> tuple[int, list]:
+    """A sum of scaled products as (den, terms) for qseries.lincomb: the
+    terms (k, a, b) and (k, s) of int k, where a, b and s are the values
+    factor gives the factor nodes, in tree order, so that node's value
+    is sum k a b + sum k s over den.  factor maps a node to (series,
+    den).  Add and Scale nodes are walked through, and so is a Scale on
+    either side of a Mul; any other node is a factor.  den and each k
+    follow the rules evaluate states, so den is the one a walk of binary
+    sums would give."""
+    if isinstance(node, Add):
+        (dl, left), (dr, right) = (_linear(node.left, factor),
+                                   _linear(node.right, factor))
+        den = lcm(dl, dr)
+        return den, ([(k * (den // dl), *s) for k, *s in left]
+                     + [(k * (den // dr), *s) for k, *s in right])
+    if isinstance(node, Scale):
+        den, terms = _linear(node.arg, factor)
+        p, q = node.scalar.numerator, node.scalar.denominator
+        return q * den, [(p * k, *s) for k, *s in terms]
+    if isinstance(node, Mul):
+        k = den = 1
+        series = []
+        for side in (node.left, node.right):
+            while isinstance(side, Scale):
+                k *= side.scalar.numerator
+                den *= side.scalar.denominator
+                side = side.arg
+            s, d = factor(side)
+            series.append(s)
+            den *= d
+        return den, [(k, *series)]
+    s, den = factor(node)
+    return den, [(1, s)]

@@ -13,12 +13,17 @@ result, so truncation never silently produces wrong tails.
 
 Every series is stored the same way: its offset and one list of prec
 coefficients, zeros included.  Theta series and pentagonal-number
-products carry only O(sqrt(prec)) nonzero terms, so a product counts
-the nonzeros of its operands and takes the one with fewer as the row
-source.  A series is sparse while nnz * 16 <= prec; when both operands
-are sparse the product runs over pairs of nonzero terms, otherwise each
-nonzero row term adds a shifted multiple of the other operand (the row
-pass).  That pass skips the zeros a dilation leaves: when the other
+products carry only O(sqrt(prec)) nonzero terms; a series built from
+its terms (from_pairs, as every theta, eta and psi atom is) also keeps
+them, so pairs() and nnz never scan its list, and derive and U_m carry
+them over.  A product takes the operand with fewer nonzeros as the row
+source, and _plan, the one dispatch point, prices three paths from the
+nonzero counts, the stride d, prec and the coefficient widths, and
+takes the cheapest: a loop over pairs of nonzero terms, the row pass,
+or one decimal NTT product.
+
+The row pass: each nonzero row term adds a shifted multiple of the
+other operand.  It skips the zeros a dilation leaves: when the other
 operand's nonzeros all sit on multiples of some d (E4(4) has d = 4), a
 row term at i updates only out[i::d].  The gcd d is read from the
 nonzero indices and the read stops as soon as it reaches 1.  The other
@@ -37,24 +42,35 @@ cast reads each residue back, both in C.  Wider slots are split into
 limbs of up to 8 bytes, each one array of words whose bytes are moved
 into and out of the slots by slice assignment, and the limbs read back
 are combined by map.  With s nonzero row terms that costs
-O(prec * s / d) limb operations, all of them in C.
-When both operands are dense, the product is one multiplication of two
-big Decimals instead: each list is packed into fixed-width decimal
-slots, with a bias of its own that makes every slot positive, wide
-enough that no product coefficient can carry into its neighbour.
-libmpdec multiplies the two exactly with its number-theoretic transform
-(a transform over finite fields, so nothing is rounded), in a context
-that traps any rounding; the low slots are read back and the bias cross
-terms removed with prefix sums.  Powers are taken by square-and-multiply,
-and a power of eta starts from Jacobi's identity for eta^3, another sum
-with O(sqrt(prec)) terms.  No floating point anywhere.
+O(prec * s / d) limb operations, all of them in C.  One pass can build
+a sum of products: every product packs its own operand, their row
+terms share each residue's Horner loop, and each residue is read back
+once.
+The NTT path multiplies two big Decimals instead: each list is packed
+into fixed-width decimal slots, with a bias of its own that makes every
+slot positive, wide enough that no product coefficient can carry into
+its neighbour.  libmpdec multiplies the two exactly with its
+number-theoretic transform (a transform over finite fields, so nothing
+is rounded), in a context that traps any rounding; the low slots are
+read back and the bias cross terms removed with prefix sums.  Powers
+are taken by square-and-multiply, and a power of eta starts from
+Jacobi's identity for eta^3, another sum with O(sqrt(prec)) terms.  No
+floating point anywhere.
+
+lincomb builds an integer linear combination sum k a b + sum k s of
+products and series into one list: every row-pass product of one
+stride shares one row pass, with k folded into its row terms, and the
+other terms are added into that list, the pair loop in place and the
+rest by one map pass each.  mul is its one-term case, and add and
+scalar_mul are lincomb calls too.
 
 U_m of a product (u_mul) never forms the product whose every m-th
 coefficient it keeps: it sums the products of the operands' m-sections,
-each on prec // m positions, and skips a pair with an all-zero section.
+each on prec // m positions, in one lincomb, and skips a pair with an
+all-zero section.
 
-Every O(prec) pass over a coefficient list (pairs, add, scalar_mul,
-derive, the E4 sieve) iterates in C through map, compress and slice
+Every O(prec) pass over a coefficient list (pairs, lincomb, derive, the
+E4 sieve) iterates in C through map, compress and slice
 assignment, not in a Python-level loop per coefficient.
 
 Every generator takes a dilation index m and writes the series at mz
@@ -79,7 +95,7 @@ from math import gcd, isqrt
 
 from .arith import DirichletCharacter, divisors
 
-# A series is sparse while nnz * SPARSE_FACTOR <= prec.
+# QSeries.density calls a series sparse while nnz * SPARSE_FACTOR <= prec.
 SPARSE_FACTOR = 16
 
 # Exact integer arithmetic on Decimals: nothing is ever rounded.
@@ -118,23 +134,28 @@ def _require_int(c):
 class QSeries:
     """Truncated exact power series sum_i coeffs[i] q^(offset + i)."""
 
-    __slots__ = ("offset", "coeffs")
+    __slots__ = ("offset", "coeffs", "_pairs")
 
-    def __init__(self, offset, coeffs: list):
-        # Takes the list as is; from_pairs builds one.
+    def __init__(self, offset, coeffs: list, pairs: tuple | None = None):
+        # Takes the list as is; from_pairs builds one.  pairs, when known,
+        # is the tuple of the list's nonzero (index, value) terms in
+        # increasing index order.
         self.offset = _as_offset(offset)
         self.coeffs = coeffs
+        self._pairs = pairs
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def from_pairs(cls, pairs, prec: int, offset=0) -> "QSeries":
         """The series with the given (index, int value) terms and zeros
-        elsewhere; each index must lie in [0, prec) and occur once."""
+        elsewhere; each index must lie in [0, prec) and occur once.  The
+        nonzero terms are kept, so pairs() never reads the list."""
         if prec < 0:
             raise ValueError("prec must be nonnegative")
         coeffs = [0] * prec
         seen = set()
+        kept = []
         for i, c in pairs:
             if not 0 <= i < prec:
                 raise ValueError("index %d outside [0, %d)" % (i, prec))
@@ -144,7 +165,9 @@ class QSeries:
             _require_int(c)
             if c:
                 coeffs[i] = c
-        return cls(offset, coeffs)
+                kept.append((i, c))
+        kept.sort(key=operator.itemgetter(0))
+        return cls(offset, coeffs, tuple(kept))
 
     # -- inspection --------------------------------------------------------
 
@@ -154,16 +177,21 @@ class QSeries:
 
     @property
     def nnz(self) -> int:
+        if self._pairs is not None:
+            return len(self._pairs)
         return len(self.coeffs) - self.coeffs.count(0)
 
     @property
     def density(self) -> str:
-        """The product loop this series selects: "sparse" while
-        nnz * SPARSE_FACTOR <= prec, else "dense"."""
+        """The label "sparse" while nnz * SPARSE_FACTOR <= prec, else
+        "dense", for reports; _plan, not this label, picks a product's
+        path."""
         return "sparse" if self.nnz * SPARSE_FACTOR <= self.prec else "dense"
 
     def pairs(self):
         """Iterate nonzero (index, value) in increasing index order."""
+        if self._pairs is not None:
+            return iter(self._pairs)
         c = self.coeffs
         return zip(compress(count(), c), filter(None, c))
 
@@ -182,18 +210,12 @@ class QSeries:
 # -- ring operations -------------------------------------------------------
 
 def add(a: QSeries, b: QSeries) -> QSeries:
-    """Coefficientwise sum on the common grid.
+    """Coefficientwise sum on the common grid: lincomb of a and b.
 
     Offsets must differ by an integer; the result window is the
     intersection of what both operands guarantee.
     """
-    check_common_grid(a.offset, b.offset)
-    if b.offset < a.offset:
-        a, b = b, a
-    shift = int(b.offset - a.offset)
-    out = a.coeffs[:shift + b.prec]
-    out[shift:] = map(operator.add, out[shift:], b.coeffs)
-    return QSeries(a.offset, out)
+    return lincomb([(1, a), (1, b)])
 
 
 def check_common_grid(a_offset: Fraction, b_offset: Fraction):
@@ -204,49 +226,166 @@ def check_common_grid(a_offset: Fraction, b_offset: Fraction):
 
 
 def scalar_mul(a: QSeries, r: int) -> QSeries:
-    """Multiply every coefficient by the int r."""
-    _require_int(r)
-    return QSeries(a.offset, list(map(operator.mul, a.coeffs, repeat(r))))
+    """Multiply every coefficient by the int r: lincomb of r a."""
+    return lincomb([(r, a)])
 
 
 def mul(a: QSeries, b: QSeries) -> QSeries:
     """Truncated Cauchy product; offsets add, prec = min(prec_a, prec_b).
 
-    The operand with fewer nonzeros is the row source.  When both are
-    sparse, the pair loop multiplies nonzero terms only; when both are
-    dense, one exact Decimal product of slot-packed lists (_ntt) does the
-    work; otherwise each nonzero row term adds its multiple of the other
-    operand, shifted, as one big-int shift-add on that operand packed
-    into one int (_row_pass): O(prec * s / d) limb operations for s row
-    terms and the other operand's nonzeros on multiples of d.
+    The one-term case of lincomb: the operand with fewer nonzeros is the
+    row source, and _plan picks the pair loop over nonzero terms, the row
+    pass (each nonzero row term adds its multiple of the other operand,
+    shifted, as one big-int shift-add on that operand packed into one
+    int) or one exact Decimal product of slot-packed lists (_ntt).
     """
-    offset = a.offset + b.offset
-    prec = min(a.prec, b.prec)
-    na, nb = a.nnz, b.nnz
-    if na > nb:
-        a, b, na, nb = b, a, nb, na
-    sparse_a = na * SPARSE_FACTOR <= a.prec
-    sparse_b = nb * SPARSE_FACTOR <= b.prec
-    if not (sparse_a or sparse_b):
-        ac = a.coeffs[:prec]
-        return QSeries(offset, _ntt(ac, ac if b is a else b.coeffs[:prec]))
-    if not (sparse_a and sparse_b):
-        # b's nonzeros below prec sit on multiples of d, so a row term at
-        # i reaches only out[i::d]; d = 1 is every slot.
-        rows = list(takewhile(lambda t: t[0] < prec, a.pairs()))
-        return QSeries(offset, _row_pass(rows, b.coeffs,
-                                         _stride(b.coeffs, prec), prec))
-    out = [0] * prec
-    bp = list(b.pairs())
-    for i, c in a.pairs():
-        lim = prec - i
-        if lim <= 0:
-            break
-        for j, d in bp:
-            if j >= lim:
+    return lincomb([(1, a, b)])
+
+
+def lincomb(terms) -> QSeries:
+    """sum k a b over the product terms (k, a, b) plus sum k s over the
+    series terms (k, s), each k an int, built into one list.
+
+    The offsets must differ by integers.  The result starts at the
+    lowest offset and keeps the exponents that every term knows (a
+    product knows min(prec_a, prec_b) of them from a.offset + b.offset),
+    so it equals the nested add of the scaled terms.  Each product takes
+    the path _plan gives it, with the operand of fewer nonzeros as the
+    row source.  Every row-pass product of one stride d goes into one
+    _row_pass call, its row terms moved by its offset and multiplied by
+    its k, so no product is ever a list of its own.  The pair loop adds
+    k c c' into the result in place; an _ntt product and a series term
+    are each added by one map pass, except that an _ntt product with
+    k = 1, at the lowest offset and before any other content, is the
+    result list itself.  A term with k = 0 is never built; it still
+    bounds the window.
+    """
+    spans = [(t[1].offset + t[2].offset, min(t[1].prec, t[2].prec))
+             if len(t) == 3 else (t[1].offset, t[1].prec) for t in terms]
+    for off, _ in spans:
+        check_common_grid(spans[0][0], off)
+    offset = min(off for off, _ in spans)
+    prec = max(0, min(int(off - offset) + n for off, n in spans))
+    groups = {}     # stride d -> the (row terms, coeffs) of one row pass
+    lists = []      # (shift, values, k), each added by one map pass
+    pair_terms = []
+    for (k, *factors), (off, _) in zip(terms, spans):
+        _require_int(k)
+        shift = int(off - offset)
+        lim = prec - shift
+        if not k or lim <= 0:
+            continue
+        if len(factors) == 1:
+            lists.append((shift, islice(factors[0].coeffs, lim), k))
+            continue
+        a, b = factors
+        if a.nnz > b.nnz:
+            a, b = b, a
+        path, d = _plan(a, b)
+        if path == "rows":
+            groups.setdefault(d, []).append((
+                [(shift + i, k * c)
+                 for i, c in takewhile(lambda t: t[0] < lim, a.pairs())],
+                b.coeffs))
+        elif path == "pairs":
+            pair_terms.append((shift, lim, k, a, b))
+        else:
+            ac = a.coeffs[:lim]
+            lists.append((shift, _ntt(ac, ac if b is a else b.coeffs[:lim]),
+                          k))
+            del ac
+    out = None
+    for d, group in groups.items():
+        part = _row_pass(group, d, prec)
+        if out is None:
+            out = part
+        else:
+            out[:] = map(operator.add, out, part)
+        del part
+    for shift, values, k in lists:
+        if k != 1:
+            values = map(operator.mul, values, repeat(k))
+        if out is None and not shift and type(values) is list:
+            out = values        # an _ntt list, made for this sum alone
+            continue
+        if out is None:
+            out = [0] * prec
+        out[shift:] = map(operator.add, out[shift:], values)
+    del lists
+    if out is None:
+        out = [0] * prec
+    for shift, lim, k, a, b in pair_terms:
+        bp = list(b.pairs())
+        for i, c in a.pairs():
+            if i >= lim:
                 break
-            out[i + j] += c * d
+            top = lim - i
+            c *= k
+            i += shift
+            for j, v in bp:
+                if j >= top:
+                    break
+                out[i + j] += c * v
     return QSeries(offset, out)
+
+
+# The cost of one multiply-add of the pair loop, and of one decimal digit
+# of an _ntt operand slot, each in bytes of a row-pass big-int pass (see
+# _plan).
+_PLAN_COST = 80
+
+
+def _plan(a: QSeries, b: QSeries) -> tuple[str, int]:
+    """The path of the product a b, where a has no more nonzero terms
+    than b, and the stride it runs at: ("pairs", 1), ("rows", d) or
+    ("ntt", 1), d the gcd of b's nonzero indices below prec (_stride).
+
+    Each path is priced from nnz, d, prec and the coefficient widths
+    alone, in bytes of a row-pass big-int pass, with both operands'
+    nonzero terms taken as spread evenly.  With s and t the nonzero
+    terms of a and b, n = min(prec_a, prec_b), A = max|a| and
+    B = max|b|:
+      - rows: a row term reaches n / (2 d) slots on average, w bytes
+        each, w the row pass's slot width for (B + 1) s A:
+        s n w / (2 d);
+      - pairs: about s t / 2 pairs of terms fall below n, each one
+        interpreted multiply-add: _PLAN_COST s t / 2;
+      - ntt: n slots of D decimal digits, D those of
+        4 n (A + 1) (B + 1): _PLAN_COST n D.
+    The cheapest wins, and a tie goes to the first of pairs, rows, ntt.
+    _PLAN_COST is the one measured constant.  Timing all three paths on
+    fifteen product shapes, those of the named forms among them, every
+    shape goes to its fastest path for any _PLAN_COST in [59, 117]
+    (CHANGES.md), and 80 is near the middle of that range.
+    """
+    n = min(a.prec, b.prec)
+    s, t = a.nnz, b.nnz
+    if not s or not n:
+        return "pairs", 1
+    if b._pairs is None:
+        d = _stride(b.coeffs, n)
+        big_b = max(map(abs, islice(b.coeffs, 0, n, d)))
+    else:
+        # The kept terms give the same stride and maximum without a scan.
+        low = list(takewhile(lambda t: t[0] < n, b._pairs))
+        d = reduce(gcd, map(operator.itemgetter(0), low), 0) or 1
+        big_b = max(map(abs, map(operator.itemgetter(1), low)), default=0)
+    big_a = big_b if a is b else max(map(abs, (
+        a.coeffs if a._pairs is None
+        else map(operator.itemgetter(1), a._pairs))))
+    digits = (4 * n * (big_a + 1) * (big_b + 1)).bit_length() * 3 // 10 + 1
+    costs = [(_PLAN_COST * s * t // 2, "pairs", 1),
+             (s * n * _slot_bytes((big_b + 1) * s * big_a) // (2 * d),
+              "rows", d),
+             (_PLAN_COST * n * digits, "ntt", 1)]
+    return min(costs, key=operator.itemgetter(0))[1:]
+
+
+def _slot_bytes(m: int) -> int:
+    """The row pass's slot width for a slot sum bounded by m: the bytes
+    of 2 m, rounded up to a machine word up to 8 bytes."""
+    w = max(1, ((2 * m).bit_length() + 7) // 8)
+    return array(_WORD[w]).itemsize if w <= 8 else w
 
 
 def _stride(coeffs: list, prec: int) -> int:
@@ -261,58 +400,83 @@ def _stride(coeffs: list, prec: int) -> int:
                 if not any(any(coeffs[r:prec:d]) for r in range(1, d)))
 
 
-def _row_pass(rows: list, coeffs: list, d: int, prec: int) -> list:
-    """The prec coefficients of sum c q^i b(q) over the row terms (i, c),
-    in increasing order of i and each with i < prec, where b's
-    coefficients are coeffs and those below prec sit on multiples of d.
+def _row_pass(terms: list, d: int, prec: int) -> list:
+    """The prec coefficients of sum_j sum c q^i B_j(q) over the terms
+    (rows_j, coeffs_j): rows_j holds the row terms (i, c) of B_j, in
+    increasing order of i and each with i < prec, and coeffs_j holds
+    B_j's coefficients, of which those below prec sit on multiples of d.
+    A term's list may be shorter than prec when none of its rows reach
+    past its end.  One term is one product; several are the sum of
+    their products, built as one.
 
-    A row term at i = r + d k adds c coeffs[d t] to out[r + d (k + t)],
-    so each residue r mod d is a sum of shifted multiples of b[::d].
-    b[::d] is packed once into one int P = sum_t coeffs[d t] 256^(w t),
-    and a residue's n slots are the sum of c (P << 8 w k) over its row
-    terms.  With M = (max|b| + 1) sum|c| and w the bytes of 2M, every
-    slot of that sum and every coeffs[d t] lies in (-H, H), H = 2^(8w-1),
-    so adding H to every slot makes each one a w-byte value that carries
-    into none of its neighbours, and the low n slots are the low 8 w n
-    bits whatever the slots above them hold.  So the sum is only needed
-    modulo 2^(8 w n), and a term at k only needs P's low n - k slots.
+    A row term at i = r + d k adds c coeffs_j[d t] to out[r + d (k + t)],
+    so each residue r mod d is a sum of shifted multiples of the
+    B_j[::d].  Each B_j[::d] is packed once into one int
+    P_j = sum_t coeffs_j[d t] 256^(w t), and a residue's n slots are the
+    sum of c (P_j << 8 w k) over its row terms.  Slot u < n of a
+    residue is at most sum |c| peak_j(n - 1 - k) over its row terms
+    (k, c), where peak_j(t) is the largest |coeffs_j[d t']|, t' <= t:
+    a term reaches t = u - k <= n - 1 - k, and peak_j never falls.  With
+    M the largest over the residues of sum |c| (peak_j(n - 1 - k) + 1),
+    or of the max|B_j| + 1 if larger, and w the bytes of 2M, every slot
+    of that sum and every coeffs_j[d t] lies in (-H, H),
+    H = 2^(8w-1), so adding H to every slot makes each one a w-byte
+    value that carries into none of its neighbours, and the low n slots
+    are the low 8 w n bits whatever the slots above them hold.  So the
+    sum is only needed modulo 2^(8 w n), and a term at k only needs the
+    low n - k slots of its P_j.
 
-    The terms are summed in Horner order, from the highest k down:
-    acc = (acc << 8 w (k' - k)) + c low, where k' is the previous term's
-    k and low is P cut to the smallest multiple of ceil(n / _CUTS) slots
-    that covers n - k.  A cut is less than ceil(n / _CUTS) slots longer
-    than n - k, so acc never spans more than n - k slots plus that slack
-    and the bits of the c, and a term costs three big-int passes (a
-    shift, a multiply, an add) over the n - k slots it reaches plus that
-    slack.  The cut is taken at most _CUTS times per residue, and only
-    one is alive at a time; the last, of all n slots, is P itself, which
-    has at most one slot more.  acc is shifted by the lowest k, H is
-    added to every slot, and the low n slots, with each slot's top bit
-    flipped back, are each residue's coefficients as w-byte two's
-    complement ints.  P is packed the same way, from two's complement
-    slots whose top bits are flipped to add H, which is taken off the
-    whole int at once.
+    The terms are summed in Horner order, from the highest k down, rows
+    of every j merged: acc = (acc << 8 w (k' - k)) + c low_j, where k'
+    is the previous term's k and low_j is P_j cut to the smallest
+    multiple of ceil(n / _CUTS) slots that covers n - k; every P_j is
+    cut at those same points.  A cut is less than ceil(n / _CUTS) slots
+    longer than n - k, so acc never spans more than n - k slots plus
+    that slack and the bits of the c, and a term costs three big-int
+    passes (a shift, a multiply, an add) over the n - k slots it reaches
+    plus that slack.  Each P_j is cut at most _CUTS times per residue,
+    and one cut of each is alive at a time; the last, of all n slots, is
+    P_j itself, which has at most one slot more.  acc is shifted by the
+    lowest k, H is added to every slot, and the low n slots, with each
+    slot's top bit flipped back, are each residue's coefficients as
+    w-byte two's complement ints: one readback per residue, however many
+    terms.  Each P_j is packed the same way, from two's complement slots
+    whose top bits are flipped to add H, which is taken off the whole int
+    at once.
 
     Up to 8 bytes, w is rounded up to a machine word of 1, 2, 4 or 8
     bytes and a slot is one signed word.  Wider slots are split into
     limbs of up to 8 bytes: an unsigned word per 8-byte limb, and a
     signed word for the top limb that holds its bytes at the word's top
-    end.  b[::d] is packed as one array of words per limb, whose bytes
-    are moved into the slots by one slice assignment per byte, through a
-    byte map that reverses each word on a big-endian machine.  With one
-    word per slot on a little-endian machine, a memoryview cast reads
-    each residue back without a copy; otherwise each limb of a residue
-    is moved back the same way and read by one memoryview cast, and the
-    limbs are combined by map.
+    end.  Each B_j[::d] is packed as one array of words per limb, whose
+    bytes are moved into the slots by one slice assignment per byte,
+    through a byte map that reverses each word on a big-endian machine.
+    With one word per slot on a little-endian machine, a memoryview cast
+    reads each residue back without a copy; otherwise each limb of a
+    residue is moved back the same way and read by one memoryview cast,
+    and the limbs are combined by map.
     """
     out = [0] * prec
-    if not rows:
+    terms = [(rows, coeffs) for rows, coeffs in terms if rows]
+    if not terms:
         return out
-    m = (max(map(abs, islice(coeffs, 0, prec, d))) + 1) * sum(
-        abs(c) for _, c in rows)
-    w = ((2 * m).bit_length() + 7) // 8
-    if w <= 8:
-        w = array(_WORD[w]).itemsize
+    # The slot bound: a row term at i reaches t <= (prec - 1 - i) // d,
+    # and peak[t] is the largest |B_j[d t']|, t' <= t, read one slice at
+    # a time between the t that rows reach; high ends as max|B_j|.
+    residues, sums, bound = {}, {}, 0
+    for j, (rows, coeffs) in enumerate(terms):
+        peak, high, start = {}, 0, 0
+        for t in sorted({(prec - 1 - i) // d for i, _ in rows}):
+            high = max(high, max(map(abs, coeffs[d * start:d * t + 1:d])))
+            peak[t] = high
+            start = t + 1
+        high = max(high, max(map(abs, coeffs[d * start:prec:d]), default=0))
+        bound = max(bound, high + 1)
+        for i, c in rows:
+            residues.setdefault(i % d, []).append((i // d, c, j))
+            sums[i % d] = sums.get(i % d, 0) + abs(c) * (
+                peak[(prec - 1 - i) // d] + 1)
+    w = _slot_bytes(max(bound, *sums.values()))
     bits = 8 * w
     little = sys.byteorder == "little"
     # (typecode, itemsize, shift, byte map) per limb of up to 8 bytes: the
@@ -335,38 +499,42 @@ def _row_pass(rows: list, coeffs: list, d: int, prec: int) -> list:
         return int.from_bytes((1 << (bits - 1)).to_bytes(w, "little") * n,
                               "little")
 
-    count_p = len(range(0, prec, d))
-    packed = bytearray(w * count_p)
-    for code, width, shift, bytemap in limbs:
-        words = islice(coeffs, 0, prec, d)
-        if shift:
-            words = map(operator.rshift, words, repeat(shift))
-        if code.isupper():
-            # An unsigned limb below the top one: its 8 bytes only.
-            words = map(operator.and_, words, repeat((1 << 64) - 1))
-        words = memoryview(array(code, words)).cast("B")
-        for at, j in bytemap:
-            packed[at::w] = words[j::width]
-        del words
-    top = flipped(count_p)
-    p = (int.from_bytes(packed, "little") ^ top) - top
-    del packed, top
-    residues = {}
-    for i, c in rows:
-        residues.setdefault(i % d, []).append((i // d, c))
-    for r, terms in residues.items():
+    packed = []
+    for _, coeffs in terms:
+        count_p = len(range(0, min(prec, len(coeffs)), d))
+        slots = bytearray(w * count_p)
+        for code, width, shift, bytemap in limbs:
+            words = islice(coeffs, 0, prec, d)
+            if shift:
+                words = map(operator.rshift, words, repeat(shift))
+            if code.isupper():
+                # An unsigned limb below the top one: its 8 bytes only.
+                words = map(operator.and_, words, repeat((1 << 64) - 1))
+            words = memoryview(array(code, words)).cast("B")
+            for at, i in bytemap:
+                slots[at::w] = words[i::width]
+            del words
+        top = flipped(count_p)
+        packed.append((int.from_bytes(slots, "little") ^ top) - top)
+        del slots, top
+    for r, row_terms in residues.items():
+        if len(terms) > 1:
+            row_terms.sort(key=operator.itemgetter(0))
         n = len(range(r, prec, d))
         step = -(-n // _CUTS)
-        acc = cut = 0
-        last = terms[-1][0]
-        for k, c in reversed(terms):
-            if n - k > cut:
-                cut = min(n, -(-(n - k) // step) * step)
-                low = p if cut == n else p & ((1 << bits * cut) - 1)
+        cuts = [0] * len(terms)
+        lows = [0] * len(terms)
+        acc = 0
+        last = row_terms[-1][0]
+        for k, c, j in reversed(row_terms):
+            if n - k > cuts[j]:
+                cut = cuts[j] = min(n, -(-(n - k) // step) * step)
+                p = packed[j]
+                lows[j] = p if cut == n else p & ((1 << bits * cut) - 1)
             acc <<= bits * (last - k)
-            acc += c * low
+            acc += c * lows[j]
             last = k
-        low = None
+        p = lows = None
         acc <<= bits * last
         top = flipped(n)
         acc += top
@@ -381,8 +549,8 @@ def _row_pass(rows: list, coeffs: list, d: int, prec: int) -> list:
             values = None
             for code, width, shift, bytemap in limbs:
                 words = bytearray(width * n)
-                for at, j in bytemap:
-                    words[j::width] = view[at::w]
+                for at, i in bytemap:
+                    words[i::width] = view[at::w]
                 limb = memoryview(words).cast(code)
                 values = limb if values is None else map(
                     operator.or_, values,
@@ -459,9 +627,13 @@ def pow_(a: QSeries, e: int) -> QSeries:
 def derive(a: QSeries) -> QSeries:
     """b * q d/dq, where the offset is a/b in lowest terms: the coefficient
     at exponent e is multiplied by b e, which is the int a + b i at index
-    i.  On an integer offset (b = 1) this is q d/dq itself."""
+    i.  On an integer offset (b = 1) this is q d/dq itself.  A series
+    that keeps its nonzero terms is derived from them alone."""
     off = a.offset
     num, den = off.numerator, off.denominator
+    if a._pairs is not None:
+        return QSeries.from_pairs(((i, c * (num + den * i))
+                                   for i, c in a._pairs), a.prec, off)
     return QSeries(off, list(map(operator.mul, a.coeffs,
                                  range(num, num + den * a.prec, den))))
 
@@ -477,7 +649,14 @@ def u_op(m: int, a: QSeries) -> QSeries:
     prec = max(0, min(a.prec // m, -(-(off + a.prec) // m)))
     # n0 is the first n >= 0 whose exponent m n is at or above off.
     n0 = min(prec, max(0, -(-off // m)))
-    return QSeries(0, [0] * n0 + a.coeffs[m * n0 - off:m * prec - off:m])
+    pairs = a._pairs
+    if pairs is not None:
+        pairs = tuple((n, c) for n, c in (((i + off) // m, c)
+                                          for i, c in pairs
+                                          if not (i + off) % m)
+                      if 0 <= n < prec)
+    return QSeries(0, [0] * n0 + a.coeffs[m * n0 - off:m * prec - off:m],
+                   pairs)
 
 
 def u_mul(m: int, a: QSeries, b: QSeries) -> QSeries:
@@ -489,7 +668,8 @@ def u_mul(m: int, a: QSeries, b: QSeries) -> QSeries:
     list), so each product runs on prec // m positions and only the
     exponents U_m keeps are ever computed.  A pair with an all-zero
     section contributes nothing and is skipped; b's section is built only
-    when a's is nonzero.  Offset, prec and coefficients equal those of
+    when a's is nonzero.  The section products left are one lincomb (a
+    single one is mul).  Offset, prec and coefficients equal those of
     u_op(m, mul(a, b)).
     """
     offset = a.offset + b.offset
@@ -499,20 +679,19 @@ def u_mul(m: int, a: QSeries, b: QSeries) -> QSeries:
         # although the sum still needs them; take the product whole.
         return u_op(m, mul(a, b))
 
-    def section_product(r):
-        x = u_op(m, QSeries(-r, a.coeffs))
+    def section_term(r):
+        x = u_op(m, QSeries(-r, a.coeffs, a._pairs))
         if not any(x.coeffs):
             return None
-        y = u_op(m, QSeries(offset + r, b.coeffs))
-        return mul(x, y) if any(y.coeffs) else None
+        y = u_op(m, QSeries(offset + r, b.coeffs, b._pairs))
+        return (1, x, y) if any(y.coeffs) else None
 
-    products = (s for s in map(section_product, range(m)) if s is not None)
-    first = next(products, None)
-    if first is None:
+    terms = [t for t in map(section_term, range(m)) if t is not None]
+    if not terms:
         # With offset > -m, every section of a has prec_a // m positions
         # and every section of b has prec_b // m.
         return QSeries(0, [0] * (min(a.prec, b.prec) // m))
-    return reduce(add, products, first)
+    return mul(*terms[0][1:]) if len(terms) == 1 else lincomb(terms)
 
 
 def check_u_grid(m: int, offset: Fraction):

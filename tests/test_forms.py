@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -112,6 +113,68 @@ class TestDeltaDslRoute:
             " + 32*psi(2)^8)", 10 ** 4)
         assert (form.weight_num, form.level, offset) == (13, 4, 1)
         assert form.coeffs == delta_form(10 ** 4).coeffs
+
+
+def _plans(spec, prec):
+    """The (path, stride) _plan gives each product of a build, in order."""
+    seen, plan = [], qs._plan
+
+    def spy(a, b):
+        seen.append(plan(a, b))
+        return seen[-1]
+    with mock.patch.object(qs, "_plan", spy):
+        forms.expression_form(spec, prec)
+    return seen
+
+
+class TestPlan:
+    """The product paths of the named forms at the benchmark's sizes."""
+
+    @pytest.mark.parametrize("name, prec, want", [
+        # Both of delta's products: theta(1) or its derivative as the row
+        # source over E4(4) or its derivative, on the stride 4.
+        ("delta", 100_000, [("rows", 4), ("rows", 4)]),
+        # g: the eta(2) eta(22) pair loop at 4x prec, then the one nonzero
+        # 4-section product, a theta(11) section over an eta section.
+        ("g", 100_000, [("pairs", 1), ("rows", 1)]),
+        # Delta = eta^24: the square of Jacobi's eta^3 by pairs, then two
+        # dense squarings.
+        ("Delta", 20_000, [("pairs", 1), ("ntt", 1), ("ntt", 1)]),
+        # G11: eta(1)^2 and eta(11)^2 by pairs, their product on _ntt (it
+        # took 0.93 s on the row pass against 0.29 s).
+        ("G11", 100_000, [("pairs", 1), ("pairs", 1), ("ntt", 1)]),
+        ("E4(1)^2", 7_000, [("ntt", 1)])])
+    def test_named_shapes(self, name, prec, want):
+        assert _plans(NAMED[name][0] if name in NAMED else name,
+                      prec) == want
+
+
+class TestSharedSubtrees:
+    def test_delta_builds_e4_and_theta_once(self):
+        with mock.patch.object(qs, "eisenstein_e4",
+                               wraps=qs.eisenstein_e4) as e4, \
+                mock.patch.object(qs, "theta", wraps=qs.theta) as theta:
+            want = delta_form(300).coeffs
+        assert e4.call_count == theta.call_count == 1
+        # A subtree asked for once is not kept: each eta of g is built
+        # once as it is.
+        with mock.patch.object(qs, "eta", wraps=qs.eta) as eta:
+            g_form(300)
+        assert eta.call_count == 2
+        assert want == forms.expression_form(NAMED["delta"][0], 300)[0].coeffs
+
+    def test_a_repeated_subtree_is_dropped_after_its_last_use(self):
+        # theta(2) is asked for three times at need 5 and once at 10;
+        # the memo holds it from the first ask to the third only.
+        node = parse_formspec("theta(2)*E4(1) + D(theta(2))*theta(2)"
+                              " + U(2, theta(2)*theta(1))")
+        uses = {}
+        fs._count(node, 5, uses)
+        assert uses[(parse_formspec("theta(2)"), 5)] == 3
+        assert uses[(parse_formspec("theta(2)"), 10)] == 1
+        memo = {key: [n - 1, None] for key, n in uses.items() if n > 1}
+        fs._eval(node, 5, memo)
+        assert memo == {}
 
 
 class TestRamanujanDelta:

@@ -197,6 +197,62 @@ class TestEvaluate:
         assert [Fraction(c, den) for c in s.coeffs] == want[:need]
 
 
+# Atoms on strides 1 to 5 and eta(24), whose offset 1 moves a term by
+# an integer from the others.
+_STRIDED = st.one_of(st.tuples(st.sampled_from(["eta", "theta", "E4"]),
+                               st.integers(1, 5)),
+                     st.just(("eta", 24)))
+
+
+@st.composite
+def _sums_of_products(draw):
+    """A sum of at least three scaled products and of other terms, over
+    a small pool of factors (D of an atom, or an atom), so that factors
+    and whole terms repeat; rational scalars sit on the factors, on the
+    terms and on the sum."""
+    pool = draw(st.lists(st.one_of(_STRIDED, st.tuples(st.just("D"),
+                                                       _STRIDED)),
+                         min_size=1, max_size=4))
+    factor = st.sampled_from(pool).flatmap(lambda f: st.one_of(
+        st.just(f), st.builds(lambda r: ("scale", r, f), _SCALARS)))
+    products = draw(st.lists(st.tuples(st.just("mul"), factor, factor),
+                             min_size=3, max_size=5))
+    others = draw(st.lists(factor, max_size=2))
+    terms = products + others
+    terms += draw(st.lists(st.sampled_from(terms), max_size=2))
+    terms = [draw(st.one_of(st.just(t), st.builds(
+        lambda r: ("scale", r, t), _SCALARS))) for t in terms]
+    tree = terms[0]
+    for t in terms[1:]:
+        tree = (draw(st.sampled_from(["add", "sub"])), tree,
+                _onto_grid(t, _offset(terms[0])))
+    return draw(st.one_of(st.just(tree), st.builds(
+        lambda r: ("scale", r, tree), _SCALARS)))
+
+
+class TestLinearCombination:
+    @given(tree=_sums_of_products(), need=st.integers(8, 40),
+           paths=st.permutations(["pairs", "rows", "ntt"]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fraction_oracle_on_every_path(self, tree, need, paths):
+        # The products take the three paths in turn, whatever _plan would
+        # pick, so every sum mixes them in one lincomb.
+        taken = []
+
+        def plan(a, b):
+            path = paths[len(taken) % 3]
+            taken.append(path)
+            return path, (fs.qs._stride(b.coeffs, min(a.prec, b.prec))
+                          if path == "rows" else 1)
+        with mock.patch.object(fs.qs, "_plan", plan):
+            s, den = evaluate(parse_formspec(_render(tree)), need)
+        off, want = eval_fraction(tree, need)
+        assert den > 0 and all(type(c) is int for c in s.coeffs)
+        assert s.offset == off and s.prec == len(want)
+        assert [Fraction(c, den) for c in s.coeffs] == want
+        assert set(taken) == set(paths)
+
+
 class TestMetadataHints:
     def weight(self, text):
         return signature(parse_formspec(text))[0]

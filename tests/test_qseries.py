@@ -8,7 +8,7 @@ from math import gcd, isqrt
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsigns import qseries as qs
@@ -312,10 +312,11 @@ class TestNtt:
            offset=st.sampled_from([0, 1, Fraction(1, 24)]))
     @settings(max_examples=300, deadline=None)
     def test_dense_ints_match_oracle(self, xs, ys, offset):
+        # Every product is sent to _ntt, whatever _plan would pick.
         a, b = from_list(xs, offset), from_list(ys)
-        assume(a.density == b.density == "dense")
         want = poly_mul(xs, ys, min(len(xs), len(ys)))
-        with mock.patch.object(qs, "_ntt", wraps=qs._ntt) as spy:
+        with mock.patch.object(qs, "_ntt", wraps=qs._ntt) as spy, \
+                mock.patch.object(qs, "_plan", return_value=("ntt", 1)):
             for got in (qs.mul(a, b), qs.mul(b, a)):
                 assert got.offset == offset
                 assert got.coeffs == want
@@ -415,11 +416,14 @@ def _row_terms(draw, prec, d, most):
 def _kernel_at_width(draw, width):
     """(rows, coeffs, d, prec) for _row_pass whose slot width, the bytes
     of 2 B S with B = max|coeffs[::d] below prec| + 1 and S the sum of
-    |c| over the rows, is width."""
+    |c| over the rows, is width.  The rows share one residue mod d and
+    the largest |coeffs| sits at index 0, so that every row term meets
+    it and _row_pass's bound is B S."""
     prec = draw(st.integers(1, 40))
     d = draw(st.integers(1, 4))
-    idx = draw(st.lists(st.integers(0, prec - 1), min_size=1, max_size=6,
-                        unique=True))
+    r = draw(st.integers(0, min(d, prec) - 1))
+    idx = draw(st.lists(st.integers(0, (prec - 1 - r) // d).map(
+        lambda k: r + d * k), min_size=1, max_size=6, unique=True))
     rows = sorted(zip(idx, draw(st.lists(
         st.integers(-3, 3).filter(bool), min_size=len(idx),
         max_size=len(idx)))))
@@ -430,8 +434,7 @@ def _kernel_at_width(draw, width):
     coeffs = [0] * (prec + draw(st.integers(0, 8)))
     for j in range(0, len(coeffs), d):
         coeffs[j] = draw(st.integers(1 - bias, bias - 1))
-    coeffs[d * draw(st.integers(0, (prec - 1) // d))] = \
-        draw(st.sampled_from([1 - bias, bias - 1]))
+    coeffs[0] = draw(st.sampled_from([1 - bias, bias - 1]))
     return rows, coeffs, d, prec
 
 
@@ -487,7 +490,11 @@ class TestRowPass:
         assert dense.density == "dense" and sparse.density == "sparse"
         prec = min(dense_prec, sparse_prec)
         want = poly_mul(sparse.coeffs, dense.coeffs, prec)
-        with mock.patch.object(qs, "_row_pass", wraps=qs._row_pass) as spy:
+        # Every product with a row term is sent to the row pass at the
+        # dense operand's stride, whatever _plan would pick.
+        with mock.patch.object(qs, "_row_pass", wraps=qs._row_pass) as spy, \
+                mock.patch.object(qs, "_plan", lambda a, b: (
+                    "rows", qs._stride(b.coeffs, min(a.prec, b.prec)))):
             for got in (qs.mul(sparse, dense), qs.mul(dense, sparse)):
                 assert got.offset == sparse.offset + dense.offset
                 assert got.coeffs == want
@@ -509,7 +516,7 @@ class TestRowPass:
         row_coeffs = [0] * prec
         for i, c in rows:
             row_coeffs[i] = c
-        assert qs._row_pass(rows, coeffs, d, prec) == \
+        assert qs._row_pass([(rows, coeffs)], d, prec) == \
             poly_mul(row_coeffs, coeffs, prec)
 
     @pytest.mark.parametrize("width", range(1, 18))
@@ -530,7 +537,7 @@ class TestRowPass:
         with mock.patch.object(qs, "array", wraps=array) as spy, \
                 mock.patch.object(qs, "bytearray", wraps=bytearray,
                                   create=True) as moved:
-            got = qs._row_pass(rows, coeffs, d, prec)
+            got = qs._row_pass([(rows, coeffs)], d, prec)
         assert got == poly_mul(row_coeffs, coeffs, prec)
         packed = [c.args[0] for c in spy.call_args_list if len(c.args) > 1]
         assert packed == [qs._WORD[8]] * ((width - 1) // 8) + \
@@ -553,7 +560,7 @@ class TestRowPass:
             row_coeffs[i] = c
         with _big_endian_words(), \
                 mock.patch.object(qs.sys, "byteorder", "big"):
-            assert qs._row_pass(rows, coeffs, d, prec) == \
+            assert qs._row_pass([(rows, coeffs)], d, prec) == \
                 poly_mul(row_coeffs, coeffs, prec)
 
     @pytest.mark.parametrize("scale", [1000, 2 ** 70], ids=["words", "limbs"])
@@ -569,12 +576,12 @@ class TestRowPass:
         row_coeffs = [0] * prec
         for i, c in rows:
             row_coeffs[i] = c
-        native = qs._row_pass(rows, coeffs, d, prec)
+        native = qs._row_pass([(rows, coeffs)], d, prec)
         with _big_endian_words():
             with mock.patch.object(qs.sys, "byteorder", "big"):
-                assert qs._row_pass(rows, coeffs, d, prec) == native == \
+                assert qs._row_pass([(rows, coeffs)], d, prec) == native == \
                     poly_mul(row_coeffs, coeffs, prec)
-            assert qs._row_pass(rows, coeffs, d, prec) != native
+            assert qs._row_pass([(rows, coeffs)], d, prec) != native
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -603,8 +610,45 @@ class TestRowPass:
         row_coeffs = [0] * prec
         for i, c in rows:
             row_coeffs[i] = c
-        assert qs._row_pass(rows, coeffs, d, prec) == \
+        assert qs._row_pass([(rows, coeffs)], d, prec) == \
             poly_mul(row_coeffs, coeffs, prec)
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["words", "limbs"])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_several_terms_match_oracle(self, wide, data):
+        # Two to four terms, each its own operand on the multiples of d
+        # (some shorter than prec), whose row terms share positions with
+        # other terms' or sit apart, with c of both signs; slots of at
+        # most 8 bytes, or wider ones split into limbs.
+        prec = data.draw(st.integers(1, 80))
+        d = data.draw(st.integers(1, 5))
+        shared = data.draw(st.lists(st.integers(0, prec - 1), min_size=1,
+                                    max_size=6, unique=True))
+        values = (st.integers(2 ** 70, 2 ** 200) if wide
+                  else st.integers(1, 2 ** 40))
+        terms, want = [], [0] * prec
+        for _ in range(data.draw(st.integers(2, 4))):
+            idx = sorted(set(data.draw(st.lists(st.sampled_from(shared))))
+                         | set(data.draw(st.lists(
+                             st.integers(0, prec - 1), max_size=4))))
+            rows = [(i, data.draw(st.integers(-2 ** 10, 2 ** 10)
+                                  .filter(bool))) for i in idx]
+            length = prec - (min(idx) if idx else 0)
+            length += data.draw(st.integers(0, prec - length + 4))
+            coeffs = [data.draw(values) * data.draw(st.sampled_from([-1, 1]))
+                      if j % d == 0 else 0 for j in range(length)]
+            terms.append((rows, coeffs))
+            row_coeffs = [0] * prec
+            for i, c in rows:
+                row_coeffs[i] = c
+            want = [x + y for x, y in zip(want, poly_mul(
+                row_coeffs, coeffs + [0] * prec, prec))]
+        widths, slot_bytes = [], qs._slot_bytes
+        with mock.patch.object(qs, "_slot_bytes", lambda m: widths.append(
+                slot_bytes(m)) or widths[-1]):
+            assert qs._row_pass(terms, d, prec) == want
+        assert all((w > 8) == wide for w in widths)
 
     def test_delta_shaped_product_peaks_below_twice_its_result(self):
         # The row pass keeps one packed copy of the dense operand and one
