@@ -156,14 +156,14 @@ def require_good_prime(p: int, level: int):
         raise ValueError("p=%d divides the level %d" % (p, level))
 
 
-def u_level(level: int, m: int, half_integral: bool) -> int:
-    """Level of f | U_m for f on the given level: lcm(N, m), or lcm(N, 4m)
-    when f has half-integral weight and m is not a square, where the
-    image picks up the character (4m/.) (Ono, The Web of Modularity,
-    Prop. 3.7)."""
+def u_type(level: int, m: int, half_integral: bool) -> tuple[int, int]:
+    """(level, twist) of f | U_m for f on level N, whose character is f's
+    times (twist/.): (lcm(N, 4m), 4m) for a half-integral f and a
+    non-square m (Ono, The Web of Modularity, Prop. 3.7), and otherwise
+    (lcm(N, m), 1), no twist."""
     if half_integral and isqrt(m) ** 2 != m:
-        return lcm(level, 4 * m)
-    return lcm(level, m)
+        return lcm(level, 4 * m), 4 * m
+    return lcm(level, m), 1
 
 
 def _default_period(top: int) -> int:

@@ -337,8 +337,7 @@ def _emit_json(doc: dict, path: str | None):
 
 def _emit(text: str, path: str | None):
     if path:
-        with open(path, "w") as fp:
-            fp.write(text)
+        coeffio.write_text(path, text)
     else:
         sys.stdout.write(text)
 

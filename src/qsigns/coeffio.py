@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 import operator
+import os
 import re
 from collections import deque
 from itertools import compress, count, repeat
@@ -116,8 +117,33 @@ class CoefficientFile(Record):
         return "\n".join(lines) + "\n"
 
     def write(self, path: str):
+        write_text(path, self.serialize())
+
+
+def write_text(path: str, text: str):
+    """Write text to path whole or not at all: to a temporary file beside
+    it, moved onto it by os.replace and removed on failure, with the mode
+    open(path, "w") gives (the old file's, or 0o666 less the umask).  A
+    pipe or a device is written in place."""
+    if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w") as fp:
-            fp.write(self.serialize())
+            fp.write(text)
+        return
+    real = os.path.realpath(path)
+    tmp = "%s.%s.tmp" % (real, os.urandom(6).hex())
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:      # named by the path asked for, not by tmp
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with open(fd, "w") as fp:
+            fp.write(text)
+        if os.path.exists(real):
+            os.chmod(tmp, os.stat(real).st_mode & 0o7777)
+        os.replace(tmp, real)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def parse(text: str) -> CoefficientFile:

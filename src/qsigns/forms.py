@@ -116,18 +116,22 @@ def expression_form(spec: str, prec: int) -> tuple[Form, int]:
     """The Form of a formspec expression, a(0) through a(prec), with the
     weight and level of formspec.signature and the trivial character, and
     its series' integer offset.  The Form's weight and level, and the
-    working precision (at most WORKING_PREC_CAP), are checked first."""
+    working precision (at most WORKING_PREC_CAP), are checked first; an
+    expression nested too deeply for the recursion is refused."""
     if prec < 1:
         raise ValueError("prec must be positive")
-    ast = formspec.parse_formspec(spec)
-    weight, level, _ = formspec.signature(ast)
-    form = Form(weight_num=int(2 * weight), level=level,
-                character=DirichletCharacter.trivial(level), coeffs=[])
-    need = formspec.working_prec(ast, prec + 1)
-    if need > WORKING_PREC_CAP:
-        raise ValueError("working precision %d exceeds %d"
-                         % (need, WORKING_PREC_CAP))
-    series, den = formspec.evaluate(ast, prec + 1)
+    try:
+        ast = formspec.parse_formspec(spec)
+        weight, level, _ = formspec.signature(ast)
+        form = Form(weight_num=int(2 * weight), level=level,
+                    character=DirichletCharacter.trivial(level), coeffs=[])
+        need = formspec.working_prec(ast, prec + 1)
+        if need > WORKING_PREC_CAP:
+            raise ValueError("working precision %d exceeds %d"
+                             % (need, WORKING_PREC_CAP))
+        series, den = formspec.evaluate(ast, prec + 1)
+    except RecursionError:
+        raise ValueError("expression too long or nested too deeply") from None
     form.coeffs = integer_table(series, prec, den)
     return form, int(series.offset)
 

@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, NamedTuple
 
-from .arith import DirichletCharacter, FrozenRecord, u_level
+from .arith import DirichletCharacter, FrozenRecord, u_type
 from . import qseries as qs
 from .qseries import QSeries
 
@@ -276,8 +276,7 @@ def evaluate(spec, prec: int) -> tuple[QSeries, int]:
     """
     if prec < 1:
         raise ValueError("prec must be positive")
-    uses = {}
-    _count(spec, prec, uses)
+    uses = _count(spec, prec, {})
     return _eval(spec, prec, {key: [n - 1, None]
                               for key, n in uses.items() if n > 1})
 
@@ -288,8 +287,8 @@ def signature(node) -> tuple[Fraction, int, Fraction]:
     their weight, level and offset from ATOMS.  D adds 2 to the weight, products
     add weights, powers multiply them, and U and scalars keep them;
     mixed-weight sums are rejected.  The level is the lcm of the atoms'
-    levels, and a U node moves its argument's level to arith.u_level,
-    the level of a U_m image.  The offset is the lowest exponent of the
+    levels, and a U node moves its argument's level to the level
+    arith.u_type gives a U_m image.  The offset is the lowest exponent of the
     evaluated series (m/24 for eta(m), m/8 for psi(m), 0 for the other
     atoms), kept by D and scalars, added by products, multiplied by
     powers, the lower of a sum's two, and 0 after U.  A sum whose
@@ -319,22 +318,15 @@ def signature(node) -> tuple[Fraction, int, Fraction]:
         offset *= node.exp
     elif isinstance(node, U):
         qs.check_u_grid(node.m, offset)
-        level = u_level(level, node.m, weight.denominator == 2)
+        level = u_type(level, node.m, weight.denominator == 2)[0]
         offset = Fraction(0)
     return weight, level, offset
 
 
 def working_prec(node, prec: int) -> int:
     """The most grid positions evaluate asks of any node when the root
-    needs prec, read off the tree alone: U(m, .) asks its argument for m
-    times its own need, and every other node passes its need down."""
-    if isinstance(node, Atom):
-        return prec
-    if isinstance(node, (Add, Mul)):
-        return max(working_prec(node.left, prec),
-                   working_prec(node.right, prec))
-    return working_prec(node.arg, node.m * prec if isinstance(node, U)
-                        else prec)
+    needs prec: the largest need _count finds, read off the tree alone."""
+    return max(need for _, need in _count(node, prec, {}))
 
 
 def _eval(node, need: int, memo: dict) -> tuple[QSeries, int]:
@@ -354,15 +346,16 @@ def _eval(node, need: int, memo: dict) -> tuple[QSeries, int]:
     return entry[1]
 
 
-def _count(node, need: int, uses: dict):
-    """Count in uses every (node, need) that evaluating node at need asks
-    _eval for; a subtree asked for again is built once, so its own asks
-    are counted once."""
+def _count(node, need: int, uses: dict) -> dict:
+    """Count in uses, and return it, every (node, need) that evaluating
+    node at need asks _eval for; a subtree asked for again is built once,
+    so its own asks are counted once."""
     key = (node, need)
     uses[key] = uses.get(key, 0) + 1
     if uses[key] == 1:
         for child in _children(node, need):
             _count(*child, uses)
+    return uses
 
 
 def _children(node, need: int) -> list:

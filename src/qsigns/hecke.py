@@ -3,8 +3,8 @@
 Every operator returns its image as a Form whose table covers
 0 <= n <= its own precision: the q-expansion formulas hold at n = 0
 (T(p) E4 = sigma_3(p) E4).  T(p^2) and T(p) keep the input's weight,
-level and character, and u_image gives U_m's.  T(p^2), T(p) and U_m
-refuse a p^2, p or m above the precision, which would leave only a(0).
+level and character, and u_image gives U_m's.  One rule, _image, builds
+all three tables and refuses a p^2, p or m above the precision.
 Eigenvalue extraction is exact integer arithmetic; a non-dividing ratio
 is a hard not-an-eigenform verdict, never a rounding question.  An
 EigenReport carries the whole verdict: the eigenvalue, its Satake data
@@ -13,10 +13,11 @@ and whether it meets the Deligne and the elementary bound.
 
 from __future__ import annotations
 
-from math import isqrt
+import operator
+from itertools import cycle, repeat
 
 from .arith import (DirichletCharacter, Record, chi_star, chi_t, divisors,
-                    kronecker, require_good_prime, u_level)
+                    kronecker, require_good_prime, u_type)
 from .forms import Form
 from .signs import prime_powers, square_class
 
@@ -79,22 +80,9 @@ def t_square_half(p: int, f: Form) -> Form:
     """
     _require_weight(f, half_integral=True)
     require_good_prime(p, f.level)
-    psq = p * p
-    if psq > f.prec:
-        raise ValueError("p^2 = %d exceeds the precision %d" % (psq, f.prec))
-    k = f.k
-    cs = chi_star(f.character, k, p)
-    c2 = f.character(p) ** 2
-    pk1 = p ** (k - 1)
-    p2k1 = p ** (2 * k - 1)
-    a = f.coeffs
-    out = []
-    for n in range(f.prec // psq + 1):
-        b = a[psq * n] + cs * kronecker(n, p) * pk1 * a[n]
-        if n % psq == 0:
-            b += c2 * p2k1 * a[n // psq]
-        out.append(b)
-    return Form(f.weight_num, f.level, f.character, out)
+    return Form(f.weight_num, f.level, f.character, _image(
+        "p^2", f.coeffs, p * p, f.character(p) ** 2 * p ** (2 * f.k - 1),
+        chi_star(f.character, f.k, p) * p ** (f.k - 1), p))
 
 
 def t_integral(p: int, F: Form) -> Form:
@@ -106,40 +94,45 @@ def t_integral(p: int, F: Form) -> Form:
     """
     _require_weight(F, half_integral=False)
     require_good_prime(p, F.level)
-    if p > F.prec:
-        raise ValueError("p = %d exceeds the precision %d" % (p, F.prec))
-    c2 = F.character(p) ** 2
-    p2k1 = p ** (2 * F.k - 1)
-    A = F.coeffs
-    out = []
-    for n in range(F.prec // p + 1):
-        b = A[p * n]
-        if n % p == 0:
-            b += c2 * p2k1 * A[n // p]
-        out.append(b)
-    return Form(F.weight_num, F.level, F.character, out)
+    return Form(F.weight_num, F.level, F.character, _image(
+        "p", F.coeffs, p, F.character(p) ** 2 * p ** (2 * F.k - 1)))
 
 
 def u_image(m: int, f: Form) -> Form:
-    """f | U_m: b(n) = a(m n) for 0 <= n <= prec // m, on level
-    arith.u_level; m must not exceed the precision.
-
-    A half-integral f and a non-square m give the character chi (4m/.)
-    (Ono, The Web of Modularity, Prop. 3.7); otherwise a trivial
-    character moves to the new level and a non-trivial one is kept.
-    """
+    """f | U_m: b(n) = a(m n) for 0 <= n <= prec // m, with the level and
+    the character twist of arith.u_type; m must not exceed the precision.
+    With no twist, a trivial character moves to the new level and a
+    non-trivial one is kept."""
     if m < 1:
         raise ValueError("index must be positive")
-    if m > f.prec:
-        raise ValueError("m = %d exceeds the precision %d" % (m, f.prec))
-    level = u_level(f.level, m, f.half_integral)
+    coeffs = _image("m", f.coeffs, m)
+    level, twist = u_type(f.level, m, f.half_integral)
     character = f.character
-    if f.half_integral and isqrt(m) ** 2 != m:
-        character = DirichletCharacter(top=character.top * 4 * m,
+    if twist != 1:
+        character = DirichletCharacter(top=character.top * twist,
                                        modulus=level)
     elif character.is_trivial:
         character = DirichletCharacter.trivial(level)
-    return Form(f.weight_num, level, character, f.coeffs[::m])
+    return Form(f.weight_num, level, character, coeffs)
+
+
+def _image(name: str, a: list[int], q: int, c_low: int = 0, c_mid: int = 0,
+           p: int = 1) -> list[int]:
+    """The table of T(p^2), T(p) and U_m by slices and map passes: b(n) =
+    a(q n) + c_mid (n/p) a(n) + c_low a(n / q), 0 <= n <= (len(a) - 1) // q,
+    the last term zero unless q | n; a q above the precision is refused
+    under its name.  Only T(p^2) has a c_mid, and its p is odd (4 divides
+    a half-integral level), so (n/p) is read off one period of p values."""
+    if q >= len(a):
+        raise ValueError("%s = %d exceeds the precision %d"
+                         % (name, q, len(a) - 1))
+    b = a[::q]
+    if c_mid:
+        period = [c_mid * kronecker(r, p) for r in range(p)]
+        b = list(map(operator.add, b, map(operator.mul, a, cycle(period))))
+    if c_low:
+        b[::q] = map(operator.add, b[::q], map(operator.mul, a, repeat(c_low)))
+    return b
 
 
 def extract_eigenvalue(seq_before: list[int], seq_after: list[int], p: int,
@@ -166,10 +159,10 @@ def extract_eigenvalue(seq_before: list[int], seq_after: list[int], p: int,
                                 % (seq_after[n0], seq_before[n0], n0))
     violation = next((n for n in range(1, shared + 1)
                       if seq_after[n] != lam * seq_before[n]), None)
+    sat = satake(lam, p, k)
     return EigenReport(p=p, lam=lam, is_eigen=violation is None,
                        checked_up_to=shared, first_violation=violation,
-                       satake=satake(lam, p, k),
-                       deligne_ok=deligne_check(lam, p, k),
+                       satake=sat, deligne_ok=sat[2] <= 0,
                        elementary_bound_ok=elementary_bound_check(lam, p, k))
 
 
@@ -225,15 +218,11 @@ def satake(lam: int, p: int, k: int) -> tuple[int, int, int]:
     """Trace, norm and discriminant sign of X^2 - lam X + p^(2k-1).
 
     A negative sign means the roots form a complex-conjugate pair on the
-    circle of radius p^(k - 1/2); no irrational arithmetic is done."""
+    circle of radius p^(k - 1/2); no irrational arithmetic is done.  A
+    sign <= 0 is the Deligne bound lam^2 <= 4 p^(2k-1) (deligne_ok)."""
     norm = p ** (2 * k - 1)
     disc = lam * lam - 4 * norm
     return (lam, norm, (disc > 0) - (disc < 0))
-
-
-def deligne_check(lam: int, p: int, k: int) -> bool:
-    """lam^2 <= 4 p^(2k-1)."""
-    return lam * lam <= 4 * p ** (2 * k - 1)
 
 
 def elementary_bound_check(lam: int, p: int, k: int) -> bool:

@@ -3,7 +3,7 @@
 A QSeries holds coefficients for the exponents offset + i, 0 <= i < prec,
 where the offset is a rational with denominator dividing 24 (the grid on
 which eta quotients live).  Every coefficient is a Python int, and
-from_pairs and scalar_mul refuse anything else; a rational expression
+from_pairs and lincomb refuse anything else; a rational expression
 keeps its one denominator outside the series (see formspec.evaluate).
 Coefficients are read from the list itself: coeffs[i] is the
 coefficient of q^(offset + i).
@@ -61,8 +61,8 @@ lincomb builds an integer linear combination sum k a b + sum k s of
 products and series into one list: every row-pass product of one
 stride shares one row pass, with k folded into its row terms, and the
 other terms are added into that list, the pair loop in place and the
-rest by one map pass each.  mul is its one-term case, and add and
-scalar_mul are lincomb calls too.
+rest by one map pass each.  mul is its one-term case; a sum or a
+scaled series is a lincomb call of its own.
 
 U_m of a product (u_mul) never forms the product whose every m-th
 coefficient it keeps: it sums the products of the operands' m-sections,
@@ -209,25 +209,11 @@ class QSeries:
 
 # -- ring operations -------------------------------------------------------
 
-def add(a: QSeries, b: QSeries) -> QSeries:
-    """Coefficientwise sum on the common grid: lincomb of a and b.
-
-    Offsets must differ by an integer; the result window is the
-    intersection of what both operands guarantee.
-    """
-    return lincomb([(1, a), (1, b)])
-
-
 def check_common_grid(a_offset: Fraction, b_offset: Fraction):
     """Refuse a sum of series whose offsets differ by a non-integer."""
     if (a_offset - b_offset).denominator != 1:
         raise ValueError("offsets %s and %s are not on a common grid"
                          % (a_offset, b_offset))
-
-
-def scalar_mul(a: QSeries, r: int) -> QSeries:
-    """Multiply every coefficient by the int r: lincomb of r a."""
-    return lincomb([(r, a)])
 
 
 def mul(a: QSeries, b: QSeries) -> QSeries:

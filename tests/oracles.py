@@ -112,6 +112,46 @@ def recurrence_oracle(a0, a1, lam, p2k1, length):
     return out
 
 
+def t_square_half_loop(p, f):
+    """T(p^2) of a half-integral form f at an odd prime p, one n at a
+    time:
+
+        b(n) = a(p^2 n) + chi*(p) (n/p) p^(k-1) a(n)
+             + chi(p)^2 p^(2k-1) a(n / p^2),
+
+    chi*(p) = (-4/p)^k chi(p), with the Legendre symbols of
+    legendre_euler."""
+    k, a, psq = f.k, f.coeffs, p * p
+    cs = legendre_euler(-1, p) ** k * f.character(p)
+    c2 = f.character(p) ** 2
+    out = []
+    for n in range(f.prec // psq + 1):
+        b = a[psq * n] + cs * legendre_euler(n, p) * p ** (k - 1) * a[n]
+        if n % psq == 0:
+            b += c2 * p ** (2 * k - 1) * a[n // psq]
+        out.append(b)
+    return out
+
+
+def t_integral_loop(p, F):
+    """T(p) of an integral-weight form F, one n at a time:
+    B(n) = A(p n) + chi(p)^2 p^(2k-1) A(n / p)."""
+    c2 = F.character(p) ** 2
+    A = F.coeffs
+    out = []
+    for n in range(F.prec // p + 1):
+        b = A[p * n]
+        if n % p == 0:
+            b += c2 * p ** (2 * F.k - 1) * A[n // p]
+        out.append(b)
+    return out
+
+
+def u_loop(m, f):
+    """U_m of f, one n at a time: b(n) = a(m n)."""
+    return [f.coeffs[m * n] for n in range(f.prec // m + 1)]
+
+
 def eval_fraction(tree, need):
     """Evaluate an expression tree with Fraction coefficients, as
     (offset, coeffs) with coeffs[i] the coefficient of q^(offset + i).

@@ -1,5 +1,5 @@
 import random
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qsigns.arith import (DirichletCharacter, chi_star, chi_t, divisors,
                           is_fundamental_discriminant, is_prime,
-                          is_squarefree, kronecker, u_level)
+                          is_squarefree, kronecker, u_type)
 from qsigns.forms import Form
 
 from oracles import legendre_euler, squarefree_kernel
@@ -185,7 +185,17 @@ class TestDivisors:
     (44, 4, True, 44), (4, 2, False, 4), (1, 3, False, 3), (1, 1, False, 1),
 ])
 def test_u_level(level, m, half_integral, want):
-    assert u_level(level, m, half_integral) == want
+    assert u_type(level, m, half_integral)[0] == want
+
+
+def test_u_twist_is_4m_exactly_off_the_squares():
+    # The level and the twist come from one test: (4m/.) on level
+    # lcm(N, 4m) for a half-integral form and a non-square m, else none.
+    for m in range(1, 50):
+        square = m in (1, 4, 9, 16, 25, 36, 49)
+        assert u_type(4, m, True) == ((lcm(4, m), 1) if square
+                                      else (lcm(4, 4 * m), 4 * m)), m
+        assert u_type(4, m, False) == (lcm(4, m), 1), m
 
 
 class TestDirichletCharacter:

@@ -28,6 +28,18 @@ def read_lines(path):
     return path.read_text().splitlines()
 
 
+def cli_process(*argv):
+    """The finished process of one qsigns command in a new interpreter."""
+    src = str(Path(qsigns.__file__).resolve().parent.parent)
+    return subprocess.run([sys.executable, "-m", "qsigns", *argv],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+
+
+def body(path):
+    return [l for l in read_lines(path) if not l.startswith("#")]
+
+
 class TestCoefficientFile:
     def test_round_trip_builtins_at_1000(self):
         d = delta_form(1000)
@@ -253,6 +265,69 @@ class TestCoefficientFile:
         assert peak <= 641_351
 
 
+class TestAtomicWrite:
+    """Every output file is written whole or not at all."""
+
+    @pytest.fixture
+    def old(self, tmp_path):
+        out = tmp_path / "out.txt"
+        out.write_text("the old file\n")
+        return out
+
+    def test_a_failed_serialize_keeps_the_old_file(self, old, monkeypatch,
+                                                   capsys):
+        def fail(self):
+            raise ValueError("serialize failed")
+        monkeypatch.setattr(coeffio.CoefficientFile, "serialize", fail)
+        assert run("build", "--form", "delta", "--prec", "100",
+                   "--out", str(old)) == 2
+        assert capsys.readouterr().err == "error: serialize failed\n"
+        assert old.read_text() == "the old file\n"
+        assert os.listdir(old.parent) == [old.name]
+
+    @pytest.mark.parametrize("argv", [
+        ("build", "--form", "delta", "--prec", "100", "--out"),
+        ("signs", "--in", "{delta}", "--X-list", "10", "--csv"),
+        ("verify", "--in", "{delta}", "--suite", "plus-space", "--json")],
+        ids=["coefficients", "csv", "json"])
+    def test_a_write_cut_before_the_move_keeps_the_old_file(
+            self, old, monkeypatch, argv):
+        delta = old.parent / "delta.txt"
+        assert run("build", "--form", "delta", "--prec", "100",
+                   "--out", str(delta)) == 0
+        written = []
+
+        def cut(src, dst):
+            written.append(Path(src).read_text())
+            raise OSError("cut")
+        monkeypatch.setattr(os, "replace", cut)
+        argv = [a.format(delta=delta) for a in argv] + [str(old)]
+        assert run(*argv) == 2
+        assert written and written[0] != "the old file\n"
+        assert old.read_text() == "the old file\n"
+        assert sorted(os.listdir(old.parent)) == ["delta.txt", old.name]
+
+    def test_files_keep_the_mode_open_would_give(self, old, tmp_path):
+        umask = os.umask(0)
+        os.umask(umask)
+        new = tmp_path / "new.txt"
+        old.chmod(0o640)
+        for out in (new, old):
+            assert run("build", "--form", "theta(1)", "--prec", "10",
+                       "--out", str(out)) == 0
+        assert os.stat(new).st_mode & 0o777 == 0o666 & ~umask
+        assert os.stat(old).st_mode & 0o777 == 0o640
+        assert body(old) == body(new)
+
+    def test_a_symlink_is_written_through(self, old, tmp_path):
+        link = tmp_path / "link.txt"
+        link.symlink_to(old.name)
+        assert run("build", "--form", "theta(1)", "--prec", "10",
+                   "--out", str(link)) == 0
+        assert link.is_symlink() and body(old) == ["0\t1", "1\t2", "4\t2",
+                                                    "9\t2"]
+
+
 class TestBuildCommand:
     def test_delta(self, tmp_path):
         out = tmp_path / "delta.txt"
@@ -450,6 +525,30 @@ class TestBuildCommand:
                    "--out", str(out)) == 2
         assert capsys.readouterr().err == "error: %s\n" % message
         assert not out.exists()
+
+    @pytest.mark.parametrize("spec", [
+        " + ".join(["theta(1)"] * 500),
+        "(" * 330 + "theta(1)" + ")" * 330,
+        "D(" * 500 + "theta(1)" + ")" * 500], ids=["sum", "parens", "D"])
+    def test_a_too_deep_expression_exits_2_in_one_line(self, tmp_path, spec):
+        out = tmp_path / "deep.txt"
+        proc = cli_process("build", "--form", spec, "--prec", "10",
+                           "--out", str(out))
+        assert (proc.returncode, proc.stderr) == (
+            2, "error: expression too long or nested too deeply\n")
+        assert not out.exists()
+
+    def test_long_expressions_below_the_limit_still_build(self, tmp_path):
+        paths = [tmp_path / name for name in ("sum", "scaled", "parens")]
+        for spec, path in zip([" + ".join(["theta(1)"] * 400),
+                               "400*theta(1)",
+                               "(" * 300 + "theta(1)" + ")" * 300], paths):
+            proc = cli_process("build", "--form", spec, "--prec", "10",
+                               "--out", str(path))
+            assert proc.returncode == 0, proc.stderr
+        assert body(paths[0]) == body(paths[1]) == [
+            "0\t400", "1\t800", "4\t800", "9\t800"]
+        assert body(paths[2]) == ["0\t1", "1\t2", "4\t2", "9\t2"]
 
     def test_prec_guard(self, tmp_path, capsys):
         out = tmp_path / "x.txt"

@@ -241,7 +241,7 @@ class TestFinalization:
     def test_integer_table_rejects_fractions(self):
         # theta(1) + 3 theta(4) = 4 + 2q + 8q^4: den 4 leaves a fraction
         # at q^1, den 2 divides every coefficient, a(0) included
-        even = qs.add(qs.theta(1, 6), qs.scalar_mul(qs.theta(4, 6), 3))
+        even = qs.lincomb([(1, qs.theta(1, 6)), (3, qs.theta(4, 6))])
         with pytest.raises(ValueError,
                            match="non-integral coefficient 1/2 at q\\^1$"):
             integer_table(even, 5, den=4)

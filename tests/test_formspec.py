@@ -321,7 +321,7 @@ class TestMetadataHints:
             signature(parse_formspec(text))
 
     def test_u_level(self):
-        # U(m, .) has the level of the U_m image (arith.u_level): a
+        # U(m, .) has the level of the U_m image (arith.u_type): a
         # half-integral argument and a non-square m give lcm(N, 4m), so
         # theta | U_2 = theta(2z) lies on level 8 like theta(2).
         assert self.level("U(2, theta(1))") == self.level("theta(2)") == 8

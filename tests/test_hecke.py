@@ -1,19 +1,29 @@
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsigns import hecke, signs
 from qsigns.arith import DirichletCharacter, chi_t, divisors, kronecker
 from qsigns.forms import (Form, delta_form, expression_form, ramanujan_delta,
                           x0_11_form)
 
-from oracles import recurrence_oracle
+from oracles import (recurrence_oracle, t_integral_loop, t_square_half_loop,
+                     u_loop)
 
 # Frozen by the two-term recurrence a(9^(m)) = 252 a(..) - 3^11 a(..):
 # a(81) = 252*9 - 177147 = -174879
 # a(729) = 252*(-174879) - 177147*9 = -45663831
 # a(6561) = 252*(-45663831) - 177147*(-174879) = 19472004801
 DELTA_POWERS_OF_3 = [1, 9, -174879, -45663831, 19472004801]
+
+
+def bound_verdicts(lam, p, k):
+    """(deligne_ok, elementary_bound_ok) of the EigenReport with
+    eigenvalue lam."""
+    rep = hecke.extract_eigenvalue([0, 1], [0, lam], p, k)
+    return rep.deligne_ok, rep.elementary_bound_ok
 
 
 def powers(f, t, p):
@@ -163,6 +173,59 @@ class TestUImage:
     def test_index_must_be_positive(self, delta3k, m):
         with pytest.raises(ValueError, match="index must be positive"):
             hecke.u_image(m, delta3k)
+
+
+# (level, top): the trivial character of the level (top None) and real
+# characters (top/.) of period dividing it.
+LEVEL_CHARACTERS = [(4, None), (44, None), (12, 12), (20, -20), (56, 8),
+                    (4, -4), (60, -15), (12, -3)]
+PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+
+
+@st.composite
+def image_cases(draw):
+    """A Form with an int table holding zeros, of either weight, on a
+    trivial or a kronecker character, and the operator, its prime or
+    index, and the oracle to check it against."""
+    level, top = draw(st.sampled_from(LEVEL_CHARACTERS))
+    character = (DirichletCharacter.trivial(level) if top is None
+                 else DirichletCharacter(top=top, modulus=level))
+    half = draw(st.booleans())
+    k = draw(st.integers(1, 5))
+    prec = draw(st.integers(1, 700))
+    coeffs = draw(st.lists(st.integers(-2 ** 70, 2 ** 70) | st.just(0),
+                           min_size=prec + 1, max_size=prec + 1))
+    f = Form(2 * k + 1 if half else 4 * k, level, character, coeffs)
+    op = draw(st.sampled_from(["hecke", "u"]))
+    if op == "u":
+        m = draw(st.integers(1, prec))
+        return hecke.u_image, m, f, u_loop
+    q = 2 if half else 1
+    primes = [p for p in PRIMES if level % p and p ** q <= prec]
+    if not primes:
+        m = draw(st.integers(1, prec))
+        return hecke.u_image, m, f, u_loop
+    p = draw(st.sampled_from(primes))
+    if half:
+        return hecke.t_square_half, p, f, t_square_half_loop
+    return hecke.t_integral, p, f, t_integral_loop
+
+
+class TestImageRule:
+    @given(case=image_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_operators_equal_their_per_n_loops(self, case):
+        operator, p, f, loop = case
+        image = operator(p, f)
+        assert image.coeffs == loop(p, f)
+        assert image.weight_num == f.weight_num
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 13])
+    def test_twist_divisible_and_not_divisible_by_p(self, delta3k, g3k, p):
+        # prec // p^2 >= p, so n runs over multiples of p and of p^2 and
+        # over every nonzero residue.
+        for f in (delta3k, g3k):
+            assert hecke.t_square_half(p, f).coeffs == t_square_half_loop(p, f)
 
 
 class TestTIntegral:
@@ -350,17 +413,27 @@ class TestSatakeAndBounds:
         assert hecke.satake(100, 3, 1)[2] == 1
 
     def test_bounds_examples(self):
-        assert hecke.deligne_check(252, 3, 6)
-        assert hecke.elementary_bound_check(252, 3, 6)
-        assert hecke.deligne_check(-1, 3, 1)
-        assert hecke.elementary_bound_check(-1, 3, 1)
-        assert not hecke.deligne_check(12, 3, 1)
-        assert not hecke.elementary_bound_check(12, 3, 1)
+        assert bound_verdicts(252, 3, 6) == (True, True)
+        assert bound_verdicts(-1, 3, 1) == (True, True)
+        assert bound_verdicts(12, 3, 1) == (False, False)
 
     def test_deligne_implies_elementary(self):
-        # 2 p^(k-1/2) < p^k + p^(k-1) by AM-GM, so Deligne is the stronger bound
+        # 2 p^(k-1/2) < p^k + p^(k-1) by AM-GM, so Deligne is the stronger
+        # bound; deligne_ok is satake's discriminant sign <= 0, which is
+        # lam^2 <= 4 p^(2k-1).
         for p in (3, 5, 7):
             for k in (1, 2, 6):
                 for lam in range(-4 * p ** k, 4 * p ** k + 1, max(1, p ** k // 3)):
-                    if hecke.deligne_check(lam, p, k):
-                        assert hecke.elementary_bound_check(lam, p, k)
+                    deligne, elementary = bound_verdicts(lam, p, k)
+                    assert deligne == (hecke.satake(lam, p, k)[2] <= 0) \
+                        == (lam * lam <= 4 * p ** (2 * k - 1)), (lam, p, k)
+                    if deligne:
+                        assert elementary, (lam, p, k)
+
+    @given(lam=st.integers(-10 ** 6, 10 ** 6), p=st.sampled_from([2, 3, 5, 7]),
+           k=st.integers(1, 6))
+    def test_deligne_ok_is_the_satake_sign(self, lam, p, k):
+        rep = hecke.extract_eigenvalue([0, 1], [0, lam], p, k)
+        assert rep.satake == hecke.satake(lam, p, k)
+        assert rep.deligne_ok is (rep.satake[2] <= 0) \
+            is (lam * lam <= 4 * p ** (2 * k - 1))
