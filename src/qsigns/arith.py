@@ -48,19 +48,6 @@ def kronecker(a: int, n: int) -> int:
     return sign if n == 1 else 0
 
 
-def chi_star(chi: "DirichletCharacter", k: int, a: int) -> int:
-    """Twist chi by the k-th power of the character (-4/.)."""
-    return kronecker(-4, a) ** k * chi(a)
-
-
-def chi_t(chi: "DirichletCharacter", k: int, t: int, d: int) -> int:
-    """The character chi(d) ((-1)^k t / d) of the Shimura lift at a
-    square-free t, for a form of weight k + 1/2 and character chi."""
-    if t < 1 or not is_squarefree(t):
-        raise ValueError("t must be a square-free positive integer")
-    return chi(d) * kronecker((-1) ** k * t, d)
-
-
 def is_squarefree(n: int) -> bool:
     """True when no square of a prime divides n (n >= 1)."""
     if n < 1:
@@ -260,6 +247,12 @@ class DirichletCharacter(FrozenRecord):
 
     def __call__(self, a: int) -> int:
         return kronecker(self.top, a) if gcd(a, self.modulus) == 1 else 0
+
+    def twist(self, top: int, modulus: int = 0) -> "DirichletCharacter":
+        """This character times (top/.), mod the modulus, or else mod the
+        lcm of this modulus and (top/.)'s default period."""
+        return DirichletCharacter(self.top * top, modulus or lcm(
+            self.modulus, _default_period(top)))
 
     @property
     def is_odd(self) -> bool:

@@ -16,8 +16,8 @@ from __future__ import annotations
 import operator
 from itertools import cycle, repeat
 
-from .arith import (DirichletCharacter, Record, chi_star, chi_t, divisors,
-                    kronecker, require_good_prime, u_type)
+from .arith import (DirichletCharacter, Record, kronecker, require_good_prime,
+                    u_type)
 from .forms import Form
 from .signs import prime_powers, square_class
 
@@ -47,25 +47,25 @@ class EigenReport(Record):
 def shimura_lift(f: Form, t: int) -> Form:
     """Lift at the square-free index t:
 
-        A(n) = sum_{d | n} chi_t(d) d^(k-1) a(n^2 t / d^2),
+        A(n) = sum_{d | n} chi_t(d) d^(k-1) a(t (n/d)^2),
 
-    chi_t(d) = chi(d) ((-1)^k t / d) with chi the form's character,
-    valid for the n with t n^2 <= prec (signs.square_class).  The
-    divisor sum does not define A(0), so the lift's table holds 0 there.
-    The lift is a weight-2k form on level N/2 with the squared character
+    chi_t = chi ((-1)^k t / .) with chi the form's character read mod the
+    level, which 4 divides: the twist is by ((-1)^k 4t / .), 0 at every
+    even d whatever chi's modulus.  Each d with c = chi_t(d) d^(k-1) != 0
+    adds c a(t m^2) to A(d m), for the t m^2 of signs.square_class (which
+    checks t), so A holds for the n with t n^2 <= prec and A(0) = 0.  The
+    lift is a weight-2k form on level N/2 with the squared character
     (trivial on the residues coprime to the level).
     """
     _require_weight(f, half_integral=True)
-    k, N, a = f.k, f.level, f.coeffs
-    indices = square_class(f, t)
-    out = [0] * (len(indices) + 1)
-    for n, nn_t in enumerate(indices, start=1):
-        acc = 0
-        for d in divisors(n):
-            chi = chi_t(f.character, k, t, d)
-            if chi:
-                acc += chi * d ** (k - 1) * a[nn_t // (d * d)]
-        out[n] = acc
+    k, N = f.k, f.level
+    b = list(map(f.coeffs.__getitem__, square_class(f, t)))
+    chi_t = f.character.twist((-1) ** k * 4 * t)
+    out = [0] * (len(b) + 1)
+    for d in range(1, len(b) + 1):
+        c = chi_t(d) * d ** (k - 1)
+        if c:
+            out[d::d] = map(operator.add, out[d::d], map(c.__mul__, b))
     return Form(weight_num=4 * k, level=N // 2,
                 character=DirichletCharacter.trivial(N // 2), coeffs=out)
 
@@ -76,13 +76,14 @@ def t_square_half(p: int, f: Form) -> Form:
         b(n) = a(p^2 n) + chi*(p) (n/p) p^(k-1) a(n)
              + chi(p)^2 p^(2k-1) a(n / p^2),
 
-    with the last term zero unless p^2 | n.  Valid for 0 <= n <= prec // p^2.
+    chi* = chi (-4/.)^k, and the last term zero unless p^2 | n.  Valid for
+    0 <= n <= prec // p^2.
     """
     _require_weight(f, half_integral=True)
     require_good_prime(p, f.level)
     return Form(f.weight_num, f.level, f.character, _image(
         "p^2", f.coeffs, p * p, f.character(p) ** 2 * p ** (2 * f.k - 1),
-        chi_star(f.character, f.k, p) * p ** (f.k - 1), p))
+        f.character.twist((-4) ** f.k)(p) * p ** (f.k - 1), p))
 
 
 def t_integral(p: int, F: Form) -> Form:
@@ -109,8 +110,7 @@ def u_image(m: int, f: Form) -> Form:
     level, twist = u_type(f.level, m, f.half_integral)
     character = f.character
     if twist != 1:
-        character = DirichletCharacter(top=character.top * twist,
-                                       modulus=level)
+        character = character.twist(twist, level)
     elif character.is_trivial:
         character = DirichletCharacter.trivial(level)
     return Form(f.weight_num, level, character, coeffs)

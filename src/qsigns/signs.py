@@ -154,7 +154,8 @@ def _check_t(f: Form, t: int):
 
 
 def dprime_filter(T, primes, eps) -> list[int]:
-    """Keep the t with (t/p_j) = eps_j for every prime p_j."""
+    """Keep the t with (t/p_j) = eps_j for every prime p_j, reading (t/p)
+    off one period of t: p values, or 8 for p = 2."""
     if len(primes) != len(eps):
         raise ValueError("primes and eps must have equal length")
     if len(set(primes)) != len(primes):
@@ -162,8 +163,11 @@ def dprime_filter(T, primes, eps) -> list[int]:
     for p in primes:
         if not is_prime(p):
             raise ValueError("%d is not prime" % p)
-    return [t for t in T
-            if all(kronecker(t, p) == e for p, e in zip(primes, eps))]
+    for p, e in zip(primes, eps):
+        q = 8 if p == 2 else p
+        hit = [kronecker(r, p) == e for r in range(q)]
+        T = [t for t in T if hit[t % q]]
+    return list(T)
 
 
 def prop2_witnesses(f, p: int, limit: int) -> dict:

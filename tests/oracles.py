@@ -6,6 +6,7 @@ independent of the code paths they check.
 """
 
 from fractions import Fraction
+from math import isqrt
 
 
 def poly_mul(A, B, prec):
@@ -81,6 +82,40 @@ def legendre_euler(a, p):
         return 0
     r = pow(a, (p - 1) // 2, p)
     return -1 if r == p - 1 else r
+
+
+def jacobi_euler(a, n):
+    """Jacobi symbol (a/n) for odd n >= 1: the product of legendre_euler
+    over the primes of n, each as often as it divides n."""
+    out, p = 1, 3
+    while n > 1:
+        while n % p == 0:
+            out *= legendre_euler(a, p)
+            n //= p
+        p += 2
+    return out
+
+
+def shimura_lift_loop(f, t):
+    """The Shimura lift of a half-integral f at a square-free t, one n
+    and one divisor d at a time:
+
+        A(n) = sum_{d | n} chi(d) ((-1)^k t / d) d^(k-1) a(t n^2 / d^2),
+
+    chi the form's own character, for 1 <= n <= sqrt(prec / t), and
+    A(0) = 0.  chi must vanish at 2 (4 divides its modulus), so every d
+    that counts is odd and its symbol is jacobi_euler's."""
+    k, a = f.k, f.coeffs
+    out = [0]
+    for n in range(1, isqrt(f.prec // t) + 1):
+        acc = 0
+        for d in range(1, n + 1):
+            if n % d == 0 and f.character(d):
+                assert d % 2, "the oracle needs chi(2) = 0"
+                acc += (f.character(d) * jacobi_euler((-1) ** k * t, d)
+                        * d ** (k - 1) * a[t * n * n // (d * d)])
+        out.append(acc)
+    return out
 
 
 def sigma_k(n, k):

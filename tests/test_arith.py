@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsigns.arith import (DirichletCharacter, chi_star, chi_t, divisors,
+from qsigns.arith import (DirichletCharacter, divisors,
                           is_fundamental_discriminant, is_prime,
                           is_squarefree, kronecker, u_type)
 from qsigns.forms import Form
+from qsigns.signs import square_class
 
 from oracles import legendre_euler, squarefree_kernel
 
@@ -60,21 +61,33 @@ class TestKronecker:
                 assert kronecker(a, n) in (-1, 0, 1)
 
 
+def chi_t(chi, k, t):
+    """The Shimura lift's character chi ((-1)^k t / .)."""
+    return chi.twist((-1) ** k * t)
+
+
+def chi_star(chi, k):
+    """T(p^2)'s character chi (-4/.)^k."""
+    return chi.twist((-4) ** k)
+
+
 class TestChiTN:
     def test_known_values(self):
         trivial4, trivial44 = (DirichletCharacter.trivial(4),
                                DirichletCharacter.trivial(44))
-        assert chi_t(trivial4, 6, 1, 2) == 0
-        assert chi_t(trivial4, 6, 1, 3) == 1
-        assert chi_t(trivial44, 1, 3, 3) == 0
+        assert chi_t(trivial4, 6, 1)(2) == 0
+        assert chi_t(trivial4, 6, 1)(3) == 1
+        assert chi_t(trivial44, 1, 3)(3) == 0
         # the form's own character enters: (12/5) = -1
-        assert chi_t(DirichletCharacter.trivial(12), 6, 1, 5) == 1
-        assert chi_t(DirichletCharacter(top=12, modulus=12), 6, 1, 5) == -1
+        assert chi_t(DirichletCharacter.trivial(12), 6, 1)(5) == 1
+        assert chi_t(DirichletCharacter(top=12, modulus=12), 6, 1)(5) == -1
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            # 12 = 4 * 3 is not square-free
-            chi_t(DirichletCharacter.trivial(4), 6, 12, 3)
+        f = Form(weight_num=13, level=4,
+                 character=DirichletCharacter.trivial(4), coeffs=[0] * 20)
+        with pytest.raises(ValueError, match="square-free"):
+            # 12 = 4 * 3 is not square-free: square_class checks t
+            square_class(f, 12)
         with pytest.raises(ValueError, match="divisible by 4"):
             # a half-integral level not divisible by 4 is Form's to refuse
             Form(weight_num=13, level=6,
@@ -85,7 +98,7 @@ class TestChiTN:
         # DirichletCharacter
         chi = DirichletCharacter(top=-44 * 44 * 3)
         for d in range(-20, 20):
-            assert chi(d) == chi_t(DirichletCharacter.trivial(44), 1, 3, d)
+            assert chi(d) == chi_t(DirichletCharacter.trivial(44), 1, 3)(d)
         # periodicity at the declared modulus
         for d in range(1, 50):
             assert chi(d + chi.modulus) == chi(d)
@@ -93,14 +106,48 @@ class TestChiTN:
 
 class TestChiStar:
     def test_known_values(self):
-        assert chi_star(DirichletCharacter.trivial(4), 6, 3) == 1
-        assert chi_star(DirichletCharacter.trivial(44), 1, 7) == -1
-        assert chi_star(DirichletCharacter.trivial(44), 1, 2) == 0
+        assert chi_star(DirichletCharacter.trivial(4), 6)(3) == 1
+        assert chi_star(DirichletCharacter.trivial(44), 1)(7) == -1
+        assert chi_star(DirichletCharacter.trivial(44), 1)(2) == 0
 
     def test_even_k_drops_the_twist(self):
         chi = DirichletCharacter.trivial(4)
         for a in range(1, 30, 2):
-            assert chi_star(chi, 2, a) == chi(a)
+            assert chi_star(chi, 2)(a) == chi(a)
+
+
+@st.composite
+def characters(draw):
+    """A valid DirichletCharacter: trivial mod N, or (top/.) mod any
+    modulus that is a period of it, else mod a multiple of its default
+    period."""
+    if draw(st.booleans()):
+        return DirichletCharacter.trivial(draw(st.integers(1, 200)))
+    top = draw(st.integers(-300, 300).filter(bool))
+    try:
+        return DirichletCharacter(top, draw(st.integers(1, 400)))
+    except ValueError:
+        return DirichletCharacter(top, DirichletCharacter(top).modulus
+                                  * draw(st.integers(1, 6)))
+
+
+class TestTwist:
+    @given(characters(), st.integers(-300, 300).filter(bool))
+    @settings(max_examples=300, deadline=None)
+    def test_twist_is_the_product_off_its_modulus(self, chi, top):
+        twisted = chi.twist(top)
+        assert twisted.modulus % chi.modulus == 0
+        for d in range(-60, 61):
+            if gcd(d, twisted.modulus) == 1:
+                assert twisted(d) == chi(d) * kronecker(top, d), d
+            else:
+                assert twisted(d) == 0, d
+
+    def test_given_modulus_is_kept(self):
+        chi = DirichletCharacter.trivial(4).twist(12, 12)
+        assert chi == DirichletCharacter(top=16 * 12, modulus=12)
+        with pytest.raises(ValueError, match="not periodic"):
+            DirichletCharacter.trivial(4).twist(-3, 4)
 
 
 class TestFundamentalDiscriminant:

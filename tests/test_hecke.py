@@ -1,16 +1,16 @@
-from math import isqrt
+from math import isqrt, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsigns import hecke, signs
-from qsigns.arith import DirichletCharacter, chi_t, divisors, kronecker
+from qsigns import arith, hecke, signs
+from qsigns.arith import DirichletCharacter, divisors, kronecker
 from qsigns.forms import (Form, delta_form, expression_form, ramanujan_delta,
                           x0_11_form)
 
-from oracles import (recurrence_oracle, t_integral_loop, t_square_half_loop,
-                     u_loop)
+from oracles import (recurrence_oracle, shimura_lift_loop, t_integral_loop,
+                     t_square_half_loop, u_loop)
 
 # Frozen by the two-term recurrence a(9^(m)) = 252 a(..) - 3^11 a(..):
 # a(81) = 252*9 - 177147 = -174879
@@ -33,6 +33,34 @@ def powers(f, t, p):
 
 def test_frozen_values_match_their_oracle():
     assert DELTA_POWERS_OF_3 == recurrence_oracle(1, 9, 252, 3 ** 11, 5)
+
+
+# (level, top): the trivial character of the level (top None) and real
+# characters (top/.) of period dividing it.
+LEVEL_CHARACTERS = [(4, None), (44, None), (12, 12), (20, -20), (56, 8),
+                    (4, -4), (60, -15), (12, -3)]
+
+
+@st.composite
+def lift_cases(draw):
+    """A half-integral Form, k = 1..6, on the trivial character of a level
+    divisible by 4 or a kronecker character whose modulus 4 divides, and
+    a square-free t within its precision.  The table holds drawn ints,
+    zeros among them, on t's square class and small ints elsewhere."""
+    level, top = draw(st.sampled_from(LEVEL_CHARACTERS))
+    character = (DirichletCharacter.trivial(level) if top is None
+                 else DirichletCharacter(top=top, modulus=level))
+    k = draw(st.integers(1, 6))
+    prec = draw(st.integers(1, 3000))
+    t = draw((st.integers(1, min(prec, 30)) | st.integers(1, prec))
+             .filter(arith.is_squarefree))
+    coeffs = [n % 7 - 3 for n in range(prec + 1)]
+    size = isqrt(prec // t)
+    values = draw(st.lists(st.integers(-2 ** 70, 2 ** 70) | st.just(0),
+                           min_size=size, max_size=size))
+    for m, v in enumerate(values, start=1):
+        coeffs[t * m * m] = v
+    return Form(2 * k + 1, level, character, coeffs), t
 
 
 class TestShimuraLift:
@@ -87,6 +115,48 @@ class TestShimuraLift:
     def test_rejects_integral_weight(self, delta_wt12):
         with pytest.raises(ValueError):
             hecke.shimura_lift(delta_wt12, 1)
+
+    @given(case=lift_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_lift_equals_its_per_n_divisor_sum(self, case):
+        f, t = case
+        lift = hecke.shimura_lift(f, t)
+        assert lift.coeffs == shimura_lift_loop(f, t)
+        assert lift.weight_num == 4 * f.k and lift.level == f.level // 2
+
+    def test_t_is_checked_once(self, delta3k, monkeypatch):
+        # signs.square_class checks t; the lift's character does not.
+        calls, is_squarefree = [], arith.is_squarefree
+
+        def spy(n):
+            calls.append(n)
+            return is_squarefree(n)
+
+        monkeypatch.setattr(signs, "is_squarefree", spy)
+        monkeypatch.setattr(arith, "is_squarefree", spy)
+        hecke.shimura_lift(delta3k, 5)
+        assert calls == [5]
+
+    @pytest.mark.parametrize("name, top, moduli, t", [
+        ("psi", -3, (3, 36), 1), ("delta", 5, (5, 20), 1),
+        ("delta", 5, (5, 20), 5)])
+    def test_a_character_is_read_mod_the_level(self, name, top, moduli, t):
+        # 4 divides the level, so chi vanishes at 2 as a character mod
+        # the level even when its written modulus is odd: the lift is the
+        # same for either modulus.  thetapsi(-3, 1) (weight 3/2, level 36)
+        # with (-3/.) mod 3 has (-3/2) = -1, which no longer enters:
+        # A(2) = a(4) and A(4) = a(16).  delta (k = 6) is put on level 20
+        # with (5/.), where ((-1)^6 t / .) has an odd period at t = 1, 5.
+        f = (expression_form("thetapsi(-3, 1)", 400)[0] if name == "psi"
+             else delta_form(400))
+        forms = [Form(f.weight_num, lcm(f.level, m),
+                      DirichletCharacter(top, m), f.coeffs) for m in moduli]
+        lifts = [hecke.shimura_lift(g, t) for g in forms]
+        assert lifts[0] == lifts[1]
+        assert lifts[1].coeffs == shimura_lift_loop(forms[1], t)
+        if name == "psi":
+            assert lifts[0].coeffs[2] == f.coeffs[4] == -4
+            assert lifts[0].coeffs[4] == f.coeffs[16] == 8
 
 
 class TestTSquareHalf:
@@ -175,10 +245,6 @@ class TestUImage:
             hecke.u_image(m, delta3k)
 
 
-# (level, top): the trivial character of the level (top None) and real
-# characters (top/.) of period dividing it.
-LEVEL_CHARACTERS = [(4, None), (44, None), (12, 12), (20, -20), (56, 8),
-                    (4, -4), (60, -15), (12, -3)]
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
 
 
@@ -362,10 +428,10 @@ def _mix(delta, g, prec=2000):
 class TestRecurrence:
     def test_hand_values(self, delta3k, g3k):
         # a(9) = 1*(252 - chi(3) 3^5) with chi(3) = (16/3) = 1
-        assert chi_t(delta3k.character, 6, 1, 3) == 1
+        assert delta3k.character.twist((-1) ** 6 * 1)(3) == 1
         assert delta3k.coeffs[9] == 252 - 3 ** 5 == 9
         # a(27) = a(3)*(lambda_3 - 0) for g, chi vanishing at 3
-        assert chi_t(g3k.character, 1, 3, 3) == 0
+        assert g3k.character.twist((-1) ** 1 * 3)(3) == 0
         assert g3k.coeffs[27] == g3k.coeffs[3] * -1 == -1
         assert delta3k.coeffs[81] == 252 * 9 - 3 ** 11 == -174879
 

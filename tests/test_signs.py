@@ -211,6 +211,8 @@ class TestDprimeFilter:
         assert dprime_filter(T, [3], [1]) == [1, 7, 10]
         assert dprime_filter(T, [], []) == T
         assert dprime_filter([3, 6], [3], [1]) == []
+        # (t/2) has period 8: 1 at t = 1, 7 mod 8, -1 at t = 3, 5 mod 8
+        assert dprime_filter(range(-9, 10), [2], [1]) == [-9, -7, -1, 1, 7, 9]
 
     def test_two_conditions(self):
         T = list(range(1, 50))
@@ -221,6 +223,25 @@ class TestDprimeFilter:
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
             dprime_filter([1], [3, 3], [1, 1])
+
+    @given(st.lists(st.integers(-500, 5000), max_size=300),
+           st.lists(st.tuples(st.sampled_from([2, 3, 5, 7, 11, 13]),
+                              st.sampled_from([-1, 0, 1])),
+                    max_size=4, unique_by=lambda pe: pe[0]))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_per_t_kronecker(self, T, conditions):
+        # T holds repeats, negatives and 0.
+        primes = [p for p, _ in conditions]
+        eps = [e for _, e in conditions]
+        assert dprime_filter(iter(T), primes, eps) == [
+            t for t in T
+            if all(kronecker(t, p) == e for p, e in conditions)]
+
+    def test_keeps_its_refusals(self):
+        with pytest.raises(ValueError, match="equal length"):
+            dprime_filter([1], [3], [1, -1])
+        with pytest.raises(ValueError, match="9 is not prime"):
+            dprime_filter([1], [9], [1])
 
 
 class TestSquarefreeSurvey:
