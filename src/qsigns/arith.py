@@ -178,11 +178,36 @@ def _is_period(top: int, modulus: int) -> bool:
 
 
 class Record:
-    """A value class whose fields are its __slots__, set by its own
-    __init__: == compares the fields of two objects of one class, and
-    the repr names them."""
+    """A value class whose fields are its __slots__: the constructor binds
+    its arguments, by position or by name, to the fields in order and
+    takes a field left out from the class's _defaults (immutable values
+    only); == compares the fields of two objects of one class, and the
+    repr names them."""
 
     __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        cls = type(self).__name__
+        if len(args) > len(names):
+            raise TypeError("%s() takes %d fields, got %d"
+                            % (cls, len(names), len(args)))
+        given = dict(zip(names, args))
+        for name in kwargs:
+            if name not in names:
+                raise TypeError("%s() has no field %r" % (cls, name))
+            if name in given:
+                raise TypeError("%s() got field %r twice" % (cls, name))
+        given.update(kwargs)
+        for name in names:
+            if name in given:
+                value = given[name]
+            elif name in self._defaults:
+                value = self._defaults[name]
+            else:
+                raise TypeError("%s() is missing field %r" % (cls, name))
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(map(self.__getattribute__, self.__slots__))
@@ -198,14 +223,10 @@ class Record:
 
 
 class FrozenRecord(Record):
-    """A Record whose fields are set once, by _set, and which hashes by
-    them."""
+    """A Record whose fields are set once, by the constructor, and which
+    hashes by them."""
 
     __slots__ = ()
-
-    def _set(self, *values):
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("cannot assign to field %r of a %s"
@@ -236,7 +257,7 @@ class DirichletCharacter(FrozenRecord):
         if not _is_period(top, modulus):
             raise ValueError("(%d/.) is not periodic on the units mod %d"
                              % (top, modulus))
-        self._set(top, modulus, is_trivial)
+        super().__init__(top, modulus, is_trivial)
 
     @classmethod
     def trivial(cls, N: int) -> "DirichletCharacter":

@@ -206,6 +206,8 @@ def cmd_signs(args) -> int:
         if s not in STATS:
             raise ValueError("unknown stat %r" % s)
     xs = _int_list(args.xlist, "--X-list")
+    if min(xs) < 1:
+        raise ValueError("--X-list: X must be positive, got %d" % min(xs))
     sets = [getattr(signs, STATS[s])(form, max(xs)) for s in stats]
     rows = [["X"] + ["R_%s" % s for s in stats]]
     for X in xs:

@@ -91,10 +91,7 @@ class CoefficientFile(Record):
         if any(coeffs[:offset]):
             raise ValueError("nonzero coefficient below the offset %d"
                              % offset)
-        self.form_id = form_id
-        self.form = form
-        self.offset = offset
-        self.t = t
+        super().__init__(form_id, form, offset, t)
 
     def _header(self) -> list[str]:
         f = self.form

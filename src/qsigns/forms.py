@@ -56,10 +56,10 @@ class Form(Record):
                 raise ValueError("level must be divisible by 4")
         elif weight_num % 4 or weight_num < 4:
             raise ValueError("integral weight must be a positive even integer")
-        self.weight_num = weight_num
-        self.level = level
-        self.character = character
-        self.coeffs = coeffs
+        if level % character.modulus:
+            raise ValueError("character modulus %d does not divide the "
+                             "level %d" % (character.modulus, level))
+        super().__init__(weight_num, level, character, coeffs)
 
     @property
     def prec(self) -> int:

@@ -50,51 +50,31 @@ class Atom(FrozenRecord):
     """The series named name at dilation m.  top is the top of the
     atom's real character (top/.): thetapsi's, and 1 for the others."""
     __slots__ = ("name", "m", "top")
-
-    def __init__(self, name: str, m: int, top: int = 1):
-        self._set(name, m, top)
+    _defaults = {"top": 1}
 
 
 class Diff(FrozenRecord):
     __slots__ = ("arg",)
 
-    def __init__(self, arg):
-        self._set(arg)
-
 
 class U(FrozenRecord):
     __slots__ = ("m", "arg")
-
-    def __init__(self, m: int, arg):
-        self._set(m, arg)
 
 
 class Add(FrozenRecord):
     __slots__ = ("left", "right")
 
-    def __init__(self, left, right):
-        self._set(left, right)
-
 
 class Mul(FrozenRecord):
     __slots__ = ("left", "right")
-
-    def __init__(self, left, right):
-        self._set(left, right)
 
 
 class Pow(FrozenRecord):
     __slots__ = ("arg", "exp")
 
-    def __init__(self, arg, exp: int):
-        self._set(arg, exp)
-
 
 class Scale(FrozenRecord):
     __slots__ = ("scalar", "arg")
-
-    def __init__(self, scalar: Fraction, arg):
-        self._set(scalar, arg)
 
 
 class AtomRule(NamedTuple):

@@ -27,21 +27,8 @@ class EigenReport(Record):
 
     __slots__ = ("p", "lam", "is_eigen", "checked_up_to", "first_violation",
                  "satake", "deligne_ok", "elementary_bound_ok", "note")
-
-    def __init__(self, p: int, lam: int | None, is_eigen: bool,
-                 checked_up_to: int, first_violation: int | None = None,
-                 satake: tuple[int, int, int] | None = None,
-                 deligne_ok: bool | None = None,
-                 elementary_bound_ok: bool | None = None, note: str = ""):
-        self.p = p
-        self.lam = lam
-        self.is_eigen = is_eigen
-        self.checked_up_to = checked_up_to
-        self.first_violation = first_violation
-        self.satake = satake
-        self.deligne_ok = deligne_ok
-        self.elementary_bound_ok = elementary_bound_ok
-        self.note = note
+    _defaults = {"first_violation": None, "satake": None,
+                 "deligne_ok": None, "elementary_bound_ok": None, "note": ""}
 
 
 def shimura_lift(f: Form, t: int) -> Form:
@@ -177,16 +164,7 @@ class RecurrenceReport(Record):
     """Result of checking the local Hecke recurrence along t p^(2m)."""
 
     __slots__ = ("ok", "t", "p", "lam", "max_m", "indices", "note")
-
-    def __init__(self, ok: bool, t: int, p: int, lam: int | None, max_m: int,
-                 indices: list[int], note: str = ""):
-        self.ok = ok
-        self.t = t
-        self.p = p
-        self.lam = lam
-        self.max_m = max_m
-        self.indices = indices
-        self.note = note
+    _defaults = {"note": ""}
 
 
 def recurrence_check(f: Form, t: int, p: int) -> RecurrenceReport:

@@ -33,15 +33,6 @@ class SignStatsReport(Record):
     __slots__ = ("entries", "n_pos", "n_neg", "change_positions",
                  "witnesses")
 
-    def __init__(self, entries: int, n_pos: int, n_neg: int,
-                 change_positions: list[int],
-                 witnesses: list[tuple[int, int]]):
-        self.entries = entries
-        self.n_pos = n_pos
-        self.n_neg = n_neg
-        self.change_positions = change_positions
-        self.witnesses = witnesses
-
     @property
     def sign_change_count(self) -> int:
         return len(self.change_positions)

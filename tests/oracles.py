@@ -274,3 +274,24 @@ def sign_scan(values, indices, cap=10):
                  if (kept[i - 1][2] > 0) != (kept[i][2] > 0)]
     witnesses = [(n, v) for _, n, v in kept[:cap]]
     return n_pos, n_neg, len(indices) - len(kept), positions, witnesses
+
+
+def ternary_theta(gram, prec):
+    """r_Q(n) for n < prec: the number of v in Z^3 with Q(v) = v^T gram v
+    = n, for a positive definite symmetric integer gram, counted
+    directly.  On Q(v) <= prec - 1 the largest v_i^2 is
+    (prec - 1) C_ii / det gram, with C_ii the diagonal cofactor, so that
+    box holds every v counted."""
+    (a, b, c), (_, d, e), (_, _, f) = gram
+    cofactors = (d * f - e * e, a * f - c * c, a * d - b * b)
+    det = a * cofactors[0] - b * (b * f - c * e) + c * (b * e - c * d)
+    bx, by, bz = (isqrt((prec - 1) * C // det) for C in cofactors)
+    out = [0] * prec
+    for x in range(-bx, bx + 1):
+        for y in range(-by, by + 1):
+            for z in range(-bz, bz + 1):
+                n = (a * x * x + d * y * y + f * z * z
+                     + 2 * (b * x * y + c * x * z + e * y * z))
+                if n < prec:
+                    out[n] += 1
+    return out

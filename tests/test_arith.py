@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsigns.arith import (DirichletCharacter, divisors,
+from qsigns import coeffio, formspec, hecke, signs
+from qsigns.arith import (DirichletCharacter, FrozenRecord, Record, divisors,
                           is_fundamental_discriminant, is_prime,
                           is_squarefree, kronecker, u_type)
 from qsigns.forms import Form
@@ -133,7 +134,7 @@ def characters(draw):
 
 class TestTwist:
     @given(characters(), st.integers(-300, 300).filter(bool))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=200, deadline=None)
     def test_twist_is_the_product_off_its_modulus(self, chi, top):
         twisted = chi.twist(top)
         assert twisted.modulus % chi.modulus == 0
@@ -304,3 +305,93 @@ class TestDirichletCharacter:
             for a in range(1, 80):
                 assert chi(a + chi.modulus) == chi(a)
                 assert chi(a) in (-1, 0, 1)
+
+
+# The value classes that check nothing of their own: Record's constructor
+# binds every field.
+PLAIN_RECORDS = [formspec.Atom, formspec.Diff, formspec.U, formspec.Add,
+                 formspec.Mul, formspec.Pow, formspec.Scale,
+                 hecke.EigenReport, hecke.RecurrenceReport,
+                 signs.SignStatsReport]
+FIELD_VALUES = st.one_of(st.integers(), st.text(max_size=4), st.none(),
+                         st.tuples(st.integers()))
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+@st.composite
+def plain_records(draw):
+    """A plain value class, a value per field, and a split of the fields
+    into a positional head and a keyword tail."""
+    cls = draw(st.sampled_from(PLAIN_RECORDS))
+    n = len(cls.__slots__)
+    values = draw(st.lists(FIELD_VALUES, min_size=n, max_size=n))
+    return cls, values, draw(st.integers(0, n))
+
+
+class TestRecord:
+    def test_only_the_checking_classes_write_an_init(self):
+        classes = {c for c in _subclasses(Record)
+                   if c.__module__.startswith("qsigns.")} - {FrozenRecord}
+        checked = {Form, coeffio.CoefficientFile, DirichletCharacter}
+        assert classes == set(PLAIN_RECORDS) | checked
+        assert {c for c in classes if "__init__" in vars(c)} == checked
+
+    @settings(max_examples=200, deadline=None)
+    @given(plain_records())
+    def test_position_and_name_build_one_object(self, case):
+        cls, values, cut = case
+        names = cls.__slots__
+        by_position = cls(*values)
+        by_name = cls(**dict(zip(names, values)))
+        mixed = cls(*values[:cut], **dict(zip(names[cut:], values[cut:])))
+        assert by_position == by_name == mixed
+        assert tuple(getattr(mixed, name) for name in names) == tuple(values)
+        if issubclass(cls, FrozenRecord):
+            assert hash(by_position) == hash(by_name) == hash(mixed)
+
+    @settings(max_examples=200, deadline=None)
+    @given(plain_records())
+    def test_refuses_a_missing_unknown_or_repeated_field(self, case):
+        cls, values, cut = case
+        names = cls.__slots__
+        # The first field of every plain class has no default.
+        with pytest.raises(TypeError):
+            cls(**dict(zip(names[1:], values[1:])))
+        with pytest.raises(TypeError):
+            cls(*values, no_such_field=0)
+        with pytest.raises(TypeError):
+            cls(*values, 0)
+        if cut:
+            with pytest.raises(TypeError):
+                cls(*values[:cut], **dict(zip(names[cut - 1:],
+                                              values[cut - 1:])))
+
+    @settings(max_examples=100, deadline=None)
+    @given(plain_records(), FIELD_VALUES)
+    def test_frozen_fields_refuse_assignment(self, case, value):
+        cls, values, cut = case
+        record = cls(*values)
+        i = min(cut, len(values) - 1)
+        name = cls.__slots__[i]
+        if issubclass(cls, FrozenRecord):
+            with pytest.raises(AttributeError):
+                setattr(record, name, value)
+            assert getattr(record, name) == values[i]
+        else:
+            setattr(record, name, value)
+            assert getattr(record, name) == value
+
+    @pytest.mark.parametrize("cls", PLAIN_RECORDS)
+    def test_a_left_out_field_takes_its_default(self, cls):
+        defaults = cls._defaults
+        required = [n for n in cls.__slots__ if n not in defaults]
+        assert cls.__slots__[len(required):] == tuple(defaults)
+        record = cls(*range(len(required)))
+        for name, value in defaults.items():
+            hash(value)         # immutable: one object serves every record
+            assert getattr(record, name) == value

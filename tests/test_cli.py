@@ -1080,6 +1080,17 @@ class TestSignsCommand:
             "", "error: %s needs at least one value\n" % option)
         assert not csv.exists()
 
+    @pytest.mark.parametrize("xs, bad", [("0", 0), ("-5", -5),
+                                         ("10,-5,0", -5)])
+    def test_nonpositive_X_is_named(self, tmp_path, capsys, xs, bad):
+        src, csv = tmp_path / "delta.txt", tmp_path / "out.csv"
+        run("build", "--form", "delta", "--prec", "50", "--out", str(src))
+        assert run("signs", "--in", str(src), "--X-list", xs,
+                   "--csv", str(csv)) == 2
+        assert capsys.readouterr() == (
+            "", "error: --X-list: X must be positive, got %d\n" % bad)
+        assert not csv.exists()
+
     def test_empty_dprime_exits_2(self, tmp_path, capsys):
         src, csv = tmp_path / "delta.txt", tmp_path / "out.csv"
         run("build", "--form", "delta", "--prec", "50", "--out", str(src))
@@ -1133,6 +1144,23 @@ class TestVerifyCommand:
         assert run("signs", "--in", str(src), "--X-list", "10,100") == 2
         assert run("verify", "--in", str(src), "--suite", "plus-space") == 2
         assert "level must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--suite", "bounds", "--p", "5", "--json"),
+        ("hecke", "--op", "u", "--p", "3", "--out"),
+        ("lift", "--t", "1", "--out")])
+    def test_character_off_the_level_exits_2(self, tmp_path, capsys, argv):
+        # (5/.) mod 5 is no character on level 4: the file is refused
+        # before any command reads its body, and nothing is written.
+        src, out = tmp_path / "delta.txt", tmp_path / "out"
+        run("build", "--form", "delta", "--prec", "200", "--out", str(src))
+        src.write_text(src.read_text().replace(
+            "# character: trivial:4\n", "# character: kronecker:5/mod:5\n"))
+        capsys.readouterr()
+        assert run(argv[0], "--in", str(src), *argv[1:], str(out)) == 2
+        assert capsys.readouterr() == (
+            "", "error: character modulus 5 does not divide the level 4\n")
+        assert not out.exists()
 
     def test_plus_space_failure_exits_1(self, tmp_path, capsys):
         cf = coeffio.CoefficientFile("bad", Form(

@@ -15,13 +15,33 @@ from qsigns.forms import (NAMED, Form, delta_form, g_form, integer_table,
                           plus_space_check, ramanujan_delta, x0_11_form)
 from qsigns.formspec import evaluate, parse_formspec
 
-from oracles import tau_list, x0_11_list
+from oracles import tau_list, ternary_theta, x0_11_list
 
 # Printed leading expansions of the two half-integral forms.
 DELTA_COEFFS = {1: 1, 4: -56, 5: 120, 8: -240, 9: 9,
                 12: 1440, 13: -1320, 16: -704, 17: -240}
 G_COEFFS = {3: 1, 4: -1, 11: -1, 12: -1, 15: 1, 16: 2,
             20: 1, 23: -1, 27: -1, 31: -1, 44: 1, 55: 1}
+
+# g = (theta_Q1 - theta_Q2) / 2 for the ternary forms
+#   Q1 = 3x^2 + 15y^2 + 15z^2 + 14yz - 2xz + 2xy,
+#   Q2 = 4x^2 + 11y^2 + 12z^2 - 4xz,
+# the two classes for p = 11 in Gross, "Heights and special values of
+# L-series" (1987).  Splitting 4(x^2 + xy + 3y^2) = (2x + y)^2 + 11y^2
+# by the parity of 2x + y gives theta_Q2; 3 Q1 = (3x + y - z)^2
+# + 44(y^2 + yz + z^2), split by y - z mod 3 and the same parity trick,
+# gives theta_Q1(3z), so U_3 of the first sum is 2 theta_Q1.
+Q1_GRAM = ((3, 1, -1), (1, 15, 7), (-1, 7, 15))
+Q2_GRAM = ((4, 0, -2), (0, 11, 0), (-2, 0, 12))
+A44 = ("(theta(44)*theta(132)"
+       " + (theta(11)-theta(44))*(theta(33)-theta(132)))")
+A132 = ("(theta(132)*theta(396)"
+        " + (theta(33)-theta(132))*(theta(99)-theta(396)))")
+TWICE_THETA_Q1 = "U(3, 2*%s*theta(9) + (%s - %s)*(theta(1) - theta(9)))" % (
+    A132, A44, A132)
+THETA_Q2 = ("theta(11)*(theta(4)*theta(44)"
+            " + (theta(1)-theta(4))*(theta(11)-theta(44)))")
+G_TERNARY = "1/4*%s - 1/2*%s" % (TWICE_THETA_Q1, THETA_Q2)
 
 
 class TestDeltaForm:
@@ -91,6 +111,21 @@ class TestGForm:
                             4 * prec)
         assert den == 1
         assert integer_table(raw, prec) == [2 * c for c in g.coeffs]
+
+
+class TestGTernaryRoute:
+    # The expression's header declares another level than g's, so only
+    # the tables are compared.
+    def test_table_equals_g(self):
+        form, _ = forms.expression_form(G_TERNARY, 10 ** 4)
+        assert form.coeffs == g_form(10 ** 4).coeffs
+
+    @pytest.mark.parametrize("spec, gram, times", [
+        (TWICE_THETA_Q1, Q1_GRAM, 2), (THETA_Q2, Q2_GRAM, 1)],
+        ids=["Q1", "Q2"])
+    def test_each_part_is_a_ternary_theta(self, spec, gram, times):
+        form, _ = forms.expression_form(spec, 2000)
+        assert form.coeffs == [times * r for r in ternary_theta(gram, 2001)]
 
 
 class TestDeltaDslRoute:
@@ -237,6 +272,16 @@ class TestFinalization:
             Form(weight_num=3, level=11,
                  character=DirichletCharacter.trivial(11),
                  coeffs=[0, 0])
+
+    @pytest.mark.parametrize("level, top, modulus", [(4, 5, 5), (12, 8, 8),
+                                                     (44, -3, 3)])
+    def test_character_modulus_must_divide_the_level(self, level, top,
+                                                     modulus):
+        with pytest.raises(ValueError, match="character modulus %d does not "
+                           "divide the level %d" % (modulus, level)):
+            Form(weight_num=3, level=level,
+                 character=DirichletCharacter(top=top, modulus=modulus),
+                 coeffs=[0, 1])
 
     def test_integer_table_rejects_fractions(self):
         # theta(1) + 3 theta(4) = 4 + 2q + 8q^4: den 4 leaves a fraction
