@@ -134,7 +134,7 @@ def characters(draw):
 
 class TestTwist:
     @given(characters(), st.integers(-300, 300).filter(bool))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_twist_is_the_product_off_its_modulus(self, chi, top):
         twisted = chi.twist(top)
         assert twisted.modulus % chi.modulus == 0

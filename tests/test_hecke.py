@@ -239,16 +239,6 @@ class TestUImage:
         assert hecke.u_image(3, ramanujan_delta(30)).character == \
             DirichletCharacter.trivial(3)
 
-    def test_character_modulus_divides_the_level(self, delta3k, g3k):
-        # Form refuses a character whose modulus does not divide the
-        # level, so every image and lift qsigns builds must keep to it.
-        built = [hecke.u_image(m, f) for f in (delta3k, g3k)
-                 for m in range(1, 13)]
-        built += [hecke.shimura_lift(delta3k, t) for t in (1, 5, 13)]
-        built += [hecke.shimura_lift(g3k, t) for t in (3, 11, 15)]
-        for f in built:
-            assert f.level % f.character.modulus == 0
-
     @pytest.mark.parametrize("m", [0, -2])
     def test_index_must_be_positive(self, delta3k, m):
         with pytest.raises(ValueError, match="index must be positive"):
