@@ -15,7 +15,12 @@ import json
 import sys
 from bisect import bisect_right
 
-from . import coeffio, forms, hecke, signs
+from . import coeffio, forms, lazy_submodule
+
+# Run on first use: a sign table never runs hecke, and a build runs
+# neither.
+hecke = lazy_submodule("hecke")
+signs = lazy_submodule("signs")
 
 # Names that stand for an expression (written by the expression rule).
 ALIASES = {"E4": "E4(1)"}

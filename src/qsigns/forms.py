@@ -17,8 +17,12 @@ from fractions import Fraction
 from itertools import chain, compress, count, repeat
 
 from .arith import DirichletCharacter, Record
-from . import formspec
-from .qseries import QSeries, PrecisionError
+from . import lazy_submodule
+
+# The expression evaluator and the q-series engine run only when a form
+# is built, so a command that reads a file never compiles them.
+formspec = lazy_submodule("formspec")
+qseries = lazy_submodule("qseries")
 
 # The largest prec of a build or a coefficient file, and the most grid
 # positions an expression may ask of any node: g's, 4 (prec + 1), there.
@@ -85,7 +89,8 @@ def plus_space_check(f: Form) -> list[int]:
         compress(range(r, f.prec + 1, 4), f.coeffs[r::4]) for r in residues))
 
 
-def integer_table(series: QSeries, prec: int, den: int = 1) -> list[int]:
+def integer_table(series: qseries.QSeries, prec: int,
+                  den: int = 1) -> list[int]:
     """Read a(0)..a(prec) off series / den, asserting integrality; the
     entries below the series' offset are zero.
 
@@ -98,7 +103,7 @@ def integer_table(series: QSeries, prec: int, den: int = 1) -> list[int]:
                          % series.offset)
     off = int(series.offset)
     if off + series.prec <= prec:
-        raise PrecisionError("q^%d beyond precision" % prec)
+        raise qseries.PrecisionError("q^%d beyond precision" % prec)
     lo = max(0, off)
     head = [0] * min(lo, prec + 1)
     window = series.coeffs[lo - off:prec + 1 - off]
@@ -117,7 +122,8 @@ def expression_form(spec: str, prec: int) -> tuple[Form, int]:
     weight and level of formspec.signature and the trivial character, and
     its series' integer offset.  The Form's weight and level, and the
     working precision (at most WORKING_PREC_CAP), are checked first; an
-    expression nested too deeply for the recursion is refused."""
+    expression deeper than formspec.MAX_DEPTH, or nested too deeply for
+    the recursion, is refused."""
     if prec < 1:
         raise ValueError("prec must be positive")
     try:
@@ -131,7 +137,7 @@ def expression_form(spec: str, prec: int) -> tuple[Form, int]:
                              % (need, WORKING_PREC_CAP))
         series, den = formspec.evaluate(ast, prec + 1)
     except RecursionError:
-        raise ValueError("expression too long or nested too deeply") from None
+        raise ValueError(formspec.TOO_DEEP) from None
     form.coeffs = integer_table(series, prec, den)
     return form, int(series.offset)
 

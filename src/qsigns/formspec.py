@@ -218,14 +218,36 @@ class _Parser:
         return atom
 
 
+# The most nodes on a path down a parsed tree: a sum of 400 terms.  The
+# tree walks recurse, and how deep a tree reaches the recursion limit
+# differs between Python versions; this bound does not.
+MAX_DEPTH = 400
+TOO_DEEP = "expression too long or nested too deeply"
+
+
 def parse_formspec(text: str):
-    """Parse an expression in the grammar above into its AST."""
+    """Parse an expression in the grammar above into its AST; a tree more
+    than MAX_DEPTH nodes deep is refused."""
     p = _Parser(text)
     node = p.expr()
     p.skip_ws()
     if p.pos != len(text):
         p.error("unexpected trailing input")
+    if _depth(node) > MAX_DEPTH:
+        raise ValueError(TOO_DEEP)
     return node
+
+
+def _depth(node) -> int:
+    """The most nodes on a path from node down to an atom, counted level
+    by level without recursion."""
+    depth, level = 0, [node]
+    while level:
+        depth += 1
+        level = [c for x in level
+                 for c in ((x.left, x.right) if isinstance(x, (Add, Mul))
+                           else () if isinstance(x, Atom) else (x.arg,))]
+    return depth
 
 
 def evaluate(spec, prec: int) -> tuple[QSeries, int]:

@@ -529,7 +529,8 @@ class TestBuildCommand:
     @pytest.mark.parametrize("spec", [
         " + ".join(["theta(1)"] * 500),
         "(" * 330 + "theta(1)" + ")" * 330,
-        "D(" * 500 + "theta(1)" + ")" * 500], ids=["sum", "parens", "D"])
+        "D(" * 500 + "theta(1)" + ")" * 500,
+        " + ".join(["theta(1)"] * 401)], ids=["sum", "parens", "D", "sum401"])
     def test_a_too_deep_expression_exits_2_in_one_line(self, tmp_path, spec):
         out = tmp_path / "deep.txt"
         proc = cli_process("build", "--form", spec, "--prec", "10",
@@ -1289,40 +1290,143 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
 
-def _fresh_import(module):
-    """The modules a new interpreter holds after importing module but did
-    not hold at start-up."""
-    probe = ("import json, sys\n"
-             "before = set(sys.modules)\n"
-             "import %s\n"
-             "print(json.dumps(sorted(set(sys.modules) - before)))\n"
-             % module)
+def _fresh_python(script, cwd=None):
+    """What script prints in a new interpreter that finds qsigns."""
     src = str(Path(qsigns.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True, timeout=60,
-                          check=True)
-    return json.loads(proc.stdout)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
-def test_imports_only_the_standard_library():
-    # The package stays dependency-free: importing the CLI may load no
-    # module beyond those the interpreter had at start-up, the standard
-    # library and qsigns itself.
-    new = {m.partition(".")[0] for m in _fresh_import("qsigns.cli")}
-    assert "qsigns" in new
-    assert new - set(sys.stdlib_module_names) - {"qsigns"} == set()
+def _fresh_import(script, cwd=None):
+    """The modules a new interpreter holds after running script (an
+    import, say) but did not hold at start-up."""
+    probe = ("import json, sys\n"
+             "before = set(sys.modules)\n"
+             "%s\n"
+             "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+             % script)
+    return json.loads(_fresh_python(probe, cwd))
 
 
-def test_the_cli_imports_neither_dataclasses_nor_inspect():
+QSIGNS_MODULES = ("arith", "qseries", "forms", "formspec", "coeffio", "signs",
+                  "hecke", "cli")
+
+# A tiny build and a hecke command run every qsigns module between them;
+# importing the CLI alone leaves four of them unrun.
+RUN_EVERY_MODULE = (
+    "import types, qsigns.cli\n"
+    "qsigns.cli.main(['build', '--form', 'delta', '--prec', '40',"
+    " '--out', 'd.txt'])\n"
+    "qsigns.cli.main(['hecke', '--in', 'd.txt', '--op', 'tsq', '--p', '3',"
+    " '--out', 'h.txt'])\n"
+    "assert all(type(m) is types.ModuleType for n, m in sys.modules.items()"
+    " if n.startswith('qsigns'))")
+
+
+def _cli_probes(tmp_path):
+    """The modules new to an interpreter that imports the CLI, and to one
+    that runs every qsigns module through it."""
+    return [_fresh_import("import qsigns.cli"),
+            _fresh_import(RUN_EVERY_MODULE, cwd=tmp_path)]
+
+
+def test_imports_only_the_standard_library(tmp_path):
+    # The package stays dependency-free: importing or running the CLI may
+    # load no module beyond those the interpreter had at start-up, the
+    # standard library and qsigns itself.
+    for modules in _cli_probes(tmp_path):
+        new = {m.partition(".")[0] for m in modules}
+        assert "qsigns" in new
+        assert new - set(sys.stdlib_module_names) - {"qsigns"} == set()
+
+
+def test_the_cli_imports_neither_dataclasses_nor_inspect(tmp_path):
     # Each command is a new process, so the CLI's imports are paid on
     # every one: its classes are written out, not generated.
-    new = set(_fresh_import("qsigns.cli"))
-    assert not new & {"dataclasses", "inspect"}
+    for modules in _cli_probes(tmp_path):
+        assert not set(modules) & {"dataclasses", "inspect"}
 
 
 def test_the_package_imports_no_module():
     # The package namespace re-exports nothing, so one module loads only
     # what it imports itself.
-    assert {m for m in _fresh_import("qsigns.arith")
+    assert {m for m in _fresh_import("import qsigns.arith")
             if m.startswith("qsigns")} == {"qsigns", "qsigns.arith"}
+
+
+def test_read_side_commands_never_run_the_q_series_engine(tmp_path):
+    # A command that reads a file compiles and runs neither formspec nor
+    # qseries, and a sign table not hecke either; a module not yet run is
+    # still the loader's placeholder type.  All eight modules are in
+    # sys.modules at once, which a tracer that wraps their functions
+    # after importing the CLI relies on.
+    run("build", "--form", "delta", "--prec", "300",
+        "--out", str(tmp_path / "d.txt"))
+    run("build", "--form", "g", "--prec", "300",
+        "--out", str(tmp_path / "g.txt"))
+    commands = [
+        ["signs", "--in", "d.txt", "--X-list", "10,100", "--csv", "t.csv"],
+        ["verify", "--in", "g.txt", "--suite", "prop2", "--p", "3",
+         "--json", "prop2.json"],
+        ["verify", "--in", "d.txt", "--suite", "bounds", "--p", "3,5",
+         "--json", "bounds.json"],
+        ["hecke", "--in", "d.txt", "--op", "tsq", "--p", "3", "--out",
+         "tsq.txt"],
+        ["lift", "--in", "d.txt", "--t", "1", "--out", "lift.txt"],
+        ["build", "--form", "delta", "--prec", "40", "--out", "b.txt"],
+    ]
+    script = ("import json, sys, types\n"
+              "import qsigns.cli\n"
+              "names = %r\n"
+              "def unrun():\n"
+              "    return sorted(n for n in names if type(sys.modules["
+              "'qsigns.' + n]) is not types.ModuleType)\n"
+              "steps = [[sorted(n for n in names"
+              " if 'qsigns.' + n in sys.modules), unrun()]]\n"
+              "for argv in %r:\n"
+              "    steps.append([argv[0], qsigns.cli.main(argv), unrun()])\n"
+              "print(json.dumps(steps))\n" % (QSIGNS_MODULES, commands))
+    steps = json.loads(_fresh_python(script, cwd=tmp_path))
+    engine = ["formspec", "qseries"]
+    assert steps == [[sorted(QSIGNS_MODULES),
+                      ["formspec", "hecke", "qseries", "signs"]],
+                     ["signs", 0, ["formspec", "hecke", "qseries"]],
+                     ["verify", 0, ["formspec", "hecke", "qseries"]],
+                     ["verify", 0, engine],
+                     ["hecke", 0, engine],
+                     ["lift", 0, engine],
+                     ["build", 0, []]]
+
+
+@pytest.mark.parametrize("module, spelling", [
+    ("qseries", "import qsigns.qseries as qs\n"
+                "assert qs is qsigns.forms.qseries\n"
+                "assert issubclass(qs.PrecisionError, ValueError)"),
+    ("formspec", "from qsigns import formspec\n"
+                 "assert formspec is qsigns.forms.formspec\n"
+                 "assert formspec.parse_formspec('theta(1)')"),
+    ("hecke", "import qsigns\n"
+              "assert qsigns.hecke is qsigns.cli.hecke\n"
+              "assert callable(qsigns.hecke.t_square_half)"),
+    ("formspec", "from unittest import mock\n"
+                 "with mock.patch.object(qsigns.formspec, 'parse_formspec',"
+                 " side_effect=ValueError('patched')) as fake:\n"
+                 "    assert qsigns.cli.main(['build', '--form', 'theta(1)',"
+                 " '--prec', '5', '--out', 'x.txt']) == 2\n"
+                 "assert fake.call_count == 1\n"
+                 "assert qsigns.formspec.parse_formspec('theta(1)')"),
+], ids=["import-as", "from-import", "package-attribute", "mock-patch"])
+def test_every_import_spelling_reaches_a_module_not_yet_run(tmp_path, module,
+                                                            spelling):
+    # Each spelling gets the one module object forms or cli holds, before
+    # that module has run, and works through it.
+    script = ("import sys, types\n"
+              "import qsigns.cli\n"
+              "assert type(sys.modules['qsigns.%s']) is not types.ModuleType\n"
+              "%s\n"
+              "assert sys.modules['qsigns.%s'] is qsigns.%s\n"
+              "print('ok')\n" % (module, spelling, module, module))
+    assert _fresh_python(script, cwd=tmp_path) == "ok\n"

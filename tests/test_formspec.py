@@ -74,6 +74,26 @@ class TestParse:
         with pytest.raises(FormSpecError):
             parse_formspec("1/0*eta(1)")
 
+    @pytest.mark.parametrize("deep, text", [
+        # A sum of n terms is n nodes deep, D(...) adds one node, and a
+        # difference adds a Scale node to its right term.
+        (False, " + ".join(["theta(1)"] * fs.MAX_DEPTH)),
+        (True, " + ".join(["theta(1)"] * (fs.MAX_DEPTH + 1))),
+        (False, "D(%s)" % " + ".join(["theta(1)"] * (fs.MAX_DEPTH - 1))),
+        (True, "D(%s)" % " + ".join(["theta(1)"] * fs.MAX_DEPTH)),
+        (True, "theta(1) - " * fs.MAX_DEPTH + "theta(1)"),
+        (False, "theta(1) - " * (fs.MAX_DEPTH - 2) + "theta(1)"),
+    ])
+    def test_depth_bound_is_the_same_on_every_interpreter(self, deep, text):
+        # The walk that measures depth does not recurse, so the bound
+        # holds where the recursion limit would not (400-term sums build
+        # everywhere, 401-term sums nowhere).
+        if deep:
+            with pytest.raises(ValueError, match="^%s$" % fs.TOO_DEEP):
+                parse_formspec(text)
+        else:
+            assert parse_formspec(text)
+
 
 def _render(tree) -> str:
     """The formspec text of an oracles.eval_fraction tree."""
