@@ -224,16 +224,22 @@ class Record:
 
 class FrozenRecord(Record):
     """A Record whose fields are set once, by the constructor, and which
-    hashes by them."""
+    hashes by them.  The hash is kept once computed, so hashing a tree of
+    records hashes each node once, not its whole subtree at every
+    lookup."""
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
 
     def __setattr__(self, name, value):
         raise AttributeError("cannot assign to field %r of a %s"
                              % (name, type(self).__name__))
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash(self._values()))
+            return self._hash
 
 
 class DirichletCharacter(FrozenRecord):

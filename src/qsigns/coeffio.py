@@ -42,7 +42,7 @@ import operator
 import os
 import re
 from collections import deque
-from itertools import compress, count, repeat
+from itertools import chain, compress, count, repeat
 
 from .arith import DirichletCharacter, Record, is_squarefree
 from .forms import LARGE_PREC_CAP, Form
@@ -107,11 +107,13 @@ class CoefficientFile(Record):
         return lines
 
     def serialize(self) -> str:
-        lines = self._header()
+        # The header, then the (index, value) terms interleaved: one
+        # format call writes the whole file.
         coeffs = self.form.coeffs
-        lines.extend(map(operator.mod, repeat("%d\t%d"),
-                         zip(compress(count(), coeffs), filter(None, coeffs))))
-        return "\n".join(lines) + "\n"
+        fields = tuple(chain(["\n".join(self._header())],
+                             chain.from_iterable(zip(compress(count(), coeffs),
+                                                     filter(None, coeffs)))))
+        return ("%s\n" + "%d\t%d\n" * (len(fields) // 2)) % fields
 
     def write(self, path: str):
         write_text(path, self.serialize())

@@ -37,15 +37,13 @@ multiple is added, a multiple of the packed int cut to the slots the
 term can reach, rounded up to a sixteenth of the residue.  Each term
 thus makes three passes (shift, multiply, add) over the n - k slots it
 reaches plus at most ceil(n / 16) slots of slack.  Slots of up to 8
-bytes are signed machine words: an array packs them and a memoryview
-cast reads each residue back, both in C.  Wider slots are split into
-limbs of up to 8 bytes, each one array of words whose bytes are moved
-into and out of the slots by slice assignment, and the limbs read back
-are combined by map.  With s nonzero row terms that costs
-O(prec * s / d) limb operations, all of them in C.  One pass can build
-a sum of products: every product packs its own operand, their row
-terms share each residue's Horner loop, and each residue is read back
-once.
+bytes are signed machine words: one array packs an operand and one
+array reads each residue back.  Wider slots are written by int.to_bytes
+and read back by int.from_bytes, one slot at a time through map.  With
+s nonzero row terms that costs O(prec * s / d) slot bytes, all of it in
+C.  One pass can build a sum of products: every product packs its own
+operand, their row terms share each residue's Horner loop, and each
+residue is read back once.
 The NTT path multiplies two big Decimals instead: each list is packed
 into fixed-width decimal slots, with a bias of its own that makes every
 slot positive, wide enough that no product coefficient can carry into
@@ -83,6 +81,7 @@ object and never mutates its operands.
 from __future__ import annotations
 
 import operator
+import struct
 import sys
 from array import array
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_DOWN, Context,
@@ -101,7 +100,7 @@ SPARSE_FACTOR = 16
 # Exact integer arithmetic on Decimals: nothing is ever rounded.
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
                  traps=[Inexact, Rounded])
-# Slots packed per string in _ntt.
+# Slots packed per string in _ntt and per bytes block in _row_pass.
 _BLOCK = 512
 # The array typecode of the narrowest machine word of at least w bytes,
 # for w = 1..8 (later, narrower codes overwrite earlier ones).
@@ -423,24 +422,19 @@ def _row_pass(terms: list, d: int, prec: int) -> list:
     plus that slack.  Each P_j is cut at most _CUTS times per residue,
     and one cut of each is alive at a time; the last, of all n slots, is
     P_j itself, which has at most one slot more.  acc is shifted by the
-    lowest k, H is added to every slot, and the low n slots, with each
-    slot's top bit flipped back, are each residue's coefficients as
-    w-byte two's complement ints: one readback per residue, however many
-    terms.  Each P_j is packed the same way, from two's complement slots
-    whose top bits are flipped to add H, which is taken off the whole int
-    at once.
+    lowest k, H is added to every slot, and the low n slots, each a
+    coefficient plus H, are read back: one readback per residue, however
+    many terms.  Each P_j is packed from its slots plus H the same way,
+    and H is taken off the whole int at once.
 
-    Up to 8 bytes, w is rounded up to a machine word of 1, 2, 4 or 8
-    bytes and a slot is one signed word.  Wider slots are split into
-    limbs of up to 8 bytes: an unsigned word per 8-byte limb, and a
-    signed word for the top limb that holds its bytes at the word's top
-    end.  Each B_j[::d] is packed as one array of words per limb, whose
-    bytes are moved into the slots by one slice assignment per byte,
-    through a byte map that reverses each word on a big-endian machine.
-    With one word per slot on a little-endian machine, a memoryview cast
-    reads each residue back without a copy; otherwise each limb of a
-    residue is moved back the same way and read by one memoryview cast,
-    and the limbs are combined by map.
+    Each slot width has one codec.  Up to 8 bytes, w is rounded up to a
+    machine word of 1, 2, 4 or 8 bytes and a slot is one signed word,
+    whose top bit flipped adds H: each B_j[::d] is packed as one array
+    passed to int.from_bytes, and each residue is read back as one array
+    over its bytes, both arrays byte-swapped on a big-endian machine.  A
+    wider slot is written as int.to_bytes(c + H, w, "little"), in blocks
+    of at most _BLOCK slots so that no list of every slot exists, and
+    read back by int.from_bytes over struct.iter_unpack, less H.
     """
     out = [0] * prec
     terms = [(rows, coeffs) for rows, coeffs in terms if rows]
@@ -464,45 +458,47 @@ def _row_pass(terms: list, d: int, prec: int) -> list:
                 peak[(prec - 1 - i) // d] + 1)
     w = _slot_bytes(max(bound, *sums.values()))
     bits = 8 * w
-    little = sys.byteorder == "little"
-    # (typecode, itemsize, shift, byte map) per limb of up to 8 bytes: the
-    # word holds the slot value shifted right by 8 (o - pad) bits, where
-    # o is the limb's first byte in the slot and pad is the itemsize less
-    # the limb's bytes, so byte o + j of the slot is the word's byte
-    # pad + j counted from its low end.
-    limbs = []
-    for o in range(0, w, 8):
-        size = min(8, w - o)
-        code = _WORD[8] if o + 8 < w else _WORD[size].lower()
-        width = array(code).itemsize
-        pad = width - size
-        limbs.append((code, width, 8 * (o - pad), [
-            (o + j, pad + j if little else width - 1 - pad - j)
-            for j in range(size)]))
+    half = 1 << (bits - 1)
 
     def flipped(n):
         # H in each of n slots: adds H to every slot, or flips its top bit.
-        return int.from_bytes((1 << (bits - 1)).to_bytes(w, "little") * n,
-                              "little")
+        return int.from_bytes(half.to_bytes(w, "little") * n, "little")
+
+    # The codec of the slot width: encode(values, n) is the int of the n
+    # slots v + H, and decode(x, n) the n values v of such an int x.
+    if w <= 8:
+        code = _WORD[w].lower()
+        swap = sys.byteorder != "little"
+
+        def words(values):
+            # Signed words whose bytes are little-endian.
+            out = array(code, values)
+            if swap:
+                out.byteswap()
+            return out
+
+        def encode(values, n):
+            return int.from_bytes(words(values), "little") ^ flipped(n)
+
+        def decode(x, n):
+            return words((x ^ flipped(n)).to_bytes(w * n, "little"))
+    else:
+        def encode(values, n):
+            values = map(operator.add, values, repeat(half))
+            return int.from_bytes(b"".join([b"".join(map(
+                int.to_bytes, islice(values, _BLOCK), repeat(w),
+                repeat("little"))) for _ in range(0, n, _BLOCK)]), "little")
+
+        def decode(x, n):
+            return map(operator.sub, map(int.from_bytes, map(
+                operator.itemgetter(0), struct.iter_unpack(
+                    "%ds" % w, x.to_bytes(w * n, "little"))),
+                repeat("little")), repeat(half))
 
     packed = []
     for _, coeffs in terms:
-        count_p = len(range(0, min(prec, len(coeffs)), d))
-        slots = bytearray(w * count_p)
-        for code, width, shift, bytemap in limbs:
-            words = islice(coeffs, 0, prec, d)
-            if shift:
-                words = map(operator.rshift, words, repeat(shift))
-            if code.isupper():
-                # An unsigned limb below the top one: its 8 bytes only.
-                words = map(operator.and_, words, repeat((1 << 64) - 1))
-            words = memoryview(array(code, words)).cast("B")
-            for at, i in bytemap:
-                slots[at::w] = words[i::width]
-            del words
-        top = flipped(count_p)
-        packed.append((int.from_bytes(slots, "little") ^ top) - top)
-        del slots, top
+        n = len(range(0, min(prec, len(coeffs)), d))
+        packed.append(encode(islice(coeffs, 0, prec, d), n) - flipped(n))
     for r, row_terms in residues.items():
         if len(terms) > 1:
             row_terms.sort(key=operator.itemgetter(0))
@@ -510,6 +506,12 @@ def _row_pass(terms: list, d: int, prec: int) -> list:
         step = -(-n // _CUTS)
         cuts = [0] * len(terms)
         lows = [0] * len(terms)
+        # acc grows at every term, and glibc's malloc maps each block
+        # larger than any it has freed afresh, so every page of every
+        # term's result would be a new page fault.  Freeing one block as
+        # large as the loop's live ints (acc, c * low, their sum and a cut
+        # of each P_j) first makes the loop reuse freed memory instead.
+        bytes((len(terms) + 3) * w * (n + step + 1))
         acc = 0
         last = row_terms[-1][0]
         for k, c, j in reversed(row_terms):
@@ -522,27 +524,12 @@ def _row_pass(terms: list, d: int, prec: int) -> list:
             last = k
         p = lows = None
         acc <<= bits * last
-        top = flipped(n)
-        acc += top
+        acc += flipped(n)
         acc &= (1 << bits * n) - 1
-        acc ^= top
-        del top
-        view = memoryview(acc.to_bytes(w * n, "little"))
+        values = decode(acc, n)
         del acc
-        if little and w <= 8:
-            values = view.cast(limbs[0][0])
-        else:
-            values = None
-            for code, width, shift, bytemap in limbs:
-                words = bytearray(width * n)
-                for at, i in bytemap:
-                    words[i::width] = view[at::w]
-                limb = memoryview(words).cast(code)
-                values = limb if values is None else map(
-                    operator.or_, values,
-                    map(operator.lshift, limb, repeat(shift)))
-            del view
         out[r::d] = values
+        del values
     return out
 
 

@@ -377,3 +377,14 @@ class TestWorkingPrec:
                 mock.patch.object(fs.qs, "eta_pow", spy(fs.qs.eta_pow)):
             evaluate(node, 3)
         assert max(asked) == fs.working_prec(node, 3)
+
+    def test_a_deep_chain_hashes_each_node_once(self):
+        # The walk's memo is keyed by (node, need); a node keeps its hash,
+        # so a chain of 300 D's is hashed in one pass over its nodes, not
+        # once per subtree at every lookup.
+        node = parse_formspec("D(" * 300 + "theta(1)" + ")" * 300)
+        values = fs.FrozenRecord._values
+        with mock.patch.object(fs.FrozenRecord, "_values", autospec=True,
+                               side_effect=values) as spy:
+            assert fs.working_prec(node, 10) == 10
+        assert spy.call_count <= 2 * 301

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from qsigns import arith, hecke, signs
 from qsigns.arith import DirichletCharacter, divisors, kronecker
-from qsigns.forms import (Form, delta_form, expression_form, ramanujan_delta,
-                          x0_11_form)
+from qsigns.forms import (Form, delta_form, expression_form, g_form,
+                          ramanujan_delta, x0_11_form)
 
 from oracles import (recurrence_oracle, shimura_lift_loop, t_integral_loop,
                      t_square_half_loop, u_loop)
@@ -105,6 +105,17 @@ class TestShimuraLift:
         lift = hecke.shimura_lift(delta3k, 1)
         for n in range(1, lift.prec + 1, 2):
             assert lift.coeffs[n] == delta_wt12.coeffs[n], n
+
+    @pytest.mark.parametrize("t", [3, 11, 15, 23])
+    def test_odd_lift_values_of_g_are_g11(self, t):
+        # g's lift at t is a weight-2 form on Gamma_0(22); at every odd n
+        # it is a(t) times the newform eta(z)^2 eta(11z)^2 of level 11.
+        g = g_form(40000)
+        lift = hecke.shimura_lift(g, t)
+        g11 = x0_11_form(lift.prec + 1)
+        assert lift.prec == isqrt(40000 // t) and g.coeffs[t]
+        for n in range(1, lift.prec + 1, 2):
+            assert lift.coeffs[n] == g.coeffs[t] * g11.coeffs[n], n
 
     def test_rejects_bad_t(self, delta3k):
         with pytest.raises(ValueError):

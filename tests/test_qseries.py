@@ -439,28 +439,15 @@ def _kernel_at_width(draw, width):
 
 
 def _big_endian_words():
-    """Patch qseries' array and memoryview so that every word stores its
-    bytes big-endian, as on a big-endian machine; a byte view is left as
-    it is."""
+    """Patch qseries' array so that every word stores its bytes
+    big-endian and reads bytes as big-endian words, as on a big-endian
+    machine."""
     def big_array(code, values=()):
         words = array(code, values)
         words.byteswap()
         return words
 
-    class BigView:
-        def __init__(self, obj):
-            self.view = memoryview(obj)
-
-        def __getitem__(self, key):
-            return self.view[key]
-
-        def cast(self, code):
-            if code == "B":
-                return self.view.cast(code)
-            return big_array(code, self.view.tobytes())
-
-    return mock.patch.multiple(qs, array=big_array, memoryview=BigView,
-                               create=True)
+    return mock.patch.object(qs, "array", big_array)
 
 
 _OFFSETS = st.sampled_from([0, 1, Fraction(1, 24), Fraction(1, 2)])
@@ -524,36 +511,31 @@ class TestRowPass:
     @settings(max_examples=25, deadline=None)
     def test_every_slot_width_matches_oracle(self, width, data):
         # Values drawn so that 2 B sum|c|, B = max|b[::d]| + 1, takes
-        # width bytes.  Every width is packed as one array per limb, its
-        # bytes moved into one bytearray: unsigned 8-byte words below a
-        # signed word for the top limb.  Up to 8 bytes on a little-endian
-        # machine the one limb is the slot and each residue is read back
-        # by one memoryview cast; wider slots take one bytearray per limb
-        # and residue.
+        # width bytes.  Up to 8 bytes a slot is one signed machine word:
+        # the operand is packed as one array and each residue is read back
+        # as one; wider slots are written and read by int.to_bytes and
+        # int.from_bytes, with no array at all.
         rows, coeffs, d, prec = data.draw(_kernel_at_width(width))
         row_coeffs = [0] * prec
         for i, c in rows:
             row_coeffs[i] = c
-        with mock.patch.object(qs, "array", wraps=array) as spy, \
-                mock.patch.object(qs, "bytearray", wraps=bytearray,
-                                  create=True) as moved:
+        with mock.patch.object(qs, "array", wraps=array) as spy:
             got = qs._row_pass([(rows, coeffs)], d, prec)
         assert got == poly_mul(row_coeffs, coeffs, prec)
-        packed = [c.args[0] for c in spy.call_args_list if len(c.args) > 1]
-        assert packed == [qs._WORD[8]] * ((width - 1) // 8) + \
-            [qs._WORD[width % 8 or 8].lower()]
-        words = width <= 8 and sys.byteorder == "little"
-        assert moved.call_count == 1 + (0 if words else len(packed)) * len(
-            {i % d for i, _ in rows})
+        # _slot_bytes makes an empty array to read a word's size.
+        codes = [c.args[0] for c in spy.call_args_list if len(c.args) > 1]
+        residues = len({i % d for i, _ in rows})
+        assert codes == ([qs._WORD[width].lower()] * (1 + residues)
+                         if width <= 8 else [])
 
     @pytest.mark.parametrize("width", [1, 3, 7, 9, 11, 16, 17])
     @given(data=st.data())
     @settings(max_examples=15, deadline=None)
     def test_big_endian_every_width_matches_oracle(self, width, data):
         # The byte order is read at call time.  Words that store their
-        # bytes big-endian stand in for such a machine's arrays and
-        # memoryview casts: every width then takes the limb path, and
-        # each word's bytes are reached through the reversed byte map.
+        # bytes big-endian stand in for such a machine's arrays: up to 8
+        # bytes every packed and read-back array is byte-swapped, and
+        # wider slots never make one.
         rows, coeffs, d, prec = data.draw(_kernel_at_width(width))
         row_coeffs = [0] * prec
         for i, c in rows:
@@ -563,12 +545,13 @@ class TestRowPass:
             assert qs._row_pass([(rows, coeffs)], d, prec) == \
                 poly_mul(row_coeffs, coeffs, prec)
 
-    @pytest.mark.parametrize("scale", [1000, 2 ** 70], ids=["words", "limbs"])
+    @pytest.mark.parametrize("scale", [1000, 2 ** 70], ids=["words", "wide"])
     def test_big_endian_reads_words_through_the_reversed_map(self, scale):
-        # One 4-byte word per slot, and limbs of a 10-byte slot: big-endian
-        # words give the native product through the reversed byte map, and
-        # a wrong one through the little-endian map, so the stand-in tests
-        # the map.
+        # One 4-byte word per slot: big-endian words give the native
+        # product once byte-swapped, and a wrong one when not, so the
+        # stand-in tests the swap.  A 10-byte slot is written and read
+        # little-endian by int.to_bytes and int.from_bytes, so it gives
+        # the native product whatever sys.byteorder says.
         prec, d = 60, 2
         coeffs = [(-1) ** j * (j % 7) * scale if j % d == 0 else 0
                   for j in range(prec)]
@@ -577,11 +560,12 @@ class TestRowPass:
         for i, c in rows:
             row_coeffs[i] = c
         native = qs._row_pass([(rows, coeffs)], d, prec)
+        assert native == poly_mul(row_coeffs, coeffs, prec)
         with _big_endian_words():
             with mock.patch.object(qs.sys, "byteorder", "big"):
-                assert qs._row_pass([(rows, coeffs)], d, prec) == native == \
-                    poly_mul(row_coeffs, coeffs, prec)
-            assert qs._row_pass([(rows, coeffs)], d, prec) != native
+                assert qs._row_pass([(rows, coeffs)], d, prec) == native
+            swapped = qs._row_pass([(rows, coeffs)], d, prec)
+        assert (swapped == native) == (scale > 2 ** 64)
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -613,14 +597,30 @@ class TestRowPass:
         assert qs._row_pass([(rows, coeffs)], d, prec) == \
             poly_mul(row_coeffs, coeffs, prec)
 
-    @pytest.mark.parametrize("wide", [False, True], ids=["words", "limbs"])
+    def test_wide_slots_past_one_block_match_oracle(self):
+        # More than _BLOCK wide slots at d = 1, so the operand is written
+        # in three blocks, the last one short.
+        prec = 2 * qs._BLOCK + 7
+        coeffs = [(-1) ** j * (2 ** 70 + 977 * j) for j in range(prec)]
+        rows = [(0, 5), (1, -3), (qs._BLOCK, 2), (prec - 1, -7)]
+        row_coeffs = [0] * prec
+        for i, c in rows:
+            row_coeffs[i] = c
+        widths, slot_bytes = [], qs._slot_bytes
+        with mock.patch.object(qs, "_slot_bytes", lambda m: widths.append(
+                slot_bytes(m)) or widths[-1]):
+            assert qs._row_pass([(rows, coeffs)], 1, prec) == \
+                poly_mul(row_coeffs, coeffs, prec)
+        assert widths == [10]
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["words", "wide"])
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_several_terms_match_oracle(self, wide, data):
         # Two to four terms, each its own operand on the multiples of d
         # (some shorter than prec), whose row terms share positions with
         # other terms' or sit apart, with c of both signs; slots of at
-        # most 8 bytes, or wider ones split into limbs.
+        # most 8 bytes, or wider ones.
         prec = data.draw(st.integers(1, 80))
         d = data.draw(st.integers(1, 5))
         shared = data.draw(st.lists(st.integers(0, prec - 1), min_size=1,
