@@ -123,7 +123,7 @@ def expression_form(spec: str, prec: int) -> tuple[Form, int]:
     its series' integer offset.  The Form's weight and level, and the
     working precision (at most WORKING_PREC_CAP), are checked first; an
     expression deeper than formspec.MAX_DEPTH, or nested too deeply for
-    the recursion, is refused."""
+    the parser's recursion, is refused."""
     if prec < 1:
         raise ValueError("prec must be positive")
     try:

@@ -18,11 +18,14 @@ thetapsi takes the top of an odd primitive real character, which may be
 negative, and then m.  Each atom's weight, level, offset and series
 generator stand in its ATOMS entry and nowhere else.  D is q d/dq and
 U(m, .) extracts every m-th coefficient; a - b parses as a + (-1)*b.
-Parse errors carry the byte offset of the offending token.  signature
+Parse errors carry the byte offset of the offending token, and
+parse_formspec gives each distinct subtree as one object.  signature
 gives an expression's weight, level and offset, and refuses a U off the
 integer grid and a sum across two grids before anything is evaluated;
 working_prec gives the most grid positions evaluate will ask of any
-node; evaluate gives an int series and one positive denominator.
+node; evaluate gives an int series and one positive denominator.  Both
+read one schedule of (node, need) pairs, made and run without
+recursion.
 """
 
 from __future__ import annotations
@@ -104,6 +107,19 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.nodes = {}     # (cls, *fields) -> the one such node
+        self.depth = {}     # node -> the most nodes on a path down from it
+
+    def node(self, cls, *fields):
+        """The one node cls(*fields) of this parse, so that equal subtrees
+        are one object.  Its depth, one more than that of its deepest
+        field that is a node, is recorded as it is made."""
+        key = (cls, *fields)
+        made = self.nodes.get(key)
+        if made is None:
+            made = self.nodes[key] = cls(*fields)
+            self.depth[made] = 1 + max(self.depth.get(f, 0) for f in fields)
+        return made
 
     def error(self, message: str, pos: int | None = None):
         raise FormSpecError(message, self.pos if pos is None else pos)
@@ -153,14 +169,15 @@ class _Parser:
         while (op := self.peek()) in ("+", "-"):
             self.pos += 1
             right = self.term()
-            node = Add(node, right if op == "+" else Scale(Fraction(-1), right))
+            node = self.node(Add, node, right if op == "+"
+                             else self.node(Scale, Fraction(-1), right))
         return node
 
     def term(self):
         node = self.factor()
         while self.peek() == "*":
             self.pos += 1
-            node = Mul(node, self.factor())
+            node = self.node(Mul, node, self.factor())
         return node
 
     def factor(self):
@@ -180,7 +197,7 @@ class _Parser:
                 if den == 0:
                     self.error("zero denominator", start)
             self.eat("*")
-            return Scale(Fraction(num, den), self.factor())
+            return self.node(Scale, Fraction(num, den), self.factor())
         start = self.pos
         word = self.name()
         if not word:
@@ -189,14 +206,14 @@ class _Parser:
             self.eat("(")
             node = self.expr()
             self.eat(")")
-            return Diff(node)
+            return self.node(Diff, node)
         if word == "U":
             self.eat("(")
             m = self.dilation()
             self.eat(",")
             node = self.expr()
             self.eat(")")
-            return U(m, node)
+            return self.node(U, m, node)
         if word not in ATOMS:
             self.error("unknown name '%s'" % word, start)
         self.eat("(")
@@ -206,7 +223,7 @@ class _Parser:
             if top == 0:
                 self.error("character top must be nonzero", start)
             self.eat(",")
-        atom = Atom(word, self.dilation(), top)
+        atom = self.node(Atom, word, self.dilation(), top)
         self.eat(")")
         if self.peek() == "^":
             self.pos += 1
@@ -214,40 +231,30 @@ class _Parser:
             e = self.integer()
             if e < 1:
                 self.error("exponent must be >= 1", estart)
-            return Pow(atom, e)
+            return self.node(Pow, atom, e)
         return atom
 
 
 # The most nodes on a path down a parsed tree: a sum of 400 terms.  The
-# tree walks recurse, and how deep a tree reaches the recursion limit
-# differs between Python versions; this bound does not.
+# parser and signature still recurse, and how deep a tree reaches the
+# recursion limit differs between Python versions; this bound limits
+# outside input the same way on every version.
 MAX_DEPTH = 400
 TOO_DEEP = "expression too long or nested too deeply"
 
 
 def parse_formspec(text: str):
-    """Parse an expression in the grammar above into its AST; a tree more
-    than MAX_DEPTH nodes deep is refused."""
+    """Parse an expression in the grammar above into its AST, in which
+    equal subtrees are one object; a tree more than MAX_DEPTH nodes deep
+    is refused."""
     p = _Parser(text)
     node = p.expr()
     p.skip_ws()
     if p.pos != len(text):
         p.error("unexpected trailing input")
-    if _depth(node) > MAX_DEPTH:
+    if p.depth[node] > MAX_DEPTH:
         raise ValueError(TOO_DEEP)
     return node
-
-
-def _depth(node) -> int:
-    """The most nodes on a path from node down to an atom, counted level
-    by level without recursion."""
-    depth, level = 0, [node]
-    while level:
-        depth += 1
-        level = [c for x in level
-                 for c in ((x.left, x.right) if isinstance(x, (Add, Mul))
-                           else () if isinstance(x, Atom) else (x.arg,))]
-    return depth
 
 
 def evaluate(spec, prec: int) -> tuple[QSeries, int]:
@@ -268,19 +275,27 @@ def evaluate(spec, prec: int) -> tuple[QSeries, int]:
     factor of a product moves into its k, and no scaled copy and no
     partial sum is ever a series of its own.  A single product with
     k = 1 is qseries.mul, and a single other term with k = 1 is its own
-    series.  den is what binary rules give: Scale(p/q) multiplies k by p
-    and den by q, a sum brings both sides to the lcm of their dens, and
-    a product multiplies its factors' dens.
+    series.  A term under scalars of product p/q, over factors of dens
+    d, takes q prod d; den is the lcm of those, and k = p den / (q prod
+    d).  Since lcm(q a, q b) = q lcm(a, b), that is the den binary rules
+    give: Scale(p/q) multiplies k by p and den by q, a sum brings both
+    sides to the lcm of their dens, and a product multiplies its
+    factors' dens.
 
-    Within one call, a (node, need) asked for twice or more is built
-    once and dropped after its last use; delta's E4(4) and theta(1) are
-    each built once.  Subtrees asked for once are not kept.
+    One loop builds the pairs _schedule lists, in its order, and drops
+    each value at its last ask: delta's E4(4) and theta(1) are each
+    built once, and nothing recurses, however long or deep the tree.
     """
     if prec < 1:
         raise ValueError("prec must be positive")
-    uses = _count(spec, prec, {})
-    return _eval(spec, prec, {key: [n - 1, None]
-                              for key, n in uses.items() if n > 1})
+    schedule, held = _schedule(spec, prec), {}
+    for (node, need), (_, asked) in schedule.items():
+        parts = []
+        for pair in asked:
+            schedule[pair][0] -= 1
+            parts.append(held[pair] if schedule[pair][0] else held.pop(pair))
+        held[node, need] = _value(node, need, parts)
+    return held.pop((spec, prec))
 
 
 def signature(node) -> tuple[Fraction, int, Fraction]:
@@ -327,64 +342,53 @@ def signature(node) -> tuple[Fraction, int, Fraction]:
 
 def working_prec(node, prec: int) -> int:
     """The most grid positions evaluate asks of any node when the root
-    needs prec: the largest need _count finds, read off the tree alone."""
-    return max(need for _, need in _count(node, prec, {}))
+    needs prec: the largest need in _schedule, read off the tree alone."""
+    return max(need for _, need in _schedule(node, prec))
 
 
-def _eval(node, need: int, memo: dict) -> tuple[QSeries, int]:
-    """(series, den) of node at need positions.  memo maps each
-    (node, need) that evaluate asks for twice or more to [the asks left
-    after the first, its value once built]; the value is dropped at its
-    last ask."""
-    entry = memo.get((node, need))
-    if entry is None:
-        return _value(node, need, memo)
-    if entry[1] is None:
-        entry[1] = _value(node, need, memo)
-        return entry[1]
-    entry[0] -= 1
-    if not entry[0]:
-        del memo[(node, need)]
-    return entry[1]
-
-
-def _count(node, need: int, uses: dict) -> dict:
-    """Count in uses, and return it, every (node, need) that evaluating
-    node at need asks _eval for; a subtree asked for again is built once,
-    so its own asks are counted once."""
-    key = (node, need)
-    uses[key] = uses.get(key, 0) + 1
-    if uses[key] == 1:
-        for child in _children(node, need):
-            _count(*child, uses)
-    return uses
-
-
-def _children(node, need: int) -> list:
-    """The (node, need) pairs that building node at need asks _eval for,
-    in order: a linear combination's factors, or the one or two operands
-    of D, ^ and U.  Atoms and powers of eta ask for nothing."""
-    if isinstance(node, (Add, Scale, Mul)):
+def _schedule(node, prec: int) -> dict:
+    """Every (node, need) pair that evaluating node at prec asks for,
+    each once and after the pairs it asks for, in the order a recursive
+    evaluation would finish them, mapped to [how often it is asked for,
+    the pairs it asks for].  A pair asked for again is built once, so
+    its own asks count once.  The pairs a node asks for, in order, are a
+    linear combination's factors, or the one or two operands of D, ^ and
+    U; atoms and powers of eta ask for nothing."""
+    schedule, stack = {}, [((node, prec), None)]
+    while stack:
+        pair, asked = stack.pop()
+        if asked is not None:
+            schedule[pair] = [1, asked]
+            continue
+        if pair in schedule:
+            schedule[pair][0] += 1
+            continue
+        node, need = pair
         asked = []
-        _linear(node, lambda f: (asked.append((f, need)), 1))
-        return asked
-    if isinstance(node, Atom) or (isinstance(node, Pow)
-                                  and node.arg.name == "eta"):
-        return []
-    if isinstance(node, U):
-        args = ((node.arg.left, node.arg.right)
-                if isinstance(node.arg, Mul) else (node.arg,))
-        return [(x, node.m * need) for x in args]
-    if isinstance(node, (Diff, Pow)):
-        return [(node.arg, need)]
-    raise TypeError("not a FormSpec node: %r" % (node,))
+        if isinstance(node, (Add, Scale, Mul)):
+            _linear(node, lambda f: (asked.append((f, need)), 1))
+        elif isinstance(node, U):
+            asked = [(x, node.m * need) for x in
+                     ((node.arg.left, node.arg.right)
+                      if isinstance(node.arg, Mul) else (node.arg,))]
+        elif isinstance(node, Diff) or (isinstance(node, Pow)
+                                        and node.arg.name != "eta"):
+            asked = [(node.arg, need)]
+        elif not isinstance(node, (Atom, Pow)):
+            raise TypeError("not a FormSpec node: %r" % (node,))
+        stack.append((pair, asked))
+        stack += ((x, None) for x in reversed(asked))
+    return schedule
 
 
-def _value(node, need: int, memo: dict) -> tuple[QSeries, int]:
+def _value(node, need: int, parts: list) -> tuple[QSeries, int]:
+    """(series, den) of node at need positions, given the values of the
+    pairs it asks for in the order _schedule lists them."""
     if isinstance(node, Atom):
         return ATOMS[node.name].series(node, need), 1
     if isinstance(node, (Add, Scale, Mul)):
-        den, terms = _linear(node, lambda f: _eval(f, need, memo))
+        values = iter(parts)
+        den, terms = _linear(node, lambda f: next(values))
         if len(terms) == 1 and terms[0][0] == 1:
             factors = terms[0][1:]
             return (factors[0] if len(factors) == 1
@@ -392,18 +396,15 @@ def _value(node, need: int, memo: dict) -> tuple[QSeries, int]:
         return qs.lincomb(terms), den
     if isinstance(node, Pow) and node.arg.name == "eta":
         return qs.eta_pow(node.arg.m, node.exp, need), 1
-    parts = [_eval(x, n, memo) for x, n in _children(node, need)]
-    if isinstance(node, Diff):
-        # derive is b q d/dq on an offset a/b, so den takes the factor b.
-        s, den = parts[0]
-        return qs.derive(s), den * s.offset.denominator
-    if isinstance(node, Pow):
-        s, den = parts[0]
-        return qs.pow_(s, node.exp), den ** node.exp
     if len(parts) == 2:
         (l, dl), (r, dr) = parts
         return qs.u_mul(node.m, l, r), dl * dr
     s, den = parts[0]
+    if isinstance(node, Diff):
+        # derive is b q d/dq on an offset a/b, so den takes the factor b.
+        return qs.derive(s), den * s.offset.denominator
+    if isinstance(node, Pow):
+        return qs.pow_(s, node.exp), den ** node.exp
     return qs.u_op(node.m, s), den
 
 
@@ -412,31 +413,27 @@ def _linear(node, factor) -> tuple[int, list]:
     terms (k, a, b) and (k, s) of int k, where a, b and s are the values
     factor gives the factor nodes, in tree order, so that node's value
     is sum k a b + sum k s over den.  factor maps a node to (series,
-    den).  Add and Scale nodes are walked through, and so is a Scale on
-    either side of a Mul; any other node is a factor.  den and each k
-    follow the rules evaluate states, so den is the one a walk of binary
-    sums would give."""
-    if isinstance(node, Add):
-        (dl, left), (dr, right) = (_linear(node.left, factor),
-                                   _linear(node.right, factor))
-        den = lcm(dl, dr)
-        return den, ([(k * (den // dl), *s) for k, *s in left]
-                     + [(k * (den // dr), *s) for k, *s in right])
-    if isinstance(node, Scale):
-        den, terms = _linear(node.arg, factor)
-        p, q = node.scalar.numerator, node.scalar.denominator
-        return q * den, [(p * k, *s) for k, *s in terms]
-    if isinstance(node, Mul):
-        k = den = 1
-        series = []
-        for side in (node.left, node.right):
-            while isinstance(side, Scale):
-                k *= side.scalar.numerator
-                den *= side.scalar.denominator
-                side = side.arg
-            s, d = factor(side)
-            series.append(s)
-            den *= d
-        return den, [(k, *series)]
-    s, den = factor(node)
-    return den, [(1, s)]
+    den).  Add and Scale nodes are walked through, with an explicit
+    stack, and so is a Scale on either side of a Mul; any other node is
+    a factor.  den and each k follow the rules evaluate states."""
+    terms, stack = [], [(1, 1, node)]
+    while stack:
+        p, q, x = stack.pop()
+        if isinstance(x, Add):
+            stack += (p, q, x.right), (p, q, x.left)
+        elif isinstance(x, Scale):
+            stack.append((p * x.scalar.numerator, q * x.scalar.denominator,
+                          x.arg))
+        else:
+            series = []
+            for side in (x.left, x.right) if isinstance(x, Mul) else (x,):
+                while isinstance(side, Scale):
+                    p *= side.scalar.numerator
+                    q *= side.scalar.denominator
+                    side = side.arg
+                s, d = factor(side)
+                series.append(s)
+                q *= d
+            terms.append((p, q, series))
+    den = lcm(*(q for _, q, _ in terms))
+    return den, [(p * (den // q), *series) for p, q, series in terms]

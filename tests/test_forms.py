@@ -200,16 +200,18 @@ class TestSharedSubtrees:
 
     def test_a_repeated_subtree_is_dropped_after_its_last_use(self):
         # theta(2) is asked for three times at need 5 and once at 10;
-        # the memo holds it from the first ask to the third only.
+        # evaluate drops a value when its asks left reach zero, and
+        # makes every ask the schedule counts but the root's, whose value
+        # it returns, so none is held after its last ask.
         node = parse_formspec("theta(2)*E4(1) + D(theta(2))*theta(2)"
                               " + U(2, theta(2)*theta(1))")
-        uses = {}
-        fs._count(node, 5, uses)
-        assert uses[(parse_formspec("theta(2)"), 5)] == 3
-        assert uses[(parse_formspec("theta(2)"), 10)] == 1
-        memo = {key: [n - 1, None] for key, n in uses.items() if n > 1}
-        fs._eval(node, 5, memo)
-        assert memo == {}
+        schedule = fs._schedule(node, 5)
+        assert schedule[(parse_formspec("theta(2)"), 5)][0] == 3
+        assert schedule[(parse_formspec("theta(2)"), 10)][0] == 1
+        with mock.patch.object(fs, "_schedule", return_value=schedule):
+            fs.evaluate(node, 5)
+        assert {pair: asks for pair, (asks, _) in schedule.items()
+                if asks} == {(node, 5): 1}
 
 
 class TestRamanujanDelta:

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -379,7 +380,7 @@ class TestWorkingPrec:
         assert max(asked) == fs.working_prec(node, 3)
 
     def test_a_deep_chain_hashes_each_node_once(self):
-        # The walk's memo is keyed by (node, need); a node keeps its hash,
+        # The schedule is keyed by (node, need); a node keeps its hash,
         # so a chain of 300 D's is hashed in one pass over its nodes, not
         # once per subtree at every lookup.
         node = parse_formspec("D(" * 300 + "theta(1)" + ")" * 300)
@@ -388,3 +389,41 @@ class TestWorkingPrec:
                                side_effect=values) as spy:
             assert fs.working_prec(node, 10) == 10
         assert spy.call_count <= 2 * 301
+
+
+def _frames() -> int:
+    """The Python frames on the stack of the caller."""
+    frame, n = sys._getframe(1), 0
+    while frame is not None:
+        frame, n = frame.f_back, n + 1
+    return n
+
+
+class TestOneWalk:
+    @pytest.mark.parametrize("text", [
+        " + ".join(["theta(1)"] * 400),
+        "D(" * 300 + "theta(1)" + ")" * 300], ids=["sum400", "D300"])
+    def test_long_and_deep_trees_do_not_recurse(self, text):
+        # working_prec and evaluate walk the tree with explicit stacks, so
+        # the longest sum and a deep nest run 60 frames above the caller.
+        node = parse_formspec(text)
+        want = fs.working_prec(node, 10), evaluate(node, 10)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(_frames() + 60)
+        try:
+            got = fs.working_prec(node, 10), evaluate(node, 10)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == want
+
+    @given(tree=_trees())
+    @settings(max_examples=100, deadline=None)
+    def test_equal_subtrees_are_one_object(self, tree):
+        # The tree is spelled out twice, so at least one subtree repeats.
+        text = "%s + 2*(%s)" % ((_render(tree),) * 2)
+        seen, stack = {}, [parse_formspec(text)]
+        while stack:
+            node = stack.pop()
+            assert seen.setdefault(node, node) is node
+            stack += [x for x in map(node.__getattribute__, node.__slots__)
+                      if isinstance(x, fs.FrozenRecord)]
