@@ -107,19 +107,19 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.nodes = {}     # (cls, *fields) -> the one such node
-        self.depth = {}     # node -> the most nodes on a path down from it
+        # node -> (the one such node, the most nodes on a path down it)
+        self.nodes = {}
 
     def node(self, cls, *fields):
         """The one node cls(*fields) of this parse, so that equal subtrees
         are one object.  Its depth, one more than that of its deepest
         field that is a node, is recorded as it is made."""
-        key = (cls, *fields)
-        made = self.nodes.get(key)
-        if made is None:
-            made = self.nodes[key] = cls(*fields)
-            self.depth[made] = 1 + max(self.depth.get(f, 0) for f in fields)
-        return made
+        made = cls(*fields)
+        known = self.nodes.get(made)
+        if known is None:
+            known = self.nodes[made] = (made, 1 + max(
+                self.nodes.get(f, (f, 0))[1] for f in fields))
+        return known[0]
 
     def error(self, message: str, pos: int | None = None):
         raise FormSpecError(message, self.pos if pos is None else pos)
@@ -252,7 +252,7 @@ def parse_formspec(text: str):
     p.skip_ws()
     if p.pos != len(text):
         p.error("unexpected trailing input")
-    if p.depth[node] > MAX_DEPTH:
+    if p.nodes[node][1] > MAX_DEPTH:
         raise ValueError(TOO_DEEP)
     return node
 

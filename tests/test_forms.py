@@ -1,4 +1,5 @@
 import math
+import weakref
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -199,19 +200,40 @@ class TestSharedSubtrees:
         assert want == forms.expression_form(NAMED["delta"][0], 300)[0].coeffs
 
     def test_a_repeated_subtree_is_dropped_after_its_last_use(self):
-        # theta(2) is asked for three times at need 5 and once at 10;
-        # evaluate drops a value when its asks left reach zero, and
-        # makes every ask the schedule counts but the root's, whose value
-        # it returns, so none is held after its last ask.
+        # theta(2) is asked for three times at need 5 and once at 10.
+        # Each pair's value is a fresh object watched through a weakref:
+        # once a value's asks are used up, it is dead at every later build
+        # and after evaluate returns.
         node = parse_formspec("theta(2)*E4(1) + D(theta(2))*theta(2)"
                               " + U(2, theta(2)*theta(1))")
         schedule = fs._schedule(node, 5)
         assert schedule[(parse_formspec("theta(2)"), 5)][0] == 3
         assert schedule[(parse_formspec("theta(2)"), 10)][0] == 1
-        with mock.patch.object(fs, "_schedule", return_value=schedule):
-            fs.evaluate(node, 5)
-        assert {pair: asks for pair, (asks, _) in schedule.items()
-                if asks} == {(node, 5): 1}
+        built, used = {}, dict.fromkeys(schedule, 0)
+
+        class Value:
+            pass
+
+        def alive_after_last_ask():
+            return [pair for pair, ref in built.items()
+                    if used[pair] == schedule[pair][0] and ref() is not None]
+
+        def value(x, need, parts):
+            assert alive_after_last_ask() == []
+            asked = schedule[x, need][1]
+            assert [v for v, _ in parts] == [built[a]() for a in asked]
+            for pair in asked:
+                used[pair] += 1
+            made = Value()
+            built[x, need] = weakref.ref(made)
+            return made, 1
+
+        with mock.patch.object(fs, "_value", value):
+            result, _ = fs.evaluate(node, 5)
+        assert alive_after_last_ask() == []
+        assert used == {pair: asks for pair, (asks, _) in schedule.items()
+                        } | {(node, 5): 0}
+        assert result is built[node, 5]()
 
 
 class TestRamanujanDelta:
