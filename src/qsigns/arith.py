@@ -188,7 +188,14 @@ class Record:
     _defaults: dict = {}
 
     def __init__(self, *args, **kwargs):
+        for name, value in zip(self.__slots__, self._bind(args, kwargs)):
+            object.__setattr__(self, name, value)
+
+    def _bind(self, args: tuple, kwargs: dict) -> tuple:
+        """The field values of a constructor call, in field order."""
         names = self.__slots__
+        if not kwargs and len(args) == len(names):
+            return args
         cls = type(self).__name__
         if len(args) > len(names):
             raise TypeError("%s() takes %d fields, got %d"
@@ -200,14 +207,15 @@ class Record:
             if name in given:
                 raise TypeError("%s() got field %r twice" % (cls, name))
         given.update(kwargs)
+        values = []
         for name in names:
             if name in given:
-                value = given[name]
+                values.append(given[name])
             elif name in self._defaults:
-                value = self._defaults[name]
+                values.append(self._defaults[name])
             else:
                 raise TypeError("%s() is missing field %r" % (cls, name))
-            object.__setattr__(self, name, value)
+        return tuple(values)
 
     def _values(self) -> tuple:
         return tuple(map(self.__getattribute__, self.__slots__))
@@ -224,22 +232,24 @@ class Record:
 
 class FrozenRecord(Record):
     """A Record whose fields are set once, by the constructor, and which
-    hashes by them.  The hash is kept once computed, so hashing a tree of
-    records hashes each node once, not its whole subtree at every
-    lookup."""
+    hashes by them.  The constructor computes the hash and keeps it, so
+    hashing a tree of records hashes each node once, not its whole
+    subtree at every lookup."""
 
     __slots__ = ("_hash",)
+
+    def __init__(self, *args, **kwargs):
+        values = self._bind(args, kwargs)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_hash", hash(values))
 
     def __setattr__(self, name, value):
         raise AttributeError("cannot assign to field %r of a %s"
                              % (name, type(self).__name__))
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            object.__setattr__(self, "_hash", hash(self._values()))
-            return self._hash
+        return self._hash
 
 
 class DirichletCharacter(FrozenRecord):

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from bisect import bisect_right
 
 from . import coeffio, forms, lazy_submodule
 
@@ -215,12 +214,13 @@ def cmd_signs(args) -> int:
         raise ValueError("--X-list: X must be positive, got %d" % min(xs))
     sets = [getattr(signs, STATS[s])(form, max(xs)) for s in stats]
     rows = [["X"] + ["R_%s" % s for s in stats]]
-    for X in xs:
-        reps = [signs.scan(form, idx[:bisect_right(idx, X)]) for idx in sets]
-        if any(rep.n_pos + rep.n_neg == 0 for rep in reps):
+    tallies = [signs.counts(form, idx, xs) for idx in sets]
+    for X, row in zip(xs, zip(*tallies)):
+        if any(n_pos + n_neg == 0 for n_pos, n_neg in row):
             raise ValueError("no nonzero entries up to X=%d" % X)
-        rows.append(["%d" % X] + [rep.ratio_rendered(3 if X <= 1000 else 6)
-                                  for rep in reps])
+        rows.append(["%d" % X] + [
+            signs.render_ratio(n_pos, n_pos + n_neg, 3 if X <= 1000 else 6)
+            for n_pos, n_neg in row])
     csv_text = "".join(",".join(r) + "\n" for r in rows)
 
     reports = []

@@ -33,6 +33,8 @@ straight to parse (read opens the file in text mode, which turns it into
 '\n') and a file cut mid-line are refused; a file cut at a line
 boundary still parses.  A prec above forms.LARGE_PREC_CAP is refused
 before the table is allocated, and the Form's own checks apply on read.
+The body is checked and converted in C a block at a time, without a
+regular expression (see _parse_body).
 """
 
 from __future__ import annotations
@@ -50,11 +52,9 @@ from .forms import LARGE_PREC_CAP, Form
 MAGIC = "# coeffs v1"
 KEYS = ("form", "weight", "level", "character", "prec", "offset", "t")
 
-# The body lines serialize writes, and how many characters of the body
-# parse checks and converts at a time (extended to a line end).  sre
-# keeps a stack entry per line the match repeats over, so a block of
-# 8 KB holds about 500 of them where a whole-body match would hold one
-# per line of the file.
+# The body lines serialize writes.  parse checks a body a block of about
+# BLOCK characters (extended to a line end) at a time without this
+# expression, which only names the bad line of a block it refuses.
 BODY_LINES = re.compile(r"(?:(?:0|[1-9][0-9]*)\t-?[1-9][0-9]*\n)*")
 BLOCK = 1 << 13
 _TO_COMMAS = str.maketrans("\t\n", ",,")
@@ -196,24 +196,39 @@ def parse(text: str) -> CoefficientFile:
 
 def _parse_body(text: str, start: int, table: list[int], last: int):
     """Store the body lines of text[start:] in table, each index above
-    the one before it, starting above last.  Each block of whole lines is
-    checked by one match, converted by one json.loads and stored by one
-    map, all in C."""
+    the one before it, starting above last.
+
+    Each block of whole lines is checked, converted and stored in C.  It
+    must end in a newline, and its skeleton, what is left of its ASCII
+    bytes (any other character is a '?') once bytes.translate deletes the
+    digits, must be lines of a tab, an optional '-' and a newline.
+    json.loads must then read it, and JSON's number grammar refuses a
+    leading zero, an empty field and a '-' after digits.  Last, no a(n)
+    may be 0 (written 0 or -0).  A block passes these exactly when
+    BODY_LINES matches it, which then only names the bad line."""
     prec = len(table) - 1
     end = len(text)
     while start < end:
         stop = text.find("\n", start + BLOCK - 1) + 1 or end
         block = text[start:stop]
-        if not BODY_LINES.fullmatch(block):
+        skeleton = block.encode("ascii", "replace").translate(
+            None, b"0123456789").replace(b"\t-\n", b"\t\n")
+        numbers = None
+        if block[-1] == "\n" and skeleton == b"\t\n" * (len(skeleton) // 2):
+            try:
+                numbers = json.loads("[%s]"
+                                     % block.translate(_TO_COMMAS)[:-1])
+            except json.JSONDecodeError:
+                pass
+        if numbers is None or 0 in (values := numbers[1::2]):
             _refuse_line(block)
-        numbers = json.loads("[%s]" % block.translate(_TO_COMMAS)[:-1])
         indices = numbers[::2]
         if not all(map(operator.lt, [last] + indices, indices)):
             _refuse_order(last, indices)
         last = indices[-1]
         if last > prec:
             raise ValueError("index %d exceeds prec %d" % (last, prec))
-        deque(map(operator.setitem, repeat(table), indices, numbers[1::2]),
+        deque(map(operator.setitem, repeat(table), indices, values),
               maxlen=0)
         start = stop
 

@@ -13,8 +13,8 @@ the flag's support condition is checked once on the built table.
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 from itertools import chain, compress, count, repeat
+from math import gcd
 
 from .arith import DirichletCharacter, Record
 from . import lazy_submodule
@@ -111,8 +111,10 @@ def integer_table(series: qseries.QSeries, prec: int,
         bad = next(compress(count(), map(operator.mod, window,
                                          repeat(den))), None)
         if bad is not None:
-            raise ValueError("non-integral coefficient %s at q^%d"
-                             % (Fraction(window[bad], den), lo + bad))
+            common = gcd(window[bad], den)
+            raise ValueError("non-integral coefficient %d/%d at q^%d"
+                             % (window[bad] // common, den // common,
+                                lo + bad))
         window = list(map(operator.floordiv, window, repeat(den)))
     return head + window
 

@@ -6,18 +6,22 @@ discriminant), square_class (t n^2 <= prec), prime_powers
 (t p^(2m) <= prec) and first_nonzero (per surveyed t, the least nonzero
 t n_t^2).  square_class and prime_powers check t (square-free, positive,
 a(t) within precision); prime_powers checks p (prime, not dividing the
-level).  scan reads one index set in one pass; prefix and fundamental
-ascend, so a table cuts the set for its largest X at every X.  A sign
+level).  scan reads one index set in one pass, for the reports.  A sign
 change is an adjacent pair of opposite-sign entries once the zeros are
 deleted, at the 1-based place in the index set of the later entry.
-Ratios are exact fractions, rendered with half-away-from-zero rounding.
+A table needs only the counts of positive and negative entries:
+prefix and fundamental ascend, so counts reads the set for the table's
+largest X once, cuts it at every X and counts each piece with C-level
+maps in place of scan's loop.  Ratios are exact, rendered from their
+two ints with half-away-from-zero rounding.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import compress
+from bisect import bisect_right
+from itertools import compress, repeat
 from math import isqrt
+from operator import gt
 
 from .arith import (Record, fundamental_mask, is_prime, is_squarefree,
                     kronecker, require_good_prime)
@@ -38,17 +42,18 @@ class SignStatsReport(Record):
         return len(self.change_positions)
 
     @property
-    def ratio(self) -> Fraction:
-        """Share of positive values among the nonzero ones."""
+    def ratio(self):
+        """Share of positive values among the nonzero ones, a Fraction."""
+        from fractions import Fraction      # no command imports it
         return Fraction(self.n_pos, self.n_pos + self.n_neg)
 
     def ratio_rendered(self, decimals: int = 6) -> str:
-        return render_ratio(self.ratio, decimals)
+        return render_ratio(self.n_pos, self.n_pos + self.n_neg, decimals)
 
 
-def render_ratio(value: Fraction, decimals: int = 6) -> str:
-    """Fixed-point rendering with half-away-from-zero rounding."""
-    num, den = value.numerator, value.denominator
+def render_ratio(num: int, den: int, decimals: int = 6) -> str:
+    """num / den (den > 0) in fixed point with half-away-from-zero
+    rounding."""
     sign = "-" if num < 0 else ""
     scaled = abs(num) * 10 ** decimals
     q, r = divmod(scaled, den)
@@ -81,6 +86,27 @@ def scan(f: Form, indices) -> SignStatsReport:
         if len(witnesses) < WITNESSES:
             witnesses.append((n, v))
     return SignStatsReport(entries, n_pos, n_neg, positions, witnesses)
+
+
+def counts(f: Form, indices, xs) -> list[tuple[int, int]]:
+    """(n_pos, n_neg) of scan(f, the n <= X of indices) for each X of xs,
+    in order.  indices ascends and is read once, cut at each distinct X:
+    a range piece is sliced off the table, any other read entry by entry,
+    and each piece is counted in C, its positives by one map and its
+    zeros by list.count."""
+    coeffs = f.coeffs
+    at, lo, n_pos, n_zero = {}, 0, 0, 0
+    for X in sorted(set(xs)):
+        hi = bisect_right(indices, X)
+        part = indices[lo:hi]
+        piece = (coeffs[part.start:part.stop:part.step]
+                 if isinstance(part, range)
+                 else list(map(coeffs.__getitem__, part)))
+        n_pos += sum(map(gt, piece, repeat(0)))
+        n_zero += piece.count(0)
+        at[X] = n_pos, hi - n_zero - n_pos
+        lo = hi
+    return [at[X] for X in xs]
 
 
 def prefix(f: Form, X: int) -> range:

@@ -265,6 +265,80 @@ class TestCoefficientFile:
         assert peak <= 641_351
 
 
+class TestBodyCheck:
+    """parse checks a body without BODY_LINES, which only names the bad
+    line; the check refuses exactly what the expression refuses, with
+    the same message."""
+
+    HEADER = TestCoefficientFile.SMALL.partition("1\t1\n")[0]
+
+    @settings(max_examples=500, deadline=None)
+    @given(values=st.lists(st.integers(-300, 300), min_size=1, max_size=12),
+           edits=st.lists(st.tuples(st.sampled_from("idr"),
+                                    st.integers(0, 200),
+                                    st.sampled_from("0123456789\t\n-+ .e\r")),
+                          min_size=1, max_size=3))
+    def test_refuses_what_the_expression_refuses(self, values, edits):
+        # Insert, delete or replace one to three characters of a body as
+        # serialize writes it; a body this short is one block.
+        body = "".join("%d\t%d\n" % (n, v) for n, v in enumerate(values) if v)
+        for kind, pos, ch in edits:
+            pos %= len(body) + 1
+            body = body[:pos] + ch * (kind != "d") + body[pos + (kind != "i"):]
+        try:
+            coeffio._parse_body(body, 0, [0] * 10 ** 6, -1)
+            refused = ""
+        except ValueError as exc:
+            refused = str(exc)
+        line_refused = refused.startswith("bad body line") or refused.endswith(
+            "does not end in a newline")
+        assert line_refused == (coeffio.BODY_LINES.fullmatch(body) is None)
+
+    @pytest.mark.parametrize("line, message", [
+        ("4\t0\n", r"bad body line '4\t0'"),
+        ("4\t-0\n", r"bad body line '4\t-0'"),
+        ("04\t56\n", r"bad body line '04\t56'"),
+        ("4\t056\n", r"bad body line '4\t056'"),
+        ("\t56\n", r"bad body line '\t56'"),
+        ("4\t\n", r"bad body line '4\t'"),
+        ("4\t5-6\n", r"bad body line '4\t5-6'"),
+        ("4\t-56", r"body line '4\t-56' does not end in a newline"),
+    ], ids=["zero", "minus-zero", "leading-zero-n", "leading-zero-a",
+            "empty-n", "empty-a", "minus-after-digits", "no-final-newline"])
+    def test_each_refusal_keeps_its_message(self, tmp_path, capsys, line,
+                                            message):
+        text = self.HEADER + "1\t1\n" + line
+        with pytest.raises(ValueError) as err:
+            coeffio.parse(text)
+        assert str(err.value) == message
+        src = tmp_path / "x.txt"
+        src.write_text(text)
+        assert run("signs", "--in", str(src), "--X-list", "5") == 2
+        assert capsys.readouterr() == ("", "error: %s\n" % message)
+
+    def test_a_last_block_of_digits_only_is_refused(self):
+        # A file cut after the digits that start a line, where a block
+        # starts: the block's skeleton is empty, and it has no newline.
+        with mock.patch.object(coeffio, "BLOCK", 4):
+            with pytest.raises(ValueError) as err:
+                coeffio.parse(self.HEADER + "1\t1\n4\t-56\n5")
+        assert str(err.value) == "body line '5' does not end in a newline"
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no int-str digit limit before Python 3.11")
+    def test_a_value_past_the_digit_limit_keeps_pythons_message(
+            self, tmp_path, capsys):
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("the int-str digit limit is switched off")
+        src = tmp_path / "x.txt"
+        src.write_text(self.HEADER + "1\t" + "9" * (limit + 1) + "\n")
+        with pytest.raises(ValueError) as want:
+            int("9" * (limit + 1))
+        assert run("signs", "--in", str(src), "--X-list", "5") == 2
+        assert capsys.readouterr() == ("", "error: %s\n" % want.value)
+
+
 class TestAtomicWrite:
     """Every output file is written whole or not at all."""
 
@@ -1348,6 +1422,39 @@ def test_the_cli_imports_neither_dataclasses_nor_inspect(tmp_path):
     # every one: its classes are written out, not generated.
     for modules in _cli_probes(tmp_path):
         assert not set(modules) & {"dataclasses", "inspect"}
+
+
+# Every read command the CI step runs, the sign table and the
+# subsequence reports, the three read-side suites, T(p^2) and the lift.
+READ_COMMANDS = [
+    ["signs", "--in", "d.txt", "--X-list", "10,100", "--csv", "t.csv"],
+    ["signs", "--in", "d.txt", "--X-list", "10", "--t", "1", "--powers-p",
+     "3", "--csv", "t2.csv", "--json", "sub.json"],
+    ["verify", "--in", "d.txt", "--suite", "recurrence", "--p", "3",
+     "--json", "recurrence.json"],
+    ["verify", "--in", "d.txt", "--suite", "bounds", "--p", "3,5",
+     "--json", "bounds.json"],
+    ["verify", "--in", "g.txt", "--suite", "prop2", "--p", "3",
+     "--json", "prop2.json"],
+    ["hecke", "--in", "d.txt", "--op", "tsq", "--p", "3", "--out",
+     "tsq.txt"],
+    ["lift", "--in", "d.txt", "--t", "1", "--out", "lift.txt"],
+]
+
+
+def test_read_commands_load_neither_fractions_nor_decimal(tmp_path):
+    # A read command's ratios are two ints, so no read command pays for
+    # importing fractions, or the decimal module fractions imports.
+    run("build", "--form", "delta", "--prec", "300",
+        "--out", str(tmp_path / "d.txt"))
+    run("build", "--form", "g", "--prec", "300",
+        "--out", str(tmp_path / "g.txt"))
+    script = ("import json, sys, qsigns.cli\n"
+              "codes = [qsigns.cli.main(argv) for argv in %r]\n"
+              "print(json.dumps([codes, sorted({'fractions', 'decimal'}"
+              " & set(sys.modules))]))\n" % (READ_COMMANDS,))
+    assert json.loads(_fresh_python(script, cwd=tmp_path)) == [
+        [0] * len(READ_COMMANDS), []]
 
 
 def test_the_package_imports_no_module():

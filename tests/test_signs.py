@@ -1,4 +1,8 @@
+import io
+import os
 import random
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -195,14 +199,73 @@ class TestRPlusFund:
         assert fund.n_pos + fund.n_neg <= tot.n_pos + tot.n_neg
 
 
+class TestCounts:
+    """The table's counts against scan over each X's own index set, and
+    its refusal of an X with no nonzero entry against those scans."""
+
+    @staticmethod
+    def _draw(data):
+        values = data.draw(st.lists(st.sampled_from([0, 0, 0, 1, -1])
+                                    | st.integers(-10 ** 20, 10 ** 20),
+                                    min_size=1, max_size=60))
+        f = artificial_form(values, weight_num=data.draw(
+            st.sampled_from([3, 13])))
+        xs = data.draw(st.lists(st.integers(1, f.prec), min_size=1,
+                                max_size=8))
+        return f, xs
+
+    @staticmethod
+    def _scans(f, xs):
+        """scan's (n_pos, n_neg) at each X of xs, per index set."""
+        sets = [index_set(f, max(xs)) for index_set in (prefix, fundamental)]
+        return [[(rep.n_pos, rep.n_neg) for rep in
+                 (scan(f, [n for n in indices if n <= X]) for X in xs)]
+                for indices in sets]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_counts_are_scans(self, data):
+        f, xs = self._draw(data)
+        got = [signs.counts(f, index_set(f, max(xs)), xs)
+               for index_set in (prefix, fundamental)]
+        assert got == self._scans(f, xs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_the_table_refuses_at_the_x_scan_finds_empty(self, data):
+        f, xs = self._draw(data)
+        rows, empty = [], None
+        for X, (tot, fund) in zip(xs, zip(*self._scans(f, xs))):
+            if sum(tot) == 0 or sum(fund) == 0:
+                empty = X
+                break
+            rows.append("%d,%s\n" % (X, ",".join(
+                render_ratio(n_pos, n_pos + n_neg, 3 if X <= 1000 else 6)
+                for n_pos, n_neg in (tot, fund))))
+        with tempfile.TemporaryDirectory() as tmp:
+            src = os.path.join(tmp, "f.txt")
+            CoefficientFile("f", f).write(src)
+            err, out = io.StringIO(), io.StringIO()
+            with redirect_stderr(err), redirect_stdout(out):
+                rc = main(["signs", "--in", src,
+                           "--X-list", ",".join(map(str, xs))])
+        if empty is None:
+            assert (rc, err.getvalue()) == (0, "")
+            assert out.getvalue() == "X,R_tot,R_fund\n" + "".join(rows)
+        else:
+            assert (rc, out.getvalue()) == (2, "")
+            assert err.getvalue() == ("error: no nonzero entries up to X=%d\n"
+                                      % empty)
+
+
 class TestRenderRatio:
     def test_half_away_from_zero(self):
-        assert render_ratio(Fraction(1, 8), 2) == "0.13"
-        assert render_ratio(Fraction(1, 4), 1) == "0.3"
-        assert render_ratio(Fraction(2, 3), 3) == "0.667"
-        assert render_ratio(Fraction(1, 2), 0) == "1"
-        assert render_ratio(Fraction(0), 6) == "0.000000"
-        assert render_ratio(Fraction(501643, 1000000), 6) == "0.501643"
+        assert render_ratio(1, 8, 2) == "0.13"
+        assert render_ratio(1, 4, 1) == "0.3"
+        assert render_ratio(2, 3, 3) == "0.667"
+        assert render_ratio(1, 2, 0) == "1"
+        assert render_ratio(0, 1, 6) == "0.000000"
+        assert render_ratio(501643, 1000000, 6) == "0.501643"
 
 
 class TestDprimeFilter:
