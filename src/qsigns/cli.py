@@ -27,7 +27,7 @@ ALIASES = {"E4": "E4(1)"}
 DEFAULT_PREC = 100_000
 JSON_SCHEMA = 1
 
-# --stats name -> signs index set, looked up at call time as in cmd_build.
+# --stats name -> signs mask, looked up at call time as in cmd_build.
 STATS = {"tot": "prefix", "fund": "fundamental"}
 
 

@@ -1,24 +1,25 @@
-"""Sign statistics: which coefficients each statistic reads, and one scan.
+"""Sign statistics: which coefficients each statistic reads, one tally
+and one scan.
 
-Each statistic reads a(n) along one index set, stated here once:
-prefix (1..X), fundamental (the n <= X with (-1)^k n a fundamental
-discriminant), square_class (t n^2 <= prec), prime_powers
-(t p^(2m) <= prec) and first_nonzero (per surveyed t, the least nonzero
-t n_t^2).  square_class and prime_powers check t (square-free, positive,
-a(t) within precision); prime_powers checks p (prime, not dividing the
-level).  scan reads one index set in one pass, for the reports.  A sign
+The two table statistics are masks, one byte per n in 0..X, 1 where the
+statistic reads a(n): prefix (1..X) and fundamental (the n <= X with
+(-1)^k n a fundamental discriminant).  Neither selects n = 0.  counts is
+the one tally: the positive and negative a(n) a mask selects up to each
+X, read by compress and counted in C.  Ratios are exact, rendered from
+those two ints with half-away-from-zero rounding.
+
+The reports read index lists, in their own order: square_class
+(t n^2 <= prec), prime_powers (t p^(2m) <= prec) and first_nonzero (per
+surveyed t, the least nonzero t n_t^2).  square_class and prime_powers
+check t (square-free, positive, a(t) within precision); prime_powers
+checks p (prime, not dividing the level).  scan reads one index list in
+one pass, for its entry count, sign changes and witnesses.  A sign
 change is an adjacent pair of opposite-sign entries once the zeros are
-deleted, at the 1-based place in the index set of the later entry.
-A table needs only the counts of positive and negative entries:
-prefix and fundamental ascend, so counts reads the set for the table's
-largest X once, cuts it at every X and counts each piece with C-level
-maps in place of scan's loop.  Ratios are exact, rendered from their
-two ints with half-away-from-zero rounding.
+deleted, at the 1-based place in the list of the later entry.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from itertools import compress, repeat
 from math import isqrt
 from operator import gt
@@ -32,23 +33,13 @@ WITNESSES = 10
 
 
 class SignStatsReport(Record):
-    """Counts, sign changes and witnesses of one scanned index set."""
+    """Sign changes and witnesses of one scanned index list."""
 
-    __slots__ = ("entries", "n_pos", "n_neg", "change_positions",
-                 "witnesses")
+    __slots__ = ("entries", "change_positions", "witnesses")
 
     @property
     def sign_change_count(self) -> int:
         return len(self.change_positions)
-
-    @property
-    def ratio(self):
-        """Share of positive values among the nonzero ones, a Fraction."""
-        from fractions import Fraction      # no command imports it
-        return Fraction(self.n_pos, self.n_pos + self.n_neg)
-
-    def ratio_rendered(self, decimals: int = 6) -> str:
-        return render_ratio(self.n_pos, self.n_pos + self.n_neg, decimals)
 
 
 def render_ratio(num: int, den: int, decimals: int = 6) -> str:
@@ -66,69 +57,59 @@ def render_ratio(num: int, den: int, decimals: int = 6) -> str:
 
 
 def scan(f: Form, indices) -> SignStatsReport:
-    """Read a(n) for the n of indices, in order, once."""
+    """Read a(n) for the n of indices, in order, once.  indices lists the
+    n themselves, in any order (the --dprime survey goes in t order); a
+    statistic's mask, one byte per n, is not an index list."""
     coeffs = f.coeffs
-    n_pos = n_neg = entries = prev = 0
+    entries = prev = 0
     positions, witnesses = [], []
     for entries, n in enumerate(indices, start=1):
         v = coeffs[n]
-        if v > 0:
-            n_pos += 1
-            if prev < 0:
-                positions.append(entries)
-        elif v < 0:
-            n_neg += 1
-            if prev > 0:
-                positions.append(entries)
-        else:
+        if not v:
             continue
+        if prev and (v > 0) != (prev > 0):
+            positions.append(entries)
         prev = v
         if len(witnesses) < WITNESSES:
             witnesses.append((n, v))
-    return SignStatsReport(entries, n_pos, n_neg, positions, witnesses)
+    return SignStatsReport(entries, positions, witnesses)
 
 
-def counts(f: Form, indices, xs) -> list[tuple[int, int]]:
-    """(n_pos, n_neg) of scan(f, the n <= X of indices) for each X of xs,
-    in order.  indices ascends and is read once, cut at each distinct X:
-    a range piece is sliced off the table, any other read entry by entry,
-    and each piece is counted in C, its positives by one map and its
-    zeros by list.count."""
+def counts(f: Form, mask, xs) -> list[tuple[int, int]]:
+    """(n_pos, n_neg) of the a(n) with n <= X that mask selects, for each X
+    of xs, in order; mask covers 0..max(xs).  Each distinct X adds the
+    piece compress(a(lo..X), mask[lo..X]) after the last cut lo, counted
+    in C: its positives by one map, its zeros by list.count."""
     coeffs = f.coeffs
-    at, lo, n_pos, n_zero = {}, 0, 0, 0
+    at, lo, n_pos, n_neg = {}, 0, 0, 0
     for X in sorted(set(xs)):
-        hi = bisect_right(indices, X)
-        part = indices[lo:hi]
-        piece = (coeffs[part.start:part.stop:part.step]
-                 if isinstance(part, range)
-                 else list(map(coeffs.__getitem__, part)))
-        n_pos += sum(map(gt, piece, repeat(0)))
-        n_zero += piece.count(0)
-        at[X] = n_pos, hi - n_zero - n_pos
-        lo = hi
+        piece = list(compress(coeffs[lo:X + 1], mask[lo:X + 1]))
+        pos = sum(map(gt, piece, repeat(0)))
+        n_pos += pos
+        n_neg += len(piece) - pos - piece.count(0)
+        at[X] = n_pos, n_neg
+        lo = X + 1
     return [at[X] for X in xs]
 
 
-def prefix(f: Form, X: int) -> range:
-    """1..X; needs X <= prec."""
+def prefix(f: Form, X: int) -> bytes:
+    """The mask of 1..X; needs X <= prec."""
     if X > f.prec:
         raise ValueError("X=%d exceeds precision %d" % (X, f.prec))
-    return range(1, X + 1)
+    return b"\x00" + b"\x01" * X
 
 
-def fundamental(f: Form, X: int) -> list[int]:
-    """The n <= X with (-1)^k n a fundamental discriminant (1 among them
-    when k is even); f has half-integral weight k + 1/2.  Square-freeness
-    is read off one sieve up to X, and the discriminants off
-    arith.fundamental_mask."""
+def fundamental(f: Form, X: int) -> bytearray:
+    """The mask of the n <= X with (-1)^k n a fundamental discriminant (1
+    among them when k is even); f has half-integral weight k + 1/2.
+    Square-freeness is read off one sieve up to X, and the discriminants
+    off arith.fundamental_mask."""
     if not f.half_integral:
         raise ValueError("fund statistics need a half-integral form")
-    N = len(prefix(f, X))
-    squarefree = bytearray(b"\x01") * (N + 1)
-    for p in filter(is_prime, range(isqrt(N) + 1)):
-        squarefree[p * p::p * p] = bytes(N // (p * p))
-    mask = fundamental_mask(-1 if f.k % 2 else 1, squarefree)
-    return list(compress(range(N + 1), mask))
+    squarefree = bytearray(prefix(f, X))
+    for p in filter(is_prime, range(isqrt(X) + 1)):
+        squarefree[p * p::p * p] = bytes(X // (p * p))
+    return fundamental_mask(-1 if f.k % 2 else 1, squarefree)
 
 
 def square_class(f: Form, t: int) -> list[int]:

@@ -1043,8 +1043,8 @@ class TestSignsCommand:
                                    "1000,0.518,0.515"]
 
     def test_each_row_is_its_own_scan(self, tmp_path):
-        # An unsorted, repeated X-list: every row is the scan of that X's
-        # own index sets, in the order given.
+        # An unsorted, repeated X-list: every row is the counts of that X's
+        # own masks alone, in the order given.
         src, csv = tmp_path / "g.txt", tmp_path / "table.csv"
         run("build", "--form", "g", "--prec", "1000", "--out", str(src))
         assert run("signs", "--in", str(src), "--X-list", "1000,10,100,10",
@@ -1052,9 +1052,11 @@ class TestSignsCommand:
         g = coeffio.read(str(src)).form
         want = ["X,R_tot,R_fund"]
         for X in (1000, 10, 100, 10):
-            want.append(",".join(["%d" % X] + [
-                signs.scan(g, index_set(g, X)).ratio_rendered(3)
-                for index_set in (signs.prefix, signs.fundamental)]))
+            row = ["%d" % X]
+            for index_set in (signs.prefix, signs.fundamental):
+                [(n_pos, n_neg)] = signs.counts(g, index_set(g, X), [X])
+                row.append(signs.render_ratio(n_pos, n_pos + n_neg, 3))
+            want.append(",".join(row))
         assert read_lines(csv) == want
 
     def test_fundamental_runs_once(self, tmp_path, monkeypatch):

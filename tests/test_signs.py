@@ -3,7 +3,7 @@ import os
 import random
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
-from fractions import Fraction
+from itertools import compress, count
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +14,7 @@ from qsigns.arith import (DirichletCharacter, is_fundamental_discriminant,
                           is_squarefree, kronecker)
 from qsigns.cli import main
 from qsigns.coeffio import CoefficientFile
-from qsigns.forms import Form
+from qsigns.forms import Form, expression_form
 
 from oracles import recurrence_oracle, sign_scan
 from qsigns.signs import (dprime_filter, first_nonzero, fundamental, prefix,
@@ -22,11 +22,21 @@ from qsigns.signs import (dprime_filter, first_nonzero, fundamental, prefix,
                           square_class)
 
 
-def artificial_form(values, weight_num=13, level=4):
-    coeffs = [0] + list(values)
+def artificial_form(values, weight_num=13, level=4, a0=0):
+    coeffs = [a0] + list(values)
     return Form(weight_num=weight_num, level=level,
                 character=DirichletCharacter.trivial(level),
                 coeffs=coeffs)
+
+
+def selected(mask):
+    """The n that a statistic's mask selects, in ascending order."""
+    return list(compress(count(), mask))
+
+
+def tally(f, index_set, X):
+    """(n_pos, n_neg) up to X alone, as the signs table counts it."""
+    return signs.counts(f, index_set(f, X), [X])[0]
 
 
 def sign_changes(values):
@@ -41,7 +51,7 @@ class TestSignChanges:
         assert sign_changes([0, 0, 3, 0, 5]) == (0, [])
 
     def test_delta_prefix(self, delta3k):
-        rep = scan(delta3k, prefix(delta3k, 17))
+        rep = scan(delta3k, range(1, 18))
         assert rep.sign_change_count >= 5
 
     def test_zero_runs_bridge(self):
@@ -73,9 +83,7 @@ class TestScanOracle:
 
     def _check(self, values, indices):
         rep = scan(artificial_form(values[1:]), indices)
-        n_pos, n_neg, n_zero, positions, witnesses = sign_scan(values, indices)
-        assert (rep.n_pos, rep.n_neg, rep.entries - rep.n_pos - rep.n_neg) \
-            == (n_pos, n_neg, n_zero)
+        _, _, _, positions, witnesses = sign_scan(values, indices)
         assert rep.entries == len(indices)
         assert rep.change_positions == positions
         assert rep.sign_change_count == len(positions)
@@ -88,15 +96,15 @@ class TestFirstNegative:
 
     def test_forms(self, delta3k, g3k):
         for f in (delta3k, g3k):
-            rep = scan(f, prefix(f, 100))
+            rep = scan(f, range(1, 101))
             assert rep.change_positions[0] == 4
             assert f.coeffs[4] < 0
             assert all(f.coeffs[n] >= 0 for n in range(1, 4))
 
     def test_absent(self):
         f = artificial_form([1, 0, 0, 1, 1, 0, 0, 1])
-        rep = scan(f, prefix(f, 8))
-        assert rep.n_neg == 0 and rep.change_positions == []
+        assert tally(f, prefix, 8) == (4, 0)
+        assert scan(f, range(1, 9)).change_positions == []
 
 
 class TestSubseq:
@@ -118,46 +126,43 @@ class TestSubseq:
 
 
 class TestRPlusTot:
+    """R_tot as the table reads it: counts over prefix's mask."""
+
     def test_delta_at_10(self, delta3k):
-        rep = scan(delta3k, prefix(delta3k, 10))
-        assert rep.ratio == Fraction(3, 5)
-        assert (rep.n_pos, rep.n_neg, rep.entries) == (3, 2, 10)
-        assert rep.ratio_rendered(3) == "0.600"
+        assert prefix(delta3k, 10) == b"\x00" + b"\x01" * 10
+        assert tally(delta3k, prefix, 10) == (3, 2)
+        assert render_ratio(3, 3 + 2, 3) == "0.600"
 
     def test_g_at_10(self, g3k):
-        rep = scan(g3k, prefix(g3k, 10))
-        assert rep.ratio == Fraction(1, 2)
-        assert rep.ratio_rendered(3) == "0.500"
+        assert tally(g3k, prefix, 10) == (1, 1)
+        assert render_ratio(1, 1 + 1, 3) == "0.500"
 
     def test_ratio_consistency(self, delta3k):
-        rep = scan(delta3k, prefix(delta3k, 1000))
-        assert rep.ratio == Fraction(rep.n_pos, rep.n_pos + rep.n_neg)
-        assert 0 <= rep.ratio <= 1
-        assert rep.sign_change_count <= rep.n_pos + rep.n_neg - 1
+        n_pos, n_neg = tally(delta3k, prefix, 1000)
+        assert 0 <= n_pos <= n_pos + n_neg <= 1000
+        rep = scan(delta3k, range(1, 1001))
+        assert rep.sign_change_count <= n_pos + n_neg - 1
 
     def test_order_independence_of_counts(self, delta3k):
-        rep = scan(delta3k, prefix(delta3k, 500))
         idx = list(range(1, 501))
         random.Random(5).shuffle(idx)
         pos = sum(1 for n in idx if delta3k.coeffs[n] > 0)
         neg = sum(1 for n in idx if delta3k.coeffs[n] < 0)
-        assert (pos, neg) == (rep.n_pos, rep.n_neg)
+        assert (pos, neg) == tally(delta3k, prefix, 500)
 
     def test_monotone_consistency(self, delta3k):
-        small = scan(delta3k, prefix(delta3k, 300))
-        large = scan(delta3k, prefix(delta3k, 900))
+        small, large = signs.counts(delta3k, prefix(delta3k, 900), [300, 900])
         pos_tail = sum(1 for n in range(301, 901) if delta3k.coeffs[n] > 0)
         neg_tail = sum(1 for n in range(301, 901) if delta3k.coeffs[n] < 0)
-        assert large.n_pos == small.n_pos + pos_tail
-        assert large.n_neg == small.n_neg + neg_tail
-        assert large.change_positions[:small.sign_change_count] == \
-            small.change_positions
+        assert large == (small[0] + pos_tail, small[1] + neg_tail)
+        short = scan(delta3k, range(1, 301))
+        assert scan(delta3k, range(1, 901)).change_positions[
+            :short.sign_change_count] == short.change_positions
 
     def test_zero_denominator_rejected(self, tmp_path, capsys):
         # No ratio exists without a nonzero entry; the table refuses it.
         f = artificial_form([0, 0, 0, 0])
-        rep = scan(f, prefix(f, 4))
-        assert rep.n_pos + rep.n_neg == 0
+        assert tally(f, prefix, 4) == (0, 0)
         src = tmp_path / "zero.txt"
         CoefficientFile("zero", f).write(str(src))
         assert main(["signs", "--in", str(src), "--X-list", "10,4"]) == 2
@@ -169,58 +174,65 @@ class TestRPlusTot:
 
 
 class TestRPlusFund:
+    """R_fund as the table reads it: counts over fundamental's mask."""
+
     def test_delta_at_10(self, delta3k):
         # qualifying n: 1, 5, 8 (9 is not square-free, 4 = 4*1 is not
         # fundamental); positives are 1, 5
-        assert fundamental(delta3k, 10) == [1, 5, 8]
-        rep = scan(delta3k, fundamental(delta3k, 10))
-        assert rep.ratio == Fraction(2, 3)
-        assert rep.ratio_rendered(3) == "0.667"
+        assert selected(fundamental(delta3k, 10)) == [1, 5, 8]
+        assert tally(delta3k, fundamental, 10) == (2, 1)
+        assert render_ratio(2, 2 + 1, 3) == "0.667"
 
     def test_g_at_10_documented_indexing(self, g3k):
         # k odd indexes by -n fundamental: n = 3 (+1) and n = 4 (-1)
-        assert fundamental(g3k, 10) == [3, 4, 7, 8]
-        rep = scan(g3k, fundamental(g3k, 10))
-        assert rep.ratio == Fraction(1, 2)
+        assert selected(fundamental(g3k, 10)) == [3, 4, 7, 8]
+        assert tally(g3k, fundamental, 10) == (1, 1)
 
     @given(X=st.integers(0, 3000), weight_num=st.sampled_from([3, 13]))
     @settings(max_examples=60, deadline=None)
     def test_sieve_matches_trial_division(self, X, weight_num):
-        # k = 1 indexes by -n, k = 6 by n; the sieve against the
-        # per-n rule with trial division.
+        # k = 1 indexes by -n, k = 6 by n; the n the sieve's mask selects
+        # against the per-n rule with trial division.
         f = artificial_form([0] * 3000, weight_num=weight_num)
         sign = -1 if f.k % 2 else 1
-        assert fundamental(f, X) == [n for n in range(1, X + 1)
-                                     if is_fundamental_discriminant(sign * n)]
+        mask = fundamental(f, X)
+        assert len(mask) == X + 1
+        assert selected(mask) == [n for n in range(1, X + 1)
+                                  if is_fundamental_discriminant(sign * n)]
 
     def test_restriction_subset_of_tot(self, g3k):
-        fund = scan(g3k, fundamental(g3k, 1000))
-        tot = scan(g3k, prefix(g3k, 1000))
-        assert fund.n_pos + fund.n_neg <= tot.n_pos + tot.n_neg
+        assert sum(tally(g3k, fundamental, 1000)) <= \
+            sum(tally(g3k, prefix, 1000))
+
+
+# a(n) for the count tests: mostly small, with zeros, and some past 64 bits.
+VALUES = st.sampled_from([0, 0, 0, 1, -1]) | st.integers(-10 ** 20, 10 ** 20)
 
 
 class TestCounts:
-    """The table's counts against scan over each X's own index set, and
-    its refusal of an X with no nonzero entry against those scans."""
+    """The table's counts against the literal oracle over the n <= X that
+    each mask selects, and its refusal of an X with no nonzero entry
+    against those oracle counts.  a(0) is drawn nonzero: no mask selects
+    it."""
 
     @staticmethod
     def _draw(data):
-        values = data.draw(st.lists(st.sampled_from([0, 0, 0, 1, -1])
-                                    | st.integers(-10 ** 20, 10 ** 20),
-                                    min_size=1, max_size=60))
-        f = artificial_form(values, weight_num=data.draw(
-            st.sampled_from([3, 13])))
+        values = data.draw(st.lists(VALUES, min_size=1, max_size=60))
+        f = artificial_form(values, a0=data.draw(VALUES.filter(bool)),
+                            weight_num=data.draw(st.sampled_from([3, 13])))
         xs = data.draw(st.lists(st.integers(1, f.prec), min_size=1,
                                 max_size=8))
         return f, xs
 
     @staticmethod
-    def _scans(f, xs):
-        """scan's (n_pos, n_neg) at each X of xs, per index set."""
-        sets = [index_set(f, max(xs)) for index_set in (prefix, fundamental)]
-        return [[(rep.n_pos, rep.n_neg) for rep in
-                 (scan(f, [n for n in indices if n <= X]) for X in xs)]
-                for indices in sets]
+    def _oracle(f, xs):
+        """sign_scan's (n_pos, n_neg) at each X of xs, per mask."""
+        out = []
+        for index_set in (prefix, fundamental):
+            ns = selected(index_set(f, max(xs)))
+            out.append([sign_scan(f.coeffs, [n for n in ns if n <= X])[:2]
+                        for X in xs])
+        return out
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -228,14 +240,14 @@ class TestCounts:
         f, xs = self._draw(data)
         got = [signs.counts(f, index_set(f, max(xs)), xs)
                for index_set in (prefix, fundamental)]
-        assert got == self._scans(f, xs)
+        assert got == self._oracle(f, xs)
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_the_table_refuses_at_the_x_scan_finds_empty(self, data):
         f, xs = self._draw(data)
         rows, empty = [], None
-        for X, (tot, fund) in zip(xs, zip(*self._scans(f, xs))):
+        for X, (tot, fund) in zip(xs, zip(*self._oracle(f, xs))):
             if sum(tot) == 0 or sum(fund) == 0:
                 empty = X
                 break
@@ -256,6 +268,20 @@ class TestCounts:
             assert (rc, out.getvalue()) == (2, "")
             assert err.getvalue() == ("error: no nonzero entries up to X=%d\n"
                                       % empty)
+
+    def test_a0_is_never_counted(self):
+        # theta^3 has a(0) = 1 and no negative a(n); with -7 in place of
+        # a(0), neither statistic's counts move.
+        f = expression_form("theta(1)^3", 200)[0]
+        assert f.coeffs[0] == 1
+        g = Form(weight_num=f.weight_num, level=f.level,
+                 character=f.character, coeffs=[-7] + f.coeffs[1:])
+        xs = [1, 4, 50, 200, 4]
+        for index_set in (prefix, fundamental):
+            got = signs.counts(f, index_set(f, 200), xs)
+            assert signs.counts(g, index_set(g, 200), xs) == got
+            assert all(n_neg == 0 for _, n_neg in got)
+            assert got[3][0] > 0
 
 
 class TestRenderRatio:
