@@ -5,9 +5,10 @@ weight/level/character metadata.  Integrality is checked at finalization,
 never assumed; the level and character are declared metadata (transformation
 behaviour is not verified here), while support conditions are.
 
-Every named form is a formspec expression (see formspec) plus its
-plus-space flag; the weight and level come out of the expression, and
-the flag's support condition is checked once on the built table.
+NAMED is the one table of form names: each name maps to a formspec
+expression (see formspec), which gives the form's weight and level.
+delta and g, the plus-space forms, keep a constructor each, which
+checks their support condition once on the built table.
 """
 
 from __future__ import annotations
@@ -29,12 +30,13 @@ qseries = lazy_submodule("qseries")
 LARGE_PREC_CAP = 1_000_000
 WORKING_PREC_CAP = 4 * (LARGE_PREC_CAP + 1)
 
-# name -> (formspec expression, plus-space support condition)
+# name -> formspec expression, for every name `build --form` knows.
 NAMED = {
-    "delta": ("1/4*(2*E4(4)*D(theta(1)) - 1/4*D(E4(4))*theta(1))", True),
-    "g": ("1/2*U(4, eta(2)*eta(22)*theta(11))", True),
-    "Delta": ("eta(1)^24", False),
-    "G11": ("eta(1)^2*eta(11)^2", False),
+    "delta": "1/4*(2*E4(4)*D(theta(1)) - 1/4*D(E4(4))*theta(1))",
+    "g": "1/2*U(4, eta(2)*eta(22)*theta(11))",
+    "Delta": "eta(1)^24",
+    "G11": "eta(1)^2*eta(11)^2",
+    "E4": "E4(1)",
 }
 
 
@@ -145,11 +147,9 @@ def expression_form(spec: str, prec: int) -> tuple[Form, int]:
 
 
 def _named(name: str, prec: int) -> Form:
-    """The named form, with its plus-space support condition enforced
-    where NAMED sets it."""
-    spec, plus_space = NAMED[name]
-    form = expression_form(spec, prec)[0]
-    bad = plus_space_check(form) if plus_space else []
+    """The named plus-space form, its support condition enforced."""
+    form = expression_form(NAMED[name], prec)[0]
+    bad = plus_space_check(form)
     if bad:
         raise ValueError("plus-space support condition fails at n=%d"
                          % bad[0])
@@ -185,13 +185,3 @@ def g_form(prec: int) -> Form:
     (qseries.u_mul), so no 4x product with theta is formed.
     """
     return _named("g", prec)
-
-
-def ramanujan_delta(prec: int) -> Form:
-    """The weight-12 level-1 cusp form q prod (1-q^n)^24 = eta(z)^24."""
-    return _named("Delta", prec)
-
-
-def x0_11_form(prec: int) -> Form:
-    """The weight-2 level-11 cusp form eta(z)^2 eta(11z)^2."""
-    return _named("G11", prec)

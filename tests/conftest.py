@@ -1,6 +1,6 @@
 import pytest
 
-from qsigns.forms import delta_form, g_form, ramanujan_delta, x0_11_form
+from qsigns.forms import NAMED, delta_form, expression_form, g_form
 
 
 @pytest.fixture(scope="session")
@@ -15,9 +15,9 @@ def g3k():
 
 @pytest.fixture(scope="session")
 def delta_wt12():
-    return ramanujan_delta(300)
+    return expression_form(NAMED["Delta"], 300)[0]
 
 
 @pytest.fixture(scope="session")
 def g11_wt2():
-    return x0_11_form(20)
+    return expression_form(NAMED["G11"], 20)[0]

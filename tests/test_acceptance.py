@@ -14,7 +14,7 @@ import pytest
 
 from qsigns import coeffio, hecke, qseries as qs, signs
 from qsigns.arith import kronecker
-from qsigns.forms import Form, delta_form, g_form, ramanujan_delta, x0_11_form
+from qsigns.forms import NAMED, Form, delta_form, expression_form, g_form
 
 from oracles import dilated, euler_product_literal, poly_mul
 
@@ -57,12 +57,12 @@ def g_big():
 
 @pytest.fixture(scope="module")
 def tau_form():
-    return ramanujan_delta(300)
+    return expression_form(NAMED["Delta"], 300)[0]
 
 
 @pytest.fixture(scope="module")
 def g11_form():
-    return x0_11_form(20)
+    return expression_form(NAMED["G11"], 20)[0]
 
 
 def _restrict(f: Form, prec: int) -> Form:
@@ -265,10 +265,10 @@ def test_criterion_8_property_suites(delta_big, g_big):
             assert back.coeffs[n] == (a.coeffs[n - 1] if n >= 1 else 0)
 
     # coefficient files round-trip at prec 1000
-    D, G = ramanujan_delta(1000), x0_11_form(1000)
-    for form_id, form in (("delta", _restrict(delta_big[0], 1000)),
-                          ("g", _restrict(g_big[0], 1000)),
-                          ("Delta", D), ("G11", G)):
+    named = [(name, expression_form(NAMED[name], 1000)[0])
+             for name in ("Delta", "G11")]
+    for form_id, form in [("delta", _restrict(delta_big[0], 1000)),
+                          ("g", _restrict(g_big[0], 1000))] + named:
         cf = coeffio.CoefficientFile(form_id, form)
         assert coeffio.parse(cf.serialize()).serialize() == cf.serialize()
 

@@ -16,8 +16,7 @@ import qsigns
 from qsigns import coeffio, forms, formspec, qseries, signs
 from qsigns.arith import DirichletCharacter
 from qsigns.cli import main
-from qsigns.forms import (NAMED, Form, delta_form, g_form, ramanujan_delta,
-                          x0_11_form)
+from qsigns.forms import NAMED, Form, delta_form, expression_form, g_form
 
 
 def run(*argv):
@@ -44,8 +43,8 @@ class TestCoefficientFile:
     def test_round_trip_builtins_at_1000(self):
         d = delta_form(1000)
         g = g_form(1000)
-        D = ramanujan_delta(1000)
-        G = x0_11_form(1000)
+        D = expression_form(NAMED["Delta"], 1000)[0]
+        G = expression_form(NAMED["G11"], 1000)[0]
         files = [coeffio.CoefficientFile("delta", d),
                  coeffio.CoefficientFile("g", g),
                  coeffio.CoefficientFile("Delta", D),
@@ -87,6 +86,8 @@ class TestCoefficientFile:
             coeffio.parse(good.replace("# weight: 13/2", "# weight: 6.5"))
         with pytest.raises(ValueError):
             coeffio.parse(good + "3\t7\n")      # out of order
+        with pytest.raises(ValueError, match="out of order"):
+            coeffio.parse(good + "4\t7\n")      # a repeat in the same block
         with pytest.raises(ValueError):
             coeffio.parse(good + "9\t1\n")      # beyond prec
         with pytest.raises(ValueError):
@@ -438,7 +439,7 @@ class TestBuildCommand:
         by_name, by_spec = tmp_path / "name.txt", tmp_path / "spec.txt"
         assert run("build", "--form", name, "--prec", "300",
                    "--out", str(by_name)) == 0
-        assert run("build", "--form", NAMED[name][0], "--prec", "300",
+        assert run("build", "--form", NAMED[name], "--prec", "300",
                    "--out", str(by_spec)) == 0
         body, spec_body = ([l for l in read_lines(path) if not l.startswith("#")]
                            for path in (by_name, by_spec))
@@ -477,6 +478,8 @@ class TestBuildCommand:
                         "9b8d5043ec3c8d26b5e8af4044e7baab"),
         ("Delta", 2000, "99a561bc7279fe2d6d2c9e2262d586b1"
                         "49b6ca2c4fb01299ba799e7afd05e554"),
+        ("E4", 300, "49a78ca57e3441a44afc553de295c480"
+                    "ce32b148c765fbaa425217583b9abfb2"),
         ("E4(1)^2", 1000, "3293af79da939f78a22eb1b4167947ec"
                           "59f91915bc58a251bf3f01e0e23a5d96"),
         # rational expressions, pinned while rational scalars still made

@@ -12,8 +12,8 @@ from qsigns import forms
 from qsigns import formspec as fs
 from qsigns import qseries as qs
 from qsigns.arith import DirichletCharacter
-from qsigns.forms import (NAMED, Form, delta_form, g_form, integer_table,
-                          plus_space_check, ramanujan_delta, x0_11_form)
+from qsigns.forms import (NAMED, Form, delta_form, expression_form, g_form,
+                          integer_table, plus_space_check)
 from qsigns.formspec import evaluate, parse_formspec
 
 from oracles import tau_list, ternary_theta, x0_11_list
@@ -60,7 +60,6 @@ class TestDeltaForm:
         d = delta_form(10)
         assert d.weight_num == 13 and d.k == 6
         assert d.level == 4 and d.character.is_trivial
-        assert NAMED["delta"][1]
 
     def test_plus_space_support(self):
         assert plus_space_check(delta_form(100)) == []
@@ -76,7 +75,7 @@ class TestGForm:
     def test_metadata(self):
         g = g_form(10)
         assert g.weight_num == 3 and g.k == 1
-        assert g.level == 44 and NAMED["g"][1]
+        assert g.level == 44
 
     def test_plus_space_support(self):
         # k odd: support is n = 0, 3 mod 4
@@ -181,8 +180,7 @@ class TestPlan:
         ("G11", 100_000, [("pairs", 1), ("pairs", 1), ("ntt", 1)]),
         ("E4(1)^2", 7_000, [("ntt", 1)])])
     def test_named_shapes(self, name, prec, want):
-        assert _plans(NAMED[name][0] if name in NAMED else name,
-                      prec) == want
+        assert _plans(NAMED.get(name, name), prec) == want
 
 
 class TestSharedSubtrees:
@@ -197,7 +195,7 @@ class TestSharedSubtrees:
         with mock.patch.object(qs, "eta", wraps=qs.eta) as eta:
             g_form(300)
         assert eta.call_count == 2
-        assert want == forms.expression_form(NAMED["delta"][0], 300)[0].coeffs
+        assert want == forms.expression_form(NAMED["delta"], 300)[0].coeffs
 
     def test_a_repeated_subtree_is_dropped_after_its_last_use(self):
         # theta(2) is asked for three times at need 5 and once at 10.
@@ -238,11 +236,11 @@ class TestSharedSubtrees:
 
 class TestRamanujanDelta:
     def test_against_literal_expansion(self):
-        D = ramanujan_delta(60)
+        D = expression_form(NAMED["Delta"], 60)[0]
         assert D.coeffs == tau_list(60)[:61]
 
     def test_pinned_values(self):
-        D = ramanujan_delta(3)
+        D = expression_form(NAMED["Delta"], 3)[0]
         assert (D.coeffs[1], D.coeffs[2], D.coeffs[3]) == (1, -24, 252)
 
     def test_tau_multiplicative(self, delta_wt12):
@@ -255,11 +253,11 @@ class TestRamanujanDelta:
 
 class TestX011:
     def test_against_literal_expansion(self):
-        G = x0_11_form(40)
+        G = expression_form(NAMED["G11"], 40)[0]
         assert G.coeffs == x0_11_list(40)[:41]
 
     def test_pinned_values(self):
-        G = x0_11_form(11)
+        G = expression_form(NAMED["G11"], 11)[0]
         assert [G.coeffs[n] for n in range(1, 8)] == [1, -2, -1, 2, 1, 2, -2]
         assert G.coeffs[11] == 1
 
@@ -271,13 +269,11 @@ class TestFinalization:
         f = Form(weight_num=13, level=4,
                  character=DirichletCharacter.trivial(4), coeffs=coeffs)
         assert plus_space_check(f) == [2]
-        # theta^13 has weight 13/2 and a(2) = r_13(2) != 0: a named form
-        # flagged for the plus space is refused, an unflagged one is not.
-        monkeypatch.setitem(NAMED, "flagged", ("theta(1)^13", True))
-        monkeypatch.setitem(NAMED, "unflagged", ("theta(1)^13", False))
+        # theta^13 has weight 13/2 and a(2) = r_13(2) != 0: delta's
+        # constructor refuses it in place of delta's expression.
+        monkeypatch.setitem(NAMED, "delta", "theta(1)^13")
         with pytest.raises(ValueError, match="fails at n=2"):
-            forms._named("flagged", 20)
-        assert plus_space_check(forms._named("unflagged", 20))[0] == 2
+            delta_form(20)
 
     @pytest.mark.parametrize("weight_num, level", [(13, 0), (13, -4),
                                                    (24, 0), (24, -1)])
@@ -386,5 +382,5 @@ def test_the_working_precision_cap_is_g_at_the_largest_prec():
     # Every named form builds at LARGE_PREC_CAP; g asks the most of any.
     needs = {name: fs.working_prec(parse_formspec(spec),
                                    forms.LARGE_PREC_CAP + 1)
-             for name, (spec, _) in NAMED.items()}
+             for name, spec in NAMED.items()}
     assert max(needs.values()) == needs["g"] == forms.WORKING_PREC_CAP

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from qsigns import arith, hecke, signs
 from qsigns.arith import DirichletCharacter, divisors, kronecker
-from qsigns.forms import (Form, delta_form, expression_form, g_form,
-                          ramanujan_delta, x0_11_form)
+from qsigns.forms import NAMED, Form, delta_form, expression_form, g_form
 
 from oracles import (recurrence_oracle, shimura_lift_loop, t_integral_loop,
                      t_square_half_loop, u_loop)
@@ -112,7 +111,7 @@ class TestShimuraLift:
         # it is a(t) times the newform eta(z)^2 eta(11z)^2 of level 11.
         g = g_form(40000)
         lift = hecke.shimura_lift(g, t)
-        g11 = x0_11_form(lift.prec + 1)
+        g11 = expression_form(NAMED["G11"], lift.prec + 1)[0]
         assert lift.prec == isqrt(40000 // t) and g.coeffs[t]
         for n in range(1, lift.prec + 1, 2):
             assert lift.coeffs[n] == g.coeffs[t] * g11.coeffs[n], n
@@ -218,8 +217,9 @@ class TestOperatorPrecision:
 
     def test_p_beyond_precision_is_refused(self):
         with pytest.raises(ValueError, match="p = 13 exceeds the precision 12"):
-            hecke.t_integral(13, x0_11_form(12))
-        assert hecke.t_integral(13, x0_11_form(13)).prec == 1
+            hecke.t_integral(13, expression_form(NAMED["G11"], 12)[0])
+        g11 = expression_form(NAMED["G11"], 13)[0]
+        assert hecke.t_integral(13, g11).prec == 1
 
     def test_m_beyond_precision_is_refused(self):
         with pytest.raises(ValueError,
@@ -247,7 +247,8 @@ class TestUImage:
             DirichletCharacter(top=16 * 12, modulus=12)
         assert hecke.u_image(4, delta3k).character == \
             DirichletCharacter.trivial(4)
-        assert hecke.u_image(3, ramanujan_delta(30)).character == \
+        tau = expression_form(NAMED["Delta"], 30)[0]
+        assert hecke.u_image(3, tau).character == \
             DirichletCharacter.trivial(3)
 
     @pytest.mark.parametrize("m", [0, -2])
@@ -321,7 +322,7 @@ class TestTIntegral:
 
     def test_weight_parity_enforced(self, delta3k):
         with pytest.raises(ValueError):
-            hecke.t_square_half(3, ramanujan_delta(50))
+            hecke.t_square_half(3, expression_form(NAMED["Delta"], 50)[0])
         with pytest.raises(ValueError):
             hecke.t_integral(3, delta3k)
 
