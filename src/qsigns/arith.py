@@ -258,12 +258,14 @@ class DirichletCharacter(FrozenRecord):
 
     Only real characters are supported; the modulus is a period of the
     character (not necessarily the conductor; 0 picks _default_period),
-    and a modulus that is not is refused.
+    and a modulus that is not is refused.  Every prime of the top divides
+    it, so a positive square top is 1 on every unit: it is stored as
+    modulus^2 and sets is_trivial, and the record equals trivial(modulus).
     """
 
     __slots__ = ("top", "modulus", "is_trivial")
 
-    def __init__(self, top: int, modulus: int = 0, is_trivial: bool = False):
+    def __init__(self, top: int, modulus: int = 0):
         if top == 0:
             raise ValueError("character top must be nonzero")
         if modulus == 0:
@@ -273,14 +275,15 @@ class DirichletCharacter(FrozenRecord):
         if not _is_period(top, modulus):
             raise ValueError("(%d/.) is not periodic on the units mod %d"
                              % (top, modulus))
-        super().__init__(top, modulus, is_trivial)
+        square = top > 0 and isqrt(top) ** 2 == top
+        super().__init__(modulus ** 2 if square else top, modulus, square)
 
     @classmethod
     def trivial(cls, N: int) -> "DirichletCharacter":
         """The trivial character modulo N (1 on units, 0 elsewhere)."""
         if N < 1:
             raise ValueError("modulus must be positive")
-        return cls(top=N * N, modulus=N, is_trivial=True)
+        return cls(N * N, N)
 
     def __call__(self, a: int) -> int:
         return kronecker(self.top, a) if gcd(a, self.modulus) == 1 else 0

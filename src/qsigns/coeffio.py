@@ -17,11 +17,12 @@ nonzero coefficient, ascending n, decimal integers:
 A CoefficientFile is a Form plus what only a file has: the form id, the
 offset and the lift index t.  The weight (numerator over 2; even
 numerators are integral weights), level, character and prec lines are
-the Form's.  The offset is the least index the body may hold, with no
-nonzero coefficient below it: 0 when a(0) is nonzero and 1 otherwise,
-unless given (only an expression build gives one, its series' integer
-offset).  An optional '# t: <int>' line after the offset records the
-lift index, a square-free positive integer.
+the Form's; a character is kronecker:<top>/mod:<N>, but trivial:<N> when
+the top is a square.  The offset is the least index the body may hold,
+with no nonzero coefficient below it: 0 when a(0) is nonzero and 1
+otherwise, unless given (only an expression build gives one, its series'
+integer offset).  An optional '# t: <int>' line after the offset records
+the lift index, a square-free positive integer.
 
 Serialization is canonical, and parse accepts only what serialize
 writes, byte for byte.  In the header: no unknown, repeated or reordered
@@ -61,9 +62,8 @@ _TO_COMMAS = str.maketrans("\t\n", ",,")
 
 
 def format_character(chi: DirichletCharacter) -> str:
-    if chi.is_trivial:
-        return "trivial:%d" % chi.modulus
-    return "kronecker:%d/mod:%d" % (chi.top, chi.modulus)
+    return ("trivial:%d" % chi.modulus if chi.is_trivial
+            else "kronecker:%d/mod:%d" % (chi.top, chi.modulus))
 
 
 def parse_character(text: str) -> DirichletCharacter:

@@ -64,12 +64,12 @@ def t_square_half(p: int, f: Form) -> Form:
              + chi(p)^2 p^(2k-1) a(n / p^2),
 
     chi* = chi (-4/.)^k, and the last term zero unless p^2 | n.  Valid for
-    0 <= n <= prec // p^2.
+    0 <= n <= prec // p^2.  chi is real, so chi(p)^2 = 1 at a good p.
     """
     _require_weight(f, half_integral=True)
     require_good_prime(p, f.level)
     return Form(f.weight_num, f.level, f.character, _image(
-        "p^2", f.coeffs, p * p, f.character(p) ** 2 * p ** (2 * f.k - 1),
+        "p^2", f.coeffs, p * p, p ** (2 * f.k - 1),
         f.character.twist((-4) ** f.k)(p) * p ** (f.k - 1), p))
 
 
@@ -78,29 +78,26 @@ def t_integral(p: int, F: Form) -> Form:
 
         B(n) = A(p n) + chi^2(p) p^(2k-1) A(n / p),
 
-    valid for 0 <= n <= prec // p.
+    valid for 0 <= n <= prec // p; chi is real, so chi^2(p) = 1 at a good p.
     """
     _require_weight(F, half_integral=False)
     require_good_prime(p, F.level)
-    return Form(F.weight_num, F.level, F.character, _image(
-        "p", F.coeffs, p, F.character(p) ** 2 * p ** (2 * F.k - 1)))
+    return Form(F.weight_num, F.level, F.character,
+                _image("p", F.coeffs, p, p ** (2 * F.k - 1)))
 
 
 def u_image(m: int, f: Form) -> Form:
     """f | U_m: b(n) = a(m n) for 0 <= n <= prec // m, with the level and
     the character twist of arith.u_type; m must not exceed the precision.
-    With no twist, a trivial character moves to the new level and a
-    non-trivial one is kept."""
+    With no twist a non-trivial character is kept; any other is read mod
+    the new level, where a square top is the trivial character."""
     if m < 1:
         raise ValueError("index must be positive")
     coeffs = _image("m", f.coeffs, m)
     level, twist = u_type(f.level, m, f.half_integral)
-    character = f.character
-    if twist != 1:
-        character = character.twist(twist, level)
-    elif character.is_trivial:
-        character = DirichletCharacter.trivial(level)
-    return Form(f.weight_num, level, character, coeffs)
+    return Form(f.weight_num, level, f.character
+                if twist == 1 and not f.character.is_trivial
+                else f.character.twist(twist, level), coeffs)
 
 
 def _image(name: str, a: list[int], q: int, c_low: int = 0, c_mid: int = 0,
@@ -174,11 +171,12 @@ def recurrence_check(f: Form, t: int, p: int) -> RecurrenceReport:
         a(t p^(2m)) = lam_p a(t p^(2m-2))
                       - chi(p)^2 p^(2k-1) a(t p^(2m-4)),  m >= 2,
 
-    along signs.prime_powers.  Step m is T(p^2) f = lam_p f at
-    n = t p^(2m-2) (see t_square_half; from m = 2 on, (n/p) = 0), and
-    every such n is at most prec / p^2, where eigen_report checks that
-    equation.  So the recurrence holds exactly when f is a T(p^2)
-    eigenform within precision, and lam_p is its eigenvalue."""
+    along signs.prime_powers; chi is real, so chi(p)^2 = 1 at a good p.
+    Step m is T(p^2) f = lam_p f at n = t p^(2m-2) (see t_square_half;
+    from m = 2 on, (n/p) = 0), and every such n is at most prec / p^2,
+    where eigen_report checks that equation.  So the recurrence holds
+    exactly when f is a T(p^2) eigenform within precision, and lam_p is
+    its eigenvalue."""
     _require_weight(f, half_integral=True)
     indices = prime_powers(f, t, p)
     rep = eigen_report(f, p)

@@ -208,11 +208,12 @@ class QSeries:
 
 # -- ring operations -------------------------------------------------------
 
-def check_common_grid(a_offset: Fraction, b_offset: Fraction):
-    """Refuse a sum of series whose offsets differ by a non-integer."""
-    if (a_offset - b_offset).denominator != 1:
+def check_common_grid(a_offset: Fraction, b_offset: Fraction) -> int:
+    """b_offset - a_offset as an int; a non-integer one is refused."""
+    if (shift := b_offset - a_offset).denominator != 1:
         raise ValueError("offsets %s and %s are not on a common grid"
                          % (a_offset, b_offset))
+    return shift.numerator
 
 
 def mul(a: QSeries, b: QSeries) -> QSeries:
@@ -247,16 +248,14 @@ def lincomb(terms) -> QSeries:
     """
     spans = [(t[1].offset + t[2].offset, min(t[1].prec, t[2].prec))
              if len(t) == 3 else (t[1].offset, t[1].prec) for t in terms]
-    for off, _ in spans:
-        check_common_grid(spans[0][0], off)
     offset = min(off for off, _ in spans)
-    prec = max(0, min(int(off - offset) + n for off, n in spans))
+    spans = [(check_common_grid(offset, off), n) for off, n in spans]
+    prec = max(0, min(shift + n for shift, n in spans))
     groups = {}     # stride d -> the (row terms, coeffs) of one row pass
     lists = []      # (shift, values, k), each added by one map pass
     pair_terms = []
-    for (k, *factors), (off, _) in zip(terms, spans):
+    for (k, *factors), (shift, _) in zip(terms, spans):
         _require_int(k)
-        shift = int(off - offset)
         lim = prec - shift
         if not k or lim <= 0:
             continue

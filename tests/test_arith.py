@@ -2,7 +2,7 @@ import random
 from math import gcd, isqrt, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsigns import coeffio, formspec, hecke, signs
@@ -130,6 +130,52 @@ def characters(draw):
     except ValueError:
         return DirichletCharacter(top, DirichletCharacter(top).modulus
                                   * draw(st.integers(1, 6)))
+
+
+@st.composite
+def tops_and_moduli(draw):
+    """A (top, modulus) pair DirichletCharacter accepts: the modulus is
+    drawn, or else a multiple of the top's default period.  About half
+    the tops are positive squares."""
+    top = draw(st.one_of(st.integers(-300, 300).filter(bool),
+                         st.integers(1, 20).map(lambda s: s * s)))
+    modulus = draw(st.integers(1, 400))
+    try:
+        DirichletCharacter(top, modulus)
+    except ValueError:
+        modulus = DirichletCharacter(top).modulus * draw(st.integers(1, 6))
+    return top, modulus
+
+
+class TestTrivialFromTheTop:
+    @given(tops_and_moduli())
+    @example((9, 3))
+    @example((2304, 12))
+    @settings(max_examples=300, deadline=None)
+    def test_trivial_exactly_when_one_on_every_unit(self, pair):
+        top, modulus = pair
+        chi = DirichletCharacter(top, modulus)
+        ones = all(chi(a) == 1 for a in range(1, modulus + 1)
+                   if gcd(a, modulus) == 1)
+        assert chi.is_trivial == ones
+        if ones:
+            trivial = DirichletCharacter.trivial(modulus)
+            assert chi == trivial and hash(chi) == hash(trivial)
+            assert coeffio.format_character(chi) == "trivial:%d" % modulus
+
+    @given(characters())
+    @settings(max_examples=300, deadline=None)
+    def test_square_is_one_at_every_good_prime(self, chi):
+        # T(p^2) and T(p) leave out chi(p)^2 on this ground.
+        for p in ODD_PRIMES_UNDER_200 + [2]:
+            if chi.modulus % p:
+                assert chi(p) ** 2 == 1, p
+
+    def test_g_character_is_trivial_mod_44(self):
+        # g's character as (44/.)(-44/.)(-4/.): the top 88^2 is a square.
+        chi = DirichletCharacter(44).twist(-44).twist(-4)
+        assert chi == DirichletCharacter.trivial(44)
+        assert chi.is_trivial and chi.top == 44 ** 2
 
 
 class TestTwist:

@@ -916,6 +916,22 @@ class TestHeckeCommand:
                        str(p), "--verify-eigen") == 0, (m, p)
             assert json.loads(capsys.readouterr().out)["lambda"] == lam
 
+    def test_square_top_is_written_trivial(self, files_1e4, tmp_path):
+        # U_3 of delta's U_3 image has the top 16 * 12 * 12 = 48^2, the
+        # trivial character mod 12, and U_9's body.  A file that writes
+        # that character as kronecker:2304/mod:12 is not canonical.
+        u3, u33, u9 = (tmp_path / n for n in ("u3.txt", "u33.txt", "u9.txt"))
+        delta = str(files_1e4 / "delta.txt")
+        for src, m, out in ((delta, 3, u3), (u3, 3, u33), (delta, 9, u9)):
+            assert run("hecke", "--in", str(src), "--op", "u", "--p", str(m),
+                       "--out", str(out)) == 0
+        assert "# character: trivial:12" in read_lines(u33)
+        assert body(u33) == body(u9)
+        old = u33.read_text().replace("trivial:12", "kronecker:2304/mod:12")
+        with pytest.raises(ValueError, match="is not written as "
+                           "'# character: trivial:12'"):
+            coeffio.parse(old)
+
     @pytest.mark.parametrize("argv", [
         ["hecke", "--op", "tsq", "--p", "3", "--out", "out.txt"],
         ["hecke", "--op", "tsq", "--p", "3", "--verify-eigen"],

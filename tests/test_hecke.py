@@ -247,6 +247,11 @@ class TestUImage:
             DirichletCharacter(top=16 * 12, modulus=12)
         assert hecke.u_image(4, delta3k).character == \
             DirichletCharacter.trivial(4)
+        # U_3 twists (192/.) by (12/.) to the square top 48^2: the
+        # trivial character mod 12, on U_9's coefficients.
+        u33 = hecke.u_image(3, hecke.u_image(3, delta3k))
+        assert u33.character == DirichletCharacter.trivial(12)
+        assert u33.coeffs == hecke.u_image(9, delta3k).coeffs
         tau = expression_form(NAMED["Delta"], 30)[0]
         assert hecke.u_image(3, tau).character == \
             DirichletCharacter.trivial(3)
