@@ -286,16 +286,22 @@ def _suite_plus_space(f, ts, ps, limit):
 
 
 def _suite_recurrence(f, ts, ps, limit):
+    # The recurrence along t p^(2m) holds exactly when f is a T(p^2)
+    # eigenform (see hecke), so each prime's verdict serves every t.
+    verdicts = [hecke.extract_eigenvalue(
+        f.coeffs, hecke.t_square_half(p, f).coeffs, p, f.k) for p in ps]
     checks = []
     for t in ts:
-        for p in ps:
-            rep = hecke.recurrence_check(f, t, p)
-            entry = {"t": t, "p": p, "pass": rep.ok, "lambda": rep.lam,
-                     "max_m": rep.max_m, "violation_m": None,
-                     "witnesses": [_witness(f, n) for n in
-                                   rep.indices[:min(rep.max_m, 2) + 1]]}
-            if rep.note:
-                entry["note"] = rep.note
+        for rep in verdicts:
+            indices = signs.prime_powers(f, t, rep.p)
+            max_m = len(indices) - 1 if rep.is_eigen else 0
+            entry = {"t": t, "p": rep.p, "pass": rep.is_eigen,
+                     "lambda": rep.lam, "max_m": max_m, "violation_m": None,
+                     "witnesses": [_witness(f, n)
+                                   for n in indices[:min(max_m, 2) + 1]]}
+            if not rep.is_eigen:
+                entry["note"] = "not a T(p^2) eigenform: %s" % (
+                    rep.note or "violation at n=%s" % rep.first_violation)
             checks.append(entry)
     return _every_check(checks)
 

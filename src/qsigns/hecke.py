@@ -9,6 +9,12 @@ Eigenvalue extraction is exact integer arithmetic; a non-dividing ratio
 is a hard not-an-eigenform verdict, never a rounding question.  An
 EigenReport carries the whole verdict: the eigenvalue, its Satake data
 and whether it meets the Deligne and the elementary bound.
+
+The T(p^2) verdict is also that of the recurrence along t p^(2m):
+a(t p^2) = a(t) (lam_p - chi*(p) (t/p) p^(k-1)) and, for m >= 2,
+a(t p^(2m)) = lam_p a(t p^(2m-2)) - p^(2k-1) a(t p^(2m-4)).  Step m is
+T(p^2) f = lam_p f at n = t p^(2m-2) <= prec / p^2, so the recurrence
+holds within precision exactly when f is a T(p^2) eigenform.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from itertools import cycle, repeat
 from .arith import (DirichletCharacter, Record, kronecker, require_good_prime,
                     u_type)
 from .forms import Form
-from .signs import prime_powers, square_class
+from .signs import square_class
 
 
 class EigenReport(Record):
@@ -155,39 +161,6 @@ def eigen_report(f: Form, p: int) -> EigenReport:
     integral weight, over every index the precision supports."""
     image = t_square_half(p, f) if f.half_integral else t_integral(p, f)
     return extract_eigenvalue(f.coeffs, image.coeffs, p, f.k)
-
-
-class RecurrenceReport(Record):
-    """Result of checking the local Hecke recurrence along t p^(2m)."""
-
-    __slots__ = ("ok", "t", "p", "lam", "max_m", "indices", "note")
-    _defaults = {"note": ""}
-
-
-def recurrence_check(f: Form, t: int, p: int) -> RecurrenceReport:
-    """Verify, within precision, that the prime-power coefficients obey
-
-        a(t p^2)    = a(t) (lam_p - chi*(p) (t/p) p^(k-1)),
-        a(t p^(2m)) = lam_p a(t p^(2m-2))
-                      - chi(p)^2 p^(2k-1) a(t p^(2m-4)),  m >= 2,
-
-    along signs.prime_powers; chi is real, so chi(p)^2 = 1 at a good p.
-    Step m is T(p^2) f = lam_p f at n = t p^(2m-2) (see t_square_half;
-    from m = 2 on, (n/p) = 0), and every such n is at most prec / p^2,
-    where eigen_report checks that equation.  So the recurrence holds
-    exactly when f is a T(p^2) eigenform within precision, and lam_p is
-    its eigenvalue."""
-    _require_weight(f, half_integral=True)
-    indices = prime_powers(f, t, p)
-    rep = eigen_report(f, p)
-    if not rep.is_eigen:
-        return RecurrenceReport(ok=False, t=t, p=p, lam=rep.lam, max_m=0,
-                                indices=indices,
-                                note="not a T(p^2) eigenform: %s"
-                                     % (rep.note or
-                                        "violation at n=%s" % rep.first_violation))
-    return RecurrenceReport(ok=True, t=t, p=p, lam=rep.lam,
-                            max_m=len(indices) - 1, indices=indices)
 
 
 def satake(lam: int, p: int, k: int) -> tuple[int, int, int]:

@@ -16,7 +16,8 @@ from qsigns import coeffio, hecke, qseries as qs, signs
 from qsigns.arith import kronecker
 from qsigns.forms import NAMED, Form, delta_form, expression_form, g_form
 
-from oracles import dilated, euler_product_literal, poly_mul
+from oracles import (dilated, euler_product_literal, poly_mul,
+                     recurrence_oracle)
 
 BIG = 100_000
 
@@ -179,13 +180,17 @@ def test_criterion_5_shimura_lift(delta_big, tau_form):
 def test_criterion_6_local_recurrence(delta_big, g_big):
     d, _ = delta_big
     g, _ = g_big
-    for t in (1, 5):
+    # The recurrence along t p^(2m) is the T(p^2) eigen equation: each
+    # prime's verdict holds, and the two-term oracle gives every a(t p^(2m))
+    # within precision.
+    for name, f, ts in (("delta", d, (1, 5)), ("g", g, (3,))):
         for p in (3, 5, 7):
-            rep = hecke.recurrence_check(d, t, p)
-            assert rep.ok, ("delta", t, p, rep)
-    for p in (3, 5, 7):
-        rep = hecke.recurrence_check(g, 3, p)
-        assert rep.ok, ("g", p, rep)
+            rep = hecke.eigen_report(f, p)
+            assert rep.is_eigen, (name, p, rep)
+            for t in ts:
+                seq = [f.coeffs[n] for n in signs.prime_powers(f, t, p)]
+                assert recurrence_oracle(seq[0], seq[1], rep.lam,
+                                         p ** (2 * f.k - 1), len(seq)) == seq
     assert d.coeffs[81] == 252 * 9 - 3 ** 11 == -174879
     print("\n[criterion 6] PASS local recurrence holds within precision 1e5; "
           "a(81) = -174879 exactly")

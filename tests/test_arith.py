@@ -357,8 +357,7 @@ class TestDirichletCharacter:
 # binds every field.
 PLAIN_RECORDS = [formspec.Atom, formspec.Diff, formspec.U, formspec.Add,
                  formspec.Mul, formspec.Pow, formspec.Scale,
-                 hecke.EigenReport, hecke.RecurrenceReport,
-                 signs.SignStatsReport]
+                 hecke.EigenReport, signs.SignStatsReport]
 FIELD_VALUES = st.one_of(st.integers(), st.text(max_size=4), st.none(),
                          st.tuples(st.integers()))
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsigns
-from qsigns import coeffio, forms, formspec, qseries, signs
+from qsigns import coeffio, forms, formspec, hecke, qseries, signs
 from qsigns.arith import DirichletCharacter
 from qsigns.cli import main
 from qsigns.forms import NAMED, Form, delta_form, expression_form, g_form
@@ -1359,6 +1359,42 @@ class TestVerifyCommand:
         check = json.loads(capsys.readouterr().out)["checks"][0]
         assert list(check)[-2:] == ["witnesses", "note"]
         assert check["note"] == "not a T(p^2) eigenform: violation at n=2"
+
+    def test_recurrence_reads_one_image_per_prime(self, tmp_path, capsys):
+        # Each prime's T(p^2) eigen verdict serves every t, in t-outer,
+        # p-inner order, with max_m the last m of t p^(2m) within prec.
+        src = tmp_path / "delta.txt"
+        run("build", "--form", "delta", "--prec", "2000", "--out", str(src))
+        with mock.patch.object(hecke, "t_square_half",
+                               wraps=hecke.t_square_half) as tsq:
+            assert run("verify", "--in", str(src), "--suite", "recurrence",
+                       "--t", "1,5,13", "--p", "3,5") == 0
+        assert tsq.call_count == 2
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        f = coeffio.read(str(src)).form
+        assert [(c["t"], c["p"], c["max_m"]) for c in checks] == [
+            (t, p, len(signs.prime_powers(f, t, p)) - 1)
+            for t in (1, 5, 13) for p in (3, 5)]
+
+    @pytest.mark.parametrize("form, prec, argv, message", [
+        ("delta", 200, ["--t", "4", "--p", "2"], "p=2 divides the level 4"),
+        ("delta", 100, ["--t", "101", "--p", "11"],
+         "p^2 = 121 exceeds the precision 100"),
+        ("Delta", 300, ["--p", "5"],
+         "needs a form of half-integral weight, got weight 24/2"),
+        ("Delta", 300, ["--t", "4", "--p", "9"],
+         "needs a form of half-integral weight, got weight 24/2"),
+    ], ids=["p-before-t", "prec-before-t", "weight", "weight-first"])
+    def test_recurrence_refusal_order(self, tmp_path, capsys, form, prec,
+                                      argv, message):
+        # The weight is checked first, then each p (prime, good, p^2
+        # within precision), then each t; nothing is written.
+        src, report = tmp_path / "f.txt", tmp_path / "rec.json"
+        run("build", "--form", form, "--prec", str(prec), "--out", str(src))
+        assert run("verify", "--in", str(src), "--suite", "recurrence",
+                   *argv, "--json", str(report)) == 2
+        assert capsys.readouterr() == ("", "error: %s\n" % message)
+        assert not report.exists()
 
     def test_out_of_range_t_exits_2(self, tmp_path):
         src = tmp_path / "delta.txt"

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsigns import arith, hecke, signs
+from qsigns import arith, cli, hecke, signs
 from qsigns.arith import DirichletCharacter, divisors, kronecker
 from qsigns.forms import NAMED, Form, delta_form, expression_form, g_form
 
@@ -392,7 +392,6 @@ def test_weight_one_half_is_refused():
                  coeffs=[1, 2, 0, 0, 2, 0, 0, 0, 0, 2, 0])
     for call in (lambda: hecke.t_square_half(3, theta),
                  lambda: hecke.eigen_report(theta, 3),
-                 lambda: hecke.recurrence_check(theta, 1, 3),
                  lambda: hecke.shimura_lift(theta, 1)):
         with pytest.raises(ValueError, match="weight 1/2 is not supported"):
             call()
@@ -416,8 +415,8 @@ class TestLocalPowerSequence:
     def test_extension_matches_direct(self, delta3k):
         # The recurrence verified within prec 3000 predicts a(3^8), which
         # only a prec-10^4 build reads directly.
-        rep = hecke.recurrence_check(delta3k, 1, 3)
-        assert rep.ok
+        rep = hecke.eigen_report(delta3k, 3)
+        assert rep.is_eigen
         seq = powers(delta3k, 1, 3)
         assert len(seq) == 4
         ext = recurrence_oracle(seq[0], seq[1], rep.lam, 3 ** 11, 5)
@@ -452,38 +451,37 @@ class TestRecurrence:
         assert g3k.coeffs[27] == g3k.coeffs[3] * -1 == -1
         assert delta3k.coeffs[81] == 252 * 9 - 3 ** 11 == -174879
 
-    def test_suite_passes(self, delta3k, g3k):
-        for t in (1, 5):
-            for p in (3, 5, 7):
-                rep = hecke.recurrence_check(delta3k, t, p)
-                assert rep.ok, (t, p, rep)
-        for p in (3, 5, 7):
-            rep = hecke.recurrence_check(g3k, 3, p)
-            assert rep.ok, (p, rep)
-
     def test_failure_propagates(self, delta3k, g3k):
-        rep = hecke.recurrence_check(_mix(delta3k, g3k), 1, 3)
-        assert not rep.ok and "eigenform" in rep.note
+        # The recurrence suite reads one verdict per prime: a form that is
+        # no eigenform fails at every t, and each entry says why.
+        ok, fields = cli.SUITES["recurrence"](_mix(delta3k, g3k), [1, 5],
+                                              [3], None)
+        assert not ok and len(fields["checks"]) == 2
+        for check in fields["checks"]:
+            assert not check["pass"] and check["max_m"] == 0
+            assert check["note"].startswith("not a T(p^2) eigenform: ")
 
     @pytest.mark.parametrize("form, ts, ps", [
         ("delta", (1, 5, 13), (3, 5, 7, 11)),
         ("g", (3, 7, 15), (3, 5, 7, 13)),
         ("mix", (1, 5), (3, 5, 7))])
     def test_verdict_is_the_eigen_check(self, delta3k, g3k, form, ts, ps):
-        # Step m of the recurrence is T(p^2) f = lam f at n = t p^(2m-2);
-        # where it holds, the two-term oracle continues a(t), a(t p^2)
-        # through every a(t p^(2m)) within precision.
+        # Step m of the recurrence is T(p^2) f = lam f at n = t p^(2m-2):
+        # delta and g pass the eigen check at every p, and the two-term
+        # oracle continues a(t), a(t p^2) through every a(t p^(2m))
+        # within precision; their mix passes at no p.
         f = {"delta": delta3k, "g": g3k, "mix": _mix(delta3k, g3k)}[form]
-        for t in ts:
-            for p in ps:
-                rep = hecke.recurrence_check(f, t, p)
-                assert rep.ok == hecke.eigen_report(f, p).is_eigen, (t, p)
-                if rep.ok:
-                    seq = powers(f, t, p)
-                    assert rep.max_m == len(seq) - 1
-                    p2k1 = f.character(p) ** 2 * p ** (2 * f.k - 1)
-                    assert recurrence_oracle(seq[0], seq[1], rep.lam, p2k1,
-                                             len(seq)) == seq, (t, p)
+        for p in ps:
+            rep = hecke.eigen_report(f, p)
+            assert rep.is_eigen == (form != "mix"), (p, rep)
+            if not rep.is_eigen:
+                continue
+            p2k1 = f.character(p) ** 2 * p ** (2 * f.k - 1)
+            for t in ts:
+                seq = powers(f, t, p)
+                assert len(seq) >= 2, (t, p)
+                assert recurrence_oracle(seq[0], seq[1], rep.lam, p2k1,
+                                         len(seq)) == seq, (t, p)
 
 
 class TestSatakeAndBounds:

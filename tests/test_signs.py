@@ -383,8 +383,8 @@ class TestSignChangesBeyondPrecision:
         # appears by m = 2, and the verified recurrence, continued past
         # the precision, keeps it visible
         for p in (3, 5):
-            rep = hecke.recurrence_check(delta3k, 1, p)
-            assert rep.ok
+            rep = hecke.eigen_report(delta3k, p)
+            assert rep.is_eigen
             seq = [delta3k.coeffs[n] for n in prime_powers(delta3k, 1, p)]
             ext = recurrence_oracle(seq[0], seq[1], rep.lam,
                                     p ** (2 * delta3k.k - 1), 7)
