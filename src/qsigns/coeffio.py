@@ -22,7 +22,8 @@ the top is a square.  The offset is the least index the body may hold,
 with no nonzero coefficient below it: 0 when a(0) is nonzero and 1
 otherwise, unless given (only an expression build gives one, its series'
 integer offset).  An optional '# t: <int>' line after the offset records
-the lift index, a square-free positive integer.
+the lift index, a square-free positive integer no larger than
+forms.LARGE_PREC_CAP.
 
 Serialization is canonical, and parse accepts only what serialize
 writes, byte for byte.  In the header: no unknown, repeated or reordered
@@ -182,6 +183,11 @@ def parse(text: str) -> CoefficientFile:
                                    coeffs=[0] * (prec + 1)),
                          offset=int(header["offset"]),
                          t=int(header["t"]) if "t" in header else None)
+    # A lift's t is at most its source's prec: the cap bounds t before
+    # trial division reads it.
+    if cf.t is not None and cf.t > LARGE_PREC_CAP:
+        raise ValueError("lift index t=%d is above %d, the largest prec"
+                         % (cf.t, LARGE_PREC_CAP))
     if cf.t is not None and (cf.t < 1 or not is_squarefree(cf.t)):
         raise ValueError("lift index t=%d is not a square-free positive "
                          "integer" % cf.t)

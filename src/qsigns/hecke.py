@@ -4,7 +4,8 @@ Every operator returns its image as a Form whose table covers
 0 <= n <= its own precision: the q-expansion formulas hold at n = 0
 (T(p) E4 = sigma_3(p) E4).  T(p^2) and T(p) keep the input's weight,
 level and character, and u_image gives U_m's.  One rule, _image, builds
-all three tables and refuses a p^2, p or m above the precision.
+all three tables; a p^2, p or m above the precision is refused before
+anything else about it is read.
 Eigenvalue extraction is exact integer arithmetic; a non-dividing ratio
 is a hard not-an-eigenform verdict, never a rounding question.  An
 EigenReport carries the whole verdict: the eigenvalue, its Satake data
@@ -73,9 +74,10 @@ def t_square_half(p: int, f: Form) -> Form:
     0 <= n <= prec // p^2.  chi is real, so chi(p)^2 = 1 at a good p.
     """
     _require_weight(f, half_integral=True)
+    _require_within("p^2", p * p, f)
     require_good_prime(p, f.level)
     return Form(f.weight_num, f.level, f.character, _image(
-        "p^2", f.coeffs, p * p, p ** (2 * f.k - 1),
+        f.coeffs, p * p, p ** (2 * f.k - 1),
         f.character.twist((-4) ** f.k)(p) * p ** (f.k - 1), p))
 
 
@@ -87,9 +89,10 @@ def t_integral(p: int, F: Form) -> Form:
     valid for 0 <= n <= prec // p; chi is real, so chi^2(p) = 1 at a good p.
     """
     _require_weight(F, half_integral=False)
+    _require_within("p", p, F)
     require_good_prime(p, F.level)
     return Form(F.weight_num, F.level, F.character,
-                _image("p", F.coeffs, p, p ** (2 * F.k - 1)))
+                _image(F.coeffs, p, p ** (2 * F.k - 1)))
 
 
 def u_image(m: int, f: Form) -> Form:
@@ -99,23 +102,29 @@ def u_image(m: int, f: Form) -> Form:
     the new level, where a square top is the trivial character."""
     if m < 1:
         raise ValueError("index must be positive")
-    coeffs = _image("m", f.coeffs, m)
+    _require_within("m", m, f)
+    coeffs = _image(f.coeffs, m)
     level, twist = u_type(f.level, m, f.half_integral)
     return Form(f.weight_num, level, f.character
                 if twist == 1 and not f.character.is_trivial
                 else f.character.twist(twist, level), coeffs)
 
 
-def _image(name: str, a: list[int], q: int, c_low: int = 0, c_mid: int = 0,
+def _require_within(name: str, q: int, f: Form):
+    """Refuse, under its name, a q above f's precision."""
+    if q > f.prec:
+        raise ValueError("%s = %d exceeds the precision %d"
+                         % (name, q, f.prec))
+
+
+def _image(a: list[int], q: int, c_low: int = 0, c_mid: int = 0,
            p: int = 1) -> list[int]:
     """The table of T(p^2), T(p) and U_m by slices and map passes: b(n) =
     a(q n) + c_mid (n/p) a(n) + c_low a(n / q), 0 <= n <= (len(a) - 1) // q,
-    the last term zero unless q | n; a q above the precision is refused
-    under its name.  Only T(p^2) has a c_mid, and its p is odd (4 divides
-    a half-integral level), so (n/p) is read off one period of p values."""
-    if q >= len(a):
-        raise ValueError("%s = %d exceeds the precision %d"
-                         % (name, q, len(a) - 1))
+    the last term zero unless q | n; q is at most the precision
+    (_require_within).  Only T(p^2) has a c_mid, and its p is odd (4
+    divides a half-integral level), so (n/p) is read off one period of p
+    values."""
     b = a[::q]
     if c_mid:
         period = [c_mid * kronecker(r, p) for r in range(p)]

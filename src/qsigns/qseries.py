@@ -330,8 +330,9 @@ def _plan(a: QSeries, b: QSeries) -> tuple[str, int]:
     terms of a and b, n = min(prec_a, prec_b), A = max|a| and
     B = max|b|:
       - rows: a row term reaches n / (2 d) slots on average, w bytes
-        each, w the row pass's slot width for (B + 1) s A:
-        s n w / (2 d);
+        each, w the slot width for (B + 1) s A, at least the row pass's
+        own, whose bound sum |c| (max|b| + 1) over a residue's row terms
+        is at most (B + 1) s A: s n w / (2 d);
       - pairs: about s t / 2 pairs of terms fall below n, each one
         interpreted multiply-add: _PLAN_COST s t / 2;
       - ntt: n slots of D decimal digits, D those of
@@ -397,14 +398,12 @@ def _row_pass(terms: list, d: int, prec: int) -> list:
     so each residue r mod d is a sum of shifted multiples of the
     B_j[::d].  Each B_j[::d] is packed once into one int
     P_j = sum_t coeffs_j[d t] 256^(w t), and a residue's n slots are the
-    sum of c (P_j << 8 w k) over its row terms.  Slot u < n of a
-    residue is at most sum |c| peak_j(n - 1 - k) over its row terms
-    (k, c), where peak_j(t) is the largest |coeffs_j[d t']|, t' <= t:
-    a term reaches t = u - k <= n - 1 - k, and peak_j never falls.  With
-    M the largest over the residues of sum |c| (peak_j(n - 1 - k) + 1),
-    or of the max|B_j| + 1 if larger, and w the bytes of 2M, every slot
-    of that sum and every coeffs_j[d t] lies in (-H, H),
-    H = 2^(8w-1), so adding H to every slot makes each one a w-byte
+    sum of c (P_j << 8 w k) over its row terms.  With M the largest
+    over the residues of sum |c| (max|B_j| + 1) over its row terms
+    (k, c), max|B_j| read from the coeffs_j[d t] below prec, and w the
+    bytes of 2M, every slot of that sum lies in (-H, H), H = 2^(8w-1),
+    and so does every coeffs_j[d t], since every term has a row term and
+    each c is nonzero.  So adding H to every slot makes each one a w-byte
     value that carries into none of its neighbours, and the low n slots
     are the low 8 w n bits whatever the slots above them hold.  So the
     sum is only needed modulo 2^(8 w n), and a term at k only needs the
@@ -439,23 +438,14 @@ def _row_pass(terms: list, d: int, prec: int) -> list:
     terms = [(rows, coeffs) for rows, coeffs in terms if rows]
     if not terms:
         return out
-    # The slot bound: a row term at i reaches t <= (prec - 1 - i) // d,
-    # and peak[t] is the largest |B_j[d t']|, t' <= t, read one slice at
-    # a time between the t that rows reach; high ends as max|B_j|.
-    residues, sums, bound = {}, {}, 0
+    # The slot bound: sum |c| (max|B_j| + 1) over a residue's row terms.
+    residues, sums = {}, {}
     for j, (rows, coeffs) in enumerate(terms):
-        peak, high, start = {}, 0, 0
-        for t in sorted({(prec - 1 - i) // d for i, _ in rows}):
-            high = max(high, max(map(abs, coeffs[d * start:d * t + 1:d])))
-            peak[t] = high
-            start = t + 1
-        high = max(high, max(map(abs, coeffs[d * start:prec:d]), default=0))
-        bound = max(bound, high + 1)
+        high = max(map(abs, coeffs[0:prec:d])) + 1
         for i, c in rows:
             residues.setdefault(i % d, []).append((i // d, c, j))
-            sums[i % d] = sums.get(i % d, 0) + abs(c) * (
-                peak[(prec - 1 - i) // d] + 1)
-    w = _slot_bytes(max(bound, *sums.values()))
+            sums[i % d] = sums.get(i % d, 0) + abs(c) * high
+    w = _slot_bytes(max(sums.values()))
     bits = 8 * w
     half = 1 << (bits - 1)
 

@@ -11,11 +11,12 @@ those two ints with half-away-from-zero rounding.
 The reports read index lists, in their own order: square_class
 (t n^2 <= prec), prime_powers (t p^(2m) <= prec) and first_nonzero (per
 surveyed t, the least nonzero t n_t^2).  square_class and prime_powers
-check t (square-free, positive, a(t) within precision); prime_powers
-checks p (prime, not dividing the level).  scan reads one index list in
-one pass, for its entry count, sign changes and witnesses.  A sign
-change is an adjacent pair of opposite-sign entries once the zeros are
-deleted, at the 1-based place in the list of the later entry.
+check t (a(t) within precision, then square-free and positive);
+prime_powers checks p (prime, not dividing the level).  scan reads one
+index list in one pass, for its entry count, sign changes and
+witnesses.  A sign change is an adjacent pair of opposite-sign entries
+once the zeros are deleted, at the 1-based place in the list of the
+later entry.
 """
 
 from __future__ import annotations
@@ -145,15 +146,17 @@ def first_nonzero(f: Form, ts) -> dict[int, int]:
 
 
 def _check_t(f: Form, t: int):
-    if t < 1 or not is_squarefree(t):
-        raise ValueError("t must be a square-free positive integer")
+    # The precision bounds t before trial division reads it.
     if t > f.prec:
         raise ValueError("a(t) is beyond the form's precision")
+    if t < 1 or not is_squarefree(t):
+        raise ValueError("t must be a square-free positive integer")
 
 
 def dprime_filter(T, primes, eps) -> list[int]:
-    """Keep the t with (t/p_j) = eps_j for every prime p_j, reading (t/p)
-    off one period of t: p values, or 8 for p = 2."""
+    """Keep the t with (t/p_j) = eps_j for every prime p_j.  (t/p) has a
+    period of p values, or 8 for p = 2, and is read once for each residue
+    that some t of T takes, so never more often than T has entries."""
     if len(primes) != len(eps):
         raise ValueError("primes and eps must have equal length")
     if len(set(primes)) != len(primes):
@@ -161,11 +164,12 @@ def dprime_filter(T, primes, eps) -> list[int]:
     for p in primes:
         if not is_prime(p):
             raise ValueError("%d is not prime" % p)
+    T = list(T)
     for p, e in zip(primes, eps):
         q = 8 if p == 2 else p
-        hit = [kronecker(r, p) == e for r in range(q)]
+        hit = {r: kronecker(r, p) == e for r in {t % q for t in T}}
         T = [t for t in T if hit[t % q]]
-    return list(T)
+    return T
 
 
 def prop2_witnesses(f, p: int, limit: int) -> dict:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsigns
-from qsigns import coeffio, forms, formspec, hecke, qseries, signs
+from qsigns import arith, coeffio, forms, formspec, hecke, qseries, signs
 from qsigns.arith import DirichletCharacter
 from qsigns.cli import main
 from qsigns.forms import NAMED, Form, delta_form, expression_form, g_form
@@ -37,6 +37,19 @@ def cli_process(*argv):
 
 def body(path):
     return [l for l in read_lines(path) if not l.startswith("#")]
+
+
+def _bound_trial_division(monkeypatch, limit):
+    """Make is_prime and is_squarefree, in every module that reads them,
+    fail the test on an n above limit instead of trial-dividing it."""
+    for name in ("is_prime", "is_squarefree"):
+        def spy(n, real=getattr(arith, name)):
+            assert n <= limit, "trial division of %d" % n
+            return real(n)
+
+        for module in (arith, coeffio, signs):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy)
 
 
 class TestCoefficientFile:
@@ -802,6 +815,20 @@ class TestLiftCommand:
         assert run("signs", "--in", str(lift), "--X-list", "1") == 2
         assert "square-free positive" in capsys.readouterr().err
 
+    def test_file_t_above_every_prec_is_refused_unread(self, tmp_path,
+                                                       monkeypatch):
+        # No lift's t exceeds its source's prec, so a # t: above
+        # LARGE_PREC_CAP is refused before any trial division.
+        src, lift = tmp_path / "delta.txt", tmp_path / "lift.txt"
+        run("build", "--form", "delta", "--prec", "100", "--out", str(src))
+        run("lift", "--in", str(src), "--t", "1", "--out", str(lift))
+        big = 10 ** 30 + 57
+        text = lift.read_text().replace("# t: 1\n", "# t: %d\n" % big)
+        _bound_trial_division(monkeypatch, forms.LARGE_PREC_CAP)
+        with pytest.raises(ValueError, match="lift index t=%d is above "
+                           "1000000, the largest prec" % big):
+            coeffio.parse(text)
+
     def test_non_squarefree_t_exits_2(self, tmp_path):
         src = tmp_path / "delta.txt"
         run("build", "--form", "delta", "--prec", "100", "--out", str(src))
@@ -953,6 +980,36 @@ class TestHeckeCommand:
                                 "and the Shimura lift need weight 3/2 or "
                                 "more\n")
         assert not out.exists()
+
+    # A prime (10^30 + 57) far above any precision: trial division would
+    # not end.
+    BIG = 10 ** 30 + 57
+
+    @pytest.mark.parametrize("form, argv, message", [
+        ("delta", ["hecke", "--op", "tsq", "--p", str(BIG), "--out", "out"],
+         "p^2 = %d exceeds the precision 100" % BIG ** 2),
+        ("delta", ["verify", "--suite", "bounds", "--p", str(BIG)],
+         "p^2 = %d exceeds the precision 100" % BIG ** 2),
+        ("delta", ["verify", "--suite", "recurrence", "--p", str(BIG)],
+         "p^2 = %d exceeds the precision 100" % BIG ** 2),
+        ("Delta", ["hecke", "--op", "tp", "--p", str(BIG), "--out", "out"],
+         "p = %d exceeds the precision 100" % BIG),
+        ("delta", ["signs", "--X-list", "10", "--t", str(BIG),
+                   "--csv", "out"], "a(t) is beyond the form's precision"),
+        ("delta", ["lift", "--t", str(BIG), "--out", "out"],
+         "a(t) is beyond the form's precision"),
+    ], ids=["tsq", "bounds", "recurrence", "tp", "signs", "lift"])
+    def test_precision_bounds_before_trial_division(
+            self, tmp_path, capsys, monkeypatch, form, argv, message):
+        src, out = tmp_path / "f.txt", tmp_path / "out"
+        assert run("build", "--form", form, "--prec", "100",
+                   "--out", str(src)) == 0
+        _bound_trial_division(monkeypatch, 100)
+        argv = [str(out) if a == "out" else a for a in argv]
+        assert run(argv[0], "--in", str(src), *argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: %s\n" % message
+        assert captured.out == "" and not out.exists()
 
     def test_tsq_without_eigen_check_writes_the_image(self, tmp_path):
         # g at prec 20 has a(1) = a(2) = 0, so no eigenvalue can be read
@@ -1144,6 +1201,29 @@ class TestSignsCommand:
         survey = doc["reports"][0]
         assert survey["kind"] == "dprime-survey"
         assert all(t % 3 != 0 for t in survey["t_values"])
+
+    def test_dprime_reads_one_symbol_per_t_at_most(self, tmp_path, capsys):
+        # p = 1000003 is above the prec: (t/p) is read for the t that
+        # occur, not for every residue mod p, and the survey is the one a
+        # per-t filter gives.
+        src = tmp_path / "delta.txt"
+        run("build", "--form", "delta", "--prec", "2000", "--out", str(src))
+        p = 1000003
+        with mock.patch.object(signs, "kronecker",
+                               wraps=signs.kronecker) as spy:
+            assert run("signs", "--in", str(src), "--X-list", "10",
+                       "--dprime", "%d:1" % p) == 0
+        assert spy.call_count <= 2001
+        out = capsys.readouterr().out
+        survey = json.loads(out[out.index("{"):])["reports"][0]
+        f = coeffio.read(str(src)).form
+        first = signs.first_nonzero(f, [t for t in range(1, 2001)
+                                        if arith.kronecker(t, p) == 1])
+        rep = signs.scan(f, first.values())
+        assert survey == {"kind": "dprime-survey", "primes": [p], "eps": [1],
+                          "entries": rep.entries,
+                          "sign_changes": rep.sign_change_count,
+                          "t_values": list(first)[:50]}
 
     @pytest.mark.parametrize("dprime, bad", [("9:1,25:-1", 9), ("1:1", 1),
                                               ("0:1", 0)])
@@ -1387,8 +1467,8 @@ class TestVerifyCommand:
     ], ids=["p-before-t", "prec-before-t", "weight", "weight-first"])
     def test_recurrence_refusal_order(self, tmp_path, capsys, form, prec,
                                       argv, message):
-        # The weight is checked first, then each p (prime, good, p^2
-        # within precision), then each t; nothing is written.
+        # The weight is checked first, then each p (p^2 within precision,
+        # then prime and good), then each t; nothing is written.
         src, report = tmp_path / "f.txt", tmp_path / "rec.json"
         run("build", "--form", form, "--prec", str(prec), "--out", str(src))
         assert run("verify", "--in", str(src), "--suite", "recurrence",

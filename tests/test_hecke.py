@@ -221,6 +221,15 @@ class TestOperatorPrecision:
         g11 = expression_form(NAMED["G11"], 13)[0]
         assert hecke.t_integral(13, g11).prec == 1
 
+    def test_precision_is_checked_before_the_prime(self):
+        # A p that is neither within the precision nor prime is refused
+        # for the precision, the check that reads no trial division.
+        with pytest.raises(ValueError,
+                           match=r"p\^2 = 144 exceeds the precision 100"):
+            hecke.t_square_half(12, delta_form(100))
+        with pytest.raises(ValueError, match="p = 12 exceeds the precision 10"):
+            hecke.t_integral(12, expression_form(NAMED["G11"], 10)[0])
+
     def test_m_beyond_precision_is_refused(self):
         with pytest.raises(ValueError,
                            match="m = 101 exceeds the precision 100"):

@@ -416,9 +416,9 @@ def _row_terms(draw, prec, d, most):
 def _kernel_at_width(draw, width):
     """(rows, coeffs, d, prec) for _row_pass whose slot width, the bytes
     of 2 B S with B = max|coeffs[::d] below prec| + 1 and S the sum of
-    |c| over the rows, is width.  The rows share one residue mod d and
-    the largest |coeffs| sits at index 0, so that every row term meets
-    it and _row_pass's bound is B S."""
+    |c| over the rows, is width.  The rows share one residue mod d, so
+    _row_pass's bound is B S, and |coeffs[0]| = B - 1, below prec at
+    every prec, is the largest |coeffs|."""
     prec = draw(st.integers(1, 40))
     d = draw(st.integers(1, 4))
     r = draw(st.integers(0, min(d, prec) - 1))
@@ -649,6 +649,28 @@ class TestRowPass:
                 slot_bytes(m)) or widths[-1]):
             assert qs._row_pass(terms, d, prec) == want
         assert all((w > 8) == wide for w in widths)
+        # The one bound: max over the residues r of sum |c| (max|B_j| + 1)
+        # over r's row terms, max|B_j| read below prec.
+        sums = {}
+        for rows, coeffs in terms:
+            high = max(map(abs, coeffs[0:prec:d])) + 1
+            for i, c in rows:
+                sums[i % d] = sums.get(i % d, 0) + abs(c) * high
+        assert widths == ([slot_bytes(max(sums.values()))] if sums else [])
+
+    def test_slots_are_sized_by_the_largest_coefficient(self):
+        # One row c = 2^60 at i = prec - 1 reaches B[0] = 1 alone, yet its
+        # slots hold 2 * 2^60 (2^20 + 1), the bound from max|B| = 2^20:
+        # 82 bits, so 11 bytes, not the 8 of the coefficients it reaches.
+        prec = 40
+        coeffs = [1] * (prec - 1) + [2 ** 20]
+        rows = [(prec - 1, 2 ** 60)]
+        widths, slot_bytes = [], qs._slot_bytes
+        with mock.patch.object(qs, "_slot_bytes", lambda m: widths.append(
+                slot_bytes(m)) or widths[-1]):
+            assert qs._row_pass([(rows, coeffs)], 1, prec) == \
+                [0] * (prec - 1) + [2 ** 60]
+        assert widths == [11]
 
     def test_delta_shaped_product_peaks_below_twice_its_result(self):
         # The row pass keeps one packed copy of the dense operand and one

@@ -123,6 +123,10 @@ class TestSubseq:
             square_class(delta3k, 3001)
         with pytest.raises(ValueError, match="square-free"):
             square_class(delta3k, 12)    # 12 is not square-free
+        # The precision is checked first: 3004 = 4 * 751 is refused as
+        # beyond it, not as a t that is not square-free.
+        with pytest.raises(ValueError, match="beyond the form's precision"):
+            square_class(delta3k, 3004)
 
 
 class TestRPlusTot:
