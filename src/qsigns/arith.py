@@ -119,19 +119,38 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+# Trial division by the primes 2..41 decides every n < 41^2, and strong
+# probable-prime tests to these 13 bases decide every n below
+# PRIME_TEST_BOUND, the least strong pseudoprime to all of them
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 2017).
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test (intended for small n)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0 or n % 3 == 0:
-        return False
-    d = 5
-    while d * d <= n:
-        if n % d == 0 or n % (d + 2) == 0:
+    """Deterministic primality test, without trial division past 41.  A
+    number with no factor up to 41 and not below PRIME_TEST_BOUND is
+    refused."""
+    for p in SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    if n < 41 * 41:
+        return n > 1
+    if n >= PRIME_TEST_BOUND:
+        raise ValueError("cannot decide whether %d is prime: the test is "
+                         "exact below %d" % (n, PRIME_TEST_BOUND))
+    s = ((n - 1) & (1 - n)).bit_length() - 1    # n - 1 = 2^s d, d odd
+    for a in SMALL_PRIMES:
+        x = pow(a, (n - 1) >> s, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        d += 6
     return True
 
 

@@ -122,14 +122,11 @@ def cmd_build(args) -> int:
     # removes both constructors, and with them this dict.
     named = {"delta": forms.delta_form, "g": forms.g_form}
     if args.form in named:
-        cf = coeffio.CoefficientFile(args.form, named[args.form](args.prec))
+        form = named[args.form](args.prec)
     else:
-        # Any other name or expression is written from its series'
-        # integer offset on.
-        form, offset = forms.expression_form(
-            forms.NAMED.get(args.form, args.form), args.prec)
-        cf = coeffio.CoefficientFile(args.form, form, offset=offset)
-    cf.write(args.out)
+        form = forms.expression_form(forms.NAMED.get(args.form, args.form),
+                                     args.prec)
+    coeffio.CoefficientFile(args.form, form).write(args.out)
     return 0
 
 

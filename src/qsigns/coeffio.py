@@ -14,16 +14,14 @@ nonzero coefficient, ascending n, decimal integers:
     1	1
     4	-56
 
-A CoefficientFile is a Form plus what only a file has: the form id, the
-offset and the lift index t.  The weight (numerator over 2; even
-numerators are integral weights), level, character and prec lines are
-the Form's; a character is kronecker:<top>/mod:<N>, but trivial:<N> when
-the top is a square.  The offset is the least index the body may hold,
-with no nonzero coefficient below it: 0 when a(0) is nonzero and 1
-otherwise, unless given (only an expression build gives one, its series'
-integer offset).  An optional '# t: <int>' line after the offset records
-the lift index, a square-free positive integer no larger than
-forms.LARGE_PREC_CAP.
+A CoefficientFile is a Form plus what only a file has: the form id and
+the lift index t.  The weight (numerator over 2; even numerators are
+integral weights), level, character and prec lines are the Form's; a
+character is kronecker:<top>/mod:<N>, but trivial:<N> when the top is a
+square.  The offset is the least index the body may hold: 0 when a(0) is
+nonzero and 1 otherwise.  An optional '# t: <int>' line after the
+offset records the lift index, a square-free positive integer no larger
+than forms.LARGE_PREC_CAP.
 
 Serialization is canonical, and parse accepts only what serialize
 writes, byte for byte.  In the header: no unknown, repeated or reordered
@@ -80,19 +78,8 @@ def parse_character(text: str) -> DirichletCharacter:
 class CoefficientFile(Record):
     """A Form with the fields only its file has."""
 
-    __slots__ = ("form_id", "form", "offset", "t")
-
-    def __init__(self, form_id: str, form: Form, offset: int | None = None,
-                 t: int | None = None):
-        coeffs = form.coeffs
-        if offset is None:
-            offset = 0 if coeffs[0] else 1
-        if offset < 0:
-            raise ValueError("negative offset %d" % offset)
-        if any(coeffs[:offset]):
-            raise ValueError("nonzero coefficient below the offset %d"
-                             % offset)
-        super().__init__(form_id, form, offset, t)
+    __slots__ = ("form_id", "form", "t")
+    _defaults = {"t": None}
 
     def _header(self) -> list[str]:
         f = self.form
@@ -102,7 +89,7 @@ class CoefficientFile(Record):
                  "# level: %d" % f.level,
                  "# character: %s" % format_character(f.character),
                  "# prec: %d" % f.prec,
-                 "# offset: %d" % self.offset]
+                 "# offset: %d" % (0 if f.coeffs[0] else 1)]
         if self.t is not None:
             lines.append("# t: %d" % self.t)
         return lines
@@ -181,7 +168,6 @@ def parse(text: str) -> CoefficientFile:
                                    character=parse_character(
                                        header["character"]),
                                    coeffs=[0] * (prec + 1)),
-                         offset=int(header["offset"]),
                          t=int(header["t"]) if "t" in header else None)
     # A lift's t is at most its source's prec: the cap bounds t before
     # trial division reads it.
@@ -191,18 +177,19 @@ def parse(text: str) -> CoefficientFile:
     if cf.t is not None and (cf.t < 1 or not is_squarefree(cf.t)):
         raise ValueError("lift index t=%d is not a square-free positive "
                          "integer" % cf.t)
+    _parse_body(text, sum(map(len, lines[:body_start])) + body_start,
+                cf.form.coeffs)
+    # The offset line is read off a(0), so the header is checked last.
     for got, canonical in zip(lines[:body_start], cf._header()):
         if got != canonical:
             raise ValueError("header line %r is not written as %r"
                              % (got, canonical))
-    _parse_body(text, sum(map(len, lines[:body_start])) + body_start,
-                cf.form.coeffs, cf.offset - 1)
     return cf
 
 
-def _parse_body(text: str, start: int, table: list[int], last: int):
+def _parse_body(text: str, start: int, table: list[int]):
     """Store the body lines of text[start:] in table, each index above
-    the one before it, starting above last.
+    the one before it.
 
     Each block of whole lines is checked, converted and stored in C.  It
     must end in a newline, and its skeleton, what is left of its ASCII
@@ -214,6 +201,7 @@ def _parse_body(text: str, start: int, table: list[int], last: int):
     BODY_LINES matches it, which then only names the bad line."""
     prec = len(table) - 1
     end = len(text)
+    last = -1
     while start < end:
         stop = text.find("\n", start + BLOCK - 1) + 1 or end
         block = text[start:stop]
@@ -250,7 +238,7 @@ def _refuse_line(block: str):
 
 def _refuse_order(last: int, indices: list[int]):
     n = next(n for prev, n in zip([last] + indices, indices) if n <= prev)
-    raise ValueError("body index %d is below the offset or out of order" % n)
+    raise ValueError("body index %d is out of order" % n)
 
 
 def read(path: str) -> CoefficientFile:

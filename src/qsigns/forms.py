@@ -121,13 +121,13 @@ def integer_table(series: qseries.QSeries, prec: int,
     return head + window
 
 
-def expression_form(spec: str, prec: int) -> tuple[Form, int]:
+def expression_form(spec: str, prec: int) -> Form:
     """The Form of a formspec expression, a(0) through a(prec), with the
-    weight and level of formspec.signature and the trivial character, and
-    its series' integer offset.  The Form's weight and level, and the
-    working precision (at most WORKING_PREC_CAP), are checked first; an
-    expression deeper than formspec.MAX_DEPTH, or nested too deeply for
-    the parser's recursion, is refused."""
+    weight and level of formspec.signature and the trivial character.
+    The Form's weight and level, and the working precision (at most
+    WORKING_PREC_CAP), are checked first; an expression deeper than
+    formspec.MAX_DEPTH, or nested too deeply for the parser's recursion,
+    is refused."""
     if prec < 1:
         raise ValueError("prec must be positive")
     try:
@@ -143,12 +143,12 @@ def expression_form(spec: str, prec: int) -> tuple[Form, int]:
     except RecursionError:
         raise ValueError(formspec.TOO_DEEP) from None
     form.coeffs = integer_table(series, prec, den)
-    return form, int(series.offset)
+    return form
 
 
 def _named(name: str, prec: int) -> Form:
     """The named plus-space form, its support condition enforced."""
-    form = expression_form(NAMED[name], prec)[0]
+    form = expression_form(NAMED[name], prec)
     bad = plus_space_check(form)
     if bad:
         raise ValueError("plus-space support condition fails at n=%d"

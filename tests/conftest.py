@@ -15,9 +15,9 @@ def g3k():
 
 @pytest.fixture(scope="session")
 def delta_wt12():
-    return expression_form(NAMED["Delta"], 300)[0]
+    return expression_form(NAMED["Delta"], 300)
 
 
 @pytest.fixture(scope="session")
 def g11_wt2():
-    return expression_form(NAMED["G11"], 20)[0]
+    return expression_form(NAMED["G11"], 20)

@@ -58,12 +58,12 @@ def g_big():
 
 @pytest.fixture(scope="module")
 def tau_form():
-    return expression_form(NAMED["Delta"], 300)[0]
+    return expression_form(NAMED["Delta"], 300)
 
 
 @pytest.fixture(scope="module")
 def g11_form():
-    return expression_form(NAMED["G11"], 20)[0]
+    return expression_form(NAMED["G11"], 20)
 
 
 def _restrict(f: Form, prec: int) -> Form:
@@ -270,7 +270,7 @@ def test_criterion_8_property_suites(delta_big, g_big):
             assert back.coeffs[n] == (a.coeffs[n - 1] if n >= 1 else 0)
 
     # coefficient files round-trip at prec 1000
-    named = [(name, expression_form(NAMED[name], 1000)[0])
+    named = [(name, expression_form(NAMED[name], 1000))
              for name in ("Delta", "G11")]
     for form_id, form in [("delta", _restrict(delta_big[0], 1000)),
                           ("g", _restrict(g_big[0], 1000))] + named:

@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsigns import coeffio, formspec, hecke, signs
-from qsigns.arith import (DirichletCharacter, FrozenRecord, Record, divisors,
+from qsigns.arith import (PRIME_TEST_BOUND, SMALL_PRIMES, DirichletCharacter,
+                          FrozenRecord, Record, divisors,
                           is_fundamental_discriminant, is_prime,
                           is_squarefree, kronecker, u_type)
 from qsigns.forms import Form
@@ -274,6 +275,49 @@ class TestDivisors:
             assert ds == [d for d in range(1, n + 1) if n % d == 0]
 
 
+def _strong_probable_prime(n, a):
+    """True when odd n passes the strong probable-prime test to base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x == 1 or any(pow(x, 2 ** r, n) == n - 1 for r in range(s))
+
+
+class TestIsPrime:
+    def test_equals_a_sieve_below_1e5(self):
+        N = 10 ** 5
+        sieve = bytearray([0, 0]) + bytearray([1]) * (N - 2)
+        for p in range(2, isqrt(N) + 1):
+            if sieve[p]:
+                sieve[p * p::p] = bytes(len(range(p * p, N, p)))
+        assert [n for n in range(-5, N) if is_prime(n)] == [
+            n for n in range(N) if sieve[n]]
+
+    @pytest.mark.parametrize("n", [561, 41041, 3825123056546413051])
+    def test_pseudoprimes_are_composite(self, n):
+        # Carmichael numbers, and a strong pseudoprime to every prime
+        # base up to 31: only the bases 37 and 41 see it is composite.
+        if n > 10 ** 6:
+            assert all(_strong_probable_prime(n, a) for a in
+                       (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31))
+        assert not is_prime(n)
+
+    def test_a_prime_past_the_precision_cap(self):
+        assert is_prime(10000000000000061)
+        assert not is_prime(1000003 * 10000000000000061)
+
+    def test_refuses_a_number_past_the_exact_bound(self):
+        # The bound is the least strong pseudoprime to all 13 bases.
+        assert all(_strong_probable_prime(PRIME_TEST_BOUND, a)
+                   for a in SMALL_PRIMES)
+        assert PRIME_TEST_BOUND == 1287836182261 * 2575672364521
+        with pytest.raises(ValueError, match="exact below %d"
+                           % PRIME_TEST_BOUND):
+            is_prime(10 ** 30 + 57)
+        assert not is_prime(10 ** 30 + 58)      # a factor 2 still decides
+
+
 @pytest.mark.parametrize("level, m, half_integral, want", [
     (4, 2, True, 8), (4, 3, True, 12), (4, 4, True, 4), (44, 3, True, 132),
     (44, 4, True, 44), (4, 2, False, 4), (1, 3, False, 3), (1, 1, False, 1),
@@ -357,7 +401,8 @@ class TestDirichletCharacter:
 # binds every field.
 PLAIN_RECORDS = [formspec.Atom, formspec.Diff, formspec.U, formspec.Add,
                  formspec.Mul, formspec.Pow, formspec.Scale,
-                 hecke.EigenReport, signs.SignStatsReport]
+                 hecke.EigenReport, signs.SignStatsReport,
+                 coeffio.CoefficientFile]
 FIELD_VALUES = st.one_of(st.integers(), st.text(max_size=4), st.none(),
                          st.tuples(st.integers()))
 
@@ -382,7 +427,7 @@ class TestRecord:
     def test_only_the_checking_classes_write_an_init(self):
         classes = {c for c in _subclasses(Record)
                    if c.__module__.startswith("qsigns.")} - {FrozenRecord}
-        checked = {Form, coeffio.CoefficientFile, DirichletCharacter}
+        checked = {Form, DirichletCharacter}
         assert classes == set(PLAIN_RECORDS) | checked
         assert {c for c in classes if "__init__" in vars(c)} == checked
 

@@ -56,8 +56,8 @@ class TestCoefficientFile:
     def test_round_trip_builtins_at_1000(self):
         d = delta_form(1000)
         g = g_form(1000)
-        D = expression_form(NAMED["Delta"], 1000)[0]
-        G = expression_form(NAMED["G11"], 1000)[0]
+        D = expression_form(NAMED["Delta"], 1000)
+        G = expression_form(NAMED["G11"], 1000)
         files = [coeffio.CoefficientFile("delta", d),
                  coeffio.CoefficientFile("g", g),
                  coeffio.CoefficientFile("Delta", D),
@@ -72,8 +72,7 @@ class TestCoefficientFile:
         lift = Form(weight_num=4, level=22,
                     character=DirichletCharacter.trivial(22),
                     coeffs=[0, 1, 0, 0, -2, 0, 0, 0, 0, 0])
-        cf = coeffio.CoefficientFile(form_id="lift_t3(g)", form=lift,
-                                     offset=1, t=3)
+        cf = coeffio.CoefficientFile(form_id="lift_t3(g)", form=lift, t=3)
         again = coeffio.parse(cf.serialize())
         assert again.t == 3 and again.serialize() == cf.serialize()
 
@@ -127,7 +126,7 @@ class TestCoefficientFile:
     # constant term (offset 0).
     FULL = coeffio.CoefficientFile("lift_t5(x)", Form(
         weight_num=13, level=12, character=DirichletCharacter(top=-3),
-        coeffs=[7, 1, 0, 0, -56]), offset=0, t=5).serialize()
+        coeffs=[7, 1, 0, 0, -56]), t=5).serialize()
 
     @pytest.mark.parametrize("line, bad", [
         ("# offset: 0", "# offset: 0\n# zzz: 5"),     # unknown key
@@ -184,15 +183,30 @@ class TestCoefficientFile:
         assert cf.serialize() == text
 
     def test_offset_follows_the_constant_term(self):
-        def coefficient_file(coeffs, **kw):
+        def offset_line(coeffs):
             return coeffio.CoefficientFile("x", Form(
-                weight_num=8, level=1,
-                character=DirichletCharacter.trivial(1), coeffs=coeffs), **kw)
-        assert coefficient_file([1, 240]).offset == 0
-        assert coefficient_file([0, 1]).offset == 1
-        with pytest.raises(ValueError,
-                           match="nonzero coefficient below the offset 1"):
-            coefficient_file([1, 240], offset=1)
+                weight_num=8, level=1, character=DirichletCharacter.trivial(1),
+                coeffs=coeffs)).serialize().splitlines()[6]
+        assert offset_line([1, 240]) == "# offset: 0"
+        assert offset_line([0, 1]) == "# offset: 1"
+        # No offset can be given: the file reads it off a(0).
+        with pytest.raises(TypeError):
+            coeffio.CoefficientFile("x", delta_form(10), offset=0)
+
+    def test_an_offset_line_not_read_off_a0_exits_2(self, tmp_path,
+                                                    capsys):
+        # delta's a(0) is 0, so its file says offset 1; one that says 0
+        # is not canonical, and no table is written.
+        src, csv = tmp_path / "delta.txt", tmp_path / "delta.csv"
+        assert run("build", "--form", "delta", "--prec", "200",
+                   "--out", str(src)) == 0
+        src.write_text(src.read_text().replace("# offset: 1\n",
+                                               "# offset: 0\n"))
+        assert run("signs", "--in", str(src), "--X-list", "10",
+                   "--csv", str(csv)) == 2
+        assert capsys.readouterr() == ("", "error: header line '# offset: 0' "
+                                           "is not written as '# offset: 1'\n")
+        assert not csv.exists()
 
     def test_full_header_round_trips(self):
         cf = coeffio.parse(self.FULL)
@@ -300,7 +314,7 @@ class TestBodyCheck:
             pos %= len(body) + 1
             body = body[:pos] + ch * (kind != "d") + body[pos + (kind != "i"):]
         try:
-            coeffio._parse_body(body, 0, [0] * 10 ** 6, -1)
+            coeffio._parse_body(body, 0, [0] * 10 ** 6)
             refused = ""
         except ValueError as exc:
             refused = str(exc)
@@ -449,14 +463,17 @@ class TestBuildCommand:
 
     @pytest.mark.parametrize("name", sorted(NAMED))
     def test_name_is_its_expression(self, tmp_path, name):
+        # One offset rule for every file: a name's file and its
+        # expression's differ in the form line alone.
         by_name, by_spec = tmp_path / "name.txt", tmp_path / "spec.txt"
         assert run("build", "--form", name, "--prec", "300",
                    "--out", str(by_name)) == 0
         assert run("build", "--form", NAMED[name], "--prec", "300",
                    "--out", str(by_spec)) == 0
-        body, spec_body = ([l for l in read_lines(path) if not l.startswith("#")]
-                           for path in (by_name, by_spec))
-        assert len(body) > 10 and body == spec_body
+        lines, spec_lines = read_lines(by_name), read_lines(by_spec)
+        assert (lines[1], spec_lines[1]) == ("# form: " + name,
+                                             "# form: " + NAMED[name])
+        assert len(lines) > 20 and lines[2:] == spec_lines[2:]
 
     def test_u_of_theta_has_the_level_of_its_image(self, tmp_path):
         # theta | U_2 = theta(2z): the expression, the dilation and the
@@ -504,12 +521,12 @@ class TestBuildCommand:
         ("1/7*eta(1)^24 + 6/7*eta(1)^24", 300,
          "c82326aedfca4e2cca5a5d0cba2c7d71b0e78203e94826acb9d04783247a3e86"),
         ("1/2*D(theta(1))", 300,
-         "cae87593edcfb937b73be984eedf14e2b6c52bbcc9d9da9d1c55c1ea0594f6f5"),
+         "e2c909d47c87290eefe6d00da14f222b01fb80d89424d564ecb83aaaf98976af"),
         # one expression per atom and operator no golden above covers,
         # pinned before the atoms became one node and a - b became
         # a + (-1)*b
         ("thetapsi(-3, 1)", 300,
-         "9e003a24697719d8d7957ff9fab6e6e6fd814cfa5ef234f1ecb60e858c6d3d7d"),
+         "bf4ef349ddd7ab67eeb24993b93a24b226a9e5b7bb3f56c8ed750f8eb3aa3b76"),
         ("E4(2)", 300,
          "fa700ea32a50cabaae222a1aca1e44eea1eabe2c5a038b4ed95c2df2f366df8a"),
         ("U(3, theta(1))", 300,
@@ -1501,12 +1518,12 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
 
-def _fresh_python(script, cwd=None):
+def _fresh_python(script, cwd=None, timeout=60):
     """What script prints in a new interpreter that finds qsigns."""
     src = str(Path(qsigns.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=cwd,
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=timeout)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -1674,3 +1691,40 @@ def test_every_import_spelling_reaches_a_module_not_yet_run(tmp_path, module,
               "assert sys.modules['qsigns.%s'] is qsigns.%s\n"
               "print('ok')\n" % (module, spelling, module, module))
     assert _fresh_python(script, cwd=tmp_path) == "ok\n"
+
+
+def test_a_prime_no_precision_bounds_is_tested_at_once(tmp_path):
+    # No precision bounds the p of --powers-p's m = 0 term, of prop2's
+    # Kronecker classes or of the --dprime survey.  Trial division up to
+    # sqrt(p) took seconds per command at p = 10000000000000061; the
+    # three together must now end within 5 s and write the reports and
+    # tables that trial division wrote.
+    run("build", "--form", "delta", "--prec", "2000",
+        "--out", str(tmp_path / "d.txt"))
+    run("build", "--form", "g", "--prec", "2000",
+        "--out", str(tmp_path / "g.txt"))
+    p = "10000000000000061"
+    commands = [
+        ["signs", "--in", "d.txt", "--X-list", "10", "--t", "1",
+         "--powers-p", p, "--csv", "pp.csv", "--json", "pp.json"],
+        ["verify", "--in", "g.txt", "--suite", "prop2", "--p", p,
+         "--json", "prop2.json"],
+        ["signs", "--in", "d.txt", "--X-list", "10", "--dprime", p + ":1",
+         "--csv", "dp.csv", "--json", "dp.json"],
+    ]
+    script = ("import json, qsigns.cli\n"
+              "print(json.dumps([qsigns.cli.main(argv) for argv in %r]))\n"
+              % (commands,))
+    assert json.loads(_fresh_python(script, cwd=tmp_path, timeout=5)) == [
+        0, 0, 0]
+    table = "ebba59eeefa401c24cb135adf0e5c3514366dc2fb843535049963e343c6b5125"
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("pp.json", "prop2.json", "dp.json", "pp.csv",
+                         "dp.csv")} == {
+        "pp.json": "e570c62ef54bb3f00752360b591f3ae5"
+                   "afe75d7a3a5a805482e705f6e8d7c458",
+        "prop2.json": "d34a088334793440d8bac20f6a8388fb"
+                      "063bbe7b08277df98a98b3421e2105c1",
+        "dp.json": "cbd2cf152549f93d2f823a4eb6f6fafc"
+                   "54778f747da70660142c7b6e0a3e2c3d",
+        "pp.csv": table, "dp.csv": table}

@@ -117,14 +117,14 @@ class TestGTernaryRoute:
     # The expression's header declares another level than g's, so only
     # the tables are compared.
     def test_table_equals_g(self):
-        form, _ = forms.expression_form(G_TERNARY, 10 ** 4)
+        form = forms.expression_form(G_TERNARY, 10 ** 4)
         assert form.coeffs == g_form(10 ** 4).coeffs
 
     @pytest.mark.parametrize("spec, gram, times", [
         (TWICE_THETA_Q1, Q1_GRAM, 2), (THETA_Q2, Q2_GRAM, 1)],
         ids=["Q1", "Q2"])
     def test_each_part_is_a_ternary_theta(self, spec, gram, times):
-        form, _ = forms.expression_form(spec, 2000)
+        form = forms.expression_form(spec, 2000)
         assert form.coeffs == [times * r for r in ternary_theta(gram, 2001)]
 
 
@@ -143,10 +143,10 @@ class TestDeltaDslRoute:
         # F = q psi(q^2)^4 (M_{13/2}(4) is spanned by theta^(13-4j) F^j).
         # Nine of its products run on the decimal NTT and one on the row
         # pass; delta's own expression runs its two on the row pass.
-        form, offset = forms.expression_form(
+        form = forms.expression_form(
             "theta(1)*psi(2)^4*(theta(1)^8 - 18*theta(1)^4*psi(2)^4"
             " + 32*psi(2)^8)", 10 ** 4)
-        assert (form.weight_num, form.level, offset) == (13, 4, 1)
+        assert (form.weight_num, form.level) == (13, 4)
         assert form.coeffs == delta_form(10 ** 4).coeffs
 
 
@@ -195,7 +195,7 @@ class TestSharedSubtrees:
         with mock.patch.object(qs, "eta", wraps=qs.eta) as eta:
             g_form(300)
         assert eta.call_count == 2
-        assert want == forms.expression_form(NAMED["delta"], 300)[0].coeffs
+        assert want == forms.expression_form(NAMED["delta"], 300).coeffs
 
     def test_a_repeated_subtree_is_dropped_after_its_last_use(self):
         # theta(2) is asked for three times at need 5 and once at 10.
@@ -236,11 +236,11 @@ class TestSharedSubtrees:
 
 class TestRamanujanDelta:
     def test_against_literal_expansion(self):
-        D = expression_form(NAMED["Delta"], 60)[0]
+        D = expression_form(NAMED["Delta"], 60)
         assert D.coeffs == tau_list(60)[:61]
 
     def test_pinned_values(self):
-        D = expression_form(NAMED["Delta"], 3)[0]
+        D = expression_form(NAMED["Delta"], 3)
         assert (D.coeffs[1], D.coeffs[2], D.coeffs[3]) == (1, -24, 252)
 
     def test_tau_multiplicative(self, delta_wt12):
@@ -253,11 +253,11 @@ class TestRamanujanDelta:
 
 class TestX011:
     def test_against_literal_expansion(self):
-        G = expression_form(NAMED["G11"], 40)[0]
+        G = expression_form(NAMED["G11"], 40)
         assert G.coeffs == x0_11_list(40)[:41]
 
     def test_pinned_values(self):
-        G = expression_form(NAMED["G11"], 11)[0]
+        G = expression_form(NAMED["G11"], 11)
         assert [G.coeffs[n] for n in range(1, 8)] == [1, -2, -1, 2, 1, 2, -2]
         assert G.coeffs[11] == 1
 

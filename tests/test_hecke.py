@@ -111,7 +111,7 @@ class TestShimuraLift:
         # it is a(t) times the newform eta(z)^2 eta(11z)^2 of level 11.
         g = g_form(40000)
         lift = hecke.shimura_lift(g, t)
-        g11 = expression_form(NAMED["G11"], lift.prec + 1)[0]
+        g11 = expression_form(NAMED["G11"], lift.prec + 1)
         assert lift.prec == isqrt(40000 // t) and g.coeffs[t]
         for n in range(1, lift.prec + 1, 2):
             assert lift.coeffs[n] == g.coeffs[t] * g11.coeffs[n], n
@@ -157,7 +157,7 @@ class TestShimuraLift:
         # with (-3/.) mod 3 has (-3/2) = -1, which no longer enters:
         # A(2) = a(4) and A(4) = a(16).  delta (k = 6) is put on level 20
         # with (5/.), where ((-1)^6 t / .) has an odd period at t = 1, 5.
-        f = (expression_form("thetapsi(-3, 1)", 400)[0] if name == "psi"
+        f = (expression_form("thetapsi(-3, 1)", 400) if name == "psi"
              else delta_form(400))
         forms = [Form(f.weight_num, lcm(f.level, m),
                       DirichletCharacter(top, m), f.coeffs) for m in moduli]
@@ -186,7 +186,7 @@ class TestTSquareHalf:
     def test_theta_cubed_keeps_its_constant_term(self, p):
         # M_{3/2}(4) is spanned by theta^3, so T(p^2) theta^3 =
         # (1 + p) theta^3 at every index, a(0) = 1 included.
-        f, _ = expression_form("theta(1)^3", 300)
+        f = expression_form("theta(1)^3", 300)
         b = hecke.t_square_half(p, f).coeffs
         assert b[0] == 1 + p
         assert b == [(1 + p) * c for c in f.coeffs[:len(b)]]
@@ -217,8 +217,8 @@ class TestOperatorPrecision:
 
     def test_p_beyond_precision_is_refused(self):
         with pytest.raises(ValueError, match="p = 13 exceeds the precision 12"):
-            hecke.t_integral(13, expression_form(NAMED["G11"], 12)[0])
-        g11 = expression_form(NAMED["G11"], 13)[0]
+            hecke.t_integral(13, expression_form(NAMED["G11"], 12))
+        g11 = expression_form(NAMED["G11"], 13)
         assert hecke.t_integral(13, g11).prec == 1
 
     def test_precision_is_checked_before_the_prime(self):
@@ -228,7 +228,7 @@ class TestOperatorPrecision:
                            match=r"p\^2 = 144 exceeds the precision 100"):
             hecke.t_square_half(12, delta_form(100))
         with pytest.raises(ValueError, match="p = 12 exceeds the precision 10"):
-            hecke.t_integral(12, expression_form(NAMED["G11"], 10)[0])
+            hecke.t_integral(12, expression_form(NAMED["G11"], 10))
 
     def test_m_beyond_precision_is_refused(self):
         with pytest.raises(ValueError,
@@ -245,9 +245,9 @@ class TestUImage:
     def test_agrees_with_the_expression(self, spec, m):
         # f | U_m and the expression U(m, f) have one level rule and the
         # same coefficients.
-        f, _ = expression_form(spec, 240)
+        f = expression_form(spec, 240)
         image = hecke.u_image(m, f)
-        expr, _ = expression_form("U(%d, %s)" % (m, spec), 240 // m)
+        expr = expression_form("U(%d, %s)" % (m, spec), 240 // m)
         assert (image.weight_num, image.level, image.coeffs) == \
             (expr.weight_num, expr.level, expr.coeffs)
 
@@ -261,7 +261,7 @@ class TestUImage:
         u33 = hecke.u_image(3, hecke.u_image(3, delta3k))
         assert u33.character == DirichletCharacter.trivial(12)
         assert u33.coeffs == hecke.u_image(9, delta3k).coeffs
-        tau = expression_form(NAMED["Delta"], 30)[0]
+        tau = expression_form(NAMED["Delta"], 30)
         assert hecke.u_image(3, tau).character == \
             DirichletCharacter.trivial(3)
 
@@ -336,7 +336,7 @@ class TestTIntegral:
 
     def test_weight_parity_enforced(self, delta3k):
         with pytest.raises(ValueError):
-            hecke.t_square_half(3, expression_form(NAMED["Delta"], 50)[0])
+            hecke.t_square_half(3, expression_form(NAMED["Delta"], 50))
         with pytest.raises(ValueError):
             hecke.t_integral(3, delta3k)
 

@@ -276,7 +276,7 @@ class TestCounts:
     def test_a0_is_never_counted(self):
         # theta^3 has a(0) = 1 and no negative a(n); with -7 in place of
         # a(0), neither statistic's counts move.
-        f = expression_form("theta(1)^3", 200)[0]
+        f = expression_form("theta(1)^3", 200)
         assert f.coeffs[0] == 1
         g = Form(weight_num=f.weight_num, level=f.level,
                  character=f.character, coeffs=[-7] + f.coeffs[1:])
