@@ -40,6 +40,10 @@ NAMED = {
 }
 
 
+class PrecisionError(ValueError):
+    """A series does not reach the q^prec its integer table needs."""
+
+
 class Form(Record):
     """Form of weight weight_num/2 with integer coefficients.
 
@@ -105,7 +109,7 @@ def integer_table(series: qseries.QSeries, prec: int,
                          % series.offset)
     off = int(series.offset)
     if off + series.prec <= prec:
-        raise qseries.PrecisionError("q^%d beyond precision" % prec)
+        raise PrecisionError("q^%d beyond precision" % prec)
     lo = max(0, off)
     head = [0] * min(lo, prec + 1)
     window = series.coeffs[lo - off:prec + 1 - off]

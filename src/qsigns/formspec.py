@@ -15,8 +15,9 @@ Grammar (whitespace is insignificant):
 The atoms are the names in ATOMS: eta, theta, psi and E4 take the
 dilation index m (the series evaluated at mz), which must be >= 1;
 thetapsi takes the top of an odd primitive real character, which may be
-negative, and then m.  Each atom's weight, level, offset and series
-generator stand in its ATOMS entry and nowhere else.  D is q d/dq and
+negative, and then m.  An atom carries its power ^INT.  Each atom's
+weight, level, offset and series generator, which builds the power,
+stand in its ATOMS entry and nowhere else.  D is q d/dq and
 U(m, .) extracts every m-th coefficient; a - b parses as a + (-1)*b.
 Parse errors carry the byte offset of the offending token, and
 parse_formspec gives each distinct subtree as one object.  signature
@@ -50,10 +51,11 @@ class FormSpecError(ValueError):
 # -- AST ---------------------------------------------------------------------
 
 class Atom(FrozenRecord):
-    """The series named name at dilation m.  top is the top of the
-    atom's real character (top/.): thetapsi's, and 1 for the others."""
-    __slots__ = ("name", "m", "top")
-    _defaults = {"top": 1}
+    """The series named name at dilation m, to the power exp.  top is the
+    top of the atom's real character (top/.): thetapsi's, and 1 for the
+    others."""
+    __slots__ = ("name", "m", "top", "exp")
+    _defaults = {"top": 1, "exp": 1}
 
 
 class Diff(FrozenRecord):
@@ -72,10 +74,6 @@ class Mul(FrozenRecord):
     __slots__ = ("left", "right")
 
 
-class Pow(FrozenRecord):
-    __slots__ = ("arg", "exp")
-
-
 class Scale(FrozenRecord):
     __slots__ = ("scalar", "arg")
 
@@ -89,17 +87,20 @@ class AtomRule(NamedTuple):
 
 
 # The levels are declared metadata only, with no transformation check;
-# theta_psi has level 4 r^2 (Shimura 1973).
+# theta_psi has level 4 r^2 (Shimura 1973).  Each series is the atom's
+# power: eta's starts from Jacobi's eta^3, the others are qseries.pow_.
 ATOMS = {
-    "eta": AtomRule(Fraction(1, 2), 1, lambda a, need: qs.eta(a.m, need),
-                    offset=Fraction(1, 24)),
-    "theta": AtomRule(Fraction(1, 2), 4, lambda a, need: qs.theta(a.m, need)),
-    "psi": AtomRule(Fraction(1, 2), 2, lambda a, need: qs.psi(a.m, need),
-                    offset=Fraction(1, 8)),
-    "thetapsi": AtomRule(Fraction(3, 2), 4, lambda a, need: qs.theta_psi(
-        DirichletCharacter(top=a.top), a.m, need), takes_top=True),
-    "E4": AtomRule(Fraction(4), 1,
-                   lambda a, need: qs.eisenstein_e4(a.m, need)),
+    "eta": AtomRule(Fraction(1, 2), 1, lambda a, need: qs.eta_pow(
+        a.m, a.exp, need), offset=Fraction(1, 24)),
+    "theta": AtomRule(Fraction(1, 2), 4, lambda a, need: qs.pow_(
+        qs.theta(a.m, need), a.exp)),
+    "psi": AtomRule(Fraction(1, 2), 2, lambda a, need: qs.pow_(
+        qs.psi(a.m, need), a.exp), offset=Fraction(1, 8)),
+    "thetapsi": AtomRule(Fraction(3, 2), 4, lambda a, need: qs.pow_(
+        qs.theta_psi(DirichletCharacter(top=a.top), a.m, need), a.exp),
+        takes_top=True),
+    "E4": AtomRule(Fraction(4), 1, lambda a, need: qs.pow_(
+        qs.eisenstein_e4(a.m, need), a.exp)),
 }
 
 
@@ -223,16 +224,16 @@ class _Parser:
             if top == 0:
                 self.error("character top must be nonzero", start)
             self.eat(",")
-        atom = self.node(Atom, word, self.dilation(), top)
+        m = self.dilation()
         self.eat(")")
+        exp = 1
         if self.peek() == "^":
             self.pos += 1
             estart = self.pos
-            e = self.integer()
-            if e < 1:
+            exp = self.integer()
+            if exp < 1:
                 self.error("exponent must be >= 1", estart)
-            return self.node(Pow, atom, e)
-        return atom
+        return self.node(Atom, word, m, top, exp)
 
 
 # The most nodes on a path down a parsed tree: a sum of 400 terms.  The
@@ -301,21 +302,21 @@ def evaluate(spec, prec: int) -> tuple[QSeries, int]:
 def signature(node) -> tuple[Fraction, int, Fraction]:
     """(weight, level, offset) implied by the expression, read off the
     tree alone, so that nothing is evaluated or allocated.  Atoms take
-    their weight, level and offset from ATOMS.  D adds 2 to the weight, products
-    add weights, powers multiply them, and U and scalars keep them;
-    mixed-weight sums are rejected.  The level is the lcm of the atoms'
-    levels, and a U node moves its argument's level to the level
-    arith.u_type gives a U_m image.  The offset is the lowest exponent of the
-    evaluated series (m/24 for eta(m), m/8 for psi(m), 0 for the other
-    atoms), kept by D and scalars, added by products, multiplied by
-    powers, the lower of a sum's two, and 0 after U.  A sum whose
+    their weight, level and offset from ATOMS, the weight and offset
+    times their exp.  D adds 2 to the weight, products add weights, and
+    U and scalars keep them; mixed-weight sums are rejected.  The level
+    is the lcm of the atoms' levels, and a U node moves its argument's
+    level to the level arith.u_type gives a U_m image.  The offset is
+    the lowest exponent of the evaluated series (m/24 for eta(m), m/8
+    for psi(m), 0 for the other atoms), kept by D and scalars, added by
+    products, the lower of a sum's two, and 0 after U.  A sum whose
     offsets differ by a non-integer and a U whose argument is off the
     integer grid are refused here, with qseries' messages, before any
     series is built."""
     if isinstance(node, Atom):
         rule = ATOMS[node.name]
-        return (rule.weight, rule.level * node.m * node.top ** 2,
-                rule.offset * node.m)
+        return (rule.weight * node.exp, rule.level * node.m * node.top ** 2,
+                rule.offset * node.m * node.exp)
     if isinstance(node, (Add, Mul)):
         (wl, ll, ol), (wr, lr, orr) = (signature(node.left),
                                        signature(node.right))
@@ -325,14 +326,11 @@ def signature(node) -> tuple[Fraction, int, Fraction]:
             raise ValueError("sum mixes weights %s and %s" % (wl, wr))
         qs.check_common_grid(ol, orr)
         return wl, lcm(ll, lr), min(ol, orr)
-    if not isinstance(node, (Diff, U, Pow, Scale)):
+    if not isinstance(node, (Diff, U, Scale)):
         raise TypeError("not a FormSpec node: %r" % (node,))
     weight, level, offset = signature(node.arg)
     if isinstance(node, Diff):
         weight += 2
-    elif isinstance(node, Pow):
-        weight *= node.exp
-        offset *= node.exp
     elif isinstance(node, U):
         qs.check_u_grid(node.m, offset)
         level = u_type(level, node.m, weight.denominator == 2)[0]
@@ -352,8 +350,8 @@ def _schedule(node, prec: int) -> dict:
     evaluation would finish them, mapped to [how often it is asked for,
     the pairs it asks for].  A pair asked for again is built once, so
     its own asks count once.  The pairs a node asks for, in order, are a
-    linear combination's factors, or the one or two operands of D, ^ and
-    U; atoms and powers of eta ask for nothing."""
+    linear combination's factors, or the one or two operands of D and U;
+    atoms ask for nothing."""
     schedule, stack = {}, [((node, prec), None)]
     while stack:
         pair, asked = stack.pop()
@@ -371,10 +369,9 @@ def _schedule(node, prec: int) -> dict:
             asked = [(x, node.m * need) for x in
                      ((node.arg.left, node.arg.right)
                       if isinstance(node.arg, Mul) else (node.arg,))]
-        elif isinstance(node, Diff) or (isinstance(node, Pow)
-                                        and node.arg.name != "eta"):
+        elif isinstance(node, Diff):
             asked = [(node.arg, need)]
-        elif not isinstance(node, (Atom, Pow)):
+        elif not isinstance(node, Atom):
             raise TypeError("not a FormSpec node: %r" % (node,))
         stack.append((pair, asked))
         stack += ((x, None) for x in reversed(asked))
@@ -394,8 +391,6 @@ def _value(node, need: int, parts: list) -> tuple[QSeries, int]:
             return (factors[0] if len(factors) == 1
                     else qs.mul(*factors)), den
         return qs.lincomb(terms), den
-    if isinstance(node, Pow) and node.arg.name == "eta":
-        return qs.eta_pow(node.arg.m, node.exp, need), 1
     if len(parts) == 2:
         (l, dl), (r, dr) = parts
         return qs.u_mul(node.m, l, r), dl * dr
@@ -403,8 +398,6 @@ def _value(node, need: int, parts: list) -> tuple[QSeries, int]:
     if isinstance(node, Diff):
         # derive is b q d/dq on an offset a/b, so den takes the factor b.
         return qs.derive(s), den * s.offset.denominator
-    if isinstance(node, Pow):
-        return qs.pow_(s, node.exp), den ** node.exp
     return qs.u_op(node.m, s), den
 
 

@@ -113,11 +113,6 @@ _CUTS = 16
 _int_str_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
-class PrecisionError(ValueError):
-    """A series does not reach the q^prec its integer table needs
-    (raised by forms.integer_table)."""
-
-
 def _as_offset(value) -> Fraction:
     off = Fraction(value)
     if 24 % off.denominator:

@@ -400,9 +400,8 @@ class TestDirichletCharacter:
 # The value classes that check nothing of their own: Record's constructor
 # binds every field.
 PLAIN_RECORDS = [formspec.Atom, formspec.Diff, formspec.U, formspec.Add,
-                 formspec.Mul, formspec.Pow, formspec.Scale,
-                 hecke.EigenReport, signs.SignStatsReport,
-                 coeffio.CoefficientFile]
+                 formspec.Mul, formspec.Scale, hecke.EigenReport,
+                 signs.SignStatsReport, coeffio.CoefficientFile]
 FIELD_VALUES = st.one_of(st.integers(), st.text(max_size=4), st.none(),
                          st.tuples(st.integers()))
 

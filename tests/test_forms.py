@@ -362,6 +362,12 @@ class TestFinalization:
         with pytest.raises(ValueError):
             integer_table(qs.eta(1, 6), 5)
 
+    def test_integer_table_refuses_a_series_short_of_prec(self):
+        # a(5) lies past the series' last exponent 2: no zero is padded.
+        with pytest.raises(forms.PrecisionError,
+                           match=r"^q\^5 beyond precision$"):
+            integer_table(qs.QSeries(0, [1, 2, 3]), 5)
+
 
 def test_readme_library_example(capsys):
     # The README's Library block runs as written, and each line it prints

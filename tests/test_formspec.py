@@ -5,8 +5,8 @@ from unittest import mock
 import pytest
 
 from qsigns import formspec as fs
-from qsigns.formspec import (Add, Atom, Diff, FormSpecError, Mul, Pow, Scale,
-                             U, evaluate, parse_formspec, signature)
+from qsigns.formspec import (Add, Atom, Diff, FormSpecError, Mul, Scale, U,
+                             evaluate, parse_formspec, signature)
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -19,7 +19,7 @@ DELTA_SPEC = "1/4*(2*E4(4)*D(theta(1)) - 1/4*D(E4(4))*theta(1))"
 
 class TestParse:
     def test_eta_power(self):
-        assert parse_formspec("eta(1)^24") == Pow(Atom("eta", 1), 24)
+        assert parse_formspec("eta(1)^24") == Atom("eta", 1, 1, 24)
 
     def test_g_definition(self):
         got = parse_formspec("U(4, %s)" % G_SPEC)
@@ -44,7 +44,7 @@ class TestParse:
         assert got == Diff(U(2, Atom("theta", 1)))
 
     def test_whitespace_insensitive(self):
-        assert parse_formspec(" eta( 2 ) ^ 3 ") == Pow(Atom("eta", 2), 3)
+        assert parse_formspec(" eta( 2 ) ^ 3 ") == Atom("eta", 2, 1, 3)
 
     def test_unbalanced_paren_reports_offset(self):
         text = "1/4*(2*E4(4)*D(theta(1)) - "
@@ -94,6 +94,14 @@ class TestParse:
                 parse_formspec(text)
         else:
             assert parse_formspec(text)
+
+    def test_a_power_adds_no_node(self):
+        # A power is its atom at an exponent, one node: a sum of 400
+        # cubes is as deep as a sum of 400 atoms, and it is 400 cubes.
+        node = parse_formspec(" + ".join(["theta(1)^3"] * fs.MAX_DEPTH))
+        s, den = evaluate(node, 50)
+        t, tden = evaluate(parse_formspec("400*theta(1)^3"), 50)
+        assert (s.offset, s.coeffs, den) == (t.offset, t.coeffs, tden)
 
 
 def _render(tree) -> str:
@@ -378,6 +386,15 @@ class TestWorkingPrec:
                 mock.patch.object(fs.qs, "eta_pow", spy(fs.qs.eta_pow)):
             evaluate(node, 3)
         assert max(asked) == fs.working_prec(node, 3)
+
+    def test_a_power_is_one_atom_that_asks_for_nothing(self):
+        # The exponent is a field of the atom: a power is one pair of the
+        # schedule, with no asks, and exponent 1 is the bare atom.
+        for text in ("eta(1)^24", "E4(1)^2"):
+            node = parse_formspec(text)
+            assert fs._schedule(node, 10) == {(node, 10): [1, []]}
+        node = parse_formspec("theta(1)^1 + theta(1)")
+        assert node.left is node.right == Atom("theta", 1)
 
     def test_a_deep_chain_hashes_each_node_once(self):
         # The schedule is keyed by (node, need); a node keeps its hash,

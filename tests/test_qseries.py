@@ -751,7 +751,7 @@ class TestPow:
 
     @pytest.mark.parametrize("m", [1, 2, 5])
     def test_eta_powers_match_repeated_products(self, m):
-        # Pow(eta(m), e) goes through eta_pow, which starts from e = 3
+        # The atom eta(m)^e goes through eta_pow, which starts from e = 3
         # with Jacobi's eta^3; every denominator stays 1.
         prec = 150
         base = dilated(_euler_literal(), m, prec)
