@@ -129,23 +129,20 @@ def expression_form(spec: str, prec: int) -> Form:
     """The Form of a formspec expression, a(0) through a(prec), with the
     weight and level of formspec.signature and the trivial character.
     The Form's weight and level, and the working precision (at most
-    WORKING_PREC_CAP), are checked first; an expression deeper than
-    formspec.MAX_DEPTH, or nested too deeply for the parser's recursion,
-    is refused."""
+    WORKING_PREC_CAP), are checked first.  formspec.parse_formspec, the
+    only step that recurses, refuses an expression deeper than
+    formspec.MAX_DEPTH or nested too deeply for its recursion."""
     if prec < 1:
         raise ValueError("prec must be positive")
-    try:
-        ast = formspec.parse_formspec(spec)
-        weight, level, _ = formspec.signature(ast)
-        form = Form(weight_num=int(2 * weight), level=level,
-                    character=DirichletCharacter.trivial(level), coeffs=[])
-        need = formspec.working_prec(ast, prec + 1)
-        if need > WORKING_PREC_CAP:
-            raise ValueError("working precision %d exceeds %d"
-                             % (need, WORKING_PREC_CAP))
-        series, den = formspec.evaluate(ast, prec + 1)
-    except RecursionError:
-        raise ValueError(formspec.TOO_DEEP) from None
+    ast = formspec.parse_formspec(spec)
+    weight, level, _ = formspec.signature(ast)
+    form = Form(weight_num=int(2 * weight), level=level,
+                character=DirichletCharacter.trivial(level), coeffs=[])
+    need = formspec.working_prec(ast, prec + 1)
+    if need > WORKING_PREC_CAP:
+        raise ValueError("working precision %d exceeds %d"
+                         % (need, WORKING_PREC_CAP))
+    series, den = formspec.evaluate(ast, prec + 1)
     form.coeffs = integer_table(series, prec, den)
     return form
 

@@ -24,9 +24,9 @@ parse_formspec gives each distinct subtree as one object.  signature
 gives an expression's weight, level and offset, and refuses a U off the
 integer grid and a sum across two grids before anything is evaluated;
 working_prec gives the most grid positions evaluate will ask of any
-node; evaluate gives an int series and one positive denominator.  Both
-read one schedule of (node, need) pairs, made and run without
-recursion.
+node; evaluate gives an int series and one positive denominator.  All
+three read one schedule of (node, need) pairs, made and run without
+recursion, so that only the parser recurses.
 """
 
 from __future__ import annotations
@@ -236,20 +236,24 @@ class _Parser:
         return self.node(Atom, word, m, top, exp)
 
 
-# The most nodes on a path down a parsed tree: a sum of 400 terms.  The
-# parser and signature still recurse, and how deep a tree reaches the
-# recursion limit differs between Python versions; this bound limits
-# outside input the same way on every version.
+# The most nodes on a path down a parsed tree: a sum of 400 terms.  Only
+# the parser recurses, and how deep a tree reaches the recursion limit
+# differs between Python versions; this bound limits outside input the
+# same way on every version.
 MAX_DEPTH = 400
 TOO_DEEP = "expression too long or nested too deeply"
 
 
 def parse_formspec(text: str):
     """Parse an expression in the grammar above into its AST, in which
-    equal subtrees are one object; a tree more than MAX_DEPTH nodes deep
-    is refused."""
+    equal subtrees are one object; a tree more than MAX_DEPTH nodes deep,
+    or nested too deeply for the parser's recursion, is refused with
+    TOO_DEEP."""
     p = _Parser(text)
-    node = p.expr()
+    try:
+        node = p.expr()
+    except RecursionError:
+        raise ValueError(TOO_DEEP) from None
     p.skip_ws()
     if p.pos != len(text):
         p.error("unexpected trailing input")
@@ -283,59 +287,31 @@ def evaluate(spec, prec: int) -> tuple[QSeries, int]:
     sides to the lcm of their dens, and a product multiplies its
     factors' dens.
 
-    One loop builds the pairs _schedule lists, in its order, and drops
-    each value at its last ask: delta's E4(4) and theta(1) are each
-    built once, and nothing recurses, however long or deep the tree.
+    _walk runs _value over _schedule's pairs: delta's E4(4) and
+    theta(1) are each built once, and nothing recurses, however long or
+    deep the tree.
     """
     if prec < 1:
         raise ValueError("prec must be positive")
-    schedule, held = _schedule(spec, prec), {}
-    for (node, need), (_, asked) in schedule.items():
-        parts = []
-        for pair in asked:
-            schedule[pair][0] -= 1
-            parts.append(held[pair] if schedule[pair][0] else held.pop(pair))
-        held[node, need] = _value(node, need, parts)
-    return held.pop((spec, prec))
+    return _walk(spec, prec, _value)
 
 
 def signature(node) -> tuple[Fraction, int, Fraction]:
     """(weight, level, offset) implied by the expression, read off the
-    tree alone, so that nothing is evaluated or allocated.  Atoms take
-    their weight, level and offset from ATOMS, the weight and offset
-    times their exp.  D adds 2 to the weight, products add weights, and
-    U and scalars keep them; mixed-weight sums are rejected.  The level
-    is the lcm of the atoms' levels, and a U node moves its argument's
-    level to the level arith.u_type gives a U_m image.  The offset is
-    the lowest exponent of the evaluated series (m/24 for eta(m), m/8
-    for psi(m), 0 for the other atoms), kept by D and scalars, added by
-    products, the lower of a sum's two, and 0 after U.  A sum whose
-    offsets differ by a non-integer and a U whose argument is off the
-    integer grid are refused here, with qseries' messages, before any
-    series is built."""
-    if isinstance(node, Atom):
-        rule = ATOMS[node.name]
-        return (rule.weight * node.exp, rule.level * node.m * node.top ** 2,
-                rule.offset * node.m * node.exp)
-    if isinstance(node, (Add, Mul)):
-        (wl, ll, ol), (wr, lr, orr) = (signature(node.left),
-                                       signature(node.right))
-        if isinstance(node, Mul):
-            return wl + wr, lcm(ll, lr), ol + orr
-        if wl != wr:
-            raise ValueError("sum mixes weights %s and %s" % (wl, wr))
-        qs.check_common_grid(ol, orr)
-        return wl, lcm(ll, lr), min(ol, orr)
-    if not isinstance(node, (Diff, U, Scale)):
-        raise TypeError("not a FormSpec node: %r" % (node,))
-    weight, level, offset = signature(node.arg)
-    if isinstance(node, Diff):
-        weight += 2
-    elif isinstance(node, U):
-        qs.check_u_grid(node.m, offset)
-        level = u_type(level, node.m, weight.denominator == 2)[0]
-        offset = Fraction(0)
-    return weight, level, offset
+    tree alone, so that nothing is evaluated or allocated: _walk runs
+    _signature over the schedule evaluate runs, and only the parser
+    recurses.  Atoms take their weight, level and offset from ATOMS, the
+    weight and offset times their exp.  D adds 2 to the weight, products
+    add weights, and U and scalars keep them; mixed-weight sums are
+    rejected.  The level is the lcm of the atoms' levels, and a U node
+    moves its argument's level to the level arith.u_type gives a U_m
+    image.  The offset is the lowest exponent of the evaluated series
+    (m/24 for eta(m), m/8 for psi(m), 0 for the other atoms), kept by D
+    and scalars, added by products, the lowest of a sum's terms, and 0
+    after U.  A sum whose offsets differ by a non-integer and a U whose
+    argument is off the integer grid are refused here, with qseries'
+    messages, before any series is built."""
+    return _walk(node, 1, _signature)
 
 
 def working_prec(node, prec: int) -> int:
@@ -376,6 +352,47 @@ def _schedule(node, prec: int) -> dict:
         stack.append((pair, asked))
         stack += ((x, None) for x in reversed(asked))
     return schedule
+
+
+def _walk(spec, prec: int, step):
+    """step's value of spec at prec.  One loop runs step on the pairs
+    _schedule lists, in its order, each given the values of the pairs it
+    asks for, and drops each value at its last ask."""
+    schedule, held = _schedule(spec, prec), {}
+    for (node, need), (_, asked) in schedule.items():
+        parts = []
+        for pair in asked:
+            schedule[pair][0] -= 1
+            parts.append(held[pair] if schedule[pair][0] else held.pop(pair))
+        held[node, need] = step(node, need, parts)
+    return held.pop((spec, prec))
+
+
+def _signature(node, need: int, parts: list) -> tuple[Fraction, int, Fraction]:
+    """(weight, level, offset) of node, given those of the pairs it asks
+    for in the order _schedule lists them.  A sum's terms, _linear's,
+    and a U's product are each read as one product: its weights and
+    offsets add and its levels take their lcm.  The terms of a sum are
+    checked in tree order, each against the weight and the lowest offset
+    of those before it."""
+    if isinstance(node, Atom):
+        rule = ATOMS[node.name]
+        return (rule.weight * node.exp, rule.level * node.m * node.top ** 2,
+                rule.offset * node.m * node.exp)
+    values = iter(parts)
+    terms = (_linear(node, lambda f: (next(values), 1))[1]
+             if isinstance(node, (Add, Scale, Mul)) else [(1, *parts)])
+    (weight, level, offset), *rest = [(sum(w), lcm(*l), sum(o)) for w, l, o
+                                      in (zip(*t) for _, *t in terms)]
+    for w, l, o in rest:
+        if w != weight:
+            raise ValueError("sum mixes weights %s and %s" % (weight, w))
+        qs.check_common_grid(offset, o)
+        level, offset = lcm(level, l), min(offset, o)
+    if isinstance(node, U):
+        qs.check_u_grid(node.m, offset)
+        level, offset = u_type(level, node.m, weight.denominator == 2)[0], 0
+    return weight + (2 if isinstance(node, Diff) else 0), level, offset
 
 
 def _value(node, need: int, parts: list) -> tuple[QSeries, int]:

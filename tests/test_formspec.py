@@ -303,6 +303,20 @@ class TestMetadataHints:
         with pytest.raises(ValueError, match="sum mixes weights"):
             signature(parse_formspec("eta(1) - E4(1)"))
 
+    @pytest.mark.parametrize("text, message", [
+        ("theta(1) + E4(1) + eta(1)^24", "sum mixes weights 1/2 and 4"),
+        ("theta(1) + (E4(1) + eta(1)^24)", "sum mixes weights 1/2 and 4"),
+        ("eta(1) + (eta(24) + theta(1))",
+         "offsets 1/24 and 1 are not on a common grid"),
+        ("eta(1) + E4(1) + U(2, eta(1))",
+         "U_2 needs an integer exponent grid, offset is 1/24")])
+    def test_a_sum_is_read_term_by_term_in_tree_order(self, text, message):
+        # However parentheses nest a sum, its terms are checked in tree
+        # order, each against the weight and the lowest offset of those
+        # before it, once every term's own factors have been read.
+        with pytest.raises(ValueError, match="^%s$" % message):
+            signature(parse_formspec(text))
+
     def test_level_hints(self):
         assert self.level("eta(1)^24") == 1
         assert self.level(DELTA_SPEC) == 4
@@ -421,14 +435,16 @@ class TestOneWalk:
         " + ".join(["theta(1)"] * 400),
         "D(" * 300 + "theta(1)" + ")" * 300], ids=["sum400", "D300"])
     def test_long_and_deep_trees_do_not_recurse(self, text):
-        # working_prec and evaluate walk the tree with explicit stacks, so
-        # the longest sum and a deep nest run 60 frames above the caller.
+        # signature, working_prec and evaluate read one schedule made
+        # with an explicit stack, so the longest sum and a deep nest run
+        # 60 frames above the caller.
         node = parse_formspec(text)
-        want = fs.working_prec(node, 10), evaluate(node, 10)
+        want = signature(node), fs.working_prec(node, 10), evaluate(node, 10)
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(_frames() + 60)
         try:
-            got = fs.working_prec(node, 10), evaluate(node, 10)
+            got = (signature(node), fs.working_prec(node, 10),
+                   evaluate(node, 10))
         finally:
             sys.setrecursionlimit(limit)
         assert got == want
