@@ -21,7 +21,7 @@ holds within precision exactly when f is a T(p^2) eigenform.
 from __future__ import annotations
 
 import operator
-from itertools import cycle, repeat
+from itertools import compress, count, cycle, repeat
 
 from .arith import (DirichletCharacter, Record, kronecker, require_good_prime,
                     u_type)
@@ -156,8 +156,10 @@ def extract_eigenvalue(seq_before: list[int], seq_after: list[int], p: int,
                            first_violation=n0,
                            note="ratio %d/%d at n=%d is not an integer"
                                 % (seq_after[n0], seq_before[n0], n0))
-    violation = next((n for n in range(1, shared + 1)
-                      if seq_after[n] != lam * seq_before[n]), None)
+    after = seq_after[1:shared + 1]
+    scaled = list(map(operator.mul, seq_before[1:shared + 1], repeat(lam)))
+    violation = None if after == scaled else next(
+        compress(count(1), map(operator.ne, after, scaled)))
     sat = satake(lam, p, k)
     return EigenReport(p=p, lam=lam, is_eigen=violation is None,
                        checked_up_to=shared, first_violation=violation,

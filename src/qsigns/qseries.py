@@ -49,11 +49,14 @@ into fixed-width decimal slots, with a bias of its own that makes every
 slot positive, wide enough that no product coefficient can carry into
 its neighbour.  libmpdec multiplies the two exactly with its
 number-theoretic transform (a transform over finite fields, so nothing
-is rounded), in a context that traps any rounding; the low slots are
-read back and the bias cross terms removed with prefix sums.  Powers
-are taken by square-and-multiply, and a power of eta starts from
-Jacobi's identity for eta^3, another sum with O(sqrt(prec)) terms.  No
-floating point anywhere.
+is rounded), in a context that traps any rounding.  Every pass over
+the slots runs in C, one block of _BLOCK slots per call: one % format
+writes a block, one struct unpack splits a block of the product's low
+digits into slots, which int reads, and one accumulate builds the
+prefix sums of the bias terms, which one map subtracts.  Powers are
+taken by square-and-multiply, and a power of eta starts from Jacobi's
+identity for eta^3, another sum with O(sqrt(prec)) terms.  No floating
+point anywhere.
 
 lincomb builds an integer linear combination sum k a b + sum k s of
 products and series into one list: every row-pass product of one
@@ -68,8 +71,9 @@ each on prec // m positions, in one lincomb, and skips a pair with an
 all-zero section.
 
 Every O(prec) pass over a coefficient list (pairs, lincomb, derive, the
-E4 sieve) iterates in C through map, compress and slice
-assignment, not in a Python-level loop per coefficient.
+E4 sieve, _ntt's pack and readback) iterates in C through map,
+compress, % formats, struct and slice assignment, not in a
+Python-level loop per coefficient.
 
 Every generator takes a dilation index m and writes the series at mz
 straight onto its grid, at stride m; nothing substitutes q -> q^m.
@@ -525,10 +529,18 @@ def _ntt(ac: list, bc: list) -> list:
     Each list is packed into fixed-width decimal slots with its own
     bias, B_a = max|a| + 1 and B_b = max|b| + 1, which makes every slot
     positive.  Slot k of the product is then
-    v_k = c_k + B_b S_a(k) + B_a S_b(k) + B_a B_b (k + 1), where S is a
-    prefix sum; it lies in [0, 4 n B_a B_b), so slots of that many digits
-    never carry into each other.  The context traps Inexact and Rounded:
-    a product that did not fit would raise, never round.
+    v_k = c_k + sum_{i <= k} (B_b a_i + B_a b_i + B_a B_b); it lies in
+    [0, 4 n B_a B_b), so slots of that many digits never carry into each
+    other.  The context traps Inexact and Rounded: a product that did
+    not fit would raise, never round.
+
+    Every pass over the n slots runs in C, one block of _BLOCK slots per
+    call.  Packing writes a block's biased values, highest slot first,
+    with one % format.  The low n slots are read back from the end of
+    the product's fixed-point digit string, one block at a time: one
+    struct unpack splits the block's bytes into slots and int reads
+    each.  One accumulate over the terms of the sum above makes the
+    biases, and one map subtracts them.
     """
     n = len(ac)
     if not n:
@@ -538,16 +550,25 @@ def _ntt(ac: list, bc: list) -> list:
     w = Decimal(4 * n * ba * bb).adjusted() + 1
     if 0 < _int_str_limit() < w:
         # CPython refuses int <-> str this wide; Decimal does not.
-        slot, read = ((lambda x: str(Decimal(x)).zfill(w)),
-                      (lambda digits: int(Decimal(digits))))
+        def put(values):
+            return "".join(map(operator.methodcaller("zfill", w),
+                               map(str, map(Decimal, values))))
+
+        def get(slots):
+            return map(int, map(Decimal, map(bytes.decode, slots)))
     else:
-        slot, read = ("%%0%dd" % w).__mod__, int
+        def put(values):
+            values = tuple(values)
+            return ("%%0%dd" % w * len(values)) % values
+
+        def get(slots):
+            return map(int, slots)
 
     def pack(coeffs, bias):
-        # Slot n-1 leads the digit string; blocks keep the per-slot
-        # strings of only _BLOCK slots alive at a time.
-        return Decimal("".join(["".join([slot(c + bias) for c in
-                                         reversed(coeffs[k:k + _BLOCK])])
+        # Slot n-1 leads the digit string.
+        return Decimal("".join([put(map(operator.add,
+                                        reversed(coeffs[k:k + _BLOCK]),
+                                        repeat(bias)))
                                 for k in range((n - 1) // _BLOCK * _BLOCK,
                                                -1, -_BLOCK)]))
 
@@ -562,10 +583,26 @@ def _ntt(ac: list, bc: list) -> list:
     s = format(v, "f")
     del v
     top = len(s)
-    bab = ba * bb
-    return [read(s[k - w:k]) - bb * sa - ba * sb - bab * i
-            for i, k, sa, sb in zip(count(1), range(top, top - w * n, -w),
-                                    accumulate(ac), accumulate(bc))]
+    whole = struct.Struct("%ds" % w * _BLOCK)
+
+    def read(k):
+        # Slots k to k + m - 1, lowest first; slot k ends at top - w k.
+        m = min(_BLOCK, n - k)
+        layout = whole if m == _BLOCK else struct.Struct("%ds" % w * m)
+        return get(reversed(layout.unpack(
+            s[top - w * (k + m):top - w * k].encode())))
+
+    if bc is ac:
+        terms = map(operator.add, map(operator.mul, ac, repeat(2 * ba)),
+                    repeat(ba * ba))
+    else:
+        terms = map(operator.add,
+                    map(operator.add, map(operator.mul, ac, repeat(bb)),
+                        map(operator.mul, bc, repeat(ba))),
+                    repeat(ba * bb))
+    return list(map(operator.sub,
+                    chain.from_iterable(map(read, range(0, n, _BLOCK))),
+                    accumulate(terms)))
 
 
 def pow_(a: QSeries, e: int) -> QSeries:

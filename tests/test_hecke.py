@@ -377,6 +377,38 @@ class TestExtractEigenvalue:
         assert not rep.is_eigen
         assert rep.first_violation is not None
 
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_first_violation_is_the_planted_index(self, data):
+        # lam is read at n0, the first nonzero of before; a mismatch
+        # planted at any other shared index k, or none, is what a literal
+        # scan finds.
+        values = st.integers(-2**100, 2**100)
+        zeros = data.draw(st.integers(0, 4))
+        before = ([data.draw(values)] + [0] * zeros
+                  + [data.draw(values.filter(bool))]
+                  + data.draw(st.lists(values, max_size=80)))
+        n0 = zeros + 1
+        lam = data.draw(st.integers(-2**40, 2**40))
+        after = [lam * b for b in before]
+        # Either list may run past the shared range, by any values.
+        (after if data.draw(st.booleans()) else before).extend(
+            data.draw(st.lists(values, max_size=3)))
+        after = after[:data.draw(st.integers(n0 + 1, len(after)))]
+        shared = min(len(before), len(after)) - 1
+        others = [n for n in range(1, shared + 1) if n != n0]
+        k = data.draw(st.sampled_from(others)) if others else None
+        if k is not None and data.draw(st.booleans()):
+            after[k] += data.draw(values.filter(bool))
+        else:
+            k = None
+        rep = hecke.extract_eigenvalue(before, after, p=5, k=2)
+        scan = next((n for n in range(1, shared + 1)
+                     if after[n] != lam * before[n]), None)
+        assert (rep.lam, rep.checked_up_to) == (lam, shared)
+        assert rep.first_violation == scan == k
+        assert rep.is_eigen == (k is None)
+
     def test_all_zero_before_rejected(self):
         with pytest.raises(ValueError):
             hecke.extract_eigenvalue([0, 0, 0], [0, 5, 5], p=3, k=6)

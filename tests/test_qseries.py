@@ -357,6 +357,45 @@ class TestNtt:
         assert qs._ntt(xs, ys) == poly_mul(xs, ys, n)
         assert qs._ntt(xs, xs) == poly_mul(xs, xs, n)
 
+    @pytest.mark.parametrize("n", [511, 512, 513, 1024, 1025, 1537])
+    def test_lists_across_block_edges(self, n):
+        # _ntt packs and reads back _BLOCK slots per call; these lengths
+        # end a block exactly, one slot early or late, or after one slot
+        # of a new block.  xs is signed to 2^120 with its upper part zero,
+        # ys all negative.
+        assert qs._BLOCK == 512
+        rng = random.Random(n)
+        cut = rng.randrange(1, n)
+        xs = [rng.randint(-2**120, 2**120) for _ in range(cut)]
+        xs += [0] * (n - cut)
+        ys = [-rng.randint(1, 2**120) for _ in range(n)]
+        assert qs._ntt(xs, ys) == poly_mul(xs, ys, n)
+        assert qs._ntt(ys, xs) == poly_mul(ys, xs, n)
+        assert qs._ntt(xs, xs) == poly_mul(xs, xs, n)
+        assert qs._ntt(ys, ys) == poly_mul(ys, ys, n)
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no int <-> str digit limit")
+    def test_decimal_slots_across_block_edges(self):
+        # Under a 640-digit limit, slots of values near 10^320 are too wide
+        # for int <-> str, so packing and readback go through Decimal, in
+        # blocks of _BLOCK slots as the narrow path does.
+        n = 521
+        rng = random.Random(n)
+        xs = [rng.choice([-1, 1]) * rng.randint(10**319, 10**320)
+              for _ in range(n)]
+        ys = [rng.randint(-10**320, 10**320) for _ in range(n - 9)] + [0] * 9
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            # A value below the slot bound 4 n B_a B_b is already too long.
+            with pytest.raises(ValueError):
+                str(4 * n * max(map(abs, xs)) ** 2)
+            got = (qs._ntt(xs, ys), qs._ntt(xs, xs))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert got == (poly_mul(xs, ys, n), poly_mul(xs, xs, n))
+
     @given(xs=_dense_ints(), data=st.data())
     @settings(max_examples=30, deadline=None)
     def test_fraction_operand_is_refused(self, xs, data):
