@@ -1,9 +1,9 @@
 """Number-theoretic primitives.
 
 Kronecker symbols, real Dirichlet characters given by a Kronecker-symbol
-top, fundamental discriminants, square-free and prime tests and divisor
-enumeration.  Everything here is a pure function of its arguments, but
-for Record and FrozenRecord, the value-class bases of the package.
+top, fundamental discriminants, and square-free and prime tests.
+Everything here is a pure function of its arguments, but for Record and
+FrozenRecord, the value-class bases of the package.
 """
 
 from __future__ import annotations
@@ -102,21 +102,6 @@ def fundamental_mask(sign: int, squarefree: bytearray) -> bytearray:
     for r in (2 * sign % 4, 3 * sign % 4):
         mask[4 * r::16] = squarefree[r:N // 4 + 1:4]
     return mask
-
-
-def divisors(n: int) -> list[int]:
-    """Ascending list of the positive divisors of n."""
-    if n < 1:
-        raise ValueError("expected a positive integer")
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
 
 
 # Trial division by the primes 2..41 decides every n < 41^2, and strong

@@ -1,4 +1,4 @@
-"""Coefficient-file persistence.
+r"""Coefficient-file persistence.
 
 Plain text, exactness-preserving, diffable.  A file is a fixed-order
 header of '# key: value' lines followed by one 'n<TAB>a(n)' line per
@@ -23,18 +23,26 @@ nonzero and 1 otherwise.  An optional '# t: <int>' line after the
 offset records the lift index, a square-free positive integer no larger
 than forms.LARGE_PREC_CAP.
 
+The header's keys are read in KEYS order: after the magic line, line i
+must start '# KEYS[i]: ', every key but t is required, and the first
+line that does not start with the next key's prefix ends the header.
 Serialization is canonical, and parse accepts only what serialize
-writes, byte for byte.  In the header: no unknown, repeated or reordered
-key, no value in another spelling (a leading zero, a sign, padding).  In
-the body: every line is n, a tab and a nonzero a(n), in decimal with no
-leading zero and no sign but a minus on a(n), and ends in a newline.  So
-a blank line, a missing final newline, a '\r\n' line end passed
+writes, byte for byte: the header is compared with the one serialize
+would write, so no unknown, repeated or reordered key and no value in
+another spelling (a leading zero, a sign, padding) gets through.  In
+the body every line is n, a tab and a nonzero a(n), in decimal with no
+leading zero and no sign but a minus on a(n), and ends in a newline;
+each line matches the regular expression
+
+    (0|[1-9][0-9]*)\t-?[1-9][0-9]*\n
+
+So a blank line, a missing final newline, a '\r\n' line end passed
 straight to parse (read opens the file in text mode, which turns it into
 '\n') and a file cut mid-line are refused; a file cut at a line
 boundary still parses.  A prec above forms.LARGE_PREC_CAP is refused
 before the table is allocated, and the Form's own checks apply on read.
 The body is checked and converted in C a block at a time, without a
-regular expression (see _parse_body).
+regular expression (see _numbers).
 """
 
 from __future__ import annotations
@@ -52,10 +60,8 @@ from .forms import LARGE_PREC_CAP, Form
 MAGIC = "# coeffs v1"
 KEYS = ("form", "weight", "level", "character", "prec", "offset", "t")
 
-# The body lines serialize writes.  parse checks a body a block of about
-# BLOCK characters (extended to a line end) at a time without this
-# expression, which only names the bad line of a block it refuses.
-BODY_LINES = re.compile(r"(?:(?:0|[1-9][0-9]*)\t-?[1-9][0-9]*\n)*")
+# parse checks and converts a body a block of about BLOCK characters
+# (extended to a line end) at a time.
 BLOCK = 1 << 13
 _TO_COMMAS = str.maketrans("\t\n", ",,")
 
@@ -83,16 +89,12 @@ class CoefficientFile(Record):
 
     def _header(self) -> list[str]:
         f = self.form
-        lines = [MAGIC,
-                 "# form: %s" % self.form_id,
-                 "# weight: %d/2" % f.weight_num,
-                 "# level: %d" % f.level,
-                 "# character: %s" % format_character(f.character),
-                 "# prec: %d" % f.prec,
-                 "# offset: %d" % (0 if f.coeffs[0] else 1)]
-        if self.t is not None:
-            lines.append("# t: %d" % self.t)
-        return lines
+        values = (self.form_id, "%d/2" % f.weight_num, f.level,
+                  format_character(f.character), f.prec,
+                  0 if f.coeffs[0] else 1, self.t)
+        return [MAGIC] + ["# %s: %s" % (key, value)
+                          for key, value in zip(KEYS, values)
+                          if value is not None]
 
     def serialize(self) -> str:
         # The header, then the (index, value) terms interleaved: one
@@ -138,37 +140,32 @@ def parse(text: str) -> CoefficientFile:
     lines = text.split("\n", len(KEYS) + 1)
     if lines[0] != MAGIC:
         raise ValueError("not a coefficient file (missing %r header)" % MAGIC)
-    header = {}
-    for line in lines[1:]:
-        m = re.fullmatch(r"# ([a-z]+): (.*)", line)
-        if not m:
+    values = []
+    for key, line in zip(KEYS, lines[1:]):
+        prefix = "# %s: " % key
+        if not line.startswith(prefix):
             break
-        key = m.group(1)
-        if key not in KEYS:
-            raise ValueError("unknown header key %r" % key)
-        if key in header:
-            raise ValueError("duplicate header key %r" % key)
-        header[key] = m.group(2)
-    body_start = 1 + len(header)
-    for key in KEYS[:-1]:           # every key but t is required
-        if key not in header:
-            raise ValueError("missing header key %r" % key)
+        values.append(line[len(prefix):])
+    body_start = 1 + len(values)
     if body_start == len(lines):
         raise ValueError("header line %r does not end in a newline"
                          % lines[-1])
-    m = re.fullmatch(r"(\d+)/2", header["weight"])
+    if len(values) < len(KEYS) - 1:     # every key but t is required
+        raise ValueError("header line %r is not '# %s: <value>'"
+                         % (lines[body_start], KEYS[len(values)]))
+    form_id, weight, level, character, prec, _, *t = values
+    m = re.fullmatch(r"(\d+)/2", weight)
     if not m:
-        raise ValueError("bad weight %r, expected <num>/2" % header["weight"])
-    prec = int(header["prec"])
+        raise ValueError("bad weight %r, expected <num>/2" % weight)
+    prec = int(prec)
     if not 0 <= prec <= LARGE_PREC_CAP:
         raise ValueError("prec %d is outside 0..%d" % (prec, LARGE_PREC_CAP))
-    cf = CoefficientFile(form_id=header["form"],
+    cf = CoefficientFile(form_id=form_id,
                          form=Form(weight_num=int(m.group(1)),
-                                   level=int(header["level"]),
-                                   character=parse_character(
-                                       header["character"]),
+                                   level=int(level),
+                                   character=parse_character(character),
                                    coeffs=[0] * (prec + 1)),
-                         t=int(header["t"]) if "t" in header else None)
+                         t=int(t[0]) if t else None)
     # A lift's t is at most its source's prec: the cap bounds t before
     # trial division reads it.
     if cf.t is not None and cf.t > LARGE_PREC_CAP:
@@ -189,34 +186,17 @@ def parse(text: str) -> CoefficientFile:
 
 def _parse_body(text: str, start: int, table: list[int]):
     """Store the body lines of text[start:] in table, each index above
-    the one before it.
-
-    Each block of whole lines is checked, converted and stored in C.  It
-    must end in a newline, and its skeleton, what is left of its ASCII
-    bytes (any other character is a '?') once bytes.translate deletes the
-    digits, must be lines of a tab, an optional '-' and a newline.
-    json.loads must then read it, and JSON's number grammar refuses a
-    leading zero, an empty field and a '-' after digits.  Last, no a(n)
-    may be 0 (written 0 or -0).  A block passes these exactly when
-    BODY_LINES matches it, which then only names the bad line."""
+    the one before it, a block of whole lines at a time (_numbers)."""
     prec = len(table) - 1
     end = len(text)
     last = -1
     while start < end:
         stop = text.find("\n", start + BLOCK - 1) + 1 or end
         block = text[start:stop]
-        skeleton = block.encode("ascii", "replace").translate(
-            None, b"0123456789").replace(b"\t-\n", b"\t\n")
-        numbers = None
-        if block[-1] == "\n" and skeleton == b"\t\n" * (len(skeleton) // 2):
-            try:
-                numbers = json.loads("[%s]"
-                                     % block.translate(_TO_COMMAS)[:-1])
-            except json.JSONDecodeError:
-                pass
-        if numbers is None or 0 in (values := numbers[1::2]):
+        numbers = _numbers(block)
+        if numbers is None:
             _refuse_line(block)
-        indices = numbers[::2]
+        indices, values = numbers[::2], numbers[1::2]
         if not all(map(operator.lt, [last] + indices, indices)):
             _refuse_order(last, indices)
         last = indices[-1]
@@ -227,10 +207,32 @@ def _parse_body(text: str, start: int, table: list[int]):
         start = stop
 
 
+def _numbers(block: str) -> list[int] | None:
+    """The n and a(n) of the body lines in block, alternating, or None
+    when block is not body lines as serialize writes them.
+
+    The block is checked and converted in C.  It must end in a newline,
+    and its skeleton, what is left of its ASCII bytes (any other
+    character is a '?') once bytes.translate deletes the digits, must be
+    lines of a tab, an optional '-' and a newline.  json.loads must then
+    read it, and JSON's number grammar refuses a leading zero, an empty
+    field and a '-' after digits.  Last, no a(n) may be 0 (written 0 or
+    -0)."""
+    skeleton = block.encode("ascii", "replace").translate(
+        None, b"0123456789").replace(b"\t-\n", b"\t\n")
+    if not block.endswith("\n") or skeleton != b"\t\n" * (len(skeleton) // 2):
+        return None
+    try:
+        numbers = json.loads("[%s]" % block.translate(_TO_COMMAS)[:-1])
+    except json.JSONDecodeError:
+        return None
+    return None if 0 in numbers[1::2] else numbers
+
+
 def _refuse_line(block: str):
     *lines, tail = block.split("\n")
-    bad = next((line for line in lines
-                if not BODY_LINES.fullmatch(line + "\n")), None)
+    bad = next((line for line in lines if _numbers(line + "\n") is None),
+               None)
     if bad is None:
         raise ValueError("body line %r does not end in a newline" % tail)
     raise ValueError("bad body line %r" % bad)

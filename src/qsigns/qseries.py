@@ -96,7 +96,7 @@ from itertools import (accumulate, chain, compress, count, islice, repeat,
                        takewhile)
 from math import gcd, isqrt
 
-from .arith import DirichletCharacter, divisors
+from .arith import DirichletCharacter
 
 # QSeries.density calls a series sparse while nnz * SPARSE_FACTOR <= prec.
 SPARSE_FACTOR = 16
@@ -375,13 +375,14 @@ def _slot_bytes(m: int) -> int:
 def _stride(coeffs: list, prec: int) -> int:
     """The gcd of the nonzero indices below prec; 1 when no index but 0
     is nonzero.  It divides d0, the gcd of the first two nonzero indices
-    above 0, and it is the largest divisor d of d0 whose residues
-    r = 1, ..., d - 1 hold only zeros, each read as one slice.  Nothing
-    past the second nonzero index is read when d0 is 1."""
+    above 0, and since gcd(d0, i) = gcd(d0, i mod d0) it is the gcd of
+    d0 and the residues r = 1, ..., d0 - 1 that hold a nonzero term, each
+    read as one slice.  Nothing past the second nonzero index is read
+    when d0 is 1."""
     d0 = reduce(gcd, islice(filter(None, compress(range(prec), coeffs)), 2),
                 0)
-    return next(d for d in reversed(divisors(d0 or 1))
-                if not any(any(coeffs[r:prec:d]) for r in range(1, d)))
+    return reduce(gcd, (r for r in range(1, d0) if any(coeffs[r:prec:d0])),
+                  d0) or 1
 
 
 def _row_pass(terms: list, d: int, prec: int) -> list:

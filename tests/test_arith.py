@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qsigns import coeffio, formspec, hecke, signs
 from qsigns.arith import (PRIME_TEST_BOUND, SMALL_PRIMES, DirichletCharacter,
-                          FrozenRecord, Record, divisors,
+                          FrozenRecord, Record,
                           is_fundamental_discriminant, is_prime,
                           is_squarefree, kronecker, u_type)
 from qsigns.forms import Form
@@ -260,19 +260,6 @@ class TestSquarefree:
         assert not is_squarefree(18)
         with pytest.raises(ValueError):
             is_squarefree(0)
-
-
-class TestDivisors:
-    def test_known_values(self):
-        assert divisors(1) == [1]
-        assert divisors(12) == [1, 2, 3, 4, 6, 12]
-        assert divisors(49) == [1, 7, 49]
-
-    def test_ascending_and_complete(self):
-        for n in range(1, 500):
-            ds = divisors(n)
-            assert ds == sorted(set(ds))
-            assert ds == [d for d in range(1, n + 1) if n % d == 0]
 
 
 def _strong_probable_prime(n, a):

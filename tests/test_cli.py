@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from itertools import combinations
 from pathlib import Path
 from unittest import mock
 
@@ -293,10 +294,85 @@ class TestCoefficientFile:
         assert peak <= 641_351
 
 
+def _header_cuts():
+    """Every way to cut a header short: each prefix that ends before its
+    last newline, each deleted line but the optional '# t:' one, and each
+    swapped pair of its lines, of FULL's header (with a t line) and
+    SMALL's (without one)."""
+    for name in ("FULL", "SMALL"):
+        text = getattr(TestCoefficientFile, name)
+        lines = text.splitlines(keepends=True)
+        n = sum(line.startswith("#") for line in lines)
+        for i in range(len("".join(lines[:n]))):
+            yield pytest.param(text[:i], id="%s-prefix-%d" % (name, i))
+        for i in range(n):
+            if not lines[i].startswith("# t: "):
+                yield pytest.param("".join(lines[:i] + lines[i + 1:]),
+                                   id="%s-delete-%d" % (name, i))
+        for i, j in combinations(range(n), 2):
+            swapped = lines[:]
+            swapped[i], swapped[j] = lines[j], lines[i]
+            yield pytest.param("".join(swapped),
+                               id="%s-swap-%d-%d" % (name, i, j))
+
+
+class TestHeaderCheck:
+    """parse reads the header in coeffio.KEYS order, and refuses a header
+    cut short, missing a line or out of order with one ValueError that
+    names the offending line."""
+
+    FULL = TestCoefficientFile.FULL
+
+    @pytest.mark.parametrize("text", _header_cuts())
+    def test_a_cut_header_is_refused(self, tmp_path, capsys, text):
+        with pytest.raises(ValueError):
+            coeffio.parse(text)
+        # signs exits 2 with one error line and writes no table.
+        src, csv = tmp_path / "x.txt", tmp_path / "x.csv"
+        with open(src, "w", newline="") as fp:
+            fp.write(text)
+        assert run("signs", "--in", str(src), "--X-list", "5",
+                   "--csv", str(csv)) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not csv.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        (FULL.replace("# weight: 13/2\n", "# weight: 13/2\n# zzz: 5\n"),
+         "header line '# zzz: 5' is not '# level: <value>'"),
+        (FULL.replace("# level: 12\n", "# level: 12\n# level: 12\n"),
+         "header line '# level: 12' is not '# character: <value>'"),
+        (FULL.replace("# level: 12\n", ""),
+         "header line '# character: kronecker:-3/mod:3' is not "
+         "'# level: <value>'"),
+        (FULL.replace("# weight: 13/2\n# level: 12\n",
+                      "# level: 12\n# weight: 13/2\n"),
+         "header line '# level: 12' is not '# weight: <value>'"),
+        (FULL.replace("# t: 5\n", "# t: 5\n# zzz: 5\n"),
+         "bad body line '# zzz: 5'"),
+        (coeffio.MAGIC,
+         "header line '# coeffs v1' does not end in a newline"),
+    ], ids=["unknown", "repeated", "missing", "reordered",
+            "unknown-after-the-last-key", "no-newline-after-the-magic"])
+    def test_each_refusal_names_the_line(self, tmp_path, capsys, text,
+                                         message):
+        with pytest.raises(ValueError) as err:
+            coeffio.parse(text)
+        assert str(err.value) == message
+        src = tmp_path / "x.txt"
+        src.write_text(text)
+        assert run("signs", "--in", str(src), "--X-list", "5") == 2
+        assert capsys.readouterr() == ("", "error: %s\n" % message)
+
+
+# The body lines serialize writes: the oracle of TestBodyCheck.
+BODY_LINES = re.compile(r"(?:(?:0|[1-9][0-9]*)\t-?[1-9][0-9]*\n)*")
+
+
 class TestBodyCheck:
-    """parse checks a body without BODY_LINES, which only names the bad
-    line; the check refuses exactly what the expression refuses, with
-    the same message."""
+    """parse checks a body without a regular expression; the check
+    refuses exactly what BODY_LINES refuses, with the same message."""
 
     HEADER = TestCoefficientFile.SMALL.partition("1\t1\n")[0]
 
@@ -320,7 +396,7 @@ class TestBodyCheck:
             refused = str(exc)
         line_refused = refused.startswith("bad body line") or refused.endswith(
             "does not end in a newline")
-        assert line_refused == (coeffio.BODY_LINES.fullmatch(body) is None)
+        assert line_refused == (BODY_LINES.fullmatch(body) is None)
 
     @pytest.mark.parametrize("line, message", [
         ("4\t0\n", r"bad body line '4\t0'"),

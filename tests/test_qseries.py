@@ -173,9 +173,10 @@ class TestMul:
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_stride_is_the_gcd_of_the_nonzero_indices(self, data):
-        # _stride reads a candidate off the first two nonzero indices and
-        # checks its divisors by residue slices; it must equal the gcd of
-        # every nonzero index below prec, whatever lies at 0 or past prec.
+        # _stride reads d0 off the first two nonzero indices and takes its
+        # gcd with the residues mod d0 that hold a nonzero term; it must
+        # equal the gcd of every nonzero index below prec, whatever lies
+        # at 0 or past prec.
         prec = data.draw(st.integers(0, 120))
         d = data.draw(st.integers(1, 12))
         multiples = data.draw(st.lists(st.integers(0, 130 // d), max_size=12))
