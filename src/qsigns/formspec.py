@@ -26,13 +26,15 @@ integer grid and a sum across two grids before anything is evaluated;
 working_prec gives the most grid positions evaluate will ask of any
 node; evaluate gives an int series and one positive denominator.  All
 three read one schedule of (node, need) pairs, made and run without
-recursion, so that only the parser recurses.
+recursion, so that only the parser recurses.  _terms alone reads a node
+as scaled products, once per pair of the schedule, which hands the
+terms to each step.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Callable, NamedTuple
 
 from .arith import DirichletCharacter, FrozenRecord, u_type
@@ -274,18 +276,17 @@ def evaluate(spec, prec: int) -> tuple[QSeries, int]:
     are evaluated to m times the precision and qseries.u_mul takes U_m
     of their product without forming it.
 
-    A tree of sums and scalars over products and other nodes is one
-    integer linear combination sum k_j a_j b_j + sum k_j s_j, and one
-    qseries.lincomb call builds it into one list: a scalar on either
+    _terms reads every node as scaled products, and a sum's terms are
+    one integer linear combination sum k_j a_j b_j + sum k_j s_j, which
+    one qseries.lincomb call builds into one list: a scalar on either
     factor of a product moves into its k, and no scaled copy and no
     partial sum is ever a series of its own.  A single product with
     k = 1 is qseries.mul, and a single other term with k = 1 is its own
-    series.  A term under scalars of product p/q, over factors of dens
-    d, takes q prod d; den is the lcm of those, and k = p den / (q prod
-    d).  Since lcm(q a, q b) = q lcm(a, b), that is the den binary rules
-    give: Scale(p/q) multiplies k by p and den by q, a sum brings both
-    sides to the lcm of their dens, and a product multiplies its
-    factors' dens.
+    series.  A term p/q over factors of dens d takes q prod d; den is the
+    lcm of those, and k = p den / (q prod d).  Since lcm(q a, q b) =
+    q lcm(a, b), that is the den binary rules give: Scale(p/q) multiplies
+    k by p and den by q, a sum brings both sides to the lcm of their
+    dens, and a product multiplies its factors' dens.
 
     _walk runs _value over _schedule's pairs: delta's E4(4) and
     theta(1) are each built once, and nothing recurses, however long or
@@ -299,19 +300,19 @@ def evaluate(spec, prec: int) -> tuple[QSeries, int]:
 def signature(node) -> tuple[Fraction, int, Fraction]:
     """(weight, level, offset) implied by the expression, read off the
     tree alone, so that nothing is evaluated or allocated: _walk runs
-    _signature over the schedule evaluate runs, and only the parser
-    recurses.  Atoms take their weight, level and offset from ATOMS, the
-    weight and offset times their exp.  D adds 2 to the weight, products
-    add weights, and U and scalars keep them; mixed-weight sums are
-    rejected.  The level is the lcm of the atoms' levels, and a U node
-    moves its argument's level to the level arith.u_type gives a U_m
-    image.  The offset is the lowest exponent of the evaluated series
-    (m/24 for eta(m), m/8 for psi(m), 0 for the other atoms), kept by D
-    and scalars, added by products, the lowest of a sum's terms, and 0
-    after U.  A sum whose offsets differ by a non-integer and a U whose
-    argument is off the integer grid are refused here, with qseries'
-    messages, before any series is built."""
-    return _walk(node, 1, _signature)
+    _signature over the schedule of node at need 0, where every node is
+    one pair, and only the parser recurses.  Atoms take their weight,
+    level and offset from ATOMS, the weight and offset times their exp.
+    Each of _terms' products adds its factors' weights and offsets and
+    takes the lcm of their levels; D adds 2 to the weight, and U and
+    scalars keep it; mixed-weight sums are rejected.  A U node moves its
+    argument's level to the level arith.u_type gives a U_m image.  The
+    offset is the lowest exponent of the evaluated series (m/24 for
+    eta(m), m/8 for psi(m), 0 for the other atoms), the lowest of a
+    sum's terms, and 0 after U.  A sum whose offsets differ by a
+    non-integer and a U whose argument is off the integer grid are
+    refused here, with qseries' messages, before any series is built."""
+    return _walk(node, 0, _signature)
 
 
 def working_prec(node, prec: int) -> int:
@@ -324,54 +325,49 @@ def _schedule(node, prec: int) -> dict:
     """Every (node, need) pair that evaluating node at prec asks for,
     each once and after the pairs it asks for, in the order a recursive
     evaluation would finish them, mapped to [how often it is asked for,
-    the pairs it asks for].  A pair asked for again is built once, so
-    its own asks count once.  The pairs a node asks for, in order, are a
-    linear combination's factors, or the one or two operands of D and U;
-    atoms ask for nothing."""
+    its terms].  The terms are _terms', each factor given as the pair it
+    asks for: at need, or at m need under U(m, .).  A pair asked for
+    again is built once, so its own asks count once, and _terms reads
+    each pair's node once."""
     schedule, stack = {}, [((node, prec), None)]
     while stack:
-        pair, asked = stack.pop()
-        if asked is not None:
-            schedule[pair] = [1, asked]
+        pair, terms = stack.pop()
+        if terms is not None:
+            schedule[pair] = [1, terms]
             continue
         if pair in schedule:
             schedule[pair][0] += 1
             continue
         node, need = pair
-        asked = []
-        if isinstance(node, (Add, Scale, Mul)):
-            _linear(node, lambda f: (asked.append((f, need)), 1))
-        elif isinstance(node, U):
-            asked = [(x, node.m * need) for x in
-                     ((node.arg.left, node.arg.right)
-                      if isinstance(node.arg, Mul) else (node.arg,))]
-        elif isinstance(node, Diff):
-            asked = [(node.arg, need)]
-        elif not isinstance(node, Atom):
-            raise TypeError("not a FormSpec node: %r" % (node,))
-        stack.append((pair, asked))
-        stack += ((x, None) for x in reversed(asked))
+        if isinstance(node, U):
+            need *= node.m
+        terms = [(p, q, [(f, need) for f in factors])
+                 for p, q, factors in _terms(node)]
+        stack.append((pair, terms))
+        stack += ((f, None) for _, _, factors in reversed(terms)
+                  for f in reversed(factors))
     return schedule
 
 
 def _walk(spec, prec: int, step):
     """step's value of spec at prec.  One loop runs step on the pairs
-    _schedule lists, in its order, each given the values of the pairs it
-    asks for, and drops each value at its last ask."""
+    _schedule lists, in its order, each given its terms with the values
+    of the pairs they ask for, and drops each value at its last ask."""
     schedule, held = _schedule(spec, prec), {}
-    for (node, need), (_, asked) in schedule.items():
-        parts = []
-        for pair in asked:
-            schedule[pair][0] -= 1
-            parts.append(held[pair] if schedule[pair][0] else held.pop(pair))
-        held[node, need] = step(node, need, parts)
+
+    def take(pair):
+        schedule[pair][0] -= 1
+        return held[pair] if schedule[pair][0] else held.pop(pair)
+
+    for (node, need), (_, terms) in schedule.items():
+        held[node, need] = step(node, need, [
+            (p, q, list(map(take, factors))) for p, q, factors in terms])
     return held.pop((spec, prec))
 
 
-def _signature(node, need: int, parts: list) -> tuple[Fraction, int, Fraction]:
-    """(weight, level, offset) of node, given those of the pairs it asks
-    for in the order _schedule lists them.  A sum's terms, _linear's,
-    and a U's product are each read as one product: its weights and
+def _signature(node, need: int, terms: list) -> tuple[Fraction, int, Fraction]:
+    """(weight, level, offset) of node, given its terms with those of
+    their factors.  Each term is read as one product: its weights and
     offsets add and its levels take their lcm.  The terms of a sum are
     checked in tree order, each against the weight and the lowest offset
     of those before it."""
@@ -379,11 +375,8 @@ def _signature(node, need: int, parts: list) -> tuple[Fraction, int, Fraction]:
         rule = ATOMS[node.name]
         return (rule.weight * node.exp, rule.level * node.m * node.top ** 2,
                 rule.offset * node.m * node.exp)
-    values = iter(parts)
-    terms = (_linear(node, lambda f: (next(values), 1))[1]
-             if isinstance(node, (Add, Scale, Mul)) else [(1, *parts)])
     (weight, level, offset), *rest = [(sum(w), lcm(*l), sum(o)) for w, l, o
-                                      in (zip(*t) for _, *t in terms)]
+                                      in (zip(*f) for _, _, f in terms)]
     for w, l, o in rest:
         if w != weight:
             raise ValueError("sum mixes weights %s and %s" % (weight, w))
@@ -395,37 +388,45 @@ def _signature(node, need: int, parts: list) -> tuple[Fraction, int, Fraction]:
     return weight + (2 if isinstance(node, Diff) else 0), level, offset
 
 
-def _value(node, need: int, parts: list) -> tuple[QSeries, int]:
-    """(series, den) of node at need positions, given the values of the
-    pairs it asks for in the order _schedule lists them."""
+def _value(node, need: int, terms: list) -> tuple[QSeries, int]:
+    """(series, den) of node at need positions, given its terms with their
+    factors' values; den and each k follow the rules evaluate states."""
     if isinstance(node, Atom):
         return ATOMS[node.name].series(node, need), 1
-    if isinstance(node, (Add, Scale, Mul)):
-        values = iter(parts)
-        den, terms = _linear(node, lambda f: next(values))
-        if len(terms) == 1 and terms[0][0] == 1:
-            factors = terms[0][1:]
-            return (factors[0] if len(factors) == 1
-                    else qs.mul(*factors)), den
-        return qs.lincomb(terms), den
-    if len(parts) == 2:
-        (l, dl), (r, dr) = parts
-        return qs.u_mul(node.m, l, r), dl * dr
-    s, den = parts[0]
+    terms = [(p, q * prod(d for _, d in factors), [s for s, _ in factors])
+             for p, q, factors in terms]
+    den = lcm(*(q for _, q, _ in terms))
     if isinstance(node, Diff):
+        (_, _, (s,)), = terms
         # derive is b q d/dq on an offset a/b, so den takes the factor b.
         return qs.derive(s), den * s.offset.denominator
-    return qs.u_op(node.m, s), den
+    if isinstance(node, U):
+        (_, _, factors), = terms
+        return (qs.u_mul(node.m, *factors) if len(factors) == 2
+                else qs.u_op(node.m, *factors)), den
+    if len(terms) == 1 and terms[0][0] == 1:
+        factors = terms[0][2]
+        return (factors[0] if len(factors) == 1 else qs.mul(*factors)), den
+    return qs.lincomb([(p * (den // q), *factors)
+                       for p, q, factors in terms]), den
 
 
-def _linear(node, factor) -> tuple[int, list]:
-    """A sum of scaled products as (den, terms) for qseries.lincomb: the
-    terms (k, a, b) and (k, s) of int k, where a, b and s are the values
-    factor gives the factor nodes, in tree order, so that node's value
-    is sum k a b + sum k s over den.  factor maps a node to (series,
-    den).  Add and Scale nodes are walked through, with an explicit
-    stack, and so is a Scale on either side of a Mul; any other node is
-    a factor.  den and each k follow the rules evaluate states."""
+def _terms(node) -> list:
+    """node as scaled products [(p, q, factors)] in tree order: p/q is
+    the product of the term's scalars, unreduced, and factors one or two
+    nodes.  An atom has none; D(x) and U(m, x) have the one term x with
+    p = q = 1, or under U the term a b when x is the Mul of a and b.  Add
+    and Scale nodes are walked through, with an explicit stack, and so
+    is a Scale on either side of a Mul; any other node is a factor."""
+    if isinstance(node, Atom):
+        return []
+    if isinstance(node, Diff):
+        return [(1, 1, [node.arg])]
+    if isinstance(node, U):
+        x = node.arg
+        return [(1, 1, [x.left, x.right] if isinstance(x, Mul) else [x])]
+    if not isinstance(node, (Add, Scale, Mul)):
+        raise TypeError("not a FormSpec node: %r" % (node,))
     terms, stack = [], [(1, 1, node)]
     while stack:
         p, q, x = stack.pop()
@@ -435,15 +436,12 @@ def _linear(node, factor) -> tuple[int, list]:
             stack.append((p * x.scalar.numerator, q * x.scalar.denominator,
                           x.arg))
         else:
-            series = []
+            factors = []
             for side in (x.left, x.right) if isinstance(x, Mul) else (x,):
                 while isinstance(side, Scale):
                     p *= side.scalar.numerator
                     q *= side.scalar.denominator
                     side = side.arg
-                s, d = factor(side)
-                series.append(s)
-                q *= d
-            terms.append((p, q, series))
-    den = lcm(*(q for _, q, _ in terms))
-    return den, [(p * (den // q), *series) for p, q, series in terms]
+                factors.append(side)
+            terms.append((p, q, factors))
+    return terms

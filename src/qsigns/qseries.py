@@ -238,12 +238,12 @@ def lincomb(terms) -> QSeries:
     the path _plan gives it, with the operand of fewer nonzeros as the
     row source.  Every row-pass product of one stride d goes into one
     _row_pass call, its row terms moved by its offset and multiplied by
-    its k, so no product is ever a list of its own.  The pair loop adds
-    k c c' into the result in place; an _ntt product and a series term
-    are each added by one map pass, except that an _ntt product with
-    k = 1, at the lowest offset and before any other content, is the
-    result list itself.  A term with k = 0 is never built; it still
-    bounds the window.
+    its k, so no product is ever a list of its own.  One loop adds each
+    row pass's list, then each _ntt product and series term, by one map
+    pass and drops it; a first part that is a list made for this sum is
+    the result list itself.  The pair loop adds k c c' into the result
+    in place.  A term with k = 0 is never built; it still bounds the
+    window.
     """
     spans = [(t[1].offset + t[2].offset, min(t[1].prec, t[2].prec))
              if len(t) == 3 else (t[1].offset, t[1].prec) for t in terms]
@@ -277,24 +277,21 @@ def lincomb(terms) -> QSeries:
             lists.append((shift, _ntt(ac, ac if b is a else b.coeffs[:lim]),
                           k))
             del ac
+    # Each part is made, or taken out of lists, only as it is added.
+    parts = chain(((0, _row_pass(group, d, prec), 1)
+                   for d, group in groups.items()),
+                  map(lists.pop, repeat(0, len(lists))))
     out = None
-    for d, group in groups.items():
-        part = _row_pass(group, d, prec)
-        if out is None:
-            out = part
-        else:
-            out[:] = map(operator.add, out, part)
-        del part
-    for shift, values, k in lists:
+    for shift, values, k in parts:
         if k != 1:
             values = map(operator.mul, values, repeat(k))
         if out is None and not shift and type(values) is list:
-            out = values        # an _ntt list, made for this sum alone
-            continue
-        if out is None:
-            out = [0] * prec
-        out[shift:] = map(operator.add, out[shift:], values)
-    del lists
+            out = values        # a list made for this sum alone
+        else:
+            if out is None:
+                out = [0] * prec
+            out[shift:] = map(operator.add, out[shift:], values)
+        del values
     if out is None:
         out = [0] * prec
     for shift, lim, k, a, b in pair_terms:
@@ -337,6 +334,9 @@ def _plan(a: QSeries, b: QSeries) -> tuple[str, int]:
       - ntt: n slots of D decimal digits, D those of
         4 n (A + 1) (B + 1): _PLAN_COST n D.
     The cheapest wins, and a tie goes to the first of pairs, rows, ntt.
+    ntt is left out when bits * 30103 // 100000 + 1, bits the bit length of
+    4 n (A + 1) (B + 1), passes CPython's int <-> str digit limit: it
+    bounds an _ntt slot's digits from above, and the slots go through str.
     _PLAN_COST is the one measured constant.  Timing all three paths on
     fifteen product shapes, those of the named forms among them, every
     shape goes to its fastest path for any _PLAN_COST in [59, 117]
@@ -357,11 +357,12 @@ def _plan(a: QSeries, b: QSeries) -> tuple[str, int]:
     big_a = big_b if a is b else max(map(abs, (
         a.coeffs if a._pairs is None
         else map(operator.itemgetter(1), a._pairs))))
-    digits = (4 * n * (big_a + 1) * (big_b + 1)).bit_length() * 3 // 10 + 1
+    bits = (4 * n * (big_a + 1) * (big_b + 1)).bit_length()
     costs = [(_PLAN_COST * s * t // 2, "pairs", 1),
              (s * n * _slot_bytes((big_b + 1) * s * big_a) // (2 * d),
-              "rows", d),
-             (_PLAN_COST * n * digits, "ntt", 1)]
+              "rows", d)]
+    if not 0 < _int_str_limit() < bits * 30103 // 100000 + 1:
+        costs.append((_PLAN_COST * n * (bits * 3 // 10 + 1), "ntt", 1))
     return min(costs, key=operator.itemgetter(0))[1:]
 
 
@@ -533,7 +534,8 @@ def _ntt(ac: list, bc: list) -> list:
     v_k = c_k + sum_{i <= k} (B_b a_i + B_a b_i + B_a B_b); it lies in
     [0, 4 n B_a B_b), so slots of that many digits never carry into each
     other.  The context traps Inexact and Rounded: a product that did
-    not fit would raise, never round.
+    not fit would raise, never round.  _plan sends no product here whose
+    slots could pass CPython's int <-> str digit limit.
 
     Every pass over the n slots runs in C, one block of _BLOCK slots per
     call.  Packing writes a block's biased values, highest slot first,
@@ -549,21 +551,10 @@ def _ntt(ac: list, bc: list) -> list:
     ba = max(map(abs, ac)) + 1
     bb = ba if bc is ac else max(map(abs, bc)) + 1
     w = Decimal(4 * n * ba * bb).adjusted() + 1
-    if 0 < _int_str_limit() < w:
-        # CPython refuses int <-> str this wide; Decimal does not.
-        def put(values):
-            return "".join(map(operator.methodcaller("zfill", w),
-                               map(str, map(Decimal, values))))
 
-        def get(slots):
-            return map(int, map(Decimal, map(bytes.decode, slots)))
-    else:
-        def put(values):
-            values = tuple(values)
-            return ("%%0%dd" % w * len(values)) % values
-
-        def get(slots):
-            return map(int, slots)
+    def put(values):
+        values = tuple(values)
+        return ("%%0%dd" % w * len(values)) % values
 
     def pack(coeffs, bias):
         # Slot n-1 leads the digit string.
@@ -590,7 +581,7 @@ def _ntt(ac: list, bc: list) -> list:
         # Slots k to k + m - 1, lowest first; slot k ends at top - w k.
         m = min(_BLOCK, n - k)
         layout = whole if m == _BLOCK else struct.Struct("%ds" % w * m)
-        return get(reversed(layout.unpack(
+        return map(int, reversed(layout.unpack(
             s[top - w * (k + m):top - w * k].encode())))
 
     if bc is ac:

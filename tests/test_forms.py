@@ -1,5 +1,6 @@
 import math
 import weakref
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -91,12 +92,13 @@ class TestGForm:
         seen, mul, want = [], qs.mul, g_form(400).coeffs
 
         def spy(a, b):
-            seen.append((min(a.prec, b.prec), a.density, b.density))
+            seen.append((min(a.prec, b.prec), a.nnz, b.nnz))
             return mul(a, b)
 
+        etas = (1604, qs.eta(2, 1604).nnz, qs.eta(22, 1604).nnz)
         monkeypatch.setattr(qs, "mul", spy)
         assert forms._named("g", 400).coeffs == want
-        assert [s for s in seen if s[0] > 401] == [(1604, "sparse", "sparse")]
+        assert [s for s in seen if s[0] > 401] == [etas]
         assert any(s[0] == 401 for s in seen)
 
     def test_dsl_route_agrees_bit_exactly(self):
@@ -216,10 +218,12 @@ class TestSharedSubtrees:
             return [pair for pair, ref in built.items()
                     if used[pair] == schedule[pair][0] and ref() is not None]
 
-        def value(x, need, parts):
+        def value(x, need, terms):
             assert alive_after_last_ask() == []
-            asked = schedule[x, need][1]
-            assert [v for v, _ in parts] == [built[a]() for a in asked]
+            asked = [f for _, _, factors in schedule[x, need][1]
+                     for f in factors]
+            assert [v for _, _, factors in terms for v, _ in factors] == [
+                built[a]() for a in asked]
             for pair in asked:
                 used[pair] += 1
             made = Value()
@@ -232,6 +236,41 @@ class TestSharedSubtrees:
         assert used == {pair: asks for pair, (asks, _) in schedule.items()
                         } | {(node, 5): 0}
         assert result is built[node, 5]()
+
+    def test_each_nodes_terms_are_read_once(self):
+        # _schedule reads each pair's terms once, and the steps take them
+        # from it: evaluate reads them once per (node, need) pair, and
+        # signature, whose schedule is at need 0, once per node.
+        node = parse_formspec("D(theta(2))*theta(2) + 2*U(2, theta(2)"
+                              "*D(theta(1))) - U(2, psi(4)*D(psi(4)))"
+                              " + 1/2*D(theta(2))*(3*theta(1))")
+        read, busy, terms = [], [], fs._terms
+
+        def spy(x):
+            assert not busy, "%s reads terms" % busy[-1]
+            read.append(x)
+            return terms(x)
+
+        def step(real):
+            def wrapped(*args):
+                busy.append(real.__name__)
+                try:
+                    return real(*args)
+                finally:
+                    busy.pop()
+            return wrapped
+
+        with mock.patch.object(fs, "_terms", spy), \
+                mock.patch.object(fs, "_value", step(fs._value)), \
+                mock.patch.object(fs, "_signature", step(fs._signature)):
+            nodes = [x for x, _ in fs._schedule(node, 5)]
+            assert len(set(nodes)) < len(nodes)
+            read.clear()
+            fs.evaluate(node, 5)
+            assert Counter(read) == Counter(nodes)
+            read.clear()
+            fs.signature(node)
+            assert Counter(read) == Counter(set(nodes))
 
 
 class TestRamanujanDelta:

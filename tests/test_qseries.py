@@ -2,6 +2,7 @@ import random
 import sys
 import tracemalloc
 from array import array
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
@@ -15,10 +16,15 @@ from qsigns import qseries as qs
 from qsigns.arith import DirichletCharacter, kronecker
 from qsigns.forms import integer_table
 from qsigns.formspec import evaluate, parse_formspec
-from qsigns.qseries import SPARSE_FACTOR, QSeries
+from qsigns.qseries import QSeries
 
 from oracles import (dilated, euler_product_literal, poly_mul, r2_list,
                      sigma_k, tau_list)
+
+
+# The draws below put a series on the side of "few" nonzero terms, at
+# most prec // FEW, or of many.
+FEW = 16
 
 
 def from_list(coeffs, offset=0):
@@ -112,9 +118,9 @@ class TestMul:
         for prec in (32, 128):
             a, b = (QSeries.from_pairs(
                         [(i, rng.choice([-2, -1, 1, 2]))
-                         for i in rng.sample(range(prec), prec // 16)], prec)
+                         for i in rng.sample(range(prec), prec // FEW)], prec)
                     for _ in range(2))
-            assert a.density == b.density == "sparse"
+            assert a.nnz == b.nnz == prec // FEW
             got = qs.mul(a, b)
             want = poly_mul(a.coeffs, b.coeffs, prec)
             assert got.coeffs == want
@@ -126,8 +132,8 @@ class TestMul:
     def test_both_loops_match_oracle(self, few_a, few_b, data):
         a = data.draw(_series_with(few_a))
         b = data.draw(_series_with(few_b))
-        assert a.density == ("sparse" if few_a else "dense")
-        assert b.density == ("sparse" if few_b else "dense")
+        assert (a.nnz <= a.prec // FEW) == few_a
+        assert (b.nnz <= b.prec // FEW) == few_b
         prec = min(a.prec, b.prec)
         want = poly_mul(a.coeffs, b.coeffs, prec)
         for got in (qs.mul(a, b), qs.mul(b, a)):
@@ -152,10 +158,10 @@ class TestMul:
             data.draw(st.sampled_from([0, 1, Fraction(1, 24)])))
         rows = data.draw(st.lists(
             st.integers(1, prec - 1).filter(lambda i: i % d), min_size=1,
-            max_size=prec // SPARSE_FACTOR, unique=True))
+            max_size=prec // FEW, unique=True))
         sparse = QSeries.from_pairs(
             [(i, data.draw(_NONZERO)) for i in rows], prec)
-        assert dense.density == "dense" and sparse.density == "sparse"
+        assert sparse.nnz <= prec // FEW and dense.nnz > dense_prec // FEW
         want = poly_mul(sparse.coeffs, dense.coeffs, prec)
         for got in (qs.mul(sparse, dense), qs.mul(dense, sparse)):
             assert got.offset == dense.offset
@@ -263,10 +269,10 @@ _NONZERO = st.integers(-10**6, 10**6).filter(bool)
 
 @st.composite
 def _series_with(draw, few):
-    """A series on a random offset whose nonzero count puts it on the
-    sparse side of SPARSE_FACTOR (few) or the dense side."""
+    """A series on a random offset with at most prec // FEW nonzero terms
+    (few) or more."""
     prec = draw(st.integers(16, 64))
-    cut = prec // SPARSE_FACTOR
+    cut = prec // FEW
     k = draw(st.integers(0, cut) if few else st.integers(cut + 1, prec))
     idx = draw(st.lists(st.integers(0, prec - 1), min_size=k, max_size=k,
                         unique=True))
@@ -308,6 +314,28 @@ def _dense_ints(draw):
     return xs
 
 
+@contextmanager
+def _int_str_limit(digits):
+    """CPython's int <-> str digit limit set to digits, then restored."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _mul_paths(a, b):
+    """mul(a, b) and the (path, stride) _plan gives each product."""
+    paths, plan = [], qs._plan
+
+    def spy(x, y):
+        paths.append(plan(x, y))
+        return paths[-1]
+    with mock.patch.object(qs, "_plan", spy):
+        return qs.mul(a, b), paths
+
+
 class TestNtt:
     @given(xs=_dense_ints(), ys=_dense_ints(),
            offset=st.sampled_from([0, 1, Fraction(1, 24)]))
@@ -344,19 +372,25 @@ class TestNtt:
         assert qs._ntt(xs, xs) == poly_mul(xs, xs, len(xs))
         assert qs._ntt([], []) == []
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no int <-> str digit limit")
     @given(data=st.data())
     @settings(max_examples=10, deadline=None)
     def test_slots_wider_than_the_int_str_limit(self, data):
-        # Coefficients above 10^4400 make each slot wider than the 4300
-        # digits CPython converts between int and str by default.
+        # Coefficients above 10^4400 would make each slot wider than the
+        # 4300 digits CPython converts between int and str by default.
         n = data.draw(st.integers(1, 3))
         big = st.integers(10**4400, 10**4410)
         xs = [data.draw(big) * data.draw(st.sampled_from([-1, 1]))
               for _ in range(n)]
         ys = [data.draw(st.one_of(big, st.integers(-9, 9)))
               for _ in range(n)]
-        assert qs._ntt(xs, ys) == poly_mul(xs, ys, n)
-        assert qs._ntt(xs, xs) == poly_mul(xs, xs, n)
+        a = from_list(xs)
+        with _int_str_limit(4300):
+            got = [_mul_paths(a, from_list(ys)), _mul_paths(a, a)]
+        assert [out.coeffs for out, _ in got] == [poly_mul(xs, ys, n),
+                                                  poly_mul(xs, xs, n)]
+        assert "ntt" not in [p for _, paths in got for p, _ in paths]
 
     @pytest.mark.parametrize("n", [511, 512, 513, 1024, 1025, 1537])
     def test_lists_across_block_edges(self, n):
@@ -377,25 +411,29 @@ class TestNtt:
 
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                         reason="no int <-> str digit limit")
-    def test_decimal_slots_across_block_edges(self):
-        # Under a 640-digit limit, slots of values near 10^320 are too wide
-        # for int <-> str, so packing and readback go through Decimal, in
-        # blocks of _BLOCK slots as the narrow path does.
+    def test_slots_past_a_640_digit_limit(self):
+        # Under a 640-digit limit, _ntt's slots for values near 10^320 are
+        # too wide for int <-> str, so _plan leaves the NTT out.  In the
+        # second case the slots need 641 digits where _plan's price
+        # counts 639, and the NTT is the cheapest path without the limit.
         n = 521
         rng = random.Random(n)
         xs = [rng.choice([-1, 1]) * rng.randint(10**319, 10**320)
               for _ in range(n)]
         ys = [rng.randint(-10**320, 10**320) for _ in range(n - 9)] + [0] * 9
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(640)
-        try:
+        wide = [isqrt(10**640 // (4 * 1300)) + 1] * 1300
+        a, w = from_list(xs), from_list(wide)
+        assert qs._plan(w, w) == ("ntt", 1)
+        with _int_str_limit(640):
             # A value below the slot bound 4 n B_a B_b is already too long.
             with pytest.raises(ValueError):
                 str(4 * n * max(map(abs, xs)) ** 2)
-            got = (qs._ntt(xs, ys), qs._ntt(xs, xs))
-        finally:
-            sys.set_int_max_str_digits(limit)
-        assert got == (poly_mul(xs, ys, n), poly_mul(xs, xs, n))
+            got = [_mul_paths(a, from_list(ys)), _mul_paths(a, a),
+                   _mul_paths(w, w)]
+        assert [out.coeffs for out, _ in got] == [
+            poly_mul(xs, ys, n), poly_mul(xs, xs, n),
+            poly_mul(wide, wide, len(wide))]
+        assert "ntt" not in [p for _, paths in got for p, _ in paths]
 
     @given(xs=_dense_ints(), data=st.data())
     @settings(max_examples=30, deadline=None)
@@ -511,10 +549,11 @@ class TestRowPass:
             data.draw(_OFFSETS))
         sparse_prec = data.draw(st.integers(16, 160))
         rows = data.draw(_row_terms(sparse_prec, d,
-                                    sparse_prec // SPARSE_FACTOR))
+                                    sparse_prec // FEW))
         sparse = QSeries.from_pairs(rows.items(), sparse_prec,
                                     data.draw(_OFFSETS))
-        assert dense.density == "dense" and sparse.density == "sparse"
+        assert dense.nnz > dense_prec // FEW
+        assert sparse.nnz <= sparse_prec // FEW
         prec = min(dense_prec, sparse_prec)
         want = poly_mul(sparse.coeffs, dense.coeffs, prec)
         # Every product with a row term is sent to the row pass at the
@@ -835,7 +874,7 @@ class TestEuler:
             assert qs.eta(1, prec).coeffs == literal[:prec]
 
     def test_sparse_layout(self):
-        assert qs.eta(1, 1000).density == "sparse"
+        assert qs.eta(1, 1000).nnz == 51   # the pentagonal numbers < 1000
         assert qs.eta(1, 1000).nnz <= 4 * 32   # O(sqrt(prec)) terms
 
 
