@@ -118,7 +118,7 @@ def cmd_build(args) -> int:
     _check_prec(args)
     # delta and g go through their constructors, looked up at call time
     # through the forms module, because benchmarks/selftest.py asserts
-    # the spans benchmarks/tracer.py puts on them.  ROADMAP item 8
+    # the spans benchmarks/tracer.py puts on them.  ROADMAP item 12e
     # removes both constructors, and with them this dict.
     named = {"delta": forms.delta_form, "g": forms.g_form}
     if args.form in named:
@@ -157,13 +157,16 @@ def cmd_hecke(args) -> int:
                                 image).write(args.out)
     if report is None:
         return 0
-    _emit_json(_eigen_json(cf.form_id, args.op, report), args.jsonfile)
+    _emit_json({"schema": JSON_SCHEMA, "kind": "eigen-report",
+                "form": cf.form_id, "op": args.op, **_verdict(report)},
+               args.jsonfile)
     return 0 if report.is_eigen else 1
 
 
-def _eigen_json(form_id, op, rep: hecke.EigenReport) -> dict:
-    doc = {"schema": JSON_SCHEMA, "kind": "eigen-report", "form": form_id,
-           "op": op, "p": rep.p, "lambda": rep.lam, "is_eigen": rep.is_eigen,
+def _verdict(rep: hecke.EigenReport) -> dict:
+    """The JSON of one prime's eigen verdict, which `hecke --verify-eigen`
+    and the bounds and recurrence suites each print whole."""
+    doc = {"p": rep.p, "lambda": rep.lam, "is_eigen": rep.is_eigen,
            "checked_up_to": rep.checked_up_to,
            "first_violation": rep.first_violation}
     if rep.note:
@@ -172,7 +175,6 @@ def _eigen_json(form_id, op, rep: hecke.EigenReport) -> dict:
         trace, norm, disc_sign = rep.satake
         doc["satake"] = {"trace": trace, "norm": norm, "disc_sign": disc_sign}
         doc["deligne_ok"] = rep.deligne_ok
-        doc["elementary_bound_ok"] = rep.elementary_bound_ok
     return doc
 
 
@@ -284,36 +286,32 @@ def _suite_plus_space(f, ts, ps, limit):
 
 def _suite_recurrence(f, ts, ps, limit):
     # The recurrence along t p^(2m) holds exactly when f is a T(p^2)
-    # eigenform (see hecke), so each prime's verdict serves every t.
-    verdicts = [hecke.extract_eigenvalue(
-        f.coeffs, hecke.t_square_half(p, f).coeffs, p, f.k) for p in ps]
-    checks = []
-    for t in ts:
-        for rep in verdicts:
-            indices = signs.prime_powers(f, t, rep.p)
-            max_m = len(indices) - 1 if rep.is_eigen else 0
-            entry = {"t": t, "p": rep.p, "pass": rep.is_eigen,
-                     "lambda": rep.lam, "max_m": max_m, "violation_m": None,
-                     "witnesses": [_witness(f, n)
-                                   for n in indices[:min(max_m, 2) + 1]]}
-            if not rep.is_eigen:
-                entry["note"] = "not a T(p^2) eigenform: %s" % (
-                    rep.note or "violation at n=%s" % rep.first_violation)
-            checks.append(entry)
-    return _every_check(checks)
+    # eigenform (see hecke), so each prime's verdict serves every t; on
+    # an eigenform it is read up to max_m, the last m within precision.
+    hecke.require_weight(f, half_integral=True)
+
+    def along(rep, t):
+        indices = signs.prime_powers(f, t, rep.p)
+        max_m = len(indices) - 1 if rep.is_eigen else 0
+        return {"t": t, "max_m": max_m,
+                "witnesses": [_witness(f, n)
+                              for n in indices[:min(max_m, 2) + 1]]}
+
+    return _eigen_checks(f, ps, lambda rep: rep.is_eigen,
+                         lambda rep: {"along": [along(rep, t) for t in ts]})
 
 
 def _suite_bounds(f, ts, ps, limit):
-    checks = []
-    for rep in (hecke.eigen_report(f, p) for p in ps):
-        entry = {"p": rep.p, "is_eigen": rep.is_eigen, "lambda": rep.lam}
-        if rep.is_eigen:
-            entry["deligne_ok"] = rep.deligne_ok
-            entry["elementary_bound_ok"] = rep.elementary_bound_ok
-        entry["pass"] = (rep.is_eigen and rep.deligne_ok
-                         and rep.elementary_bound_ok)
-        checks.append(entry)
-    return _every_check(checks)
+    return _eigen_checks(f, ps, lambda rep: rep.is_eigen and rep.deligne_ok)
+
+
+def _eigen_checks(f, ps, passes, extra=lambda rep: {}):
+    """One check per prime: its verdict, whether the suite passes it and
+    the suite's own data.  Every prime is read before any extra, so a bad
+    --p is refused before a bad --t."""
+    reps = [hecke.eigen_report(f, p) for p in ps]
+    return _every_check([{**_verdict(rep), "pass": passes(rep), **extra(rep)}
+                         for rep in reps])
 
 
 def _suite_prop2(f, ts, ps, limit):

@@ -9,7 +9,7 @@ anything else about it is read.
 Eigenvalue extraction is exact integer arithmetic; a non-dividing ratio
 is a hard not-an-eigenform verdict, never a rounding question.  An
 EigenReport carries the whole verdict: the eigenvalue, its Satake data
-and whether it meets the Deligne and the elementary bound.
+and whether it meets the Deligne bound, lam^2 <= 4 p^(2k-1).
 
 The T(p^2) verdict is also that of the recurrence along t p^(2m):
 a(t p^2) = a(t) (lam_p - chi*(p) (t/p) p^(k-1)) and, for m >= 2,
@@ -33,9 +33,9 @@ class EigenReport(Record):
     """Outcome of comparing a sequence with its image under an operator."""
 
     __slots__ = ("p", "lam", "is_eigen", "checked_up_to", "first_violation",
-                 "satake", "deligne_ok", "elementary_bound_ok", "note")
+                 "satake", "deligne_ok", "note")
     _defaults = {"first_violation": None, "satake": None,
-                 "deligne_ok": None, "elementary_bound_ok": None, "note": ""}
+                 "deligne_ok": None, "note": ""}
 
 
 def shimura_lift(f: Form, t: int) -> Form:
@@ -51,7 +51,7 @@ def shimura_lift(f: Form, t: int) -> Form:
     lift is a weight-2k form on level N/2 with the squared character
     (trivial on the residues coprime to the level).
     """
-    _require_weight(f, half_integral=True)
+    require_weight(f, half_integral=True)
     k, N = f.k, f.level
     b = list(map(f.coeffs.__getitem__, square_class(f, t)))
     chi_t = f.character.twist((-1) ** k * 4 * t)
@@ -73,7 +73,7 @@ def t_square_half(p: int, f: Form) -> Form:
     chi* = chi (-4/.)^k, and the last term zero unless p^2 | n.  Valid for
     0 <= n <= prec // p^2.  chi is real, so chi(p)^2 = 1 at a good p.
     """
-    _require_weight(f, half_integral=True)
+    require_weight(f, half_integral=True)
     _require_within("p^2", p * p, f)
     require_good_prime(p, f.level)
     return Form(f.weight_num, f.level, f.character, _image(
@@ -88,7 +88,7 @@ def t_integral(p: int, F: Form) -> Form:
 
     valid for 0 <= n <= prec // p; chi is real, so chi^2(p) = 1 at a good p.
     """
-    _require_weight(F, half_integral=False)
+    require_weight(F, half_integral=False)
     _require_within("p", p, F)
     require_good_prime(p, F.level)
     return Form(F.weight_num, F.level, F.character,
@@ -142,7 +142,7 @@ def extract_eigenvalue(seq_before: list[int], seq_after: list[int], p: int,
     The candidate eigenvalue is read off at the first index where
     seq_before is nonzero and divides exactly; is_eigen requires
     seq_after(n) = lam * seq_before(n) at every shared index.  An integer
-    lam also gets its Satake data and both bound checks.
+    lam also gets its Satake data and the Deligne bound check.
     """
     shared = min(len(seq_before), len(seq_after)) - 1
     if shared < 1:
@@ -163,8 +163,7 @@ def extract_eigenvalue(seq_before: list[int], seq_after: list[int], p: int,
     sat = satake(lam, p, k)
     return EigenReport(p=p, lam=lam, is_eigen=violation is None,
                        checked_up_to=shared, first_violation=violation,
-                       satake=sat, deligne_ok=sat[2] <= 0,
-                       elementary_bound_ok=elementary_bound_check(lam, p, k))
+                       satake=sat, deligne_ok=sat[2] <= 0)
 
 
 def eigen_report(f: Form, p: int) -> EigenReport:
@@ -185,12 +184,9 @@ def satake(lam: int, p: int, k: int) -> tuple[int, int, int]:
     return (lam, norm, (disc > 0) - (disc < 0))
 
 
-def elementary_bound_check(lam: int, p: int, k: int) -> bool:
-    """|lam| < p^k + p^(k-1)."""
-    return abs(lam) < p ** k + p ** (k - 1)
-
-
-def _require_weight(f: Form, half_integral: bool):
+def require_weight(f: Form, half_integral: bool):
+    """Refuse a form not of the asked weight class and, in half-integral
+    weight, weight 1/2."""
     if f.half_integral != half_integral:
         raise ValueError("needs a form of %s weight, got weight %d/2"
                          % ("half-integral" if half_integral else "integral",

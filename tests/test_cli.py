@@ -785,18 +785,18 @@ def sha256_of(path):
      "10a455f42f920a4b3b9739e2bee8e1177e57b7b489d46382d15308e3621ccbd8"),
     (["verify", "--in", "delta.txt", "--suite", "recurrence", "--t", "1,5",
       "--p", "3,5", "--json", "out"],
-     "a360f76fa42153ba3c98528009f8310d34e38bccf2bd77c75a8cc4b052ac648d"),
+     "e344c8a42bc1b74f1b0509331ecf8d4ee690fa1a851b530a22eff26c72f1d508"),
     (["verify", "--in", "g.txt", "--suite", "prop2", "--p", "3",
       "--json", "out"],
      "8b3fe67cfc827ab7f45de9bd347735e873a0bfca35ec33043307120346b9f77f"),
     (["hecke", "--in", "delta.txt", "--op", "tsq", "--p", "3",
       "--verify-eigen", "--json", "out"],
-     "a3a77ad02bfb7dff9d007d281fc8cdc81137a28cb872a60117209ad8e1e9c7a1"),
+     "0500ff3709c2d4bac1a9a18d8719f6484e0bec59a881eca27c9e06d5bc6b4f91"),
     (["hecke", "--in", "delta.txt", "--op", "u", "--p", "3", "--out", "out"],
      "0070950c5dd103ed7154bb6b2de9de962fad8307507bca62b1ce2fe719336ec4"),
     (["verify", "--in", "delta.txt", "--suite", "bounds", "--p", "3,5",
       "--json", "out"],
-     "b02d7f67d1f9b94a48b94c07740a7a3c497fec8b732ad824850ddb3190d36409"),
+     "12b7c85be739413684f1501a4e14e0758522e7192a1b33a38187fbafd34c58c7"),
     (["verify", "--in", "delta.txt", "--suite", "plus-space", "--json", "out"],
      "371b4feade82bf47e515625ef5413d087c76518b5d93c0455cb6e652b5fa8c5a"),
 ])
@@ -808,7 +808,9 @@ def test_read_side_outputs_are_pinned(files_1e4, tmp_path, argv, digest):
     # and eigen reports before the sign scan and its index sets were
     # stated once, the U_3 image and the bounds suite before the operator
     # images and eigen verdicts moved into hecke, the plus-space report
-    # before the verify suites shared one report envelope).
+    # before the verify suites shared one report envelope).  The
+    # recurrence, eigen and bounds reports were taken again when each
+    # prime's eigen verdict became one record that all three print.
     out = tmp_path / "out"
     argv = [str(files_1e4 / a) if a.endswith(".txt") else
             str(out) if a == "out" else a for a in argv]
@@ -822,14 +824,14 @@ def test_read_side_outputs_are_pinned(files_1e4, tmp_path, argv, digest):
     ("Delta", 2000, ["hecke", "--op", "tp", "--p", "3", "--verify-eigen",
                      "--out", "out", "--json", "json"], 0,
      {"out": "ae4d5000e3892699c3c79598cf98372aeb66edadb384b3085381ee36599b6817",
-      "json": "bca359b4824831bb708146e9c331239c7cc237c1f3bdd628becf7ebe1e3ae6e5"}),
+      "json": "cc1e5b8d13b136e4669cfde47bbdd267776a036fad01543ff83de58d358a8b77"}),
     # theta^13 is no eigenform: both commands exit 1 with a report
     ("theta(1)^13", 2000, ["hecke", "--op", "tsq", "--p", "3",
                            "--verify-eigen", "--json", "json"], 1,
-     {"json": "9aee949b671d45bcdc838ae0e7a9050d3e0777c1deedac0069128ec24333a13b"}),
+     {"json": "dfa0ceb16f1fb26f9c12dffd4c1098f120ef02987180e2e12570fbb922760f7f"}),
     ("theta(1)^13", 2000, ["verify", "--suite", "bounds", "--p", "3,5",
                            "--json", "json"], 1,
-     {"json": "ea0bdcdc46871e61c053f792f67b4799e5f377a2e5cf9bb667616a86fc47df28"}),
+     {"json": "50f58f507df8f4ed68de99fb788f0cb2c2319621343c0c9df2c03196198e0aeb"}),
     ("theta(1)^13", 2000, ["verify", "--suite", "plus-space",
                            "--json", "json"], 1,
      {"json": "a60741f186690f636479771b2bfafc21b12df95a5b1c4061e3bb06e304e6b4c3"}),
@@ -845,7 +847,9 @@ def test_operator_outputs_are_pinned(tmp_path, form, prec, argv, code,
     # taken again when images began to keep their constant term (its
     # body now starts at 0<TAB>1, as the U(3, E4(1)) build's does); the
     # failing plus-space report and the tot-only table were taken before
-    # the verify suites and the signs statistics became one table each.
+    # the verify suites and the signs statistics became one table each;
+    # the three eigen reports were taken again when each prime's eigen
+    # verdict became one record.
     src = tmp_path / "in.txt"
     assert run("build", "--form", form, "--prec", str(prec),
                "--out", str(src)) == 0
@@ -856,8 +860,9 @@ def test_operator_outputs_are_pinned(tmp_path, form, prec, argv, code,
 
 
 def test_non_eigenform_verdicts(tmp_path, capsys):
-    # The eigen report lists both bound keys whenever lambda is an
-    # integer; a bounds entry lists them only for an eigenform.
+    # The eigen report and a bounds entry give Deligne's bound whenever
+    # lambda is an integer, eigenform or not; 39932 breaks the elementary
+    # bound |lambda| < 3^6 + 3^5 too, which no report carries.
     src = tmp_path / "theta13.txt"
     assert run("build", "--form", "theta(1)^13", "--prec", "2000",
                "--out", str(src)) == 0
@@ -865,12 +870,44 @@ def test_non_eigenform_verdicts(tmp_path, capsys):
                "--verify-eigen") == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["lambda"] == 39932 and doc["is_eigen"] is False
-    assert doc["deligne_ok"] is False and doc["elementary_bound_ok"] is False
+    assert doc["deligne_ok"] is False and abs(doc["lambda"]) >= 3 ** 6 + 3 ** 5
+    assert "elementary_bound_ok" not in doc
     assert run("verify", "--in", str(src), "--suite", "bounds",
                "--p", "3,5") == 1
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert [c["lambda"] for c in checks] == [39932, 10956510]
-    assert all(set(c) == {"p", "is_eigen", "lambda", "pass"} for c in checks)
+    assert [list(c) for c in checks] == [
+        ["p", "lambda", "is_eigen", "checked_up_to", "first_violation",
+         "satake", "deligne_ok", "pass"]] * 2
+    assert [c["deligne_ok"] for c in checks] == [False, False]
+
+
+@pytest.mark.parametrize("form, p", [("delta", 3), ("delta", 5),
+                                     ("theta(1)^13", 3)])
+def test_one_verdict_three_views(tmp_path, capsys, form, p):
+    # hecke --verify-eigen, the bounds suite and the recurrence suite each
+    # print one prime's verdict whole, in one key order, and add only
+    # their own part: the header, the pass flag, the data along each t.
+    # --verify-eigen reads the image --out writes, built once.
+    src, image = tmp_path / "f.txt", tmp_path / "tsq.txt"
+    assert run("build", "--form", form, "--prec", "2000",
+               "--out", str(src)) == 0
+    with mock.patch.object(hecke, "t_square_half",
+                           wraps=hecke.t_square_half) as tsq:
+        code = run("hecke", "--in", str(src), "--op", "tsq", "--p", str(p),
+                   "--verify-eigen", "--out", str(image))
+    assert tsq.call_count == 1 and image.exists()
+    report = json.loads(capsys.readouterr().out)
+    verdict = [(k, v) for k, v in report.items()
+               if k not in ("schema", "kind", "form", "op")]
+    assert [k for k, _ in verdict][:5] == [
+        "p", "lambda", "is_eigen", "checked_up_to", "first_violation"]
+    for suite in ("bounds", "recurrence"):
+        assert run("verify", "--in", str(src), "--suite", suite,
+                   "--p", str(p)) == code
+        [check] = json.loads(capsys.readouterr().out)["checks"]
+        assert [(k, v) for k, v in check.items()
+                if k not in ("pass", "along")] == verdict, suite
 
 
 class TestLiftCommand:
@@ -979,7 +1016,7 @@ class TestHeckeCommand:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["lambda"] == 252 and doc["is_eigen"]
-        assert doc["deligne_ok"] and doc["elementary_bound_ok"]
+        assert doc["deligne_ok"] and abs(doc["lambda"]) < 3 ** 6 + 3 ** 5
         assert doc["satake"] == {"trace": 252, "norm": 177147, "disc_sign": -1}
         body = [l for l in read_lines(out) if not l.startswith("#")]
         assert body[0] == "1\t252"
@@ -1447,10 +1484,10 @@ class TestVerifyCommand:
         assert run("verify", "--in", str(src), "--suite", "recurrence",
                    "--t", "1,5", "--p", "3,5") == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["pass"] and len(doc["checks"]) == 4
+        assert doc["pass"] and [c["p"] for c in doc["checks"]] == [3, 5]
         first = doc["checks"][0]
-        assert first["lambda"] == 252
-        assert first["witnesses"][0] == {"n": 1, "a": 1}
+        assert first["lambda"] == 252 and len(first["along"]) == 2
+        assert first["along"][0]["witnesses"][0] == {"n": 1, "a": 1}
 
     def test_bounds_suite(self, tmp_path, capsys):
         src = tmp_path / "g.txt"
@@ -1458,7 +1495,8 @@ class TestVerifyCommand:
         assert run("verify", "--in", str(src), "--suite", "bounds",
                    "--p", "3,5,7,13") == 0
         doc = json.loads(capsys.readouterr().out)
-        assert all(c["deligne_ok"] and c["elementary_bound_ok"]
+        # g has weight 3/2: the elementary bound is |lambda| < p + 1.
+        assert all(c["deligne_ok"] and abs(c["lambda"]) < c["p"] + 1
                    for c in doc["checks"])
 
     def test_prop2_suite(self, tmp_path, capsys):
@@ -1529,13 +1567,15 @@ class TestVerifyCommand:
             "--out", str(src))
         assert run("verify", "--in", str(src), "--suite", "recurrence",
                    "--t", "1", "--p", "3") == 1
-        check = json.loads(capsys.readouterr().out)["checks"][0]
-        assert list(check)[-2:] == ["witnesses", "note"]
-        assert check["note"] == "not a T(p^2) eigenform: violation at n=2"
+        [check] = json.loads(capsys.readouterr().out)["checks"]
+        assert (check["is_eigen"], check["first_violation"]) == (False, 2)
+        assert check["along"] == [{"t": 1, "max_m": 0,
+                                   "witnesses": [{"n": 1, "a": 26}]}]
 
     def test_recurrence_reads_one_image_per_prime(self, tmp_path, capsys):
-        # Each prime's T(p^2) eigen verdict serves every t, in t-outer,
-        # p-inner order, with max_m the last m of t p^(2m) within prec.
+        # Each prime's T(p^2) eigen verdict serves every t: one check per
+        # p, and along it one entry per t, with max_m the last m of
+        # t p^(2m) within prec.
         src = tmp_path / "delta.txt"
         run("build", "--form", "delta", "--prec", "2000", "--out", str(src))
         with mock.patch.object(hecke, "t_square_half",
@@ -1545,9 +1585,10 @@ class TestVerifyCommand:
         assert tsq.call_count == 2
         checks = json.loads(capsys.readouterr().out)["checks"]
         f = coeffio.read(str(src)).form
-        assert [(c["t"], c["p"], c["max_m"]) for c in checks] == [
+        assert [(a["t"], c["p"], a["max_m"])
+                for c in checks for a in c["along"]] == [
             (t, p, len(signs.prime_powers(f, t, p)) - 1)
-            for t in (1, 5, 13) for p in (3, 5)]
+            for p in (3, 5) for t in (1, 5, 13)]
 
     @pytest.mark.parametrize("form, prec, argv, message", [
         ("delta", 200, ["--t", "4", "--p", "2"], "p=2 divides the level 4"),

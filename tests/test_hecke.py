@@ -9,7 +9,7 @@ from qsigns.arith import DirichletCharacter, kronecker
 from qsigns.forms import NAMED, Form, delta_form, expression_form, g_form
 
 from oracles import (recurrence_oracle, shimura_lift_loop, t_integral_loop,
-                     t_square_half_loop, u_loop)
+                     t_square_half_loop, tau_list, u_loop)
 
 # Frozen by the two-term recurrence a(9^(m)) = 252 a(..) - 3^11 a(..):
 # a(81) = 252*9 - 177147 = -174879
@@ -19,10 +19,10 @@ DELTA_POWERS_OF_3 = [1, 9, -174879, -45663831, 19472004801]
 
 
 def bound_verdicts(lam, p, k):
-    """(deligne_ok, elementary_bound_ok) of the EigenReport with
-    eigenvalue lam."""
+    """deligne_ok of the EigenReport with eigenvalue lam, and the
+    elementary bound |lam| < p^k + p^(k-1)."""
     rep = hecke.extract_eigenvalue([0, 1], [0, lam], p, k)
-    return rep.deligne_ok, rep.elementary_bound_ok
+    return rep.deligne_ok, abs(lam) < p ** k + p ** (k - 1)
 
 
 def powers(f, t, p):
@@ -362,7 +362,7 @@ class TestExtractEigenvalue:
         assert rep.is_eigen and rep.lam == 252
         assert rep.first_violation is None
         assert rep.satake == (252, 3 ** 11, -1)
-        assert rep.deligne_ok and rep.elementary_bound_ok
+        assert rep.deligne_ok and abs(rep.lam) < 3 ** 6 + 3 ** 5
 
     def test_non_eigenform_mix(self, delta3k, g3k):
         # delta + g (padded) is not an eigenform of T(9)
@@ -418,14 +418,21 @@ class TestExtractEigenvalue:
         rep = hecke.extract_eigenvalue([0, 2, 4], [0, 3, 6], p=3, k=6)
         assert not rep.is_eigen and rep.lam is None
         assert "not an integer" in rep.note
-        assert rep.satake is rep.deligne_ok is rep.elementary_bound_ok is None
+        assert rep.satake is rep.deligne_ok is None
 
     def test_integer_lambda_gets_bound_verdicts(self):
         # lam = 12 at p = 3 in weight 3/2 breaks both bounds, eigen or not.
         for after, eigen in (([0, 12, 24], True), ([0, 12, 25], False)):
             rep = hecke.extract_eigenvalue([0, 1, 2], after, p=3, k=1)
             assert (rep.lam, rep.is_eigen) == (12, eigen)
-            assert rep.deligne_ok is rep.elementary_bound_ok is False
+            assert rep.deligne_ok is False and not abs(rep.lam) < 3 + 1
+
+    def test_the_report_holds_one_bound(self):
+        # Deligne's bound implies the elementary one (below), so the
+        # verdict carries Deligne's alone.
+        assert hecke.EigenReport.__slots__ == (
+            "p", "lam", "is_eigen", "checked_up_to", "first_violation",
+            "satake", "deligne_ok", "note")
 
 
 def test_weight_one_half_is_refused():
@@ -495,13 +502,15 @@ class TestRecurrence:
 
     def test_failure_propagates(self, delta3k, g3k):
         # The recurrence suite reads one verdict per prime: a form that is
-        # no eigenform fails at every t, and each entry says why.
+        # no eigenform fails at that prime, which names its first
+        # violation, and no t is read past m = 0.
         ok, fields = cli.SUITES["recurrence"](_mix(delta3k, g3k), [1, 5],
                                               [3], None)
-        assert not ok and len(fields["checks"]) == 2
-        for check in fields["checks"]:
-            assert not check["pass"] and check["max_m"] == 0
-            assert check["note"].startswith("not a T(p^2) eigenform: ")
+        [check] = fields["checks"]
+        assert not ok and not check["pass"] and check["p"] == 3
+        assert check["first_violation"] is not None
+        assert [(a["t"], a["max_m"]) for a in check["along"]] == [(1, 0),
+                                                                  (5, 0)]
 
     @pytest.mark.parametrize("form, ts, ps", [
         ("delta", (1, 5, 13), (3, 5, 7, 11)),
@@ -526,6 +535,33 @@ class TestRecurrence:
                                          len(seq)) == seq, (t, p)
 
 
+@pytest.mark.parametrize("form", ["delta", "g", "theta13", "mix", "Delta"])
+def test_suite_verdicts_are_the_eigen_verdicts(delta3k, g3k, delta_wt12,
+                                               form):
+    # recurrence passes a prime exactly when f is an eigenform there, and
+    # bounds exactly when it is one within Deligne's bound.  Delta, of
+    # integral weight, has only bounds, through T(p).
+    f = {"delta": delta3k, "g": g3k,
+         "theta13": expression_form("theta(1)^13", 2000),
+         "mix": _mix(delta3k, g3k), "Delta": delta_wt12}[form]
+    ps = [3, 5, 7, 13]
+    for suite in ["bounds"] + ["recurrence"] * f.half_integral:
+        ok, fields = cli.SUITES[suite](f, [1], ps, None)
+        checks = fields["checks"]
+        assert [c["p"] for c in checks] == ps
+        assert [c["is_eigen"] for c in checks] == [
+            form not in ("theta13", "mix")] * len(ps)
+        for c in checks:
+            lam, p = c["lambda"], c["p"]
+            deligne = lam is not None and lam * lam <= 4 * p ** (2 * f.k - 1)
+            assert c["pass"] is (c["is_eigen"]
+                                 and (deligne or suite == "recurrence")), c
+        assert ok is all(c["pass"] for c in checks)
+        if form in ("delta", "Delta"):
+            tau = tau_list(max(ps))
+            assert [c["lambda"] for c in checks] == [tau[p] for p in ps]
+
+
 class TestSatakeAndBounds:
     def test_satake_examples(self):
         assert hecke.satake(252, 3, 6) == (252, 177147, -1)
@@ -541,17 +577,24 @@ class TestSatakeAndBounds:
         assert bound_verdicts(12, 3, 1) == (False, False)
 
     def test_deligne_implies_elementary(self):
-        # 2 p^(k-1/2) < p^k + p^(k-1) by AM-GM, so Deligne is the stronger
-        # bound; deligne_ok is satake's discriminant sign <= 0, which is
-        # lam^2 <= 4 p^(2k-1).
-        for p in (3, 5, 7):
-            for k in (1, 2, 6):
-                for lam in range(-4 * p ** k, 4 * p ** k + 1, max(1, p ** k // 3)):
-                    deligne, elementary = bound_verdicts(lam, p, k)
-                    assert deligne == (hecke.satake(lam, p, k)[2] <= 0) \
-                        == (lam * lam <= 4 * p ** (2 * k - 1)), (lam, p, k)
-                    if deligne:
-                        assert elementary, (lam, p, k)
+        # p^k + p^(k-1) - 2 p^(k-1/2) = p^(k-1) (sqrt(p) - 1)^2 > 0, so an
+        # integer lam within Deligne's bound lam^2 <= 4 p^(2k-1) meets the
+        # elementary bound |lam| < p^k + p^(k-1), and the report need not
+        # carry it.  Every p <= 13, every k <= 7, and every lam with lam^2
+        # up to just past 4 p^(2k-1); both bounds read lam^2 or |lam|, so
+        # lam >= 0 stands for lam and -lam.
+        for p in (2, 3, 5, 7, 11, 13):
+            for k in range(1, 8):
+                square_bound = 4 * p ** (2 * k - 1)    # lam^2 <= square_bound
+                elementary = p ** k + p ** (k - 1)      # |lam| < elementary
+                past = isqrt(square_bound) + 1
+                assert past * past > square_bound
+                assert not [lam for lam in range(past + 1)
+                            if lam * lam <= square_bound
+                            and not lam < elementary], (p, k)
+                # The record's deligne_ok turns at the same lam.
+                assert bound_verdicts(past - 1, p, k)[0] is True
+                assert bound_verdicts(-past, p, k)[0] is False
 
     @given(lam=st.integers(-10 ** 6, 10 ** 6), p=st.sampled_from([2, 3, 5, 7]),
            k=st.integers(1, 6))
