@@ -91,10 +91,10 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--in", dest="infile", required=True)
     v.add_argument("--suite", required=True,
                    choices=SUITES)
-    v.add_argument("--t", default="1", help="comma list of square-free t")
-    v.add_argument("--p", default="3,5,7", help="comma list of primes")
-    v.add_argument("--limit", type=int, default=10_000,
-                   help="search bound for prop2 witnesses")
+    v.add_argument("--t", help="recurrence: comma list of square-free t")
+    v.add_argument("--p", help="recurrence, bounds, prop2: comma list of "
+                               "primes")
+    v.add_argument("--limit", help="prop2: search bound for witnesses")
     v.add_argument("--json", dest="jsonfile",
                    help="write the report here (default stdout)")
     v.set_defaults(func=cmd_verify)
@@ -202,6 +202,8 @@ def _int(text: str, option: str) -> int:
 def cmd_signs(args) -> int:
     if args.powers_p is not None and args.t is None:
         raise ValueError("--powers-p needs --t")
+    if args.jsonfile and args.t is None and args.dprime is None:
+        raise ValueError("--json needs --t or --dprime")
     cf = coeffio.read(args.infile)
     form = cf.form
     stats = _comma_list(args.stats, "--stats")
@@ -270,21 +272,29 @@ def _parse_dprime(text: str):
 
 
 def cmd_verify(args) -> int:
+    suite, names = SUITES[args.suite]
+    given = {name: getattr(args, name) for name in VERIFY_OPTIONS}
+    for name, text in given.items():
+        if text is not None and name not in names:
+            raise ValueError("--suite %s takes no --%s" % (args.suite, name))
     cf = coeffio.read(args.infile)
-    ts = _int_list(args.t, "--t")
-    ps = _int_list(args.p, "--p")
-    ok, fields = SUITES[args.suite](cf.form, ts, ps, args.limit)
+    options = []
+    for name in names:
+        default, read = VERIFY_OPTIONS[name]
+        text = given[name]
+        options.append(default if text is None else read(text, "--" + name))
+    ok, fields = suite(cf.form, *options)
     _emit_json({"schema": JSON_SCHEMA, "suite": args.suite, "form": cf.form_id,
                 "pass": ok, **fields}, args.jsonfile)
     return 0 if ok else 1
 
 
-def _suite_plus_space(f, ts, ps, limit):
+def _suite_plus_space(f):
     bad = forms.plus_space_check(f)
     return not bad, {"violations": [_witness(f, n) for n in bad[:10]]}
 
 
-def _suite_recurrence(f, ts, ps, limit):
+def _suite_recurrence(f, ts, ps):
     # The recurrence along t p^(2m) holds exactly when f is a T(p^2)
     # eigenform (see hecke), so each prime's verdict serves every t; on
     # an eigenform it is read up to max_m, the last m within precision.
@@ -301,7 +311,7 @@ def _suite_recurrence(f, ts, ps, limit):
                          lambda rep: {"along": [along(rep, t) for t in ts]})
 
 
-def _suite_bounds(f, ts, ps, limit):
+def _suite_bounds(f, ps):
     return _eigen_checks(f, ps, lambda rep: rep.is_eigen and rep.deligne_ok)
 
 
@@ -314,7 +324,7 @@ def _eigen_checks(f, ps, passes, extra=lambda rep: {}):
                          for rep in reps])
 
 
-def _suite_prop2(f, ts, ps, limit):
+def _suite_prop2(f, ps, limit):
     checks = []
     for p in ps:
         found = sorted(signs.prop2_witnesses(f, p, limit).items(), reverse=True)
@@ -334,9 +344,17 @@ def _every_check(checks, **fields):
     return all(c["pass"] for c in checks), {**fields, "checks": checks}
 
 
-# Each suite returns its pass flag and the report fields after "pass".
-SUITES = {"plus-space": _suite_plus_space, "recurrence": _suite_recurrence,
-          "bounds": _suite_bounds, "prop2": _suite_prop2}
+# Each verify option: its default, and how its text is read.
+VERIFY_OPTIONS = {"t": ([1], _int_list), "p": ([3, 5, 7], _int_list),
+                  "limit": (10_000, _int)}
+
+# Each suite, and the options it reads, in the order it takes them; it
+# returns its pass flag and the report fields after "pass".  An option
+# that a suite does not read is refused.
+SUITES = {"plus-space": (_suite_plus_space, ()),
+          "recurrence": (_suite_recurrence, ("t", "p")),
+          "bounds": (_suite_bounds, ("p",)),
+          "prop2": (_suite_prop2, ("p", "limit"))}
 
 
 def _emit_json(doc: dict, path: str | None):

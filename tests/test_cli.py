@@ -2,7 +2,6 @@ import hashlib
 import json
 import os
 import re
-import subprocess
 import sys
 import tracemalloc
 from itertools import combinations
@@ -13,11 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import qsigns
 from qsigns import arith, coeffio, forms, formspec, hecke, qseries, signs
 from qsigns.arith import DirichletCharacter
 from qsigns.cli import main
 from qsigns.forms import NAMED, Form, delta_form, expression_form, g_form
+
+from conftest import cli_process, fresh_import, fresh_python
 
 
 def run(*argv):
@@ -26,14 +26,6 @@ def run(*argv):
 
 def read_lines(path):
     return path.read_text().splitlines()
-
-
-def cli_process(*argv):
-    """The finished process of one qsigns command in a new interpreter."""
-    src = str(Path(qsigns.__file__).resolve().parent.parent)
-    return subprocess.run([sys.executable, "-m", "qsigns", *argv],
-                          env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, timeout=120)
 
 
 def body(path):
@@ -743,15 +735,6 @@ class TestBuildCommand:
                    "--allow-large", "--out", str(out)) == 2
 
 
-@pytest.fixture(scope="module")
-def files_1e4(tmp_path_factory):
-    work = tmp_path_factory.mktemp("files_1e4")
-    for name in ("delta", "g"):
-        assert run("build", "--form", name, "--prec", "10000",
-                   "--out", str(work / (name + ".txt"))) == 0
-    return work
-
-
 def sha256_of(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -800,7 +783,7 @@ def sha256_of(path):
     (["verify", "--in", "delta.txt", "--suite", "plus-space", "--json", "out"],
      "371b4feade82bf47e515625ef5413d087c76518b5d93c0455cb6e652b5fa8c5a"),
 ])
-def test_read_side_outputs_are_pinned(files_1e4, tmp_path, argv, digest):
+def test_read_side_outputs_are_pinned(built, tmp_path, argv, digest):
     # Everything written from a file read back must stay byte for byte
     # the same; each digest was taken before the refactor it guards (the
     # first six before files held a Form, the square-free surveys before
@@ -812,7 +795,7 @@ def test_read_side_outputs_are_pinned(files_1e4, tmp_path, argv, digest):
     # recurrence, eigen and bounds reports were taken again when each
     # prime's eigen verdict became one record that all three print.
     out = tmp_path / "out"
-    argv = [str(files_1e4 / a) if a.endswith(".txt") else
+    argv = [str(built(a[:-len(".txt")], 10_000)) if a.endswith(".txt") else
             str(out) if a == "out" else a for a in argv]
     assert run(*argv) == 0
     assert sha256_of(out) == digest
@@ -840,7 +823,7 @@ def test_read_side_outputs_are_pinned(files_1e4, tmp_path, argv, digest):
      {"csv": "797fd00b6a70c9d1d505dcae7ee3ab3a04800b334555d30bb0d00897ca6ce545"}),
 ], ids=["u3-E4", "tp3-Delta", "tsq3-theta13", "bounds-theta13",
         "plus-space-theta13", "tot-Delta"])
-def test_operator_outputs_are_pinned(tmp_path, form, prec, argv, code,
+def test_operator_outputs_are_pinned(built, tmp_path, form, prec, argv, code,
                                      digests):
     # Digests taken before the operator images and eigen verdicts moved
     # into hecke, with the exit code each command gave then; u3-E4 was
@@ -850,22 +833,18 @@ def test_operator_outputs_are_pinned(tmp_path, form, prec, argv, code,
     # the verify suites and the signs statistics became one table each;
     # the three eigen reports were taken again when each prime's eigen
     # verdict became one record.
-    src = tmp_path / "in.txt"
-    assert run("build", "--form", form, "--prec", str(prec),
-               "--out", str(src)) == 0
+    src = built(form, prec)
     argv = [str(tmp_path / a) if a in digests else a for a in argv]
     assert run(argv[0], "--in", str(src), *argv[1:]) == code
     for name, digest in digests.items():
         assert sha256_of(tmp_path / name) == digest, name
 
 
-def test_non_eigenform_verdicts(tmp_path, capsys):
+def test_non_eigenform_verdicts(built, capsys):
     # The eigen report and a bounds entry give Deligne's bound whenever
     # lambda is an integer, eigenform or not; 39932 breaks the elementary
     # bound |lambda| < 3^6 + 3^5 too, which no report carries.
-    src = tmp_path / "theta13.txt"
-    assert run("build", "--form", "theta(1)^13", "--prec", "2000",
-               "--out", str(src)) == 0
+    src = built("theta(1)^13", 2000)
     assert run("hecke", "--in", str(src), "--op", "tsq", "--p", "3",
                "--verify-eigen") == 1
     doc = json.loads(capsys.readouterr().out)
@@ -884,14 +863,12 @@ def test_non_eigenform_verdicts(tmp_path, capsys):
 
 @pytest.mark.parametrize("form, p", [("delta", 3), ("delta", 5),
                                      ("theta(1)^13", 3)])
-def test_one_verdict_three_views(tmp_path, capsys, form, p):
+def test_one_verdict_three_views(built, tmp_path, capsys, form, p):
     # hecke --verify-eigen, the bounds suite and the recurrence suite each
     # print one prime's verdict whole, in one key order, and add only
     # their own part: the header, the pass flag, the data along each t.
     # --verify-eigen reads the image --out writes, built once.
-    src, image = tmp_path / "f.txt", tmp_path / "tsq.txt"
-    assert run("build", "--form", form, "--prec", "2000",
-               "--out", str(src)) == 0
+    src, image = built(form, 2000), tmp_path / "tsq.txt"
     with mock.patch.object(hecke, "t_square_half",
                            wraps=hecke.t_square_half) as tsq:
         code = run("hecke", "--in", str(src), "--op", "tsq", "--p", str(p),
@@ -911,11 +888,8 @@ def test_one_verdict_three_views(tmp_path, capsys, form, p):
 
 
 class TestLiftCommand:
-    def test_lift_delta(self, tmp_path):
-        src = tmp_path / "delta.txt"
-        dst = tmp_path / "lift.txt"
-        assert run("build", "--form", "delta", "--prec", "400",
-                   "--out", str(src)) == 0
+    def test_lift_delta(self, built, tmp_path):
+        src, dst = built("delta", 400), tmp_path / "lift.txt"
         assert run("lift", "--in", str(src), "--t", "1",
                    "--out", str(dst)) == 0
         cf = coeffio.read(str(dst))
@@ -923,18 +897,15 @@ class TestLiftCommand:
         table = cf.form.coeffs
         assert table[1] == 1 and table[3] == 252
 
-    def test_lift_g(self, tmp_path):
-        src = tmp_path / "g.txt"
-        dst = tmp_path / "lift.txt"
-        run("build", "--form", "g", "--prec", "300", "--out", str(src))
+    def test_lift_g(self, built, tmp_path):
+        src, dst = built("g", 300), tmp_path / "lift.txt"
         assert run("lift", "--in", str(src), "--t", "3",
                    "--out", str(dst)) == 0
         assert coeffio.read(str(dst)).form.coeffs[1] == 1
 
     @pytest.mark.parametrize("t", ["0", "-6", "4"])
-    def test_file_with_bad_t_exits_2(self, tmp_path, capsys, t):
-        src, lift = tmp_path / "delta.txt", tmp_path / "lift.txt"
-        run("build", "--form", "delta", "--prec", "100", "--out", str(src))
+    def test_file_with_bad_t_exits_2(self, built, tmp_path, capsys, t):
+        src, lift = built("delta", 100), tmp_path / "lift.txt"
         assert run("lift", "--in", str(src), "--t", "1",
                    "--out", str(lift)) == 0
         text = lift.read_text()
@@ -945,12 +916,11 @@ class TestLiftCommand:
         assert run("signs", "--in", str(lift), "--X-list", "1") == 2
         assert "square-free positive" in capsys.readouterr().err
 
-    def test_file_t_above_every_prec_is_refused_unread(self, tmp_path,
+    def test_file_t_above_every_prec_is_refused_unread(self, built, tmp_path,
                                                        monkeypatch):
         # No lift's t exceeds its source's prec, so a # t: above
         # LARGE_PREC_CAP is refused before any trial division.
-        src, lift = tmp_path / "delta.txt", tmp_path / "lift.txt"
-        run("build", "--form", "delta", "--prec", "100", "--out", str(src))
+        src, lift = built("delta", 100), tmp_path / "lift.txt"
         run("lift", "--in", str(src), "--t", "1", "--out", str(lift))
         big = 10 ** 30 + 57
         text = lift.read_text().replace("# t: 1\n", "# t: %d\n" % big)
@@ -959,9 +929,8 @@ class TestLiftCommand:
                            "1000000, the largest prec" % big):
             coeffio.parse(text)
 
-    def test_non_squarefree_t_exits_2(self, tmp_path):
-        src = tmp_path / "delta.txt"
-        run("build", "--form", "delta", "--prec", "100", "--out", str(src))
+    def test_non_squarefree_t_exits_2(self, built, tmp_path):
+        src = built("delta", 100)
         assert run("lift", "--in", str(src), "--t", "12",
                    "--out", str(tmp_path / "x.txt")) == 2
 
@@ -1007,9 +976,8 @@ class TestLiftCommand:
 
 
 class TestHeckeCommand:
-    def test_tsq_eigen_report(self, tmp_path, capsys):
-        src = tmp_path / "delta.txt"
-        run("build", "--form", "delta", "--prec", "400", "--out", str(src))
+    def test_tsq_eigen_report(self, built, tmp_path, capsys):
+        src = built("delta", 400)
         out = tmp_path / "tsq.txt"
         code = run("hecke", "--in", str(src), "--op", "tsq", "--p", "3",
                    "--verify-eigen", "--out", str(out))
@@ -1021,17 +989,15 @@ class TestHeckeCommand:
         body = [l for l in read_lines(out) if not l.startswith("#")]
         assert body[0] == "1\t252"
 
-    def test_tp_on_integral_form(self, tmp_path, capsys):
-        src = tmp_path / "Delta.txt"
-        run("build", "--form", "Delta", "--prec", "100", "--out", str(src))
+    def test_tp_on_integral_form(self, built, capsys):
+        src = built("Delta", 100)
         assert run("hecke", "--in", str(src), "--op", "tp", "--p", "2",
                    "--verify-eigen") == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["lambda"] == -24 and doc["is_eigen"]
 
-    def test_u_extraction(self, tmp_path):
-        src = tmp_path / "g.txt"
-        run("build", "--form", "g", "--prec", "64", "--out", str(src))
+    def test_u_extraction(self, built, tmp_path):
+        src = built("g", 64)
         out = tmp_path / "u4.txt"
         assert run("hecke", "--in", str(src), "--op", "u", "--p", "4",
                    "--out", str(out)) == 0
@@ -1040,13 +1006,11 @@ class TestHeckeCommand:
 
     @pytest.mark.parametrize("form, m, level", [("E4", 3, 3), ("E4", 1, 1),
                                                 ("g", 3, 132), ("delta", 4, 4)])
-    def test_u_image_level(self, tmp_path, form, m, level):
+    def test_u_image_level(self, built, tmp_path, form, m, level):
         # f | U_m lies on level lcm(N, m); a trivial character follows it,
         # except in half-integral weight for a non-square m, where it
         # becomes (4m/.) on lcm(N, 4m): (4*3 * 44^2 / .) for g and m = 3.
-        src, out = tmp_path / "f.txt", tmp_path / "u.txt"
-        assert run("build", "--form", form, "--prec", "60",
-                   "--out", str(src)) == 0
+        src, out = built(form, 60), tmp_path / "u.txt"
         assert run("hecke", "--in", str(src), "--op", "u", "--p", str(m),
                    "--out", str(out)) == 0
         lines = read_lines(out)
@@ -1056,13 +1020,12 @@ class TestHeckeCommand:
         assert "# character: %s" % character in lines
 
     @pytest.mark.parametrize("m, level", [(2, 8), (3, 12), (5, 20)])
-    def test_u_image_is_an_eigenform(self, files_1e4, tmp_path, capsys, m,
-                                     level):
+    def test_u_image_is_an_eigenform(self, built, tmp_path, capsys, m, level):
         # delta | U_m for a non-square m has character (4m/.) on level
         # lcm(4, 4m) (Ono, The Web of Modularity, Prop. 3.7), and with it
         # it is a T(p^2) eigenform with delta's eigenvalues.
         image = tmp_path / "u.txt"
-        assert run("hecke", "--in", str(files_1e4 / "delta.txt"), "--op",
+        assert run("hecke", "--in", str(built("delta", 10_000)), "--op",
                    "u", "--p", str(m), "--out", str(image)) == 0
         cf = coeffio.read(str(image))
         assert cf.form.level == level
@@ -1073,12 +1036,12 @@ class TestHeckeCommand:
                        str(p), "--verify-eigen") == 0, (m, p)
             assert json.loads(capsys.readouterr().out)["lambda"] == lam
 
-    def test_square_top_is_written_trivial(self, files_1e4, tmp_path):
+    def test_square_top_is_written_trivial(self, built, tmp_path):
         # U_3 of delta's U_3 image has the top 16 * 12 * 12 = 48^2, the
         # trivial character mod 12, and U_9's body.  A file that writes
         # that character as kronecker:2304/mod:12 is not canonical.
         u3, u33, u9 = (tmp_path / n for n in ("u3.txt", "u33.txt", "u9.txt"))
-        delta = str(files_1e4 / "delta.txt")
+        delta = str(built("delta", 10_000))
         for src, m, out in ((delta, 3, u3), (u3, 3, u33), (delta, 9, u9)):
             assert run("hecke", "--in", str(src), "--op", "u", "--p", str(m),
                        "--out", str(out)) == 0
@@ -1096,12 +1059,10 @@ class TestHeckeCommand:
         ["verify", "--suite", "bounds", "--p", "3"],
         ["verify", "--suite", "recurrence", "--t", "1", "--p", "3"],
     ], ids=["tsq", "tsq-eigen", "lift", "bounds", "recurrence"])
-    def test_weight_one_half_exits_2(self, tmp_path, capsys, argv):
+    def test_weight_one_half_exits_2(self, built, tmp_path, capsys, argv):
         # T(p^2) in weight 1/2 has the factor p^(k-1) = 1/p, and the lift
         # would have weight 0: both are refused, and nothing is written.
-        src, out = tmp_path / "theta.txt", tmp_path / "out.txt"
-        assert run("build", "--form", "theta(1)", "--prec", "200",
-                   "--out", str(src)) == 0
+        src, out = built("theta(1)", 200), tmp_path / "out.txt"
         argv = [str(out) if a == "out.txt" else a for a in argv]
         assert run(argv[0], "--in", str(src), *argv[1:]) == 2
         captured = capsys.readouterr()
@@ -1130,10 +1091,8 @@ class TestHeckeCommand:
          "a(t) is beyond the form's precision"),
     ], ids=["tsq", "bounds", "recurrence", "tp", "signs", "lift"])
     def test_precision_bounds_before_trial_division(
-            self, tmp_path, capsys, monkeypatch, form, argv, message):
-        src, out = tmp_path / "f.txt", tmp_path / "out"
-        assert run("build", "--form", form, "--prec", "100",
-                   "--out", str(src)) == 0
+            self, built, tmp_path, capsys, monkeypatch, form, argv, message):
+        src, out = built(form, 100), tmp_path / "out"
         _bound_trial_division(monkeypatch, 100)
         argv = [str(out) if a == "out" else a for a in argv]
         assert run(argv[0], "--in", str(src), *argv[1:]) == 2
@@ -1141,12 +1100,10 @@ class TestHeckeCommand:
         assert captured.err == "error: %s\n" % message
         assert captured.out == "" and not out.exists()
 
-    def test_tsq_without_eigen_check_writes_the_image(self, tmp_path):
+    def test_tsq_without_eigen_check_writes_the_image(self, built, tmp_path):
         # g at prec 20 has a(1) = a(2) = 0, so no eigenvalue can be read
         # off its T(9) image; without --verify-eigen none is asked for.
-        src, out = tmp_path / "g.txt", tmp_path / "tsq.txt"
-        assert run("build", "--form", "g", "--prec", "20",
-                   "--out", str(src)) == 0
+        src, out = built("g", 20), tmp_path / "tsq.txt"
         assert run("hecke", "--in", str(src), "--op", "tsq", "--p", "3",
                    "--out", str(out)) == 0
         image = coeffio.read(str(out)).form
@@ -1164,11 +1121,9 @@ class TestHeckeCommand:
         ("delta", 100, ["hecke", "--op", "u", "--p", "500", "--out", "out"],
          "m = 500 exceeds the precision 100"),
     ], ids=["tsq", "bounds", "recurrence", "tp", "u"])
-    def test_prime_beyond_precision_exits_2(self, tmp_path, capsys, form,
-                                            prec, argv, message):
-        src, out = tmp_path / "f.txt", tmp_path / "out"
-        assert run("build", "--form", form, "--prec", str(prec),
-                   "--out", str(src)) == 0
+    def test_prime_beyond_precision_exits_2(self, built, tmp_path, capsys,
+                                            form, prec, argv, message):
+        src, out = built(form, prec), tmp_path / "out"
         argv = [str(out) if a == "out" else a for a in argv]
         assert run(argv[0], "--in", str(src), *argv[1:]) == 2
         captured = capsys.readouterr()
@@ -1191,10 +1146,8 @@ class TestHeckeCommand:
         assert "0\t1" in read_lines(image)
 
     @pytest.mark.parametrize("p, sigma3", [(2, 9), (3, 28)])
-    def test_tp_of_e4_is_sigma3_times_e4(self, tmp_path, p, sigma3):
-        src, out = tmp_path / "e4.txt", tmp_path / "tp.txt"
-        assert run("build", "--form", "E4", "--prec", "300",
-                   "--out", str(src)) == 0
+    def test_tp_of_e4_is_sigma3_times_e4(self, built, tmp_path, p, sigma3):
+        src, out = built("E4", 300), tmp_path / "tp.txt"
         assert run("hecke", "--in", str(src), "--op", "tp", "--p", str(p),
                    "--out", str(out)) == 0
         e4, image = coeffio.read(str(src)).form, coeffio.read(str(out)).form
@@ -1202,9 +1155,8 @@ class TestHeckeCommand:
         assert image.coeffs == [sigma3 * c for c in e4.coeffs[:image.prec + 1]]
         assert read_lines(out)[6:8] == ["# offset: 0", "0\t%d" % sigma3]
 
-    def test_bad_prime_exits_2(self, tmp_path):
-        src = tmp_path / "delta.txt"
-        run("build", "--form", "delta", "--prec", "100", "--out", str(src))
+    def test_bad_prime_exits_2(self, built):
+        src = built("delta", 100)
         assert run("hecke", "--in", str(src), "--op", "tsq", "--p", "2") == 2
 
     @pytest.mark.parametrize("extra, message", [
@@ -1212,10 +1164,9 @@ class TestHeckeCommand:
         (["--op", "u", "--verify-eigen", "--out", "report.json"],
          "--verify-eigen needs --op tsq or tp"),
     ])
-    def test_option_without_effect_exits_2(self, tmp_path, capsys, extra,
-                                           message):
-        src, report = tmp_path / "delta.txt", tmp_path / "report.json"
-        run("build", "--form", "delta", "--prec", "100", "--out", str(src))
+    def test_option_without_effect_exits_2(self, built, tmp_path, capsys,
+                                           extra, message):
+        src, report = built("delta", 100), tmp_path / "report.json"
         argv = [str(report) if a == "report.json" else a for a in extra]
         assert run("hecke", "--in", str(src), "--p", "3", *argv) == 2
         assert capsys.readouterr().err == "error: %s\n" % message
@@ -1237,9 +1188,8 @@ class TestHeckeCommand:
 
 
 class TestSignsCommand:
-    def test_csv_table(self, tmp_path):
-        src = tmp_path / "delta.txt"
-        run("build", "--form", "delta", "--prec", "1000", "--out", str(src))
+    def test_csv_table(self, built, tmp_path):
+        src = built("delta", 1000)
         csv = tmp_path / "table.csv"
         assert run("signs", "--in", str(src), "--stats", "tot,fund",
                    "--X-list", "10,100,1000", "--csv", str(csv)) == 0
@@ -1248,11 +1198,10 @@ class TestSignsCommand:
                                    "100,0.520,0.548",
                                    "1000,0.518,0.515"]
 
-    def test_each_row_is_its_own_scan(self, tmp_path):
+    def test_each_row_is_its_own_scan(self, built, tmp_path):
         # An unsorted, repeated X-list: every row is the counts of that X's
         # own masks alone, in the order given.
-        src, csv = tmp_path / "g.txt", tmp_path / "table.csv"
-        run("build", "--form", "g", "--prec", "1000", "--out", str(src))
+        src, csv = built("g", 1000), tmp_path / "table.csv"
         assert run("signs", "--in", str(src), "--X-list", "1000,10,100,10",
                    "--csv", str(csv)) == 0
         g = coeffio.read(str(src)).form
@@ -1265,9 +1214,8 @@ class TestSignsCommand:
             want.append(",".join(row))
         assert read_lines(csv) == want
 
-    def test_fundamental_runs_once(self, tmp_path, monkeypatch):
-        src = tmp_path / "delta.txt"
-        run("build", "--form", "delta", "--prec", "1000", "--out", str(src))
+    def test_fundamental_runs_once(self, built, monkeypatch):
+        src = built("delta", 1000)
         calls = []
         fundamental = signs.fundamental
 
@@ -1279,9 +1227,8 @@ class TestSignsCommand:
                    "--X-list", "10,1000,100,1000") == 0
         assert calls == [1000]
 
-    def test_csv_byte_stable(self, tmp_path):
-        src = tmp_path / "g.txt"
-        run("build", "--form", "g", "--prec", "500", "--out", str(src))
+    def test_csv_byte_stable(self, built, tmp_path):
+        src = built("g", 500)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run("signs", "--in", str(src), "--X-list", "10,100,500",
             "--csv", str(a))
@@ -1289,16 +1236,14 @@ class TestSignsCommand:
             "--csv", str(b))
         assert a.read_bytes() == b.read_bytes()
 
-    def test_six_decimals_above_1000(self, tmp_path):
-        src = tmp_path / "delta.txt"
-        run("build", "--form", "delta", "--prec", "10000", "--out", str(src))
+    def test_six_decimals_above_1000(self, built, tmp_path):
+        src = built("delta", 10000)
         csv = tmp_path / "t.csv"
         run("signs", "--in", str(src), "--X-list", "10000", "--csv", str(csv))
         assert read_lines(csv)[1] == "10000,0.504600,0.501643"
 
-    def test_subsequence_report(self, tmp_path, capsys):
-        src = tmp_path / "g.txt"
-        run("build", "--form", "g", "--prec", "300", "--out", str(src))
+    def test_subsequence_report(self, built, capsys):
+        src = built("g", 300)
         assert run("signs", "--in", str(src), "--X-list", "10",
                    "--t", "3", "--powers-p", "3") == 0
         out = capsys.readouterr().out
@@ -1306,24 +1251,33 @@ class TestSignsCommand:
         kinds = [r["kind"] for r in doc["reports"]]
         assert kinds == ["square-class", "prime-power"]
 
-    def test_powers_p_without_t_exits_2(self, tmp_path, capsys):
-        src = tmp_path / "delta.txt"
-        run("build", "--form", "delta", "--prec", "300", "--out", str(src))
+    def test_powers_p_without_t_exits_2(self, built, tmp_path, capsys):
+        src, csv = built("delta", 300), tmp_path / "out.csv"
         assert run("signs", "--in", str(src), "--X-list", "10",
-                   "--powers-p", "3") == 2
+                   "--powers-p", "3", "--csv", str(csv)) == 2
         assert capsys.readouterr() == ("", "error: --powers-p needs --t\n")
+        assert not csv.exists()
 
-    def test_failed_report_writes_no_table(self, tmp_path, capsys):
-        src, csv = tmp_path / "delta.txt", tmp_path / "out.csv"
-        run("build", "--form", "delta", "--prec", "3000", "--out", str(src))
+    def test_json_without_a_report_exits_2(self, built, tmp_path, capsys):
+        # Only --t and --dprime make reports: a --json with neither would
+        # never be written, so nothing is.
+        src, csv, report = (built("delta", 300), tmp_path / "out.csv",
+                            tmp_path / "report.json")
+        assert run("signs", "--in", str(src), "--X-list", "10",
+                   "--csv", str(csv), "--json", str(report)) == 2
+        assert capsys.readouterr() == (
+            "", "error: --json needs --t or --dprime\n")
+        assert not csv.exists() and not report.exists()
+
+    def test_failed_report_writes_no_table(self, built, tmp_path, capsys):
+        src, csv = built("delta", 3000), tmp_path / "out.csv"
         assert run("signs", "--in", str(src), "--X-list", "10",
                    "--csv", str(csv), "--t", "5001") == 2
         assert "error" in capsys.readouterr().err
         assert not csv.exists()
 
-    def test_dprime_survey(self, tmp_path, capsys):
-        src = tmp_path / "delta.txt"
-        run("build", "--form", "delta", "--prec", "300", "--out", str(src))
+    def test_dprime_survey(self, built, capsys):
+        src = built("delta", 300)
         assert run("signs", "--in", str(src), "--X-list", "10",
                    "--dprime", "3:1") == 0
         out = capsys.readouterr().out
@@ -1332,12 +1286,11 @@ class TestSignsCommand:
         assert survey["kind"] == "dprime-survey"
         assert all(t % 3 != 0 for t in survey["t_values"])
 
-    def test_dprime_reads_one_symbol_per_t_at_most(self, tmp_path, capsys):
+    def test_dprime_reads_one_symbol_per_t_at_most(self, built, capsys):
         # p = 1000003 is above the prec: (t/p) is read for the t that
         # occur, not for every residue mod p, and the survey is the one a
         # per-t filter gives.
-        src = tmp_path / "delta.txt"
-        run("build", "--form", "delta", "--prec", "2000", "--out", str(src))
+        src = built("delta", 2000)
         p = 1000003
         with mock.patch.object(signs, "kronecker",
                                wraps=signs.kronecker) as spy:
@@ -1357,29 +1310,25 @@ class TestSignsCommand:
 
     @pytest.mark.parametrize("dprime, bad", [("9:1,25:-1", 9), ("1:1", 1),
                                               ("0:1", 0)])
-    def test_dprime_needs_primes(self, tmp_path, capsys, dprime, bad):
-        src, csv = tmp_path / "delta.txt", tmp_path / "out.csv"
-        run("build", "--form", "delta", "--prec", "300", "--out", str(src))
+    def test_dprime_needs_primes(self, built, tmp_path, capsys, dprime, bad):
+        src, csv = built("delta", 300), tmp_path / "out.csv"
         assert run("signs", "--in", str(src), "--X-list", "10",
                    "--csv", str(csv), "--dprime", dprime) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: %d is not prime\n" % bad
         assert captured.out == "" and not csv.exists()
 
-    def test_unknown_stat_exits_2(self, tmp_path):
-        src = tmp_path / "delta.txt"
-        run("build", "--form", "delta", "--prec", "50", "--out", str(src))
+    def test_unknown_stat_exits_2(self, built):
+        src = built("delta", 50)
         assert run("signs", "--in", str(src), "--stats", "median") == 2
 
-    def test_range_violation_exits_2(self, tmp_path):
-        src = tmp_path / "delta.txt"
-        run("build", "--form", "delta", "--prec", "50", "--out", str(src))
+    def test_range_violation_exits_2(self, built):
+        src = built("delta", 50)
         assert run("signs", "--in", str(src), "--X-list", "100") == 2
 
     @pytest.mark.parametrize("option", ["--X-list", "--stats"])
-    def test_empty_list_exits_2(self, tmp_path, capsys, option):
-        src, csv = tmp_path / "delta.txt", tmp_path / "out.csv"
-        run("build", "--form", "delta", "--prec", "50", "--out", str(src))
+    def test_empty_list_exits_2(self, built, tmp_path, capsys, option):
+        src, csv = built("delta", 50), tmp_path / "out.csv"
         assert run("signs", "--in", str(src), option, "",
                    "--csv", str(csv)) == 2
         assert capsys.readouterr() == (
@@ -1388,27 +1337,24 @@ class TestSignsCommand:
 
     @pytest.mark.parametrize("xs, bad", [("0", 0), ("-5", -5),
                                          ("10,-5,0", -5)])
-    def test_nonpositive_X_is_named(self, tmp_path, capsys, xs, bad):
-        src, csv = tmp_path / "delta.txt", tmp_path / "out.csv"
-        run("build", "--form", "delta", "--prec", "50", "--out", str(src))
+    def test_nonpositive_X_is_named(self, built, tmp_path, capsys, xs, bad):
+        src, csv = built("delta", 50), tmp_path / "out.csv"
         assert run("signs", "--in", str(src), "--X-list", xs,
                    "--csv", str(csv)) == 2
         assert capsys.readouterr() == (
             "", "error: --X-list: X must be positive, got %d\n" % bad)
         assert not csv.exists()
 
-    def test_empty_dprime_exits_2(self, tmp_path, capsys):
-        src, csv = tmp_path / "delta.txt", tmp_path / "out.csv"
-        run("build", "--form", "delta", "--prec", "50", "--out", str(src))
+    def test_empty_dprime_exits_2(self, built, tmp_path, capsys):
+        src, csv = built("delta", 50), tmp_path / "out.csv"
         assert run("signs", "--in", str(src), "--X-list", "10",
                    "--dprime", "", "--csv", str(csv)) == 2
         assert capsys.readouterr() == (
             "", "error: --dprime needs at least one value\n")
         assert not csv.exists()
 
-    def test_dprime_skips_empty_items(self, tmp_path, capsys):
-        src = tmp_path / "g.txt"
-        run("build", "--form", "g", "--prec", "300", "--out", str(src))
+    def test_dprime_skips_empty_items(self, built, capsys):
+        src = built("g", 300)
         outs = []
         for dprime in ("3:1,5:-1", "3:1,,5:-1,"):
             assert run("signs", "--in", str(src), "--X-list", "10",
@@ -1423,10 +1369,9 @@ class TestSignsCommand:
         ("--dprime", "3:1,y:1", "--dprime: 'y' is not an integer"),
         ("--dprime", "3:+x", "--dprime: '+x' is not an integer"),
         ("--dprime", "3", "--dprime: '3' is not p:eps")])
-    def test_non_integer_item_is_named(self, tmp_path, capsys, option, text,
-                                       message):
-        src, csv = tmp_path / "delta.txt", tmp_path / "out.csv"
-        run("build", "--form", "delta", "--prec", "50", "--out", str(src))
+    def test_non_integer_item_is_named(self, built, tmp_path, capsys, option,
+                                       text, message):
+        src, csv = built("delta", 50), tmp_path / "out.csv"
         assert run("signs", "--in", str(src), "--X-list", "10", option, text,
                    "--csv", str(csv)) == 2
         assert capsys.readouterr() == ("", "error: %s\n" % message)
@@ -1434,9 +1379,8 @@ class TestSignsCommand:
 
 
 class TestVerifyCommand:
-    def test_plus_space_pass(self, tmp_path, capsys):
-        src = tmp_path / "delta.txt"
-        run("build", "--form", "delta", "--prec", "200", "--out", str(src))
+    def test_plus_space_pass(self, built, capsys):
+        src = built("delta", 200)
         assert run("verify", "--in", str(src), "--suite", "plus-space") == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["pass"] and doc["schema"] == 1
@@ -1478,9 +1422,8 @@ class TestVerifyCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["violations"] == [{"n": 2, "a": 1}]
 
-    def test_recurrence_suite(self, tmp_path, capsys):
-        src = tmp_path / "delta.txt"
-        run("build", "--form", "delta", "--prec", "2000", "--out", str(src))
+    def test_recurrence_suite(self, built, capsys):
+        src = built("delta", 2000)
         assert run("verify", "--in", str(src), "--suite", "recurrence",
                    "--t", "1,5", "--p", "3,5") == 0
         doc = json.loads(capsys.readouterr().out)
@@ -1489,9 +1432,8 @@ class TestVerifyCommand:
         assert first["lambda"] == 252 and len(first["along"]) == 2
         assert first["along"][0]["witnesses"][0] == {"n": 1, "a": 1}
 
-    def test_bounds_suite(self, tmp_path, capsys):
-        src = tmp_path / "g.txt"
-        run("build", "--form", "g", "--prec", "2000", "--out", str(src))
+    def test_bounds_suite(self, built, capsys):
+        src = built("g", 2000)
         assert run("verify", "--in", str(src), "--suite", "bounds",
                    "--p", "3,5,7,13") == 0
         doc = json.loads(capsys.readouterr().out)
@@ -1499,9 +1441,8 @@ class TestVerifyCommand:
         assert all(c["deligne_ok"] and abs(c["lambda"]) < c["p"] + 1
                    for c in doc["checks"])
 
-    def test_prop2_suite(self, tmp_path, capsys):
-        src = tmp_path / "delta.txt"
-        run("build", "--form", "delta", "--prec", "2000", "--out", str(src))
+    def test_prop2_suite(self, built, capsys):
+        src = built("delta", 2000)
         assert run("verify", "--in", str(src), "--suite", "prop2",
                    "--p", "3", "--limit", "2000") == 0
         doc = json.loads(capsys.readouterr().out)
@@ -1510,9 +1451,8 @@ class TestVerifyCommand:
         assert witnesses[(-1, 1)]["n"] == 5
         assert witnesses[(-1, -1)]["n"] == 8
 
-    def test_prop2_insufficient_limit_exits_1(self, tmp_path, capsys):
-        src = tmp_path / "delta.txt"
-        run("build", "--form", "delta", "--prec", "200", "--out", str(src))
+    def test_prop2_insufficient_limit_exits_1(self, built, capsys):
+        src = built("delta", 200)
         assert run("verify", "--in", str(src), "--suite", "prop2",
                    "--p", "3", "--limit", "3") == 1
         capsys.readouterr()
@@ -1520,18 +1460,18 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("p, reason", [
         ("9", "9 is not prime"), ("1", "1 is not prime"),
         ("11", "p=11 divides the level 44")])
-    def test_prop2_needs_a_good_prime(self, tmp_path, capsys, p, reason):
-        src, report = tmp_path / "g.txt", tmp_path / "report.json"
-        run("build", "--form", "g", "--prec", "2000", "--out", str(src))
+    def test_prop2_needs_a_good_prime(self, built, tmp_path, capsys, p,
+                                      reason):
+        src, report = built("g", 2000), tmp_path / "report.json"
         assert run("verify", "--in", str(src), "--suite", "prop2", "--p", p,
                    "--json", str(report)) == 2
         assert capsys.readouterr() == ("", "error: %s\n" % reason)
         assert not report.exists()
 
     @pytest.mark.parametrize("limit", ["0", "-5"])
-    def test_prop2_needs_a_positive_limit(self, tmp_path, capsys, limit):
-        src, report = tmp_path / "delta.txt", tmp_path / "report.json"
-        run("build", "--form", "delta", "--prec", "200", "--out", str(src))
+    def test_prop2_needs_a_positive_limit(self, built, tmp_path, capsys,
+                                          limit):
+        src, report = built("delta", 200), tmp_path / "report.json"
         assert run("verify", "--in", str(src), "--suite", "prop2", "--p", "3",
                    "--limit=" + limit, "--json", str(report)) == 2
         assert capsys.readouterr() == (
@@ -1541,22 +1481,24 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("argv", [["--suite", "bounds", "--p", ","],
                                       ["--suite", "recurrence", "--t", ""]],
                              ids=["p", "t"])
-    def test_empty_list_exits_2(self, tmp_path, capsys, argv):
-        src, report = tmp_path / "delta.txt", tmp_path / "report.json"
-        run("build", "--form", "delta", "--prec", "200", "--out", str(src))
+    def test_empty_list_exits_2(self, built, tmp_path, capsys, argv):
+        src, report = built("delta", 200), tmp_path / "report.json"
         assert run("verify", "--in", str(src), *argv,
                    "--json", str(report)) == 2
         assert capsys.readouterr() == (
             "", "error: %s needs at least one value\n" % argv[2])
         assert not report.exists()
 
-    @pytest.mark.parametrize("option, text", [("--p", "3,x"), ("--t", "1,5.0")])
-    def test_non_integer_item_is_named(self, tmp_path, capsys, option, text):
-        src, report = tmp_path / "delta.txt", tmp_path / "report.json"
-        run("build", "--form", "delta", "--prec", "200", "--out", str(src))
-        assert run("verify", "--in", str(src), "--suite", "recurrence",
+    @pytest.mark.parametrize("suite, option, text, item", [
+        ("recurrence", "--p", "3,x", "x"),
+        ("recurrence", "--t", "1,5.0", "5.0"),
+        ("prop2", "--limit", "1e4", "1e4")],
+        ids=["--p-3,x", "--t-1,5.0", "--limit-1e4"])
+    def test_non_integer_item_is_named(self, built, tmp_path, capsys, suite,
+                                       option, text, item):
+        src, report = built("delta", 200), tmp_path / "report.json"
+        assert run("verify", "--in", str(src), "--suite", suite,
                    option, text, "--json", str(report)) == 2
-        item = text.split(",")[1]
         assert capsys.readouterr() == (
             "", "error: %s: %r is not an integer\n" % (option, item))
         assert not report.exists()
@@ -1572,12 +1514,11 @@ class TestVerifyCommand:
         assert check["along"] == [{"t": 1, "max_m": 0,
                                    "witnesses": [{"n": 1, "a": 26}]}]
 
-    def test_recurrence_reads_one_image_per_prime(self, tmp_path, capsys):
+    def test_recurrence_reads_one_image_per_prime(self, built, capsys):
         # Each prime's T(p^2) eigen verdict serves every t: one check per
         # p, and along it one entry per t, with max_m the last m of
         # t p^(2m) within prec.
-        src = tmp_path / "delta.txt"
-        run("build", "--form", "delta", "--prec", "2000", "--out", str(src))
+        src = built("delta", 2000)
         with mock.patch.object(hecke, "t_square_half",
                                wraps=hecke.t_square_half) as tsq:
             assert run("verify", "--in", str(src), "--suite", "recurrence",
@@ -1610,15 +1551,30 @@ class TestVerifyCommand:
         assert capsys.readouterr() == ("", "error: %s\n" % message)
         assert not report.exists()
 
-    def test_out_of_range_t_exits_2(self, tmp_path):
-        src = tmp_path / "delta.txt"
-        run("build", "--form", "delta", "--prec", "100", "--out", str(src))
+    def test_out_of_range_t_exits_2(self, built):
+        src = built("delta", 100)
         assert run("verify", "--in", str(src), "--suite", "recurrence",
                    "--t", "101", "--p", "3") == 2
 
-    def test_json_file_output(self, tmp_path):
-        src = tmp_path / "delta.txt"
-        run("build", "--form", "delta", "--prec", "100", "--out", str(src))
+    @pytest.mark.parametrize("suite, option, value", [
+        ("bounds", "--t", "4"), ("prop2", "--t", "1"),
+        ("plus-space", "--t", "1"), ("plus-space", "--p", "9"),
+        ("plus-space", "--limit", "-5"), ("bounds", "--limit", "5"),
+        ("recurrence", "--limit", "5")])
+    def test_an_option_the_suite_does_not_read_exits_2(self, built, tmp_path,
+                                                       capsys, suite, option,
+                                                       value):
+        # An option no check reads would pass unchecked, whatever its
+        # value: it is refused, and no report is written.
+        src, report = built("delta", 200), tmp_path / "report.json"
+        assert run("verify", "--in", str(src), "--suite", suite, option,
+                   value, "--json", str(report)) == 2
+        assert capsys.readouterr() == (
+            "", "error: --suite %s takes no %s\n" % (suite, option))
+        assert not report.exists()
+
+    def test_json_file_output(self, built, tmp_path):
+        src = built("delta", 100)
         report = tmp_path / "report.json"
         assert run("verify", "--in", str(src), "--suite", "plus-space",
                    "--json", str(report)) == 0
@@ -1633,27 +1589,6 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             run("hecke", "--op", "tsq")
         assert exc.value.code == 2
-
-
-def _fresh_python(script, cwd=None, timeout=60):
-    """What script prints in a new interpreter that finds qsigns."""
-    src = str(Path(qsigns.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=cwd,
-                          capture_output=True, text=True, timeout=timeout)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
-def _fresh_import(script, cwd=None):
-    """The modules a new interpreter holds after running script (an
-    import, say) but did not hold at start-up."""
-    probe = ("import json, sys\n"
-             "before = set(sys.modules)\n"
-             "%s\n"
-             "print(json.dumps(sorted(set(sys.modules) - before)))\n"
-             % script)
-    return json.loads(_fresh_python(probe, cwd))
 
 
 QSIGNS_MODULES = ("arith", "qseries", "forms", "formspec", "coeffio", "signs",
@@ -1674,8 +1609,8 @@ RUN_EVERY_MODULE = (
 def _cli_probes(tmp_path):
     """The modules new to an interpreter that imports the CLI, and to one
     that runs every qsigns module through it."""
-    return [_fresh_import("import qsigns.cli"),
-            _fresh_import(RUN_EVERY_MODULE, cwd=tmp_path)]
+    return [fresh_import("import qsigns.cli"),
+            fresh_import(RUN_EVERY_MODULE, cwd=tmp_path)]
 
 
 def test_imports_only_the_standard_library(tmp_path):
@@ -1695,8 +1630,8 @@ def test_the_cli_imports_neither_dataclasses_nor_inspect(tmp_path):
         assert not set(modules) & {"dataclasses", "inspect"}
 
 
-# Every read command the CI step runs, the sign table and the
-# subsequence reports, the three read-side suites, T(p^2) and the lift.
+# One of each read command: the sign table and the subsequence reports,
+# the three read-side suites, T(p^2) and the lift.
 READ_COMMANDS = [
     ["signs", "--in", "d.txt", "--X-list", "10,100", "--csv", "t.csv"],
     ["signs", "--in", "d.txt", "--X-list", "10", "--t", "1", "--powers-p",
@@ -1724,14 +1659,14 @@ def test_read_commands_load_neither_fractions_nor_decimal(tmp_path):
               "codes = [qsigns.cli.main(argv) for argv in %r]\n"
               "print(json.dumps([codes, sorted({'fractions', 'decimal'}"
               " & set(sys.modules))]))\n" % (READ_COMMANDS,))
-    assert json.loads(_fresh_python(script, cwd=tmp_path)) == [
+    assert json.loads(fresh_python(script, cwd=tmp_path)) == [
         [0] * len(READ_COMMANDS), []]
 
 
 def test_the_package_imports_no_module():
     # The package namespace re-exports nothing, so one module loads only
     # what it imports itself.
-    assert {m for m in _fresh_import("import qsigns.arith")
+    assert {m for m in fresh_import("import qsigns.arith")
             if m.startswith("qsigns")} == {"qsigns", "qsigns.arith"}
 
 
@@ -1767,7 +1702,7 @@ def test_read_side_commands_never_run_the_q_series_engine(tmp_path):
               "for argv in %r:\n"
               "    steps.append([argv[0], qsigns.cli.main(argv), unrun()])\n"
               "print(json.dumps(steps))\n" % (QSIGNS_MODULES, commands))
-    steps = json.loads(_fresh_python(script, cwd=tmp_path))
+    steps = json.loads(fresh_python(script, cwd=tmp_path))
     engine = ["formspec", "qseries"]
     assert steps == [[sorted(QSIGNS_MODULES),
                       ["formspec", "hecke", "qseries", "signs"]],
@@ -1807,7 +1742,7 @@ def test_every_import_spelling_reaches_a_module_not_yet_run(tmp_path, module,
               "%s\n"
               "assert sys.modules['qsigns.%s'] is qsigns.%s\n"
               "print('ok')\n" % (module, spelling, module, module))
-    assert _fresh_python(script, cwd=tmp_path) == "ok\n"
+    assert fresh_python(script, cwd=tmp_path) == "ok\n"
 
 
 def test_a_prime_no_precision_bounds_is_tested_at_once(tmp_path):
@@ -1832,7 +1767,7 @@ def test_a_prime_no_precision_bounds_is_tested_at_once(tmp_path):
     script = ("import json, qsigns.cli\n"
               "print(json.dumps([qsigns.cli.main(argv) for argv in %r]))\n"
               % (commands,))
-    assert json.loads(_fresh_python(script, cwd=tmp_path, timeout=5)) == [
+    assert json.loads(fresh_python(script, cwd=tmp_path, timeout=5)) == [
         0, 0, 0]
     table = "ebba59eeefa401c24cb135adf0e5c3514366dc2fb843535049963e343c6b5125"
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()

@@ -504,8 +504,8 @@ class TestRecurrence:
         # The recurrence suite reads one verdict per prime: a form that is
         # no eigenform fails at that prime, which names its first
         # violation, and no t is read past m = 0.
-        ok, fields = cli.SUITES["recurrence"](_mix(delta3k, g3k), [1, 5],
-                                              [3], None)
+        recurrence, _ = cli.SUITES["recurrence"]
+        ok, fields = recurrence(_mix(delta3k, g3k), [1, 5], [3])
         [check] = fields["checks"]
         assert not ok and not check["pass"] and check["p"] == 3
         assert check["first_violation"] is not None
@@ -546,7 +546,8 @@ def test_suite_verdicts_are_the_eigen_verdicts(delta3k, g3k, delta_wt12,
          "mix": _mix(delta3k, g3k), "Delta": delta_wt12}[form]
     ps = [3, 5, 7, 13]
     for suite in ["bounds"] + ["recurrence"] * f.half_integral:
-        ok, fields = cli.SUITES[suite](f, [1], ps, None)
+        run_suite, names = cli.SUITES[suite]
+        ok, fields = run_suite(f, *[{"t": [1], "p": ps}[n] for n in names])
         checks = fields["checks"]
         assert [c["p"] for c in checks] == ps
         assert [c["is_eigen"] for c in checks] == [
