@@ -2,16 +2,17 @@
 
 Subcommands: build, lift, hecke, signs, verify.  Exit codes: 0 on
 success, 1 when a requested verification fails, 2 for usage or parse
-errors.  Coefficient files are the plain-text format of coeffio; tables
-are CSV with header "X,R_tot,R_fund"; verification reports are JSON with
-a versioned schema, and every witness carries the index and the
-coefficient value.
+errors and for an output that cannot be written.  Coefficient files are
+the plain-text format of coeffio; tables are CSV with header
+"X,R_tot,R_fund"; verification reports are JSON with a versioned
+schema, and every witness carries the index and the coefficient value.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import coeffio, forms, lazy_submodule
@@ -38,6 +39,28 @@ def main(argv=None) -> int:
         return 2
 
 
+def run():
+    """The process entry of `python -m qsigns` and of the `qsigns`
+    script.  It runs main, flushes stdout and stderr, and ends the
+    process with main's exit code by os._exit, which skips the
+    interpreter's teardown: module teardown, freeing every object and
+    atexit handlers.  Every file a command writes is closed before main
+    returns, so only the standard streams hold unwritten bytes.  A
+    stdout that cannot be written is one line on stderr and exit 2.  An
+    exception, argparse's SystemExit and KeyboardInterrupt leave through
+    Python's usual exit."""
+    code = main()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        code = 2
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="qsigns",
                                 description="Exact q-expansion toolkit: build "
@@ -49,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--form", required=True,
                    help="%s, or an expression string"
                         % ", ".join(forms.NAMED))
-    b.add_argument("--prec", type=int, default=DEFAULT_PREC)
+    b.add_argument("--prec", default=DEFAULT_PREC)
     b.add_argument("--allow-large", action="store_true",
                    help="permit prec above %d (slow, memory heavy)" % DEFAULT_PREC)
     b.add_argument("--out", required=True)
@@ -57,14 +80,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     l = sub.add_parser("lift", help="Shimura lift at a square-free index")
     l.add_argument("--in", dest="infile", required=True)
-    l.add_argument("--t", type=int, required=True)
+    l.add_argument("--t", required=True)
     l.add_argument("--out", required=True)
     l.set_defaults(func=cmd_lift)
 
     h = sub.add_parser("hecke", help="apply T(p^2), T(p) or U_m")
     h.add_argument("--in", dest="infile", required=True)
     h.add_argument("--op", choices=("tsq", "tp", "u"), required=True)
-    h.add_argument("--p", type=int, required=True,
+    h.add_argument("--p", required=True,
                    help="the prime (or the index m for --op u)")
     h.add_argument("--out", help="write the transformed sequence here")
     h.add_argument("--verify-eigen", action="store_true")
@@ -78,8 +101,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma list from {%s}" % ", ".join(STATS))
     s.add_argument("--X-list", dest="xlist", default="10,100,1000,10000,100000")
     s.add_argument("--csv", help="write the table here (default stdout)")
-    s.add_argument("--t", type=int, help="also report signs along a(t n^2)")
-    s.add_argument("--powers-p", dest="powers_p", type=int,
+    s.add_argument("--t", help="also report signs along a(t n^2)")
+    s.add_argument("--powers-p", dest="powers_p",
                    help="with --t: report signs along a(t p^(2m))")
     s.add_argument("--dprime", help="restrict the square-free survey, "
                                     "e.g. \"3:+1,5:-1\"")
@@ -101,40 +124,42 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _check_prec(args):
-    if args.prec < 1:
+def _check_prec(prec, allow_large):
+    if prec < 1:
         raise ValueError("prec must be positive")
-    if args.prec > forms.LARGE_PREC_CAP:
+    if prec > forms.LARGE_PREC_CAP:
         raise ValueError("prec above %d is not supported"
                          % forms.LARGE_PREC_CAP)
-    if args.prec > DEFAULT_PREC and not args.allow_large:
-        raise ValueError("prec %d needs --allow-large" % args.prec)
-    if args.prec > DEFAULT_PREC:
+    if prec > DEFAULT_PREC and not allow_large:
+        raise ValueError("prec %d needs --allow-large" % prec)
+    if prec > DEFAULT_PREC:
         print("warning: prec %d is slow and memory heavy, see README"
-              % args.prec, file=sys.stderr)
+              % prec, file=sys.stderr)
 
 
 def cmd_build(args) -> int:
-    _check_prec(args)
+    prec = _int(args.prec, "--prec")
+    _check_prec(prec, args.allow_large)
     # delta and g go through their constructors, looked up at call time
     # through the forms module, because benchmarks/selftest.py asserts
     # the spans benchmarks/tracer.py puts on them.  ROADMAP item 12e
     # removes both constructors, and with them this dict.
     named = {"delta": forms.delta_form, "g": forms.g_form}
     if args.form in named:
-        form = named[args.form](args.prec)
+        form = named[args.form](prec)
     else:
         form = forms.expression_form(forms.NAMED.get(args.form, args.form),
-                                     args.prec)
+                                     prec)
     coeffio.CoefficientFile(args.form, form).write(args.out)
     return 0
 
 
 def cmd_lift(args) -> int:
+    t = _int(args.t, "--t")
     cf = coeffio.read(args.infile)
-    coeffio.CoefficientFile("lift_t%d(%s)" % (args.t, cf.form_id),
-                            hecke.shimura_lift(cf.form, args.t),
-                            t=args.t).write(args.out)
+    coeffio.CoefficientFile("lift_t%d(%s)" % (t, cf.form_id),
+                            hecke.shimura_lift(cf.form, t),
+                            t=t).write(args.out)
     return 0
 
 
@@ -143,8 +168,9 @@ def cmd_hecke(args) -> int:
         raise ValueError("--json needs --verify-eigen")
     if args.verify_eigen and args.op == "u":
         raise ValueError("--verify-eigen needs --op tsq or tp")
+    p = _int(args.p, "--p")
     cf = coeffio.read(args.infile)
-    f, p = cf.form, args.p
+    f = cf.form
     # Resolved at call time, as in cmd_build.
     operator, image_id = {"tsq": (hecke.t_square_half, "tsq_p%d(%s)"),
                           "tp": (hecke.t_integral, "tp%d(%s)"),
@@ -204,6 +230,9 @@ def cmd_signs(args) -> int:
         raise ValueError("--powers-p needs --t")
     if args.jsonfile and args.t is None and args.dprime is None:
         raise ValueError("--json needs --t or --dprime")
+    t = None if args.t is None else _int(args.t, "--t")
+    powers_p = (None if args.powers_p is None
+                else _int(args.powers_p, "--powers-p"))
     cf = coeffio.read(args.infile)
     form = cf.form
     stats = _comma_list(args.stats, "--stats")
@@ -225,18 +254,17 @@ def cmd_signs(args) -> int:
     csv_text = "".join(",".join(r) + "\n" for r in rows)
 
     reports = []
-    if args.t is not None:
-        rep = signs.scan(form, signs.square_class(form, args.t))
-        reports.append({"kind": "square-class", "t": args.t, "X": rep.entries,
+    if t is not None:
+        rep = signs.scan(form, signs.square_class(form, t))
+        reports.append({"kind": "square-class", "t": t, "X": rep.entries,
                         "sign_changes": rep.sign_change_count,
                         "change_positions": rep.change_positions,
                         "witnesses": [_witness(form, n)
                                       for n, _ in rep.witnesses]})
-        if args.powers_p is not None:
-            rep = signs.scan(form, signs.prime_powers(form, args.t,
-                                                      args.powers_p))
-            reports.append({"kind": "prime-power", "t": args.t,
-                            "p": args.powers_p, "entries": rep.entries,
+        if powers_p is not None:
+            rep = signs.scan(form, signs.prime_powers(form, t, powers_p))
+            reports.append({"kind": "prime-power", "t": t,
+                            "p": powers_p, "entries": rep.entries,
                             "sign_changes": rep.sign_change_count,
                             "change_positions": rep.change_positions})
     if args.dprime is not None:
@@ -364,9 +392,7 @@ def _emit_json(doc: dict, path: str | None):
 def _emit(text: str, path: str | None):
     if path:
         coeffio.write_text(path, text)
+    elif sys.stdout is None:
+        raise OSError("standard output is closed")
     else:
         sys.stdout.write(text)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

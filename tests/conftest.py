@@ -11,15 +11,18 @@ from qsigns.cli import main
 from qsigns.forms import NAMED, delta_form, expression_form, g_form
 
 # A new interpreter finds the qsigns this one imported, from a checkout's
-# src or from an installed copy alike.
+# src or from an installed copy alike.  It buffers stdout as a console
+# run does: PYTHONUNBUFFERED, which some hosts set, would hide an output
+# never flushed.
 QSIGNS_PATH = dict(os.environ,
                    PYTHONPATH=str(Path(qsigns.__file__).resolve().parents[1]))
+QSIGNS_PATH.pop("PYTHONUNBUFFERED", None)
 
 
-def cli_process(*argv, timeout=120):
+def cli_process(*argv, timeout=120, text=True):
     """The finished process of one qsigns command in a new interpreter."""
     return subprocess.run([sys.executable, "-m", "qsigns", *argv],
-                          env=QSIGNS_PATH, capture_output=True, text=True,
+                          env=QSIGNS_PATH, capture_output=True, text=text,
                           timeout=timeout)
 
 

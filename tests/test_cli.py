@@ -1590,6 +1590,29 @@ class TestUsageErrors:
             run("hecke", "--op", "tsq")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["build", "--form", "delta", "--prec", "x", "--out"],
+        ["lift", "--t", "x", "--out"],
+        ["hecke", "--op", "tsq", "--p", "x", "--out"],
+        ["signs", "--t", "x", "--csv"],
+        ["signs", "--t", "1", "--powers-p", "x", "--csv"],
+        ["signs", "--X-list", "x", "--csv"],
+        ["verify", "--suite", "recurrence", "--t", "x", "--json"],
+        ["verify", "--suite", "recurrence", "--p", "x", "--json"],
+        ["verify", "--suite", "prop2", "--limit", "x", "--json"],
+    ], ids=lambda argv: argv[0] + argv[argv.index("x") - 1])
+    def test_every_integer_option_refuses_a_non_integer_in_one_line(
+            self, built, tmp_path, capsys, argv):
+        # One spelling for every option read as an integer: one line,
+        # exit 2 and no output, never argparse's usage block.
+        out = tmp_path / "out"
+        if argv[0] != "build":
+            argv = [argv[0], "--in", str(built("delta", 200)), *argv[1:]]
+        assert run(*argv, str(out)) == 2
+        assert capsys.readouterr() == (
+            "", "error: %s: 'x' is not an integer\n" % argv[argv.index("x") - 1])
+        assert not out.exists()
+
 
 QSIGNS_MODULES = ("arith", "qseries", "forms", "formspec", "coeffio", "signs",
                   "hecke", "cli")

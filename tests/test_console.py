@@ -6,14 +6,18 @@ Every check runs on the qsigns this interpreter imports, so the same
 tests check a checkout's src and an installed copy.
 """
 
+import errno
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from qsigns.cli import main
 
-from conftest import cli_process
+from conftest import QSIGNS_PATH, cli_process, fresh_python
 from oracles import poly_mul
 
 # Two more constructions of delta and g.  Delta's: theta and psi on
@@ -223,3 +227,107 @@ def test_a_prime_past_the_exact_test_is_refused_at_once(built, tmp_path):
                        "--X-list", "10", "--t", "1", "--powers-p",
                        str(10 ** 30 + 57), "--csv", str(out), timeout=20)
     assert proc.returncode == 2 and not out.exists()
+
+
+@pytest.mark.parametrize("form, argv, option, code", [
+    ("delta", ["signs", "--X-list", "10,100,1000,2000"], "--csv", 0),
+    ("delta", ["verify", "--suite", "bounds", "--p", "3,5,7"], "--json", 0),
+    ("thetapsi(-3, 1)", ["hecke", "--op", "tsq", "--p", "5",
+                         "--verify-eigen"], "--json", 1),
+    ("delta", ["signs", "--X-list", "10", "--t", "x"], "--csv", 2),
+], ids=["signs", "verify", "eigen-fails", "refused"])
+def test_a_console_run_writes_what_main_writes(built, capsys, tmp_path, form,
+                                               argv, option, code):
+    # A command's stdout through a pipe holds, byte for byte, the file its
+    # option writes: run() flushes the buffered stdout before os._exit.
+    # Its exit code and stderr are main's.
+    args = [argv[0], "--in", str(built(form, 2000)), *argv[1:]]
+    out = tmp_path / "out"
+    assert main([*args, option, str(out)]) == code
+    proc = cli_process(*args, text=False)
+    assert proc.returncode == code
+    assert proc.stdout == (out.read_bytes() if code < 2 else b"")
+    assert proc.stderr == capsys.readouterr().err.encode()
+
+
+# recurrence along 14 square classes writes about 12 KB, more than
+# stdout buffers, so its write fails inside main.
+SQUARE_FREE = "1,2,3,5,6,7,10,11,13,14,15,17,19,21"
+
+
+@pytest.mark.parametrize("redirect, argv, errnum", [
+    ("> /dev/full", ["signs", "--X-list", "10"], errno.ENOSPC),
+    ("> /dev/full", ["verify", "--suite", "recurrence", "--t", SQUARE_FREE],
+     errno.ENOSPC),
+    ("", ["signs", "--X-list", "10"], errno.EPIPE),
+    (">&-", ["signs", "--X-list", "10"], None),
+], ids=["full", "full-large", "no-reader", "closed"])
+def test_a_stdout_that_cannot_be_written_exits_2_in_one_line(built, redirect,
+                                                             argv, errnum):
+    # As a shell gives it: a full device, a pipe whose reader has gone
+    # (`| head -c 0`) and a closed descriptor.
+    reader, writer = os.pipe()
+    os.close(reader)
+    command = [sys.executable, "-m", "qsigns", argv[0],
+               "--in", str(built("delta", 2000)), *argv[1:]]
+    with os.fdopen(writer, "wb") as pipe:
+        proc = subprocess.run(["sh", "-c", 'exec "$@" ' + redirect, "sh",
+                               *command], env=QSIGNS_PATH, stdout=pipe,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    reason = ("standard output is closed" if errnum is None
+              else "[Errno %d] %s" % (errnum, os.strerror(errnum)))
+    assert (proc.returncode, proc.stderr) == (2, "error: %s\n" % reason)
+
+
+def test_no_command_leaves_a_file_open(tmp_path):
+    # run() ends the process by os._exit, which would drop the bytes a
+    # file left open still buffers.  Every command, run through main,
+    # closes each file it opens, on success and on failure alike.
+    main(["build", "--form", "delta", "--prec", "300",
+          "--out", str(tmp_path / "d.txt")])
+    main(["build", "--form", "g", "--prec", "300",
+          "--out", str(tmp_path / "g.txt")])
+    (tmp_path / "cut.txt").write_text(
+        (tmp_path / "d.txt").read_text()[:-5])
+    d, full = ["--in", "d.txt"], "/dev/full"
+    commands = [
+        ["build", "--form", "delta", "--prec", "100", "--out", "b.txt"],
+        ["build", "--form", "theta(1)^3", "--prec", "100", "--out", "e.txt"],
+        ["build", "--form", "theta(1)", "--prec", "100", "--out", full],
+        ["lift", *d, "--t", "1", "--out", "lift.txt"],
+        ["hecke", *d, "--op", "tsq", "--p", "3", "--out", "tsq.txt",
+         "--verify-eigen", "--json", "eigen.json"],
+        ["hecke", "--in", "lift.txt", "--op", "tp", "--p", "3",
+         "--verify-eigen"],
+        ["hecke", *d, "--op", "u", "--p", "3", "--out", "u.txt"],
+        ["signs", *d, "--X-list", "10,100", "--t", "1", "--powers-p", "3",
+         "--csv", "t.csv", "--json", "sub.json"],
+        ["signs", *d, "--X-list", "10,100"],
+        ["signs", *d, "--X-list", "10", "--csv", full],
+        ["signs", "--in", "cut.txt", "--X-list", "10"],
+        ["signs", "--in", "missing.txt", "--X-list", "10"],
+        ["verify", *d, "--suite", "plus-space", "--json", "plus.json"],
+        ["verify", *d, "--suite", "recurrence", "--p", "3"],
+        ["verify", *d, "--suite", "bounds", "--p", "3,5", "--json", full],
+        ["verify", "--in", "g.txt", "--suite", "prop2", "--p", "3",
+         "--json", "prop2.json"],
+    ]
+    script = ("import gc, io, json, sys, warnings\n"
+              "import qsigns.cli\n"
+              "def open_files():\n"
+              "    gc.collect()\n"
+              "    return {id(o): repr(o) for o in gc.get_objects()\n"
+              "            if isinstance(o, io.IOBase) and not o.closed}\n"
+              "sys.stdout, sys.stderr = io.StringIO(), io.StringIO()\n"
+              "before = open_files()\n"
+              "with warnings.catch_warnings(record=True) as caught:\n"
+              "    warnings.simplefilter('always', ResourceWarning)\n"
+              "    codes = [qsigns.cli.main(argv) for argv in %r]\n"
+              "    left = [r for i, r in open_files().items()"
+              " if i not in before]\n"
+              "print(json.dumps([codes, left, [str(w.message) for w in caught"
+              " if w.category is ResourceWarning]]), file=sys.__stdout__)\n"
+              % (commands,))
+    codes, left, warned = json.loads(fresh_python(script, cwd=tmp_path))
+    assert codes == [0, 0, 2, 0, 0, 0, 0, 0, 0, 2, 2, 2, 0, 0, 2, 0]
+    assert (left, warned) == ([], [])
